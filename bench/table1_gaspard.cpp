@@ -49,6 +49,27 @@ void BM_GaspardChainBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_GaspardChainBuild);
 
+void BM_ModelValidatePaper(benchmark::State& state) {
+  // The full single-assignment proof: every output tiler is checked to
+  // be an exact partition, element by element.
+  const aol::Model model = build_downscaler_model(DownscalerConfig::paper());
+  for (auto _ : state) model.validate();
+}
+BENCHMARK(BM_ModelValidatePaper);
+
+void BM_OptimizePaperO2(benchmark::State& state) {
+  // The cost-gated rewrite search at O2: fusion with enabling paving
+  // changes, then channel merges, each candidate fully verified.
+  const aol::Model model = build_downscaler_model(DownscalerConfig::paper());
+  opt::SearchOptions options;
+  options.level = 2;
+  for (auto _ : state) {
+    auto r = opt::optimize(model, options);
+    benchmark::DoNotOptimize(r.rewrites.size());
+  }
+}
+BENCHMARK(BM_OptimizePaperO2);
+
 void BM_GaspardSimulatedFrame(benchmark::State& state) {
   // Wall-clock cost of simulating one timing-only frame (the harness
   // overhead of the reproduction itself).

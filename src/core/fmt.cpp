@@ -1,5 +1,6 @@
 #include "core/fmt.hpp"
 
+#include <charconv>
 #include <iomanip>
 
 namespace saclo {
@@ -22,6 +23,12 @@ std::string fixed(double value, int decimals) {
   std::ostringstream os;
   os << std::fixed << std::setprecision(decimals) << value;
   return os.str();
+}
+
+std::string round_trip(double value) {
+  char buf[32];
+  const auto res = std::to_chars(buf, buf + sizeof buf, value);
+  return std::string(buf, res.ptr);
 }
 
 }  // namespace saclo

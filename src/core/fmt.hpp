@@ -44,4 +44,9 @@ std::string pad_right(const std::string& s, std::size_t width);
 /// Formats a double with the given number of decimals.
 std::string fixed(double value, int decimals);
 
+/// The shortest decimal that parses back to exactly `value`. For
+/// exported numbers that readers compare against each other, where a
+/// rounded rendering could cross a bound the exact values respect.
+std::string round_trip(double value);
+
 }  // namespace saclo

@@ -1,6 +1,9 @@
 #pragma once
 
+#include <cstdint>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/matrix.hpp"
 #include "core/ndarray.hpp"
@@ -37,6 +40,72 @@ struct TilerSpec {
   Index reference(const Shape& array_shape, const Index& rep) const;
 
   std::string to_string() const;
+
+  bool operator==(const TilerSpec& other) const = default;
+};
+
+/// Allocation-free addressing of one tiler over concrete shapes, for
+/// loops that touch every addressed element. The F·i offsets are
+/// tabulated once, already reduced into the array, and each repetition
+/// point's reference element is reduced once; an element then costs one
+/// add, one conditional subtract and one multiply-add per array
+/// dimension. It is the shared inner loop of the exact-partition proof,
+/// the coverage map and the optimizer's fusion analysis; it addresses
+/// exactly the elements TilerSpec::element_index defines.
+class TilerWalk {
+ public:
+  /// Validates the spec against the shapes (see TilerSpec::validate).
+  TilerWalk(const TilerSpec& spec, const Shape& array_shape, const Shape& pattern_shape,
+            const Shape& repetition_shape);
+
+  std::int64_t pattern_elements() const { return pattern_elements_; }
+
+  /// Row-major offset of pattern element `pat` (linear pattern index)
+  /// of the instance whose reduced reference element is `ref`.
+  std::int64_t element(const Index& ref, std::int64_t pat) const {
+    const std::int64_t* fit = fit_.data() + pat * static_cast<std::int64_t>(dims_.size());
+    std::int64_t e = 0;
+    for (std::size_t d = 0; d < dims_.size(); ++d) {
+      std::int64_t v = ref[d] + fit[d];
+      if (v >= dims_[d]) v -= dims_[d];
+      e += v * strides_[d];
+    }
+    return e;
+  }
+
+  /// Calls fn(rep, rep_lin, ref) for every repetition point in row-major
+  /// order (the gather/scatter order), with `ref` its reduced reference
+  /// element. Stops and returns false as soon as fn returns false.
+  template <typename Fn>
+  bool for_each_instance(Fn&& fn) const {
+    Index rep(repetition_.rank(), 0);
+    Index ref(dims_.size(), 0);
+    const std::int64_t reps = repetition_.elements();
+    for (std::int64_t r = 0; r < reps; ++r) {
+      reference(rep, ref);
+      if (!fn(std::as_const(rep), r, std::as_const(ref))) return false;
+      for (std::size_t d = rep.size(); d-- > 0;) {
+        if (++rep[d] < repetition_[d]) break;
+        rep[d] = 0;
+      }
+    }
+    return true;
+  }
+
+ private:
+  /// The reference element of repetition point `rep`, each coordinate
+  /// reduced into [0, extent), written to `ref` (array rank entries).
+  void reference(const Index& rep, Index& ref) const;
+
+  Index origin_;
+  Index dims_;
+  Index strides_;
+  Shape repetition_;
+  /// The paving matrix, row-major (array rank x repetition rank).
+  std::vector<std::int64_t> paving_;
+  std::int64_t pattern_elements_ = 0;
+  /// Per pattern element (row-major), the reduced F·i vector.
+  std::vector<std::int64_t> fit_;
 };
 
 /// True when the tiler visits every element of `array_shape` exactly

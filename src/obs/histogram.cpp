@@ -94,10 +94,12 @@ void append_prometheus_histogram(std::string& out, const std::string& name,
   for (std::size_t i = 0; i + 1 < LogHistogram::kBuckets; ++i) {
     if (hist.buckets()[i] != 0) last = i;
   }
+  // Each le is the exact bound: a rounded one could sit below it, and a
+  // sample at the top of the bucket would then exceed its own le.
   std::int64_t cum = 0;
   for (std::size_t i = 0; i <= last; ++i) {
     cum += hist.buckets()[i];
-    out += cat(name, "_bucket{", prefix, "le=\"", fixed(LogHistogram::upper_bound(i), 3),
+    out += cat(name, "_bucket{", prefix, "le=\"", round_trip(LogHistogram::upper_bound(i)),
                "\"} ", cum, "\n");
   }
   out += cat(name, "_bucket{", prefix, "le=\"+Inf\"} ", hist.count(), "\n");

@@ -42,6 +42,10 @@ OptResult optimize(const aol::Model& model, const SearchOptions& options) {
   }
   Model cur = model;
   double cur_cost = result.before.total_us();
+  // The direct attempt and every paving-change trial of a channel read
+  // the same unchanged producer, and identical channels share a
+  // producer geometry: each inverse map is built once per search.
+  InverseMapCache inverse_maps;
 
   // Fusion fixpoint: for every intermediate array, try to fuse its
   // producer into its consumer — directly, or after an enabling paving
@@ -66,7 +70,7 @@ OptResult optimize(const aol::Model& model, const SearchOptions& options) {
         changed = true;
         return true;
       };
-      RewriteResult direct = try_fuse(cur, mid);
+      RewriteResult direct = try_fuse(cur, mid, &inverse_maps);
       if (direct.legality.ok) {
         if (adopt(std::move(*direct.model),
                   {{"fuse", cat("fused producer of '", mid, "' into its consumer")}})) {
@@ -87,7 +91,7 @@ OptResult optimize(const aol::Model& model, const SearchOptions& options) {
           if (consumer_rep[d] % k != 0) continue;
           RewriteResult pv = try_change_paving(cur, consumer_name, d, k, /*revalidate=*/false);
           if (!pv.legality.ok) continue;
-          RewriteResult fz = try_fuse(*pv.model, mid);
+          RewriteResult fz = try_fuse(*pv.model, mid, &inverse_maps);
           if (!fz.legality.ok) continue;
           if (adopt(std::move(*fz.model),
                     {{"paving_change", cat("split repetition dim ", d, " of '", consumer_name,

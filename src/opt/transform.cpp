@@ -1,7 +1,6 @@
 #include "opt/transform.hpp"
 
 #include <algorithm>
-#include <array>
 #include <set>
 #include <utility>
 #include <vector>
@@ -67,53 +66,6 @@ RewriteResult reject(std::string why) {
   return r;
 }
 
-constexpr std::size_t kMaxRank = 8;
-
-/// Allocation-free tiler addressing for the fusion analysis hot loops
-/// (the inverse map and the exhaustive verification touch every element
-/// of the intermediate array, often several times per candidate).
-struct FastTiler {
-  std::size_t array_rank = 0;
-  std::size_t rep_rank = 0;
-  std::array<std::int64_t, kMaxRank> origin{};
-  std::array<std::int64_t, kMaxRank> dims{};
-  std::array<std::int64_t, kMaxRank> strides{};
-  std::array<std::int64_t, kMaxRank * kMaxRank> paving{};  // [d * kMaxRank + r]
-  /// Per pattern element (enumeration order): the F·i offset vector.
-  std::vector<std::array<std::int64_t, kMaxRank>> fit;
-};
-
-FastTiler make_fast(const TiledPort& tp, const Shape& array_shape, const Shape& repetition) {
-  FastTiler ft;
-  ft.array_rank = array_shape.rank();
-  ft.rep_rank = repetition.rank();
-  const Index strides = array_shape.strides();
-  for (std::size_t d = 0; d < ft.array_rank; ++d) {
-    ft.origin[d] = tp.tiler.origin[d];
-    ft.dims[d] = array_shape[d];
-    ft.strides[d] = strides[d];
-    for (std::size_t r = 0; r < ft.rep_rank; ++r) {
-      ft.paving[d * kMaxRank + r] = tp.tiler.paving.at(d, r);
-    }
-  }
-  for_each_index(tp.pattern, [&](const Index& pat) {
-    const Index f = tp.tiler.fitting.mv(pat);
-    std::array<std::int64_t, kMaxRank> off{};
-    for (std::size_t d = 0; d < ft.array_rank; ++d) off[d] = f[d];
-    ft.fit.push_back(off);
-  });
-  return ft;
-}
-
-/// Advances a row-major multi-index (last dimension fastest), matching
-/// for_each_index / Shape::linearize enumeration order.
-void advance(std::array<std::int64_t, kMaxRank>& idx, const Shape& shape) {
-  for (std::size_t d = shape.rank(); d-- > 0;) {
-    if (++idx[d] < shape[d]) return;
-    idx[d] = 0;
-  }
-}
-
 IntMat matmul(const IntMat& a, const IntMat& b) {
   IntMat c(a.rows(), b.cols(), 0);
   for (std::size_t i = 0; i < a.rows(); ++i) {
@@ -134,6 +86,30 @@ std::string int_list(const std::vector<std::int64_t>& v) {
 }
 
 }  // namespace
+
+const InverseMap& InverseMapCache::get(const TiledPort& out, const Shape& array_shape,
+                                       const Shape& repetition) {
+  for (const Entry& e : entries_) {
+    if (e.tiler == out.tiler && e.pattern == out.pattern && e.repetition == repetition &&
+        e.array == array_shape) {
+      return e.map;
+    }
+  }
+  Entry& e = entries_.emplace_back(Entry{out.tiler, out.pattern, repetition, array_shape, {}});
+  const auto n = static_cast<std::size_t>(array_shape.elements());
+  e.map.rep.resize(n);
+  e.map.pat.resize(n);
+  const TilerWalk walk(out.tiler, array_shape, out.pattern, repetition);
+  walk.for_each_instance([&](const Index&, std::int64_t r_lin, const Index& ref) {
+    for (std::int64_t p = 0; p < walk.pattern_elements(); ++p) {
+      const auto el = static_cast<std::size_t>(walk.element(ref, p));
+      e.map.rep[el] = r_lin;
+      e.map.pat[el] = p;
+    }
+    return true;
+  });
+  return e.map;
+}
 
 RewriteResult try_change_paving(const Model& model, const std::string& task_name,
                                 std::size_t dim, std::int64_t factor, bool revalidate) {
@@ -237,7 +213,8 @@ RewriteResult try_change_paving(const Model& model, const std::string& task_name
   return accept(rebuild(model, {*ti}, {}, {std::move(nt)}), "paving change", revalidate);
 }
 
-RewriteResult try_fuse(const Model& model, const std::string& mid_array) {
+RewriteResult try_fuse(const Model& model, const std::string& mid_array,
+                       InverseMapCache* cache) {
   if (!model.arrays().count(mid_array)) {
     return reject(cat("fuse: no array named '", mid_array, "'"));
   }
@@ -283,39 +260,12 @@ RewriteResult try_fuse(const Model& model, const std::string& mid_array) {
   const TiledPort& b_mid = b.inputs[mid_port];
   const std::int64_t pa = a_out.pattern.elements();
   const std::int64_t pm = b_mid.pattern.elements();
-  if (mid_shape.rank() > kMaxRank || a.repetition.rank() > kMaxRank ||
-      b.repetition.rank() > kMaxRank) {
-    return reject(cat("fuse: ranks above ", kMaxRank, " are not supported"));
-  }
 
   // Invert the producer's output tiler over the whole intermediate:
   // every element has exactly one (repetition, pattern) origin because
   // output tilers are exact partitions (validated single assignment).
-  std::vector<std::int64_t> inv_rep(static_cast<std::size_t>(mid_shape.elements()));
-  std::vector<std::int64_t> inv_pat(static_cast<std::size_t>(mid_shape.elements()));
-  {
-    const FastTiler fa = make_fast(a_out, mid_shape, a.repetition);
-    std::array<std::int64_t, kMaxRank> rep{};
-    const std::int64_t reps = a.repetition.elements();
-    for (std::int64_t r_lin = 0; r_lin < reps; ++r_lin, advance(rep, a.repetition)) {
-      std::array<std::int64_t, kMaxRank> base{};
-      for (std::size_t d = 0; d < fa.array_rank; ++d) {
-        std::int64_t v = fa.origin[d];
-        for (std::size_t r = 0; r < fa.rep_rank; ++r) v += fa.paving[d * kMaxRank + r] * rep[r];
-        base[d] = v;
-      }
-      for (std::size_t i_lin = 0; i_lin < fa.fit.size(); ++i_lin) {
-        std::int64_t e = 0;
-        for (std::size_t d = 0; d < fa.array_rank; ++d) {
-          std::int64_t idx = (base[d] + fa.fit[i_lin][d]) % fa.dims[d];
-          if (idx < 0) idx += fa.dims[d];
-          e += idx * fa.strides[d];
-        }
-        inv_rep[static_cast<std::size_t>(e)] = r_lin;
-        inv_pat[static_cast<std::size_t>(e)] = static_cast<std::int64_t>(i_lin);
-      }
-    }
-  }
+  InverseMapCache local;
+  const InverseMap& inv = (cache ? *cache : local).get(a_out, mid_shape, a.repetition);
 
   const std::size_t ra = a.repetition.rank();
   const std::size_t rb = b.repetition.rank();
@@ -325,8 +275,8 @@ RewriteResult try_fuse(const Model& model, const std::string& mid_array) {
   auto rho = [&](const Index& rep_b, const Index& pat_b) {
     const std::int64_t e = mid_shape.linearize(b_mid.tiler.element_index(mid_shape, rep_b, pat_b));
     return std::pair<Index, std::int64_t>(
-        a.repetition.delinearize(inv_rep[static_cast<std::size_t>(e)]),
-        inv_pat[static_cast<std::size_t>(e)]);
+        a.repetition.delinearize(inv.rep[static_cast<std::size_t>(e)]),
+        inv.pat[static_cast<std::size_t>(e)]);
   };
   const Index zero_r(rb, 0);
   const Index zero_p(pmr, 0);
@@ -366,68 +316,53 @@ RewriteResult try_fuse(const Model& model, const std::string& mid_array) {
   // elements.
   std::vector<bool> wraps(ra, false);
   {
-    // Per consumer-pattern element: the G·i contribution (precomputed),
-    // so the inner loop is pure integer arithmetic.
-    std::vector<std::array<std::int64_t, kMaxRank>> gsum(static_cast<std::size_t>(pm));
-    {
-      std::int64_t i_lin = 0;
-      for_each_index(b_mid.pattern, [&](const Index& pat) {
-        const Index g = G.mv(pat);
-        for (std::size_t d = 0; d < ra; ++d) gsum[static_cast<std::size_t>(i_lin)][d] = g[d];
-        ++i_lin;
-      });
-    }
-    const FastTiler fb = make_fast(b_mid, mid_shape, b.repetition);
+    // Per consumer-pattern element: the G·i contribution (precomputed,
+    // row-major pm x ra), so the inner loop is pure integer arithmetic.
+    std::vector<std::int64_t> gsum;
+    gsum.reserve(static_cast<std::size_t>(pm) * ra);
+    for_each_index(b_mid.pattern, [&](const Index& pat) {
+      const Index g = G.mv(pat);
+      gsum.insert(gsum.end(), g.begin(), g.end());
+    });
+    const TilerWalk fb(b_mid.tiler, mid_shape, b_mid.pattern, b.repetition);
     const Index a_rep_strides = a.repetition.strides();
-    std::array<std::int64_t, kMaxRank> rep{};
-    const std::int64_t reps = b.repetition.elements();
-    for (std::int64_t r_lin = 0; r_lin < reps; ++r_lin, advance(rep, b.repetition)) {
-      std::array<std::int64_t, kMaxRank> base{};
-      for (std::size_t d = 0; d < fb.array_rank; ++d) {
-        std::int64_t v = fb.origin[d];
-        for (std::size_t r = 0; r < fb.rep_rank; ++r) v += fb.paving[d * kMaxRank + r] * rep[r];
-        base[d] = v;
-      }
-      std::array<std::int64_t, kMaxRank> mr{};
+    Index mr(ra, 0);
+    std::optional<RewriteResult> refused;
+    auto refuse = [&](const char* why, std::int64_t r_lin, std::int64_t i_lin) {
+      refused = reject(cat("fuse ", a.name, " -> ", b.name, " over '", mid_array,
+                           "': incompatible paving/fitting — ", why,
+                           bracketed(b.repetition.delinearize(r_lin)), ", pattern ",
+                           bracketed(b_mid.pattern.delinearize(i_lin))));
+      return false;
+    };
+    fb.for_each_instance([&](const Index& rep, std::int64_t r_lin, const Index& ref) {
       for (std::size_t d = 0; d < ra; ++d) {
         std::int64_t v = rho00[d];
         for (std::size_t j = 0; j < rb; ++j) v += M.at(d, j) * rep[j];
         mr[d] = v;
       }
-      for (std::size_t i_lin = 0; i_lin < fb.fit.size(); ++i_lin) {
-        std::int64_t e = 0;
-        for (std::size_t d = 0; d < fb.array_rank; ++d) {
-          std::int64_t idx = (base[d] + fb.fit[i_lin][d]) % fb.dims[d];
-          if (idx < 0) idx += fb.dims[d];
-          e += idx * fb.strides[d];
-        }
-        std::int64_t rv_lin = inv_rep[static_cast<std::size_t>(e)];
+      for (std::int64_t i_lin = 0; i_lin < pm; ++i_lin) {
+        const auto e = static_cast<std::size_t>(fb.element(ref, i_lin));
+        const std::int64_t* g = gsum.data() + i_lin * static_cast<std::int64_t>(ra);
+        std::int64_t rv_lin = inv.rep[e];
         for (std::size_t d = 0; d < ra; ++d) {
           const std::int64_t rv = rv_lin / a_rep_strides[d];
           rv_lin %= a_rep_strides[d];
-          const std::int64_t diff = rv - (mr[d] + gsum[i_lin][d]);
+          const std::int64_t diff = rv - (mr[d] + g[d]);
           if (diff == 0) continue;
           if (floor_mod(diff, a.repetition[d]) == 0) {
             wraps[d] = true;
             continue;
           }
-          return reject(cat("fuse ", a.name, " -> ", b.name, " over '", mid_array,
-                            "': incompatible paving/fitting — producer instance index is not "
-                            "affine at repetition ",
-                            bracketed(b.repetition.delinearize(r_lin)), ", pattern ",
-                            bracketed(b_mid.pattern.delinearize(
-                                static_cast<std::int64_t>(i_lin)))));
+          return refuse("producer instance index is not affine at repetition ", r_lin, i_lin);
         }
-        if (inv_pat[static_cast<std::size_t>(e)] != iota0[i_lin]) {
-          return reject(cat("fuse ", a.name, " -> ", b.name, " over '", mid_array,
-                            "': incompatible paving/fitting — pattern slot depends on the "
-                            "repetition index at ",
-                            bracketed(b.repetition.delinearize(r_lin)), ", pattern ",
-                            bracketed(b_mid.pattern.delinearize(
-                                static_cast<std::int64_t>(i_lin)))));
+        if (inv.pat[e] != iota0[static_cast<std::size_t>(i_lin)]) {
+          return refuse("pattern slot depends on the repetition index at ", r_lin, i_lin);
         }
       }
-    }
+      return true;
+    });
+    if (refused) return std::move(*refused);
   }
   for (std::size_t d = 0; d < ra; ++d) {
     if (!wraps[d]) continue;

@@ -1,7 +1,10 @@
 #pragma once
 
+#include <cstdint>
+#include <deque>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "arrayol/model.hpp"
 
@@ -51,6 +54,38 @@ struct RewriteResult {
 RewriteResult try_change_paving(const aol::Model& model, const std::string& task_name,
                                 std::size_t dim, std::int64_t factor, bool revalidate = true);
 
+/// The inverse of a producer's output tiler over its whole array: for
+/// every element (row-major), the repetition point and the pattern slot
+/// that write it. Output tilers are exact partitions, so both are
+/// unique.
+struct InverseMap {
+  std::vector<std::int64_t> rep;  ///< linear repetition index per element
+  std::vector<std::int64_t> pat;  ///< linear pattern index per element
+};
+
+/// Inverse maps shared by the fusion attempts of one search. A map
+/// depends only on the output port's tiler and pattern, the producer's
+/// repetition space and the array shape, so that is the key — never a
+/// task or array name: a producer left alone by a paving change of its
+/// consumer keeps its map, and identical channels share one. Reuse only
+/// skips rebuilding the map; every fusion attempt still verifies its
+/// full index space.
+class InverseMapCache {
+ public:
+  const InverseMap& get(const aol::TiledPort& out, const Shape& array_shape,
+                        const Shape& repetition);
+
+ private:
+  struct Entry {
+    TilerSpec tiler;
+    Shape pattern;
+    Shape repetition;
+    Shape array;
+    InverseMap map;
+  };
+  std::deque<Entry> entries_;  // a deque keeps handed-out references stable
+};
+
 /// Fusion (producer/consumer): eliminate intermediate array
 /// `mid_array` by inlining its producer task into its (single)
 /// consumer. Legal only when the consumer's read footprint of the
@@ -62,7 +97,10 @@ RewriteResult try_change_paving(const aol::Model& model, const std::string& task
 /// repetition space and re-computes the needed producer instances in
 /// registers (the paper's on-chip-reuse argument for fewer, larger
 /// kernels).
-RewriteResult try_fuse(const aol::Model& model, const std::string& mid_array);
+/// `cache`, when given, supplies the producer's inverse map (see
+/// InverseMapCache); the verdict and the rewrite are the same either way.
+RewriteResult try_fuse(const aol::Model& model, const std::string& mid_array,
+                       InverseMapCache* cache = nullptr);
 
 /// Task merge (horizontal): combine two independent tasks with
 /// identical repetition spaces into one kernel-sized task. Legal when

@@ -425,8 +425,10 @@ std::string FleetMetrics::json() const {
       ",\"sim_makespan_us\":", fixed(s.sim_makespan_us, 3),
       ",\"throughput_fps_sim\":", fixed(s.throughput_fps_sim, 3),
       ",\"throughput_fps_real\":", fixed(s.throughput_fps_real, 3),
-      ",\"latency_real_us\":{\"p50\":", fixed(s.latency_p50_us, 1), ",\"p95\":",
-      fixed(s.latency_p95_us, 1), ",\"p99\":", fixed(s.latency_p99_us, 1), ",\"mean\":",
+      // Percentiles come from the histograms the Prometheus export
+      // publishes; exact values keep each inside its bucket's le.
+      ",\"latency_real_us\":{\"p50\":", round_trip(s.latency_p50_us), ",\"p95\":",
+      round_trip(s.latency_p95_us), ",\"p99\":", round_trip(s.latency_p99_us), ",\"mean\":",
       fixed(s.latency_mean_us, 1), ",\"max\":", fixed(s.latency_max_us, 1), "}",
       ",\"sim_job_us\":{\"p50\":", fixed(s.sim_job_p50_us, 3), ",\"p99\":",
       fixed(s.sim_job_p99_us, 3), "}", ",\"tenants\":[");
@@ -447,8 +449,8 @@ std::string FleetMetrics::json() const {
     const obs::LogHistogram& h = s.class_latency_hist[cls];
     if (cls > 0) out += ",";
     out += cat("\"", priority_name(static_cast<Priority>(cls)), "\":{\"count\":", h.count(),
-               ",\"p50\":", fixed(h.percentile(0.50), 1), ",\"p99\":",
-               fixed(h.percentile(0.99), 1), ",\"max\":", fixed(h.max(), 1), "}");
+               ",\"p50\":", round_trip(h.percentile(0.50)), ",\"p99\":",
+               round_trip(h.percentile(0.99)), ",\"max\":", fixed(h.max(), 1), "}");
   }
   out += "},\"per_device\":[";
   for (std::size_t i = 0; i < s.devices.size(); ++i) {

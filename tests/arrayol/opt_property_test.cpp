@@ -113,6 +113,75 @@ TEST(OptProperty, FusionRejectionsCarryDiagnostics) {
   }
 }
 
+void expect_same_tasks(const aol::Model& a, const aol::Model& b, const std::string& what) {
+  ASSERT_EQ(a.tasks().size(), b.tasks().size()) << what;
+  for (std::size_t t = 0; t < a.tasks().size(); ++t) {
+    const aol::RepetitiveTask& x = a.tasks()[t];
+    const aol::RepetitiveTask& y = b.tasks()[t];
+    EXPECT_EQ(x.name, y.name) << what;
+    EXPECT_EQ(x.repetition, y.repetition) << what << ": " << x.name;
+    EXPECT_EQ(x.op.c_body, y.op.c_body) << what << ": " << x.name;
+    ASSERT_EQ(x.inputs.size(), y.inputs.size()) << what << ": " << x.name;
+    ASSERT_EQ(x.outputs.size(), y.outputs.size()) << what << ": " << x.name;
+    auto same_port = [&](const aol::TiledPort& p, const aol::TiledPort& q) {
+      EXPECT_EQ(p.port.name, q.port.name) << what << ": " << x.name;
+      EXPECT_EQ(p.pattern, q.pattern) << what << ": " << x.name << " " << p.port.name;
+      EXPECT_EQ(p.tiler, q.tiler) << what << ": " << x.name << " " << p.port.name;
+    };
+    for (std::size_t i = 0; i < x.inputs.size(); ++i) same_port(x.inputs[i], y.inputs[i]);
+    for (std::size_t i = 0; i < x.outputs.size(); ++i) same_port(x.outputs[i], y.outputs[i]);
+  }
+}
+
+TEST(OptProperty, FusionWithReusedInverseMapsMatchesFreshFusion) {
+  // One cache across every case: maps built for earlier geometries,
+  // channels and producer splits must never leak into a later verdict.
+  std::mt19937 rng(1920);
+  InverseMapCache shared;
+  int accepted = 0;
+  int rejected = 0;
+  for (int trial = 0; trial < 8; ++trial) {
+    const DownscalerConfig cfg = random_config(rng);
+    const bool rgb = trial % 2 == 1;
+    const aol::Model base =
+        rgb ? apps::build_downscaler_model(cfg) : apps::build_single_channel_model(cfg);
+    const std::vector<std::string> channels =
+        rgb ? std::vector<std::string>{"b", "g", "r"} : std::vector<std::string>{"y"};
+    for (const std::string& ch : channels) {
+      // The unsplit model, then every legal split of the consumer (the
+      // producer's map is reused) and of the producer (a new map).
+      std::vector<std::pair<std::string, aol::Model>> variants{{"unsplit", base}};
+      for (const auto& [task, rep] : {std::pair{ch + "vf", cfg.v_repetition()},
+                                      std::pair{ch + "hf", cfg.h_repetition()}}) {
+        for (std::size_t dim = 0; dim < rep.rank(); ++dim) {
+          for (std::int64_t factor : dividing_factors(rep[dim])) {
+            if (factor > 6) break;
+            RewriteResult pv = try_change_paving(base, task, dim, factor);
+            ASSERT_TRUE(pv.legality.ok) << pv.legality.reason;
+            variants.emplace_back(cat(task, " dim ", dim, " by ", factor), std::move(*pv.model));
+          }
+        }
+      }
+      for (const auto& [split, model] : variants) {
+        const std::string what =
+            cat(cfg.height, "x", cfg.width, " fuse mid_", ch, " after ", split);
+        const RewriteResult reused = try_fuse(model, "mid_" + ch, &shared);
+        const RewriteResult fresh = try_fuse(model, "mid_" + ch);
+        ASSERT_EQ(reused.legality.ok, fresh.legality.ok) << what;
+        EXPECT_EQ(reused.legality.reason, fresh.legality.reason) << what;
+        if (fresh.legality.ok) {
+          ++accepted;
+          expect_same_tasks(*fresh.model, *reused.model, what);
+        } else {
+          ++rejected;
+        }
+      }
+    }
+  }
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(rejected, 0);
+}
+
 TEST(OptProperty, CostGatedSearchPreservesOdtMappingOnRandomGeometries) {
   std::mt19937 rng(42);
   for (int trial = 0; trial < 6; ++trial) {

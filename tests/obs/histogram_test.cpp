@@ -137,6 +137,27 @@ TEST(LogHistogramTest, PrometheusExpositionIsCumulativeAndComplete) {
   EXPECT_EQ(prev, 4);  // the +Inf line covers every observation
 }
 
+TEST(LogHistogramTest, PrometheusBucketBoundsNeverRoundBelowTheTrueBound) {
+  // A sample in the last finite bucket makes the exposition list every
+  // bound. A published le below upper_bound(i) would let a sample at
+  // the top of bucket i exceed the le it is counted under.
+  LogHistogram h;
+  h.record(LogHistogram::upper_bound(LogHistogram::kBuckets - 2));
+  std::string out;
+  append_prometheus_histogram(out, "test_us", "A test histogram.", h);
+  std::size_t i = 0;
+  std::size_t pos = 0;
+  const std::string key = "test_us_bucket{le=\"";
+  while ((pos = out.find(key, pos)) != std::string::npos) {
+    pos += key.size();
+    const std::string le = out.substr(pos, out.find('"', pos) - pos);
+    if (le == "+Inf") break;
+    EXPECT_GE(std::stod(le), LogHistogram::upper_bound(i)) << "bucket " << i << " le=" << le;
+    ++i;
+  }
+  EXPECT_EQ(i, LogHistogram::kBuckets - 1);
+}
+
 TEST(LogHistogramTest, PrometheusExpositionCarriesExtraLabels) {
   // The per-class latency series rides on this: caller-provided labels
   // join the le label on every bucket line and stand alone on sum and

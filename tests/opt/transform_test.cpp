@@ -194,6 +194,33 @@ TEST(Fusion, RejectsMultiConsumerIntermediate) {
       << r.legality.reason;
 }
 
+TEST(InverseMapCache, ReusesOnlyAnIdenticalProducerGeometry) {
+  // Two exact partitions of a 2x6 array into 3-element row tiles that
+  // differ only in their origin: same pattern, repetition and array
+  // shape, different inverse maps.
+  aol::TiledPort port;
+  port.pattern = Shape{3};
+  port.tiler.origin = {0, 0};
+  port.tiler.fitting = IntMat{{0}, {1}};
+  port.tiler.paving = IntMat{{1, 0}, {0, 3}};
+  const Shape array{2, 6};
+  const Shape repetition{2, 2};
+  aol::TiledPort shifted = port;
+  shifted.tiler.origin = {0, 1};
+
+  InverseMapCache cache;
+  const InverseMap& a = cache.get(port, array, repetition);
+  const InverseMap& b = cache.get(shifted, array, repetition);
+  EXPECT_EQ(&cache.get(port, array, repetition), &a);
+  EXPECT_NE(&b, &a);
+  // Element [0,0] is slot 0 of instance 0 unshifted; shifted by one it
+  // is the last slot of instance [0,1] (the tile wraps around the row).
+  EXPECT_EQ(a.rep[0], 0);
+  EXPECT_EQ(a.pat[0], 0);
+  EXPECT_EQ(b.rep[0], 1);
+  EXPECT_EQ(b.pat[0], 2);
+}
+
 TEST(Merge, IndependentChannelsMerge) {
   const aol::Model model = apps::build_downscaler_model(DownscalerConfig::tiny());
   const RewriteResult r = try_merge(model, "bhf", "ghf");

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <numeric>
+#include <random>
+
 #include "core/tiler.hpp"
 
 namespace saclo {
@@ -98,6 +103,126 @@ INSTANTIATE_TEST_SUITE_P(
         TilerCase{"interleave", {12}, {3}, {4}, {0},
                   IntMat{{4}}, IntMat{{1}}, true}),
     [](const ::testing::TestParamInfo<TilerCase>& info) { return info.param.name; });
+
+/// The definition the fast checks must agree with: visit counts through
+/// TilerSpec::element_index, one (repetition, pattern) pair at a time.
+IntArray naive_coverage(const TilerSpec& spec, const Shape& array, const Shape& pattern,
+                        const Shape& repetition) {
+  IntArray counts(array, 0);
+  for_each_index(repetition, [&](const Index& rep) {
+    for_each_index(pattern, [&](const Index& pat) {
+      counts.at(spec.element_index(array, rep, pat)) += 1;
+    });
+  });
+  return counts;
+}
+
+struct RandomTiler {
+  TilerSpec spec;
+  Shape array;
+  Shape pattern;
+  Shape repetition;
+};
+
+/// A seeded random tiler of array rank 1-3. Three families:
+///  - block partitions: per dimension a tile of t elements repeated c
+///    times, with fitting/paving signs flipped, pattern and repetition
+///    dimensions permuted and a wrapping origin (partitions by design);
+///  - perturbed partitions: the same with one matrix entry moved by one
+///    (equal element counts, usually overlapping);
+///  - free tilers: random ranks, extents and entries in [-3, 3],
+///    zeros included (overlaps and gaps).
+RandomTiler random_tiler(std::mt19937& rng, int family) {
+  auto pick = [&](std::int64_t lo, std::int64_t hi) {
+    return std::uniform_int_distribution<std::int64_t>(lo, hi)(rng);
+  };
+  const auto ar = static_cast<std::size_t>(pick(1, 3));
+  RandomTiler t;
+  if (family == 2) {
+    const auto pr = static_cast<std::size_t>(pick(1, 3));
+    const auto rr = static_cast<std::size_t>(pick(1, 3));
+    Index a(ar);
+    Index p(pr);
+    Index r(rr);
+    for (auto& x : a) x = pick(1, 6);
+    for (auto& x : p) x = pick(1, 4);
+    for (auto& x : r) x = pick(1, 4);
+    t.array = Shape(a);
+    t.pattern = Shape(p);
+    t.repetition = Shape(r);
+    t.spec.fitting = IntMat(ar, pr);
+    t.spec.paving = IntMat(ar, rr);
+    for (std::size_t d = 0; d < ar; ++d) {
+      for (std::size_t j = 0; j < pr; ++j) t.spec.fitting.at(d, j) = pick(-3, 3);
+      for (std::size_t j = 0; j < rr; ++j) t.spec.paving.at(d, j) = pick(-3, 3);
+    }
+  } else {
+    Index tile(ar);
+    Index count(ar);
+    Index a(ar);
+    for (std::size_t d = 0; d < ar; ++d) {
+      tile[d] = pick(1, 4);
+      count[d] = pick(1, 4);
+      a[d] = tile[d] * count[d];
+    }
+    std::vector<std::size_t> pperm(ar);
+    std::vector<std::size_t> rperm(ar);
+    std::iota(pperm.begin(), pperm.end(), 0);
+    std::iota(rperm.begin(), rperm.end(), 0);
+    std::shuffle(pperm.begin(), pperm.end(), rng);
+    std::shuffle(rperm.begin(), rperm.end(), rng);
+    Index p(ar);
+    Index r(ar);
+    t.spec.fitting = IntMat(ar, ar);
+    t.spec.paving = IntMat(ar, ar);
+    for (std::size_t d = 0; d < ar; ++d) {
+      p[pperm[d]] = tile[d];
+      r[rperm[d]] = count[d];
+      t.spec.fitting.at(d, pperm[d]) = pick(0, 1) ? 1 : -1;
+      t.spec.paving.at(d, rperm[d]) = (pick(0, 1) ? 1 : -1) * tile[d];
+    }
+    t.array = Shape(a);
+    t.pattern = Shape(p);
+    t.repetition = Shape(r);
+    if (family == 1) {
+      IntMat& m = pick(0, 1) ? t.spec.fitting : t.spec.paving;
+      const auto d = static_cast<std::size_t>(pick(0, static_cast<std::int64_t>(ar) - 1));
+      const auto j = static_cast<std::size_t>(pick(0, static_cast<std::int64_t>(m.cols()) - 1));
+      m.at(d, j) += pick(0, 1) ? 1 : -1;
+    }
+  }
+  t.spec.origin = Index(ar);
+  for (std::size_t d = 0; d < ar; ++d) {
+    t.spec.origin[d] = pick(-2 * t.array[d], 2 * t.array[d]);  // wraps both ways
+  }
+  return t;
+}
+
+TEST(TilerOracle, FastChecksMatchElementIndexReferenceOnRandomTilers) {
+  std::mt19937 rng(20110516);
+  int partitions = 0;
+  int same_size_non_partitions = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    const RandomTiler t = random_tiler(rng, trial % 3);
+    const std::string what = cat("trial ", trial, ": ", t.spec.to_string(), " array ",
+                                 t.array.to_string(), " pattern ", t.pattern.to_string(),
+                                 " repetition ", t.repetition.to_string());
+    const IntArray ref = naive_coverage(t.spec, t.array, t.pattern, t.repetition);
+    ASSERT_EQ(coverage_map(t.spec, t.array, t.pattern, t.repetition), ref) << what;
+    const bool partition =
+        std::all_of(ref.data().begin(), ref.data().end(), [](std::int64_t c) { return c == 1; });
+    ASSERT_EQ(is_exact_partition(t.spec, t.array, t.pattern, t.repetition), partition) << what;
+    if (partition) {
+      ++partitions;
+    } else if (t.repetition.elements() * t.pattern.elements() == t.array.elements()) {
+      ++same_size_non_partitions;
+    }
+  }
+  // Both verdicts are exercised where the element-count shortcut cannot
+  // decide them.
+  EXPECT_GE(partitions, 150);
+  EXPECT_GE(same_size_non_partitions, 50);
+}
 
 }  // namespace
 }  // namespace saclo

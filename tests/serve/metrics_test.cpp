@@ -122,6 +122,27 @@ TEST(FleetMetricsTest, JsonExportParsesAndCarriesTheNumbers) {
   EXPECT_FALSE(root.at("per_device").array[1].has("allocator"));
 }
 
+TEST(FleetMetricsTest, JsonPercentilesStayInsideTheirPrometheusBucket) {
+  // A latency exactly at the top of a bucket whose bound has no short
+  // decimal form (2^13.25 us). Rounded to 0.1 us the JSON p95 would
+  // read 9742.0, above the bucket's exact bound; the JSON percentile
+  // must still fall at or below the le that counts the sample.
+  const double top = obs::LogHistogram::upper_bound(53);
+  FleetMetrics m(1);
+  m.on_submit(0);
+  m.on_dispatch(0);
+  m.on_complete(0, job(1, 10.0, top), 10.0);
+
+  const double p95 = parse_json(m.json()).at("latency_real_us").at("p95").number;
+  EXPECT_EQ(p95, top);
+  const std::string prom = m.prometheus();
+  const std::string key = "saclo_job_latency_us_bucket{le=\"";
+  const std::size_t last = prom.rfind(key, prom.find(key + "+Inf") - 1);
+  ASSERT_NE(last, std::string::npos);
+  const std::size_t le_at = last + key.size();
+  EXPECT_LE(p95, std::stod(prom.substr(le_at, prom.find('"', le_at) - le_at)));
+}
+
 TEST(FleetMetricsTest, FailedJobsAreAttributedToTheirDevice) {
   // Regression: on_failed() used to bump only the fleet total, so the
   // per-device rows could not show where jobs were dying.
