@@ -13,6 +13,11 @@ struct CostCase {
   DeviceSpec device;
 };
 
+// gtest's default printer dumps the struct's bytes, pointers included, so
+// the "GetParam() = ..." value CTest puts into each test name would change
+// with the load address on every discovery run. Print the device name.
+void PrintTo(const CostCase& c, std::ostream* os) { *os << c.device_name; }
+
 class CostModelProperty : public ::testing::TestWithParam<CostCase> {};
 
 TEST_P(CostModelProperty, MonotonicInThreads) {
