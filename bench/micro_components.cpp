@@ -98,8 +98,8 @@ void BM_ThreadPoolParallelFor(benchmark::State& state) {
   gpu::ThreadPool pool(static_cast<unsigned>(state.range(0)));
   std::vector<std::int64_t> out(100000);
   for (auto _ : state) {
-    pool.parallel_for(100000, [&](std::int64_t i) {
-      out[static_cast<std::size_t>(i)] = i * i;
+    pool.parallel_for(100000, [&](std::int64_t begin, std::int64_t end) {
+      for (std::int64_t i = begin; i < end; ++i) out[static_cast<std::size_t>(i)] = i * i;
     });
     benchmark::DoNotOptimize(out[99999]);
   }
@@ -115,7 +115,11 @@ void BM_SimKernelFunctionalExec(benchmark::State& state) {
   k.name = "bench";
   k.threads = 100000;
   k.cost.flops_per_thread = 2;
-  k.body = [out](std::int64_t tid) { out[static_cast<std::size_t>(tid)] = 3 * tid + 1; };
+  k.body = [out](std::int64_t begin, std::int64_t end) {
+    for (std::int64_t tid = begin; tid < end; ++tid) {
+      out[static_cast<std::size_t>(tid)] = 3 * tid + 1;
+    }
+  };
   for (auto _ : state) {
     gpu.launch(k, true);
     benchmark::DoNotOptimize(out[9]);

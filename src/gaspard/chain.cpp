@@ -287,79 +287,68 @@ std::map<std::string, IntArray> OpenClApplication::run(
     for (const TiledPort& out : task.outputs) {
       launch.writes.push_back(buffers.at(out.port.name).handle());
     }
-    // One work-item's gather/compute/scatter against caller-provided
-    // pattern buffers; shared between the per-id body (thread_local
-    // scratch) and the range body (per-chunk scratch).
-    auto run_one = [ins, outs, op, rep_dims, rep_rank, in_total, out_total](
-                       std::int64_t tid, std::vector<std::int64_t>& in_buf,
-                       std::vector<std::int64_t>& out_buf) {
-      // Work-item decode, dimension 0 fastest.
-      std::array<std::int64_t, kMaxRank> rep{};
-      std::int64_t rest = tid;
-      for (std::size_t d = 0; d < rep_rank; ++d) {
-        rep[d] = rest % rep_dims[d];
-        rest /= rep_dims[d];
-      }
-      // Gather input patterns.
-      std::size_t pos = 0;
-      for (const BoundPort& bp : ins) {
-        std::array<std::int64_t, kMaxRank> ref{};
-        for (std::size_t d = 0; d < bp.addr.array_rank; ++d) {
-          std::int64_t v = bp.addr.origin[d];
-          for (std::size_t r = 0; r < bp.addr.rep_rank; ++r) {
-            v += bp.addr.paving[d * kMaxRank + r] * rep[r];
-          }
-          ref[d] = v;
-        }
-        for (const auto& fit : bp.addr.fit_offsets) {
-          std::int64_t off = 0;
-          for (std::size_t d = 0; d < bp.addr.array_rank; ++d) {
-            std::int64_t idx = (ref[d] + fit[d]) % bp.addr.array_dims[d];
-            if (idx < 0) idx += bp.addr.array_dims[d];
-            off += idx * bp.addr.array_strides[d];
-          }
-          in_buf[pos++] = bp.data[static_cast<std::size_t>(off)];
-        }
-      }
-      // The IP.
-      op->compute(std::span<const std::int64_t>(in_buf.data(), static_cast<std::size_t>(in_total)),
-                  std::span<std::int64_t>(out_buf.data(), static_cast<std::size_t>(out_total)));
-      // Scatter output patterns.
-      pos = 0;
-      for (const BoundPort& bp : outs) {
-        std::array<std::int64_t, kMaxRank> ref{};
-        for (std::size_t d = 0; d < bp.addr.array_rank; ++d) {
-          std::int64_t v = bp.addr.origin[d];
-          for (std::size_t r = 0; r < bp.addr.rep_rank; ++r) {
-            v += bp.addr.paving[d * kMaxRank + r] * rep[r];
-          }
-          ref[d] = v;
-        }
-        for (const auto& fit : bp.addr.fit_offsets) {
-          std::int64_t off = 0;
-          for (std::size_t d = 0; d < bp.addr.array_rank; ++d) {
-            std::int64_t idx = (ref[d] + fit[d]) % bp.addr.array_dims[d];
-            if (idx < 0) idx += bp.addr.array_dims[d];
-            off += idx * bp.addr.array_strides[d];
-          }
-          bp.data[static_cast<std::size_t>(off)] =
-              static_cast<std::int32_t>(out_buf[pos++]);
-        }
-      }
-    };
-    launch.body = [run_one, in_total, out_total](std::int64_t tid) {
-      thread_local std::vector<std::int64_t> in_buf;
-      thread_local std::vector<std::int64_t> out_buf;
-      if (in_buf.size() < static_cast<std::size_t>(in_total)) in_buf.resize(in_total);
-      if (out_buf.size() < static_cast<std::size_t>(out_total)) out_buf.resize(out_total);
-      run_one(tid, in_buf, out_buf);
-    };
-    // Range form: pattern buffers are sized once per chunk, leaving the
-    // tiler's gather/compute/scatter as the inner loop.
-    launch.range_body = [run_one, in_total, out_total](std::int64_t begin, std::int64_t end) {
+    // Pattern buffers are sized once per chunk, leaving the tiler's
+    // gather/compute/scatter as the inner loop.
+    launch.body = [ins, outs, op, rep_dims, rep_rank, in_total, out_total](std::int64_t begin,
+                                                                          std::int64_t end) {
       std::vector<std::int64_t> in_buf(static_cast<std::size_t>(in_total));
       std::vector<std::int64_t> out_buf(static_cast<std::size_t>(out_total));
-      for (std::int64_t tid = begin; tid < end; ++tid) run_one(tid, in_buf, out_buf);
+      for (std::int64_t tid = begin; tid < end; ++tid) {
+        // Work-item decode, dimension 0 fastest.
+        std::array<std::int64_t, kMaxRank> rep{};
+        std::int64_t rest = tid;
+        for (std::size_t d = 0; d < rep_rank; ++d) {
+          rep[d] = rest % rep_dims[d];
+          rest /= rep_dims[d];
+        }
+        // Gather input patterns.
+        std::size_t pos = 0;
+        for (const BoundPort& bp : ins) {
+          std::array<std::int64_t, kMaxRank> ref{};
+          for (std::size_t d = 0; d < bp.addr.array_rank; ++d) {
+            std::int64_t v = bp.addr.origin[d];
+            for (std::size_t r = 0; r < bp.addr.rep_rank; ++r) {
+              v += bp.addr.paving[d * kMaxRank + r] * rep[r];
+            }
+            ref[d] = v;
+          }
+          for (const auto& fit : bp.addr.fit_offsets) {
+            std::int64_t off = 0;
+            for (std::size_t d = 0; d < bp.addr.array_rank; ++d) {
+              std::int64_t idx = (ref[d] + fit[d]) % bp.addr.array_dims[d];
+              if (idx < 0) idx += bp.addr.array_dims[d];
+              off += idx * bp.addr.array_strides[d];
+            }
+            in_buf[pos++] = bp.data[static_cast<std::size_t>(off)];
+          }
+        }
+        // The IP.
+        op->compute(
+            std::span<const std::int64_t>(in_buf.data(), static_cast<std::size_t>(in_total)),
+            std::span<std::int64_t>(out_buf.data(), static_cast<std::size_t>(out_total)));
+        // Scatter output patterns.
+        pos = 0;
+        for (const BoundPort& bp : outs) {
+          std::array<std::int64_t, kMaxRank> ref{};
+          for (std::size_t d = 0; d < bp.addr.array_rank; ++d) {
+            std::int64_t v = bp.addr.origin[d];
+            for (std::size_t r = 0; r < bp.addr.rep_rank; ++r) {
+              v += bp.addr.paving[d * kMaxRank + r] * rep[r];
+            }
+            ref[d] = v;
+          }
+          for (const auto& fit : bp.addr.fit_offsets) {
+            std::int64_t off = 0;
+            for (std::size_t d = 0; d < bp.addr.array_rank; ++d) {
+              std::int64_t idx = (ref[d] + fit[d]) % bp.addr.array_dims[d];
+              if (idx < 0) idx += bp.addr.array_dims[d];
+              off += idx * bp.addr.array_strides[d];
+            }
+            bp.data[static_cast<std::size_t>(off)] =
+                static_cast<std::int32_t>(out_buf[pos++]);
+          }
+        }
+      }
     };
     compute.enqueue_ndrange(launch, execute);
   }

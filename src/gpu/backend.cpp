@@ -22,7 +22,7 @@ void copy_bytes(std::span<std::byte> dst, std::span<const std::byte> src) {
 
 /// The analytic simulator: durations come from the calibrated cost
 /// model, functional execution from the thread pool — the original
-/// VirtualGpu behaviour, now one implementation among several.
+/// VirtualGpu behaviour, now one of the two implementations.
 class SimBackend : public ExecutionBackend {
  public:
   SimBackend(const DeviceSpec& spec, ThreadPool& pool) : spec_(spec), pool_(pool) {}
@@ -31,13 +31,7 @@ class SimBackend : public ExecutionBackend {
 
   double launch_kernel(const KernelLaunch& kernel, bool execute) override {
     notify_kernel(kernel);
-    if (execute) {
-      if (kernel.body) {
-        pool_.parallel_for(kernel.threads, kernel.body);
-      } else if (kernel.range_body) {
-        pool_.parallel_for_ranges(kernel.threads, kernel.range_body);
-      }
-    }
+    if (execute && kernel.body) pool_.parallel_for(kernel.threads, kernel.body);
     return kernel_time_us(spec_, kernel.threads, kernel.cost);
   }
 
@@ -54,10 +48,8 @@ class SimBackend : public ExecutionBackend {
 };
 
 /// The host-parallel backend: the same frame loops run for real on the
-/// CPU. Kernel bodies execute through the thread pool — preferring the
-/// SIMD-friendly range form, which hoists per-chunk scratch out of the
-/// id loop and leaves a vectorisable gather/compute/scatter inner loop
-/// — and executed operations are timed with the wall clock, so the
+/// CPU. Kernel bodies execute through the thread pool exactly as under
+/// `sim`, and executed operations are timed with the wall clock, so the
 /// device timeline carries what the CPU actually did. Accounting-only
 /// repetitions (execute=false) have no real work to measure and charge
 /// the analytic model, exactly like the simulator; results stay
@@ -71,15 +63,11 @@ class HostParallelBackend : public ExecutionBackend {
 
   double launch_kernel(const KernelLaunch& kernel, bool execute) override {
     notify_kernel(kernel);
-    if (!execute || (!kernel.range_body && !kernel.body)) {
+    if (!execute || !kernel.body) {
       return kernel_time_us(spec_, kernel.threads, kernel.cost);
     }
     const auto t0 = std::chrono::steady_clock::now();
-    if (kernel.range_body) {
-      pool_.parallel_for_ranges(kernel.threads, kernel.range_body);
-    } else {
-      pool_.parallel_for(kernel.threads, kernel.body);
-    }
+    pool_.parallel_for(kernel.threads, kernel.body);
     return elapsed_us(t0);
   }
 
@@ -108,32 +96,10 @@ std::unique_ptr<ExecutionBackend> make_backend(BackendKind kind, const DeviceSpe
       return std::make_unique<SimBackend>(spec, pool);
     case BackendKind::Host:
       return std::make_unique<HostParallelBackend>(spec, pool);
-    case BackendKind::OpenCl:
-#ifdef SACLO_BACKEND_OPENCL
-      return make_opencl_backend(spec, pool);
-#else
-      throw BackendError(
-          "this build has no OpenCL backend (configure with -DSACLO_BACKEND_OPENCL=ON)");
-#endif
-    case BackendKind::Hc:
-#ifdef SACLO_BACKEND_HC
-      return make_hc_backend(spec, pool);
-#else
-      throw BackendError("this build has no HC backend (configure with -DSACLO_BACKEND_HC=ON)");
-#endif
   }
   throw BackendError("unknown BackendKind");
 }
 
-std::vector<BackendKind> available_backends() {
-  std::vector<BackendKind> kinds{BackendKind::Sim, BackendKind::Host};
-#ifdef SACLO_BACKEND_OPENCL
-  kinds.push_back(BackendKind::OpenCl);
-#endif
-#ifdef SACLO_BACKEND_HC
-  kinds.push_back(BackendKind::Hc);
-#endif
-  return kinds;
-}
+std::vector<BackendKind> available_backends() { return {BackendKind::Sim, BackendKind::Host}; }
 
 }  // namespace saclo::gpu

@@ -25,17 +25,13 @@ struct KernelLaunch {
   std::string name;
   std::int64_t threads = 0;
   KernelCost cost;
-  /// The body receives the global thread id. It must be safe to call
-  /// concurrently for distinct ids (single-assignment output, as both
-  /// source languages guarantee).
-  std::function<void(std::int64_t)> body;
-  /// Optional range form of the body: processes every id in
-  /// [begin, end) with a tight inner loop. Backends that execute for
-  /// real (host) prefer this — per-chunk scratch setup is hoisted out
-  /// of the id loop and the loop itself is vectorisable — while the
-  /// simulator keeps calling `body` per id. Must compute exactly what
-  /// `body` computes for each id.
-  std::function<void(std::int64_t, std::int64_t)> range_body;
+  /// The body processes every global thread id in [begin, end) with a
+  /// tight inner loop, so per-chunk scratch is set up once and the id
+  /// loop is the compiler's to vectorise. It must be safe to call
+  /// concurrently for disjoint ranges (single-assignment output, as both
+  /// source languages guarantee). A launch without a body only accrues
+  /// model time.
+  std::function<void(std::int64_t begin, std::int64_t end)> body;
   /// Device buffers the kernel reads/writes — the data hazards that
   /// order it against operations on other streams. Empty lists mean no
   /// cross-stream constraints (single-stream issue stays correct via
@@ -57,9 +53,9 @@ class OpBoundaryObserver {
   virtual void on_transfer_boundary(Dir dir, std::int64_t bytes) = 0;
 };
 
-/// Where the work of a VirtualGpu actually happens: the kernel-launch,
-/// transfer, stream and allocation entry points extracted from the
-/// original simulator, so `sim` is just one implementation.
+/// Where the work of a VirtualGpu actually happens: the kernel-launch
+/// and transfer entry points extracted from the original simulator, so
+/// `sim` is just one implementation.
 ///
 /// Contract every backend must honour (see backend_test.cpp):
 ///  - launch_kernel / transfer notify the boundary observer exactly
@@ -94,22 +90,6 @@ class ExecutionBackend {
   virtual double transfer(Dir dir, std::span<std::byte> dst, std::span<const std::byte> src,
                           std::int64_t bytes, bool execute) = 0;
 
-  /// Host-stage entry point (tiler loops, glue code between kernels).
-  /// The functional work of host stages runs in the interpreter, not
-  /// here; backends only decide what the stage costs on the timeline.
-  virtual double host_stage(double modeled_us) { return modeled_us; }
-
-  /// Stream entry point: a real runtime backend creates its command
-  /// queue / stream object here. The simulated timeline itself is owned
-  /// by VirtualGpu on every backend.
-  virtual void on_stream_created(StreamId stream) { (void)stream; }
-
-  /// Allocation entry point: backends with their own device-resident
-  /// storage return the allocator buffers must come from; nullptr (the
-  /// default) keeps VirtualGpu on its host-backed DeviceMemoryPool,
-  /// which is what lets kernels execute functionally.
-  virtual BufferAllocator* device_allocator() { return nullptr; }
-
  protected:
   /// Backend implementations call these exactly once per operation,
   /// before doing any work.
@@ -126,20 +106,10 @@ class ExecutionBackend {
 
 /// Creates a backend of `kind` executing against `spec`, using `pool`
 /// for functional kernel execution. The pool must outlive the backend.
-/// Throws BackendError for a kind this build does not provide (the
-/// OpenCL/HC stubs are behind -DSACLO_BACKEND_OPENCL / -DSACLO_BACKEND_HC).
 std::unique_ptr<ExecutionBackend> make_backend(BackendKind kind, const DeviceSpec& spec,
                                                ThreadPool& pool);
 
-/// The backends this build can construct, in BackendKind order. Always
-/// contains Sim and Host; OpenCl/Hc appear when compiled in.
+/// The backends a VirtualGpu can delegate to, in BackendKind order.
 std::vector<BackendKind> available_backends();
-
-#ifdef SACLO_BACKEND_OPENCL
-std::unique_ptr<ExecutionBackend> make_opencl_backend(const DeviceSpec& spec, ThreadPool& pool);
-#endif
-#ifdef SACLO_BACKEND_HC
-std::unique_ptr<ExecutionBackend> make_hc_backend(const DeviceSpec& spec, ThreadPool& pool);
-#endif
 
 }  // namespace saclo::gpu

@@ -6,8 +6,7 @@
 
 namespace saclo::gpu {
 
-/// Raised on unknown backend names or use of a backend this build does
-/// not provide (the OpenCL/HC stubs are compile-guarded).
+/// Raised on unknown backend names.
 class BackendError : public Error {
  public:
   using Error::Error;
@@ -15,13 +14,12 @@ class BackendError : public Error {
 
 /// The execution backends a VirtualGpu can delegate to. `Sim` is the
 /// analytic simulator (the original behaviour); `Host` executes frame
-/// loops for real on the CPU; `OpenCl`/`Hc` are compile-guarded stubs
-/// that map the same entry points onto a real runtime's vocabulary.
+/// loops for real on the CPU. Both run the same kernel bodies.
 ///
 /// This header is dependency-light on purpose: the obs event log and the
 /// serve options tag things with a BackendKind without pulling in the
 /// whole executor stack.
-enum class BackendKind : std::uint8_t { Sim = 0, Host = 1, OpenCl = 2, Hc = 3 };
+enum class BackendKind : std::uint8_t { Sim = 0, Host = 1 };
 
 inline const char* backend_kind_name(BackendKind kind) {
   switch (kind) {
@@ -29,24 +27,15 @@ inline const char* backend_kind_name(BackendKind kind) {
       return "sim";
     case BackendKind::Host:
       return "host";
-    case BackendKind::OpenCl:
-      return "opencl";
-    case BackendKind::Hc:
-      return "hc";
   }
   return "unknown";
 }
 
-/// Parses "sim" / "host" / "opencl" / "hc"; throws BackendError on
-/// anything else. Whether the parsed backend is actually available in
-/// this build is checked at construction (make_backend).
+/// Parses "sim" / "host"; throws BackendError on anything else.
 inline BackendKind parse_backend_kind(const std::string& name) {
   if (name == "sim") return BackendKind::Sim;
   if (name == "host") return BackendKind::Host;
-  if (name == "opencl") return BackendKind::OpenCl;
-  if (name == "hc") return BackendKind::Hc;
-  throw BackendError("unknown execution backend '" + name +
-                     "' (expected sim, host, opencl or hc)");
+  throw BackendError("unknown execution backend '" + name + "' (expected sim or host)");
 }
 
 }  // namespace saclo::gpu

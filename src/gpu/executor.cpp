@@ -47,17 +47,8 @@ void ThreadPool::worker_loop() {
   }
 }
 
-void ThreadPool::parallel_for(std::int64_t n, const std::function<void(std::int64_t)>& fn) {
-  // The per-id form is the range form with a trivial inner loop.
-  const std::function<void(std::int64_t, std::int64_t)> range =
-      [&fn](std::int64_t begin, std::int64_t end) {
-        for (std::int64_t i = begin; i < end; ++i) fn(i);
-      };
-  parallel_for_ranges(n, range);
-}
-
-void ThreadPool::parallel_for_ranges(std::int64_t n,
-                                     const std::function<void(std::int64_t, std::int64_t)>& fn) {
+void ThreadPool::parallel_for(std::int64_t n,
+                              const std::function<void(std::int64_t, std::int64_t)>& fn) {
   if (n <= 0) return;
   const std::int64_t workers = static_cast<std::int64_t>(worker_count());
   if (workers == 1 || n < 2 * workers) {

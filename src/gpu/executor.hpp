@@ -10,9 +10,8 @@
 namespace saclo::gpu {
 
 /// A fixed-size worker pool used for the *functional* execution of
-/// simulated kernels: every launched kernel body really runs, once per
-/// thread index, so results are bit-exact regardless of the timing
-/// model.
+/// kernels: every launched kernel body really runs over every thread
+/// index, so results are bit-exact regardless of the timing model.
 ///
 /// parallel_for partitions [0, n) into per-worker chunks. Worker count
 /// defaults to the host's hardware concurrency; on a single-core host
@@ -28,18 +27,11 @@ class ThreadPool {
 
   unsigned worker_count() const { return static_cast<unsigned>(threads_.size()) + 1; }
 
-  /// Runs fn(i) for every i in [0, n), partitioned across workers.
-  /// Blocks until all iterations complete. Exceptions from fn propagate
-  /// to the caller (first one wins).
-  void parallel_for(std::int64_t n, const std::function<void(std::int64_t)>& fn);
-
-  /// Range form: each worker receives one contiguous chunk [begin, end)
-  /// and fn is invoked once per chunk. The host-parallel backend's
-  /// entry point for SIMD-friendly kernel bodies — per-chunk scratch is
-  /// set up once and the id loop inside fn is the compiler's to
-  /// vectorise. Same blocking and exception semantics as parallel_for.
-  void parallel_for_ranges(std::int64_t n,
-                           const std::function<void(std::int64_t, std::int64_t)>& fn);
+  /// Covers [0, n) with disjoint contiguous chunks, one per worker, and
+  /// invokes fn(begin, end) once per chunk. Blocks until every chunk
+  /// completes. Exceptions from fn propagate to the caller (first one
+  /// wins).
+  void parallel_for(std::int64_t n, const std::function<void(std::int64_t, std::int64_t)>& fn);
 
  private:
   struct Task {

@@ -82,10 +82,6 @@ void VirtualGpu::account_transfer(std::int64_t bytes, Dir dir, const std::string
 }
 
 double VirtualGpu::launch(const KernelLaunch& kernel, bool execute, StreamId stream) {
-  return launch_impl(kernel, execute, stream);
-}
-
-double VirtualGpu::launch_impl(const KernelLaunch& kernel, bool execute, StreamId stream) {
   const double us = backend_->launch_kernel(kernel, execute);
   const auto iv = timeline_.schedule(stream, us, kernel.reads, kernel.writes);
   profiler_.record_interval(kernel.name, OpKind::Kernel, stream, iv.start_us, iv.end_us);
@@ -93,7 +89,7 @@ double VirtualGpu::launch_impl(const KernelLaunch& kernel, bool execute, StreamI
 }
 
 double VirtualGpu::run_host(const std::string& op, double us, StreamId stream) {
-  const auto iv = timeline_.schedule(stream, backend_->host_stage(us));
+  const auto iv = timeline_.schedule(stream, us);
   profiler_.record_interval(op, OpKind::Host, stream, iv.start_us, iv.end_us);
   return iv.end_us;
 }

@@ -55,14 +55,9 @@ class VirtualGpu : private OpBoundaryObserver {
   BackendKind backend_kind() const { return backend_->kind(); }
   const char* backend_name() const { return backend_->name(); }
   /// The allocator buffer creation routes through: an installed caching
-  /// layer (serve's CachingDeviceAllocator) first, then the backend's
-  /// own device storage if it has one, then the host-backed memory
-  /// pool. Install with nullptr to restore the default chain.
-  BufferAllocator& allocator() {
-    if (allocator_ != nullptr) return *allocator_;
-    if (BufferAllocator* dev = backend_->device_allocator(); dev != nullptr) return *dev;
-    return memory_;
-  }
+  /// layer (serve's CachingDeviceAllocator) if there is one, else the
+  /// memory pool. Install with nullptr to restore the memory pool.
+  BufferAllocator& allocator() { return allocator_ != nullptr ? *allocator_ : memory_; }
   void set_allocator(BufferAllocator* allocator) { allocator_ = allocator; }
   /// Installs a fault injector the device consults before every kernel
   /// launch and accounted transfer (fail-stop: a faulted operation does
@@ -85,7 +80,6 @@ class VirtualGpu : private OpBoundaryObserver {
     profiler_.set_trace(trace_id, attempt, batch);
   }
   void end_job_trace() { profiler_.clear_trace(); }
-  ThreadPool& thread_pool() { return pool_; }
   const Timeline& timeline() const { return timeline_; }
 
   /// Simulated wall clock: the makespan over all streams. With every
@@ -96,11 +90,7 @@ class VirtualGpu : private OpBoundaryObserver {
   double stream_tail_us(StreamId stream) const { return timeline_.tail_us(stream); }
 
   /// Creates a new stream (cudaStreamCreate / clCreateCommandQueue).
-  StreamId create_stream() {
-    const StreamId s = timeline_.create_stream();
-    backend_->on_stream_created(s);
-    return s;
-  }
+  StreamId create_stream() { return timeline_.create_stream(); }
   /// Captures the tail of `stream` as an event (cudaEventRecord).
   EventId record_event(StreamId stream) { return timeline_.record_event(stream); }
   /// Orders `stream` after `event` (cudaStreamWaitEvent).
@@ -130,13 +120,9 @@ class VirtualGpu : private OpBoundaryObserver {
   void account_transfer(std::int64_t bytes, Dir dir, const std::string& op,
                         StreamId stream = kDefaultStream, BufferHandle touched = {});
 
-  /// Launches a kernel; returns its duration in microseconds.
+  /// Launches a kernel; returns its duration in microseconds. With
+  /// execute=false only the launch's time accrues.
   double launch(const KernelLaunch& kernel, bool execute, StreamId stream = kDefaultStream);
-
-  /// Accrues the time of a kernel launch without running the body.
-  double account_launch(const KernelLaunch& kernel, StreamId stream = kDefaultStream) {
-    return launch_impl(kernel, false, stream);
-  }
 
   /// Schedules `us` microseconds of host-side work (a tiler loop, glue
   /// code) on `stream` — a host timeline interleaved with the device
@@ -145,8 +131,6 @@ class VirtualGpu : private OpBoundaryObserver {
   double run_host(const std::string& op, double us, StreamId stream);
 
  private:
-  double launch_impl(const KernelLaunch& kernel, bool execute, StreamId stream);
-
   // The backend's op-boundary callbacks, fired exactly once before each
   // kernel launch / accounted transfer — where the fault injector hooks
   // in, on every backend alike.

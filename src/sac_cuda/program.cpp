@@ -540,10 +540,7 @@ sac::Value CudaProgram::run(gpu::cuda::Runtime& rt, const std::vector<sac::Value
         copy.cost.warp_access_stride = 1;
         copy.reads.push_back(device.at(group.modarray_source).handle());
         copy.writes.push_back(dit->second.handle());
-        copy.body = [src_span, out_span](std::int64_t tid) {
-          out_span[static_cast<std::size_t>(tid)] = src_span[static_cast<std::size_t>(tid)];
-        };
-        copy.range_body = [src_span, out_span](std::int64_t begin, std::int64_t end) {
+        copy.body = [src_span, out_span](std::int64_t begin, std::int64_t end) {
           std::copy(src_span.begin() + begin, src_span.begin() + end, out_span.begin() + begin);
         };
         rt.launch(copy, execute, ss.compute);
@@ -556,10 +553,7 @@ sac::Value CudaProgram::run(gpu::cuda::Runtime& rt, const std::vector<sac::Value
         fill.cost.warp_access_stride = 1;
         fill.writes.push_back(dit->second.handle());
         const std::int32_t dv = static_cast<std::int32_t>(group.default_value);
-        fill.body = [out_span, dv](std::int64_t tid) {
-          out_span[static_cast<std::size_t>(tid)] = dv;
-        };
-        fill.range_body = [out_span, dv](std::int64_t begin, std::int64_t end) {
+        fill.body = [out_span, dv](std::int64_t begin, std::int64_t end) {
           std::fill(out_span.begin() + begin, out_span.begin() + end, dv);
         };
         rt.launch(fill, execute, ss.compute);
@@ -591,35 +585,14 @@ sac::Value CudaProgram::run(gpu::cuda::Runtime& rt, const std::vector<sac::Value
           launch.reads.push_back(device.at(an).handle());
         }
         launch.writes.push_back(dit->second.handle());
+        // The slot scratch is sized once per chunk, leaving a tight
+        // decode/run/store loop.
         launch.body = [tape, arrays, lat, full_strides, rank, slot_count,
-                       out_span](std::int64_t tid) {
-          thread_local std::vector<std::int64_t> slots;
-          if (slots.size() < static_cast<std::size_t>(slot_count)) slots.resize(slot_count);
-          // Decode the global id with dimension 0 fastest (the
-          // `iGID % n0` mapping of the generated code, Figure 11).
-          std::int64_t rest = tid;
-          std::int64_t out_base = 0;
-          for (std::size_t d = 0; d < rank; ++d) {
-            const auto& dim = lat.dims[d];
-            const std::int64_t t = rest % dim.extent;
-            rest /= dim.extent;
-            const std::int64_t iv = dim.lb + dim.step * t;
-            slots[static_cast<std::size_t>(tape->index_slots[d])] = iv;
-            out_base += iv * full_strides[d];
-          }
-          tape->run(slots, arrays);
-          for (std::size_t c = 0; c < tape->result_slots.size(); ++c) {
-            out_span[static_cast<std::size_t>(out_base + static_cast<std::int64_t>(c))] =
-                static_cast<std::int32_t>(slots[static_cast<std::size_t>(tape->result_slots[c])]);
-          }
-        };
-        // Range form for backends that execute for real: the slot
-        // scratch is sized once per chunk instead of checked per id,
-        // leaving a tight decode/run/store loop.
-        launch.range_body = [tape, arrays, lat, full_strides, rank, slot_count,
-                             out_span](std::int64_t begin, std::int64_t end) {
+                       out_span](std::int64_t begin, std::int64_t end) {
           std::vector<std::int64_t> slots(static_cast<std::size_t>(slot_count));
           for (std::int64_t tid = begin; tid < end; ++tid) {
+            // Decode the global id with dimension 0 fastest (the
+            // `iGID % n0` mapping of the generated code, Figure 11).
             std::int64_t rest = tid;
             std::int64_t out_base = 0;
             for (std::size_t d = 0; d < rank; ++d) {

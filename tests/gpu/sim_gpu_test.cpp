@@ -41,7 +41,9 @@ TEST(VirtualGpuTest, KernelExecutesFunctionally) {
   k.threads = 1000;
   k.cost.flops_per_thread = 1;
   k.cost.global_stores_per_thread = 1;
-  k.body = [out](std::int64_t tid) { out[static_cast<std::size_t>(tid)] = tid * tid; };
+  k.body = [out](std::int64_t begin, std::int64_t end) {
+    for (std::int64_t tid = begin; tid < end; ++tid) out[static_cast<std::size_t>(tid)] = tid * tid;
+  };
   const double us = gpu.launch(k, true);
   EXPECT_GT(us, 0.0);
   EXPECT_EQ(out[31], 31 * 31);
@@ -55,9 +57,9 @@ TEST(VirtualGpuTest, AccountLaunchMatchesExecutedLaunchTime) {
   k.threads = 50'000;
   k.cost.flops_per_thread = 10;
   k.cost.global_loads_per_thread = 2;
-  k.body = [](std::int64_t) {};
+  k.body = [](std::int64_t, std::int64_t) {};
   const double executed = gpu.launch(k, true);
-  const double accounted = gpu.account_launch(k);
+  const double accounted = gpu.launch(k, false);
   EXPECT_DOUBLE_EQ(executed, accounted);
   EXPECT_EQ(gpu.profiler().rows()[0].calls, 2);
 }
@@ -93,8 +95,10 @@ TEST(OpenClRuntimeTest, EnqueuesBuffersAndKernels) {
   KernelLaunch k;
   k.name = "copy_scale";
   k.threads = 8;
-  k.body = [in_v, out_v](std::int64_t tid) {
-    out_v[static_cast<std::size_t>(tid)] = 3 * in_v[static_cast<std::size_t>(tid)];
+  k.body = [in_v, out_v](std::int64_t begin, std::int64_t end) {
+    for (std::int64_t tid = begin; tid < end; ++tid) {
+      out_v[static_cast<std::size_t>(tid)] = 3 * in_v[static_cast<std::size_t>(tid)];
+    }
   };
   q.enqueue_ndrange(k);
   IntArray back(host.shape());

@@ -155,7 +155,7 @@ KernelLaunch noop_kernel(const std::string& name, std::int64_t threads) {
   k.cost.flops_per_thread = 100;
   k.cost.global_loads_per_thread = 2;
   k.cost.global_stores_per_thread = 1;
-  k.body = [](std::int64_t) {};
+  k.body = [](std::int64_t, std::int64_t) {};
   return k;
 }
 
@@ -205,7 +205,9 @@ TEST(VirtualGpuStreamTest, ExecutionIsImmediateRegardlessOfStream) {
   gpu.copy_h2d(b, std::as_bytes(std::span<const std::int32_t>(host)), "h2d", true, true, s);
   KernelLaunch k = noop_kernel("incr", 4);
   auto view = gpu.memory().view<std::int32_t>(b);
-  k.body = [view](std::int64_t i) { view[static_cast<std::size_t>(i)] += 10; };
+  k.body = [view](std::int64_t begin, std::int64_t end) {
+    for (std::int64_t i = begin; i < end; ++i) view[static_cast<std::size_t>(i)] += 10;
+  };
   k.reads.push_back(b);
   k.writes.push_back(b);
   gpu.launch(k, true, gpu.create_stream());

@@ -88,7 +88,7 @@ TEST(ChromeTraceExportTest, RealScheduleYieldsMonotoneNonOverlappingStreams) {
   kernel.cost.flops_per_thread = 8.0;
   kernel.cost.global_loads_per_thread = 1.0;
   kernel.cost.global_stores_per_thread = 1.0;
-  kernel.body = [](std::int64_t) {};
+  kernel.body = [](std::int64_t, std::int64_t) {};
   kernel.reads = {buf};
   kernel.writes = {buf};
 
@@ -126,7 +126,7 @@ TEST(ChromeTraceExportTest, EventNamesAndCategoriesAreTheStableOnes) {
   kernel.name = "hfilter_k0";
   kernel.threads = 32;
   kernel.cost.flops_per_thread = 1.0;
-  kernel.body = [](std::int64_t) {};
+  kernel.body = [](std::int64_t, std::int64_t) {};
   gpu.launch(kernel, /*execute=*/false);
   gpu.account_transfer(1024, Dir::DeviceToHost, "memcpyDtoHasync", kDefaultStream, buf);
   gpu.run_host("host_tiler", 2.0, kDefaultStream);

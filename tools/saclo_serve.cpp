@@ -4,7 +4,7 @@
 //
 // Usage:
 //   saclo-serve [--devices N] [--jobs M] [--route sacng|sacg|gaspard|mixed]
-//               [--backend sim|host|opencl|hc]
+//               [--backend sim|host]
 //               [--frames F] [--exec-frames E] [--height H] [--width W]
 //               [--queue-capacity Q] [--no-cache] [--sync-streams]
 //               [--opt-level L] [--batch-max N] [--batch-wait-ms T]
@@ -120,7 +120,7 @@ int usage() {
   std::fprintf(stderr,
                "usage: saclo-serve [--devices N] [--jobs M]\n"
                "                   [--route sacng|sacg|gaspard|mixed] [--frames F]\n"
-               "                   [--backend sim|host|opencl|hc]\n"
+               "                   [--backend sim|host]\n"
                "                   [--exec-frames E] [--height H] [--width W]\n"
                "                   [--queue-capacity Q] [--no-cache] [--sync-streams]\n"
                "                   [--opt-level L] [--batch-max N] [--batch-wait-ms T]\n"
