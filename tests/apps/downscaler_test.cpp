@@ -49,6 +49,40 @@ TEST(FramesTest, SyntheticChannelsAre8Bit) {
   EXPECT_NE(c, synthetic_channel(Shape{18, 32}, 4, 2));
 }
 
+TEST(FramesTest, SyntheticChannelMatchesTheClosedFormOnEveryPixel) {
+  // The pattern, written out once per pixel: a plaid, inverted on
+  // alternate 16x16 blocks, with a moving diagonal bar of period w/4.
+  auto pixel = [](std::int64_t y, std::int64_t x, std::int64_t w, std::int64_t t,
+                  std::int64_t c) {
+    std::int64_t v = (x * 13 + y * 7 + t * 5 + c * 83) % 256;
+    if (((x / 16) + (y / 16) + t) % 2 == 0) v = 255 - v;
+    if ((x + y + 3 * t) % std::max<std::int64_t>(w / 4, 1) < 8) v = (v + 128) % 256;
+    return v;
+  };
+  const Shape shapes[] = {DownscalerConfig::tiny().frame_shape(),
+                          DownscalerConfig::small().frame_shape(),
+                          Shape{1, 1},
+                          Shape{3, 2},
+                          Shape{5, 3},
+                          Shape{7, 37},
+                          Shape{33, 65}};
+  for (const Shape& s : shapes) {
+    for (int t : {0, 3, 11}) {
+      for (int c : {0, 1, 2}) {
+        const IntArray a = synthetic_channel(s, t, c);
+        ASSERT_EQ(a.shape(), s);
+        for (std::int64_t y = 0; y < s[0]; ++y) {
+          for (std::int64_t x = 0; x < s[1]; ++x) {
+            ASSERT_EQ(a[y * s[1] + x], pixel(y, x, s[1], t, c))
+                << "shape " << s.to_string() << " frame " << t << " channel " << c << " at ("
+                << y << ", " << x << ")";
+          }
+        }
+      }
+    }
+  }
+}
+
 struct TinyFixture {
   DownscalerConfig cfg = DownscalerConfig::tiny();
   SacDownscaler::Options ng_opts;
