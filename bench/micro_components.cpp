@@ -1,11 +1,13 @@
 // Micro-benchmarks (real wall time) of the library components that do
 // run natively on this machine: tiler gather/scatter, the mini-SaC
-// frontend and optimiser, the kernel tape VM, the functional executor
-// and the ArrayOL reference evaluator.
+// frontend and optimiser, the kernel tape VM, the functional executor,
+// the ArrayOL reference evaluator and the executed paper-geometry
+// kernels of both routes on the host backend.
 
 #include <benchmark/benchmark.h>
 
 #include "apps/downscaler/arrayol_model.hpp"
+#include "apps/downscaler/pipelines.hpp"
 #include "bench_support.hpp"
 #include "apps/downscaler/frames.hpp"
 #include "apps/downscaler/sac_source.hpp"
@@ -151,6 +153,70 @@ void BM_CoverageMap(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CoverageMap);
+
+/// Host wall time of the named kernels recorded so far on `gpu`.
+double kernel_us(const gpu::VirtualGpu& gpu, const std::map<std::string, std::int64_t>& items) {
+  double us = 0;
+  for (const auto& row : gpu.profiler().rows()) {
+    if (items.count(row.name) != 0) us += row.total_us;
+  }
+  return us;
+}
+
+/// Times one executed paper-geometry frame per iteration on the host
+/// backend with one worker, counting only the listed kernels; reports
+/// their host nanoseconds per work item.
+template <typename RunFrame>
+void time_paper_kernels(benchmark::State& state, const std::map<std::string, std::int64_t>& items,
+                        RunFrame&& run_frame) {
+  gpu::VirtualGpu gpu(gpu::gtx480(), 1, gpu::BackendKind::Host);
+  run_frame(gpu);  // first-touch allocations
+  std::int64_t per_frame = 0;
+  for (const auto& [name, n] : items) per_frame += n;
+  double total_us = 0;
+  for (auto _ : state) {
+    const double before = kernel_us(gpu, items);
+    run_frame(gpu);
+    const double us = kernel_us(gpu, items) - before;
+    total_us += us;
+    state.SetIterationTime(us / 1e6);
+  }
+  const auto frames = static_cast<double>(state.iterations());
+  state.SetItemsProcessed(state.iterations() * per_frame);
+  state.counters["ns_per_item"] = total_us * 1000.0 / (frames * static_cast<double>(per_frame));
+}
+
+/// The non-generic SaC H and V generator kernels on one channel.
+void BM_SacPaperKernel(benchmark::State& state) {
+  SacDownscaler::Options opts;
+  opts.backend = gpu::BackendKind::Host;
+  SacDownscaler sd(DownscalerConfig::paper(), opts);
+  std::map<std::string, std::int64_t> items;
+  for (const auto* prog : {&sd.h_program(), &sd.v_program()}) {
+    for (const auto& step : prog->steps()) {
+      for (const auto& k : step.group.kernels) items[k.name] = k.threads;
+    }
+  }
+  time_paper_kernels(state, items, [&](gpu::VirtualGpu& gpu) {
+    sd.run_cuda_chain_on(gpu, /*frames=*/1, /*channels=*/1, /*exec_frames=*/1);
+  });
+}
+BENCHMARK(BM_SacPaperKernel)->UseManualTime()->Unit(benchmark::kMillisecond);
+
+/// The GASPARD task kernels of the RGB downscaler at opt level 0 (six
+/// kernels) and 2 (one fused kernel).
+void BM_GaspardPaperKernel(benchmark::State& state) {
+  GaspardDownscaler::Options opts;
+  opts.backend = gpu::BackendKind::Host;
+  opts.opt_level = static_cast<int>(state.range(0));
+  GaspardDownscaler gd(DownscalerConfig::paper(), opts);
+  std::map<std::string, std::int64_t> items;
+  for (const auto& k : gd.application().kernels()) items[k.name] = k.work_items;
+  time_paper_kernels(state, items, [&](gpu::VirtualGpu& gpu) {
+    gd.run_on(gpu, /*frames=*/1, /*exec_frames=*/1);
+  });
+}
+BENCHMARK(BM_GaspardPaperKernel)->Arg(0)->Arg(2)->UseManualTime()->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

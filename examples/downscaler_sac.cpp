@@ -10,6 +10,8 @@
 // bench_table2_sac.
 
 #include <cstdio>
+#include <utility>
+#include <vector>
 
 #include "apps/downscaler/frames.hpp"
 #include "apps/downscaler/pipelines.hpp"
@@ -68,12 +70,15 @@ int main(int argc, char** argv) {
   RgbFrame out;
   IntArray* channels[3] = {&out.r, &out.g, &out.b};
   for (int ch = 0; ch < 3; ++ch) {
-    sac::Value frame(synthetic_channel(cfg.frame_shape(), 0, ch));
-    sac::Value mid = const_cast<sac_cuda::CudaProgram&>(nongeneric.h_program())
-                         .run(rt, {frame}, gpu::i7_930(), host_profiler, true);
+    // Move the frames in and out: a braced argument list would copy them.
+    std::vector<sac::Value> h_args(1);
+    h_args[0] = synthetic_channel(cfg.frame_shape(), 0, ch);
+    std::vector<sac::Value> v_args(1);
+    v_args[0] = const_cast<sac_cuda::CudaProgram&>(nongeneric.h_program())
+                    .run(rt, std::move(h_args), gpu::i7_930(), host_profiler, true);
     sac::Value res = const_cast<sac_cuda::CudaProgram&>(nongeneric.v_program())
-                         .run(rt, {mid}, gpu::i7_930(), host_profiler, true);
-    *channels[ch] = res.ints();
+                         .run(rt, std::move(v_args), gpu::i7_930(), host_profiler, true);
+    *channels[ch] = std::move(res.ints());
   }
   write_ppm(out_path, out);
   std::printf("wrote %s (%lldx%lld)\n", out_path.c_str(),

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <fstream>
+#include <utility>
+#include <vector>
 
 #include "core/fmt.hpp"
 
@@ -11,20 +13,24 @@ IntArray synthetic_channel(const Shape& shape, int frame_index, int channel) {
   if (shape.rank() != 2) throw Error("synthetic_channel expects a 2-D shape");
   const std::int64_t h = shape[0];
   const std::int64_t w = shape[1];
+  const std::int64_t t = frame_index;
+  const std::int64_t c = channel;
+  const std::int64_t bar_period = std::max<std::int64_t>(w / 4, 1);
   // A moving plaid with a channel-dependent phase: smooth regions,
-  // edges and motion, all deterministic.
-  return IntArray::generate(shape, [&](const Index& i) {
-    const std::int64_t y = i[0];
-    const std::int64_t x = i[1];
-    const std::int64_t t = frame_index;
-    const std::int64_t c = channel;
-    std::int64_t v = (x * 13 + y * 7 + t * 5 + c * 83) % 256;
-    // Block structure (macroblock-ish edges).
-    if (((x / 16) + (y / 16) + t) % 2 == 0) v = 255 - v;
-    // Moving diagonal bar.
-    if ((x + y + 3 * t) % std::max<std::int64_t>(w / 4, 1) < 8) v = (v + 128) % 256;
-    return v;
-  });
+  // edges and motion, all deterministic. Written row by row.
+  std::vector<std::int64_t> px;
+  px.reserve(static_cast<std::size_t>(h * w));
+  for (std::int64_t y = 0; y < h; ++y) {
+    for (std::int64_t x = 0; x < w; ++x) {
+      std::int64_t v = (x * 13 + y * 7 + t * 5 + c * 83) % 256;
+      // Block structure (macroblock-ish edges).
+      if (((x / 16) + (y / 16) + t) % 2 == 0) v = 255 - v;
+      // Moving diagonal bar.
+      if ((x + y + 3 * t) % bar_period < 8) v = (v + 128) % 256;
+      px.push_back(v);
+    }
+  }
+  return IntArray(shape, std::move(px));
 }
 
 RgbFrame synthetic_frame(const Shape& shape, int frame_index) {

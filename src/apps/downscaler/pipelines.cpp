@@ -82,6 +82,16 @@ std::string nvprof_style_table(const std::string& h_label, const OpBreakdown& h,
 
 // --- SaC pipelines ------------------------------------------------------------------
 
+namespace {
+/// A one-argument list that takes the frame over; a braced list would
+/// copy it.
+std::vector<Value> single_arg(Value v) {
+  std::vector<Value> args;
+  args.push_back(std::move(v));
+  return args;
+}
+}  // namespace
+
 SacDownscaler::SacDownscaler(const DownscalerConfig& config, const Options& options)
     : cfg_(config), opts_(options) {
   cfg_.validate();
@@ -149,7 +159,7 @@ SacDownscaler::CudaResult SacDownscaler::run_cuda_chain_on(gpu::VirtualGpu& gpu,
       hopts.execute = exec;
       hopts.silent_result = true;  // the intermediate stays on the device
       hopts.streams = streams;
-      Value mid = h_prog_.run(rt, {frame}, opts_.host, host_profiler, hopts);
+      Value mid = h_prog_.run(rt, single_arg(std::move(frame)), opts_.host, host_profiler, hopts);
       result.h += breakdown_delta(gpu.profiler(), host_profiler, before);
 
       before = breakdown_totals(gpu.profiler(), host_profiler);
@@ -157,12 +167,12 @@ SacDownscaler::CudaResult SacDownscaler::run_cuda_chain_on(gpu::VirtualGpu& gpu,
       vopts.execute = exec;
       vopts.silent_params.insert(v_prog_.compiled().fn.params[0].second);
       vopts.streams = streams;
-      Value out = v_prog_.run(rt, {mid}, opts_.host, host_profiler, vopts);
+      Value out = v_prog_.run(rt, single_arg(std::move(mid)), opts_.host, host_profiler, vopts);
       result.v += breakdown_delta(gpu.profiler(), host_profiler, before);
 
       if (streams) iter_done.push_back(gpu.record_event(streams->compute));
       ++iter;
-      if (exec && ch == 0) result.last_output = out.ints();
+      if (exec && ch == 0) result.last_output = std::move(out.ints());
     }
     if (on_frame) on_frame(f);
   }
@@ -204,8 +214,8 @@ SacDownscaler::FilterResult SacDownscaler::run_cuda_filter(bool horizontal, int 
       opts.silent_params.insert(param);
     }
     if (resident_data && i + 1 < iterations) opts.silent_result = true;
-    Value out = prog.run(rt, {input}, opts_.host, host_profiler, opts);
-    if (exec) result.last_output = out.ints();
+    Value out = prog.run(rt, single_arg(std::move(input)), opts_.host, host_profiler, opts);
+    if (exec) result.last_output = std::move(out.ints());
   }
   result.ops = breakdown_totals(gpu.profiler(), host_profiler);
   return result;
@@ -309,7 +319,7 @@ GaspardDownscaler::Result GaspardDownscaler::run_on(gpu::VirtualGpu& gpu, int fr
     } else {
       outputs = app_.run(queue, inputs, exec);
     }
-    if (exec && !outputs.empty()) result.last_output = outputs.begin()->second;
+    if (exec && !outputs.empty()) result.last_output = std::move(outputs.begin()->second);
     if (on_frame) on_frame(f);
   }
   if (flush) gpu.synchronize();

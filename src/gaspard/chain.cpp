@@ -30,6 +30,12 @@ struct PortAddressing {
   std::size_t rep_rank = 0;
   /// Per pattern element: the F·i offset vector.
   std::vector<std::array<std::int64_t, kMaxRank>> fit_offsets;
+  /// Per pattern element: sum_d (F·i)[d] * stride[d], its element
+  /// offset from the reference point when nothing wraps.
+  std::vector<std::int64_t> fit_linear;
+  /// Per array dimension: the extremes of (F·i)[d] over the pattern.
+  std::array<std::int64_t, kMaxRank> fit_min{};
+  std::array<std::int64_t, kMaxRank> fit_max{};
 };
 
 PortAddressing make_addressing(const TiledPort& tp, const Shape& array_shape,
@@ -52,10 +58,50 @@ PortAddressing make_addressing(const TiledPort& tp, const Shape& array_shape,
   for_each_index(tp.pattern, [&](const Index& pat) {
     const Index f = tp.tiler.fitting.mv(pat);
     std::array<std::int64_t, kMaxRank> off{};
-    for (std::size_t d = 0; d < pa.array_rank; ++d) off[d] = f[d];
+    std::int64_t linear = 0;
+    for (std::size_t d = 0; d < pa.array_rank; ++d) {
+      off[d] = f[d];
+      linear += f[d] * pa.array_strides[d];
+      pa.fit_min[d] = pa.fit_offsets.empty() ? f[d] : std::min(pa.fit_min[d], f[d]);
+      pa.fit_max[d] = pa.fit_offsets.empty() ? f[d] : std::max(pa.fit_max[d], f[d]);
+    }
     pa.fit_offsets.push_back(off);
+    pa.fit_linear.push_back(linear);
   });
   return pa;
+}
+
+/// Calls fn(offset) with the element offset of every pattern element
+/// of port `pa` at repetition point `rep`, in pattern order. A tile
+/// that lies inside the array in every dimension (the interior) costs
+/// one add per element; only a tile that wraps around (the boundary)
+/// takes the tiler's modulo walk.
+template <typename Fn>
+void for_each_tile_offset(const PortAddressing& pa, const std::array<std::int64_t, kMaxRank>& rep,
+                          Fn&& fn) {
+  std::array<std::int64_t, kMaxRank> ref{};
+  std::int64_t base = 0;
+  bool interior = true;
+  for (std::size_t d = 0; d < pa.array_rank; ++d) {
+    std::int64_t v = pa.origin[d];
+    for (std::size_t r = 0; r < pa.rep_rank; ++r) v += pa.paving[d * kMaxRank + r] * rep[r];
+    ref[d] = v;
+    base += v * pa.array_strides[d];
+    interior = interior && v + pa.fit_min[d] >= 0 && v + pa.fit_max[d] < pa.array_dims[d];
+  }
+  if (interior) {
+    for (const std::int64_t lin : pa.fit_linear) fn(base + lin);
+    return;
+  }
+  for (const auto& fit : pa.fit_offsets) {
+    std::int64_t off = 0;
+    for (std::size_t d = 0; d < pa.array_rank; ++d) {
+      std::int64_t idx = (ref[d] + fit[d]) % pa.array_dims[d];
+      if (idx < 0) idx += pa.array_dims[d];
+      off += idx * pa.array_strides[d];
+    }
+    fn(off);
+  }
 }
 
 }  // namespace
@@ -293,59 +339,36 @@ std::map<std::string, IntArray> OpenClApplication::run(
                                                                           std::int64_t end) {
       std::vector<std::int64_t> in_buf(static_cast<std::size_t>(in_total));
       std::vector<std::int64_t> out_buf(static_cast<std::size_t>(out_total));
-      for (std::int64_t tid = begin; tid < end; ++tid) {
-        // Work-item decode, dimension 0 fastest.
-        std::array<std::int64_t, kMaxRank> rep{};
+      std::array<std::int64_t, kMaxRank> rep{};
+      for (std::int64_t tid = begin; tid < end;) {
+        // Work-item decode, dimension 0 fastest (Figure 11's iGID % n),
+        // once per run of consecutive ids along dimension 0.
         std::int64_t rest = tid;
         for (std::size_t d = 0; d < rep_rank; ++d) {
           rep[d] = rest % rep_dims[d];
           rest /= rep_dims[d];
         }
-        // Gather input patterns.
-        std::size_t pos = 0;
-        for (const BoundPort& bp : ins) {
-          std::array<std::int64_t, kMaxRank> ref{};
-          for (std::size_t d = 0; d < bp.addr.array_rank; ++d) {
-            std::int64_t v = bp.addr.origin[d];
-            for (std::size_t r = 0; r < bp.addr.rep_rank; ++r) {
-              v += bp.addr.paving[d * kMaxRank + r] * rep[r];
-            }
-            ref[d] = v;
+        const std::int64_t run =
+            rep_rank == 0 ? end - tid : std::min(end - tid, rep_dims[0] - rep[0]);
+        tid += run;
+        for (std::int64_t i = 0; i < run; ++i, ++rep[0]) {
+          // Gather input patterns.
+          std::size_t pos = 0;
+          for (const BoundPort& bp : ins) {
+            for_each_tile_offset(bp.addr, rep, [&](std::int64_t off) {
+              in_buf[pos++] = bp.data[static_cast<std::size_t>(off)];
+            });
           }
-          for (const auto& fit : bp.addr.fit_offsets) {
-            std::int64_t off = 0;
-            for (std::size_t d = 0; d < bp.addr.array_rank; ++d) {
-              std::int64_t idx = (ref[d] + fit[d]) % bp.addr.array_dims[d];
-              if (idx < 0) idx += bp.addr.array_dims[d];
-              off += idx * bp.addr.array_strides[d];
-            }
-            in_buf[pos++] = bp.data[static_cast<std::size_t>(off)];
-          }
-        }
-        // The IP.
-        op->compute(
-            std::span<const std::int64_t>(in_buf.data(), static_cast<std::size_t>(in_total)),
-            std::span<std::int64_t>(out_buf.data(), static_cast<std::size_t>(out_total)));
-        // Scatter output patterns.
-        pos = 0;
-        for (const BoundPort& bp : outs) {
-          std::array<std::int64_t, kMaxRank> ref{};
-          for (std::size_t d = 0; d < bp.addr.array_rank; ++d) {
-            std::int64_t v = bp.addr.origin[d];
-            for (std::size_t r = 0; r < bp.addr.rep_rank; ++r) {
-              v += bp.addr.paving[d * kMaxRank + r] * rep[r];
-            }
-            ref[d] = v;
-          }
-          for (const auto& fit : bp.addr.fit_offsets) {
-            std::int64_t off = 0;
-            for (std::size_t d = 0; d < bp.addr.array_rank; ++d) {
-              std::int64_t idx = (ref[d] + fit[d]) % bp.addr.array_dims[d];
-              if (idx < 0) idx += bp.addr.array_dims[d];
-              off += idx * bp.addr.array_strides[d];
-            }
-            bp.data[static_cast<std::size_t>(off)] =
-                static_cast<std::int32_t>(out_buf[pos++]);
+          // The IP.
+          op->compute(
+              std::span<const std::int64_t>(in_buf.data(), static_cast<std::size_t>(in_total)),
+              std::span<std::int64_t>(out_buf.data(), static_cast<std::size_t>(out_total)));
+          // Scatter output patterns.
+          pos = 0;
+          for (const BoundPort& bp : outs) {
+            for_each_tile_offset(bp.addr, rep, [&](std::int64_t off) {
+              bp.data[static_cast<std::size_t>(off)] = static_cast<std::int32_t>(out_buf[pos++]);
+            });
           }
         }
       }

@@ -75,23 +75,31 @@ Lin AffineEval::lattice_var(std::size_t d) const {
 }
 
 void AffineEval::bind_block(const std::vector<StmtPtr>& body) {
-  for (const StmtPtr& s : body) {
-    if (s->kind != StmtKind::Assign || !s->value) {
-      // Element assignments / loops invalidate the target.
-      if (!s->target.empty()) {
-        scalar_bindings_.erase(s->target);
-        vec_bindings_.erase(s->target);
-      }
-      continue;
-    }
-    if (auto v = eval_vector(*s->value)) {
-      if (v->size() == 1) scalar_bindings_[s->target] = (*v)[0];
-      vec_bindings_[s->target] = std::move(*v);
-    } else {
-      scalar_bindings_.erase(s->target);
-      vec_bindings_.erase(s->target);
-    }
+  for (const StmtPtr& s : body) bind_stmt(*s);
+}
+
+void AffineEval::bind_stmt(const Stmt& s) {
+  if (s.target.empty()) return;
+  // Element assignments / loops invalidate the target.
+  std::optional<std::vector<Lin>> v;
+  if (s.kind == StmtKind::Assign && s.value) v = eval_vector(*s.value);
+  if (!v) {
+    forget(s.target);
+    return;
   }
+  if (v->size() == 1) {
+    scalar_bindings_[s.target] = (*v)[0];
+  } else {
+    scalar_bindings_.erase(s.target);
+  }
+  vec_bindings_[s.target] = std::move(*v);
+  forgotten_.erase(s.target);
+}
+
+void AffineEval::forget(const std::string& name) {
+  scalar_bindings_.erase(name);
+  vec_bindings_.erase(name);
+  forgotten_.insert(name);
 }
 
 std::optional<Lin> AffineEval::eval_scalar(const Expr& e) const {
@@ -101,11 +109,12 @@ std::optional<Lin> AffineEval::eval_scalar(const Expr& e) const {
     case ExprKind::BoolLit:
       return constant(rank, e.int_val);
     case ExprKind::Var: {
+      auto it = scalar_bindings_.find(e.name);
+      if (it != scalar_bindings_.end()) return it->second;
+      if (forgotten_.count(e.name) != 0) return std::nullopt;
       for (std::size_t d = 0; d < lat_->scalar_names.size(); ++d) {
         if (lat_->scalar_names[d] == e.name) return lattice_var(d);
       }
-      auto it = scalar_bindings_.find(e.name);
-      if (it != scalar_bindings_.end()) return it->second;
       return std::nullopt;
     }
     case ExprKind::Select: {
@@ -146,14 +155,15 @@ std::optional<Lin> AffineEval::eval_scalar(const Expr& e) const {
 std::optional<std::vector<Lin>> AffineEval::eval_vector(const Expr& e) const {
   switch (e.kind) {
     case ExprKind::Var: {
+      auto it = vec_bindings_.find(e.name);
+      if (it != vec_bindings_.end()) return it->second;
+      if (forgotten_.count(e.name) != 0) return std::nullopt;
       if (!lat_->vector_name.empty() && e.name == lat_->vector_name) {
         std::vector<Lin> out;
         out.reserve(lat_->rank());
         for (std::size_t d = 0; d < lat_->rank(); ++d) out.push_back(lattice_var(d));
         return out;
       }
-      auto it = vec_bindings_.find(e.name);
-      if (it != vec_bindings_.end()) return it->second;
       if (auto s = eval_scalar(e)) return std::vector<Lin>{*s};
       return std::nullopt;
     }

@@ -2,6 +2,7 @@
 
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -55,6 +56,16 @@ class AffineEval {
   /// affine are simply skipped (lookups of them fail).
   void bind_block(const std::vector<StmtPtr>& body);
 
+  /// Records one statement: later lookups of its target resolve to its
+  /// value, or fail when that value is not affine. Binding statements
+  /// one at a time, in order, resolves every expression against the
+  /// bindings that precede it — a later rebinding never leaks back.
+  void bind_stmt(const Stmt& s);
+
+  /// Makes later lookups of `name` fail: it was overwritten by code
+  /// this evaluator does not model. Also hides an index variable.
+  void forget(const std::string& name);
+
   /// A scalar expression as a linear form, or nullopt.
   std::optional<Lin> eval_scalar(const Expr& e) const;
 
@@ -72,6 +83,7 @@ class AffineEval {
   const Lattice* lat_;
   std::map<std::string, std::vector<Lin>> vec_bindings_;
   std::map<std::string, Lin> scalar_bindings_;
+  std::set<std::string> forgotten_;  ///< overwritten by an unmodelled value
 };
 
 /// Renders a linear form back into an expression over the generator's

@@ -336,8 +336,12 @@ std::optional<KernelGroup> plan_with(const std::string& target, const Expr& w,
       array_dims[name] = sh->second.dims();
     }
 
-    auto tape = compile_tape(g.body, results, index_vars, array_dims);
-    if (!tape) return std::nullopt;
+    // The simulated cost is that of the plain tape (the kernel the
+    // paper's CUDA code runs); the host executes the tape specialised
+    // to the lattice, whose proven loads skip their index arithmetic.
+    auto plain = compile_tape(g.body, results, index_vars, array_dims);
+    auto tape = compile_tape(g.body, results, index_vars, array_dims, &*lat);
+    if (!plain || !tape) return std::nullopt;
 
     GenKernel k;
     k.name = cat(kernel_prefix, "_g", gi);
@@ -349,8 +353,8 @@ std::optional<KernelGroup> plan_with(const std::string& target, const Expr& w,
     k.threads = pts;
     covered += pts;
     k.cost.flops_per_thread =
-        tape->arith_ops() + 2.0 * static_cast<double>(lat->dims.size());
-    k.cost.global_loads_per_thread = tape->array_loads();
+        plain->arith_ops() + 2.0 * static_cast<double>(lat->dims.size());
+    k.cost.global_loads_per_thread = plain->array_loads();
     k.cost.global_stores_per_thread = static_cast<double>(std::max<std::int64_t>(cell.elements(), 1));
     k.cost.bytes_per_access = 4;  // the paper's frames are 32-bit ints
     k.cost.warp_access_stride =
@@ -449,7 +453,7 @@ int CudaProgram::host_block_count() const {
 
 // --- execution -------------------------------------------------------------------------
 
-sac::Value CudaProgram::run(gpu::cuda::Runtime& rt, const std::vector<sac::Value>& args,
+sac::Value CudaProgram::run(gpu::cuda::Runtime& rt, std::vector<sac::Value> args,
                             const gpu::HostSpec& host, gpu::Profiler& host_profiler,
                             const RunOptions& options) {
   const bool execute = options.execute;
@@ -467,7 +471,7 @@ sac::Value CudaProgram::run(gpu::cuda::Runtime& rt, const std::vector<sac::Value
 
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& name = fn_.fn.params[i].second;
-    host_env.emplace(name, args[i]);
+    host_env.emplace(name, std::move(args[i]));
     host_valid.insert(name);
   }
 
@@ -572,10 +576,14 @@ sac::Value CudaProgram::run(gpu::cuda::Runtime& rt, const std::vector<sac::Value
           arrays.push_back(std::move(ta));
         }
         const Tape* tape = &k.tape;
-        const auto lat = k.lattice;  // copy into closure
+        const auto* lat = &k.lattice;
         const Index full_strides = group.full.strides();
-        const std::size_t rank = lat.dims.size();
-        const int slot_count = k.tape.slot_count;
+        // Index slots the tape still reads (proven loads no longer do).
+        std::vector<std::pair<int, std::size_t>> index_fills;
+        for (std::size_t d = 0; d < lat->dims.size(); ++d) {
+          const int slot = k.tape.index_slots[d];
+          if (k.tape.reads_slot(slot)) index_fills.emplace_back(slot, d);
+        }
 
         gpu::KernelLaunch launch;
         launch.name = k.name;
@@ -585,30 +593,54 @@ sac::Value CudaProgram::run(gpu::cuda::Runtime& rt, const std::vector<sac::Value
           launch.reads.push_back(device.at(an).handle());
         }
         launch.writes.push_back(dit->second.handle());
-        // The slot scratch is sized once per chunk, leaving a tight
-        // decode/run/store loop.
-        launch.body = [tape, arrays, lat, full_strides, rank, slot_count,
+        // Ids decode once per run along dimension 0 (the `iGID % n0`
+        // mapping of the generated code, Figure 11, dimension 0
+        // fastest); within a run every proven load offset steps by its
+        // dimension-0 coefficient and the output index by step0 rows.
+        launch.body = [tape, arrays, lat, full_strides, index_fills,
                        out_span](std::int64_t begin, std::int64_t end) {
-          std::vector<std::int64_t> slots(static_cast<std::size_t>(slot_count));
-          for (std::int64_t tid = begin; tid < end; ++tid) {
-            // Decode the global id with dimension 0 fastest (the
-            // `iGID % n0` mapping of the generated code, Figure 11).
+          const std::size_t rank = lat->dims.size();
+          std::vector<std::int64_t> slots(static_cast<std::size_t>(tape->slot_count));
+          std::vector<std::int64_t> offsets(tape->lin_loads.size());
+          std::vector<std::int64_t> iv(rank);
+          const std::int64_t iv_step = rank > 0 ? lat->dims[0].step : 0;
+          const std::int64_t out_step = iv_step * (rank > 0 ? full_strides[0] : 0);
+          for (std::int64_t tid = begin; tid < end;) {
             std::int64_t rest = tid;
-            std::int64_t out_base = 0;
+            std::int64_t run = end - tid;
+            std::int64_t out = 0;
+            for (std::size_t k = 0; k < tape->lin_loads.size(); ++k) {
+              offsets[k] = tape->lin_loads[k].c0;
+            }
             for (std::size_t d = 0; d < rank; ++d) {
-              const auto& dim = lat.dims[d];
+              const auto& dim = lat->dims[d];
               const std::int64_t t = rest % dim.extent;
               rest /= dim.extent;
-              const std::int64_t iv = dim.lb + dim.step * t;
-              slots[static_cast<std::size_t>(tape->index_slots[d])] = iv;
-              out_base += iv * full_strides[d];
+              if (d == 0) run = std::min(run, dim.extent - t);
+              iv[d] = dim.lb + dim.step * t;
+              out += iv[d] * full_strides[d];
+              for (std::size_t k = 0; k < tape->lin_loads.size(); ++k) {
+                offsets[k] += tape->lin_loads[k].coeff[d] * t;
+              }
             }
-            tape->run(slots, arrays);
-            for (std::size_t c = 0; c < tape->result_slots.size(); ++c) {
-              out_span[static_cast<std::size_t>(out_base + static_cast<std::int64_t>(c))] =
-                  static_cast<std::int32_t>(
-                      slots[static_cast<std::size_t>(tape->result_slots[c])]);
+            for (std::int64_t i = 0; i < run; ++i) {
+              for (const auto& [slot, d] : index_fills) {
+                slots[static_cast<std::size_t>(slot)] = iv[d];
+              }
+              tape->run(slots, arrays, offsets);
+              for (std::size_t c = 0; c < tape->result_slots.size(); ++c) {
+                out_span[static_cast<std::size_t>(out + static_cast<std::int64_t>(c))] =
+                    static_cast<std::int32_t>(
+                        slots[static_cast<std::size_t>(tape->result_slots[c])]);
+              }
+              if (rank == 0) continue;
+              out += out_step;
+              iv[0] += iv_step;
+              for (std::size_t k = 0; k < tape->lin_loads.size(); ++k) {
+                offsets[k] += tape->lin_loads[k].coeff[0];
+              }
             }
+            tid += run;
           }
         };
         rt.launch(launch, execute, ss.compute);
@@ -674,7 +706,7 @@ sac::Value CudaProgram::run(gpu::cuda::Runtime& rt, const std::vector<sac::Value
   if (it == host_env.end()) {
     throw BackendError(cat("result variable '", return_var_, "' was never produced"));
   }
-  return it->second;
+  return std::move(it->second);
 }
 
 // --- sequential lowering ---------------------------------------------------------------

@@ -4,6 +4,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gpu/profiler.hpp"
@@ -115,15 +116,16 @@ class CudaProgram {
   /// kernels really run (bit-exact against the interpreter); with
   /// execute=false only simulated time is accrued (repetition of a
   /// frame loop). Host-step times go to `host_profiler`; GPU times to
-  /// the runtime's device profiler.
-  sac::Value run(gpu::cuda::Runtime& rt, const std::vector<sac::Value>& args,
+  /// the runtime's device profiler. The arguments are consumed: a
+  /// caller that moves its frames in hands them over without a copy.
+  sac::Value run(gpu::cuda::Runtime& rt, std::vector<sac::Value> args,
                  const gpu::HostSpec& host, gpu::Profiler& host_profiler,
                  const RunOptions& options);
-  sac::Value run(gpu::cuda::Runtime& rt, const std::vector<sac::Value>& args,
+  sac::Value run(gpu::cuda::Runtime& rt, std::vector<sac::Value> args,
                  const gpu::HostSpec& host, gpu::Profiler& host_profiler, bool execute) {
     RunOptions o;
     o.execute = execute;
-    return run(rt, args, host, host_profiler, o);
+    return run(rt, std::move(args), host, host_profiler, o);
   }
 
  private:

@@ -23,6 +23,7 @@ int Tape::arith_ops() const {
       case TapeOp::LoadSlot:
       case TapeOp::StoreSlot:
       case TapeOp::LoadArr:
+      case TapeOp::LoadLin:
         break;
       default:
         ++n;
@@ -34,12 +35,19 @@ int Tape::arith_ops() const {
 int Tape::array_loads() const {
   int n = 0;
   for (const TapeInstr& i : code) {
-    if (i.op == TapeOp::LoadArr) ++n;
+    if (i.op == TapeOp::LoadArr || i.op == TapeOp::LoadLin) ++n;
   }
   return n;
 }
 
-void Tape::run(std::span<std::int64_t> slots, std::span<const TapeArray> arrays) const {
+bool Tape::reads_slot(int slot) const {
+  return std::any_of(code.begin(), code.end(), [slot](const TapeInstr& i) {
+    return i.op == TapeOp::LoadSlot && i.a == slot;
+  });
+}
+
+void Tape::run(std::span<std::int64_t> slots, std::span<const TapeArray> arrays,
+               std::span<const std::int64_t> lin_offsets) const {
   std::int64_t stack[64];
   int sp = 0;
   for (const TapeInstr& ins : code) {
@@ -101,6 +109,10 @@ void Tape::run(std::span<std::int64_t> slots, std::span<const TapeArray> arrays)
         stack[sp++] = data[static_cast<std::size_t>(off)];
         break;
       }
+      case TapeOp::LoadLin:
+        stack[sp++] = arrays[static_cast<std::size_t>(ins.a)]
+                          .data[static_cast<std::size_t>(lin_offsets[static_cast<std::size_t>(ins.b)])];
+        break;
     }
   }
 }
@@ -119,6 +131,9 @@ std::string Tape::to_string() const {
           out += cat("ldarr ", array_names[static_cast<std::size_t>(i.a)], " rank=", i.b, "\n");
         }
         break;
+      case TapeOp::LoadLin:
+        out += cat("ldlin ", array_names[static_cast<std::size_t>(i.a)], " #", i.b, "\n");
+        break;
       default: out += cat("op#", static_cast<int>(i.op), "\n"); break;
     }
   }
@@ -129,8 +144,11 @@ namespace {
 
 class TapeBuilder {
  public:
-  explicit TapeBuilder(const std::map<std::string, Index>& array_dims)
-      : array_dims_(&array_dims) {}
+  TapeBuilder(const std::map<std::string, Index>& array_dims,
+              const sac::affine::Lattice* lattice)
+      : array_dims_(&array_dims) {
+    if (lattice) affine_.emplace(*lattice);
+  }
 
   std::optional<Tape> build(const std::vector<StmtPtr>& body,
                             const std::vector<const Expr*>& results,
@@ -138,20 +156,27 @@ class TapeBuilder {
     for (const std::string& iv : index_vars) {
       tape_.index_slots.push_back(slot(iv));
     }
+    std::vector<CodeRange> bindings;
     for (const StmtPtr& s : body) {
       if (s->kind != StmtKind::Assign || !s->value) return std::nullopt;
+      const std::size_t begin = tape_.code.size();
       // Inner fold with-loops (reductions nested inside a kernel body,
       // e.g. the dot product of a matmul cell) compile by full
       // unrolling over their — necessarily small — lattice.
       if (s->value->kind == ExprKind::With) {
-        if (!compile_inner_fold(*s->value)) return std::nullopt;
-        tape_.code.push_back({TapeOp::StoreSlot, slot(s->target), 0, 0});
-        continue;
+        in_fold_ = true;
+        const bool ok = compile_inner_fold(*s->value);
+        in_fold_ = false;
+        if (!ok) return std::nullopt;
+        forget_fold_names(*s->value);
+      } else if (!compile_expr(*s->value)) {
+        // Vector-valued bindings must have been expanded away by the
+        // simplifier; anything not scalar-compilable fails here.
+        return std::nullopt;
       }
-      // Vector-valued bindings must have been expanded away by the
-      // simplifier; anything not scalar-compilable fails here.
-      if (!compile_expr(*s->value)) return std::nullopt;
       tape_.code.push_back({TapeOp::StoreSlot, slot(s->target), 0, 0});
+      bindings.push_back({begin, tape_.code.size()});
+      if (affine_) affine_->bind_stmt(*s);
     }
     for (const Expr* r : results) {
       if (!compile_expr(*r)) return std::nullopt;
@@ -160,10 +185,17 @@ class TapeBuilder {
       tape_.code.push_back({TapeOp::StoreSlot, rs, 0, 0});
     }
     tape_.slot_count = next_slot_;
+    if (affine_) drop_dead_bindings(bindings);
     return std::move(tape_);
   }
 
  private:
+  /// The code of one top-level binding: [begin, end) of tape_.code.
+  struct CodeRange {
+    std::size_t begin;
+    std::size_t end;
+  };
+
   int slot(const std::string& name) {
     auto it = slots_.find(name);
     if (it != slots_.end()) return it->second;
@@ -248,6 +280,105 @@ class TapeBuilder {
     return true;
   }
 
+  /// The unrolled fold overwrote its generator variables and body
+  /// bindings; the affine view of those names is stale.
+  void forget_fold_names(const Expr& w) {
+    if (!affine_) return;
+    for (const sac::Generator& g : w.generators) {
+      for (const std::string& v : g.vars) affine_->forget(v);
+      for (const StmtPtr& bs : g.body) affine_->forget(bs->target);
+    }
+  }
+
+  /// True when the code in [begin, end) cannot raise: no checked load,
+  /// and every division or modulo is by a non-zero literal (in postfix
+  /// code the divisor is a literal exactly when a Push precedes the op).
+  bool cannot_throw(const CodeRange& r) const {
+    for (std::size_t k = r.begin; k < r.end; ++k) {
+      const TapeInstr& i = tape_.code[k];
+      if (i.op == TapeOp::LoadArr) return false;
+      if (i.op == TapeOp::Div || i.op == TapeOp::Mod) {
+        const TapeInstr& divisor = tape_.code[k - 1];
+        if (divisor.op != TapeOp::Push || divisor.imm == 0) return false;
+      }
+    }
+    return true;
+  }
+
+  /// Drops, to a fixpoint, every top-level binding whose stored slots
+  /// no other code reads and whose code cannot throw — the index
+  /// arithmetic that LoadLin made redundant. Then compacts the code and
+  /// the LoadLin operands.
+  void drop_dead_bindings(const std::vector<CodeRange>& bindings) {
+    std::vector<TapeInstr>& code = tape_.code;
+    std::vector<int> reads(static_cast<std::size_t>(next_slot_), 0);
+    for (const TapeInstr& i : code) {
+      if (i.op == TapeOp::LoadSlot) ++reads[static_cast<std::size_t>(i.a)];
+    }
+    std::vector<bool> dead(code.size(), false);
+    auto reads_inside = [&](const CodeRange& r, int slot) {
+      int n = 0;
+      for (std::size_t k = r.begin; k < r.end; ++k) {
+        if (code[k].op == TapeOp::LoadSlot && code[k].a == slot) ++n;
+      }
+      return n;
+    };
+    for (bool changed = true; changed;) {
+      changed = false;
+      for (auto r = bindings.rbegin(); r != bindings.rend(); ++r) {
+        if (dead[r->begin] || !cannot_throw(*r)) continue;
+        bool read_elsewhere = false;
+        for (std::size_t k = r->begin; k < r->end && !read_elsewhere; ++k) {
+          if (code[k].op != TapeOp::StoreSlot) continue;
+          read_elsewhere =
+              reads[static_cast<std::size_t>(code[k].a)] > reads_inside(*r, code[k].a);
+        }
+        if (read_elsewhere) continue;
+        for (std::size_t k = r->begin; k < r->end; ++k) {
+          if (code[k].op == TapeOp::LoadSlot) --reads[static_cast<std::size_t>(code[k].a)];
+          dead[k] = true;
+        }
+        changed = true;
+      }
+    }
+    std::vector<TapeInstr> kept;
+    std::vector<sac::affine::Lin> lin_loads;
+    for (std::size_t k = 0; k < code.size(); ++k) {
+      if (dead[k]) continue;
+      kept.push_back(code[k]);
+      if (code[k].op == TapeOp::LoadLin) {
+        lin_loads.push_back(std::move(tape_.lin_loads[static_cast<std::size_t>(code[k].b)]));
+        kept.back().b = static_cast<std::int32_t>(lin_loads.size() - 1);
+      }
+    }
+    code = std::move(kept);
+    tape_.lin_loads = std::move(lin_loads);
+  }
+
+  /// The element offset of a full-rank selection whose every index
+  /// component is affine on the lattice and stays inside its extent
+  /// over the whole lattice box; nullopt when that is not proven.
+  std::optional<sac::affine::Lin> proven_offset(const std::vector<const Expr*>& comps,
+                                                const Index& dims) const {
+    // Terms below 2^30 keep the range sums below 2^63.
+    constexpr std::int64_t kTermBound = std::int64_t{1} << 30;
+    auto small = [](std::int64_t v) { return v > -kTermBound && v < kTermBound; };
+    const Index strides = Shape(dims).strides();
+    sac::affine::Lin off;
+    off.coeff.assign(affine_->lattice().rank(), 0);
+    for (std::size_t d = 0; d < comps.size(); ++d) {
+      const auto lin = affine_->eval_scalar(*comps[d]);
+      if (!lin || !small(lin->c0) || !std::all_of(lin->coeff.begin(), lin->coeff.end(), small)) {
+        return std::nullopt;
+      }
+      const auto [lo, hi] = affine_->range(*lin);
+      if (lo < 0 || hi >= dims[d]) return std::nullopt;
+      for (std::size_t r = 0; r < off.coeff.size(); ++r) off.coeff[r] += strides[d] * lin->coeff[r];
+      off.c0 += strides[d] * lin->c0;
+    }
+    return off;
+  }
+
   bool compile_expr(const Expr& e) {
     switch (e.kind) {
       case ExprKind::IntLit:
@@ -330,6 +461,14 @@ class TapeBuilder {
           comps.push_back(&idx);  // scalar index into a rank-1 array
         }
         if (comps.size() != rank) return false;
+        if (affine_ && !in_fold_ && id >= 0) {
+          if (auto off = proven_offset(comps, array_dims_->at(arr.name))) {
+            const auto k = static_cast<std::int32_t>(tape_.lin_loads.size());
+            tape_.lin_loads.push_back(std::move(*off));
+            tape_.code.push_back({TapeOp::LoadLin, id, k, 0});
+            return true;
+          }
+        }
         for (const Expr* c : comps) {
           if (!compile_expr(*c)) return false;
         }
@@ -367,6 +506,10 @@ class TapeBuilder {
   }
 
   const std::map<std::string, Index>* array_dims_;
+  /// The generator's bindings so far, over its lattice; empty for an
+  /// unspecialised tape.
+  std::optional<sac::affine::AffineEval> affine_;
+  bool in_fold_ = false;  ///< inside an unrolled fold: its variables are not lattice ones
   Tape tape_;
   std::map<std::string, int> slots_;
   int next_slot_ = 0;
@@ -377,8 +520,9 @@ class TapeBuilder {
 std::optional<Tape> compile_tape(const std::vector<StmtPtr>& body,
                                  const std::vector<const Expr*>& results,
                                  const std::vector<std::string>& index_vars,
-                                 const std::map<std::string, Index>& array_dims) {
-  TapeBuilder builder(array_dims);
+                                 const std::map<std::string, Index>& array_dims,
+                                 const sac::affine::Lattice* lattice) {
+  TapeBuilder builder(array_dims, lattice);
   return builder.build(body, results, index_vars);
 }
 

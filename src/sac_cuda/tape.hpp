@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/ndarray.hpp"
+#include "sac/affine.hpp"
 #include "sac/ast.hpp"
 
 namespace saclo::sac_cuda {
@@ -39,10 +40,12 @@ enum class TapeOp : std::uint8_t {
   Ne,
   And,
   Or,
-  LoadArr  ///< pop b indices, push arrays[a] element (bounds-checked);
-           ///< negative a indexes the tape's immediate (constant)
-           ///< arrays: imm_arrays[-a - 1] — the analogue of CUDA
-           ///< __constant__ memory for literal coefficient tables
+  LoadArr,  ///< pop b indices, push arrays[a] element (bounds-checked);
+            ///< negative a indexes the tape's immediate (constant)
+            ///< arrays: imm_arrays[-a - 1] — the analogue of CUDA
+            ///< __constant__ memory for literal coefficient tables
+  LoadLin   ///< push arrays[a].data[lin_offsets[b]]: a load whose offset
+            ///< lin_loads[b] was proven in bounds at plan time
 };
 
 struct TapeInstr {
@@ -80,14 +83,25 @@ class Tape {
   std::vector<TapeImmediate> imm_arrays;  ///< constant arrays (negative LoadArr ids)
   std::vector<int> index_slots;           ///< slots of the index variables, in order
   std::vector<int> result_slots;          ///< slots holding the cell element values
+  /// Per LoadLin operand b, the element offset of a load proven in
+  /// bounds over the whole lattice: c0 + sum_d coeff[d] * t_d of the
+  /// lattice coordinates, which a kernel steps instead of recomputing
+  /// (and re-checking) the index per element.
+  std::vector<sac::affine::Lin> lin_loads;
 
   /// Counts for the kernel cost descriptor.
   int arith_ops() const;
   int array_loads() const;
 
+  /// Whether any instruction reads `slot` (an index slot nobody reads
+  /// need not be filled).
+  bool reads_slot(int slot) const;
+
   /// Executes the whole tape once. `slots` must have slot_count
-  /// entries with the index slots pre-filled.
-  void run(std::span<std::int64_t> slots, std::span<const TapeArray> arrays) const;
+  /// entries with the index slots pre-filled; `lin_offsets` holds the
+  /// current element offset of every lin_loads entry.
+  void run(std::span<std::int64_t> slots, std::span<const TapeArray> arrays,
+           std::span<const std::int64_t> lin_offsets = {}) const;
 
   std::string to_string() const;
 };
@@ -97,9 +111,18 @@ class Tape {
 /// that survived simplification, nested with-loops, float arithmetic,
 /// control flow, ...), in which case the caller falls back to host
 /// execution.
+///
+/// Given the generator's iteration lattice (whose scalar names are
+/// `index_vars`), the tape is specialised to it by plan-time proofs:
+/// a full-rank selection from a bound array whose index components are
+/// affine and provably in bounds over the whole lattice becomes one
+/// LoadLin, and a top-level binding that is then no longer read and
+/// cannot throw is dropped. Everything not proven keeps the checked
+/// path, so the results and the errors are those of the plain tape.
 std::optional<Tape> compile_tape(const std::vector<sac::StmtPtr>& body,
                                  const std::vector<const sac::Expr*>& results,
                                  const std::vector<std::string>& index_vars,
-                                 const std::map<std::string, Index>& array_dims);
+                                 const std::map<std::string, Index>& array_dims,
+                                 const sac::affine::Lattice* lattice = nullptr);
 
 }  // namespace saclo::sac_cuda

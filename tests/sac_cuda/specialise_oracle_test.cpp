@@ -1,0 +1,550 @@
+// Differential oracle for the plan-time specialisation of kernel tapes.
+// A tape compiled against its generator's lattice may replace a
+// selection by a LoadLin (proven in bounds) and drop dead bindings that
+// cannot throw. Over seeded random generator bodies — lb > 0, step > 1,
+// rank 1-3 lattices, cells, boundary `%` indices, loads whose affine
+// range exceeds the array, rebindings and dead throwing bindings — the
+// specialised tape must produce exactly the plain tape's results and
+// exactly its errors at every lattice point. A second oracle runs random
+// with-loop programs through the host backend against the interpreter.
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <functional>
+#include <map>
+#include <optional>
+#include <random>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "core/fmt.hpp"
+#include "sac/parser.hpp"
+#include "sac/pipeline.hpp"
+#include "sac_cuda/program.hpp"
+#include "sac_cuda/tape.hpp"
+
+namespace saclo::sac_cuda {
+namespace {
+
+using sac::affine::Lattice;
+
+class Rng {
+ public:
+  explicit Rng(std::uint64_t seed) : gen_(seed) {}
+  std::int64_t uniform(std::int64_t lo, std::int64_t hi) {
+    return std::uniform_int_distribution<std::int64_t>(lo, hi)(gen_);
+  }
+  bool chance(int percent) { return uniform(0, 99) < percent; }
+  template <typename T>
+  const T& pick(const std::vector<T>& v) {
+    return v[static_cast<std::size_t>(uniform(0, static_cast<std::int64_t>(v.size()) - 1))];
+  }
+
+ private:
+  std::mt19937_64 gen_;
+};
+
+const std::vector<std::string> kIndexNames{"i", "j", "k"};
+
+/// Every point of a lattice, as lattice coordinates t (dimension 0
+/// fastest, the kernels' id order).
+std::vector<Index> lattice_points(const Lattice& lat) {
+  std::vector<Index> out;
+  std::int64_t n = 1;
+  for (const auto& d : lat.dims) n *= d.extent;
+  for (std::int64_t id = 0; id < n; ++id) {
+    Index t(lat.rank());
+    std::int64_t rest = id;
+    for (std::size_t d = 0; d < lat.rank(); ++d) {
+      t[d] = rest % lat.dims[d].extent;
+      rest /= lat.dims[d].extent;
+    }
+    out.push_back(std::move(t));
+  }
+  return out;
+}
+
+/// A bound array with deterministic contents in [-40, 40].
+struct Bound {
+  std::vector<std::int32_t> data;
+  TapeArray array;
+};
+
+Bound make_array(const Index& dims, std::int64_t salt) {
+  Bound b;
+  const Shape s(dims);
+  b.data.resize(static_cast<std::size_t>(s.elements()));
+  for (std::size_t e = 0; e < b.data.size(); ++e) {
+    b.data[e] = static_cast<std::int32_t>((static_cast<std::int64_t>(e) * 7 + salt * 13) % 81 - 40);
+  }
+  b.array = TapeArray{std::span<const std::int32_t>(b.data), dims, s.strides()};
+  return b;
+}
+
+/// One tape evaluation at one lattice point: the result values, or the
+/// error text.
+struct Outcome {
+  std::vector<std::int64_t> results;
+  std::string error;
+  bool operator==(const Outcome& other) const = default;
+};
+
+Outcome run_at(const Tape& tape, const Lattice& lat, const Index& t,
+               const std::vector<TapeArray>& arrays) {
+  std::vector<std::int64_t> slots(static_cast<std::size_t>(tape.slot_count), 0);
+  for (std::size_t d = 0; d < lat.rank(); ++d) {
+    slots[static_cast<std::size_t>(tape.index_slots[d])] =
+        lat.dims[d].lb + lat.dims[d].step * t[d];
+  }
+  std::vector<std::int64_t> offsets;
+  for (const sac::affine::Lin& l : tape.lin_loads) {
+    std::int64_t off = l.c0;
+    for (std::size_t d = 0; d < lat.rank(); ++d) off += l.coeff[d] * t[d];
+    offsets.push_back(off);
+  }
+  Outcome o;
+  try {
+    tape.run(slots, arrays, offsets);
+    for (int rs : tape.result_slots) o.results.push_back(slots[static_cast<std::size_t>(rs)]);
+  } catch (const Error& e) {
+    o.error = e.what();
+  }
+  return o;
+}
+
+int count_op(const Tape& t, TapeOp op) {
+  int n = 0;
+  for (const TapeInstr& i : t.code) n += i.op == op ? 1 : 0;
+  return n;
+}
+
+/// A generator body under test: statements, result expressions, the
+/// lattice and the arrays it selects from.
+struct BodyCase {
+  std::vector<sac::StmtPtr> stmts;
+  std::vector<sac::ExprPtr> results;
+  Lattice lattice;
+  std::map<std::string, Index> dims;
+
+  std::vector<const sac::Expr*> result_ptrs() const {
+    std::vector<const sac::Expr*> out;
+    for (const auto& r : results) out.push_back(r.get());
+    return out;
+  }
+};
+
+BodyCase parse_case(const std::string& stmts, const std::vector<std::string>& results,
+                    const Lattice& lattice, std::map<std::string, Index> dims) {
+  BodyCase c;
+  std::string params;
+  for (std::size_t d = 0; d < lattice.rank(); ++d) {
+    params += cat(d ? ", " : "", "int ", lattice.scalar_names[d]);
+  }
+  const sac::Module m = sac::parse(cat("int f(", params, ") { ", stmts, " return (0); }"));
+  const auto& body = m.functions[0].body;
+  for (std::size_t s = 0; s + 1 < body.size(); ++s) c.stmts.push_back(body[s]->clone());
+  for (const std::string& r : results) c.results.push_back(sac::parse_expression(r));
+  c.lattice = lattice;
+  c.dims = std::move(dims);
+  return c;
+}
+
+Lattice make_lattice(const std::vector<Lattice::Dim>& dims) {
+  Lattice lat;
+  lat.dims = dims;
+  for (std::size_t d = 0; d < dims.size(); ++d) lat.scalar_names.push_back(kIndexNames[d]);
+  return lat;
+}
+
+struct Compared {
+  Tape plain;
+  Tape spec;
+  std::vector<Outcome> outcomes;  ///< the plain tape's, per lattice point
+};
+
+/// Compiles the case plain and specialised, runs both at every lattice
+/// point and expects identical outcomes.
+Compared compare(const BodyCase& c) {
+  auto plain = compile_tape(c.stmts, c.result_ptrs(), c.lattice.scalar_names, c.dims);
+  auto spec = compile_tape(c.stmts, c.result_ptrs(), c.lattice.scalar_names, c.dims, &c.lattice);
+  EXPECT_TRUE(plain.has_value());
+  EXPECT_TRUE(spec.has_value());
+  Compared out;
+  if (!plain || !spec) return out;
+  out.plain = std::move(*plain);
+  out.spec = std::move(*spec);
+  // Both tapes bind arrays by their own ids.
+  std::vector<Bound> bound_plain;
+  std::vector<Bound> bound_spec;
+  auto bind = [&](const Tape& t, std::vector<Bound>& keep) {
+    std::vector<TapeArray> arrays;
+    keep.reserve(t.array_names.size());
+    for (const std::string& name : t.array_names) {
+      keep.push_back(make_array(c.dims.at(name), static_cast<std::int64_t>(name[0])));
+      arrays.push_back(keep.back().array);
+    }
+    return arrays;
+  };
+  const std::vector<TapeArray> arrays_plain = bind(out.plain, bound_plain);
+  const std::vector<TapeArray> arrays_spec = bind(out.spec, bound_spec);
+  for (const Index& t : lattice_points(c.lattice)) {
+    const Outcome a = run_at(out.plain, c.lattice, t, arrays_plain);
+    const Outcome b = run_at(out.spec, c.lattice, t, arrays_spec);
+    EXPECT_EQ(a, b) << "at t=" << Shape(t).to_string() << ": plain '" << a.error
+                    << "' specialised '" << b.error << "'\nplain tape:\n"
+                    << out.plain.to_string() << "specialised tape:\n"
+                    << out.spec.to_string();
+    out.outcomes.push_back(a);
+  }
+  return out;
+}
+
+// --- targeted cases ----------------------------------------------------------------
+
+TEST(SpecialiseOracle, DeadIndexArithmeticIsDroppedAfterTheProof) {
+  // The non-generic output tiler's shape: j steps by 3, the load reads
+  // column j/3. The load becomes a LoadLin, the j/3 binding is dead and
+  // cannot throw, so it goes, and nothing reads j any more.
+  const BodyCase c = parse_case("q = j / 3;", {"A[[i, q]]"},
+                                make_lattice({{0, 1, 4}, {0, 3, 5}}), {{"A", {4, 5}}});
+  const Compared r = compare(c);
+  EXPECT_EQ(count_op(r.spec, TapeOp::LoadLin), 1);
+  EXPECT_EQ(count_op(r.spec, TapeOp::LoadArr), 0);
+  EXPECT_EQ(count_op(r.spec, TapeOp::Div), 0);
+  EXPECT_FALSE(r.spec.reads_slot(r.spec.index_slots[1]));
+  EXPECT_EQ(count_op(r.plain, TapeOp::LoadArr), 1);
+  EXPECT_EQ(count_op(r.plain, TapeOp::LoadLin), 0);
+  // The specialised tape is what runs; the plain one is what is costed.
+  EXPECT_EQ(r.spec.array_loads(), r.plain.array_loads());
+}
+
+TEST(SpecialiseOracle, TightRangesAreProvenAndOneBeyondIsNot) {
+  // i = 1 + 2t, t in [0, 3): i in {1, 3, 5}. Affine ranges over the
+  // lattice box are exact, so a load is proven exactly when it never
+  // leaves the array.
+  const Lattice lat = make_lattice({{1, 2, 3}});
+  struct Probe {
+    std::string index;
+    std::int64_t extent;
+    bool proven;
+  };
+  const Probe probes[] = {
+      {"i", 6, true},                 // 1 .. 5
+      {"i", 5, false},                // 5 == extent
+      {"i - 1", 5, true},             // 0 .. 4
+      {"i - 2", 6, false},            // -1 .. 3
+      {"(i - 1) / 2", 3, true},       // t
+      {"(i - 1) / 2 + 1", 3, false},  // 1 .. 3
+      {"i / 2", 3, true},             // 0 .. 2
+      {"6 - i", 6, true},             // 5 .. 1
+      {"5 - i", 6, true},             // 4 .. 0
+      {"4 - i", 6, false},            // 3 .. -1
+      {"i % 2", 2, true},             // always 1
+      {"i % 2", 1, false},
+  };
+  for (const Probe& p : probes) {
+    SCOPED_TRACE(cat("A[", p.index, "] over extent ", p.extent));
+    const Compared r = compare(parse_case("", {cat("A[", p.index, "]")}, lat, {{"A", {p.extent}}}));
+    bool in_bounds = true;
+    for (const Outcome& o : r.outcomes) in_bounds = in_bounds && o.error.empty();
+    EXPECT_EQ(in_bounds, p.proven);
+    EXPECT_EQ(count_op(r.spec, TapeOp::LoadLin), p.proven ? 1 : 0);
+  }
+}
+
+TEST(SpecialiseOracle, UnprovenLoadsKeepTheCheckedErrorText) {
+  const Lattice lat = make_lattice({{0, 1, 4}});
+  const Compared r = compare(parse_case("", {"A[[i + 1]]"}, lat, {{"A", {4}}}));
+  EXPECT_EQ(count_op(r.spec, TapeOp::LoadArr), 1);
+  ASSERT_EQ(r.outcomes.size(), 4u);
+  EXPECT_EQ(r.outcomes[3].error, "tape: index 4 out of bounds for dim 0 extent 4");
+}
+
+TEST(SpecialiseOracle, DeadBindingsThatMayThrowStay) {
+  const Lattice lat = make_lattice({{0, 1, 5}});
+  // Division by a variable that is zero at i == 2.
+  const Compared div = compare(parse_case("v = i - 2; d = 10 / v;", {"A[[i]]"}, lat,
+                                          {{"A", {5}}}));
+  EXPECT_EQ(count_op(div.spec, TapeOp::Div), 1);
+  EXPECT_EQ(div.outcomes[2].error, "tape: division by zero");
+  // Modulo by a variable.
+  const Compared mod = compare(parse_case("d = 10 % (i - 3);", {"A[[i]]"}, lat, {{"A", {5}}}));
+  EXPECT_EQ(mod.outcomes[3].error, "tape: modulo by zero");
+  // A dead checked load out of bounds.
+  const Compared load = compare(parse_case("d = A[[i + 3]];", {"i"}, lat, {{"A", {5}}}));
+  EXPECT_EQ(load.outcomes[2].error, "tape: index 5 out of bounds for dim 0 extent 5");
+  // Division by a literal zero is not a non-zero literal.
+  const Compared zero = compare(parse_case("d = i / 0;", {"i"}, lat, {}));
+  EXPECT_EQ(zero.outcomes[0].error, "tape: division by zero");
+  // ...while division by a non-zero literal is dropped when dead.
+  const Compared safe = compare(parse_case("d = i / 4; e = d % 3;", {"i"}, lat, {}));
+  EXPECT_EQ(count_op(safe.spec, TapeOp::Div) + count_op(safe.spec, TapeOp::Mod), 0);
+}
+
+TEST(SpecialiseOracle, LaterRebindingsDoNotLeakIntoEarlierSelections) {
+  const Lattice lat = make_lattice({{0, 1, 4}});
+  // `a` is rebound after the load: the load must use the first value.
+  const Compared r = compare(
+      parse_case("a = i; x = A[[a]]; a = i + 10;", {"x + a"}, lat, {{"A", {4}}}));
+  EXPECT_EQ(count_op(r.spec, TapeOp::LoadLin), 1);
+  // An index variable rebound before the load hides the lattice value.
+  const Compared shadow = compare(parse_case("i = i + 1;", {"A[[i]]"}, lat, {{"A", {4}}}));
+  EXPECT_EQ(shadow.outcomes[3].error, "tape: index 4 out of bounds for dim 0 extent 4");
+}
+
+TEST(SpecialiseOracle, UnrolledFoldsAreNotMistakenForLatticeVariables) {
+  // The inner fold rebinds `i` point by point; selections inside it and
+  // after it read the fold's value, not the lattice's.
+  const Lattice lat = make_lattice({{0, 1, 3}});
+  const Compared r = compare(parse_case(
+      "s = with { ([0] <= [i] < [4]) : A[[i]]; } : fold(+, 0);", {"s + A[[i]]"}, lat,
+      {{"A", {4}}}));
+  EXPECT_EQ(r.outcomes[0].results, r.outcomes[1].results);
+  EXPECT_EQ(count_op(r.spec, TapeOp::LoadLin), 0);
+}
+
+// --- random bodies -----------------------------------------------------------------
+
+/// Random straight-line generator bodies over named arrays.
+class BodyGen {
+ public:
+  BodyGen(Rng& rng, const Lattice& lat, std::map<std::string, Index> dims)
+      : rng_(rng), dims_(std::move(dims)), index_names_(lat.scalar_names), names_(lat.scalar_names) {
+    for (const auto& [name, d] : dims_) arrays_.push_back(name);
+  }
+
+  /// `plain_only` leaves out dead throwing bindings and rebindings
+  /// (for whole programs, whose optimizer removes dead code first).
+  std::string statements(bool plain_only = false) {
+    std::string out;
+    const std::int64_t n = rng_.uniform(0, 4);
+    for (std::int64_t s = 0; s < n; ++s) {
+      const std::string name = cat("b", s);
+      switch (plain_only ? 9 : rng_.uniform(0, 9)) {
+        case 0:  // a dead binding that may divide by zero
+          out += cat("d", s, " = ", rng_.uniform(1, 9), " / (", rng_.pick(names_), " - ",
+                     rng_.uniform(0, 4), "); ");
+          continue;
+        case 1:  // a dead checked load that may be out of bounds
+          out += cat("d", s, " = ", load(), "; ");
+          continue;
+        case 2:  // a rebinding of an earlier name, after its uses so far
+          if (names_.size() > 1) {
+            const std::string& old = rng_.pick(names_);
+            out += cat(old, " = ", old, " + ", rng_.uniform(-2, 2), "; ");
+            continue;
+          }
+          break;
+        default:
+          break;
+      }
+      out += cat(name, " = ", scalar(2), "; ");
+      names_.push_back(name);
+    }
+    return out;
+  }
+
+  std::string scalar(int depth) {
+    switch (depth > 0 ? rng_.uniform(0, 6) : rng_.uniform(0, 2)) {
+      case 0: return rng_.pick(names_);
+      case 1: return cat(rng_.uniform(-3, 9));
+      case 2: return cat(rng_.pick(names_), " / ", rng_.uniform(1, 3));
+      case 3:
+      case 4: return load();
+      case 5: return cat("(", scalar(depth - 1), " + ", scalar(depth - 1), ")");
+      default: return cat(rng_.uniform(1, 3), " * ", scalar(depth - 1));
+    }
+  }
+
+  std::string load() {
+    const std::string& a = rng_.pick(arrays_);
+    const Index& d = dims_.at(a);
+    if (d.size() == 1 && rng_.chance(50)) return cat(a, "[", component(d[0]), "]");
+    std::string out = a + "[[";
+    for (std::size_t k = 0; k < d.size(); ++k) out += cat(k ? ", " : "", component(d[k]));
+    return out + "]]";
+  }
+
+ private:
+  /// One index component: mostly affine, tuned to land on, just inside
+  /// or just beyond the array's bounds.
+  std::string component(std::int64_t extent) {
+    const std::string& v = rng_.chance(70) ? rng_.pick(index_names_) : rng_.pick(names_);
+    switch (rng_.uniform(0, 7)) {
+      case 0: return cat(v, " + ", rng_.uniform(-2, 2));
+      case 1: return cat(rng_.uniform(1, 2), " * ", v, " - ", rng_.uniform(0, 3));
+      case 2: return cat(v, " / ", rng_.uniform(2, 3));
+      case 3: return cat("(", v, " + ", rng_.uniform(0, 3), ") % ", extent);  // boundary
+      case 4: return cat(rng_.uniform(0, extent));
+      case 5: return cat(extent - 1, " - ", v);
+      case 6: return cat("(", v, " - ", rng_.uniform(0, 2), ") * ", rng_.uniform(0, 2));
+      default: return v;
+    }
+  }
+
+  Rng& rng_;
+  std::map<std::string, Index> dims_;
+  std::vector<std::string> index_names_;
+  std::vector<std::string> names_;
+  std::vector<std::string> arrays_;
+};
+
+Lattice random_lattice(Rng& rng) {
+  std::vector<Lattice::Dim> dims;
+  const std::int64_t rank = rng.uniform(1, 3);
+  for (std::int64_t d = 0; d < rank; ++d) {
+    dims.push_back({rng.uniform(0, 3), rng.uniform(1, 3), rng.uniform(1, 4)});
+  }
+  return make_lattice(dims);
+}
+
+std::map<std::string, Index> random_arrays(Rng& rng) {
+  std::map<std::string, Index> dims;
+  for (const char* name : {"A", "B"}) {
+    Index d;
+    const std::int64_t rank = rng.uniform(1, 3);
+    for (std::int64_t k = 0; k < rank; ++k) d.push_back(rng.uniform(3, 12));
+    dims.emplace(name, d);
+  }
+  return dims;
+}
+
+TEST(SpecialiseOracle, RandomBodiesAreBitExactWithThePlainTape) {
+  int proven = 0;
+  int checked = 0;
+  int dropped = 0;
+  int bounds_errors = 0;
+  int zero_divisions = 0;
+  int results = 0;
+  for (std::uint64_t seed = 1; seed <= 1000; ++seed) {
+    Rng rng(seed);
+    const Lattice lat = random_lattice(rng);
+    const std::map<std::string, Index> dims = random_arrays(rng);
+    BodyGen gen(rng, lat, dims);
+    const std::string stmts = gen.statements();
+    std::vector<std::string> cells;
+    const std::int64_t cell = rng.uniform(1, 3);
+    for (std::int64_t e = 0; e < cell; ++e) cells.push_back(gen.scalar(2));
+    SCOPED_TRACE(cat("seed ", seed, ": ", stmts, "-> ", join(cells, " | ")));
+    const Compared r = compare(parse_case(stmts, cells, lat, dims));
+    if (::testing::Test::HasFailure()) return;
+    proven += count_op(r.spec, TapeOp::LoadLin);
+    checked += count_op(r.spec, TapeOp::LoadArr);
+    if (count_op(r.spec, TapeOp::StoreSlot) < count_op(r.plain, TapeOp::StoreSlot)) ++dropped;
+    for (const Outcome& o : r.outcomes) {
+      if (o.error.find("out of bounds") != std::string::npos) ++bounds_errors;
+      if (o.error == "tape: division by zero") ++zero_divisions;
+      if (o.error.empty()) ++results;
+    }
+  }
+  // The sweep must exercise every path it claims to.
+  EXPECT_GT(proven, 200);
+  EXPECT_GT(checked, 200);
+  EXPECT_GT(dropped, 30);
+  EXPECT_GT(bounds_errors, 100);
+  EXPECT_GT(zero_divisions, 10);
+  EXPECT_GT(results, 1000);
+}
+
+// --- random programs ---------------------------------------------------------------
+
+/// The reference result of a program (the interpreter on the compiled
+/// function) or of its host-backend kernels: the value, or "error".
+std::string outcome_of(const std::function<sac::Value()>& run) {
+  try {
+    const sac::Value v = run();
+    std::string out = v.shape().to_string() + ":";
+    for (std::int64_t e = 0; e < v.ints().elements(); ++e) out += cat(" ", v.ints()[e]);
+    return out;
+  } catch (const Error&) {
+    return "error";
+  }
+}
+
+TEST(SpecialiseOracle, RandomWithLoopsMatchTheInterpreterOnTheHostBackend) {
+  int programs_with_kernels = 0;
+  int proven = 0;
+  int errors = 0;
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    Rng rng(seed * 7919);
+    const Lattice lat = random_lattice(rng);
+    std::map<std::string, Index> dims;
+    for (const char* name : {"A", "C"}) {
+      Index d;
+      const std::int64_t rank = rng.uniform(1, 3);
+      for (std::int64_t k = 0; k < rank; ++k) d.push_back(rng.uniform(3, 12));
+      dims.emplace(name, d);
+    }
+    BodyGen gen(rng, lat, dims);
+    const std::string stmts = gen.statements(/*plain_only=*/true);
+    const std::int64_t cell = rng.uniform(0, 1) * rng.uniform(2, 3);
+    std::string value;
+    if (cell == 0) {
+      value = gen.scalar(2);
+    } else {
+      std::vector<std::string> elems;
+      for (std::int64_t e = 0; e < cell; ++e) elems.push_back(gen.scalar(2));
+      value = "[" + join(elems, ", ") + "]";
+    }
+    std::vector<std::string> lb;
+    std::vector<std::string> ub;
+    std::vector<std::string> step;
+    Index frame;
+    for (const auto& d : lat.dims) {
+      const std::int64_t hi = d.lb + d.step * (d.extent - 1) + 1;
+      lb.push_back(cat(d.lb));
+      ub.push_back(cat(hi));
+      step.push_back(cat(d.step));
+      frame.push_back(hi + rng.uniform(0, 2));
+    }
+    Index full = frame;
+    if (cell > 0) full.push_back(cell);
+    const std::string src =
+        cat("int[*] main(int[*] A, int[*] C, int[*] B) {\n  o = with {\n    ([", join(lb, ", "),
+            "] <= [", join(lat.scalar_names, ", "), "] < [", join(ub, ", "), "] step [",
+            join(step, ", "), "]) { ", stmts, "} : ", value, ";\n  } : modarray(B);\n  return (o);\n}\n");
+    SCOPED_TRACE(cat("seed ", seed, ":\n", src));
+    const sac::Module m = sac::parse(src);
+    const sac::CompiledFunction cf =
+        sac::compile(m, "main",
+                     {sac::ArgSpec::array(sac::ElemType::Int, Shape(dims.at("A"))),
+                      sac::ArgSpec::array(sac::ElemType::Int, Shape(dims.at("C"))),
+                      sac::ArgSpec::array(sac::ElemType::Int, Shape(full))});
+    CudaProgram p = CudaProgram::plan(cf);
+    auto array_value = [](const Index& d, std::int64_t salt) {
+      return sac::Value(IntArray::generate(Shape(d), [&](const Index& i) {
+        std::int64_t h = salt;
+        for (std::int64_t x : i) h = h * 31 + x;
+        return h % 97 - 48;
+      }));
+    };
+    const std::vector<sac::Value> args{array_value(dims.at("A"), 1),
+                                       array_value(dims.at("C"), 2), array_value(full, 3)};
+    const std::string expected = outcome_of([&] {
+      return run_sequential(cf, args, gpu::i7_930(), true).result;
+    });
+    for (const gpu::BackendKind backend : {gpu::BackendKind::Host, gpu::BackendKind::Sim}) {
+      gpu::VirtualGpu device(gpu::gtx480(), 3, backend);
+      gpu::cuda::Runtime rt(device);
+      gpu::Profiler host_profiler;
+      EXPECT_EQ(outcome_of([&] { return p.run(rt, args, gpu::i7_930(), host_profiler, true); }),
+                expected)
+          << gpu::backend_kind_name(backend);
+    }
+    if (::testing::Test::HasFailure()) return;
+    if (p.kernel_count() > 0 && p.host_block_count() == 0) ++programs_with_kernels;
+    for (const Step& st : p.steps()) {
+      if (st.kind != Step::Kind::Kernels) continue;
+      for (const GenKernel& k : st.group.kernels) proven += count_op(k.tape, TapeOp::LoadLin);
+    }
+    if (expected == "error") ++errors;
+  }
+  EXPECT_GT(programs_with_kernels, 250);
+  EXPECT_GT(proven, 80);
+  EXPECT_GT(errors, 30);
+}
+
+}  // namespace
+}  // namespace saclo::sac_cuda
