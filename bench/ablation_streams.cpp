@@ -13,6 +13,7 @@
 #include <fstream>
 
 #include "bench_support.hpp"
+#include "obs/export.hpp"
 
 using namespace saclo;
 using namespace saclo::apps;
@@ -33,14 +34,13 @@ RouteTotals sac_route(bool generic) {
   opts.generic = generic;
   SacDownscaler sync_ds(cfg, opts);
   opts.async_streams = true;
-  opts.capture_trace = true;
   SacDownscaler async_ds(cfg, opts);
   RouteTotals t;
   t.sync_us = sync_ds.run_cuda_chain(kFrames, kChannels, 0).wall_us;
-  auto r = async_ds.run_cuda_chain(kFrames, kChannels, 0);
-  t.async_us = r.wall_us;
-  t.timeline = r.timeline;
-  t.trace_json = r.trace_json;
+  gpu::VirtualGpu gpu(opts.device, opts.workers, opts.backend);
+  t.async_us = async_ds.run_cuda_chain_on(gpu, kFrames, kChannels, 0).wall_us;
+  t.timeline = gpu.profiler().timeline();
+  t.trace_json = obs::merged_chrome_trace({{0, gpu.profiler().intervals(), {}}}, {});
   return t;
 }
 
@@ -52,9 +52,9 @@ RouteTotals gaspard_route() {
   GaspardDownscaler async_ds(cfg, opts);
   RouteTotals t;
   t.sync_us = sync_ds.run(kFrames, 0).wall_us;
-  auto r = async_ds.run(kFrames, 0);
-  t.async_us = r.wall_us;
-  t.timeline = r.timeline;
+  gpu::VirtualGpu gpu(opts.device, opts.workers, opts.backend);
+  t.async_us = async_ds.run_on(gpu, kFrames, 0).wall_us;
+  t.timeline = gpu.profiler().timeline();
   return t;
 }
 

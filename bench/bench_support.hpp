@@ -11,6 +11,7 @@
 
 #include "apps/downscaler/pipelines.hpp"
 #include "core/fmt.hpp"
+#include "core/json.hpp"
 #include "gpu/device.hpp"
 
 // Git revision baked in by bench/CMakeLists.txt (git rev-parse at
@@ -41,16 +42,6 @@ inline void seconds_row(const std::string& label, double us) {
   std::printf("%-44s %8.2f s\n", label.c_str(), us / 1e6);
 }
 
-inline std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (static_cast<unsigned char>(c) >= 0x20) out += c;
-  }
-  return out;
-}
-
 /// Machine-readable result writer: every bench emits a standardized
 /// `BENCH_<name>.json` next to its stdout report so CI can archive runs
 /// and diff them across commits. Schema:
@@ -75,9 +66,9 @@ class BenchJson {
   }
 
   std::string json() const {
-    std::string out = cat("{\"bench\":\"", json_escape(name_), "\",\"git_sha\":\"",
-                          json_escape(git_sha()), "\",\"device\":{\"name\":\"",
-                          json_escape(device_.name), "\",\"sm_count\":", device_.sm_count,
+    std::string out = cat("{\"bench\":", json_string(name_), ",\"git_sha\":",
+                          json_string(git_sha()), ",\"device\":{\"name\":",
+                          json_string(device_.name), ",\"sm_count\":", device_.sm_count,
                           ",\"clock_ghz\":", fixed(device_.clock_ghz, 3),
                           ",\"peak_gflops\":", fixed(device_.peak_gflops(), 1),
                           ",\"mem_bandwidth_gbs\":", fixed(device_.mem_bandwidth_gbs, 1),
@@ -86,15 +77,15 @@ class BenchJson {
     out += ",\"scalars\":{";
     for (std::size_t i = 0; i < scalars_.size(); ++i) {
       if (i > 0) out += ",";
-      out += cat("\"", json_escape(scalars_[i].first), "\":", fixed(scalars_[i].second, 3));
+      out += cat(json_string(scalars_[i].first), ":", fixed(scalars_[i].second, 3));
     }
     out += "},\"variants\":[";
     for (std::size_t i = 0; i < variants_.size(); ++i) {
       const Variant& v = variants_[i];
       if (i > 0) out += ",";
-      out += cat("{\"name\":\"", json_escape(v.name), "\",\"us\":", fixed(v.us, 3));
+      out += cat("{\"name\":", json_string(v.name), ",\"us\":", fixed(v.us, 3));
       for (const auto& [key, value] : v.extra) {
-        out += cat(",\"", json_escape(key), "\":", fixed(value, 3));
+        out += cat(",", json_string(key), ":", fixed(value, 3));
       }
       out += "}";
     }

@@ -19,7 +19,7 @@ void reproduce_table1() {
   GaspardDownscaler gd(cfg, opts);
   auto r = gd.run(kFrames, /*exec_frames=*/0);
 
-  std::printf("%s\n", r.nvprof_table.c_str());
+  std::printf("%s\n", gd.nvprof_table(r).c_str());
   std::printf("Paper reference rows:\n");
   compare_row("H. Filter (3 kernels)", 844185, r.h.kernel_us);
   compare_row("V. Filter (3 kernels)", 424223, r.v.kernel_us);

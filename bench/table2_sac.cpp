@@ -23,7 +23,7 @@ void reproduce_table2() {
   std::printf(" see EXPERIMENTS.md)\n\n");
   auto r = sac.run_cuda_chain(kFrames, kChannels, /*exec_frames=*/0);
 
-  std::printf("%s\n", r.nvprof_table.c_str());
+  std::printf("%s\n", sac.nvprof_table(r).c_str());
   std::printf("Paper reference rows:\n");
   compare_row("H. Filter (5 kernels)", 1015137, r.h.kernel_us);
   compare_row("V. Filter (7 kernels)", 762270, r.v.kernel_us);

@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
   GaspardDownscaler::Options opts;
   GaspardDownscaler pipeline(cfg, opts);
   auto result = pipeline.run(/*frames=*/30, /*exec_frames=*/1);
-  std::printf("%s\n", result.nvprof_table.c_str());
+  std::printf("%s\n", pipeline.nvprof_table(result).c_str());
 
   // Write the first executed frame.
   gpu::VirtualGpu device(gpu::gtx480());

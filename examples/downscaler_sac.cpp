@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
 
   // Full RGB chain for one frame, writing the result image.
   auto chain = nongeneric.run_cuda_chain(1, 3, 1);
-  std::printf("\nper-frame RGB chain profile:\n%s\n", chain.nvprof_table.c_str());
+  std::printf("\nper-frame RGB chain profile:\n%s\n", nongeneric.nvprof_table(chain).c_str());
 
   // Reassemble the channels for the PPM (re-run per channel).
   gpu::VirtualGpu device(gpu::gtx480());

@@ -177,17 +177,17 @@ SacDownscaler::CudaResult SacDownscaler::run_cuda_chain_on(gpu::VirtualGpu& gpu,
     if (on_frame) on_frame(f);
   }
   if (flush) gpu.synchronize();
-  result.nvprof_table = nvprof_style_table(
-      cat("H. Filter (", h_prog_.kernel_count(), " kernels)"), result.h,
-      cat("V. Filter (", v_prog_.kernel_count(), " kernels)"), result.v);
   // Async host blocks run on the gpu timeline (host stream) and are
   // already inside the makespan; sync ones live in host_profiler. On a
   // fleet device the clock is cumulative, so the job's wall time is the
   // advance since entry.
   result.wall_us = gpu.clock_us() - clock0 + host_profiler.total_us();
-  result.timeline = gpu.profiler().timeline();
-  if (opts_.capture_trace) result.trace_json = gpu.profiler().chrome_trace_json();
   return result;
+}
+
+std::string SacDownscaler::nvprof_table(const CudaResult& result) const {
+  return nvprof_style_table(cat("H. Filter (", h_prog_.kernel_count(), " kernels)"), result.h,
+                            cat("V. Filter (", v_prog_.kernel_count(), " kernels)"), result.v);
 }
 
 SacDownscaler::FilterResult SacDownscaler::run_cuda_filter(bool horizontal, int iterations,
@@ -327,8 +327,6 @@ GaspardDownscaler::Result GaspardDownscaler::run_on(gpu::VirtualGpu& gpu, int fr
   // Split the kernel rows between the horizontal and vertical filters;
   // attribute uploads to H (they feed it) and downloads to V. Only this
   // call's delta counts — the profiler is cumulative on a fleet device.
-  int h_kernels = 0;
-  int v_kernels = 0;
   for (const auto& row : gpu.profiler().rows()) {
     std::int64_t calls = row.calls;
     double us = row.total_us;
@@ -357,20 +355,18 @@ GaspardDownscaler::Result GaspardDownscaler::run_on(gpu::VirtualGpu& gpu, int fr
         break;
     }
   }
-  for (const auto& k : app_.kernels()) {
-    if (k.name.find("hf") != std::string::npos) {
-      ++h_kernels;
-    } else {
-      ++v_kernels;
-    }
-  }
-  result.nvprof_table =
-      nvprof_style_table(cat("H. Filter (", h_kernels, " kernels)"), result.h,
-                         cat("V. Filter (", v_kernels, " kernels)"), result.v);
   result.wall_us = gpu.clock_us() - clock0;
-  result.timeline = gpu.profiler().timeline();
-  if (opts_.capture_trace) result.trace_json = gpu.profiler().chrome_trace_json();
   return result;
+}
+
+std::string GaspardDownscaler::nvprof_table(const Result& result) const {
+  int h_kernels = 0;
+  for (const auto& k : app_.kernels()) {
+    if (k.name.find("hf") != std::string::npos) ++h_kernels;
+  }
+  const int v_kernels = kernel_count() - h_kernels;
+  return nvprof_style_table(cat("H. Filter (", h_kernels, " kernels)"), result.h,
+                            cat("V. Filter (", v_kernels, " kernels)"), result.v);
 }
 
 }  // namespace saclo::apps

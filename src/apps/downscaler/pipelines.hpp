@@ -72,7 +72,6 @@ class SacDownscaler {
     /// kernels, double-buffered (an upload waits until the frame buffer
     /// two iterations back was consumed). Bit-exact vs synchronous.
     bool async_streams = false;
-    bool capture_trace = false;  ///< fill CudaResult::trace_json (Chrome trace_event)
   };
 
   SacDownscaler(const DownscalerConfig& config, const Options& options);
@@ -87,15 +86,12 @@ class SacDownscaler {
   struct CudaResult {
     OpBreakdown h;
     OpBreakdown v;
-    IntArray last_output;        ///< last executed frame, first channel
-    std::string nvprof_table;    ///< Table II style report
+    IntArray last_output;  ///< last executed frame, first channel
     /// End-to-end wall clock of the frame loop: the stream-timeline
     /// makespan plus (synchronous path) serial host time. With
     /// async_streams this is strictly below the serialized sum whenever
     /// transfers hid behind kernels.
     double wall_us = 0;
-    std::string timeline;    ///< per-stream busy/overlap report
-    std::string trace_json;  ///< Chrome trace (only with capture_trace)
     /// First frame not issued by this call: `frames` when the loop ran
     /// to the end, the gate's stop point otherwise (resume from here).
     int next_frame = 0;
@@ -122,6 +118,12 @@ class SacDownscaler {
   CudaResult run_cuda_chain_on(gpu::VirtualGpu& gpu, int frames, int channels, int exec_frames,
                                const FrameCallback& on_frame = {}, bool flush = true,
                                int first_frame = 0, const FrameGate& gate = {});
+
+  /// The Table II style report of a chain run, rendered on demand. The
+  /// per-stream timeline and the Chrome trace of a run come from the
+  /// VirtualGpu passed to run_cuda_chain_on: `profiler().timeline()`
+  /// and obs::merged_chrome_trace.
+  std::string nvprof_table(const CudaResult& result) const;
 
   /// The paper's Figure 9 scenario: each filter "executed for 300
   /// iterations". With resident_data=true the input is uploaded once
@@ -171,7 +173,6 @@ class GaspardDownscaler {
     /// this frame's kernels, double-buffered. Bit-exact vs the
     /// single-queue path.
     bool async_streams = false;
-    bool capture_trace = false;  ///< fill Result::trace_json
     /// Transformation-optimizer level applied to the ArrayOL model
     /// before code generation (see opt/search.hpp): 0 = the paper's
     /// unfused chain, 1 = fusion (+ enabling paving changes), 2 = also
@@ -192,10 +193,7 @@ class GaspardDownscaler {
     OpBreakdown h;  ///< all *hf kernels
     OpBreakdown v;  ///< all *vf kernels
     IntArray last_output;  ///< first output channel of the last executed frame
-    std::string nvprof_table;
-    double wall_us = 0;      ///< stream-timeline makespan of the frame loop
-    std::string timeline;    ///< per-stream busy/overlap report
-    std::string trace_json;  ///< Chrome trace (only with capture_trace)
+    double wall_us = 0;    ///< stream-timeline makespan of the frame loop
     /// First frame not issued by this call (see
     /// SacDownscaler::CudaResult::next_frame).
     int next_frame = 0;
@@ -218,6 +216,11 @@ class GaspardDownscaler {
   Result run_on(gpu::VirtualGpu& gpu, int frames, int exec_frames,
                 const FrameCallback& on_frame = {}, bool flush = true, int first_frame = 0,
                 const FrameGate& gate = {});
+
+  /// The Table I style report of a run, rendered on demand (see
+  /// SacDownscaler::nvprof_table); kernels whose name holds "hf" count
+  /// as the horizontal filter.
+  std::string nvprof_table(const Result& result) const;
 
  private:
   DownscalerConfig cfg_;

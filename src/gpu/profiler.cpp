@@ -2,11 +2,33 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
 
 #include "core/fmt.hpp"
 
 namespace saclo::gpu {
+
+const char* op_kind_category(OpKind kind) {
+  switch (kind) {
+    case OpKind::Kernel: return "kernel";
+    case OpKind::MemcpyHtoD: return "memcpy_h2d";
+    case OpKind::MemcpyDtoH: return "memcpy_d2h";
+    case OpKind::Host: return "host";
+  }
+  return "host";
+}
+
+std::vector<std::pair<double, double>> merge_spans(std::vector<std::pair<double, double>> spans) {
+  std::sort(spans.begin(), spans.end());
+  std::vector<std::pair<double, double>> merged;
+  for (const auto& [begin, end] : spans) {
+    if (!merged.empty() && begin <= merged.back().second) {
+      merged.back().second = std::max(merged.back().second, end);
+    } else {
+      merged.emplace_back(begin, end);
+    }
+  }
+  return merged;
+}
 
 void Profiler::record(const std::string& name, OpKind kind, std::int64_t calls, double us) {
   auto it = index_.find(name);
@@ -73,25 +95,16 @@ Profiler::OverlapStats Profiler::overlap_stats() const {
   // Merge the kernel intervals into a disjoint union, then intersect
   // every transfer interval with it. Ops on the same stream never
   // overlap, so no same-stream exclusion is needed.
-  std::vector<Interval> kernels;
+  std::vector<std::pair<double, double>> kernels;
   for (const Interval& i : intervals_) {
     s.serialized_us += i.duration_us();
     if (i.kind == OpKind::MemcpyHtoD || i.kind == OpKind::MemcpyDtoH) {
       s.transfer_us += i.duration_us();
     } else if (i.kind == OpKind::Kernel) {
-      kernels.push_back(i);
+      kernels.emplace_back(i.start_us, i.end_us);
     }
   }
-  std::sort(kernels.begin(), kernels.end(),
-            [](const Interval& a, const Interval& b) { return a.start_us < b.start_us; });
-  std::vector<std::pair<double, double>> merged;
-  for (const Interval& k : kernels) {
-    if (!merged.empty() && k.start_us <= merged.back().second) {
-      merged.back().second = std::max(merged.back().second, k.end_us);
-    } else {
-      merged.emplace_back(k.start_us, k.end_us);
-    }
-  }
+  const std::vector<std::pair<double, double>> merged = merge_spans(std::move(kernels));
   for (const Interval& i : intervals_) {
     if (i.kind != OpKind::MemcpyHtoD && i.kind != OpKind::MemcpyDtoH) continue;
     for (const auto& [b, e] : merged) {
@@ -131,25 +144,26 @@ std::string Profiler::timeline() const {
   out += pad_right("Stream", 10) + pad_left("#ops", 8) + pad_left("busy(usec)", 14) +
          pad_left("first(usec)", 14) + pad_left("last(usec)", 14) + "\n";
   out += std::string(60, '-') + "\n";
-  std::set<StreamId> streams;
-  for (const Interval& i : intervals_) streams.insert(i.stream);
-  for (StreamId s : streams) {
+  // One pass over the intervals, one accumulator per stream.
+  struct StreamStats {
     std::int64_t ops = 0;
     double busy = 0.0;
     double first = 0.0;
     double last = 0.0;
-    bool any = false;
-    for (const Interval& i : intervals_) {
-      if (i.stream != s) continue;
-      ++ops;
-      busy += i.duration_us();
-      if (!any || i.start_us < first) first = i.start_us;
-      last = std::max(last, i.end_us);
-      any = true;
-    }
-    out += pad_right(cat("stream ", s), 10) + pad_left(std::to_string(ops), 8) +
-           pad_left(fixed(busy, 0), 14) + pad_left(fixed(first, 0), 14) +
-           pad_left(fixed(last, 0), 14) + "\n";
+  };
+  std::map<StreamId, StreamStats> streams;
+  for (const Interval& i : intervals_) {
+    auto [it, fresh] = streams.try_emplace(i.stream);
+    StreamStats& st = it->second;
+    ++st.ops;
+    st.busy += i.duration_us();
+    if (fresh || i.start_us < st.first) st.first = i.start_us;
+    st.last = std::max(st.last, i.end_us);
+  }
+  for (const auto& [s, st] : streams) {
+    out += pad_right(cat("stream ", s), 10) + pad_left(std::to_string(st.ops), 8) +
+           pad_left(fixed(st.busy, 0), 14) + pad_left(fixed(st.first, 0), 14) +
+           pad_left(fixed(st.last, 0), 14) + "\n";
   }
   out += std::string(60, '-') + "\n";
   const OverlapStats st = overlap_stats();
@@ -159,78 +173,6 @@ std::string Profiler::timeline() const {
   out += cat("transfers ", fixed(st.transfer_us / 1e6, 3), "sec, hidden behind kernels ",
              fixed(st.hidden_transfer_us / 1e6, 3), "sec (",
              fixed(100.0 * st.hidden_fraction(), 1), "%)\n");
-  return out;
-}
-
-namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) >= 0x20) out += c;
-    }
-  }
-  return out;
-}
-
-const char* category_of(OpKind kind) {
-  switch (kind) {
-    case OpKind::Kernel:
-      return "kernel";
-    case OpKind::MemcpyHtoD:
-      return "memcpy_h2d";
-    case OpKind::MemcpyDtoH:
-      return "memcpy_d2h";
-    case OpKind::Host:
-      return "host";
-  }
-  return "op";
-}
-
-}  // namespace
-
-std::string Profiler::chrome_trace_json() const {
-  // The trace_event "JSON Array Format": ts/dur are microseconds, which
-  // is exactly the simulator's unit. tid = stream.
-  std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  std::set<StreamId> streams;
-  for (const Interval& i : intervals_) streams.insert(i.stream);
-  bool first = true;
-  for (StreamId s : streams) {
-    if (!first) out += ",";
-    first = false;
-    out += cat("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":", s,
-               ",\"args\":{\"name\":\"stream ", s, "\"}}");
-  }
-  for (const Interval& i : intervals_) {
-    if (!first) out += ",";
-    first = false;
-    out += cat("{\"name\":\"", json_escape(i.name), "\",\"cat\":\"", category_of(i.kind),
-               "\",\"ph\":\"X\",\"pid\":0,\"tid\":", i.stream, ",\"ts\":", fixed(i.start_us, 3),
-               ",\"dur\":", fixed(i.duration_us(), 3));
-    // Traced intervals (serve jobs) carry their owner, so a device dump
-    // stays attributable even outside the merged fleet trace.
-    if (i.trace_id != 0) {
-      out += cat(",\"args\":{\"job\":", i.trace_id, ",\"attempt\":", i.attempt);
-      if (i.batch != 0) out += cat(",\"batch\":", i.batch);
-      if (!backend_name_.empty()) out += cat(",\"backend\":\"", backend_name_, "\"");
-      out += "}";
-    }
-    out += "}";
-  }
-  out += "]}";
   return out;
 }
 

@@ -4,6 +4,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gpu/stream.hpp"
@@ -14,12 +15,21 @@ namespace saclo::gpu {
 /// nvprof-style report.
 enum class OpKind { Kernel, MemcpyHtoD, MemcpyDtoH, Host };
 
+/// The stable category name of an operation kind ("kernel",
+/// "memcpy_h2d", "memcpy_d2h", "host"): the `cat` of a Chrome trace
+/// span and the category column of the critical-path report.
+const char* op_kind_category(OpKind kind);
+
+/// The disjoint union of [start, end) spans in start order: spans that
+/// overlap or touch merge into one.
+std::vector<std::pair<double, double>> merge_spans(std::vector<std::pair<double, double>> spans);
+
 /// Accumulates simulated times per named operation and renders them as
 /// the nvprof-style tables the paper reports (Tables I and II). When
 /// operations are scheduled through the stream timeline it also keeps
 /// every per-op `{stream, start, end}` interval, from which it renders
-/// a per-stream timeline/overlap report and a Chrome `trace_event`
-/// JSON export.
+/// a per-stream timeline/overlap report (the Chrome trace of the
+/// intervals is obs::merged_chrome_trace).
 class Profiler {
  public:
   /// Adds `us` microseconds and `calls` invocations to `name`
@@ -44,13 +54,6 @@ class Profiler {
   }
   void clear_trace() { set_trace(0, 0); }
   std::uint64_t current_trace() const { return trace_id_; }
-
-  /// The execution backend this profiler's device runs on ("sim",
-  /// "host", ...). VirtualGpu sets it at construction; traced intervals
-  /// in the Chrome export carry it so a merged fleet trace shows which
-  /// backend produced each span. Empty (the default) adds nothing.
-  void set_backend_name(std::string name) { backend_name_ = std::move(name); }
-  const std::string& backend_name() const { return backend_name_; }
 
   struct Row {
     std::string name;
@@ -124,10 +127,6 @@ class Profiler {
   /// per stream, then the serialized-vs-makespan overlap summary.
   std::string timeline() const;
 
-  /// Chrome `trace_event` JSON (load in chrome://tracing or Perfetto):
-  /// one complete ("ph":"X") event per interval, tid = stream.
-  std::string chrome_trace_json() const;
-
  private:
   std::vector<Row> rows_;
   std::map<std::string, std::size_t> index_;
@@ -136,7 +135,6 @@ class Profiler {
   std::uint64_t trace_id_ = 0;
   std::uint32_t attempt_ = 0;
   std::uint64_t batch_ = 0;
-  std::string backend_name_;
 };
 
 }  // namespace saclo::gpu

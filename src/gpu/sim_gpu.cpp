@@ -14,7 +14,6 @@ VirtualGpu::VirtualGpu(DeviceSpec spec, unsigned workers, BackendKind backend)
       pool_(workers),
       backend_(make_backend(backend, spec_, pool_)) {
   backend_->set_boundary_observer(this);
-  profiler_.set_backend_name(backend_->name());
 }
 
 VirtualGpu::~VirtualGpu() = default;

@@ -3,26 +3,11 @@
 #include <algorithm>
 
 #include "core/fmt.hpp"
+#include "core/json.hpp"
 
 namespace saclo::obs {
 
 namespace {
-
-std::string escape(const std::string& in) {
-  std::string out;
-  out.reserve(in.size());
-  for (char c : in) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
 
 /// Finds the tenant's counters in one sample; nullptr when the tenant
 /// had not appeared yet.
@@ -156,8 +141,8 @@ std::vector<ActiveAlert> AlertEngine::active() const {
 
 std::string alert_transition_json(const AlertTransition& transition) {
   return cat("{\"type\":\"", transition.raised ? "alert_raised" : "alert_cleared",
-             "\",\"kind\":\"", alert_kind_name(transition.kind), "\",\"subject\":\"",
-             escape(transition.subject), "\",\"t_ms\":", fixed(transition.at_ms, 3),
+             "\",\"kind\":\"", alert_kind_name(transition.kind), "\",\"subject\":",
+             json_string(transition.subject), ",\"t_ms\":", fixed(transition.at_ms, 3),
              ",\"value\":", fixed(transition.value, 4), "}");
 }
 

@@ -1,6 +1,7 @@
 #include "obs/critpath.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 
 #include "core/fmt.hpp"
@@ -8,36 +9,6 @@
 namespace saclo::obs {
 
 namespace {
-
-/// Union length of a set of [start, end) intervals.
-double union_us(std::vector<std::pair<double, double>> spans) {
-  if (spans.empty()) return 0.0;
-  std::sort(spans.begin(), spans.end());
-  double total = 0.0;
-  double cur_start = spans[0].first;
-  double cur_end = spans[0].second;
-  for (std::size_t i = 1; i < spans.size(); ++i) {
-    if (spans[i].first > cur_end) {
-      total += cur_end - cur_start;
-      cur_start = spans[i].first;
-      cur_end = spans[i].second;
-    } else {
-      cur_end = std::max(cur_end, spans[i].second);
-    }
-  }
-  total += cur_end - cur_start;
-  return total;
-}
-
-const char* category_name(gpu::OpKind kind) {
-  switch (kind) {
-    case gpu::OpKind::Kernel: return "kernel";
-    case gpu::OpKind::MemcpyHtoD: return "memcpy_h2d";
-    case gpu::OpKind::MemcpyDtoH: return "memcpy_d2h";
-    case gpu::OpKind::Host: return "host";
-  }
-  return "host";
-}
 
 std::string pct(double part, double whole) {
   return whole > 0.0 ? cat(fixed(100.0 * part / whole, 1), "%") : "-";
@@ -74,7 +45,7 @@ CriticalPath analyze_critical_path(const std::vector<DeviceTrace>& devices,
       StageAttribution& stage = stages[iv.name];
       if (stage.name.empty()) {
         stage.name = iv.name;
-        stage.category = category_name(iv.kind);
+        stage.category = gpu::op_kind_category(iv.kind);
       }
       stage.calls += 1;
       stage.total_us += dur;
@@ -86,7 +57,7 @@ CriticalPath analyze_critical_path(const std::vector<DeviceTrace>& devices,
         route.kernel_us += dur;
       }
     }
-    d.busy_us = union_us(std::move(busy));
+    for (const auto& [begin, end] : gpu::merge_spans(std::move(busy))) d.busy_us += end - begin;
     path.makespan_us = std::max(path.makespan_us, d.span_us);
     path.devices.push_back(std::move(d));
   }
@@ -141,10 +112,15 @@ CriticalPath analyze_critical_path(const std::vector<DeviceTrace>& devices,
     }
   }
 
+  // Stages equal to the report's 0.1 us precision sort by name, so the
+  // analyzer over the exported files (0.001 us per span) lists them in
+  // the same order as the live one.
   for (auto& [name, stage] : stages) path.stages.push_back(std::move(stage));
   std::sort(path.stages.begin(), path.stages.end(),
             [](const StageAttribution& a, const StageAttribution& b) {
-              return a.total_us != b.total_us ? a.total_us > b.total_us : a.name < b.name;
+              const std::int64_t ta = std::llround(a.total_us * 10);
+              const std::int64_t tb = std::llround(b.total_us * 10);
+              return ta != tb ? ta > tb : a.name < b.name;
             });
   for (auto& [name, route] : routes) path.routes.push_back(std::move(route));
   std::sort(path.routes.begin(), path.routes.end(),
@@ -155,7 +131,7 @@ CriticalPath analyze_critical_path(const std::vector<DeviceTrace>& devices,
   return path;
 }
 
-std::string critical_path_report(const CriticalPath& path, std::size_t top_stages) {
+std::string critical_path_report(const CriticalPath& path) {
   std::string out = cat("critical path — fleet makespan ", fixed(path.makespan_us, 1),
                         " us (simulated)\n\n");
   out += cat(pad_right("device", 8), pad_right("busy", 8), pad_right("kernel", 8), pad_right("h2d", 8), pad_right("d2h", 8),
@@ -188,7 +164,7 @@ std::string critical_path_report(const CriticalPath& path, std::size_t top_stage
     out += cat("\ntop stages (of ", path.stages.size(), "):\n");
     out += cat("  ", pad_right("stage", 28), pad_right("cat", 12), pad_right("calls", 8), pad_right("total us", 12),
                pad_right("% busy", 8), "\n");
-    const std::size_t n = std::min(top_stages, path.stages.size());
+    const std::size_t n = std::min<std::size_t>(10, path.stages.size());
     for (std::size_t i = 0; i < n; ++i) {
       const StageAttribution& s = path.stages[i];
       out += cat("  ", pad_right(s.name, 28), pad_right(s.category, 12), pad_right(cat(s.calls), 8),

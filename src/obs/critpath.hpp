@@ -46,8 +46,8 @@ struct RouteAttribution {
   double kernel_us = 0;
 };
 
-/// The full makespan attribution the `--analyze` flag and the offline
-/// `tools/trace_critpath.py` both report.
+/// The full makespan attribution `saclo-serve --analyze` reports live
+/// and `saclo-serve --analyze-trace` reports from archived artifacts.
 struct CriticalPath {
   double makespan_us = 0;  ///< max device-local makespan
   // Queue wait is real (wall-clock) time between job_admitted and the
@@ -66,7 +66,7 @@ struct CriticalPath {
 
 /// Classifies a kernel span name into its compilation route ("gaspard"
 /// for the chain's `KRN_*` kernels, "sac" otherwise). Exposed for
-/// tests; the Python analyzer mirrors it.
+/// tests.
 const char* route_of_kernel(const std::string& name);
 
 /// Walks the merged per-device traces and the event log and attributes
@@ -76,7 +76,7 @@ CriticalPath analyze_critical_path(const std::vector<DeviceTrace>& devices,
                                    const std::vector<Event>& events);
 
 /// Renders the bottleneck table (the summary `saclo-serve --analyze`
-/// prints). `top_stages` caps the per-stage section.
-std::string critical_path_report(const CriticalPath& path, std::size_t top_stages = 10);
+/// prints); the per-stage section lists the top 10.
+std::string critical_path_report(const CriticalPath& path);
 
 }  // namespace saclo::obs

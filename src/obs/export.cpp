@@ -1,48 +1,19 @@
 #include "obs/export.hpp"
 
+#include <fstream>
+#include <iterator>
+#include <map>
 #include <optional>
 #include <set>
+#include <string_view>
 
 #include "core/fmt.hpp"
+#include "core/json.hpp"
+#include "gpu/backend_kind.hpp"
 
 namespace saclo::obs {
 
 namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) >= 0x20) out += c;
-    }
-  }
-  return out;
-}
-
-const char* category_of(gpu::OpKind kind) {
-  switch (kind) {
-    case gpu::OpKind::Kernel:
-      return "kernel";
-    case gpu::OpKind::MemcpyHtoD:
-      return "memcpy_h2d";
-    case gpu::OpKind::MemcpyDtoH:
-      return "memcpy_d2h";
-    case gpu::OpKind::Host:
-      return "host";
-  }
-  return "op";
-}
 
 bool is_instant(EventType type) {
   switch (type) {
@@ -129,7 +100,7 @@ std::string merged_chrome_trace(const std::vector<DeviceTrace>& devices,
     std::string proc = cat("gpu", dev.device);
     if (!dev.backend.empty()) proc += cat(" (", dev.backend, ")");
     emit(cat("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":", dev.device,
-             ",\"args\":{\"name\":\"", json_escape(proc), "\"}}"));
+             ",\"args\":{\"name\":", json_string(proc), "}}"));
     std::set<gpu::StreamId> streams;
     for (const auto& iv : dev.intervals) streams.insert(iv.stream);
     for (gpu::StreamId s : streams) {
@@ -144,14 +115,14 @@ std::string merged_chrome_trace(const std::vector<DeviceTrace>& devices,
 
   for (const DeviceTrace& dev : devices) {
     for (const auto& iv : dev.intervals) {
-      std::string ev = cat("{\"name\":\"", json_escape(iv.name), "\",\"cat\":\"",
-                           category_of(iv.kind), "\",\"ph\":\"X\",\"pid\":", dev.device,
+      std::string ev = cat("{\"name\":", json_string(iv.name), ",\"cat\":\"",
+                           gpu::op_kind_category(iv.kind), "\",\"ph\":\"X\",\"pid\":", dev.device,
                            ",\"tid\":", iv.stream, ",\"ts\":", fixed(iv.start_us, 3),
                            ",\"dur\":", fixed(iv.duration_us(), 3));
       if (iv.trace_id != 0) {
         ev += cat(",\"args\":{\"job\":", iv.trace_id, ",\"attempt\":", iv.attempt);
         if (iv.batch != 0) ev += cat(",\"batch\":", iv.batch);
-        if (!dev.backend.empty()) ev += cat(",\"backend\":\"", json_escape(dev.backend), "\"");
+        if (!dev.backend.empty()) ev += cat(",\"backend\":", json_string(dev.backend));
         ev += "}";
       }
       emit(ev + "}");
@@ -209,6 +180,113 @@ std::string merged_chrome_trace(const std::vector<DeviceTrace>& devices,
 
   out += "]}";
   return out;
+}
+
+namespace {
+
+/// The enumerator in [0, last] whose wire name `name(e)` is the string
+/// at `key`; JsonError when none is.
+template <typename E, typename Name>
+E enum_named(const JsonValue& v, const std::string& key, E last, Name name) {
+  const std::string& text = v.string(key);
+  for (int i = 0; i <= static_cast<int>(last); ++i) {
+    if (text == name(static_cast<E>(i))) return static_cast<E>(i);
+  }
+  throw JsonError(cat("unknown ", key, " '", text, "'"), v.at(key).offset);
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw TraceLoadError(cat("cannot read ", path));
+  return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+}
+
+template <typename Parse>
+auto load_file(const std::string& path, Parse parse) {
+  const std::string text = read_file(path);
+  try {
+    return parse(text);
+  } catch (const TraceLoadError& e) {
+    throw TraceLoadError(cat(path, ": ", e.what()));
+  }
+}
+
+}  // namespace
+
+std::vector<DeviceTrace> parse_chrome_trace(const std::string& text) {
+  std::map<int, DeviceTrace> devices;
+  std::size_t spans = 0;
+  try {
+    const JsonValue root = parse_json(text);
+    const JsonValue& events = root.at("traceEvents");
+    if (events.kind != JsonValue::Kind::Array) {
+      throw JsonError("'traceEvents' is not an array", events.offset);
+    }
+    for (const JsonValue& e : events.arr) {
+      const std::string& ph = e.string("ph");
+      const bool device_process = ph == "M" && e.string("name") == "process_name";
+      if (ph != "X" && !device_process) continue;
+      const int pid = e.integer<int>("pid");
+      if (pid == kAutoscalerPid) continue;
+      DeviceTrace& dev = devices[pid];
+      dev.device = pid;
+      if (ph != "X") continue;
+      gpu::Profiler::Interval iv;
+      iv.name = e.string("name");
+      iv.kind = enum_named(e, "cat", gpu::OpKind::Host, gpu::op_kind_category);
+      iv.stream = e.integer<gpu::StreamId>("tid");
+      iv.start_us = e.number("ts");
+      iv.end_us = iv.start_us + e.number("dur");
+      dev.intervals.push_back(std::move(iv));
+      ++spans;
+    }
+  } catch (const JsonError& e) {
+    throw TraceLoadError(cat("not a merged Chrome trace: ", e.what()));
+  }
+  if (spans == 0) throw TraceLoadError("the trace has no complete (\"X\") spans to attribute");
+  std::vector<DeviceTrace> out;
+  out.reserve(devices.size());
+  for (auto& [pid, dev] : devices) out.push_back(std::move(dev));
+  return out;
+}
+
+std::vector<Event> parse_event_log(const std::string& text) {
+  std::vector<Event> events;
+  std::size_t line_no = 0;
+  for (std::size_t pos = 0; pos < text.size();) {
+    std::size_t end = text.find('\n', pos);
+    if (end == std::string::npos) end = text.size();
+    const std::string_view line(text.data() + pos, end - pos);
+    pos = end + 1;
+    ++line_no;
+    if (line.find_first_not_of(" \t\r") == std::string_view::npos) continue;
+    try {
+      const JsonValue v = parse_json(line);
+      if (v.string("event") == "log_summary") continue;
+      Event e;
+      e.type = enum_named(v, "event", EventType::AlertCleared, event_type_name);
+      e.backend = static_cast<std::uint8_t>(
+          enum_named(v, "backend", gpu::BackendKind::Host, gpu::backend_kind_name));
+      e.t_real_us = v.number("t_real_us");
+      e.t_sim_us = v.number("t_sim_us");
+      e.job = v.integer<std::uint64_t>("job");
+      e.device = v.integer<std::int32_t>("device");
+      e.attempt = v.integer<std::int32_t>("attempt");
+      e.arg = v.integer<std::int64_t>("arg");
+      events.push_back(e);
+    } catch (const JsonError& e) {
+      throw TraceLoadError(cat("line ", line_no, ": malformed event line (", e.what(), ")"));
+    }
+  }
+  return events;
+}
+
+std::vector<DeviceTrace> load_chrome_trace(const std::string& path) {
+  return load_file(path, parse_chrome_trace);
+}
+
+std::vector<Event> load_event_log(const std::string& path) {
+  return load_file(path, parse_event_log);
 }
 
 }  // namespace saclo::obs

@@ -3,6 +3,7 @@
 #include <string>
 #include <vector>
 
+#include "core/error.hpp"
 #include "gpu/profiler.hpp"
 #include "obs/events.hpp"
 
@@ -43,5 +44,27 @@ inline constexpr int kAutoscalerPid = 9999;
 /// Perfetto; timestamps are each device's simulated microseconds.
 std::string merged_chrome_trace(const std::vector<DeviceTrace>& devices,
                                 const std::vector<Event>& events);
+
+/// A trace artifact that cannot be read back: a missing file, a file
+/// that is not a merged Chrome trace, a trace with no spans, or a
+/// malformed event-log line.
+class TraceLoadError : public Error {
+ public:
+  using Error::Error;
+};
+
+/// Reads a merged Chrome trace (merged_chrome_trace output) back into
+/// what the critical-path analyzer needs: one DeviceTrace per device
+/// process, sorted by device, holding its complete ("X") spans in file
+/// order with name, category, stream and times (0.001 us precision).
+/// Job ids, attempts, batches and the backend are not read back.
+std::vector<DeviceTrace> parse_chrome_trace(const std::string& text);
+/// Reads an event log (EventLog::jsonl) back into events, skipping
+/// blank lines and the closing log_summary line. Times carry the
+/// file's precision (0.1 us real, 0.001 us simulated).
+std::vector<Event> parse_event_log(const std::string& text);
+/// The same two readers on files; errors name the path.
+std::vector<DeviceTrace> load_chrome_trace(const std::string& path);
+std::vector<Event> load_event_log(const std::string& path);
 
 }  // namespace saclo::obs

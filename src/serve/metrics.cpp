@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "core/fmt.hpp"
+#include "core/json.hpp"
 
 namespace saclo::serve {
 
@@ -435,11 +436,7 @@ std::string FleetMetrics::json() const {
   for (std::size_t i = 0; i < s.tenants.size(); ++i) {
     const Snapshot::TenantSnapshot& t = s.tenants[i];
     if (i > 0) out += ",";
-    // The same escape set covers the JSON string grammar's dangerous
-    // characters (backslash, quote, newline), so /debug/fleet stays
-    // parseable for hostile --tenant strings too.
-    out += cat("{\"tenant\":\"", prom_escape_label_value(t.tenant), "\",\"submitted\":",
-               t.submitted,
+    out += cat("{\"tenant\":", json_string(t.tenant), ",\"submitted\":", t.submitted,
                ",\"completed\":", t.completed, ",\"shed\":", t.shed,
                ",\"slo_jobs\":", t.slo_jobs, ",\"slo_met\":", t.slo_met,
                ",\"slo_attainment\":", fixed(t.slo_attainment(), 4), "}");

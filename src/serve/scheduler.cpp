@@ -93,11 +93,9 @@ ServeRuntime::ServeRuntime(const Options& options)
     auto dev = std::make_unique<Device>();
     dev->gpu = std::make_unique<gpu::VirtualGpu>(options_.device, options_.workers_per_device,
                                                  options_.backend);
-    if (options_.cache_buffers) {
-      dev->cache = std::make_unique<CachingDeviceAllocator>(dev->gpu->memory(),
-                                                            options_.alloc_class_cap_bytes);
-      dev->gpu->set_allocator(dev->cache.get());
-    }
+    dev->cache = std::make_unique<CachingDeviceAllocator>(dev->gpu->memory(),
+                                                          options_.alloc_class_cap_bytes);
+    dev->gpu->set_allocator(dev->cache.get());
     const std::vector<fault::FaultSpec> specs = options_.fault_plan.specs_for(i);
     if (!specs.empty()) {
       dev->injector = std::make_unique<fault::FaultInjector>(specs);
@@ -516,16 +514,19 @@ void ServeRuntime::signal_preempt_locked(std::size_t device, Priority priority) 
 }
 
 bool ServeRuntime::steal_into_locked(int thief) {
-  // Victim: the peer with the deepest queue. The thief's own queue is
-  // empty — that's why it steals. Backing-off (retried) entries are
-  // stealable too: they keep their ready_time, and the thief's normal
-  // soonest-wait honors it — an idle thief parked in work_ready_ would
-  // otherwise never wake when a victim-side backoff elapses.
+  // Victim: the busy peer with the deepest queue. The thief's own queue
+  // is empty — that's why it steals. A peer whose dispatcher is idle is
+  // about to run its own queue, so taking from it only races its own
+  // pickup. Backing-off (retried) entries are stealable too: they keep
+  // their ready_time, and the thief's normal soonest-wait honors it — an
+  // idle thief parked in work_ready_ would otherwise never wake when a
+  // victim-side backoff elapses.
   int victim = -1;
   std::size_t victim_depth = 0;
   for (std::size_t i = 0; i < devices_.size(); ++i) {
     if (static_cast<int>(i) == thief) continue;
     if (devices_[i]->state != DevState::Active) continue;  // draining queues are spoken for
+    if (devices_[i]->running_class.load(std::memory_order_relaxed) == kIdleClass) continue;
     const std::size_t n = devices_[i]->queue.size();
     if (n > victim_depth) {
       victim = static_cast<int>(i);
@@ -585,9 +586,7 @@ std::size_t ServeRuntime::inflight_jobs() const {
 }
 
 CachingDeviceAllocator::Stats ServeRuntime::allocator_stats(int device) const {
-  const Device& dev = *devices_.at(static_cast<std::size_t>(device));
-  if (!dev.cache) throw ServeError("fleet was built with cache_buffers=false");
-  return dev.cache->stats();
+  return devices_.at(static_cast<std::size_t>(device))->cache->stats();
 }
 
 double ServeRuntime::device_sim_clock_us(int device) const {
@@ -598,14 +597,12 @@ double ServeRuntime::device_sim_clock_us(int device) const {
 }
 
 std::string ServeRuntime::device_trace_json(int device) const {
-  return devices_.at(static_cast<std::size_t>(device))->gpu->profiler().chrome_trace_json();
+  return obs::merged_chrome_trace({device_traces().at(static_cast<std::size_t>(device))}, {});
 }
 
 void ServeRuntime::refresh_allocator_stats() {
   for (std::size_t i = 0; i < devices_.size(); ++i) {
-    if (devices_[i]->cache) {
-      metrics_.set_allocator_stats(static_cast<int>(i), devices_[i]->cache->stats());
-    }
+    metrics_.set_allocator_stats(static_cast<int>(i), devices_[i]->cache->stats());
   }
 }
 
@@ -770,11 +767,9 @@ void ServeRuntime::dispatcher_loop(int index) {
           // job finished its chunk. Sweep anything still live (zero on
           // a clean drain — the test invariant), release the parked
           // cache so a retired slot pins no device memory, and retire.
-          const std::int64_t reclaimed = dev.cache ? dev.cache->reclaim_live() : 0;
-          if (dev.cache) {
-            dev.cache->trim();
-            metrics_.set_allocator_stats(index, dev.cache->stats());
-          }
+          const std::int64_t reclaimed = dev.cache->reclaim_live();
+          dev.cache->trim();
+          metrics_.set_allocator_stats(index, dev.cache->stats());
           dev.state = DevState::Inactive;
           dev.drain_flag.store(false, std::memory_order_relaxed);
           dev.warming = false;
@@ -813,12 +808,17 @@ void ServeRuntime::dispatcher_loop(int index) {
             dev.preempt_flag.store(false, std::memory_order_relaxed);
             batch.push_back(std::move(*ready));
             dev.queue.erase(ready);
+            // Busy with work still queued: this device just became a
+            // steal victim, so wake the idle peers that skipped it.
+            if (options_.work_stealing && !dev.queue.empty()) work_ready_.notify_all();
             break;
           }
           if (soonest != dev.queue.end()) {
             // Everything queued is still backing off; sleep to the
-            // earliest gate (or an earlier notify).
-            work_ready_.wait_until(lock, soonest->ready_time);
+            // earliest gate (or an earlier notify). Copy the gate: a
+            // drain may re-home the entry while this thread waits.
+            const auto gate = soonest->ready_time;
+            work_ready_.wait_until(lock, gate);
             continue;
           }
           if (options_.work_stealing && !stopping_ && !paused_ &&
@@ -910,10 +910,8 @@ void ServeRuntime::dispatcher_loop(int index) {
       // Bracket the job so every interval the device profiles carries
       // its trace id + attempt (+ batch id when coalesced) — the key
       // the merged Chrome trace joins on.
-      if (options_.trace_jobs) {
-        dev.gpu->begin_job_trace(pending.id, static_cast<std::uint32_t>(pending.attempts),
-                                 batch_id);
-      }
+      dev.gpu->begin_job_trace(pending.id, static_cast<std::uint32_t>(pending.attempts),
+                               batch_id);
       try {
         // Only the last member flushes the device: earlier members'
         // functional results are complete at enqueue, and the timeline
@@ -926,7 +924,7 @@ void ServeRuntime::dispatcher_loop(int index) {
       } catch (...) {
         error = std::current_exception();
       }
-      if (options_.trace_jobs) dev.gpu->end_job_trace();
+      dev.gpu->end_job_trace();
 
       if (error == nullptr && pending.next_frame < pending.spec.frames) {
         // Stopped at a frame boundary — by a preempt request, or by the
@@ -968,7 +966,7 @@ void ServeRuntime::dispatcher_loop(int index) {
       if (error == nullptr) {
         // Record before handing the result off through the promise.
         metrics_.on_complete(index, result, dev.gpu->clock_us());
-        if (dev.cache) metrics_.set_allocator_stats(index, dev.cache->stats());
+        metrics_.set_allocator_stats(index, dev.cache->stats());
         {
           std::lock_guard<std::mutex> lock(mutex_);
           metrics_.set_elapsed_real_us(
@@ -994,9 +992,9 @@ void ServeRuntime::dispatcher_loop(int index) {
         // remaining batch members never ran (members execute strictly in
         // order), so they simply dispatch next — on this device, like
         // any job already committed to its queue.
-        const std::int64_t reclaimed = dev.cache ? dev.cache->reclaim_live() : 0;
+        const std::int64_t reclaimed = dev.cache->reclaim_live();
         metrics_.on_device_fault(index, reclaimed);
-        if (dev.cache) metrics_.set_allocator_stats(index, dev.cache->stats());
+        metrics_.set_allocator_stats(index, dev.cache->stats());
         // The injector's record of where it fired beats the device
         // clock: the faulted operation never ran, so the clock is the
         // time of the last *successful* op.

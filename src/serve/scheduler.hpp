@@ -74,7 +74,6 @@ class ServeRuntime {
     /// how op durations are produced differs.
     gpu::BackendKind backend = gpu::BackendKind::Sim;
     bool async_streams = true;        ///< per-job double-buffered stream overlap
-    bool cache_buffers = true;        ///< install the caching device allocator
     /// Accept jobs but don't dispatch until resume() — deterministic
     /// placement and queue-depth tests.
     bool start_paused = false;
@@ -167,11 +166,6 @@ class ServeRuntime {
     /// fault, failover, ... as JSONL). 0 disables it entirely: the
     /// dispatch hot path then performs no event work and no allocation.
     std::size_t event_log_capacity = 0;
-    /// Stamp every profiled interval with the owning job's trace id and
-    /// failover attempt, which is what the fleet-merged Chrome trace
-    /// keys its spans and flow arrows on. Two plain stores per job —
-    /// kept switchable for the zero-overhead baseline.
-    bool trace_jobs = true;
     /// TCP port of the embedded telemetry endpoint (binds 127.0.0.1):
     /// /metrics, /healthz, /readyz, /debug/events, /debug/trace,
     /// /debug/fleet. 0 asks the kernel for an ephemeral port (read it
@@ -240,12 +234,12 @@ class ServeRuntime {
   /// Fleet-wide bound on accepted-but-unfinished jobs (the backlog the
   /// alert engine's saturation rule measures against).
   std::size_t queue_capacity() const { return options_.queue_capacity; }
-  /// The device's caching-allocator counters; throws without
-  /// cache_buffers.
+  /// The device's caching-allocator counters.
   CachingDeviceAllocator::Stats allocator_stats(int device) const;
   /// Cumulative simulated clock of one device.
   double device_sim_clock_us(int device) const;
-  /// One device's Chrome trace of everything it ran so far.
+  /// One device's Chrome trace of everything it ran so far: the merged
+  /// trace of that device alone (pid = device, no instant events).
   std::string device_trace_json(int device) const;
 
   /// Text report / JSON export with fresh allocator stats folded in.

@@ -1,7 +1,6 @@
 #include "serve/traffic.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <chrono>
 #include <cmath>
 #include <future>
@@ -10,6 +9,7 @@
 #include <thread>
 
 #include "core/fmt.hpp"
+#include "core/json.hpp"
 #include "serve/admission.hpp"
 #include "serve/scheduler.hpp"
 
@@ -62,187 +62,6 @@ double rate_at_ms(const TrafficSpec& spec, double t_ms) {
                                     spec.diurnal_period_ms));
 }
 
-// ---------------------------------------------------------------------------
-// Minimal JSON reader for trace files. The test-support mini_json lives
-// under tests/ and src must not reach into it, so the traffic module
-// carries its own ~100-line recursive-descent parser for exactly the
-// subset to_json() emits (objects, arrays, strings, numbers).
-
-struct JsonValue {
-  enum class Kind { Null, Number, String, Array, Object } kind = Kind::Null;
-  double num = 0;
-  std::string str;
-  std::vector<JsonValue> arr;
-  std::map<std::string, JsonValue> obj;
-
-  const JsonValue& at(const std::string& key) const {
-    auto it = obj.find(key);
-    if (it == obj.end()) throw TrafficError(cat("trace JSON: missing key '", key, "'"));
-    return it->second;
-  }
-  bool has(const std::string& key) const { return obj.count(key) != 0; }
-  double number(const std::string& key) const {
-    const JsonValue& v = at(key);
-    if (v.kind != Kind::Number) {
-      throw TrafficError(cat("trace JSON: key '", key, "' is not a number"));
-    }
-    return v.num;
-  }
-  const std::string& string(const std::string& key) const {
-    const JsonValue& v = at(key);
-    if (v.kind != Kind::String) {
-      throw TrafficError(cat("trace JSON: key '", key, "' is not a string"));
-    }
-    return v.str;
-  }
-};
-
-class JsonReader {
- public:
-  explicit JsonReader(const std::string& text) : text_(text) {}
-
-  JsonValue parse() {
-    JsonValue v = value();
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing content after JSON document");
-    return v;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& what) const {
-    throw TrafficError(cat("trace JSON: ", what, " at offset ", pos_));
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\n' || text_[pos_] == '\t' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  char peek() {
-    skip_ws();
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail(cat("expected '", c, "', found '", text_[pos_], "'"));
-    ++pos_;
-  }
-
-  JsonValue value() {
-    switch (peek()) {
-      case '{':
-        return object();
-      case '[':
-        return array();
-      case '"':
-        return string_value();
-      default:
-        return number_value();
-    }
-  }
-
-  JsonValue object() {
-    JsonValue v;
-    v.kind = JsonValue::Kind::Object;
-    expect('{');
-    if (peek() == '}') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      JsonValue key = string_value();
-      expect(':');
-      v.obj.emplace(key.str, value());
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect('}');
-      return v;
-    }
-  }
-
-  JsonValue array() {
-    JsonValue v;
-    v.kind = JsonValue::Kind::Array;
-    expect('[');
-    if (peek() == ']') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      v.arr.push_back(value());
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect(']');
-      return v;
-    }
-  }
-
-  JsonValue string_value() {
-    JsonValue v;
-    v.kind = JsonValue::Kind::String;
-    expect('"');
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\') {
-        if (pos_ >= text_.size()) fail("unterminated escape");
-        const char esc = text_[pos_++];
-        c = esc == 'n' ? '\n' : esc;  // to_json only emits \" \\ \n
-      }
-      v.str += c;
-    }
-    if (pos_ >= text_.size()) fail("unterminated string");
-    ++pos_;  // closing quote
-    return v;
-  }
-
-  JsonValue number_value() {
-    JsonValue v;
-    v.kind = JsonValue::Kind::Number;
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) || text_[pos_] == '-' ||
-            text_[pos_] == '+' || text_[pos_] == '.' || text_[pos_] == 'e' ||
-            text_[pos_] == 'E')) {
-      ++pos_;
-    }
-    if (pos_ == start) fail(cat("unexpected character '", text_[start], "'"));
-    try {
-      v.num = std::stod(text_.substr(start, pos_ - start));
-    } catch (const std::exception&) {
-      fail(cat("malformed number '", text_.substr(start, pos_ - start), "'"));
-    }
-    return v;
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"') {
-      out += "\\\"";
-    } else if (c == '\\') {
-      out += "\\\\";
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
 /// Canonical number rendering: integers without decimals (seed, frame
 /// counts), everything else with four — enough that a parse/print
 /// round trip is the identity on to_json() output.
@@ -254,11 +73,11 @@ std::string num(double v) {
 }
 
 std::string class_json(const TrafficClass& c) {
-  return cat("{\"name\":\"", json_escape(c.name), "\",\"route\":\"", route_name(c.route),
+  return cat("{\"name\":", json_string(c.name), ",\"route\":\"", route_name(c.route),
              "\",\"height\":", c.height, ",\"width\":", c.width, ",\"frames\":", c.frames,
              ",\"channels\":", c.channels, ",\"exec_frames\":", c.exec_frames,
-             ",\"opt_level\":", c.opt_level, ",\"tenant\":\"", json_escape(c.tenant),
-             "\",\"priority\":\"", priority_name(c.priority),
+             ",\"opt_level\":", c.opt_level, ",\"tenant\":", json_string(c.tenant),
+             ",\"priority\":\"", priority_name(c.priority),
              "\",\"deadline_ms\":", num(c.deadline_ms), ",\"weight\":", num(c.weight), "}");
 }
 
@@ -266,12 +85,12 @@ TrafficClass class_from_json(const JsonValue& v) {
   TrafficClass c;
   c.name = v.string("name");
   c.route = parse_route(v.string("route"));
-  c.height = static_cast<int>(v.number("height"));
-  c.width = static_cast<int>(v.number("width"));
-  c.frames = static_cast<int>(v.number("frames"));
-  c.channels = static_cast<int>(v.number("channels"));
-  c.exec_frames = static_cast<int>(v.number("exec_frames"));
-  c.opt_level = static_cast<int>(v.number("opt_level"));
+  c.height = v.integer<int>("height");
+  c.width = v.integer<int>("width");
+  c.frames = v.integer<int>("frames");
+  c.channels = v.integer<int>("channels");
+  c.exec_frames = v.integer<int>("exec_frames");
+  c.opt_level = v.integer<int>("opt_level");
   c.tenant = v.string("tenant");
   c.priority = parse_priority(v.string("priority"));
   c.deadline_ms = v.number("deadline_ms");
@@ -507,25 +326,18 @@ std::string TrafficTrace::to_json() const {
   for (std::size_t i = 0; i < arrivals.size(); ++i) {
     const TrafficArrival& a = arrivals[i];
     if (i != 0) out += ",";
-    out += cat("\n{\"t_ms\":", fixed(a.t_ms, 4), ",\"class\":\"", json_escape(a.class_name),
-               "\"}");
+    out += cat("\n{\"t_ms\":", fixed(a.t_ms, 4), ",\"class\":", json_string(a.class_name), "}");
   }
   out += "\n]}";
   return out;
 }
 
-TrafficTrace TrafficTrace::from_json(const std::string& text) {
-  JsonValue root = JsonReader(text).parse();
-  if (root.kind != JsonValue::Kind::Object) {
-    throw TrafficError("trace JSON: document is not an object");
-  }
-  const JsonValue& spec_v = root.at("spec");
-  if (spec_v.kind != JsonValue::Kind::Object) {
-    throw TrafficError("trace JSON: 'spec' is not an object");
-  }
+namespace {
 
+TrafficTrace trace_from_json(const JsonValue& root) {
+  const JsonValue& spec_v = root.at("spec");
   TrafficTrace trace;
-  trace.spec.seed = static_cast<std::uint64_t>(spec_v.number("seed"));
+  trace.spec.seed = spec_v.integer<std::uint64_t>("seed");
   trace.spec.duration_ms = spec_v.number("duration_ms");
   trace.spec.base_rate_hz = spec_v.number("base_rate_hz");
   trace.spec.diurnal_amplitude = spec_v.number("diurnal_amplitude");
@@ -535,7 +347,7 @@ TrafficTrace TrafficTrace::from_json(const std::string& text) {
   trace.spec.burst_width_ms = spec_v.number("burst_width_ms");
   const JsonValue& classes_v = spec_v.at("classes");
   if (classes_v.kind != JsonValue::Kind::Array) {
-    throw TrafficError("trace JSON: 'classes' is not an array");
+    throw JsonError("'classes' is not an array", classes_v.offset);
   }
   trace.spec.classes.clear();
   std::map<std::string, const TrafficClass*> by_name;
@@ -551,13 +363,10 @@ TrafficTrace TrafficTrace::from_json(const std::string& text) {
 
   const JsonValue& arrivals_v = root.at("arrivals");
   if (arrivals_v.kind != JsonValue::Kind::Array) {
-    throw TrafficError("trace JSON: 'arrivals' is not an array");
+    throw JsonError("'arrivals' is not an array", arrivals_v.offset);
   }
   double prev_t = 0;
   for (const JsonValue& av : arrivals_v.arr) {
-    if (av.kind != JsonValue::Kind::Object) {
-      throw TrafficError("trace JSON: arrival is not an object");
-    }
     TrafficArrival arrival;
     arrival.t_ms = av.number("t_ms");
     arrival.class_name = av.string("class");
@@ -574,6 +383,20 @@ TrafficTrace TrafficTrace::from_json(const std::string& text) {
     trace.arrivals.push_back(std::move(arrival));
   }
   return trace;
+}
+
+}  // namespace
+
+TrafficTrace TrafficTrace::from_json(const std::string& text) {
+  try {
+    return trace_from_json(parse_json(text));
+  } catch (const JsonError& e) {
+    throw TrafficError(cat("trace JSON: ", e.what()));
+  } catch (const TrafficError&) {
+    throw;
+  } catch (const ServeError& e) {  // an unknown route/priority or an invalid class
+    throw TrafficError(cat("trace JSON: ", e.what()));
+  }
 }
 
 ReplayStats replay_trace(ServeRuntime& runtime, const TrafficTrace& trace, double speed) {

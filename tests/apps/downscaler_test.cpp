@@ -5,6 +5,7 @@
 #include <fstream>
 
 #include "apps/downscaler/frames.hpp"
+#include "obs/export.hpp"
 #include "sac/interp.hpp"
 #include "sac/parser.hpp"
 #include "sac/typecheck.hpp"
@@ -133,8 +134,9 @@ TEST(SacPipelineTest, ChainTransferCountsMatchPaperScheme) {
   // Kernel launches: kernels-per-filter x 15.
   EXPECT_EQ(r.h.kernel_launches, ng.h_kernels() * 15);
   EXPECT_EQ(r.v.kernel_launches, ng.v_kernels() * 15);
-  EXPECT_NE(r.nvprof_table.find("H. Filter ("), std::string::npos);
-  EXPECT_NE(r.nvprof_table.find("memcpyHtoDasync"), std::string::npos);
+  const std::string table = ng.nvprof_table(r);
+  EXPECT_NE(table.find("H. Filter ("), std::string::npos);
+  EXPECT_NE(table.find("memcpyHtoDasync"), std::string::npos);
 }
 
 TEST(SacPipelineTest, KernelCountsShowWlfSplitting) {
@@ -208,8 +210,9 @@ TEST(GaspardPipelineTest, TableOneCountsAtTinyScale) {
   EXPECT_EQ(r.v.kernel_launches, 30);
   EXPECT_EQ(r.h.h2d_calls, 30);
   EXPECT_EQ(r.v.d2h_calls, 30);
-  EXPECT_NE(r.nvprof_table.find("H. Filter (3 kernels)"), std::string::npos);
-  EXPECT_NE(r.nvprof_table.find("V. Filter (3 kernels)"), std::string::npos);
+  const std::string table = gd.nvprof_table(r);
+  EXPECT_NE(table.find("H. Filter (3 kernels)"), std::string::npos);
+  EXPECT_NE(table.find("V. Filter (3 kernels)"), std::string::npos);
 }
 
 TEST(WlfAblationTest, DisablingWlfAddsKernelGroupsAndTime) {
@@ -236,7 +239,8 @@ TEST(AsyncStreamsTest, SacAsyncChainIsBitExact) {
   SacDownscaler async_ds(f.cfg, async_opts);
 
   auto sync_r = sync_ds.run_cuda_chain(4, 3, 4);
-  auto async_r = async_ds.run_cuda_chain(4, 3, 4);
+  gpu::VirtualGpu gpu(async_opts.device, async_opts.workers);
+  auto async_r = async_ds.run_cuda_chain_on(gpu, 4, 3, 4);
   EXPECT_EQ(async_r.last_output, sync_r.last_output);
   // The same operations run; only their placement on streams changes.
   EXPECT_EQ(async_r.h.kernel_launches, sync_r.h.kernel_launches);
@@ -245,7 +249,7 @@ TEST(AsyncStreamsTest, SacAsyncChainIsBitExact) {
   EXPECT_NEAR(async_r.total_us(), sync_r.total_us(), 1e-6 * sync_r.total_us() + 1e-6);
   // Overlap strictly shrinks the wall clock.
   EXPECT_LT(async_r.wall_us, sync_r.wall_us);
-  EXPECT_NE(async_r.timeline.find("stream"), std::string::npos);
+  EXPECT_NE(gpu.profiler().timeline().find("stream"), std::string::npos);
 }
 
 TEST(AsyncStreamsTest, SacGenericAsyncChainIsBitExact) {
@@ -287,18 +291,19 @@ TEST(AsyncStreamsTest, AsyncHidesTransfersButSyncDoesNot) {
   SacDownscaler::Options sync_opts;
   SacDownscaler::Options async_opts;
   async_opts.async_streams = true;
-  async_opts.capture_trace = true;
   SacDownscaler sync_ds(cfg, sync_opts);
   SacDownscaler async_ds(cfg, async_opts);
 
   auto sync_r = sync_ds.run_cuda_chain(8, 3, 1);
-  auto async_r = async_ds.run_cuda_chain(8, 3, 1);
+  gpu::VirtualGpu gpu(async_opts.device, async_opts.workers);
+  auto async_r = async_ds.run_cuda_chain_on(gpu, 8, 3, 1);
   EXPECT_DOUBLE_EQ(sync_r.wall_us, sync_r.total_us());  // fully serial
   EXPECT_LT(async_r.wall_us, 0.95 * sync_r.wall_us);
-  EXPECT_NE(async_r.timeline.find("hidden behind kernels"), std::string::npos);
+  EXPECT_NE(gpu.profiler().timeline().find("hidden behind kernels"), std::string::npos);
   // The Chrome trace export carries one event per op on its stream.
-  EXPECT_NE(async_r.trace_json.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(async_r.trace_json.find("memcpy_h2d"), std::string::npos);
+  const std::string trace = obs::merged_chrome_trace({{0, gpu.profiler().intervals(), {}}}, {});
+  EXPECT_NE(trace.find("\"traceEvents\""), std::string::npos);
+  EXPECT_NE(trace.find("memcpy_h2d"), std::string::npos);
 }
 
 TEST(PpmTest, WritesValidHeader) {

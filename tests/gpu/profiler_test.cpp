@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/export.hpp"
+
 namespace saclo::gpu {
 namespace {
 
@@ -112,7 +114,7 @@ TEST(ProfilerTest, ChromeTraceIsWellFormed) {
   Profiler p;
   p.record_interval("kern\"el", OpKind::Kernel, 1, 0.0, 10.0);
   p.record_interval("up", OpKind::MemcpyHtoD, 2, 0.0, 4.0);
-  const std::string json = p.chrome_trace_json();
+  const std::string json = obs::merged_chrome_trace({{0, p.intervals(), {}}}, {});
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(json.find("\"tid\":1"), std::string::npos);

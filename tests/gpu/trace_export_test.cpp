@@ -8,6 +8,7 @@
 #include "gpu/device.hpp"
 #include "gpu/profiler.hpp"
 #include "gpu/sim_gpu.hpp"
+#include "obs/export.hpp"
 #include "support/mini_json.hpp"
 
 namespace saclo::gpu {
@@ -15,6 +16,12 @@ namespace {
 
 using saclo::testsupport::Json;
 using saclo::testsupport::parse_json;
+
+/// One device's Chrome trace: the merged renderer over that device
+/// alone, which is what the serve runtime's device dumps are.
+std::string chrome_trace(const Profiler& p) {
+  return obs::merged_chrome_trace({{0, p.intervals(), {}}}, {});
+}
 
 // The Chrome trace export is a stable machine-readable interface
 // (chrome://tracing, Perfetto, the serve runtime's device dumps) —
@@ -26,6 +33,7 @@ TEST(ChromeTraceExportTest, GoldenTraceForAHandAssembledSchedule) {
 
   const std::string expected =
       "{\"displayTimeUnit\":\"ms\",\"traceEvents\":["
+      "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"args\":{\"name\":\"gpu0\"}},"
       "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,"
       "\"args\":{\"name\":\"stream 0\"}},"
       "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":1,"
@@ -35,21 +43,23 @@ TEST(ChromeTraceExportTest, GoldenTraceForAHandAssembledSchedule) {
       "{\"name\":\"memcpyHtoDasync\",\"cat\":\"memcpy_h2d\",\"ph\":\"X\",\"pid\":0,\"tid\":0,"
       "\"ts\":0.000,\"dur\":5.000}"
       "]}";
-  EXPECT_EQ(p.chrome_trace_json(), expected);
+  EXPECT_EQ(chrome_trace(p), expected);
 }
 
 TEST(ChromeTraceExportTest, EmptyProfilerStillEmitsValidJson) {
   Profiler p;
-  const Json root = parse_json(p.chrome_trace_json());
+  const Json root = parse_json(chrome_trace(p));
   ASSERT_TRUE(root.is_object());
   EXPECT_EQ(root.at("displayTimeUnit").string, "ms");
-  EXPECT_EQ(root.at("traceEvents").array.size(), 0u);
+  // Only the device's process_name record: no streams, no spans.
+  ASSERT_EQ(root.at("traceEvents").array.size(), 1u);
+  EXPECT_EQ(root.at("traceEvents").array[0].at("name").string, "process_name");
 }
 
 TEST(ChromeTraceExportTest, EscapesQuotesAndBackslashesInNames) {
   Profiler p;
   p.record_interval("weird \"kernel\" \\ name", OpKind::Kernel, 0, 0.0, 1.0);
-  const Json root = parse_json(p.chrome_trace_json());
+  const Json root = parse_json(chrome_trace(p));
   bool found = false;
   for (const Json& ev : root.at("traceEvents").array) {
     if (ev.at("ph").string == "X") {
@@ -99,7 +109,7 @@ TEST(ChromeTraceExportTest, RealScheduleYieldsMonotoneNonOverlappingStreams) {
   }
   gpu.synchronize();
 
-  const Json root = parse_json(gpu.profiler().chrome_trace_json());
+  const Json root = parse_json(chrome_trace(gpu.profiler()));
   const auto by_tid = events_by_stream(root);
   ASSERT_EQ(by_tid.size(), 3u);  // the three created streams
 
@@ -131,7 +141,7 @@ TEST(ChromeTraceExportTest, EventNamesAndCategoriesAreTheStableOnes) {
   gpu.account_transfer(1024, Dir::DeviceToHost, "memcpyDtoHasync", kDefaultStream, buf);
   gpu.run_host("host_tiler", 2.0, kDefaultStream);
 
-  const Json root = parse_json(gpu.profiler().chrome_trace_json());
+  const Json root = parse_json(chrome_trace(gpu.profiler()));
   std::map<std::string, std::string> cat_of;  // name -> category
   for (const Json& ev : root.at("traceEvents").array) {
     if (ev.at("ph").string == "X") cat_of[ev.at("name").string] = ev.at("cat").string;

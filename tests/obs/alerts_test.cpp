@@ -10,8 +10,13 @@
 #include <string>
 #include <vector>
 
+#include "support/mini_json.hpp"
+
 namespace saclo::obs {
 namespace {
+
+using saclo::testsupport::Json;
+using saclo::testsupport::parse_json;
 
 /// A sample carrying one tenant's cumulative SLO counters.
 AlertSample tenant_sample(double now_ms, std::int64_t slo_jobs, std::int64_t slo_met) {
@@ -236,6 +241,13 @@ TEST(AlertKindTest, WireNamesAreStable) {
   EXPECT_STREQ(alert_kind_name(AlertKind::SloBurnRate), "slo_burn_rate");
   EXPECT_STREQ(alert_kind_name(AlertKind::QueueSaturation), "queue_saturation");
   EXPECT_STREQ(alert_kind_name(AlertKind::DeviceDegraded), "device_degraded");
+}
+
+TEST(AlertTransitionJsonTest, ControlBytesInSubjectParseStrictly) {
+  const std::string hostile = "ev\til\r\x01";
+  AlertTransition t{AlertKind::SloBurnRate, true, hostile, 1, 2};
+  const Json line = parse_json(alert_transition_json(t));
+  EXPECT_EQ(line.at("subject").string, hostile);
 }
 
 }  // namespace

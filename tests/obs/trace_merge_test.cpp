@@ -182,5 +182,13 @@ TEST(MergedTraceTest, EmptyFleetStillRendersValidJson) {
   EXPECT_TRUE(root.at("traceEvents").array.empty());
 }
 
+TEST(MergedTraceTest, ControlBytesInSpanNamesParseStrictly) {
+  const std::string hostile = "ev\til\r\x01";
+  DeviceTrace dev;
+  dev.intervals.push_back(interval(hostile, gpu::OpKind::Kernel, 0, 0.0, 1.0, 3, 0));
+  const Json root = parse_json(merged_chrome_trace({dev}, {}));
+  EXPECT_EQ(find_event(root.at("traceEvents"), "X", hostile).at("name").string, hostile);
+}
+
 }  // namespace
 }  // namespace saclo::obs

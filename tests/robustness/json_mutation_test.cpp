@@ -1,0 +1,145 @@
+// Seeded mutation robustness of every JSON input the project reads: the
+// core reader, the traffic-trace loader and the critical-path analyzer's
+// trace / event-log loaders. Each valid document is truncated, has a
+// byte flipped or has a byte inserted, 1000 times per input; every case
+// must yield a value or the parser's typed error, never another
+// exception (the ASan/UBSan CI job runs this suite too).
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <random>
+#include <string>
+#include <vector>
+
+#include "core/json.hpp"
+#include "obs/events.hpp"
+#include "obs/export.hpp"
+#include "serve/traffic.hpp"
+
+namespace saclo {
+namespace {
+
+constexpr int kCases = 1000;
+
+/// Mutation `kind` 0 truncates, 1 flips one byte, 2 inserts one byte;
+/// positions and bytes come from raw engine draws (portable across
+/// standard libraries).
+std::string mutate(const std::string& valid, int kind, std::mt19937_64& rng) {
+  std::string text = valid;
+  const std::size_t pos = static_cast<std::size_t>(rng() % (text.size() + 1));
+  const char byte = static_cast<char>(rng() % 256);
+  switch (kind) {
+    case 0: text.resize(pos); break;
+    case 1: text[pos % text.size()] = byte; break;
+    default: text.insert(pos, 1, byte); break;
+  }
+  return text;
+}
+
+template <typename Typed, typename Parse>
+void expect_value_or_typed_error(const std::string& valid, std::uint64_t seed, Parse parse) {
+  ASSERT_NO_THROW(parse(valid));
+  std::mt19937_64 rng(seed);
+  int rejected = 0;
+  for (int i = 0; i < kCases; ++i) {
+    const std::string text = mutate(valid, i % 3, rng);
+    try {
+      parse(text);
+    } catch (const Typed&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "case " << i << " threw an untyped exception: " << e.what();
+    } catch (...) {
+      ADD_FAILURE() << "case " << i << " threw a non-standard exception";
+    }
+  }
+  EXPECT_GT(rejected, 0) << "no mutation was rejected: the inputs are not being exercised";
+}
+
+std::string traffic_trace() {
+  serve::TrafficSpec spec = serve::TrafficSpec::ci_default();
+  spec.duration_ms = 200;
+  return serve::generate_trace(spec).to_json();
+}
+
+gpu::Profiler::Interval span(const std::string& name, gpu::OpKind kind, int stream,
+                             double start, double end, std::uint64_t job, std::uint32_t attempt) {
+  gpu::Profiler::Interval iv;
+  iv.name = name;
+  iv.kind = kind;
+  iv.stream = stream;
+  iv.start_us = start;
+  iv.end_us = end;
+  iv.trace_id = job;
+  iv.attempt = attempt;
+  iv.batch = job;
+  return iv;
+}
+
+obs::Event event(obs::EventType type, std::uint64_t job, int device, int attempt,
+                 std::int64_t arg, double t) {
+  obs::Event e;
+  e.type = type;
+  e.job = job;
+  e.device = device;
+  e.attempt = attempt;
+  e.arg = arg;
+  e.t_real_us = t;
+  e.t_sim_us = t;
+  return e;
+}
+
+/// A failed-over job across two devices plus an autoscale step.
+std::vector<obs::Event> fleet_events() {
+  using obs::EventType;
+  return {event(EventType::JobAdmitted, 9, -1, 0, 4, 1.5),
+          event(EventType::JobDispatched, 9, 0, 0, 0, 2.5),
+          event(EventType::DeviceFault, 9, 0, 0, 2, 80.0),
+          event(EventType::Failover, 9, 0, 1, 1, 80.0),
+          event(EventType::ScaleUp, 0, 1, 0, 2, 90.0),
+          event(EventType::JobCompleted, 9, 1, 1, 4, 400.0)};
+}
+
+std::string merged_trace() {
+  obs::DeviceTrace dev0{0, {}, "sim"};
+  dev0.intervals = {span("memcpyHtoDasync", gpu::OpKind::MemcpyHtoD, 1, 10.0, 20.0, 9, 0),
+                    span("hfilter_nongeneric_w0_g0", gpu::OpKind::Kernel, 2, 20.0, 80.0, 9, 0)};
+  obs::DeviceTrace dev1{1, {}, "sim"};
+  dev1.intervals = {span("KRN_rhf", gpu::OpKind::Kernel, 2, 310.0, 400.0, 9, 1),
+                    span("host (output tiler)", gpu::OpKind::Host, 3, 400.0, 401.0, 9, 1),
+                    span("memcpyDtoHasync", gpu::OpKind::MemcpyDtoH, 4, 401.0, 420.0, 9, 1)};
+  return obs::merged_chrome_trace({dev0, dev1}, fleet_events());
+}
+
+std::string event_log() {
+  obs::EventLog log(16);
+  for (const obs::Event& e : fleet_events()) log.emit(e);
+  return log.jsonl();
+}
+
+TEST(JsonMutationTest, ReaderReturnsAValueOrAJsonError) {
+  std::uint64_t seed = 1;
+  for (const std::string& valid : {traffic_trace(), merged_trace()}) {
+    expect_value_or_typed_error<JsonError>(valid, seed++,
+                                           [](const std::string& t) { parse_json(t); });
+  }
+}
+
+TEST(JsonMutationTest, TrafficTraceLoaderThrowsOnlyTrafficError) {
+  expect_value_or_typed_error<serve::TrafficError>(
+      traffic_trace(), 11, [](const std::string& t) { serve::TrafficTrace::from_json(t); });
+}
+
+TEST(JsonMutationTest, ChromeTraceLoaderThrowsOnlyTraceLoadError) {
+  expect_value_or_typed_error<obs::TraceLoadError>(
+      merged_trace(), 21, [](const std::string& t) { obs::parse_chrome_trace(t); });
+}
+
+TEST(JsonMutationTest, EventLogLoaderThrowsOnlyTraceLoadError) {
+  expect_value_or_typed_error<obs::TraceLoadError>(
+      event_log(), 31, [](const std::string& t) { obs::parse_event_log(t); });
+}
+
+}  // namespace
+}  // namespace saclo

@@ -451,5 +451,17 @@ TEST(FleetMetricsTest, ReportMentionsEveryDevice) {
   EXPECT_NE(report.find("throughput"), std::string::npos);
 }
 
+
+TEST(FleetMetricsTest, ControlBytesInTenantKeepTheJsonStrict) {
+  // Tab, carriage return and a raw 0x01 must leave as JSON escapes:
+  // a strict parser rejects raw control bytes inside strings.
+  const std::string hostile = "ev\til\r\x01";
+  FleetMetrics m(1);
+  m.on_shed(hostile, ShedReason::RateLimited);
+  const Json root = parse_json(m.json());
+  ASSERT_EQ(root.at("tenants").array.size(), 1u);
+  EXPECT_EQ(root.at("tenants").array[0].at("tenant").string, hostile);
+}
+
 }  // namespace
 }  // namespace saclo::serve

@@ -12,6 +12,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <future>
 #include <sstream>
@@ -19,6 +20,7 @@
 #include <vector>
 
 #include "obs/critpath.hpp"
+#include "obs/export.hpp"
 #include "serve/alerting.hpp"
 #include "serve/job.hpp"
 #include "serve/scheduler.hpp"
@@ -300,6 +302,95 @@ TEST(TelemetryServeTest, BackgroundMonitorSamplesOnItsOwn) {
     EXPECT_TRUE(monitor.transitions().empty());
   }
   runtime.shutdown();
+}
+
+TEST(TelemetryServeTest, ControlBytesInTenantKeepFleetJsonStrict) {
+  // --json prints metrics_json(); /debug/fleet serves the same document.
+  const std::string hostile = "ev\til\r\x01";
+  ServeRuntime runtime(telemetry_options());
+  JobSpec spec = small_job();
+  spec.tenant = hostile;
+  runtime.submit(spec).get();
+  runtime.drain();
+  EXPECT_EQ(parse_json(runtime.metrics_json()).at("tenants").array.at(0).at("tenant").string,
+            hostile);
+  const auto [headers, fleet] = http_get(runtime.telemetry()->port(), "/debug/fleet");
+  EXPECT_EQ(parse_json(fleet).at("tenants").array.at(0).at("tenant").string, hostile);
+}
+
+TEST(TelemetryServeTest, OfflineAnalyzerAgreesWithTheLiveOne) {
+  // A faulted run under the priority policy: the analyzer fed the
+  // exported trace and event log must reproduce the live attribution,
+  // exactly in every count and within the files' rendering precision
+  // (0.001 us per span, 0.1 us per event) in every time.
+  ServeRuntime::Options opts = testsupport::faulty_fleet_options(
+      2, FaultPlanBuilder().fail_after_kernels(/*device=*/0, /*kernels=*/4).build());
+  opts.start_paused = false;
+  opts.policy = SchedPolicy::Priority;
+  opts.event_log_capacity = 4096;
+  ServeRuntime runtime(opts);
+  std::vector<std::future<JobResult>> futures;
+  for (int i = 0; i < 6; ++i) {
+    JobSpec spec = small_job();
+    spec.frames = 6;
+    spec.priority = i % 2 == 0 ? Priority::Low : Priority::High;
+    spec.route = i % 3 == 2 ? Route::Gaspard : Route::SacNongeneric;
+    futures.push_back(runtime.submit(spec));
+  }
+  for (auto& f : futures) f.get();
+  runtime.drain();
+
+  const obs::CriticalPath live =
+      obs::analyze_critical_path(runtime.device_traces(), runtime.events());
+  const obs::CriticalPath offline =
+      obs::analyze_critical_path(obs::parse_chrome_trace(runtime.merged_trace_json()),
+                                 obs::parse_event_log(runtime.events_jsonl()));
+  EXPECT_GE(live.failovers, 1);
+  EXPECT_EQ(offline.jobs_waited, live.jobs_waited);
+  EXPECT_EQ(offline.preemptions, live.preemptions);
+  EXPECT_EQ(offline.failovers, live.failovers);
+  EXPECT_EQ(offline.drains, live.drains);
+  EXPECT_NEAR(offline.queue_wait_total_us, live.queue_wait_total_us, 0.1 * live.jobs_waited);
+  EXPECT_NEAR(offline.queue_wait_max_us, live.queue_wait_max_us, 0.1);
+
+  std::size_t spans = 0;
+  for (const obs::DeviceTrace& d : runtime.device_traces()) spans += d.intervals.size();
+  const double tol = 1e-3 * static_cast<double>(spans + 1);
+  EXPECT_NEAR(offline.makespan_us, live.makespan_us, tol);
+  ASSERT_EQ(offline.devices.size(), live.devices.size());
+  for (std::size_t i = 0; i < live.devices.size(); ++i) {
+    const obs::DeviceAttribution& a = live.devices[i];
+    const obs::DeviceAttribution& b = offline.devices[i];
+    EXPECT_EQ(b.device, a.device);
+    EXPECT_NEAR(b.kernel_us, a.kernel_us, tol);
+    EXPECT_NEAR(b.h2d_us, a.h2d_us, tol);
+    EXPECT_NEAR(b.d2h_us, a.d2h_us, tol);
+    EXPECT_NEAR(b.host_us, a.host_us, tol);
+    EXPECT_NEAR(b.busy_us, a.busy_us, tol);
+    EXPECT_NEAR(b.span_us, a.span_us, tol);
+    EXPECT_EQ(b.preemptions, a.preemptions);
+    EXPECT_EQ(b.faults, a.faults);
+    EXPECT_EQ(b.drains, a.drains);
+  }
+  // Rows whose totals tie within the precision may swap places, so
+  // compare stages and routes by name.
+  ASSERT_EQ(offline.stages.size(), live.stages.size());
+  for (const obs::StageAttribution& a : live.stages) {
+    const auto b = std::find_if(offline.stages.begin(), offline.stages.end(),
+                                [&](const obs::StageAttribution& s) { return s.name == a.name; });
+    ASSERT_NE(b, offline.stages.end()) << a.name;
+    EXPECT_EQ(b->category, a.category);
+    EXPECT_EQ(b->calls, a.calls);
+    EXPECT_NEAR(b->total_us, a.total_us, tol);
+  }
+  ASSERT_EQ(offline.routes.size(), live.routes.size());
+  for (const obs::RouteAttribution& a : live.routes) {
+    const auto b = std::find_if(offline.routes.begin(), offline.routes.end(),
+                                [&](const obs::RouteAttribution& r) { return r.route == a.route; });
+    ASSERT_NE(b, offline.routes.end()) << a.route;
+    EXPECT_EQ(b->spans, a.spans);
+    EXPECT_NEAR(b->kernel_us, a.kernel_us, tol);
+  }
 }
 
 }  // namespace

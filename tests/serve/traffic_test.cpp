@@ -232,5 +232,20 @@ TEST(TrafficReplayTest, RejectsNonPositiveSpeed) {
   runtime.drain();
 }
 
+TEST(TrafficTraceTest, ControlBytesInTenantAndClassRoundTripByteForByte) {
+  const std::string hostile = "ev\til\r\x01";
+  TrafficSpec spec = TrafficSpec::ci_default();
+  spec.duration_ms = 100;
+  spec.classes[0].tenant = hostile;
+  spec.classes[0].name = hostile + "-class";
+  const TrafficTrace trace = generate_trace(spec);
+  const std::string json = trace.to_json();
+  EXPECT_EQ(parse_json(json).at("spec").at("classes").array[0].at("tenant").string, hostile);
+  const TrafficTrace back = TrafficTrace::from_json(json);
+  EXPECT_EQ(back.spec.classes[0].tenant, hostile);
+  EXPECT_EQ(back.spec.classes[0].name, hostile + "-class");
+  EXPECT_EQ(back.to_json(), json);
+}
+
 }  // namespace
 }  // namespace saclo::serve

@@ -126,6 +126,8 @@ class JsonParser {
     for (;;) {
       char c = next();
       if (c == '"') return v;
+      // Strict JSON: control bytes must be escaped inside strings.
+      if (static_cast<unsigned char>(c) < 0x20) throw std::runtime_error("raw control byte");
       if (c == '\\') {
         const char esc = next();
         switch (esc) {
@@ -138,11 +140,23 @@ class JsonParser {
           case '/':
             v.string += '/';
             break;
+          case 'b':
+            v.string += '\b';
+            break;
+          case 'f':
+            v.string += '\f';
+            break;
           case 'n':
             v.string += '\n';
             break;
+          case 'r':
+            v.string += '\r';
+            break;
           case 't':
             v.string += '\t';
+            break;
+          case 'u':
+            v.string += latin1_escape();
             break;
           default:
             throw std::runtime_error("unsupported escape in test JSON");
@@ -151,6 +165,19 @@ class JsonParser {
         v.string += c;
       }
     }
+  }
+
+  /// \u00XX (the code points the project's escaper writes) as UTF-8.
+  std::string latin1_escape() {
+    if (pos_ + 4 > text_.size() || text_.compare(pos_, 2, "00") != 0 ||
+        !std::isxdigit(static_cast<unsigned char>(text_[pos_ + 2])) ||
+        !std::isxdigit(static_cast<unsigned char>(text_[pos_ + 3]))) {
+      throw std::runtime_error("unsupported \\u escape in test JSON");
+    }
+    const unsigned code = static_cast<unsigned>(std::stoul(text_.substr(pos_ + 2, 2), nullptr, 16));
+    pos_ += 4;
+    if (code < 0x80) return std::string(1, static_cast<char>(code));
+    return {static_cast<char>(0xC0 | (code >> 6)), static_cast<char>(0x80 | (code & 0x3F))};
   }
 
   Json boolean() {

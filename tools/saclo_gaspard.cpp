@@ -14,24 +14,26 @@
 #include "apps/downscaler/arrayol_model.hpp"
 #include "apps/downscaler/frames.hpp"
 #include "apps/downscaler/pipelines.hpp"
+#include "flag_number.hpp"
 
 using namespace saclo;
 using namespace saclo::apps;
+using saclo::tools::flag_number;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   DownscalerConfig cfg = DownscalerConfig::paper();
   std::string emit = "schedule";
   int run_frames = 0;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--height" && i + 1 < argc) {
-      cfg.height = std::stoll(argv[++i]);
+      cfg.height = flag_number<std::int64_t>(arg, argv[++i]);
     } else if (arg == "--width" && i + 1 < argc) {
-      cfg.width = std::stoll(argv[++i]);
+      cfg.width = flag_number<std::int64_t>(arg, argv[++i]);
     } else if (arg.rfind("--emit=", 0) == 0) {
       emit = arg.substr(7);
     } else if (arg == "--run" && i + 1 < argc) {
-      run_frames = std::stoi(argv[++i]);
+      run_frames = flag_number<int>(arg, argv[++i]);
     } else {
       std::fprintf(stderr,
                    "usage: saclo-gaspard [--height H] [--width W] "
@@ -86,4 +88,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+} catch (const tools::InvalidFlagValue& e) {
+  std::fprintf(stderr, "saclo-gaspard: %s\n", e.what());
+  return 2;
 }

@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "flag_number.hpp"
 #include "sac/interp.hpp"
 #include "sac/parser.hpp"
 #include "sac/pipeline.hpp"
@@ -38,7 +39,7 @@ Shape parse_shape(const std::string& text) {
   std::stringstream ss(text);
   std::string part;
   while (std::getline(ss, part, 'x')) {
-    dims.push_back(std::stoll(part));
+    dims.push_back(tools::flag_number<std::int64_t>("--shape", part));
   }
   return Shape(dims);
 }
@@ -52,7 +53,7 @@ int usage() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   if (argc < 3) return usage();
   const std::string path = argv[1];
   const std::string fn = argv[2];
@@ -155,4 +156,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+} catch (const tools::InvalidFlagValue& e) {
+  std::fprintf(stderr, "saclo-sacc: %s\n", e.what());
+  return 2;
 }

@@ -6,7 +6,7 @@
 //   saclo-serve [--devices N] [--jobs M] [--route sacng|sacg|gaspard|mixed]
 //               [--backend sim|host]
 //               [--frames F] [--exec-frames E] [--height H] [--width W]
-//               [--queue-capacity Q] [--no-cache] [--sync-streams]
+//               [--queue-capacity Q] [--sync-streams]
 //               [--opt-level L] [--batch-max N] [--batch-wait-ms T]
 //               [--policy fifo|priority|edf] [--no-preemption]
 //               [--work-stealing] [--shed-on-full]
@@ -16,6 +16,7 @@
 //               [--json] [--trace DEVICE] [--checksum]
 //               [--trace-out FILE] [--events-out FILE] [--metrics-out FILE]
 //               [--events-capacity N]
+//   saclo-serve --analyze-trace TRACE [EVENTS]
 //
 // --policy selects the queue-draining order of the dispatchers (fifo is
 // the pre-SLO behavior); --tenant / --priority / --deadline-ms repeat
@@ -89,7 +90,8 @@
 // alert_cleared wire events and --alerts-out writes the JSONL alert
 // log. --analyze prints the trace critical-path attribution (compute
 // vs transfer vs queue wait vs preemption/drain stalls, per device and
-// per route) after the run.
+// per route) after the run; --analyze-trace prints the same attribution
+// offline from archived --trace-out / --events-out files, then exits.
 
 #include <chrono>
 #include <cstdint>
@@ -105,6 +107,7 @@
 #include "fault/fault.hpp"
 #include "fault/plan.hpp"
 #include "gpu/backend_kind.hpp"
+#include "flag_number.hpp"
 #include "obs/critpath.hpp"
 #include "serve/alerting.hpp"
 #include "serve/autoscale.hpp"
@@ -113,6 +116,7 @@
 
 using namespace saclo;
 using namespace saclo::serve;
+using saclo::tools::flag_number;
 
 namespace {
 
@@ -122,7 +126,7 @@ int usage() {
                "                   [--route sacng|sacg|gaspard|mixed] [--frames F]\n"
                "                   [--backend sim|host]\n"
                "                   [--exec-frames E] [--height H] [--width W]\n"
-               "                   [--queue-capacity Q] [--no-cache] [--sync-streams]\n"
+               "                   [--queue-capacity Q] [--sync-streams]\n"
                "                   [--opt-level L] [--batch-max N] [--batch-wait-ms T]\n"
                "                   [--policy fifo|priority|edf] [--no-preemption]\n"
                "                   [--work-stealing] [--shed-on-full]\n"
@@ -134,6 +138,7 @@ int usage() {
                "                   [--trace-replay FILE] [--replay-speed X]\n"
                "                   [--trace-gen SPEC] [--trace-save FILE]\n"
                "                   [--json] [--trace DEVICE] [--checksum]\n"
+               "       saclo-serve --analyze-trace TRACE [EVENTS]\n"
                "\n"
                "  --policy P     dispatcher queue order: fifo (default, the\n"
                "                 pre-SLO behavior), priority (class order), edf\n"
@@ -206,7 +211,10 @@ int usage() {
                "  --alerts-out FILE  write the JSONL alert log (implies --alerts)\n"
                "  --analyze      print the trace critical-path attribution after\n"
                "                 the run (compute/transfer/queue-wait/stalls per\n"
-               "                 device and per route)\n");
+               "                 device and per route)\n"
+               "  --analyze-trace TRACE [EVENTS]  print that attribution from a\n"
+               "                 --trace-out file (and an --events-out file for\n"
+               "                 queue wait and stalls), then exit\n");
   return 2;
 }
 
@@ -217,6 +225,22 @@ void fnv1a(std::uint64_t& h, std::uint64_t v) {
   for (int b = 0; b < 8; ++b) {
     h ^= (v >> (8 * b)) & 0xffu;
     h *= 1099511628211ull;
+  }
+}
+
+/// --analyze-trace: the critical-path report of archived --trace-out /
+/// --events-out files. A bad file is one line on stderr and exit 1.
+int analyze_files(const std::string& trace_path, const std::string& events_path) {
+  try {
+    const std::vector<obs::DeviceTrace> devices = obs::load_chrome_trace(trace_path);
+    const std::vector<obs::Event> events =
+        events_path.empty() ? std::vector<obs::Event>{} : obs::load_event_log(events_path);
+    std::printf("%s",
+                obs::critical_path_report(obs::analyze_critical_path(devices, events)).c_str());
+    return 0;
+  } catch (const obs::TraceLoadError& e) {
+    std::fprintf(stderr, "saclo-serve: %s\n", e.what());
+    return 1;
   }
 }
 
@@ -232,7 +256,7 @@ bool write_file(const std::string& path, const std::string& contents) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   ServeRuntime::Options opts;
   apps::DownscalerConfig cfg = apps::DownscalerConfig::paper();
   std::string route = "mixed";
@@ -268,34 +292,36 @@ int main(int argc, char** argv) {
   bool alert_interval_set = false;
   std::string alerts_out;
   bool analyze = false;
+  std::string analyze_trace;
+  std::string analyze_events;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--devices" && i + 1 < argc) {
-      opts.devices = std::stoi(argv[++i]);
+      opts.devices = flag_number<int>(arg, argv[++i]);
       devices_set = true;
     } else if (arg == "--autoscale") {
       autoscale = true;
     } else if (arg == "--min-devices" && i + 1 < argc) {
-      min_devices = std::stoi(argv[++i]);
+      min_devices = flag_number<int>(arg, argv[++i]);
       min_devices_set = true;
     } else if (arg == "--max-devices" && i + 1 < argc) {
-      max_devices = std::stoi(argv[++i]);
+      max_devices = flag_number<int>(arg, argv[++i]);
     } else if (arg == "--scale-interval-ms" && i + 1 < argc) {
-      scale_interval_ms = std::stod(argv[++i]);
+      scale_interval_ms = flag_number<double>(arg, argv[++i]);
       interval_set = true;
     } else if (arg == "--alloc-class-cap-kb" && i + 1 < argc) {
-      opts.alloc_class_cap_bytes = std::stoll(argv[++i]) * 1024;
+      opts.alloc_class_cap_bytes = flag_number<std::int32_t>(arg, argv[++i]) * std::int64_t{1024};
     } else if (arg == "--trace-replay" && i + 1 < argc) {
       trace_replay = argv[++i];
     } else if (arg == "--replay-speed" && i + 1 < argc) {
-      replay_speed = std::stod(argv[++i]);
+      replay_speed = flag_number<double>(arg, argv[++i]);
     } else if (arg == "--trace-gen" && i + 1 < argc) {
       trace_gen = argv[++i];
     } else if (arg == "--trace-save" && i + 1 < argc) {
       trace_save = argv[++i];
     } else if (arg == "--jobs" && i + 1 < argc) {
-      jobs = std::stoi(argv[++i]);
+      jobs = flag_number<int>(arg, argv[++i]);
     } else if (arg == "--route" && i + 1 < argc) {
       route = argv[++i];
     } else if (arg == "--backend" && i + 1 < argc) {
@@ -306,25 +332,23 @@ int main(int argc, char** argv) {
         return usage();
       }
     } else if (arg == "--frames" && i + 1 < argc) {
-      frames = std::stoi(argv[++i]);
+      frames = flag_number<int>(arg, argv[++i]);
     } else if (arg == "--exec-frames" && i + 1 < argc) {
-      exec_frames = std::stoi(argv[++i]);
+      exec_frames = flag_number<int>(arg, argv[++i]);
     } else if (arg == "--height" && i + 1 < argc) {
-      cfg.height = std::stoll(argv[++i]);
+      cfg.height = flag_number<std::int64_t>(arg, argv[++i]);
     } else if (arg == "--width" && i + 1 < argc) {
-      cfg.width = std::stoll(argv[++i]);
+      cfg.width = flag_number<std::int64_t>(arg, argv[++i]);
     } else if (arg == "--queue-capacity" && i + 1 < argc) {
-      opts.queue_capacity = static_cast<std::size_t>(std::stoi(argv[++i]));
-    } else if (arg == "--no-cache") {
-      opts.cache_buffers = false;
+      opts.queue_capacity = flag_number<std::size_t>(arg, argv[++i]);
     } else if (arg == "--sync-streams") {
       opts.async_streams = false;
     } else if (arg == "--opt-level" && i + 1 < argc) {
-      opt_level = std::stoi(argv[++i]);
+      opt_level = flag_number<int>(arg, argv[++i]);
     } else if (arg == "--batch-max" && i + 1 < argc) {
-      opts.batch_max = std::stoi(argv[++i]);
+      opts.batch_max = flag_number<int>(arg, argv[++i]);
     } else if (arg == "--batch-wait-ms" && i + 1 < argc) {
-      opts.batch_wait_ms = std::stod(argv[++i]);
+      opts.batch_wait_ms = flag_number<double>(arg, argv[++i]);
     } else if (arg == "--policy" && i + 1 < argc) {
       try {
         opts.policy = parse_sched_policy(argv[++i]);
@@ -348,13 +372,13 @@ int main(int argc, char** argv) {
         return usage();
       }
     } else if (arg == "--deadline-ms" && i + 1 < argc) {
-      deadlines_ms.push_back(std::stod(argv[++i]));
+      deadlines_ms.push_back(flag_number<double>(arg, argv[++i]));
     } else if (arg == "--rate-limit" && i + 1 < argc) {
-      opts.tenant_rate_limit = std::stod(argv[++i]);
+      opts.tenant_rate_limit = flag_number<double>(arg, argv[++i]);
     } else if (arg == "--rate-burst" && i + 1 < argc) {
-      opts.tenant_rate_burst = std::stod(argv[++i]);
+      opts.tenant_rate_burst = flag_number<double>(arg, argv[++i]);
     } else if (arg == "--stagger-ms" && i + 1 < argc) {
-      stagger_ms = std::stod(argv[++i]);
+      stagger_ms = flag_number<double>(arg, argv[++i]);
     } else if (arg == "--fault" && i + 1 < argc) {
       try {
         const fault::FaultPlan parsed = fault::FaultPlan::parse(argv[++i]);
@@ -364,13 +388,13 @@ int main(int argc, char** argv) {
         return usage();
       }
     } else if (arg == "--max-retries" && i + 1 < argc) {
-      opts.max_retries = std::stoi(argv[++i]);
+      opts.max_retries = flag_number<int>(arg, argv[++i]);
     } else if (arg == "--json") {
       emit_json = true;
     } else if (arg == "--checksum") {
       emit_checksum = true;
     } else if (arg == "--trace" && i + 1 < argc) {
-      trace_device = std::stoi(argv[++i]);
+      trace_device = flag_number<int>(arg, argv[++i]);
     } else if (arg == "--trace-out" && i + 1 < argc) {
       trace_out = argv[++i];
     } else if (arg == "--events-out" && i + 1 < argc) {
@@ -378,25 +402,31 @@ int main(int argc, char** argv) {
     } else if (arg == "--metrics-out" && i + 1 < argc) {
       metrics_out = argv[++i];
     } else if (arg == "--events-capacity" && i + 1 < argc) {
-      events_capacity = static_cast<std::size_t>(std::stoll(argv[++i]));
+      events_capacity = flag_number<std::size_t>(arg, argv[++i]);
     } else if (arg == "--telemetry-port" && i + 1 < argc) {
-      opts.telemetry_port = std::stoi(argv[++i]);
+      opts.telemetry_port = flag_number<int>(arg, argv[++i]);
     } else if (arg == "--telemetry-linger-ms" && i + 1 < argc) {
-      telemetry_linger_ms = std::stod(argv[++i]);
+      telemetry_linger_ms = flag_number<double>(arg, argv[++i]);
     } else if (arg == "--alerts") {
       alerts = true;
     } else if (arg == "--alert-interval-ms" && i + 1 < argc) {
-      alert_interval_ms = std::stod(argv[++i]);
+      alert_interval_ms = flag_number<double>(arg, argv[++i]);
       alert_interval_set = true;
     } else if (arg == "--alerts-out" && i + 1 < argc) {
       alerts_out = argv[++i];
       alerts = true;
     } else if (arg == "--analyze") {
       analyze = true;
+    } else if (arg == "--analyze-trace" && i + 1 < argc) {
+      analyze_trace = argv[++i];
+      if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
+        analyze_events = argv[++i];
+      }
     } else {
       return usage();
     }
   }
+  if (!analyze_trace.empty()) return analyze_files(analyze_trace, analyze_events);
   // Any observability sink implies the structured event log (the merged
   // trace wants its instant events too); plain runs keep it off so the
   // dispatch hot path stays allocation-free.
@@ -645,4 +675,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+} catch (const tools::InvalidFlagValue& e) {
+  std::fprintf(stderr, "saclo-serve: %s\n", e.what());
+  return 2;
 }
