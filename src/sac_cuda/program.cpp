@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <functional>
+#include <numeric>
+#include <tuple>
 
 #include "core/fmt.hpp"
 #include "sac/builtins.hpp"
@@ -248,6 +250,74 @@ std::int64_t warp_stride_of(const Generator& g, const sac::affine::Lattice& lat,
   return worst;
 }
 
+/// Whether two arithmetic progressions {x.lb + x.step*i : i < x.extent}
+/// and {y.lb + y.step*j : j < y.extent} share no value: exact, by the
+/// Chinese remainder theorem on the steps.
+bool progressions_disjoint(const sac::affine::Lattice::Dim& x,
+                           const sac::affine::Lattice::Dim& y) {
+  if (x.extent == 0 || y.extent == 0) return true;
+  const std::int64_t lo = std::max(x.lb, y.lb);
+  const std::int64_t hi =
+      std::min(x.lb + x.step * (x.extent - 1), y.lb + y.step * (y.extent - 1));
+  if (lo > hi) return true;
+  // v = x.lb + x.step*k with x.step*k == y.lb - x.lb (mod y.step).
+  const std::int64_t g = std::gcd(x.step, y.step);
+  const std::int64_t diff = y.lb - x.lb;
+  if (diff % g != 0) return true;
+  const std::int64_t mod = y.step / g;
+  // Inverse of x.step/g modulo `mod` by the extended Euclidean algorithm.
+  std::int64_t r0 = mod;
+  std::int64_t r1 = (x.step / g) % mod;
+  std::int64_t s0 = 0;
+  std::int64_t s1 = 1;
+  while (r1 != 0) {
+    const std::int64_t q = r0 / r1;
+    std::tie(r0, r1) = std::make_pair(r1, r0 - q * r1);
+    std::tie(s0, s1) = std::make_pair(s1, s0 - q * s1);
+  }
+  auto floor_mod = [](__int128 a, __int128 m) { return ((a % m) + m) % m; };
+  const __int128 k = floor_mod(static_cast<__int128>(diff / g) * s0, mod);
+  const __int128 v0 = x.lb + static_cast<__int128>(x.step) * k;
+  const __int128 period = static_cast<__int128>(x.step) * mod;
+  // The smallest common value >= lo.
+  const __int128 v = lo + floor_mod(v0 - lo, period);
+  return v > hi;
+}
+
+/// The plan-time proof that a with-loop's generators write every frame
+/// element: each lattice lies inside the frame, the lattices are
+/// pairwise disjoint (two lattices are disjoint when some dimension's
+/// progressions are) and their sizes sum to the frame size. Sizes alone
+/// do not prove it: overlapping generators can reach the frame size and
+/// still leave holes.
+bool lattices_cover_frame(const std::vector<sac::affine::Lattice>& lattices, const Shape& frame) {
+  std::int64_t points = 0;
+  for (const auto& lat : lattices) {
+    if (lat.rank() != frame.rank()) return false;
+    std::int64_t n = 1;
+    for (std::size_t d = 0; d < lat.rank(); ++d) {
+      const auto& dim = lat.dims[d];
+      n *= dim.extent;
+      if (dim.extent > 0 &&
+          (dim.lb < 0 || dim.step < 1 || dim.lb + dim.step * (dim.extent - 1) >= frame[d])) {
+        return false;
+      }
+    }
+    points += n;
+  }
+  if (points != frame.elements()) return false;
+  for (std::size_t a = 0; a < lattices.size(); ++a) {
+    for (std::size_t b = a + 1; b < lattices.size(); ++b) {
+      bool disjoint = false;
+      for (std::size_t d = 0; d < frame.rank() && !disjoint; ++d) {
+        disjoint = progressions_disjoint(lattices[a].dims[d], lattices[b].dims[d]);
+      }
+      if (!disjoint) return false;
+    }
+  }
+  return true;
+}
+
 std::optional<KernelGroup> plan_with(const std::string& target, const Expr& w,
                                      const std::map<std::string, Shape>& shapes,
                                      const std::map<std::string, sac::ElemType>& param_elems,
@@ -294,7 +364,7 @@ std::optional<KernelGroup> plan_with(const std::string& target, const Expr& w,
     group.default_value = dv->as_int();
   }
 
-  std::int64_t covered = 0;
+  std::vector<sac::affine::Lattice> lattices;
   std::set<std::string> inputs;
   for (std::size_t gi = 0; gi < w.generators.size(); ++gi) {
     Generator g = sac::clone_generator(w.generators[gi]);
@@ -351,7 +421,7 @@ std::optional<KernelGroup> plan_with(const std::string& target, const Expr& w,
     std::int64_t pts = 1;
     for (const auto& d : lat->dims) pts *= d.extent;
     k.threads = pts;
-    covered += pts;
+    lattices.push_back(*lat);
     k.cost.flops_per_thread =
         plain->arith_ops() + 2.0 * static_cast<double>(lat->dims.size());
     k.cost.global_loads_per_thread = plain->array_loads();
@@ -364,7 +434,7 @@ std::optional<KernelGroup> plan_with(const std::string& target, const Expr& w,
     k.source = std::move(g);
     group.kernels.push_back(std::move(k));
   }
-  group.needs_default_fill = !group.is_modarray && covered < frame.elements();
+  group.needs_default_fill = !group.is_modarray && !lattices_cover_frame(lattices, frame);
   if (group.is_modarray) inputs.insert(group.modarray_source);
   group.inputs.assign(inputs.begin(), inputs.end());
   return group;

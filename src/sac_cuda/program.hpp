@@ -41,6 +41,9 @@ struct KernelGroup {
   std::string target;
   Shape frame;
   Shape full;  ///< frame ++ cell
+  /// False only when the generators provably write every frame element
+  /// (in-frame, pairwise-disjoint lattices whose sizes sum to the
+  /// frame), or for modarray, whose copy writes every element.
   bool needs_default_fill = false;
   std::int64_t default_value = 0;
   /// modarray with-loops start from a device-to-device copy of the

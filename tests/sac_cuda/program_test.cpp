@@ -207,6 +207,75 @@ int[*] main(int[*] v) {
   EXPECT_EQ(expected, actual);
 }
 
+/// Plans `main(int[10] v)` and runs it on both backends against the
+/// interpreter; returns the plan.
+CudaProgram expect_matches_interpreter(const std::string& src) {
+  const sac::Module m = sac::parse(src);
+  auto cf = sac::compile(m, "main", {ArgSpec::array(ElemType::Int, Shape{10})});
+  CudaProgram p = CudaProgram::plan(cf);
+  const IntArray v = IntArray::generate(Shape{10}, [](const Index& i) { return i[0] * 10; });
+  const Value expected = sac::run_function(m, "main", {Value(v)});
+  for (const gpu::BackendKind backend : gpu::available_backends()) {
+    gpu::VirtualGpu gpu(gpu::gtx480(), 2, backend);
+    gpu::cuda::Runtime rt(gpu);
+    gpu::Profiler host_profiler;
+    EXPECT_EQ(p.run(rt, {Value(v)}, gpu::i7_930(), host_profiler, true), expected)
+        << gpu::backend_kind_name(backend) << "\n" << src;
+  }
+  return p;
+}
+
+bool needs_fill(const CudaProgram& p) {
+  for (const Step& s : p.steps()) {
+    if (s.kind == Step::Kind::Kernels && s.group.target == "o") return s.group.needs_default_fill;
+  }
+  ADD_FAILURE() << "no kernel group for 'o'";
+  return false;
+}
+
+std::string genarray_of(const std::string& generators) {
+  return "int[*] main(int[*] v) {\n  o = with { " + generators +
+         " } : genarray([10], 7);\n  return (o);\n}\n";
+}
+
+TEST(CudaProgramTest, OverlappingGeneratorsStillGetTheDefaultFill) {
+  // [0,6) and [3,8) hold 6 + 5 = 11 >= 10 points, yet 8 and 9 are
+  // holes that must read the default 7, as in the interpreter.
+  const CudaProgram p = expect_matches_interpreter(
+      genarray_of("([0] <= [i] < [6]) : v[[i]] + 1; ([3] <= [i] < [8]) : v[[i]] + 2;"));
+  EXPECT_TRUE(needs_fill(p));
+  const sac::Module m = sac::parse(
+      genarray_of("([0] <= [i] < [6]) : v[[i]] + 1; ([3] <= [i] < [8]) : v[[i]] + 2;"));
+  const IntArray v = IntArray::generate(Shape{10}, [](const Index& i) { return i[0] * 10; });
+  const Value out = sac::run_function(m, "main", {Value(v)});
+  EXPECT_EQ(out.ints()[8], 7);
+  EXPECT_EQ(out.ints()[9], 7);
+}
+
+TEST(CudaProgramTest, OnlyAProvenExactCoverSkipsTheDefaultFill) {
+  // Disjoint intervals, and interleaved progressions, that cover [0,10).
+  EXPECT_FALSE(needs_fill(expect_matches_interpreter(
+      genarray_of("([0] <= [i] < [4]) : v[[i]] + 1; ([4] <= [i] < [10]) : v[[i]] + 2;"))));
+  EXPECT_FALSE(needs_fill(expect_matches_interpreter(genarray_of(
+      "([0] <= [i] < [10] step [2]) : v[[i]] + 1; ([1] <= [i] < [10] step [2]) : v[[i]] + "
+      "2;"))));
+  EXPECT_FALSE(needs_fill(expect_matches_interpreter(genarray_of(
+      "([0] <= [i] < [10] step [3]) : 1; ([1] <= [i] < [10] step [3]) : 2; "
+      "([2] <= [i] < [10] step [3]) : 3;"))));
+  // Ten points that overlap (0 and 6 twice) and leave holes.
+  EXPECT_TRUE(needs_fill(expect_matches_interpreter(
+      genarray_of("([0] <= [i] < [10] step [2]) : 1; ([0] <= [i] < [10] step [3]) : 2; "
+                  "([9] <= [i] < [10]) : 3;"))));
+  // Progressions that share no residue never meet; {0, 4} and {2, 8}
+  // share residues, but their first common value (8) lies past the
+  // end of {0, 4}.
+  EXPECT_FALSE(needs_fill(expect_matches_interpreter(
+      genarray_of("([0] <= [i] < [8] step [4]) : 1; ([2] <= [i] < [10] step [6]) : 2; "
+                  "([1] <= [i] < [10] step [2]) : 3; ([6] <= [i] < [7]) : 4;"))));
+  // Too few points.
+  EXPECT_TRUE(needs_fill(expect_matches_interpreter(genarray_of("([0] <= [i] < [9]) : 1;"))));
+}
+
 TEST(CudaProgramTest, EstimateOpsCountsLoops) {
   const sac::Module m = sac::parse(
       "int main() { s = 0; for (i = 0; i < 100; i++) { s = s + i; } return (s); }");

@@ -544,6 +544,117 @@ TEST(SpecialiseOracle, RandomWithLoopsMatchTheInterpreterOnTheHostBackend) {
   EXPECT_GT(programs_with_kernels, 250);
   EXPECT_GT(proven, 80);
   EXPECT_GT(errors, 30);
+
+  // Multi-generator genarray loops with a non-zero default: overlapping
+  // generators (the later one wins, as in the interpreter), holes that
+  // only the default fills — some of them with enough points to cover
+  // the frame — and exact covers that need no fill.
+  int filled = 0;
+  int unfilled = 0;
+  int overlaps_reaching_the_frame_size = 0;
+  for (std::uint64_t seed = 301; seed <= 600; ++seed) {
+    Rng rng(seed * 7919);
+    const std::size_t rank = static_cast<std::size_t>(rng.uniform(1, 2));
+    Index frame;
+    for (std::size_t d = 0; d < rank; ++d) frame.push_back(rng.uniform(2, 7));
+    std::vector<Lattice> lattices;
+    if (rng.chance(40)) {
+      // An exact cover: one dimension split at a cut, or into its even
+      // and odd points.
+      const std::size_t split = static_cast<std::size_t>(rng.uniform(0, rank - 1));
+      std::vector<Lattice::Dim> whole;
+      for (std::int64_t n : frame) whole.push_back({0, 1, n});
+      std::vector<Lattice::Dim> a = whole;
+      std::vector<Lattice::Dim> b = whole;
+      const std::int64_t n = frame[split];
+      if (rng.chance(50)) {
+        const std::int64_t cut = rng.uniform(1, n - 1);
+        a[split] = {0, 1, cut};
+        b[split] = {cut, 1, n - cut};
+      } else {
+        a[split] = {0, 2, (n + 1) / 2};
+        b[split] = {1, 2, n / 2};
+      }
+      lattices = {make_lattice(a), make_lattice(b)};
+    } else {
+      const std::int64_t count = rng.uniform(2, 3);
+      for (std::int64_t g = 0; g < count; ++g) {
+        std::vector<Lattice::Dim> dims;
+        for (std::int64_t n : frame) {
+          const std::int64_t lb = rng.uniform(0, n - 1);
+          const std::int64_t step = rng.uniform(1, 3);
+          dims.push_back({lb, step, rng.uniform(1, (n - 1 - lb) / step + 1)});
+        }
+        lattices.push_back(make_lattice(dims));
+      }
+    }
+    std::map<std::string, Index> dims;
+    for (const char* name : {"A", "C"}) {
+      Index d;
+      for (std::size_t k = 0; k < rank; ++k) d.push_back(rng.uniform(3, 9));
+      dims.emplace(name, d);
+    }
+    std::string generators;
+    std::int64_t points = 0;
+    for (const Lattice& lat : lattices) {
+      BodyGen gen(rng, lat, dims);
+      std::vector<std::string> lb;
+      std::vector<std::string> ub;
+      std::vector<std::string> step;
+      std::int64_t n = 1;
+      for (const auto& d : lat.dims) {
+        lb.push_back(cat(d.lb));
+        ub.push_back(cat(d.lb + d.step * (d.extent - 1) + 1));
+        step.push_back(cat(d.step));
+        n *= d.extent;
+      }
+      points += n;
+      const std::string stmts = gen.statements(/*plain_only=*/true);
+      generators += cat("    ([", join(lb, ", "), "] <= [", join(lat.scalar_names, ", "),
+                        "] < [", join(ub, ", "), "] step [", join(step, ", "), "]) { ", stmts,
+                        "} : ", gen.scalar(1), ";\n");
+    }
+    std::vector<std::string> frame_text;
+    for (std::int64_t n : frame) frame_text.push_back(cat(n));
+    const std::string src =
+        cat("int[*] main(int[*] A, int[*] C) {\n  o = with {\n", generators, "  } : genarray([",
+            join(frame_text, ", "), "], ", rng.uniform(1, 9), ");\n  return (o);\n}\n");
+    SCOPED_TRACE(cat("seed ", seed, ":\n", src));
+    const sac::Module m = sac::parse(src);
+    const sac::CompiledFunction cf =
+        sac::compile(m, "main",
+                     {sac::ArgSpec::array(sac::ElemType::Int, Shape(dims.at("A"))),
+                      sac::ArgSpec::array(sac::ElemType::Int, Shape(dims.at("C")))});
+    CudaProgram p = CudaProgram::plan(cf);
+    const std::vector<sac::Value> args{
+        sac::Value(IntArray::generate(Shape(dims.at("A")),
+                                      [](const Index& i) { return i[0] * 5 - 11; })),
+        sac::Value(IntArray::generate(Shape(dims.at("C")),
+                                      [](const Index& i) { return 7 - i.back() * 3; }))};
+    const std::string expected = outcome_of([&] {
+      return run_sequential(cf, args, gpu::i7_930(), true).result;
+    });
+    for (const gpu::BackendKind backend : {gpu::BackendKind::Host, gpu::BackendKind::Sim}) {
+      gpu::VirtualGpu device(gpu::gtx480(), 3, backend);
+      gpu::cuda::Runtime rt(device);
+      gpu::Profiler host_profiler;
+      EXPECT_EQ(outcome_of([&] { return p.run(rt, args, gpu::i7_930(), host_profiler, true); }),
+                expected)
+          << gpu::backend_kind_name(backend);
+    }
+    if (::testing::Test::HasFailure()) return;
+    if (expected == "error") continue;
+    for (const Step& st : p.steps()) {
+      if (st.kind != Step::Kind::Kernels || st.group.target != "o") continue;
+      (st.group.needs_default_fill ? filled : unfilled) += 1;
+      if (st.group.needs_default_fill && points >= Shape(frame).elements()) {
+        ++overlaps_reaching_the_frame_size;
+      }
+    }
+  }
+  EXPECT_GT(filled, 80);
+  EXPECT_GT(unfilled, 50);
+  EXPECT_GT(overlaps_reaching_the_frame_size, 15);
 }
 
 }  // namespace
