@@ -104,6 +104,21 @@ void for_each_tile_offset(const PortAddressing& pa, const std::array<std::int64_
   }
 }
 
+/// The host walk dimension of a task (gpu::host_walk_dim), measured on
+/// its first output's reference point.
+std::size_t walk_dim_of(const Model& model, const RepetitiveTask& task) {
+  if (task.outputs.empty()) return 0;
+  const TiledPort& out = task.outputs[0];
+  const Index strides = model.array_shape(out.port.name).strides();
+  Index moves(task.repetition.rank(), 0);
+  for (std::size_t r = 0; r < moves.size(); ++r) {
+    for (std::size_t d = 0; d < strides.size(); ++d) {
+      moves[r] += out.tiler.paving.at(d, r) * strides[d];
+    }
+  }
+  return gpu::host_walk_dim(task.repetition.dims(), moves);
+}
+
 }  // namespace
 
 std::string emit_tiler_code(const RepetitiveTask& task, const TiledPort& port, bool is_input,
@@ -247,6 +262,7 @@ OpenClApplication OpenClApplication::build(Model model) {
     // The optimizer predicts makespans with the same derivation, so the
     // search's cost gate and the simulated timings cannot drift apart.
     k.cost = opt::derive_task_cost(model, task);
+    k.walk_dim = walk_dim_of(model, task);
     k.opencl_source = emit_kernel_source_text(model, task, k.name);
     app.kernels_.push_back(std::move(k));
   }
@@ -274,24 +290,26 @@ std::map<std::string, IntArray> OpenClApplication::run(
     gpu::opencl::CommandQueue& upload, gpu::opencl::CommandQueue& compute,
     gpu::opencl::CommandQueue& download, const std::map<std::string, IntArray>& inputs,
     bool execute) {
-  // Create buffers (int32 frames, as on the paper's device).
+  // Create buffers (int32 frames, as on the paper's device). None is
+  // zero-filled: inputs are uploaded whole, Model::validate proves
+  // every produced array an exact partition of its task's output
+  // tiler, and an array nothing writes is never read.
   std::map<std::string, gpu::opencl::Buffer> buffers;
   for (const BufferPlan& plan : buffers_) {
-    buffers.emplace(plan.array,
-                    compute.create_buffer(plan.shape.elements() * static_cast<std::int64_t>(4)));
+    const std::int64_t bytes = plan.shape.elements() * 4;
+    buffers.emplace(plan.array, compute.create_buffer_for_overwrite(bytes));
   }
   // Upload inputs.
   for (const BufferPlan& plan : buffers_) {
     if (!plan.is_input) continue;
+    gpu::opencl::Buffer& buffer = buffers.at(plan.array);
     if (execute) {
       auto it = inputs.find(plan.array);
       if (it == inputs.end()) throw ChainError(cat("missing input '", plan.array, "'"));
-      auto dev = buffers.at(plan.array).view<std::int32_t>();
-      for (std::int64_t i = 0; i < it->second.elements(); ++i) {
-        dev[static_cast<std::size_t>(i)] = static_cast<std::int32_t>(it->second[i]);
-      }
+      upload.enqueue_write_frame(buffer, it->second);
+    } else {
+      upload.account_write(buffer);
     }
-    upload.account_write(buffers.at(plan.array), plan.shape.elements() * 4);
   }
 
   // Launch every task kernel in schedule order.
@@ -334,24 +352,29 @@ std::map<std::string, IntArray> OpenClApplication::run(
       launch.writes.push_back(buffers.at(out.port.name).handle());
     }
     // Pattern buffers are sized once per chunk, leaving the tiler's
-    // gather/compute/scatter as the inner loop.
-    launch.body = [ins, outs, op, rep_dims, rep_rank, in_total, out_total](std::int64_t begin,
-                                                                          std::int64_t end) {
+    // gather/compute/scatter as the inner loop. The generated code maps
+    // iGID to tlIter dimension 0 fastest (Figure 11's iGID % n) — the
+    // simulated GPU's mapping. Work items are independent under single
+    // assignment, so the host visits them in its own order: ids decode
+    // with the walk dimension fastest, once per run along it, and
+    // consecutive items then store next to each other.
+    const std::size_t walk = k.walk_dim;
+    launch.body = [ins, outs, op, rep_dims, rep_rank, walk, in_total, out_total](std::int64_t begin,
+                                                                                 std::int64_t end) {
       std::vector<std::int64_t> in_buf(static_cast<std::size_t>(in_total));
       std::vector<std::int64_t> out_buf(static_cast<std::size_t>(out_total));
       std::array<std::int64_t, kMaxRank> rep{};
       for (std::int64_t tid = begin; tid < end;) {
-        // Work-item decode, dimension 0 fastest (Figure 11's iGID % n),
-        // once per run of consecutive ids along dimension 0.
         std::int64_t rest = tid;
-        for (std::size_t d = 0; d < rep_rank; ++d) {
+        for (std::size_t i = 0; i < rep_rank; ++i) {
+          const std::size_t d = gpu::walk_order(i, walk);
           rep[d] = rest % rep_dims[d];
           rest /= rep_dims[d];
         }
         const std::int64_t run =
-            rep_rank == 0 ? end - tid : std::min(end - tid, rep_dims[0] - rep[0]);
+            rep_rank == 0 ? end - tid : std::min(end - tid, rep_dims[walk] - rep[walk]);
         tid += run;
-        for (std::int64_t i = 0; i < run; ++i, ++rep[0]) {
+        for (std::int64_t i = 0; i < run; ++i, ++rep[walk]) {
           // Gather input patterns.
           std::size_t pos = 0;
           for (const BoundPort& bp : ins) {
@@ -376,19 +399,16 @@ std::map<std::string, IntArray> OpenClApplication::run(
     compute.enqueue_ndrange(launch, execute);
   }
 
-  // Read outputs back.
+  // Read outputs back (a timing-only run builds no host arrays).
   std::map<std::string, IntArray> results;
   for (const BufferPlan& plan : buffers_) {
     if (!plan.is_output) continue;
-    IntArray out(plan.shape);
+    const gpu::opencl::Buffer& buffer = buffers.at(plan.array);
     if (execute) {
-      auto dev = buffers.at(plan.array).view<const std::int32_t>();
-      for (std::int64_t i = 0; i < out.elements(); ++i) {
-        out[i] = dev[static_cast<std::size_t>(i)];
-      }
+      results.emplace(plan.array, download.enqueue_read_frame(buffer, plan.shape));
+    } else {
+      download.account_read(buffer);
     }
-    download.account_read(buffers.at(plan.array), plan.shape.elements() * 4);
-    results.emplace(plan.array, std::move(out));
   }
   return results;
 }

@@ -25,6 +25,11 @@ struct TaskKernel {
   std::int64_t work_items = 0;
   gpu::KernelCost cost;
   std::string opencl_source;
+  /// The repetition dimension the host body walks fastest (the one
+  /// whose step moves the first output by the fewest elements). The
+  /// generated code keeps dimension 0 fastest: the id-to-item mapping
+  /// is a per-target decision.
+  std::size_t walk_dim = 0;
 };
 
 /// Where each array lives in the generated application.
@@ -54,7 +59,7 @@ class OpenClApplication {
 
   /// Runs one invocation: writes the input arrays, launches every task
   /// kernel in schedule order, reads the outputs back. execute=false
-  /// accrues simulated time only.
+  /// accrues simulated time only and returns no arrays.
   std::map<std::string, IntArray> run(gpu::opencl::CommandQueue& queue,
                                       const std::map<std::string, IntArray>& inputs,
                                       bool execute);

@@ -1,7 +1,6 @@
 #include "gpu/backend.hpp"
 
 #include <chrono>
-#include <cstring>
 
 #include "gpu/executor.hpp"
 
@@ -12,12 +11,6 @@ namespace {
 double elapsed_us(std::chrono::steady_clock::time_point since) {
   return std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() - since)
       .count();
-}
-
-void copy_bytes(std::span<std::byte> dst, std::span<const std::byte> src) {
-  if (!dst.empty() && !src.empty()) {
-    std::memcpy(dst.data(), src.data(), std::min(dst.size(), src.size()));
-  }
 }
 
 /// The analytic simulator: durations come from the calibrated cost
@@ -35,10 +28,9 @@ class SimBackend : public ExecutionBackend {
     return kernel_time_us(spec_, kernel.threads, kernel.cost);
   }
 
-  double transfer(Dir dir, std::span<std::byte> dst, std::span<const std::byte> src,
-                  std::int64_t bytes, bool execute) override {
+  double transfer(Dir dir, std::int64_t bytes, const TransferFn& move) override {
     notify_transfer(dir, bytes);
-    if (execute) copy_bytes(dst, src);
+    if (move) move();
     return transfer_time_us(spec_, bytes, dir);
   }
 
@@ -51,10 +43,11 @@ class SimBackend : public ExecutionBackend {
 /// CPU. Kernel bodies execute through the thread pool exactly as under
 /// `sim`, and executed operations are timed with the wall clock, so the
 /// device timeline carries what the CPU actually did. Accounting-only
-/// repetitions (execute=false) have no real work to measure and charge
-/// the analytic model, exactly like the simulator; results stay
-/// bit-exact against `sim` because the bodies and the copies are the
-/// same computations in the same issue order.
+/// repetitions (execute=false, or a transfer without a move function)
+/// have no real work to measure and charge the analytic model, exactly
+/// like the simulator; results stay bit-exact against `sim` because the
+/// bodies and the copies (converting ones included) are the same
+/// computations in the same issue order.
 class HostParallelBackend : public ExecutionBackend {
  public:
   HostParallelBackend(const DeviceSpec& spec, ThreadPool& pool) : spec_(spec), pool_(pool) {}
@@ -71,14 +64,11 @@ class HostParallelBackend : public ExecutionBackend {
     return elapsed_us(t0);
   }
 
-  double transfer(Dir dir, std::span<std::byte> dst, std::span<const std::byte> src,
-                  std::int64_t bytes, bool execute) override {
+  double transfer(Dir dir, std::int64_t bytes, const TransferFn& move) override {
     notify_transfer(dir, bytes);
-    if (!execute || dst.empty()) {
-      return transfer_time_us(spec_, bytes, dir);
-    }
+    if (!move) return transfer_time_us(spec_, bytes, dir);
     const auto t0 = std::chrono::steady_clock::now();
-    copy_bytes(dst, src);
+    move();
     return elapsed_us(t0);
   }
 

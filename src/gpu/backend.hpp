@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <span>
@@ -40,6 +41,39 @@ struct KernelLaunch {
   std::vector<BufferHandle> writes;
 };
 
+/// The dimension a host kernel body walks fastest: among the id
+/// space's dimensions of extent > 1, the one whose step moves the
+/// output by the fewest elements (0 when no step moves it). Generated
+/// GPU code keeps its own id mapping (dimension 0 fastest, the
+/// simulated GPU's); items are independent under single assignment, so
+/// the order in which the host visits them is the host's to choose, and
+/// walking in memory order makes consecutive items store next to each
+/// other.
+inline std::size_t host_walk_dim(std::span<const std::int64_t> extents,
+                                 std::span<const std::int64_t> output_strides) {
+  std::size_t best = 0;
+  std::int64_t best_stride = 0;
+  for (std::size_t d = 0; d < extents.size(); ++d) {
+    const std::int64_t stride = std::llabs(output_strides[d]);
+    if (extents[d] > 1 && stride != 0 && (best_stride == 0 || stride < best_stride)) {
+      best = d;
+      best_stride = stride;
+    }
+  }
+  return best;
+}
+
+/// The i-th dimension a host body decodes an id into: the walk
+/// dimension first, then the others in index order.
+constexpr std::size_t walk_order(std::size_t i, std::size_t walk) {
+  return i == 0 ? walk : (i <= walk ? i - 1 : i);
+}
+
+/// Moves the bytes of one executed transfer: a plain byte copy, or one
+/// that converts between the host and device element types on the way
+/// (int64 host frames to int32 device frames and back).
+using TransferFn = std::function<void()>;
+
 /// Notified exactly once at each operation boundary a backend processes,
 /// *before* any work of the operation happens. VirtualGpu installs an
 /// adapter that drives the fault injector from these callbacks, which is
@@ -61,9 +95,10 @@ class OpBoundaryObserver {
 ///  - launch_kernel / transfer notify the boundary observer exactly
 ///    once, before any side effect, and let its exceptions (injected
 ///    DeviceFaults) escape without running the operation — fail-stop.
-///  - with execute=true the data really moves / the body really runs
-///    (bit-exact results across backends); with execute=false only a
-///    duration is returned (simulated repetition of an identical op).
+///  - with execute=true (a transfer: a move function) the data really
+///    moves / the body really runs (bit-exact results across backends);
+///    otherwise only a duration is returned (simulated repetition of an
+///    identical op).
 ///  - the returned duration is microseconds on the device timeline:
 ///    analytic model time for `sim`, measured wall time for `host`.
 class ExecutionBackend {
@@ -83,12 +118,11 @@ class ExecutionBackend {
   virtual double launch_kernel(const KernelLaunch& kernel, bool execute) = 0;
 
   /// Transfer entry point for *accounted* PCIe traffic (silent
-  /// device-resident handoffs never reach the backend). `dst`/`src` are
-  /// empty for accounting-only repetitions; otherwise they are the
-  /// destination and source bytes of the copy (`bytes` always holds the
-  /// logical transfer size). Returns the transfer's duration.
-  virtual double transfer(Dir dir, std::span<std::byte> dst, std::span<const std::byte> src,
-                          std::int64_t bytes, bool execute) = 0;
+  /// device-resident handoffs never reach the backend). `bytes` is the
+  /// logical (device-side) transfer size. An executed transfer passes
+  /// the `move` that performs it; an empty one is an accounting-only
+  /// repetition. Returns the transfer's duration.
+  virtual double transfer(Dir dir, std::int64_t bytes, const TransferFn& move) = 0;
 
  protected:
   /// Backend implementations call these exactly once per operation,

@@ -10,7 +10,13 @@ std::int64_t align_up(std::int64_t bytes, std::int64_t alignment) {
 }
 }  // namespace
 
-BufferHandle DeviceMemoryPool::allocate(std::int64_t bytes) {
+BufferHandle DeviceMemoryPool::allocate(std::int64_t bytes) { return insert(bytes, true); }
+
+BufferHandle DeviceMemoryPool::allocate_for_overwrite(std::int64_t bytes) {
+  return insert(bytes, false);
+}
+
+BufferHandle DeviceMemoryPool::insert(std::int64_t bytes, bool zeroed) {
   if (bytes < 0) throw DeviceMemoryError(cat("allocate(", bytes, ") is negative"));
   const std::int64_t reserved = align_up(bytes, kAlignment);
   if (used_ + reserved > capacity_) {
@@ -18,8 +24,11 @@ BufferHandle DeviceMemoryPool::allocate(std::int64_t bytes) {
                                 " aligned), ", capacity_ - used_, " of ", capacity_,
                                 " available"));
   }
+  const auto n = static_cast<std::size_t>(bytes);
   BufferHandle h{next_id_++, bytes};
-  buffers_.emplace(h.id, Block{std::vector<std::byte>(static_cast<std::size_t>(bytes)), reserved});
+  buffers_.emplace(h.id, Block{zeroed ? std::make_unique<std::byte[]>(n)
+                                      : std::make_unique_for_overwrite<std::byte[]>(n),
+                               bytes, reserved});
   used_ += reserved;
   if (used_ > peak_) peak_ = used_;
   return h;
@@ -40,20 +49,24 @@ void DeviceMemoryPool::free(BufferHandle handle) {
   buffers_.erase(it);
 }
 
-std::span<std::byte> DeviceMemoryPool::bytes(BufferHandle handle) {
+const DeviceMemoryPool::Block& DeviceMemoryPool::block_of(BufferHandle handle) const {
   auto it = buffers_.find(handle.id);
   if (it == buffers_.end()) {
     throw DeviceMemoryError(cat("access to invalid device buffer id ", handle.id));
   }
-  return it->second.data;
+  if (handle.bytes < 0 || handle.bytes > it->second.bytes) {
+    throw DeviceMemoryError(cat("handle of ", handle.bytes, " bytes to device buffer id ",
+                                handle.id, " of ", it->second.bytes, " bytes"));
+  }
+  return it->second;
+}
+
+std::span<std::byte> DeviceMemoryPool::bytes(BufferHandle handle) {
+  return {block_of(handle).data.get(), static_cast<std::size_t>(handle.bytes)};
 }
 
 std::span<const std::byte> DeviceMemoryPool::bytes(BufferHandle handle) const {
-  auto it = buffers_.find(handle.id);
-  if (it == buffers_.end()) {
-    throw DeviceMemoryError(cat("access to invalid device buffer id ", handle.id));
-  }
-  return it->second.data;
+  return {block_of(handle).data.get(), static_cast<std::size_t>(handle.bytes)};
 }
 
 }  // namespace saclo::gpu

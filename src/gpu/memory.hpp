@@ -3,8 +3,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <span>
-#include <vector>
 
 #include "core/error.hpp"
 
@@ -19,7 +19,7 @@ class DeviceMemoryError : public Error {
 /// Opaque handle to a device allocation (the simulator's cudaMalloc /
 /// clCreateBuffer result). `bytes` is the logical (requested) size; the
 /// backing block may be larger (alignment padding, allocator size
-/// classes).
+/// classes), but every view of the handle spans exactly `bytes`.
 struct BufferHandle {
   std::uint64_t id = 0;
   std::int64_t bytes = 0;
@@ -34,17 +34,26 @@ struct BufferHandle {
 class BufferAllocator {
  public:
   virtual ~BufferAllocator() = default;
+  /// A buffer of `bytes` zero bytes.
   virtual BufferHandle allocate(std::int64_t bytes) = 0;
+  /// A buffer of `bytes` unspecified bytes (after
+  /// std::make_unique_for_overwrite): the caller must write every
+  /// element before it reads one, which it proves at plan time.
+  /// Zeroes are valid unspecified contents, so the default is
+  /// allocate().
+  virtual BufferHandle allocate_for_overwrite(std::int64_t bytes) { return allocate(bytes); }
   virtual void free(BufferHandle handle) = 0;
 };
 
 /// Simulated device global memory: allocations are backed by host
-/// vectors (so kernels can execute functionally) while capacity
-/// accounting enforces the device's memory size.
+/// blocks (so kernels can execute functionally) while capacity
+/// accounting enforces the device's memory size. allocate() blocks are
+/// zeroed; allocate_for_overwrite() blocks are not, so pages nobody
+/// touches are never faulted in.
 ///
 /// Like cudaMalloc, every allocation is aligned: capacity accounting
 /// rounds the block up to kAlignment bytes (the backing store keeps the
-/// exact requested size so typed views stay tight).
+/// exact requested size).
 class DeviceMemoryPool final : public BufferAllocator {
  public:
   /// cudaMalloc guarantees at least 256-byte alignment on every device.
@@ -53,9 +62,12 @@ class DeviceMemoryPool final : public BufferAllocator {
   explicit DeviceMemoryPool(std::int64_t capacity_bytes) : capacity_(capacity_bytes) {}
 
   BufferHandle allocate(std::int64_t bytes) override;
+  BufferHandle allocate_for_overwrite(std::int64_t bytes) override;
   void free(BufferHandle handle) override;
 
-  /// Raw access to a buffer's backing store; throws on stale handles.
+  /// Raw access to a buffer's first `handle.bytes` bytes, so no view
+  /// sees past the logical size of a block a caching layer rounded up;
+  /// throws on stale handles and on a handle larger than its block.
   std::span<std::byte> bytes(BufferHandle handle);
   std::span<const std::byte> bytes(BufferHandle handle) const;
 
@@ -77,9 +89,13 @@ class DeviceMemoryPool final : public BufferAllocator {
 
  private:
   struct Block {
-    std::vector<std::byte> data;
+    std::unique_ptr<std::byte[]> data;
+    std::int64_t bytes = 0;     ///< backing-store size
     std::int64_t reserved = 0;  ///< aligned size charged against capacity
   };
+
+  BufferHandle insert(std::int64_t bytes, bool zeroed);
+  const Block& block_of(BufferHandle handle) const;
 
   std::int64_t capacity_;
   std::int64_t used_ = 0;
@@ -96,6 +112,13 @@ class DeviceBuffer {
   DeviceBuffer() = default;
   DeviceBuffer(BufferAllocator& allocator, std::int64_t bytes)
       : allocator_(&allocator), handle_(allocator.allocate(bytes)) {}
+  /// Owns an allocate_for_overwrite() block (see BufferAllocator).
+  static DeviceBuffer for_overwrite(BufferAllocator& allocator, std::int64_t bytes) {
+    DeviceBuffer b;
+    b.allocator_ = &allocator;
+    b.handle_ = allocator.allocate_for_overwrite(bytes);
+    return b;
+  }
   ~DeviceBuffer() { reset(); }
 
   DeviceBuffer(const DeviceBuffer&) = delete;

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <cstring>
 #include <string>
 
 #include "core/ndarray.hpp"
@@ -19,6 +18,8 @@ class DeviceArray {
       : gpu_(&gpu),
         shape_(std::move(shape)),
         buffer_(gpu.allocator(), shape_.elements() * static_cast<std::int64_t>(sizeof(T))) {}
+  DeviceArray(VirtualGpu& gpu, Shape shape, DeviceBuffer buffer)
+      : gpu_(&gpu), shape_(std::move(shape)), buffer_(std::move(buffer)) {}
 
   const Shape& shape() const { return shape_; }
   bool valid() const { return buffer_.valid(); }
@@ -49,6 +50,15 @@ class Runtime {
   DeviceArray<T> device_alloc(Shape shape) {
     return DeviceArray<T>(*gpu_, std::move(shape));
   }
+  /// device_alloc without the zero-fill, for an array the caller proves
+  /// it writes whole before reading it (see
+  /// BufferAllocator::allocate_for_overwrite).
+  template <typename T>
+  DeviceArray<T> device_alloc_for_overwrite(Shape shape) {
+    const std::int64_t bytes = shape.elements() * static_cast<std::int64_t>(sizeof(T));
+    return DeviceArray<T>(*gpu_, std::move(shape),
+                          DeviceBuffer::for_overwrite(gpu_->allocator(), bytes));
+  }
 
   /// The paper's `host2device` instruction.
   template <typename T>
@@ -67,15 +77,6 @@ class Runtime {
     return out;
   }
 
-  /// Accounts a transfer without moving data (simulated repetition of a
-  /// frame loop).
-  void account_host2device(std::int64_t bytes, StreamId stream = kDefaultStream) {
-    gpu_->account_transfer(bytes, Dir::HostToDevice, kHtoDOp, stream);
-  }
-  void account_device2host(std::int64_t bytes, StreamId stream = kDefaultStream) {
-    gpu_->account_transfer(bytes, Dir::DeviceToHost, kDtoHOp, stream);
-  }
-
   double launch(const KernelLaunch& kernel, bool execute = true,
                 StreamId stream = kDefaultStream) {
     return gpu_->launch(kernel, execute, stream);
@@ -83,39 +84,32 @@ class Runtime {
 
   /// Frame transfers: mini-SaC values are int64 on the host, but the
   /// paper's pixel data is 32-bit — device frames are stored (and
-  /// their PCIe cost modelled) as 4-byte ints.
+  /// their PCIe cost modelled) as 4-byte ints, converted inside the
+  /// transfer (VirtualGpu::upload_frame/download_frame).
   void host2device_frame(DeviceArray<std::int32_t>& dst, const NDArray<std::int64_t>& src,
-                         bool execute = true, bool account = true,
-                         StreamId stream = kDefaultStream) {
-    if (execute) {
-      std::vector<std::int32_t> staging(static_cast<std::size_t>(src.elements()));
-      for (std::int64_t i = 0; i < src.elements(); ++i) {
-        staging[static_cast<std::size_t>(i)] = static_cast<std::int32_t>(src[i]);
-      }
-      gpu_->copy_h2d(dst.handle(), std::as_bytes(std::span<const std::int32_t>(staging)),
-                     kHtoDOp, true, account, stream);
-    } else if (account) {
-      gpu_->account_transfer(src.elements() * 4, Dir::HostToDevice, kHtoDOp, stream,
-                             dst.handle());
-    }
+                         bool account = true, StreamId stream = kDefaultStream) {
+    gpu_->upload_frame(dst.handle(), src.data(), kHtoDOp, account, stream);
   }
 
   NDArray<std::int64_t> device2host_frame(const DeviceArray<std::int32_t>& src,
-                                          bool execute = true, bool account = true,
+                                          bool account = true,
                                           StreamId stream = kDefaultStream) {
-    NDArray<std::int64_t> out(src.shape());
-    if (execute) {
-      std::vector<std::int32_t> staging(static_cast<std::size_t>(out.elements()));
-      gpu_->copy_d2h(std::as_writable_bytes(std::span<std::int32_t>(staging)), src.handle(),
-                     kDtoHOp, true, account, stream);
-      for (std::int64_t i = 0; i < out.elements(); ++i) {
-        out[i] = staging[static_cast<std::size_t>(i)];
-      }
-    } else if (account) {
-      gpu_->account_transfer(out.elements() * 4, Dir::DeviceToHost, kDtoHOp, stream,
-                             src.handle());
-    }
-    return out;
+    return NDArray<std::int64_t>(src.shape(),
+                                 gpu_->download_frame(src.handle(), kDtoHOp, account, stream));
+  }
+
+  /// The accounting-only repetitions of the frame transfers (simulated
+  /// repetition of a frame loop): they need no host array, only the
+  /// device array whose size they charge.
+  void account_host2device_frame(const DeviceArray<std::int32_t>& dst,
+                                 StreamId stream = kDefaultStream) {
+    gpu_->account_transfer(dst.shape().elements() * 4, Dir::HostToDevice, kHtoDOp, stream,
+                           dst.handle());
+  }
+  void account_device2host_frame(const DeviceArray<std::int32_t>& src,
+                                 StreamId stream = kDefaultStream) {
+    gpu_->account_transfer(src.shape().elements() * 4, Dir::DeviceToHost, kDtoHOp, stream,
+                           src.handle());
   }
 
   /// Row names used by the CUDA profiler — and by the paper's tables.

@@ -15,6 +15,7 @@ class Buffer {
  public:
   Buffer() = default;
   Buffer(VirtualGpu& gpu, std::int64_t bytes) : gpu_(&gpu), buffer_(gpu.allocator(), bytes) {}
+  Buffer(VirtualGpu& gpu, DeviceBuffer buffer) : gpu_(&gpu), buffer_(std::move(buffer)) {}
 
   BufferHandle handle() const { return buffer_.handle(); }
   std::int64_t bytes() const { return buffer_.bytes(); }
@@ -50,7 +51,11 @@ class CommandQueue {
   const DeviceSpec& spec() const { return gpu_->spec(); }
   StreamId stream() const { return stream_; }
 
-  Buffer create_buffer(std::int64_t bytes) { return Buffer(*gpu_, bytes); }
+  /// A buffer whose bytes are unspecified until written (see
+  /// BufferAllocator::allocate_for_overwrite).
+  Buffer create_buffer_for_overwrite(std::int64_t bytes) {
+    return Buffer(*gpu_, DeviceBuffer::for_overwrite(gpu_->allocator(), bytes));
+  }
 
   template <typename T>
   Buffer create_buffer_for(const Shape& shape) {
@@ -68,19 +73,24 @@ class CommandQueue {
                    stream_);
   }
 
-  void account_write(std::int64_t bytes) {
-    gpu_->account_transfer(bytes, Dir::HostToDevice, kHtoDOp, stream_);
+  /// Frame transfers: the host's int64 frames travel as the device's
+  /// 32-bit pixels, converted inside the transfer
+  /// (VirtualGpu::upload_frame/download_frame).
+  void enqueue_write_frame(Buffer& dst, const NDArray<std::int64_t>& src) {
+    gpu_->upload_frame(dst.handle(), src.data(), kHtoDOp, true, stream_);
   }
-  void account_read(std::int64_t bytes) {
-    gpu_->account_transfer(bytes, Dir::DeviceToHost, kDtoHOp, stream_);
+  NDArray<std::int64_t> enqueue_read_frame(const Buffer& src, Shape shape) {
+    return NDArray<std::int64_t>(std::move(shape),
+                                 gpu_->download_frame(src.handle(), kDtoHOp, true, stream_));
   }
-  /// Hazard-aware accounting variants: the buffer the transfer fills /
-  /// drains orders it against kernels on other queues.
-  void account_write(const Buffer& dst, std::int64_t bytes) {
-    gpu_->account_transfer(bytes, Dir::HostToDevice, kHtoDOp, stream_, dst.handle());
+
+  /// Accounting-only transfers (simulated repetition): the buffer the
+  /// transfer fills / drains orders it against kernels on other queues.
+  void account_write(const Buffer& dst) {
+    gpu_->account_transfer(dst.bytes(), Dir::HostToDevice, kHtoDOp, stream_, dst.handle());
   }
-  void account_read(const Buffer& src, std::int64_t bytes) {
-    gpu_->account_transfer(bytes, Dir::DeviceToHost, kDtoHOp, stream_, src.handle());
+  void account_read(const Buffer& src) {
+    gpu_->account_transfer(src.bytes(), Dir::DeviceToHost, kDtoHOp, stream_, src.handle());
   }
 
   /// clEnqueueNDRangeKernel: `global_work_size` is linearised, exactly

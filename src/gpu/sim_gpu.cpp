@@ -29,55 +29,75 @@ void VirtualGpu::on_transfer_boundary(Dir dir, std::int64_t bytes) {
   if (fault_ != nullptr) fault_->on_transfer(timeline_.makespan_us());
 }
 
-void VirtualGpu::copy_h2d(BufferHandle dst, std::span<const std::byte> src, const std::string& op,
-                          bool execute, bool account, StreamId stream) {
-  auto dest = memory_.bytes(dst);
-  if (src.size() > dest.size()) {
-    throw DeviceMemoryError(cat("copy_h2d of ", src.size(), " bytes into ", dest.size(),
-                                "-byte device buffer"));
-  }
+void VirtualGpu::transfer(Dir dir, BufferHandle touched, std::int64_t bytes,
+                          const std::string& op, const TransferFn& move, bool account,
+                          StreamId stream) {
   // Silent (account=false) copies are device-resident handoffs, not
   // PCIe traffic — they never reach the backend, so they cross no fault
   // boundary and accrue no time.
   if (!account) {
-    if (execute) std::memcpy(dest.data(), src.data(), src.size());
+    if (move) move();
     return;
   }
-  const double us = backend_->transfer(Dir::HostToDevice, dest.first(src.size()), src,
-                                       static_cast<std::int64_t>(src.size()), execute);
-  const BufferHandle writes[] = {dst};
-  const auto iv = timeline_.schedule(stream, us, {}, writes);
-  profiler_.record_interval(op, OpKind::MemcpyHtoD, stream, iv.start_us, iv.end_us);
+  const double us = backend_->transfer(dir, bytes, move);
+  const BufferHandle handles[] = {touched};
+  const std::span<const BufferHandle> hazard =
+      touched.valid() ? std::span<const BufferHandle>(handles) : std::span<const BufferHandle>();
+  const bool h2d = dir == Dir::HostToDevice;
+  const auto iv = h2d ? timeline_.schedule(stream, us, {}, hazard)
+                      : timeline_.schedule(stream, us, hazard, {});
+  profiler_.record_interval(op, h2d ? OpKind::MemcpyHtoD : OpKind::MemcpyDtoH, stream,
+                            iv.start_us, iv.end_us);
+}
+
+void VirtualGpu::copy_h2d(BufferHandle dst, std::span<const std::byte> src, const std::string& op,
+                          bool execute, bool account, StreamId stream) {
+  const auto dest = memory_.bytes(dst);
+  if (src.size() > dest.size()) {
+    throw DeviceMemoryError(cat("copy_h2d of ", src.size(), " bytes into ", dest.size(),
+                                "-byte device buffer"));
+  }
+  TransferFn move;
+  if (execute && !src.empty()) {
+    move = [dest, src] { std::memcpy(dest.data(), src.data(), src.size()); };
+  }
+  transfer(Dir::HostToDevice, dst, static_cast<std::int64_t>(src.size()), op, move, account,
+           stream);
 }
 
 void VirtualGpu::copy_d2h(std::span<std::byte> dst, BufferHandle src, const std::string& op,
                           bool execute, bool account, StreamId stream) {
-  auto source = memory_.bytes(src);
+  const auto source = memory_.bytes(src);
   if (dst.size() > source.size()) {
     throw DeviceMemoryError(cat("copy_d2h of ", dst.size(), " bytes from ", source.size(),
                                 "-byte device buffer"));
   }
-  if (!account) {
-    if (execute) std::memcpy(dst.data(), source.data(), dst.size());
-    return;
+  TransferFn move;
+  if (execute && !dst.empty()) {
+    move = [dst, source] { std::memcpy(dst.data(), source.data(), dst.size()); };
   }
-  const double us = backend_->transfer(Dir::DeviceToHost, dst, source.first(dst.size()),
-                                       static_cast<std::int64_t>(dst.size()), execute);
-  const BufferHandle reads[] = {src};
-  const auto iv = timeline_.schedule(stream, us, reads, {});
-  profiler_.record_interval(op, OpKind::MemcpyDtoH, stream, iv.start_us, iv.end_us);
+  transfer(Dir::DeviceToHost, src, static_cast<std::int64_t>(dst.size()), op, move, account,
+           stream);
 }
 
-void VirtualGpu::account_transfer(std::int64_t bytes, Dir dir, const std::string& op,
-                                  StreamId stream, BufferHandle touched) {
-  const double us = backend_->transfer(dir, {}, {}, bytes, false);
-  const BufferHandle handles[] = {touched};
-  const std::span<const BufferHandle> hazard =
-      touched.valid() ? std::span<const BufferHandle>(handles) : std::span<const BufferHandle>();
-  const auto iv = dir == Dir::HostToDevice ? timeline_.schedule(stream, us, {}, hazard)
-                                           : timeline_.schedule(stream, us, hazard, {});
-  profiler_.record_interval(op, dir == Dir::HostToDevice ? OpKind::MemcpyHtoD : OpKind::MemcpyDtoH,
-                            stream, iv.start_us, iv.end_us);
+void VirtualGpu::upload_frame(BufferHandle dst, std::span<const std::int64_t> src,
+                              const std::string& op, bool account, StreamId stream) {
+  const auto dev = memory_.view<std::int32_t>(dst);
+  if (src.size() != dev.size()) {
+    throw DeviceMemoryError(cat("upload_frame of ", src.size(), " elements into ", dev.size(),
+                                "-element device buffer"));
+  }
+  const TransferFn move = [dev, src] { std::copy(src.begin(), src.end(), dev.begin()); };
+  transfer(Dir::HostToDevice, dst, dst.bytes, op, move, account, stream);
+}
+
+std::vector<std::int64_t> VirtualGpu::download_frame(BufferHandle src, const std::string& op,
+                                                     bool account, StreamId stream) {
+  const auto dev = memory_.view<std::int32_t>(src);
+  std::vector<std::int64_t> host;
+  const TransferFn move = [&host, dev] { host.assign(dev.begin(), dev.end()); };
+  transfer(Dir::DeviceToHost, src, src.bytes, op, move, account, stream);
+  return host;
 }
 
 double VirtualGpu::launch(const KernelLaunch& kernel, bool execute, StreamId stream) {

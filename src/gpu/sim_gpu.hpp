@@ -103,22 +103,41 @@ class VirtualGpu : private OpBoundaryObserver {
   BufferHandle alloc(std::int64_t bytes) { return allocator().allocate(bytes); }
   void free(BufferHandle h) { allocator().free(h); }
 
-  /// Host-to-device copy. `op` is the profiler row name (e.g. the
-  /// CUDA-style "memcpyHtoDasync"). With account=false the copy happens
-  /// (when execute) but no simulated time is recorded — used for data
+  /// The one transfer path: `bytes` logical bytes between the host and
+  /// device buffer `touched` — the buffer the transfer writes (H2D) or
+  /// reads (D2H), its data hazard; pass an invalid handle for none.
+  /// `op` is the profiler row name (e.g. the CUDA-style
+  /// "memcpyHtoDasync"). `move` performs an executed transfer (a plain
+  /// or a converting copy); an empty one accrues time only (simulated
+  /// repetition). With account=false the move runs but no simulated
+  /// time is recorded and no fault boundary is crossed — used for data
   /// that conceptually never crosses PCIe (device-resident
   /// intermediates handed between separately compiled programs).
+  void transfer(Dir dir, BufferHandle touched, std::int64_t bytes, const std::string& op,
+                const TransferFn& move, bool account = true, StreamId stream = kDefaultStream);
+  /// Host-to-device byte copy of `src` into the front of `dst`.
   void copy_h2d(BufferHandle dst, std::span<const std::byte> src, const std::string& op,
                 bool execute, bool account = true, StreamId stream = kDefaultStream);
-  /// Device-to-host copy.
+  /// Device-to-host byte copy of the front of `src` into `dst`.
   void copy_d2h(std::span<std::byte> dst, BufferHandle src, const std::string& op, bool execute,
                 bool account = true, StreamId stream = kDefaultStream);
 
+  /// Frame transfers: host frames are int64 arrays, device frames the
+  /// paper's 32-bit pixels (and their PCIe cost is modelled as such).
+  /// The move converts straight between the host array and the device
+  /// block, with no staging copy — so `host` times the conversion, and
+  /// on every backend it runs after the fault boundary.
+  void upload_frame(BufferHandle dst, std::span<const std::int64_t> src, const std::string& op,
+                    bool account = true, StreamId stream = kDefaultStream);
+  std::vector<std::int64_t> download_frame(BufferHandle src, const std::string& op,
+                                           bool account = true,
+                                           StreamId stream = kDefaultStream);
+
   /// Accrues transfer time without moving data (simulated repetition).
-  /// `touched` is the device buffer the transfer writes (H2D) or reads
-  /// (D2H) — its data hazard; pass an invalid handle for none.
   void account_transfer(std::int64_t bytes, Dir dir, const std::string& op,
-                        StreamId stream = kDefaultStream, BufferHandle touched = {});
+                        StreamId stream = kDefaultStream, BufferHandle touched = {}) {
+    transfer(dir, touched, bytes, op, {}, true, stream);
+  }
 
   /// Launches a kernel; returns its duration in microseconds. With
   /// execute=false only the launch's time accrues.

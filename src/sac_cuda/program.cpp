@@ -429,6 +429,14 @@ std::optional<KernelGroup> plan_with(const std::string& target, const Expr& w,
     k.cost.bytes_per_access = 4;  // the paper's frames are 32-bit ints
     k.cost.warp_access_stride =
         warp_stride_of(g, *lat, shapes, full, lat->dims.empty() ? 1 : lat->dims[0].step);
+    Index extents;
+    Index out_moves;
+    const Index full_strides = full.strides();
+    for (std::size_t d = 0; d < lat->rank(); ++d) {
+      extents.push_back(lat->dims[d].extent);
+      out_moves.push_back(lat->dims[d].step * full_strides[d]);
+    }
+    k.walk_dim = gpu::host_walk_dim(extents, out_moves);
     for (const std::string& a : tape->array_names) inputs.insert(a);
     k.tape = std::move(*tape);
     k.source = std::move(g);
@@ -560,19 +568,20 @@ sac::Value CudaProgram::run(gpu::cuda::Runtime& rt, std::vector<sac::Value> args
     // results) stay in-line with the kernels; fresh param uploads go on
     // the copy-in stream so they can overlap earlier frames' compute.
     const gpu::StreamId stream = host_written.count(name) ? ss.compute : ss.h2d;
-    const Shape& shape = shape_of(name);
     auto it = device.find(name);
     if (it == device.end()) {
-      it = device.emplace(name, rt.device_alloc<std::int32_t>(shape)).first;
+      // The upload writes the whole array before any kernel reads it.
+      auto array = rt.device_alloc_for_overwrite<std::int32_t>(shape_of(name));
+      it = device.emplace(name, std::move(array)).first;
     }
     if (execute) {
       auto h = host_env.find(name);
       if (h == host_env.end() || !h->second.is_int()) {
         throw BackendError(cat("host value for '", name, "' missing before host2device"));
       }
-      rt.host2device_frame(it->second, h->second.ints(), true, account, stream);
-    } else {
-      rt.host2device_frame(it->second, IntArray(shape), false, account, stream);
+      rt.host2device_frame(it->second, h->second.ints(), account, stream);
+    } else if (account) {
+      rt.account_host2device_frame(it->second, stream);
     }
     device_valid.insert(name);
   };
@@ -583,9 +592,12 @@ sac::Value CudaProgram::run(gpu::cuda::Runtime& rt, std::vector<sac::Value> args
       if (!execute) return;  // timing-only run: nothing to materialise
       throw BackendError(cat("value of '", name, "' is nowhere"));
     }
-    auto it = device.find(name);
-    IntArray back = rt.device2host_frame(it->second, execute, account, stream);
-    if (execute) host_env.insert_or_assign(name, Value(std::move(back)));
+    const auto& dev = device.at(name);
+    if (execute) {
+      host_env.insert_or_assign(name, Value(rt.device2host_frame(dev, account, stream)));
+    } else if (account) {
+      rt.account_device2host_frame(dev, stream);
+    }
     host_valid.insert(name);
   };
 
@@ -599,7 +611,10 @@ sac::Value CudaProgram::run(gpu::cuda::Runtime& rt, std::vector<sac::Value> args
       for (const std::string& in : group.inputs) ensure_device(in);
       auto dit = device.find(group.target);
       if (dit == device.end()) {
-        dit = device.emplace(group.target, rt.device_alloc<std::int32_t>(group.full)).first;
+        // The modarray copy, the default fill or a plan-proven exact
+        // cover by the generators writes every element before any read.
+        auto array = rt.device_alloc_for_overwrite<std::int32_t>(group.full);
+        dit = device.emplace(group.target, std::move(array)).first;
       }
       auto out_span = dit->second.view();
 
@@ -663,18 +678,26 @@ sac::Value CudaProgram::run(gpu::cuda::Runtime& rt, std::vector<sac::Value> args
           launch.reads.push_back(device.at(an).handle());
         }
         launch.writes.push_back(dit->second.handle());
-        // Ids decode once per run along dimension 0 (the `iGID % n0`
-        // mapping of the generated code, Figure 11, dimension 0
-        // fastest); within a run every proven load offset steps by its
-        // dimension-0 coefficient and the output index by step0 rows.
-        launch.body = [tape, arrays, lat, full_strides, index_fills,
-                       out_span](std::int64_t begin, std::int64_t end) {
+        // The generated code maps iGID to the lattice dimension 0
+        // fastest (`iGID % n0`, Figure 11) — the simulated GPU's mapping.
+        // Items are independent under single assignment, so the host
+        // visits them in its own order: ids decode once per run along
+        // the walk dimension, and within a run iv, every proven load
+        // offset and the output index step along it, so consecutive
+        // items touch neighbouring elements of row-major frames.
+        const std::size_t walk = k.walk_dim;
+        launch.body = [tape, arrays, lat, full_strides, index_fills, out_span,
+                       walk](std::int64_t begin, std::int64_t end) {
           const std::size_t rank = lat->dims.size();
           std::vector<std::int64_t> slots(static_cast<std::size_t>(tape->slot_count));
           std::vector<std::int64_t> offsets(tape->lin_loads.size());
+          std::vector<std::int64_t> offset_steps(tape->lin_loads.size());
           std::vector<std::int64_t> iv(rank);
-          const std::int64_t iv_step = rank > 0 ? lat->dims[0].step : 0;
-          const std::int64_t out_step = iv_step * (rank > 0 ? full_strides[0] : 0);
+          const std::int64_t iv_step = rank > 0 ? lat->dims[walk].step : 0;
+          const std::int64_t out_step = iv_step * (rank > 0 ? full_strides[walk] : 0);
+          for (std::size_t k = 0; k < tape->lin_loads.size(); ++k) {
+            offset_steps[k] = rank > 0 ? tape->lin_loads[k].coeff[walk] : 0;
+          }
           for (std::int64_t tid = begin; tid < end;) {
             std::int64_t rest = tid;
             std::int64_t run = end - tid;
@@ -682,11 +705,12 @@ sac::Value CudaProgram::run(gpu::cuda::Runtime& rt, std::vector<sac::Value> args
             for (std::size_t k = 0; k < tape->lin_loads.size(); ++k) {
               offsets[k] = tape->lin_loads[k].c0;
             }
-            for (std::size_t d = 0; d < rank; ++d) {
+            for (std::size_t i = 0; i < rank; ++i) {
+              const std::size_t d = gpu::walk_order(i, walk);
               const auto& dim = lat->dims[d];
               const std::int64_t t = rest % dim.extent;
               rest /= dim.extent;
-              if (d == 0) run = std::min(run, dim.extent - t);
+              if (i == 0) run = std::min(run, dim.extent - t);
               iv[d] = dim.lb + dim.step * t;
               out += iv[d] * full_strides[d];
               for (std::size_t k = 0; k < tape->lin_loads.size(); ++k) {
@@ -705,10 +729,8 @@ sac::Value CudaProgram::run(gpu::cuda::Runtime& rt, std::vector<sac::Value> args
               }
               if (rank == 0) continue;
               out += out_step;
-              iv[0] += iv_step;
-              for (std::size_t k = 0; k < tape->lin_loads.size(); ++k) {
-                offsets[k] += tape->lin_loads[k].coeff[0];
-              }
+              iv[walk] += iv_step;
+              for (std::size_t k = 0; k < offsets.size(); ++k) offsets[k] += offset_steps[k];
             }
             tid += run;
           }

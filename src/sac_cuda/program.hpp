@@ -30,6 +30,11 @@ struct GenKernel {
   Tape tape;
   gpu::KernelCost cost;
   std::int64_t threads = 0;
+  /// The lattice dimension the host body walks fastest
+  /// (gpu::host_walk_dim over the output's element moves). The emitted
+  /// CUDA keeps dimension 0 fastest: the id-to-point mapping is a
+  /// per-target decision.
+  std::size_t walk_dim = 0;
   /// The flattened generator (cell decomposed into scalar element
   /// expressions) — kept for the CUDA-C text emitter.
   sac::Generator source;

@@ -34,6 +34,14 @@ gpu::BufferHandle CachingDeviceAllocator::pop_cached(std::int64_t cls) {
 }
 
 gpu::BufferHandle CachingDeviceAllocator::allocate(std::int64_t bytes) {
+  return obtain(bytes, /*zeroed=*/true);
+}
+
+gpu::BufferHandle CachingDeviceAllocator::allocate_for_overwrite(std::int64_t bytes) {
+  return obtain(bytes, /*zeroed=*/false);
+}
+
+gpu::BufferHandle CachingDeviceAllocator::obtain(std::int64_t bytes, bool zeroed) {
   if (bytes < 0) throw gpu::DeviceMemoryError(cat("allocate(", bytes, ") is negative"));
   const std::int64_t cls = size_class(bytes);
   std::lock_guard<std::mutex> lock(mutex_);
@@ -42,13 +50,11 @@ gpu::BufferHandle CachingDeviceAllocator::allocate(std::int64_t bytes) {
     ++stats_.hits;
     stats_.cached_blocks -= 1;
     stats_.cached_bytes -= cls;
-    // Fresh pool blocks are zero-initialised; recycled ones must look
-    // the same or results stop being bit-exact.
-    auto raw = pool_->bytes(block);
-    std::memset(raw.data(), 0, raw.size());
   } else {
+    // The class block comes from the pool unzeroed: only the requested
+    // bytes are ever visible, and a zeroed request clears them below.
     try {
-      block = pool_->allocate(cls);
+      block = pool_->allocate_for_overwrite(cls);
     } catch (const gpu::DeviceMemoryError&) {
       // Device OOM with a warm cache: give the parked blocks back and
       // retry once (CUB does the same before surfacing cudaErrorMemoryAllocation).
@@ -65,9 +71,15 @@ gpu::BufferHandle CachingDeviceAllocator::allocate(std::int64_t bytes) {
         ids.clear();
       }
       if (released == 0) throw;
-      block = pool_->allocate(cls);
+      block = pool_->allocate_for_overwrite(cls);
     }
     ++stats_.misses;
+  }
+  // Hand out the logical size; the backing store keeps the class size.
+  const gpu::BufferHandle handle{block.id, bytes};
+  if (zeroed) {
+    auto raw = pool_->bytes(handle);
+    std::memset(raw.data(), 0, raw.size());
   }
   live_.emplace(block.id, cls);
   live_req_.emplace(block.id, bytes);
@@ -75,8 +87,7 @@ gpu::BufferHandle CachingDeviceAllocator::allocate(std::int64_t bytes) {
   stats_.live_bytes += cls;
   stats_.requested_bytes += bytes;
   stats_.pool_peak_bytes = pool_->peak_bytes();
-  // Hand out the logical size; the backing store keeps the class size.
-  return gpu::BufferHandle{block.id, bytes};
+  return handle;
 }
 
 void CachingDeviceAllocator::enforce_cap_locked(std::int64_t cls) {

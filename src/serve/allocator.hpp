@@ -23,9 +23,11 @@ namespace saclo::serve {
 /// keeps a serving fleet off the (real-world, milliseconds-long)
 /// cudaMalloc/cudaFree path.
 ///
-/// Reused blocks are zero-filled before they are handed out, so
-/// functional results are bit-exact with fresh pool allocations (the
-/// simulator zero-initialises, as several pipelines rely on).
+/// allocate() zero-fills the requested bytes of every block it hands
+/// out, fresh or reused, so it reads like a fresh pool allocation;
+/// allocate_for_overwrite() hands a block out as it is (the caller
+/// writes every element first). Either way a handle's views span only
+/// the requested bytes, never a previous owner's tail.
 ///
 /// Thread-safe; in the fleet each device's dispatcher owns one
 /// instance, while the metrics exporter reads stats() concurrently.
@@ -51,6 +53,9 @@ class CachingDeviceAllocator final : public gpu::BufferAllocator {
   /// size class). Prefers a cached block; falls back to the pool, and
   /// on device OOM trims the cache once and retries.
   gpu::BufferHandle allocate(std::int64_t bytes) override;
+  /// The same block choice without the zero-fill. Hits and misses count
+  /// in stats() like allocate()'s.
+  gpu::BufferHandle allocate_for_overwrite(std::int64_t bytes) override;
 
   /// Parks the block for reuse. Throws DeviceMemoryError on a double
   /// free of a cached handle; handles this allocator never saw are
@@ -109,6 +114,7 @@ class CachingDeviceAllocator final : public gpu::BufferAllocator {
   Stats stats() const;
 
  private:
+  gpu::BufferHandle obtain(std::int64_t bytes, bool zeroed);
   gpu::BufferHandle pop_cached(std::int64_t cls);
   /// Evicts least-recently-parked blocks of `cls` until its parked
   /// bytes fit the cap. Caller holds mutex_.

@@ -60,6 +60,18 @@ TEST(FramesTest, SyntheticChannelMatchesTheClosedFormOnEveryPixel) {
     if ((x + y + 3 * t) % std::max<std::int64_t>(w / 4, 1) < 8) v = (v + 128) % 256;
     return v;
   };
+  auto expect_closed_form = [&](const Shape& s, int t, int c) {
+    const IntArray a = synthetic_channel(s, t, c);
+    ASSERT_EQ(a.shape(), s);
+    for (std::int64_t y = 0; y < s[0]; ++y) {
+      for (std::int64_t x = 0; x < s[1]; ++x) {
+        if (a[y * s[1] + x] == pixel(y, x, s[1], t, c)) continue;
+        FAIL() << "shape " << s.to_string() << " frame " << t << " channel " << c << " at ("
+               << y << ", " << x << "): " << a[y * s[1] + x] << " vs "
+               << pixel(y, x, s[1], t, c);
+      }
+    }
+  };
   const Shape shapes[] = {DownscalerConfig::tiny().frame_shape(),
                           DownscalerConfig::small().frame_shape(),
                           Shape{1, 1},
@@ -70,16 +82,16 @@ TEST(FramesTest, SyntheticChannelMatchesTheClosedFormOnEveryPixel) {
   for (const Shape& s : shapes) {
     for (int t : {0, 3, 11}) {
       for (int c : {0, 1, 2}) {
-        const IntArray a = synthetic_channel(s, t, c);
-        ASSERT_EQ(a.shape(), s);
-        for (std::int64_t y = 0; y < s[0]; ++y) {
-          for (std::int64_t x = 0; x < s[1]; ++x) {
-            ASSERT_EQ(a[y * s[1] + x], pixel(y, x, s[1], t, c))
-                << "shape " << s.to_string() << " frame " << t << " channel " << c << " at ("
-                << y << ", " << x << ")";
-          }
-        }
+        expect_closed_form(s, t, c);
+        if (::testing::Test::HasFatalFailure()) return;
       }
+    }
+  }
+  // Paper geometry, where the carried bar phase wraps 2+ times a row.
+  for (int t : {0, 1, 2, 3}) {
+    for (int c : {0, 1, 2}) {
+      expect_closed_form(DownscalerConfig::paper().frame_shape(), t, c);
+      if (::testing::Test::HasFatalFailure()) return;
     }
   }
 }

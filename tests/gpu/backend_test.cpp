@@ -51,11 +51,7 @@ std::vector<std::int32_t> drive_sequence(ExecutionBackend& backend, RecordingObs
   std::iota(data.begin(), data.end(), 1);
   std::vector<std::int32_t> device(64);
 
-  auto bytes_of = [](std::vector<std::int32_t>& v) {
-    return std::span<std::byte>(reinterpret_cast<std::byte*>(v.data()), v.size() * 4);
-  };
-  backend.transfer(Dir::HostToDevice, bytes_of(device),
-                   std::span<const std::byte>(bytes_of(data)), 64 * 4, /*execute=*/true);
+  backend.transfer(Dir::HostToDevice, 64 * 4, [&] { device = data; });
 
   KernelLaunch scale;
   scale.name = "scale2";
@@ -75,8 +71,7 @@ std::vector<std::int32_t> drive_sequence(ExecutionBackend& backend, RecordingObs
   backend.launch_kernel(accounted, /*execute=*/false);
 
   std::vector<std::int32_t> back(64);
-  backend.transfer(Dir::DeviceToHost, bytes_of(back), std::span<const std::byte>(bytes_of(device)),
-                   64 * 4, /*execute=*/true);
+  backend.transfer(Dir::DeviceToHost, 64 * 4, [&] { back = device; });
   return back;
 }
 
@@ -170,13 +165,8 @@ TEST(BackendTest, ObserverThrowAbortsTheOpBeforeAnyWork) {
 
     std::vector<std::int32_t> src(8, 7);
     std::vector<std::int32_t> dst(8, 0);
-    EXPECT_THROW(
-        backend->transfer(Dir::HostToDevice,
-                          std::span<std::byte>(reinterpret_cast<std::byte*>(dst.data()), 32),
-                          std::span<const std::byte>(
-                              reinterpret_cast<const std::byte*>(src.data()), 32),
-                          32, true),
-        fault::DeviceFault)
+    EXPECT_THROW(backend->transfer(Dir::HostToDevice, 32, [&] { dst = src; }),
+                 fault::DeviceFault)
         << backend->name();
     EXPECT_EQ(dst, std::vector<std::int32_t>(8, 0))
         << backend->name() << " moved data past a faulted boundary";
@@ -204,6 +194,16 @@ TEST(BackendTest, DurationsArePositiveAndModelExactForSim) {
   EXPECT_GT(host->launch_kernel(k, true), 0.0);
   EXPECT_DOUBLE_EQ(host->launch_kernel(k, false), modeled)
       << "accounting-only ops have nothing to measure: model time";
+
+  // Transfers likewise: sim charges the model and runs the move; host
+  // times the move, and a transfer without one charges the model.
+  const double modeled_copy = transfer_time_us(spec, 4096, Dir::HostToDevice);
+  int moves = 0;
+  EXPECT_DOUBLE_EQ(sim->transfer(Dir::HostToDevice, 4096, [&] { ++moves; }), modeled_copy);
+  EXPECT_DOUBLE_EQ(sim->transfer(Dir::HostToDevice, 4096, {}), modeled_copy);
+  EXPECT_GE(host->transfer(Dir::HostToDevice, 4096, [&] { ++moves; }), 0.0);
+  EXPECT_DOUBLE_EQ(host->transfer(Dir::HostToDevice, 4096, {}), modeled_copy);
+  EXPECT_EQ(moves, 2);
 }
 
 // Fault-boundary parity through the full VirtualGpu stack: the same

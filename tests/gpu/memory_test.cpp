@@ -52,6 +52,30 @@ TEST(DeviceMemoryPoolTest, OutOfMemoryThrows) {
   (void)pool.allocate(256);
 }
 
+TEST(DeviceMemoryPoolTest, AllocateZeroesAndForOverwriteAccountsTheSame) {
+  DeviceMemoryPool pool(4096);
+  const BufferHandle a = pool.allocate(100);
+  ASSERT_EQ(pool.bytes(a).size(), 100u);
+  for (std::byte b : pool.bytes(a)) EXPECT_EQ(b, std::byte{0});
+  const BufferHandle b = pool.allocate_for_overwrite(300);
+  EXPECT_EQ(b.bytes, 300);
+  EXPECT_EQ(pool.bytes(b).size(), 300u);
+  EXPECT_EQ(pool.used_bytes(), 256 + 512);
+  EXPECT_THROW(pool.allocate_for_overwrite(4096), DeviceMemoryError);
+  pool.free(b);
+  pool.free(a);
+  EXPECT_EQ(pool.used_bytes(), 0);
+}
+
+TEST(DeviceMemoryPoolTest, ViewsSpanTheHandlesBytes) {
+  DeviceMemoryPool pool(4096);
+  const BufferHandle a = pool.allocate(64);
+  EXPECT_EQ(pool.view<std::int32_t>(a).size(), 16u);
+  EXPECT_EQ(pool.bytes(BufferHandle{a.id, 40}).size(), 40u);
+  EXPECT_THROW(pool.bytes(BufferHandle{a.id, 65}), DeviceMemoryError);
+  EXPECT_THROW(pool.bytes(BufferHandle{a.id, -1}), DeviceMemoryError);
+}
+
 TEST(DeviceMemoryPoolTest, DoubleFreeThrows) {
   DeviceMemoryPool pool(1024);
   const BufferHandle a = pool.allocate(10);

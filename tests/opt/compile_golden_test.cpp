@@ -85,5 +85,18 @@ TEST(CompileGolden, PaperOpenClSourceHashes) {
             16249790246316034401ull);
 }
 
+// Every paper task's host body walks its last repetition dimension,
+// the one that steps along the output rows.
+TEST(HostWalkGolden, PaperTasksWalkTheirLastRepetitionDimension) {
+  for (int level : {0, 1, 2}) {
+    const GaspardDownscaler gd = paper_downscaler(level);
+    const gaspard::OpenClApplication& app = gd.application();
+    for (const gaspard::TaskKernel& k : app.kernels()) {
+      EXPECT_EQ(k.walk_dim, app.model().tasks()[k.task].repetition.rank() - 1)
+          << "O" << level << " " << k.name;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace saclo::opt

@@ -97,5 +97,30 @@ TEST(SacPlanGolden, PaperCudaSourceHashes) {
   EXPECT_EQ(fnv1a(g.v_program().cuda_source()), 15236119321398993111ull);
 }
 
+// The host's walk order, unlike everything above, is the host's own:
+// at paper geometry every kernel walks its last lattice dimension, the
+// frame row, so consecutive items store next to each other. A boundary
+// kernel whose lattice is one column wide walks down that column.
+TEST(HostWalkGolden, PaperKernelsWalkTheFrameRow) {
+  int rows = 0;
+  int columns = 0;
+  for (bool generic : {false, true}) {
+    const SacDownscaler sd = paper_downscaler(generic);
+    for (const CudaProgram* p : {&sd.h_program(), &sd.v_program()}) {
+      for (const Step& s : p->steps()) {
+        if (s.kind != Step::Kind::Kernels) continue;
+        for (const GenKernel& k : s.group.kernels) {
+          ASSERT_EQ(k.lattice.rank(), 2u) << k.name;
+          const bool column = k.lattice.dims[1].extent == 1;
+          EXPECT_EQ(k.walk_dim, column ? 0u : 1u) << k.name;
+          (column ? columns : rows) += 1;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(rows, 14);
+  EXPECT_EQ(columns, 2);
+}
+
 }  // namespace
 }  // namespace saclo::sac_cuda

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 
 #include "gpu/memory.hpp"
@@ -26,7 +27,8 @@ TEST(CachingAllocatorTest, ReusesAFreedBlockOfTheSameClass) {
 
   const gpu::BufferHandle a = cache.allocate(100);
   EXPECT_EQ(a.bytes, 100);  // logical size; backing store is the class
-  EXPECT_EQ(pool.bytes(a).size(), 256u);
+  EXPECT_EQ(pool.used_bytes(), 256);
+  EXPECT_EQ(pool.bytes(a).size(), 100u);  // views stop at the logical size
   cache.free(a);
 
   // Same class (256) -> served from the cache, same pool buffer.
@@ -69,6 +71,77 @@ TEST(CachingAllocatorTest, RecycledBlocksComeBackZeroFilled) {
   const gpu::BufferHandle b = cache.allocate(64);
   ASSERT_EQ(b.id, a.id);
   for (std::byte byte : pool.bytes(b)) EXPECT_EQ(byte, std::byte{0});
+}
+
+TEST(CachingAllocatorTest, ViewsAreTightOnABlockOfALargerClass) {
+  gpu::DeviceMemoryPool pool(1 << 20);
+  CachingDeviceAllocator cache(pool);
+
+  const gpu::BufferHandle a = cache.allocate_for_overwrite(500);  // class 512
+  EXPECT_EQ(pool.bytes(a).size(), 500u);
+  for (std::byte& b : pool.bytes(a)) b = std::byte{0xAB};
+  cache.free(a);
+
+  // A smaller request reuses the block; its views stop at 300 bytes, so
+  // the previous owner's bytes 300..499 are out of reach.
+  const gpu::BufferHandle b = cache.allocate_for_overwrite(300);
+  ASSERT_EQ(b.id, a.id);
+  EXPECT_EQ(pool.bytes(b).size(), 300u);
+  EXPECT_EQ(pool.view<std::int32_t>(b).size(), 75u);
+  // A handle claiming more than its block is refused, not widened.
+  EXPECT_THROW(pool.bytes(gpu::BufferHandle{b.id, 513}), gpu::DeviceMemoryError);
+}
+
+TEST(CachingAllocatorTest, ForOverwriteReusesABlockAsItIs) {
+  gpu::DeviceMemoryPool pool(1 << 20);
+  CachingDeviceAllocator cache(pool);
+
+  const gpu::BufferHandle a = cache.allocate(64);
+  for (std::byte& b : pool.bytes(a)) b = std::byte{0xAB};
+  cache.free(a);
+
+  const gpu::BufferHandle b = cache.allocate_for_overwrite(64);
+  ASSERT_EQ(b.id, a.id);
+  for (std::byte byte : pool.bytes(b)) EXPECT_EQ(byte, std::byte{0xAB}) << "no memset on reuse";
+}
+
+TEST(CachingAllocatorTest, AllocateZeroesABlockLastUsedForOverwrite) {
+  gpu::DeviceMemoryPool pool(1 << 20);
+  CachingDeviceAllocator cache(pool);
+
+  const gpu::BufferHandle a = cache.allocate_for_overwrite(1000);
+  for (std::byte& b : pool.bytes(a)) b = std::byte{0xAB};
+  cache.free(a);
+
+  const gpu::BufferHandle b = cache.allocate(900);
+  ASSERT_EQ(b.id, a.id);
+  ASSERT_EQ(pool.bytes(b).size(), 900u);
+  for (std::byte byte : pool.bytes(b)) EXPECT_EQ(byte, std::byte{0});
+}
+
+TEST(CachingAllocatorTest, StatsCountAllocateAndAllocateForOverwrite) {
+  gpu::DeviceMemoryPool pool(1 << 20);
+  CachingDeviceAllocator cache(pool);
+
+  const gpu::BufferHandle a = cache.allocate_for_overwrite(100);  // miss
+  const gpu::BufferHandle b = cache.allocate(100);                // miss
+  cache.free(a);
+  cache.free(b);
+  const gpu::BufferHandle c = cache.allocate(200);                // hit
+  const gpu::BufferHandle d = cache.allocate_for_overwrite(200);  // hit
+  const gpu::BufferHandle e = cache.allocate_for_overwrite(4000);  // miss
+
+  const CachingDeviceAllocator::Stats s = cache.stats();
+  EXPECT_EQ(s.misses, 3);
+  EXPECT_EQ(s.hits, 2);
+  EXPECT_EQ(s.frees, 2);
+  EXPECT_EQ(s.live_blocks, 3);
+  EXPECT_EQ(s.requested_bytes, 4400);
+  EXPECT_EQ(s.live_bytes, 256 + 256 + 4096);
+  cache.free(c);
+  cache.free(d);
+  cache.free(e);
+  EXPECT_EQ(cache.stats().live_blocks, 0);
 }
 
 TEST(CachingAllocatorTest, DoubleFreeOfARecycledHandleThrows) {
