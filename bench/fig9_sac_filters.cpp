@@ -27,13 +27,15 @@ void reproduce_fig9() {
   g_opts.generic = true;
   SacDownscaler ng(cfg, ng_opts);
   SacDownscaler g(cfg, g_opts);
+  auto ng_filters = ng.filter_programs();
+  auto g_filters = g.filter_programs();
 
-  auto seq_ng = ng.run_seq(kFrames, 0);
-  auto seq_g = g.run_seq(kFrames, 0);
-  auto cuda_ng_h = ng.run_cuda_filter(true, kFrames, 0);
-  auto cuda_ng_v = ng.run_cuda_filter(false, kFrames, 0);
-  auto cuda_g_h = g.run_cuda_filter(true, kFrames, 0);
-  auto cuda_g_v = g.run_cuda_filter(false, kFrames, 0);
+  auto seq_ng = ng.run_seq(ng_filters, kFrames, false);
+  auto seq_g = g.run_seq(g_filters, kFrames, false);
+  auto cuda_ng_h = ng.run_cuda_filter(ng_filters.h, kFrames, false);
+  auto cuda_ng_v = ng.run_cuda_filter(ng_filters.v, kFrames, false);
+  auto cuda_g_h = g.run_cuda_filter(g_filters.h, kFrames, false);
+  auto cuda_g_v = g.run_cuda_filter(g_filters.v, kFrames, false);
 
   std::printf("%-26s %16s %16s\n", "", "Horizontal", "Vertical");
   auto bar = [](const char* label, double h_us, double v_us) {
@@ -79,8 +81,9 @@ void BM_Fig9SimulatedIterationNonGeneric(benchmark::State& state) {
   const DownscalerConfig cfg = DownscalerConfig::paper();
   SacDownscaler::Options opts;
   SacDownscaler sac(cfg, opts);
+  auto filters = sac.filter_programs();
   for (auto _ : state) {
-    auto r = sac.run_cuda_filter(true, 1, 0);
+    auto r = sac.run_cuda_filter(filters.h, 1, false);
     benchmark::DoNotOptimize(r.ops.total_us());
   }
 }
@@ -90,8 +93,9 @@ void BM_Fig9SequentialEstimate(benchmark::State& state) {
   const DownscalerConfig cfg = DownscalerConfig::paper();
   SacDownscaler::Options opts;
   SacDownscaler sac(cfg, opts);
+  const auto filters = sac.filter_programs();
   for (auto _ : state) {
-    auto r = sac.run_seq(1, 0);
+    auto r = sac.run_seq(filters, 1, false);
     benchmark::DoNotOptimize(r.total_us());
   }
 }

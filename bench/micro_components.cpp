@@ -192,10 +192,8 @@ void BM_SacPaperKernel(benchmark::State& state) {
   opts.backend = gpu::BackendKind::Host;
   SacDownscaler sd(DownscalerConfig::paper(), opts);
   std::map<std::string, std::int64_t> items;
-  for (const auto* prog : {&sd.h_program(), &sd.v_program()}) {
-    for (const auto& step : prog->steps()) {
-      for (const auto& k : step.group.kernels) items[k.name] = k.threads;
-    }
+  for (const auto& step : sd.program().steps()) {
+    for (const auto& k : step.group.kernels) items[k.name] = k.threads;
   }
   time_paper_kernels(state, items, [&](gpu::VirtualGpu& gpu) {
     sd.run_cuda_chain_on(gpu, /*frames=*/1, /*channels=*/1, /*exec_frames=*/1);

@@ -37,16 +37,18 @@ int main(int argc, char** argv) {
 
   std::printf("kernels per filter invocation (non-generic): H=%d V=%d\n",
               nongeneric.h_kernels(), nongeneric.v_kernels());
-  std::printf("host-executed blocks (generic H filter): %d — the for-loop output tiler\n\n",
-              generic.h_program().host_block_count());
+  std::printf("host-executed blocks (generic H and V): %d — the for-loop output tilers\n\n",
+              generic.program().host_block_count());
 
   const int frames = 30;
-  auto seq_ng = nongeneric.run_seq(frames, 1);
-  auto seq_g = generic.run_seq(frames, 0);
-  auto cuda_ng_h = nongeneric.run_cuda_filter(true, frames, 1);
-  auto cuda_ng_v = nongeneric.run_cuda_filter(false, frames, 1);
-  auto cuda_g_h = generic.run_cuda_filter(true, frames, 1);
-  auto cuda_g_v = generic.run_cuda_filter(false, frames, 1);
+  auto ng_filters = nongeneric.filter_programs();
+  auto g_filters = generic.filter_programs();
+  auto seq_ng = nongeneric.run_seq(ng_filters, frames, true);
+  auto seq_g = generic.run_seq(g_filters, frames, false);
+  auto cuda_ng_h = nongeneric.run_cuda_filter(ng_filters.h, frames, true);
+  auto cuda_ng_v = nongeneric.run_cuda_filter(ng_filters.v, frames, true);
+  auto cuda_g_h = generic.run_cuda_filter(g_filters.h, frames, true);
+  auto cuda_g_v = generic.run_cuda_filter(g_filters.v, frames, true);
 
   std::printf("simulated filter times, %d iterations (H / V):\n", frames);
   std::printf("  SAC-Seq  Non-Generic : %8.1f ms / %8.1f ms\n", seq_ng.h_us / 1e3,
@@ -63,21 +65,18 @@ int main(int argc, char** argv) {
   auto chain = nongeneric.run_cuda_chain(1, 3, 1);
   std::printf("\nper-frame RGB chain profile:\n%s\n", nongeneric.nvprof_table(chain).c_str());
 
-  // Reassemble the channels for the PPM (re-run per channel).
+  // Reassemble the channels for the PPM (one chain run per channel).
   gpu::VirtualGpu device(gpu::gtx480());
   gpu::cuda::Runtime rt(device);
   gpu::Profiler host_profiler;
   RgbFrame out;
   IntArray* channels[3] = {&out.r, &out.g, &out.b};
   for (int ch = 0; ch < 3; ++ch) {
-    // Move the frames in and out: a braced argument list would copy them.
-    std::vector<sac::Value> h_args(1);
-    h_args[0] = synthetic_channel(cfg.frame_shape(), 0, ch);
-    std::vector<sac::Value> v_args(1);
-    v_args[0] = const_cast<sac_cuda::CudaProgram&>(nongeneric.h_program())
-                    .run(rt, std::move(h_args), gpu::i7_930(), host_profiler, true);
-    sac::Value res = const_cast<sac_cuda::CudaProgram&>(nongeneric.v_program())
-                         .run(rt, std::move(v_args), gpu::i7_930(), host_profiler, true);
+    // Move the frame in and out: a braced argument list would copy it.
+    std::vector<sac::Value> args(1);
+    args[0] = synthetic_channel(cfg.frame_shape(), 0, ch);
+    sac::Value res =
+        nongeneric.program().run(rt, std::move(args), gpu::i7_930(), host_profiler, true);
     *channels[ch] = std::move(res.ints());
   }
   write_ppm(out_path, out);

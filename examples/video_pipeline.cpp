@@ -55,14 +55,10 @@ int[*] frame_stats(int[*] frame) {
     RgbFrame out;
     IntArray* channels[3] = {&out.r, &out.g, &out.b};
     for (int ch = 0; ch < 3; ++ch) {
-      // Move the frames in and out: a braced argument list would copy them.
-      std::vector<sac::Value> h_args(1);
-      h_args[0] = synthetic_channel(cfg.frame_shape(), f, ch);
-      std::vector<sac::Value> v_args(1);
-      v_args[0] = const_cast<sac_cuda::CudaProgram&>(sac.h_program())
-                      .run(rt, std::move(h_args), gpu::i7_930(), host_profiler, true);
-      sac::Value res = const_cast<sac_cuda::CudaProgram&>(sac.v_program())
-                           .run(rt, std::move(v_args), gpu::i7_930(), host_profiler, true);
+      // Move the frame in and out: a braced argument list would copy it.
+      std::vector<sac::Value> args(1);
+      args[0] = synthetic_channel(cfg.frame_shape(), f, ch);
+      sac::Value res = sac.program().run(rt, std::move(args), gpu::i7_930(), host_profiler, true);
       *channels[ch] = std::move(res.ints());
     }
     const sac::Value stats =

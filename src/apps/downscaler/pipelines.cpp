@@ -6,7 +6,6 @@
 #include "apps/downscaler/frames.hpp"
 #include "core/fmt.hpp"
 #include "sac/parser.hpp"
-#include "sac/typecheck.hpp"
 
 namespace saclo::apps {
 
@@ -25,45 +24,48 @@ OpBreakdown& OpBreakdown::operator+=(const OpBreakdown& other) {
   return *this;
 }
 
-OpBreakdown breakdown_totals(const gpu::Profiler& gpu_profiler,
-                             const gpu::Profiler& host_profiler) {
-  OpBreakdown b;
-  for (const auto& row : gpu_profiler.rows()) {
+namespace {
+
+/// Adds what `profiler` recorded since its rows were `before` to the
+/// two filters: kernel and host rows to H when `is_h` names them, else
+/// to V; uploads to H (they feed it) and downloads to V. Only the delta
+/// counts, since a fleet device's profiler is cumulative.
+void split_rows(const gpu::Profiler& profiler, const std::vector<gpu::Profiler::Row>& before,
+                const std::function<bool(const std::string&)>& is_h, OpBreakdown& h,
+                OpBreakdown& v) {
+  const std::vector<gpu::Profiler::Row>& rows = profiler.rows();
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const gpu::Profiler::Row& row = rows[i];
+    std::int64_t calls = row.calls;
+    double us = row.total_us;
+    if (i < before.size()) {  // rows only ever append: row i is the same op
+      calls -= before[i].calls;
+      us -= before[i].total_us;
+    }
+    if (calls == 0 && us == 0.0) continue;
     switch (row.kind) {
-      case gpu::OpKind::Kernel:
-        b.kernel_us += row.total_us;
-        b.kernel_launches += row.calls;
+      case gpu::OpKind::Kernel: {
+        OpBreakdown& b = is_h(row.name) ? h : v;
+        b.kernel_us += us;
+        b.kernel_launches += calls;
         break;
+      }
       case gpu::OpKind::MemcpyHtoD:
-        b.h2d_us += row.total_us;
-        b.h2d_calls += row.calls;
+        h.h2d_us += us;
+        h.h2d_calls += calls;
         break;
       case gpu::OpKind::MemcpyDtoH:
-        b.d2h_us += row.total_us;
-        b.d2h_calls += row.calls;
+        v.d2h_us += us;
+        v.d2h_calls += calls;
         break;
       case gpu::OpKind::Host:
-        b.host_us += row.total_us;
+        (is_h(row.name) ? h : v).host_us += us;
         break;
     }
   }
-  b.host_us += host_profiler.total_us(gpu::OpKind::Host);
-  return b;
 }
 
-OpBreakdown breakdown_delta(const gpu::Profiler& gpu_profiler, const gpu::Profiler& host_profiler,
-                            const OpBreakdown& before) {
-  OpBreakdown now = breakdown_totals(gpu_profiler, host_profiler);
-  OpBreakdown d;
-  d.kernel_us = now.kernel_us - before.kernel_us;
-  d.h2d_us = now.h2d_us - before.h2d_us;
-  d.d2h_us = now.d2h_us - before.d2h_us;
-  d.host_us = now.host_us - before.host_us;
-  d.kernel_launches = now.kernel_launches - before.kernel_launches;
-  d.h2d_calls = now.h2d_calls - before.h2d_calls;
-  d.d2h_calls = now.d2h_calls - before.d2h_calls;
-  return d;
-}
+}  // namespace
 
 std::string nvprof_style_table(const std::string& h_label, const OpBreakdown& h,
                                const std::string& v_label, const OpBreakdown& v) {
@@ -90,21 +92,31 @@ std::vector<Value> single_arg(Value v) {
   args.push_back(std::move(v));
   return args;
 }
+
+std::string filter_fn(bool horizontal, bool generic) {
+  return cat(horizontal ? "hfilter_" : "vfilter_", generic ? "generic" : "nongeneric");
+}
 }  // namespace
 
 SacDownscaler::SacDownscaler(const DownscalerConfig& config, const Options& options)
     : cfg_(config), opts_(options) {
   cfg_.validate();
   module_ = sac::parse(downscaler_sac_source(cfg_));
-  sac::typecheck(module_);
+  prog_ = sac_cuda::CudaProgram::plan(
+      compile(opts_.generic ? "downscale_generic" : "downscale_nongeneric", cfg_.frame_shape()));
+  h_rows_ = prog_.rows_of(filter_fn(true, opts_.generic));
+}
+
+sac::CompiledFunction SacDownscaler::compile(const std::string& fn, const Shape& shape) const {
   sac::CompileOptions copts;
   copts.enable_wlf = opts_.enable_wlf;
-  const std::string h_fn = opts_.generic ? "hfilter_generic" : "hfilter_nongeneric";
-  const std::string v_fn = opts_.generic ? "vfilter_generic" : "vfilter_nongeneric";
-  h_fn_ = sac::compile(module_, h_fn, {ArgSpec::array(ElemType::Int, cfg_.frame_shape())}, copts);
-  v_fn_ = sac::compile(module_, v_fn, {ArgSpec::array(ElemType::Int, cfg_.mid_shape())}, copts);
-  h_prog_ = sac_cuda::CudaProgram::plan(h_fn_);
-  v_prog_ = sac_cuda::CudaProgram::plan(v_fn_);
+  return sac::compile(module_, fn, {ArgSpec::array(ElemType::Int, shape)}, copts);
+}
+
+int SacDownscaler::h_kernels() const { return prog_.kernel_count(filter_fn(true, opts_.generic)); }
+
+int SacDownscaler::v_kernels() const {
+  return prog_.kernel_count(filter_fn(false, opts_.generic));
 }
 
 SacDownscaler::CudaResult SacDownscaler::run_cuda_chain(int frames, int channels,
@@ -122,6 +134,7 @@ SacDownscaler::CudaResult SacDownscaler::run_cuda_chain_on(gpu::VirtualGpu& gpu,
   gpu::Profiler host_profiler;
   CudaResult result;
   const double clock0 = gpu.clock_us();
+  const std::vector<gpu::Profiler::Row> rows_before = gpu.profiler().rows();
 
   std::optional<gpu::StreamSet> streams;
   if (opts_.async_streams) {
@@ -153,22 +166,10 @@ SacDownscaler::CudaResult SacDownscaler::run_cuda_chain_on(gpu::VirtualGpu& gpu,
 
       Value frame;
       if (exec) frame = Value(synthetic_channel(cfg_.frame_shape(), f, ch));
-
-      OpBreakdown before = breakdown_totals(gpu.profiler(), host_profiler);
-      sac_cuda::CudaProgram::RunOptions hopts;
-      hopts.execute = exec;
-      hopts.silent_result = true;  // the intermediate stays on the device
-      hopts.streams = streams;
-      Value mid = h_prog_.run(rt, single_arg(std::move(frame)), opts_.host, host_profiler, hopts);
-      result.h += breakdown_delta(gpu.profiler(), host_profiler, before);
-
-      before = breakdown_totals(gpu.profiler(), host_profiler);
-      sac_cuda::CudaProgram::RunOptions vopts;
-      vopts.execute = exec;
-      vopts.silent_params.insert(v_prog_.compiled().fn.params[0].second);
-      vopts.streams = streams;
-      Value out = v_prog_.run(rt, single_arg(std::move(mid)), opts_.host, host_profiler, vopts);
-      result.v += breakdown_delta(gpu.profiler(), host_profiler, before);
+      sac_cuda::CudaProgram::RunOptions ropts;
+      ropts.execute = exec;
+      ropts.streams = streams;
+      Value out = prog_.run(rt, single_arg(std::move(frame)), opts_.host, host_profiler, ropts);
 
       if (streams) iter_done.push_back(gpu.record_event(streams->compute));
       ++iter;
@@ -177,6 +178,9 @@ SacDownscaler::CudaResult SacDownscaler::run_cuda_chain_on(gpu::VirtualGpu& gpu,
     if (on_frame) on_frame(f);
   }
   if (flush) gpu.synchronize();
+  const auto is_h = [this](const std::string& row) { return h_rows_.count(row) > 0; };
+  split_rows(gpu.profiler(), rows_before, is_h, result.h, result.v);
+  split_rows(host_profiler, {}, is_h, result.h, result.v);
   // Async host blocks run on the gpu timeline (host stream) and are
   // already inside the makespan; sync ones live in host_profiler. On a
   // fleet device the clock is cumulative, so the job's wall time is the
@@ -186,56 +190,50 @@ SacDownscaler::CudaResult SacDownscaler::run_cuda_chain_on(gpu::VirtualGpu& gpu,
 }
 
 std::string SacDownscaler::nvprof_table(const CudaResult& result) const {
-  return nvprof_style_table(cat("H. Filter (", h_prog_.kernel_count(), " kernels)"), result.h,
-                            cat("V. Filter (", v_prog_.kernel_count(), " kernels)"), result.v);
+  return nvprof_style_table(cat("H. Filter (", h_kernels(), " kernels)"), result.h,
+                            cat("V. Filter (", v_kernels(), " kernels)"), result.v);
 }
 
-SacDownscaler::FilterResult SacDownscaler::run_cuda_filter(bool horizontal, int iterations,
-                                                           int exec_iterations,
-                                                           bool resident_data) {
+SacDownscaler::FilterPrograms SacDownscaler::filter_programs() const {
+  auto plan = [this](bool horizontal, const Shape& shape) {
+    return sac_cuda::CudaProgram::plan(compile(filter_fn(horizontal, opts_.generic), shape));
+  };
+  return {plan(true, cfg_.frame_shape()), plan(false, cfg_.mid_shape())};
+}
+
+SacDownscaler::FilterResult SacDownscaler::run_cuda_filter(sac_cuda::CudaProgram& filter,
+                                                           int iterations, bool execute) const {
   gpu::VirtualGpu gpu(opts_.device, opts_.workers, opts_.backend);
   gpu::cuda::Runtime rt(gpu);
   gpu::Profiler host_profiler;
-  sac_cuda::CudaProgram& prog = horizontal ? h_prog_ : v_prog_;
-  const Shape in_shape = horizontal ? cfg_.frame_shape() : cfg_.mid_shape();
+  const sac::CompiledFunction& fn = filter.compiled();
+  Value input;
+  if (execute) input = Value(synthetic_channel(fn.param_shapes.at(fn.fn.params[0].second), 0, 0));
+  sac_cuda::CudaProgram::RunOptions opts;
+  opts.execute = execute;
+  opts.repetitions = iterations;
+  Value out = filter.run(rt, single_arg(std::move(input)), opts_.host, host_profiler, opts);
   FilterResult result;
-  result.kernels = prog.kernel_count();
-  const std::string& param = prog.compiled().fn.params[0].second;
-  for (int i = 0; i < iterations; ++i) {
-    const bool exec = i < exec_iterations;
-    Value input;
-    if (exec) input = Value(synthetic_channel(in_shape, resident_data ? 0 : i, 0));
-    sac_cuda::CudaProgram::RunOptions opts;
-    opts.execute = exec;
-    if (resident_data && i > 0) {
-      // The benchmark loop iterates over device-resident data: only the
-      // first iteration pays the upload, and results are fetched once
-      // at the end.
-      opts.silent_params.insert(param);
-    }
-    if (resident_data && i + 1 < iterations) opts.silent_result = true;
-    Value out = prog.run(rt, single_arg(std::move(input)), opts_.host, host_profiler, opts);
-    if (exec) result.last_output = std::move(out.ints());
-  }
-  result.ops = breakdown_totals(gpu.profiler(), host_profiler);
+  result.kernels = filter.kernel_count();
+  if (execute) result.last_output = std::move(out.ints());
+  const auto all = [](const std::string&) { return true; };
+  split_rows(gpu.profiler(), {}, all, result.ops, result.ops);
+  split_rows(host_profiler, {}, all, result.ops, result.ops);
   return result;
 }
 
-SacDownscaler::SeqResult SacDownscaler::run_seq(int iterations, int exec_iterations) {
+SacDownscaler::SeqResult SacDownscaler::run_seq(const FilterPrograms& filters, int iterations,
+                                                bool execute) const {
   SeqResult result;
-  const bool exec = exec_iterations > 0;
-  Value frame;
-  if (exec) frame = Value(synthetic_channel(cfg_.frame_shape(), 0, 0));
-  sac_cuda::HostRunResult h =
-      sac_cuda::run_sequential(h_fn_, exec ? std::vector<Value>{frame} : std::vector<Value>{},
-                               opts_.host, exec);
-  Value mid = h.result;
-  sac_cuda::HostRunResult v =
-      sac_cuda::run_sequential(v_fn_, exec ? std::vector<Value>{mid} : std::vector<Value>{},
-                               opts_.host, exec);
+  std::vector<Value> h_args;
+  if (execute) h_args.push_back(Value(synthetic_channel(cfg_.frame_shape(), 0, 0)));
+  const auto h = sac_cuda::run_sequential(filters.h.compiled(), h_args, opts_.host, execute);
+  std::vector<Value> v_args;
+  if (execute) v_args.push_back(h.result);
+  const auto v = sac_cuda::run_sequential(filters.v.compiled(), v_args, opts_.host, execute);
   result.h_us = h.time_us * iterations;
   result.v_us = v.time_us * iterations;
-  if (exec) result.last_output = v.result.ints();
+  if (execute) result.last_output = v.result.ints();
   return result;
 }
 
@@ -273,12 +271,7 @@ GaspardDownscaler::Result GaspardDownscaler::run_on(gpu::VirtualGpu& gpu, int fr
                                                     int first_frame, const FrameGate& gate) {
   gpu::opencl::CommandQueue queue(gpu);
   const double clock0 = gpu.clock_us();
-  // Per-row snapshot so a fleet device's earlier jobs don't leak into
-  // this job's H/V split.
-  std::map<std::string, std::pair<std::int64_t, double>> rows_before;
-  for (const auto& row : gpu.profiler().rows()) {
-    rows_before.emplace(row.name, std::make_pair(row.calls, row.total_us));
-  }
+  const std::vector<gpu::Profiler::Row> rows_before = gpu.profiler().rows();
   std::optional<gpu::opencl::CommandQueue> upload;
   std::optional<gpu::opencl::CommandQueue> compute;
   std::optional<gpu::opencl::CommandQueue> download;
@@ -324,37 +317,8 @@ GaspardDownscaler::Result GaspardDownscaler::run_on(gpu::VirtualGpu& gpu, int fr
   }
   if (flush) gpu.synchronize();
 
-  // Split the kernel rows between the horizontal and vertical filters;
-  // attribute uploads to H (they feed it) and downloads to V. Only this
-  // call's delta counts — the profiler is cumulative on a fleet device.
-  for (const auto& row : gpu.profiler().rows()) {
-    std::int64_t calls = row.calls;
-    double us = row.total_us;
-    if (auto it = rows_before.find(row.name); it != rows_before.end()) {
-      calls -= it->second.first;
-      us -= it->second.second;
-    }
-    if (calls == 0 && us == 0.0) continue;
-    switch (row.kind) {
-      case gpu::OpKind::Kernel: {
-        const bool is_h = row.name.find("hf") != std::string::npos;
-        OpBreakdown& b = is_h ? result.h : result.v;
-        b.kernel_us += us;
-        b.kernel_launches += calls;
-        break;
-      }
-      case gpu::OpKind::MemcpyHtoD:
-        result.h.h2d_us += us;
-        result.h.h2d_calls += calls;
-        break;
-      case gpu::OpKind::MemcpyDtoH:
-        result.v.d2h_us += us;
-        result.v.d2h_calls += calls;
-        break;
-      case gpu::OpKind::Host:
-        break;
-    }
-  }
+  const auto is_h = [](const std::string& row) { return row.find("hf") != std::string::npos; };
+  split_rows(gpu.profiler(), rows_before, is_h, result.h, result.v);
   result.wall_us = gpu.clock_us() - clock0;
   return result;
 }

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <functional>
+#include <set>
 #include <string>
 
 #include "apps/downscaler/arrayol_model.hpp"
@@ -45,16 +46,10 @@ struct OpBreakdown {
   OpBreakdown& operator+=(const OpBreakdown& other);
 };
 
-/// Snapshot helper: the delta of a profiler between two points, split
-/// by operation kind.
-OpBreakdown breakdown_delta(const gpu::Profiler& gpu_profiler, const gpu::Profiler& host_profiler,
-                            const OpBreakdown& before);
-OpBreakdown breakdown_totals(const gpu::Profiler& gpu_profiler,
-                             const gpu::Profiler& host_profiler);
-
 /// The SaC-side experiment driver: compiles the generated downscaler
-/// module once per variant and replays it over a frame loop on the
-/// simulated GPU (SAC-CUDA) or host model (SAC-Seq).
+/// module's `downscale_{generic,nongeneric}` once and replays it over a
+/// frame loop on the simulated GPU (SAC-CUDA); the per-filter programs
+/// of Figure 9 and SAC-Seq are compiled on request.
 class SacDownscaler {
  public:
   struct Options {
@@ -76,12 +71,13 @@ class SacDownscaler {
 
   SacDownscaler(const DownscalerConfig& config, const Options& options);
 
-  const sac_cuda::CudaProgram& h_program() const { return h_prog_; }
-  const sac_cuda::CudaProgram& v_program() const { return v_prog_; }
-  int h_kernels() const { return h_prog_.kernel_count(); }
-  int v_kernels() const { return v_prog_.kernel_count(); }
-  const sac::Module& module() const { return module_; }
-  const DownscalerConfig& config() const { return cfg_; }
+  /// The one program of the frame loop: H's steps, then V's, with the
+  /// plan's own transfers. Steps name their filter (Step::origin).
+  const sac_cuda::CudaProgram& program() const { return prog_; }
+  sac_cuda::CudaProgram& program() { return prog_; }
+  /// Generator kernels per channel-frame of each filter.
+  int h_kernels() const;
+  int v_kernels() const;
 
   struct CudaResult {
     OpBreakdown h;
@@ -98,10 +94,10 @@ class SacDownscaler {
     double total_us() const { return h.total_us() + v.total_us(); }
   };
 
-  /// The paper's Table II scenario: per frame and channel, upload the
-  /// frame, run H then V with the intermediate staying on the device,
-  /// download the result. The first `exec_frames` frames execute
-  /// functionally; the rest accrue simulated time only.
+  /// The paper's Table II scenario: per frame and channel, one run of
+  /// program() (upload the frame, run H then V, download the result).
+  /// The first `exec_frames` frames execute functionally; the rest
+  /// accrue simulated time only.
   CudaResult run_cuda_chain(int frames, int channels, int exec_frames);
 
   /// The same frame loop on a caller-provided device — the serving
@@ -125,36 +121,43 @@ class SacDownscaler {
   /// and obs::merged_chrome_trace.
   std::string nvprof_table(const CudaResult& result) const;
 
-  /// The paper's Figure 9 scenario: each filter "executed for 300
-  /// iterations". With resident_data=true the input is uploaded once
-  /// and iterated on the device (a benchmark loop over resident data,
-  /// which is what reproduces the paper's ~11x sequential speedup);
-  /// with false every iteration pays its own transfers.
+  /// The separately compiled filters `hfilter_*` and `vfilter_*` of
+  /// Figure 9 and SAC-Seq, with this driver's options. Each call
+  /// compiles and plans both: build them once, outside a timed loop.
+  struct FilterPrograms {
+    sac_cuda::CudaProgram h;
+    sac_cuda::CudaProgram v;
+  };
+  FilterPrograms filter_programs() const;
+
+  /// The paper's Figure 9 scenario: one filter "executed for 300
+  /// iterations" as one run over device-resident data (a benchmark
+  /// loop, which is what reproduces the paper's ~11x sequential
+  /// speedup; see RunOptions::repetitions).
   struct FilterResult {
     OpBreakdown ops;
     int kernels = 0;
     IntArray last_output;
   };
-  FilterResult run_cuda_filter(bool horizontal, int iterations, int exec_iterations,
-                               bool resident_data = true);
+  FilterResult run_cuda_filter(sac_cuda::CudaProgram& filter, int iterations, bool execute) const;
 
-  /// SAC-Seq: the same compiled function on the sequential host model.
+  /// SAC-Seq: the filters on the sequential host model.
   struct SeqResult {
     double h_us = 0;
     double v_us = 0;
     IntArray last_output;
     double total_us() const { return h_us + v_us; }
   };
-  SeqResult run_seq(int iterations, int exec_iterations);
+  SeqResult run_seq(const FilterPrograms& filters, int iterations, bool execute) const;
 
  private:
+  sac::CompiledFunction compile(const std::string& fn, const Shape& shape) const;
+
   DownscalerConfig cfg_;
   Options opts_;
   sac::Module module_;
-  sac::CompiledFunction h_fn_;
-  sac::CompiledFunction v_fn_;
-  sac_cuda::CudaProgram h_prog_;
-  sac_cuda::CudaProgram v_prog_;
+  sac_cuda::CudaProgram prog_;
+  std::set<std::string> h_rows_;  ///< profiler rows of the H filter's steps
 };
 
 /// The GASPARD2-side experiment driver: ArrayOL model -> OpenCL chain,

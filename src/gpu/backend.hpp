@@ -117,8 +117,7 @@ class ExecutionBackend {
   /// microseconds.
   virtual double launch_kernel(const KernelLaunch& kernel, bool execute) = 0;
 
-  /// Transfer entry point for *accounted* PCIe traffic (silent
-  /// device-resident handoffs never reach the backend). `bytes` is the
+  /// Transfer entry point for every PCIe transfer. `bytes` is the
   /// logical (device-side) transfer size. An executed transfer passes
   /// the `move` that performs it; an empty one is an accounting-only
   /// repetition. Returns the transfer's duration.

@@ -54,8 +54,6 @@ std::vector<Profiler::Interval> Profiler::intervals_snapshot() const {
   return intervals_;
 }
 
-std::vector<Profiler::Row> Profiler::rows() const { return rows_; }
-
 double Profiler::total_us() const {
   double t = 0.0;
   for (const Row& r : rows_) t += r.total_us;

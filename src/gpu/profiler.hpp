@@ -79,8 +79,8 @@ class Profiler {
     double duration_us() const { return end_us - start_us; }
   };
 
-  /// Rows in first-recorded order.
-  std::vector<Row> rows() const;
+  /// Rows in first-recorded order (rows only append until clear()).
+  const std::vector<Row>& rows() const { return rows_; }
   double total_us() const;
   double total_us(OpKind kind) const;
   double us_for(const std::string& name) const;

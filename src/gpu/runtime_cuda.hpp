@@ -64,7 +64,7 @@ class Runtime {
   template <typename T>
   void host2device(DeviceArray<T>& dst, const NDArray<T>& src, bool execute = true,
                    StreamId stream = kDefaultStream) {
-    gpu_->copy_h2d(dst.handle(), std::as_bytes(src.data()), kHtoDOp, execute, true, stream);
+    gpu_->copy_h2d(dst.handle(), std::as_bytes(src.data()), kHtoDOp, execute, stream);
   }
 
   /// The paper's `device2host` instruction.
@@ -72,8 +72,7 @@ class Runtime {
   NDArray<T> device2host(const DeviceArray<T>& src, bool execute = true,
                          StreamId stream = kDefaultStream) {
     NDArray<T> out(src.shape());
-    gpu_->copy_d2h(std::as_writable_bytes(out.data()), src.handle(), kDtoHOp, execute, true,
-                   stream);
+    gpu_->copy_d2h(std::as_writable_bytes(out.data()), src.handle(), kDtoHOp, execute, stream);
     return out;
   }
 
@@ -87,15 +86,13 @@ class Runtime {
   /// their PCIe cost modelled) as 4-byte ints, converted inside the
   /// transfer (VirtualGpu::upload_frame/download_frame).
   void host2device_frame(DeviceArray<std::int32_t>& dst, const NDArray<std::int64_t>& src,
-                         bool account = true, StreamId stream = kDefaultStream) {
-    gpu_->upload_frame(dst.handle(), src.data(), kHtoDOp, account, stream);
+                         StreamId stream = kDefaultStream) {
+    gpu_->upload_frame(dst.handle(), src.data(), kHtoDOp, stream);
   }
 
   NDArray<std::int64_t> device2host_frame(const DeviceArray<std::int32_t>& src,
-                                          bool account = true,
                                           StreamId stream = kDefaultStream) {
-    return NDArray<std::int64_t>(src.shape(),
-                                 gpu_->download_frame(src.handle(), kDtoHOp, account, stream));
+    return NDArray<std::int64_t>(src.shape(), gpu_->download_frame(src.handle(), kDtoHOp, stream));
   }
 
   /// The accounting-only repetitions of the frame transfers (simulated

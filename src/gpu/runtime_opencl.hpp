@@ -64,24 +64,23 @@ class CommandQueue {
 
   template <typename T>
   void enqueue_write_buffer(Buffer& dst, const NDArray<T>& src, bool execute = true) {
-    gpu_->copy_h2d(dst.handle(), std::as_bytes(src.data()), kHtoDOp, execute, true, stream_);
+    gpu_->copy_h2d(dst.handle(), std::as_bytes(src.data()), kHtoDOp, execute, stream_);
   }
 
   template <typename T>
   void enqueue_read_buffer(NDArray<T>& dst, const Buffer& src, bool execute = true) {
-    gpu_->copy_d2h(std::as_writable_bytes(dst.data()), src.handle(), kDtoHOp, execute, true,
-                   stream_);
+    gpu_->copy_d2h(std::as_writable_bytes(dst.data()), src.handle(), kDtoHOp, execute, stream_);
   }
 
   /// Frame transfers: the host's int64 frames travel as the device's
   /// 32-bit pixels, converted inside the transfer
   /// (VirtualGpu::upload_frame/download_frame).
   void enqueue_write_frame(Buffer& dst, const NDArray<std::int64_t>& src) {
-    gpu_->upload_frame(dst.handle(), src.data(), kHtoDOp, true, stream_);
+    gpu_->upload_frame(dst.handle(), src.data(), kHtoDOp, stream_);
   }
   NDArray<std::int64_t> enqueue_read_frame(const Buffer& src, Shape shape) {
     return NDArray<std::int64_t>(std::move(shape),
-                                 gpu_->download_frame(src.handle(), kDtoHOp, true, stream_));
+                                 gpu_->download_frame(src.handle(), kDtoHOp, stream_));
   }
 
   /// Accounting-only transfers (simulated repetition): the buffer the

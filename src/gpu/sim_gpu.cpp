@@ -30,15 +30,7 @@ void VirtualGpu::on_transfer_boundary(Dir dir, std::int64_t bytes) {
 }
 
 void VirtualGpu::transfer(Dir dir, BufferHandle touched, std::int64_t bytes,
-                          const std::string& op, const TransferFn& move, bool account,
-                          StreamId stream) {
-  // Silent (account=false) copies are device-resident handoffs, not
-  // PCIe traffic — they never reach the backend, so they cross no fault
-  // boundary and accrue no time.
-  if (!account) {
-    if (move) move();
-    return;
-  }
+                          const std::string& op, const TransferFn& move, StreamId stream) {
   const double us = backend_->transfer(dir, bytes, move);
   const BufferHandle handles[] = {touched};
   const std::span<const BufferHandle> hazard =
@@ -51,7 +43,7 @@ void VirtualGpu::transfer(Dir dir, BufferHandle touched, std::int64_t bytes,
 }
 
 void VirtualGpu::copy_h2d(BufferHandle dst, std::span<const std::byte> src, const std::string& op,
-                          bool execute, bool account, StreamId stream) {
+                          bool execute, StreamId stream) {
   const auto dest = memory_.bytes(dst);
   if (src.size() > dest.size()) {
     throw DeviceMemoryError(cat("copy_h2d of ", src.size(), " bytes into ", dest.size(),
@@ -61,12 +53,11 @@ void VirtualGpu::copy_h2d(BufferHandle dst, std::span<const std::byte> src, cons
   if (execute && !src.empty()) {
     move = [dest, src] { std::memcpy(dest.data(), src.data(), src.size()); };
   }
-  transfer(Dir::HostToDevice, dst, static_cast<std::int64_t>(src.size()), op, move, account,
-           stream);
+  transfer(Dir::HostToDevice, dst, static_cast<std::int64_t>(src.size()), op, move, stream);
 }
 
 void VirtualGpu::copy_d2h(std::span<std::byte> dst, BufferHandle src, const std::string& op,
-                          bool execute, bool account, StreamId stream) {
+                          bool execute, StreamId stream) {
   const auto source = memory_.bytes(src);
   if (dst.size() > source.size()) {
     throw DeviceMemoryError(cat("copy_d2h of ", dst.size(), " bytes from ", source.size(),
@@ -76,27 +67,26 @@ void VirtualGpu::copy_d2h(std::span<std::byte> dst, BufferHandle src, const std:
   if (execute && !dst.empty()) {
     move = [dst, source] { std::memcpy(dst.data(), source.data(), dst.size()); };
   }
-  transfer(Dir::DeviceToHost, src, static_cast<std::int64_t>(dst.size()), op, move, account,
-           stream);
+  transfer(Dir::DeviceToHost, src, static_cast<std::int64_t>(dst.size()), op, move, stream);
 }
 
 void VirtualGpu::upload_frame(BufferHandle dst, std::span<const std::int64_t> src,
-                              const std::string& op, bool account, StreamId stream) {
+                              const std::string& op, StreamId stream) {
   const auto dev = memory_.view<std::int32_t>(dst);
   if (src.size() != dev.size()) {
     throw DeviceMemoryError(cat("upload_frame of ", src.size(), " elements into ", dev.size(),
                                 "-element device buffer"));
   }
   const TransferFn move = [dev, src] { std::copy(src.begin(), src.end(), dev.begin()); };
-  transfer(Dir::HostToDevice, dst, dst.bytes, op, move, account, stream);
+  transfer(Dir::HostToDevice, dst, dst.bytes, op, move, stream);
 }
 
 std::vector<std::int64_t> VirtualGpu::download_frame(BufferHandle src, const std::string& op,
-                                                     bool account, StreamId stream) {
+                                                     StreamId stream) {
   const auto dev = memory_.view<std::int32_t>(src);
   std::vector<std::int64_t> host;
   const TransferFn move = [&host, dev] { host.assign(dev.begin(), dev.end()); };
-  transfer(Dir::DeviceToHost, src, src.bytes, op, move, account, stream);
+  transfer(Dir::DeviceToHost, src, src.bytes, op, move, stream);
   return host;
 }
 

@@ -49,7 +49,7 @@ class VirtualGpu : private OpBoundaryObserver {
 
   const DeviceSpec& spec() const { return spec_; }
   DeviceMemoryPool& memory() { return memory_; }
-  /// The execution backend every kernel launch and accounted transfer
+  /// The execution backend every kernel launch and transfer
   /// routes through.
   ExecutionBackend& backend() { return *backend_; }
   BackendKind backend_kind() const { return backend_->kind(); }
@@ -60,7 +60,7 @@ class VirtualGpu : private OpBoundaryObserver {
   BufferAllocator& allocator() { return allocator_ != nullptr ? *allocator_ : memory_; }
   void set_allocator(BufferAllocator* allocator) { allocator_ = allocator; }
   /// Installs a fault injector the device consults before every kernel
-  /// launch and accounted transfer (fail-stop: a faulted operation does
+  /// launch and transfer (fail-stop: a faulted operation does
   /// not run and accrues no simulated time). nullptr uninstalls —
   /// that's also the default, so the fault machinery costs nothing when
   /// unused. The injector must outlive the device or be uninstalled.
@@ -109,18 +109,16 @@ class VirtualGpu : private OpBoundaryObserver {
   /// `op` is the profiler row name (e.g. the CUDA-style
   /// "memcpyHtoDasync"). `move` performs an executed transfer (a plain
   /// or a converting copy); an empty one accrues time only (simulated
-  /// repetition). With account=false the move runs but no simulated
-  /// time is recorded and no fault boundary is crossed — used for data
-  /// that conceptually never crosses PCIe (device-resident
-  /// intermediates handed between separately compiled programs).
+  /// repetition). Every transfer is charged and crosses a fault
+  /// boundary.
   void transfer(Dir dir, BufferHandle touched, std::int64_t bytes, const std::string& op,
-                const TransferFn& move, bool account = true, StreamId stream = kDefaultStream);
+                const TransferFn& move, StreamId stream = kDefaultStream);
   /// Host-to-device byte copy of `src` into the front of `dst`.
   void copy_h2d(BufferHandle dst, std::span<const std::byte> src, const std::string& op,
-                bool execute, bool account = true, StreamId stream = kDefaultStream);
+                bool execute, StreamId stream = kDefaultStream);
   /// Device-to-host byte copy of the front of `src` into `dst`.
   void copy_d2h(std::span<std::byte> dst, BufferHandle src, const std::string& op, bool execute,
-                bool account = true, StreamId stream = kDefaultStream);
+                StreamId stream = kDefaultStream);
 
   /// Frame transfers: host frames are int64 arrays, device frames the
   /// paper's 32-bit pixels (and their PCIe cost is modelled as such).
@@ -128,15 +126,14 @@ class VirtualGpu : private OpBoundaryObserver {
   /// block, with no staging copy — so `host` times the conversion, and
   /// on every backend it runs after the fault boundary.
   void upload_frame(BufferHandle dst, std::span<const std::int64_t> src, const std::string& op,
-                    bool account = true, StreamId stream = kDefaultStream);
+                    StreamId stream = kDefaultStream);
   std::vector<std::int64_t> download_frame(BufferHandle src, const std::string& op,
-                                           bool account = true,
                                            StreamId stream = kDefaultStream);
 
   /// Accrues transfer time without moving data (simulated repetition).
   void account_transfer(std::int64_t bytes, Dir dir, const std::string& op,
                         StreamId stream = kDefaultStream, BufferHandle touched = {}) {
-    transfer(dir, touched, bytes, op, {}, true, stream);
+    transfer(dir, touched, bytes, op, {}, stream);
   }
 
   /// Launches a kernel; returns its duration in microseconds. With
@@ -151,7 +148,7 @@ class VirtualGpu : private OpBoundaryObserver {
 
  private:
   // The backend's op-boundary callbacks, fired exactly once before each
-  // kernel launch / accounted transfer — where the fault injector hooks
+  // kernel launch / transfer — where the fault injector hooks
   // in, on every backend alike.
   void on_kernel_boundary(const KernelLaunch& kernel) override;
   void on_transfer_boundary(Dir dir, std::int64_t bytes) override;

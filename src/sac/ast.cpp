@@ -105,6 +105,7 @@ StmtPtr Stmt::clone() const {
   out->for_step = clone_opt(for_step);
   out->body = clone_block(body);
   out->else_body = clone_block(else_body);
+  out->origin = origin;
   return out;
 }
 

@@ -138,6 +138,12 @@ struct Stmt {
   std::vector<StmtPtr> body;       ///< For body / If then-branch
   std::vector<StmtPtr> else_body;  ///< If else-branch
 
+  /// Set by specialisation: the user function whose call in the entry
+  /// function's body expanded to this statement (`hfilter_nongeneric`
+  /// for what `mid = hfilter_nongeneric(x)` inlines); empty for the
+  /// statements the entry function writes itself.
+  std::string origin;
+
   StmtPtr clone() const;
 };
 

@@ -421,6 +421,8 @@ class Specializer {
       throw SpecializeError(cat("function '", e.name, "' expects ", callee->params.size(),
                                 " arguments, got ", args.size(), " at line ", e.line));
     }
+    const bool from_entry = frames_.size() == 1;
+    const std::size_t first = out.size();
     std::map<std::string, std::string> rename;
     push_scope(/*barrier=*/true);
     for (std::size_t i = 0; i < args.size(); ++i) {
@@ -463,6 +465,9 @@ class Specializer {
     std::vector<StmtPtr> scratch;
     ExprPtr rechecked = spec_expr(*result, scratch, &ri);
     for (auto& s : scratch) out.push_back(std::move(s));
+    if (from_entry) {
+      for (std::size_t i = first; i < out.size(); ++i) out[i]->origin = callee->name;
+    }
     pop_scope();
     inf = ri;
     return rechecked;

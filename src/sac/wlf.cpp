@@ -864,11 +864,14 @@ class Optimizer {
     return out;
   }
 
-  /// Performs at most one fold; true when the body changed.
-  bool fold_step(std::vector<StmtPtr>& body) {
+  /// Performs at most one fold, trying the consumers from `next` on;
+  /// true when the body changed. A fold rewrites only its consumer, so
+  /// the consumers before it stay unfoldable: `next` moves to it.
+  bool fold_step(std::vector<StmtPtr>& body, std::size_t& next) {
     const auto producers = find_producers(body);
     if (producers.empty()) return false;
-    for (std::size_t i = 0; i < body.size(); ++i) {
+    for (std::size_t i = next; i < body.size(); ++i) {
+      next = i;
       Stmt& s = *body[i];
       if (s.kind != StmtKind::Assign || !s.value || s.value->kind != ExprKind::With) continue;
       Expr& w = *s.value;
@@ -1164,10 +1167,14 @@ class Optimizer {
 
   // ---- %-elimination ----------------------------------------------------------
 
-  bool mod_split_step(std::vector<StmtPtr>& body) {
-    for (StmtPtr& s : body) {
-      if (s->kind != StmtKind::Assign || !s->value || s->value->kind != ExprKind::With) continue;
-      Expr& w = *s->value;
+  /// Drops or splits away at most one `%`, trying the statements from
+  /// `next` on (as fold_step: a step rewrites only its own with-loop).
+  bool mod_split_step(std::vector<StmtPtr>& body, std::size_t& next) {
+    for (std::size_t i = next; i < body.size(); ++i) {
+      next = i;
+      Stmt& s = *body[i];
+      if (s.kind != StmtKind::Assign || !s.value || s.value->kind != ExprKind::With) continue;
+      Expr& w = *s.value;
       for (std::size_t gi = 0; gi < w.generators.size(); ++gi) {
         if (mod_split_generator(w, gi)) return true;
       }
@@ -1729,16 +1736,18 @@ OptStats run_wlf(std::vector<StmtPtr>& body) {
   Optimizer opt;
   opt.toplevel_cleanup(body);
   opt.simplify_all(body);
+  std::size_t next = 0;
   for (int guard = 0; guard < 4096; ++guard) {
-    if (!opt.fold_step(body)) break;
+    if (!opt.fold_step(body, next)) break;
   }
   return opt.stats;
 }
 
 OptStats run_mod_split(std::vector<StmtPtr>& body) {
   Optimizer opt;
+  std::size_t next = 0;
   for (int guard = 0; guard < 4096; ++guard) {
-    if (!opt.mod_split_step(body)) break;
+    if (!opt.mod_split_step(body, next)) break;
   }
   return opt.stats;
 }
@@ -1768,11 +1777,13 @@ OptStats optimize(std::vector<StmtPtr>& body, const std::map<std::string, Shape>
   opt.simplify_all(body);
   opt.convert_modarrays(body, param_shapes);
   if (enable_wlf) {
+    std::size_t next = 0;
     for (int guard = 0; guard < 4096; ++guard) {
-      if (!opt.fold_step(body)) break;
+      if (!opt.fold_step(body, next)) break;
     }
+    next = 0;
     for (int guard = 0; guard < 4096; ++guard) {
-      if (!opt.mod_split_step(body)) break;
+      if (!opt.mod_split_step(body, next)) break;
     }
   }
   opt.dce(body);

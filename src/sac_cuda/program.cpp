@@ -460,10 +460,17 @@ CudaProgram CudaProgram::plan(const sac::CompiledFunction& fn) {
   prog.shapes_ = sac::infer_shapes(prog.fn_.fn.body, prog.fn_.param_shapes);
 
   const auto& body = prog.fn_.fn.body;
+  auto origin_of = [&](std::size_t i) {
+    return body[i]->origin.empty() ? prog.fn_.fn.name : body[i]->origin;
+  };
   auto flush_host = [&](std::vector<std::size_t>& pending) {
     if (pending.empty()) return;
     Step step;
     step.kind = Step::Kind::Host;
+    step.origin = origin_of(pending.front());
+    for (std::size_t i : pending) {
+      if (origin_of(i) != step.origin) step.origin = prog.fn_.fn.name;
+    }
     step.host.stmt_indices = pending;
     std::set<std::string> reads;
     for (std::size_t i : pending) collect_reads(*body[i], reads);
@@ -499,6 +506,7 @@ CudaProgram CudaProgram::plan(const sac::CompiledFunction& fn) {
         flush_host(pending_host);
         Step step;
         step.kind = Step::Kind::Kernels;
+        step.origin = origin_of(i);
         step.group = std::move(*group);
         prog.steps_.push_back(std::move(step));
         continue;
@@ -513,12 +521,28 @@ CudaProgram CudaProgram::plan(const sac::CompiledFunction& fn) {
   return prog;
 }
 
-int CudaProgram::kernel_count() const {
+int CudaProgram::kernel_count(const std::string& origin) const {
   int n = 0;
   for (const Step& s : steps_) {
-    if (s.kind == Step::Kind::Kernels) n += static_cast<int>(s.group.kernels.size());
+    if (s.kind == Step::Kind::Kernels && (origin.empty() || s.origin == origin)) {
+      n += static_cast<int>(s.group.kernels.size());
+    }
   }
   return n;
+}
+
+std::set<std::string> CudaProgram::rows_of(const std::string& origin) const {
+  std::set<std::string> rows;
+  for (const Step& s : steps_) {
+    if (s.origin != origin) continue;
+    if (s.kind == Step::Kind::Host) {
+      rows.insert(s.origin + "_host");
+      continue;
+    }
+    rows.insert({s.group.target + "_copy", s.group.target + "_init"});
+    for (const GenKernel& k : s.group.kernels) rows.insert(k.name);
+  }
+  return rows;
 }
 
 int CudaProgram::host_block_count() const {
@@ -534,7 +558,8 @@ int CudaProgram::host_block_count() const {
 sac::Value CudaProgram::run(gpu::cuda::Runtime& rt, std::vector<sac::Value> args,
                             const gpu::HostSpec& host, gpu::Profiler& host_profiler,
                             const RunOptions& options) {
-  const bool execute = options.execute;
+  // Only the first repetition executes (see RunOptions).
+  bool execute = options.execute;
   if (args.size() != fn_.fn.params.size()) {
     throw BackendError(cat("program '", fn_.fn.name, "' expects ", fn_.fn.params.size(),
                            " arguments, got ", args.size()));
@@ -563,7 +588,6 @@ sac::Value CudaProgram::run(gpu::cuda::Runtime& rt, std::vector<sac::Value> args
 
   auto ensure_device = [&](const std::string& name) {
     if (device_valid.count(name)) return;
-    const bool account = !options.silent_params.count(name);
     // Re-uploads of host-computed intermediates (the generic tiler's
     // results) stay in-line with the kernels; fresh param uploads go on
     // the copy-in stream so they can overlap earlier frames' compute.
@@ -579,14 +603,14 @@ sac::Value CudaProgram::run(gpu::cuda::Runtime& rt, std::vector<sac::Value> args
       if (h == host_env.end() || !h->second.is_int()) {
         throw BackendError(cat("host value for '", name, "' missing before host2device"));
       }
-      rt.host2device_frame(it->second, h->second.ints(), account, stream);
-    } else if (account) {
+      rt.host2device_frame(it->second, h->second.ints(), stream);
+    } else {
       rt.account_host2device_frame(it->second, stream);
     }
     device_valid.insert(name);
   };
 
-  auto ensure_host = [&](const std::string& name, bool account, gpu::StreamId stream) {
+  auto ensure_host = [&](const std::string& name, gpu::StreamId stream) {
     if (host_valid.count(name)) return;
     if (!device_valid.count(name)) {
       if (!execute) return;  // timing-only run: nothing to materialise
@@ -594,8 +618,8 @@ sac::Value CudaProgram::run(gpu::cuda::Runtime& rt, std::vector<sac::Value> args
     }
     const auto& dev = device.at(name);
     if (execute) {
-      host_env.insert_or_assign(name, Value(rt.device2host_frame(dev, account, stream)));
-    } else if (account) {
+      host_env.insert_or_assign(name, Value(rt.device2host_frame(dev, stream)));
+    } else {
       rt.account_device2host_frame(dev, stream);
     }
     host_valid.insert(name);
@@ -604,7 +628,11 @@ sac::Value CudaProgram::run(gpu::cuda::Runtime& rt, std::vector<sac::Value> args
   sac::Module empty_module;
   sac::Interp interp(empty_module);
 
-  for (std::size_t si = 0; si < steps_.size(); ++si) {
+  // Repetition r runs step si as iteration r * steps + si.
+  const std::size_t iterations = steps_.size() * static_cast<std::size_t>(options.repetitions);
+  for (std::size_t n = 0; n < iterations; ++n) {
+    const std::size_t si = n % steps_.size();
+    execute = options.execute && n < steps_.size();
     const Step& step = steps_[si];
     if (step.kind == Step::Kind::Kernels) {
       const KernelGroup& group = step.group;
@@ -747,7 +775,7 @@ sac::Value CudaProgram::run(gpu::cuda::Runtime& rt, std::vector<sac::Value> args
     // output-tiler penalty), and the host work itself occupies a host
     // timeline between the fetch and any re-upload.
     for (const std::string& r : step.host.array_reads) {
-      if (device_valid.count(r)) ensure_host(r, /*account=*/true, ss.compute);
+      if (device_valid.count(r)) ensure_host(r, ss.compute);
     }
     double ops = step.host.static_ops;
     if (execute) {
@@ -785,14 +813,15 @@ sac::Value CudaProgram::run(gpu::cuda::Runtime& rt, std::vector<sac::Value> args
       // the kernels that consume its results.
       gpu::VirtualGpu& g = rt.gpu();
       g.wait_until(ss.host, g.stream_tail_us(ss.compute));
-      g.run_host(cat(fn_.fn.name, "_host"), host.time_us(ops), ss.host);
+      g.run_host(step.origin + "_host", host.time_us(ops), ss.host);
       g.wait_until(ss.compute, g.stream_tail_us(ss.host));
     } else {
-      host_profiler.record(cat(fn_.fn.name, "_host"), gpu::OpKind::Host, 1, host.time_us(ops));
+      host_profiler.record(step.origin + "_host", gpu::OpKind::Host, 1, host.time_us(ops));
     }
   }
 
-  ensure_host(return_var_, /*account=*/!options.silent_result, ss.d2h);
+  execute = options.execute;
+  ensure_host(return_var_, ss.d2h);
   if (!execute) return Value();
   auto it = host_env.find(return_var_);
   if (it == host_env.end()) {

@@ -71,6 +71,11 @@ struct HostBlock {
 struct Step {
   enum class Kind { Kernels, Host };
   Kind kind = Kind::Host;
+  /// Which call of the entry function the step came from: the
+  /// sac::Stmt::origin its statements share, else (none, or a host
+  /// block mixing several) the function's own name. A host block's
+  /// profiler row is `<origin>_host`.
+  std::string origin;
   KernelGroup group;
   HostBlock host;
 };
@@ -90,20 +95,22 @@ class CudaProgram {
   const std::map<std::string, Shape>& shapes() const { return shapes_; }
   const std::string& return_var() const { return return_var_; }
 
-  /// Number of generator kernels (the paper's per-filter kernel counts).
-  int kernel_count() const;
+  /// Number of generator kernels (the paper's per-filter kernel
+  /// counts), of the steps from `origin` when one is given.
+  int kernel_count(const std::string& origin = {}) const;
+  /// The profiler rows a run records for the steps from `origin`: their
+  /// generator kernels, modarray copies, default fills and host blocks.
+  std::set<std::string> rows_of(const std::string& origin) const;
   /// Number of host-executed statement blocks.
   int host_block_count() const;
 
   /// The CUDA C translation unit a real backend would emit.
   std::string cuda_source() const;
 
-  /// Per-invocation options. `silent_params` lists parameters whose
-  /// upload is not profiled (they are conceptually already
-  /// device-resident — handed over by an upstream program, as the
-  /// vertical filter receives the horizontal filter's result).
-  /// `silent_result` likewise suppresses accounting of the result
-  /// fetch (a downstream program consumes it on the device).
+  /// Per-invocation options. `repetitions` > 1 is a benchmark loop
+  /// over device-resident data (the paper's Figure 9): the params
+  /// upload once, the steps repeat over the same device values (only
+  /// the first repetition executes), and the result is fetched once.
   ///
   /// `streams`, when set, issues the invocation asynchronously: param
   /// uploads on streams->h2d, kernels (plus the generic tiler's
@@ -115,8 +122,7 @@ class CudaProgram {
   /// synchronous issue.
   struct RunOptions {
     bool execute = true;
-    std::set<std::string> silent_params;
-    bool silent_result = false;
+    int repetitions = 1;
     std::optional<gpu::StreamSet> streams;
   };
 

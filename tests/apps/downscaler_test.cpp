@@ -116,8 +116,8 @@ TEST(CrossSystemTest, SacCudaSeqAndGaspardAgree) {
 
   auto cuda_ng = ng.run_cuda_chain(1, 1, 1);
   auto cuda_g = g.run_cuda_chain(1, 1, 1);
-  auto seq_ng = ng.run_seq(1, 1);
-  auto seq_g = g.run_seq(1, 1);
+  auto seq_ng = ng.run_seq(ng.filter_programs(), 1, true);
+  auto seq_g = g.run_seq(g.filter_programs(), 1, true);
 
   GaspardDownscaler::Options gopts;
   gopts.rgb = false;
@@ -149,6 +149,50 @@ TEST(SacPipelineTest, ChainTransferCountsMatchPaperScheme) {
   const std::string table = ng.nvprof_table(r);
   EXPECT_NE(table.find("H. Filter ("), std::string::npos);
   EXPECT_NE(table.find("memcpyHtoDasync"), std::string::npos);
+
+  // The generic tilers run on the host: each filter fetches its
+  // operands in-line, and V's kernels need H's host-written result back
+  // on the device, so the chain program uploads it — two uploads per
+  // frame and channel. The fetches are those of the two filters run
+  // separately.
+  SacDownscaler g(f.cfg, f.g_opts);
+  auto rg = g.run_cuda_chain(5, 3, 1);
+  EXPECT_EQ(rg.h.h2d_calls, 30);
+  EXPECT_EQ(rg.v.h2d_calls, 0);
+  EXPECT_EQ(rg.h.d2h_calls, 0);
+  auto filters = g.filter_programs();
+  const auto gh = g.run_cuda_filter(filters.h, 1, false);
+  const auto gv = g.run_cuda_filter(filters.v, 1, false);
+  EXPECT_GT(gh.ops.d2h_calls, 0);
+  EXPECT_EQ(rg.v.d2h_calls, 15 * (gh.ops.d2h_calls + gv.ops.d2h_calls));
+  EXPECT_EQ(rg.h.kernel_launches, g.h_kernels() * 15);
+  EXPECT_EQ(rg.v.kernel_launches, g.v_kernels() * 15);
+  EXPECT_GT(rg.h.host_us, 0.0);
+  EXPECT_GT(rg.v.host_us, 0.0);
+}
+
+TEST(SacPipelineTest, ChainProgramMatchesSequentialFilters) {
+  // The composed program against the separately compiled filters on the
+  // sequential host model, for both tilers, with WLF on and off. The
+  // interpreter takes seconds at small geometry, so each geometry has
+  // one sequential reference (the output depends on neither switch).
+  for (const DownscalerConfig& cfg : {DownscalerConfig::tiny(), DownscalerConfig::small()}) {
+    SacDownscaler::Options ref_opts;
+    ref_opts.workers = 1;
+    SacDownscaler ref(cfg, ref_opts);
+    const IntArray expected = ref.run_seq(ref.filter_programs(), 1, true).last_output;
+    ASSERT_EQ(expected.shape(), cfg.out_shape());
+    for (bool generic : {false, true}) {
+      for (bool wlf : {true, false}) {
+        SacDownscaler::Options opts = ref_opts;
+        opts.generic = generic;
+        opts.enable_wlf = wlf;
+        SacDownscaler sd(cfg, opts);
+        EXPECT_EQ(sd.run_cuda_chain(1, 1, 1).last_output, expected)
+            << cfg.frame_shape().to_string() << " generic=" << generic << " wlf=" << wlf;
+      }
+    }
+  }
 }
 
 TEST(SacPipelineTest, KernelCountsShowWlfSplitting) {
@@ -168,10 +212,14 @@ TEST(SacPipelineTest, GenericHasHostBlocksAndNonGenericDoesNot) {
   TinyFixture f;
   SacDownscaler ng(f.cfg, f.ng_opts);
   SacDownscaler g(f.cfg, f.g_opts);
-  EXPECT_EQ(ng.h_program().host_block_count(), 0);
-  EXPECT_EQ(ng.v_program().host_block_count(), 0);
-  EXPECT_GE(g.h_program().host_block_count(), 1);
-  EXPECT_GE(g.v_program().host_block_count(), 1);
+  EXPECT_EQ(ng.program().host_block_count(), 0);
+  // One host block per filter, each tagged with its filter.
+  ASSERT_EQ(g.program().host_block_count(), 2);
+  std::vector<std::string> origins;
+  for (const auto& step : g.program().steps()) {
+    if (step.kind == sac_cuda::Step::Kind::Host) origins.push_back(step.origin);
+  }
+  EXPECT_EQ(origins, (std::vector<std::string>{"hfilter_generic", "vfilter_generic"}));
 }
 
 TEST(SacPipelineTest, GenericSlowerThanNonGenericAtScale) {
@@ -183,8 +231,10 @@ TEST(SacPipelineTest, GenericSlowerThanNonGenericAtScale) {
   g_opts.generic = true;
   SacDownscaler ng(cfg, ng_opts);
   SacDownscaler g(cfg, g_opts);
-  auto rng = ng.run_cuda_filter(true, 10, 1);
-  auto rg = g.run_cuda_filter(true, 10, 1);
+  auto ng_filters = ng.filter_programs();
+  auto g_filters = g.filter_programs();
+  auto rng = ng.run_cuda_filter(ng_filters.h, 10, true);
+  auto rg = g.run_cuda_filter(g_filters.h, 10, true);
   EXPECT_GT(rg.ops.total_us(), rng.ops.total_us());
   // The generic variant pays host tiler time; the non-generic none.
   EXPECT_GT(rg.ops.host_us, 0.0);
@@ -197,8 +247,8 @@ TEST(SacPipelineTest, SeqTimesInsensitiveToGenericity) {
   TinyFixture f;
   SacDownscaler ng(f.cfg, f.ng_opts);
   SacDownscaler g(f.cfg, f.g_opts);
-  auto sng = ng.run_seq(300, 0);
-  auto sg = g.run_seq(300, 0);
+  auto sng = ng.run_seq(ng.filter_programs(), 300, false);
+  auto sg = g.run_seq(g.filter_programs(), 300, false);
   const double rel =
       std::abs(sng.total_us() - sg.total_us()) / std::max(sng.total_us(), sg.total_us());
   EXPECT_LT(rel, 0.5);  // "do not vary significantly" (Figure 9)
@@ -208,9 +258,19 @@ TEST(SacPipelineTest, CudaMuchFasterThanSeqAtScale) {
   DownscalerConfig cfg = DownscalerConfig::small();
   SacDownscaler::Options opts;
   SacDownscaler ng(cfg, opts);
-  auto cuda = ng.run_cuda_filter(true, 300, 1);
-  auto seq = ng.run_seq(300, 0);
+  auto filters = ng.filter_programs();
+  auto cuda = ng.run_cuda_filter(filters.h, 300, true);
+  auto seq = ng.run_seq(filters, 300, false);
   EXPECT_GT(seq.h_us / cuda.ops.total_us(), 2.0);
+  // One run over device-resident data: 300x the kernels, one upload of
+  // the frame and one fetch of the result.
+  EXPECT_EQ(cuda.ops.kernel_launches, std::int64_t{300} * cuda.kernels);
+  EXPECT_EQ(cuda.ops.h2d_calls, 1);
+  EXPECT_EQ(cuda.ops.d2h_calls, 1);
+  // The first iteration executed.
+  const auto once = ng.run_cuda_filter(filters.h, 1, true);
+  EXPECT_EQ(cuda.last_output, once.last_output);
+  EXPECT_EQ(once.ops.kernel_launches, cuda.kernels);
 }
 
 TEST(GaspardPipelineTest, TableOneCountsAtTinyScale) {
@@ -236,8 +296,10 @@ TEST(WlfAblationTest, DisablingWlfAddsKernelGroupsAndTime) {
   SacDownscaler off(cfg, wlf_off);
   // Without WLF each pipeline stage keeps its own with-loop.
   EXPECT_GT(off.h_kernels(), 0);
-  auto r_on = on.run_cuda_filter(true, 20, 1);
-  auto r_off = off.run_cuda_filter(true, 20, 1);
+  auto on_filters = on.filter_programs();
+  auto off_filters = off.filter_programs();
+  auto r_on = on.run_cuda_filter(on_filters.h, 20, true);
+  auto r_off = off.run_cuda_filter(off_filters.h, 20, true);
   // Unfused: intermediate arrays cost extra kernel traffic.
   EXPECT_GT(r_off.ops.kernel_us, r_on.ops.kernel_us);
   EXPECT_EQ(r_on.last_output, r_off.last_output);

@@ -183,7 +183,7 @@ TEST(VirtualGpuStreamTest, BufferHazardOrdersTransferAndKernel) {
   const StreamId comp = gpu.create_stream();
   BufferHandle b = gpu.alloc(1 << 20);
   std::vector<std::byte> host(1 << 20);
-  gpu.copy_h2d(b, host, "h2d", true, true, h2d);
+  gpu.copy_h2d(b, host, "h2d", true, h2d);
   const double upload_end = gpu.stream_tail_us(h2d);
   KernelLaunch k = noop_kernel("consume", 1 << 10);
   k.reads.push_back(b);
@@ -202,7 +202,7 @@ TEST(VirtualGpuStreamTest, ExecutionIsImmediateRegardlessOfStream) {
   const StreamId s = gpu.create_stream();
   BufferHandle b = gpu.alloc(4 * sizeof(std::int32_t));
   std::vector<std::int32_t> host = {1, 2, 3, 4};
-  gpu.copy_h2d(b, std::as_bytes(std::span<const std::int32_t>(host)), "h2d", true, true, s);
+  gpu.copy_h2d(b, std::as_bytes(std::span<const std::int32_t>(host)), "h2d", true, s);
   KernelLaunch k = noop_kernel("incr", 4);
   auto view = gpu.memory().view<std::int32_t>(b);
   k.body = [view](std::int64_t begin, std::int64_t end) {
@@ -212,7 +212,7 @@ TEST(VirtualGpuStreamTest, ExecutionIsImmediateRegardlessOfStream) {
   k.writes.push_back(b);
   gpu.launch(k, true, gpu.create_stream());
   std::vector<std::int32_t> out(4);
-  gpu.copy_d2h(std::as_writable_bytes(std::span<std::int32_t>(out)), b, "d2h", true, true, s);
+  gpu.copy_d2h(std::as_writable_bytes(std::span<std::int32_t>(out)), b, "d2h", true, s);
   EXPECT_EQ(out, (std::vector<std::int32_t>{11, 12, 13, 14}));
 }
 

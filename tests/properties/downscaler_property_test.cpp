@@ -45,7 +45,7 @@ TEST_P(DownscalerProperty, AllFiveRoutesAgree) {
 
   auto cuda_ng = ng.run_cuda_chain(1, 1, 1);
   auto cuda_g = g.run_cuda_chain(1, 1, 1);
-  auto seq = ng.run_seq(1, 1);
+  auto seq = ng.run_seq(ng.filter_programs(), 1, true);
   auto gaspard = gd.run(1, 1);
 
   ASSERT_EQ(cuda_ng.last_output.shape(), cfg.out_shape());
@@ -62,8 +62,7 @@ TEST_P(DownscalerProperty, StructuralInvariants) {
   EXPECT_GE(ng.h_kernels(), static_cast<int>(cfg.h.tile()));
   EXPECT_GE(ng.v_kernels(), static_cast<int>(cfg.v.tile()));
   // The fused non-generic pipeline never touches the host.
-  EXPECT_EQ(ng.h_program().host_block_count(), 0);
-  EXPECT_EQ(ng.v_program().host_block_count(), 0);
+  EXPECT_EQ(ng.program().host_block_count(), 0);
   // Chain transfers: one upload + one download per frame/channel.
   auto r = ng.run_cuda_chain(4, 2, 1);
   EXPECT_EQ(r.h.h2d_calls, 8);
