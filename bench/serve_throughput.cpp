@@ -1,11 +1,14 @@
 // Fleet scaling sweep for the multi-GPU serving runtime: the same job
 // mix pushed through 1..8 devices, once per execution backend. With
 // the `sim` backend throughput is measured in frames per second of
-// *simulated* fleet time (the makespan over devices), so the curve is
-// deterministic: with a balanced mix it scales nearly linearly until
-// per-device warmup (driver compilation, allocator cache fill) stops
-// amortizing. The `host` backend runs the same sweep with wall-clock
-// op timing. CI archives one BENCH_serve_<backend>.json per backend
+// *simulated* fleet time (the makespan over devices): with a balanced
+// mix it scales nearly linearly until per-device warmup (driver
+// compilation, allocator cache fill) stops amortizing. The curve is
+// not deterministic, though. Placement compares cost-model backlogs
+// that shrink as real dispatcher threads finish jobs, so which device
+// gets a job depends on thread timing, and regenerations of the same
+// binary can differ (EXPERIMENTS.md). The `host` backend runs the same
+// sweep with wall-clock op timing. CI archives one BENCH_serve_<backend>.json per backend
 // and diffs the pair as a variant-parity sanity gate (timings
 // legitimately differ across backends; the variant set and job counts
 // must not).

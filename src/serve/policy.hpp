@@ -37,7 +37,7 @@ SchedPolicy parse_sched_policy(const std::string& name);
 
 /// The ordering key a queued job exposes to the policy comparator.
 /// `deadline_us` is an absolute timestamp on any monotonic axis (the
-/// scheduler uses steady_clock microseconds); 0 means no deadline.
+/// scheduling core's `now_us` axis); 0 means no deadline.
 /// `seq` is the submission sequence (the job id), the total-order
 /// tiebreak that makes every policy deterministic.
 struct SchedKey {

@@ -1,14 +1,11 @@
 // Seeded mutation robustness of every JSON input the project reads: the
 // core reader, the traffic-trace loader and the critical-path analyzer's
-// trace / event-log loaders. Each valid document is truncated, has a
-// byte flipped or has a byte inserted, 1000 times per input; every case
-// must yield a value or the parser's typed error, never another
-// exception (the ASan/UBSan CI job runs this suite too).
+// trace / event-log loaders (support/mutation.hpp; the ASan/UBSan CI
+// job runs this suite too).
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <random>
 #include <string>
 #include <vector>
 
@@ -16,46 +13,12 @@
 #include "obs/events.hpp"
 #include "obs/export.hpp"
 #include "serve/traffic.hpp"
+#include "support/mutation.hpp"
 
 namespace saclo {
 namespace {
 
-constexpr int kCases = 1000;
-
-/// Mutation `kind` 0 truncates, 1 flips one byte, 2 inserts one byte;
-/// positions and bytes come from raw engine draws (portable across
-/// standard libraries).
-std::string mutate(const std::string& valid, int kind, std::mt19937_64& rng) {
-  std::string text = valid;
-  const std::size_t pos = static_cast<std::size_t>(rng() % (text.size() + 1));
-  const char byte = static_cast<char>(rng() % 256);
-  switch (kind) {
-    case 0: text.resize(pos); break;
-    case 1: text[pos % text.size()] = byte; break;
-    default: text.insert(pos, 1, byte); break;
-  }
-  return text;
-}
-
-template <typename Typed, typename Parse>
-void expect_value_or_typed_error(const std::string& valid, std::uint64_t seed, Parse parse) {
-  ASSERT_NO_THROW(parse(valid));
-  std::mt19937_64 rng(seed);
-  int rejected = 0;
-  for (int i = 0; i < kCases; ++i) {
-    const std::string text = mutate(valid, i % 3, rng);
-    try {
-      parse(text);
-    } catch (const Typed&) {
-      ++rejected;
-    } catch (const std::exception& e) {
-      ADD_FAILURE() << "case " << i << " threw an untyped exception: " << e.what();
-    } catch (...) {
-      ADD_FAILURE() << "case " << i << " threw a non-standard exception";
-    }
-  }
-  EXPECT_GT(rejected, 0) << "no mutation was rejected: the inputs are not being exercised";
-}
+using testsupport::expect_value_or_typed_error;
 
 std::string traffic_trace() {
   serve::TrafficSpec spec = serve::TrafficSpec::ci_default();

@@ -314,12 +314,13 @@ TEST(SchedulerStealTest, StealingDefaultsOffToKeepPlacementDeterministic) {
 }
 
 TEST(SchedulerStealTest, IdleDispatcherStealsABackedOffRetry) {
-  // Deterministic steal scenario: device 1 faults its very first kernel
-  // (one-shot), so its job fails over to device 0 — which is busy with
-  // a long job — behind a retry backoff. Device 1's dispatcher, now
-  // idle and degraded-for-placement but healthy-for-work, steals the
-  // retry back (backing-off entries are stealable: nothing would ever
-  // wake an idle thief when the backoff elapses) and completes it.
+  // The steal scenario on real threads: device 1 faults its very first
+  // kernel (one-shot), so its job fails over to device 0 — busy with a
+  // long job — behind a retry backoff, where idle device 1 may steal it
+  // back. Whether the thief gets a CPU before device 0 finishes `big`
+  // is a race, so this test keeps only what holds whichever thread
+  // wins; SchedCoreTest.IdleDeviceStealsABackedOffRetry drives the
+  // steal itself step by step under virtual time.
   ServeRuntime::Options opts;
   opts.devices = 2;
   opts.work_stealing = true;
@@ -331,7 +332,7 @@ TEST(SchedulerStealTest, IdleDispatcherStealsABackedOffRetry) {
   ServeRuntime runtime(opts);
 
   JobSpec big;
-  big.frames = 64;  // keeps device 0 busy through the fault + steal
+  big.frames = 64;
   auto big_future = runtime.submit(big);  // least-loaded tie-break: device 0
 
   JobSpec small;
@@ -339,21 +340,14 @@ TEST(SchedulerStealTest, IdleDispatcherStealsABackedOffRetry) {
   small.exec_frames = 1;
   auto small_future = runtime.submit(small);  // placed on device 1, faults instantly
 
-  const JobResult big_result = big_future.get();
+  big_future.get();
   const JobResult small_result = small_future.get();
   runtime.drain();
 
-  EXPECT_EQ(big_result.device, 0);
-  EXPECT_EQ(small_result.device, 1) << "the thief ran the stolen job";
   EXPECT_EQ(small_result.attempts, 1);
-
   const JobResult reference = reference_run(small, opts.device);
   EXPECT_EQ(small_result.last_output, reference.last_output);
-
-  const FleetMetrics::Snapshot s = runtime.metrics().snapshot();
-  EXPECT_GE(s.steals, 1);
-  EXPECT_EQ(s.jobs_completed, 2);
-  EXPECT_NE(runtime.events_jsonl().find("\"job_stolen\""), std::string::npos);
+  EXPECT_EQ(runtime.metrics().snapshot().jobs_completed, 2);
   testsupport::expect_zero_allocator_leaks(runtime);
 }
 
