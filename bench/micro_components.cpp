@@ -1,8 +1,9 @@
 // Micro-benchmarks (real wall time) of the library components that do
 // run natively on this machine: tiler gather/scatter, the mini-SaC
 // frontend and optimiser, the kernel tape VM, the functional executor,
-// the ArrayOL reference evaluator and the executed paper-geometry
-// kernels of both routes on the host backend.
+// the ArrayOL reference evaluator, the executed paper-geometry kernels
+// of both routes on the host backend, and the host side of an executed
+// frame (synthetic source, converting upload).
 
 #include <benchmark/benchmark.h>
 
@@ -153,6 +154,40 @@ void BM_CoverageMap(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CoverageMap);
+
+/// The synthetic source filling one paper-geometry channel in place
+/// on 1 and 3 workers: the generation half of an executed frame's host
+/// side.
+void BM_SyntheticChannel(benchmark::State& state) {
+  const Shape shape = DownscalerConfig::paper().frame_shape();
+  gpu::ThreadPool pool(static_cast<unsigned>(state.range(0)));
+  std::vector<std::int64_t> frame(static_cast<std::size_t>(shape.elements()));
+  int t = 0;
+  for (auto _ : state) {
+    synthetic_channel(frame, shape, t++ % 16, 0, &pool);
+    benchmark::DoNotOptimize(frame.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * shape.elements());
+}
+BENCHMARK(BM_SyntheticChannel)->Arg(1)->Arg(3);
+
+/// The converting upload of one paper-geometry channel (int64 host
+/// frame to int32 device frame) on the host backend, 1 and 3 workers:
+/// the transfer half of an executed frame's host side.
+void BM_FrameUpload(benchmark::State& state) {
+  gpu::VirtualGpu gpu(gpu::gtx480(), static_cast<unsigned>(state.range(0)),
+                      gpu::BackendKind::Host);
+  const IntArray frame = synthetic_channel(DownscalerConfig::paper().frame_shape(), 0, 0);
+  const gpu::BufferHandle buf = gpu.alloc(frame.elements() * 4);
+  gpu.upload_frame(buf, frame.data(), "memcpyHtoDasync");  // first touch
+  for (auto _ : state) {
+    gpu.upload_frame(buf, frame.data(), "memcpyHtoDasync");
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * frame.elements());
+}
+BENCHMARK(BM_FrameUpload)->Arg(1)->Arg(3);
 
 /// Host wall time of the named kernels recorded so far on `gpu`.
 double kernel_us(const gpu::VirtualGpu& gpu, const std::map<std::string, std::int64_t>& items) {

@@ -5,6 +5,7 @@
 
 #include "apps/downscaler/frames.hpp"
 #include "core/fmt.hpp"
+#include "core/scope_exit.hpp"
 #include "sac/parser.hpp"
 
 namespace saclo::apps {
@@ -65,6 +66,17 @@ void split_rows(const gpu::Profiler& profiler, const std::vector<gpu::Profiler::
   }
 }
 
+/// Makes `frame` a host frame of `shape` borrowed from the device's
+/// pool, unless it already is one, and fills it with frame f, channel
+/// ch of the synthetic source on the device's workers. Every element is
+/// rewritten, so a borrowed buffer's old contents never show.
+void fill_frame(gpu::VirtualGpu& gpu, IntArray& frame, const Shape& shape, int f, int ch) {
+  if (frame.shape() != shape) {
+    frame = IntArray(shape, gpu.host_frames().lend(static_cast<std::size_t>(shape.elements())));
+  }
+  synthetic_channel(frame.data(), shape, f, ch, &gpu.workers());
+}
+
 }  // namespace
 
 std::string nvprof_style_table(const std::string& h_label, const OpBreakdown& h,
@@ -85,14 +97,6 @@ std::string nvprof_style_table(const std::string& h_label, const OpBreakdown& h,
 // --- SaC pipelines ------------------------------------------------------------------
 
 namespace {
-/// A one-argument list that takes the frame over; a braced list would
-/// copy it.
-std::vector<Value> single_arg(Value v) {
-  std::vector<Value> args;
-  args.push_back(std::move(v));
-  return args;
-}
-
 std::string filter_fn(bool horizontal, bool generic) {
   return cat(horizontal ? "hfilter_" : "vfilter_", generic ? "generic" : "nongeneric");
 }
@@ -152,6 +156,14 @@ SacDownscaler::CudaResult SacDownscaler::run_cuda_chain_on(gpu::VirtualGpu& gpu,
   std::vector<gpu::EventId> iter_done;
   int iter = 0;
 
+  // The executed channel-frames' input: one host frame borrowed for the
+  // call, refilled for each, given back however the call ends.
+  std::vector<Value> args(1);
+  bool borrowed = false;
+  const ScopeExit give_back([&] {
+    if (borrowed) gpu.host_frames().give_back(std::move(args[0].ints()).release());
+  });
+
   result.next_frame = frames;
   for (int f = first_frame; f < frames; ++f) {
     // Preemption point: the first frame of a call always runs (every
@@ -164,12 +176,14 @@ SacDownscaler::CudaResult SacDownscaler::run_cuda_chain_on(gpu::VirtualGpu& gpu,
     for (int ch = 0; ch < channels; ++ch) {
       if (streams && iter >= 2) gpu.wait_event(streams->h2d, iter_done[iter - 2]);
 
-      Value frame;
-      if (exec) frame = Value(synthetic_channel(cfg_.frame_shape(), f, ch));
+      if (exec) {
+        fill_frame(gpu, args[0].ints(), cfg_.frame_shape(), f, ch);
+        borrowed = true;
+      }
       sac_cuda::CudaProgram::RunOptions ropts;
       ropts.execute = exec;
       ropts.streams = streams;
-      Value out = prog_.run(rt, single_arg(std::move(frame)), opts_.host, host_profiler, ropts);
+      Value out = prog_.run(rt, args, opts_.host, host_profiler, ropts);
 
       if (streams) iter_done.push_back(gpu.record_event(streams->compute));
       ++iter;
@@ -207,12 +221,12 @@ SacDownscaler::FilterResult SacDownscaler::run_cuda_filter(sac_cuda::CudaProgram
   gpu::cuda::Runtime rt(gpu);
   gpu::Profiler host_profiler;
   const sac::CompiledFunction& fn = filter.compiled();
-  Value input;
-  if (execute) input = Value(synthetic_channel(fn.param_shapes.at(fn.fn.params[0].second), 0, 0));
+  std::vector<Value> args(1);
+  if (execute) args[0] = synthetic_channel(fn.param_shapes.at(fn.fn.params[0].second), 0, 0);
   sac_cuda::CudaProgram::RunOptions opts;
   opts.execute = execute;
   opts.repetitions = iterations;
-  Value out = filter.run(rt, single_arg(std::move(input)), opts_.host, host_profiler, opts);
+  Value out = filter.run(rt, args, opts_.host, host_profiler, opts);
   FilterResult result;
   result.kernels = filter.kernel_count();
   if (execute) result.last_output = std::move(out.ints());
@@ -286,6 +300,13 @@ GaspardDownscaler::Result GaspardDownscaler::run_on(gpu::VirtualGpu& gpu, int fr
   // kernels finished (its input buffers are being reused).
   std::vector<gpu::EventId> frame_done;
 
+  // The executed frames' inputs: host frames borrowed for the call,
+  // refilled each frame, given back however the call ends.
+  std::map<std::string, IntArray> inputs;
+  const ScopeExit give_back([&] {
+    for (auto& [name, frame] : inputs) gpu.host_frames().give_back(std::move(frame).release());
+  });
+
   result.next_frame = frames;
   for (int f = first_frame; f < frames; ++f) {
     // Preemption point (see SacDownscaler::run_cuda_chain_on).
@@ -294,11 +315,10 @@ GaspardDownscaler::Result GaspardDownscaler::run_on(gpu::VirtualGpu& gpu, int fr
       break;
     }
     const bool exec = f < exec_frames;
-    std::map<std::string, IntArray> inputs;
     if (exec) {
       int ch = 0;
       for (const std::string& in : app_.model().inputs()) {
-        inputs.emplace(in, synthetic_channel(cfg_.frame_shape(), f, ch++));
+        fill_frame(gpu, inputs[in], cfg_.frame_shape(), f, ch++);
       }
     }
     std::map<std::string, IntArray> outputs;

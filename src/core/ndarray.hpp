@@ -52,6 +52,8 @@ class NDArray {
 
   std::span<T> data() { return data_; }
   std::span<const T> data() const { return data_; }
+  /// Hands the element storage over; the array is left empty.
+  std::vector<T> release() && { return std::move(data_); }
 
   bool operator==(const NDArray& other) const = default;
 

@@ -28,9 +28,10 @@ class SimBackend : public ExecutionBackend {
     return kernel_time_us(spec_, kernel.threads, kernel.cost);
   }
 
-  double transfer(Dir dir, std::int64_t bytes, const TransferFn& move) override {
+  double transfer(Dir dir, std::int64_t bytes, std::int64_t blocks,
+                  const TransferFn& move) override {
     notify_transfer(dir, bytes);
-    if (move) move();
+    if (move) pool_.parallel_for(blocks, move);
     return transfer_time_us(spec_, bytes, dir);
   }
 
@@ -64,11 +65,12 @@ class HostParallelBackend : public ExecutionBackend {
     return elapsed_us(t0);
   }
 
-  double transfer(Dir dir, std::int64_t bytes, const TransferFn& move) override {
+  double transfer(Dir dir, std::int64_t bytes, std::int64_t blocks,
+                  const TransferFn& move) override {
     notify_transfer(dir, bytes);
     if (!move) return transfer_time_us(spec_, bytes, dir);
     const auto t0 = std::chrono::steady_clock::now();
-    move();
+    pool_.parallel_for(blocks, move);
     return elapsed_us(t0);
   }
 

@@ -69,10 +69,22 @@ constexpr std::size_t walk_order(std::size_t i, std::size_t walk) {
   return i == 0 ? walk : (i <= walk ? i - 1 : i);
 }
 
-/// Moves the bytes of one executed transfer: a plain byte copy, or one
-/// that converts between the host and device element types on the way
-/// (int64 host frames to int32 device frames and back).
-using TransferFn = std::function<void()>;
+/// Elements per block of an executed transfer. A move is cut into
+/// blocks of this many elements, and the device's worker pool runs
+/// disjoint block ranges concurrently, as it runs kernel bodies.
+inline constexpr std::int64_t kTransferBlock = 64 * 1024;
+
+/// The blocks a transfer of `elements` elements moves in.
+constexpr std::int64_t transfer_blocks(std::int64_t elements) {
+  return (elements + kTransferBlock - 1) / kTransferBlock;
+}
+
+/// Moves blocks [begin, end) of one executed transfer: a plain byte
+/// copy, or one that converts between the host and device element
+/// types on the way (int64 host frames to int32 device frames and
+/// back). Like a kernel body it must be safe to call concurrently for
+/// disjoint ranges.
+using TransferFn = std::function<void(std::int64_t begin, std::int64_t end)>;
 
 /// Notified exactly once at each operation boundary a backend processes,
 /// *before* any work of the operation happens. VirtualGpu installs an
@@ -96,7 +108,8 @@ class OpBoundaryObserver {
 ///    once, before any side effect, and let its exceptions (injected
 ///    DeviceFaults) escape without running the operation — fail-stop.
 ///  - with execute=true (a transfer: a move function) the data really
-///    moves / the body really runs (bit-exact results across backends);
+///    moves / the body really runs (bit-exact results across backends),
+///    both through the worker pool's parallel_for;
 ///    otherwise only a duration is returned (simulated repetition of an
 ///    identical op).
 ///  - the returned duration is microseconds on the device timeline:
@@ -119,9 +132,10 @@ class ExecutionBackend {
 
   /// Transfer entry point for every PCIe transfer. `bytes` is the
   /// logical (device-side) transfer size. An executed transfer passes
-  /// the `move` that performs it; an empty one is an accounting-only
-  /// repetition. Returns the transfer's duration.
-  virtual double transfer(Dir dir, std::int64_t bytes, const TransferFn& move) = 0;
+  /// the `move` that performs it over `blocks` blocks; an empty one is
+  /// an accounting-only repetition. Returns the transfer's duration.
+  virtual double transfer(Dir dir, std::int64_t bytes, std::int64_t blocks,
+                          const TransferFn& move) = 0;
 
  protected:
   /// Backend implementations call these exactly once per operation,

@@ -1,5 +1,7 @@
 #include "gpu/memory.hpp"
 
+#include <algorithm>
+
 #include "core/fmt.hpp"
 
 namespace saclo::gpu {
@@ -67,6 +69,31 @@ std::span<std::byte> DeviceMemoryPool::bytes(BufferHandle handle) {
 
 std::span<const std::byte> DeviceMemoryPool::bytes(BufferHandle handle) const {
   return {block_of(handle).data.get(), static_cast<std::size_t>(handle.bytes)};
+}
+
+std::vector<std::int64_t> HostFramePool::lend(std::size_t elements) {
+  const auto same = std::find_if(free_.begin(), free_.end(),
+                                 [elements](const auto& b) { return b.size() == elements; });
+  if (same != free_.end()) {
+    std::vector<std::int64_t> buffer = std::move(*same);
+    free_.erase(same);
+    ++lent_;
+    return buffer;
+  }
+  // Another size: it takes the smallest retained buffer's place.
+  const auto smallest = std::min_element(
+      free_.begin(), free_.end(), [](const auto& a, const auto& b) { return a.size() < b.size(); });
+  if (smallest != free_.end()) free_.erase(smallest);
+  std::vector<std::int64_t> buffer(elements);
+  most_lent_ = std::max(most_lent_, ++lent_);
+  free_.reserve(most_lent_);  // room for every loan to come back
+  return buffer;
+}
+
+void HostFramePool::give_back(std::vector<std::int64_t> buffer) noexcept {
+  if (lent_ == 0) return;  // nothing is out: not this pool's loan
+  --lent_;
+  if (!buffer.empty()) free_.push_back(std::move(buffer));
 }
 
 }  // namespace saclo::gpu

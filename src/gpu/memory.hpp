@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <span>
+#include <vector>
 
 #include "core/error.hpp"
 
@@ -149,6 +150,33 @@ class DeviceBuffer {
   }
   BufferAllocator* allocator_ = nullptr;
   BufferHandle handle_{};
+};
+
+/// The int64 host frame buffers of one device: what the pinned staging
+/// buffers a CUDA application allocates once are to it. An executed
+/// frame borrows its host array here and gives it back after its
+/// upload, so steady-state frames neither allocate nor first-touch
+/// their largest arrays. Storage is reused, never contents: a borrower
+/// overwrites the whole buffer. Retention is bounded by the most
+/// buffers ever out at once, and a request of a size no retained buffer
+/// has replaces the smallest one instead of growing the pool. Not
+/// thread-safe: like its device, one driver uses it at a time.
+class HostFramePool {
+ public:
+  /// A buffer of exactly `elements` values, contents unspecified.
+  std::vector<std::int64_t> lend(std::size_t elements);
+  /// Ends a loan and keeps the storage for the next one. An empty
+  /// buffer (its storage lost, say to an exception) only ends the loan.
+  /// Never allocates, so a scope guard may call it.
+  void give_back(std::vector<std::int64_t> buffer) noexcept;
+  /// Buffers kept for reuse.
+  std::size_t retained() const { return free_.size(); }
+
+ private:
+  // Invariant: free_.size() + lent_ <= most_lent_ <= free_.capacity().
+  std::vector<std::vector<std::int64_t>> free_;
+  std::size_t lent_ = 0;
+  std::size_t most_lent_ = 0;
 };
 
 }  // namespace saclo::gpu

@@ -29,9 +29,20 @@ void VirtualGpu::on_transfer_boundary(Dir dir, std::int64_t bytes) {
   if (fault_ != nullptr) fault_->on_transfer(timeline_.makespan_us());
 }
 
+namespace {
+/// A transfer body over elements [0, n) from an element-range copy.
+template <typename Copy>
+TransferFn blockwise(std::int64_t n, Copy copy) {
+  return [n, copy](std::int64_t begin, std::int64_t end) {
+    copy(begin * kTransferBlock, std::min(end * kTransferBlock, n));
+  };
+}
+}  // namespace
+
 void VirtualGpu::transfer(Dir dir, BufferHandle touched, std::int64_t bytes,
-                          const std::string& op, const TransferFn& move, StreamId stream) {
-  const double us = backend_->transfer(dir, bytes, move);
+                          const std::string& op, std::int64_t blocks, const TransferFn& move,
+                          StreamId stream) {
+  const double us = backend_->transfer(dir, bytes, blocks, move);
   const BufferHandle handles[] = {touched};
   const std::span<const BufferHandle> hazard =
       touched.valid() ? std::span<const BufferHandle>(handles) : std::span<const BufferHandle>();
@@ -49,11 +60,14 @@ void VirtualGpu::copy_h2d(BufferHandle dst, std::span<const std::byte> src, cons
     throw DeviceMemoryError(cat("copy_h2d of ", src.size(), " bytes into ", dest.size(),
                                 "-byte device buffer"));
   }
+  const auto n = static_cast<std::int64_t>(src.size());
   TransferFn move;
-  if (execute && !src.empty()) {
-    move = [dest, src] { std::memcpy(dest.data(), src.data(), src.size()); };
+  if (execute && n > 0) {
+    move = blockwise(n, [dest, src](std::int64_t begin, std::int64_t end) {
+      std::memcpy(dest.data() + begin, src.data() + begin, static_cast<std::size_t>(end - begin));
+    });
   }
-  transfer(Dir::HostToDevice, dst, static_cast<std::int64_t>(src.size()), op, move, stream);
+  transfer(Dir::HostToDevice, dst, n, op, transfer_blocks(n), move, stream);
 }
 
 void VirtualGpu::copy_d2h(std::span<std::byte> dst, BufferHandle src, const std::string& op,
@@ -63,11 +77,14 @@ void VirtualGpu::copy_d2h(std::span<std::byte> dst, BufferHandle src, const std:
     throw DeviceMemoryError(cat("copy_d2h of ", dst.size(), " bytes from ", source.size(),
                                 "-byte device buffer"));
   }
+  const auto n = static_cast<std::int64_t>(dst.size());
   TransferFn move;
-  if (execute && !dst.empty()) {
-    move = [dst, source] { std::memcpy(dst.data(), source.data(), dst.size()); };
+  if (execute && n > 0) {
+    move = blockwise(n, [dst, source](std::int64_t begin, std::int64_t end) {
+      std::memcpy(dst.data() + begin, source.data() + begin, static_cast<std::size_t>(end - begin));
+    });
   }
-  transfer(Dir::DeviceToHost, src, static_cast<std::int64_t>(dst.size()), op, move, stream);
+  transfer(Dir::DeviceToHost, src, n, op, transfer_blocks(n), move, stream);
 }
 
 void VirtualGpu::upload_frame(BufferHandle dst, std::span<const std::int64_t> src,
@@ -77,16 +94,23 @@ void VirtualGpu::upload_frame(BufferHandle dst, std::span<const std::int64_t> sr
     throw DeviceMemoryError(cat("upload_frame of ", src.size(), " elements into ", dev.size(),
                                 "-element device buffer"));
   }
-  const TransferFn move = [dev, src] { std::copy(src.begin(), src.end(), dev.begin()); };
-  transfer(Dir::HostToDevice, dst, dst.bytes, op, move, stream);
+  const auto n = static_cast<std::int64_t>(src.size());
+  const TransferFn move = blockwise(n, [dev, src](std::int64_t begin, std::int64_t end) {
+    std::copy(src.begin() + begin, src.begin() + end, dev.begin() + begin);
+  });
+  transfer(Dir::HostToDevice, dst, dst.bytes, op, transfer_blocks(n), move, stream);
 }
 
 std::vector<std::int64_t> VirtualGpu::download_frame(BufferHandle src, const std::string& op,
                                                      StreamId stream) {
   const auto dev = memory_.view<std::int32_t>(src);
-  std::vector<std::int64_t> host;
-  const TransferFn move = [&host, dev] { host.assign(dev.begin(), dev.end()); };
-  transfer(Dir::DeviceToHost, src, src.bytes, op, move, stream);
+  std::vector<std::int64_t> host(dev.size());
+  const std::span<std::int64_t> out(host);
+  const auto n = static_cast<std::int64_t>(dev.size());
+  const TransferFn move = blockwise(n, [dev, out](std::int64_t begin, std::int64_t end) {
+    std::copy(dev.begin() + begin, dev.begin() + end, out.begin() + begin);
+  });
+  transfer(Dir::DeviceToHost, src, src.bytes, op, transfer_blocks(n), move, stream);
   return host;
 }
 

@@ -59,6 +59,11 @@ class VirtualGpu : private OpBoundaryObserver {
   /// memory pool. Install with nullptr to restore the memory pool.
   BufferAllocator& allocator() { return allocator_ != nullptr ? *allocator_ : memory_; }
   void set_allocator(BufferAllocator* allocator) { allocator_ = allocator; }
+  /// The host frame buffers executed frames borrow (see HostFramePool).
+  HostFramePool& host_frames() { return host_frames_; }
+  /// The worker pool that runs kernel bodies and transfer blocks; the
+  /// drivers fill their host frames on it too.
+  ThreadPool& workers() { return pool_; }
   /// Installs a fault injector the device consults before every kernel
   /// launch and transfer (fail-stop: a faulted operation does
   /// not run and accrues no simulated time). nullptr uninstalls —
@@ -108,11 +113,12 @@ class VirtualGpu : private OpBoundaryObserver {
   /// reads (D2H), its data hazard; pass an invalid handle for none.
   /// `op` is the profiler row name (e.g. the CUDA-style
   /// "memcpyHtoDasync"). `move` performs an executed transfer (a plain
-  /// or a converting copy); an empty one accrues time only (simulated
-  /// repetition). Every transfer is charged and crosses a fault
-  /// boundary.
+  /// or a converting copy) over `blocks` blocks, on the worker pool; an
+  /// empty one accrues time only (simulated repetition). Every transfer
+  /// is charged on its logical bytes and crosses one fault boundary,
+  /// before any block moves.
   void transfer(Dir dir, BufferHandle touched, std::int64_t bytes, const std::string& op,
-                const TransferFn& move, StreamId stream = kDefaultStream);
+                std::int64_t blocks, const TransferFn& move, StreamId stream = kDefaultStream);
   /// Host-to-device byte copy of `src` into the front of `dst`.
   void copy_h2d(BufferHandle dst, std::span<const std::byte> src, const std::string& op,
                 bool execute, StreamId stream = kDefaultStream);
@@ -124,7 +130,8 @@ class VirtualGpu : private OpBoundaryObserver {
   /// paper's 32-bit pixels (and their PCIe cost is modelled as such).
   /// The move converts straight between the host array and the device
   /// block, with no staging copy — so `host` times the conversion, and
-  /// on every backend it runs after the fault boundary.
+  /// on every backend it runs after the fault boundary. A download
+  /// sizes its result up front and the blocks convert into it.
   void upload_frame(BufferHandle dst, std::span<const std::int64_t> src, const std::string& op,
                     StreamId stream = kDefaultStream);
   std::vector<std::int64_t> download_frame(BufferHandle src, const std::string& op,
@@ -133,7 +140,7 @@ class VirtualGpu : private OpBoundaryObserver {
   /// Accrues transfer time without moving data (simulated repetition).
   void account_transfer(std::int64_t bytes, Dir dir, const std::string& op,
                         StreamId stream = kDefaultStream, BufferHandle touched = {}) {
-    transfer(dir, touched, bytes, op, {}, stream);
+    transfer(dir, touched, bytes, op, 0, {}, stream);
   }
 
   /// Launches a kernel; returns its duration in microseconds. With
@@ -155,6 +162,7 @@ class VirtualGpu : private OpBoundaryObserver {
 
   DeviceSpec spec_;
   DeviceMemoryPool memory_;
+  HostFramePool host_frames_;
   BufferAllocator* allocator_ = nullptr;
   fault::FaultInjector* fault_ = nullptr;
   ThreadPool pool_;

@@ -6,6 +6,7 @@
 #include <tuple>
 
 #include "core/fmt.hpp"
+#include "core/scope_exit.hpp"
 #include "sac/builtins.hpp"
 #include "sac/interp.hpp"
 #include "sac/specialize.hpp"
@@ -555,7 +556,7 @@ int CudaProgram::host_block_count() const {
 
 // --- execution -------------------------------------------------------------------------
 
-sac::Value CudaProgram::run(gpu::cuda::Runtime& rt, std::vector<sac::Value> args,
+sac::Value CudaProgram::run(gpu::cuda::Runtime& rt, std::vector<sac::Value>& args,
                             const gpu::HostSpec& host, gpu::Profiler& host_profiler,
                             const RunOptions& options) {
   // Only the first repetition executes (see RunOptions).
@@ -577,6 +578,14 @@ sac::Value CudaProgram::run(gpu::cuda::Runtime& rt, std::vector<sac::Value> args
     host_env.emplace(name, std::move(args[i]));
     host_valid.insert(name);
   }
+  // The arguments go back to the caller however the call ends.
+  // Declared after host_env, so it runs first.
+  const ScopeExit give_args_back([&] {
+    for (std::size_t i = 0; i < args.size(); ++i) {
+      auto it = host_env.find(fn_.fn.params[i].second);
+      if (it != host_env.end()) args[i] = std::move(it->second);
+    }
+  });
 
   auto shape_of = [&](const std::string& name) -> const Shape& {
     auto it = shapes_.find(name);
@@ -826,6 +835,11 @@ sac::Value CudaProgram::run(gpu::cuda::Runtime& rt, std::vector<sac::Value> args
   auto it = host_env.find(return_var_);
   if (it == host_env.end()) {
     throw BackendError(cat("result variable '", return_var_, "' was never produced"));
+  }
+  // A function that returns a parameter returns a copy: the parameter
+  // goes back to the caller.
+  for (const auto& param : fn_.fn.params) {
+    if (param.second == return_var_) return it->second;
   }
   return std::move(it->second);
 }

@@ -130,16 +130,17 @@ class CudaProgram {
   /// kernels really run (bit-exact against the interpreter); with
   /// execute=false only simulated time is accrued (repetition of a
   /// frame loop). Host-step times go to `host_profiler`; GPU times to
-  /// the runtime's device profiler. The arguments are consumed: a
-  /// caller that moves its frames in hands them over without a copy.
-  sac::Value run(gpu::cuda::Runtime& rt, std::vector<sac::Value> args,
+  /// the runtime's device profiler. The arguments are used in place,
+  /// without a copy, and hold their values again when the call returns
+  /// or throws: a driver refills the same frame for its next call.
+  sac::Value run(gpu::cuda::Runtime& rt, std::vector<sac::Value>& args,
                  const gpu::HostSpec& host, gpu::Profiler& host_profiler,
                  const RunOptions& options);
   sac::Value run(gpu::cuda::Runtime& rt, std::vector<sac::Value> args,
                  const gpu::HostSpec& host, gpu::Profiler& host_profiler, bool execute) {
     RunOptions o;
     o.execute = execute;
-    return run(rt, std::move(args), host, host_profiler, o);
+    return run(rt, args, host, host_profiler, o);
   }
 
  private:

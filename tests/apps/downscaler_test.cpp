@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <span>
+#include <vector>
 
 #include "apps/downscaler/frames.hpp"
+#include "gpu/executor.hpp"
 #include "obs/export.hpp"
 #include "sac/interp.hpp"
 #include "sac/parser.hpp"
@@ -50,27 +53,38 @@ TEST(FramesTest, SyntheticChannelsAre8Bit) {
   EXPECT_NE(c, synthetic_channel(Shape{18, 32}, 4, 2));
 }
 
+/// The synthetic pattern, written out once per pixel: a plaid, inverted
+/// on alternate 16x16 blocks, with a moving diagonal bar of period w/4.
+std::int64_t pixel(std::int64_t y, std::int64_t x, std::int64_t w, std::int64_t t,
+                   std::int64_t c) {
+  std::int64_t v = (x * 13 + y * 7 + t * 5 + c * 83) % 256;
+  if (((x / 16) + (y / 16) + t) % 2 == 0) v = 255 - v;
+  if ((x + y + 3 * t) % std::max<std::int64_t>(w / 4, 1) < 8) v = (v + 128) % 256;
+  return v;
+}
+
+/// Rows [y0, y1) of `frame` (shape `s`) against the closed form.
+::testing::AssertionResult rows_match(std::span<const std::int64_t> frame, const Shape& s, int t,
+                                      int c, std::int64_t y0, std::int64_t y1) {
+  for (std::int64_t y = y0; y < y1; ++y) {
+    for (std::int64_t x = 0; x < s[1]; ++x) {
+      const std::int64_t got = frame[static_cast<std::size_t>(y * s[1] + x)];
+      if (got == pixel(y, x, s[1], t, c)) continue;
+      return ::testing::AssertionFailure()
+             << "shape " << s.to_string() << " frame " << t << " channel " << c << " at (" << y
+             << ", " << x << "): " << got << " vs " << pixel(y, x, s[1], t, c);
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+constexpr std::int64_t kPoison = -0x5A5A5A5A5A5A5A5A;
+
 TEST(FramesTest, SyntheticChannelMatchesTheClosedFormOnEveryPixel) {
-  // The pattern, written out once per pixel: a plaid, inverted on
-  // alternate 16x16 blocks, with a moving diagonal bar of period w/4.
-  auto pixel = [](std::int64_t y, std::int64_t x, std::int64_t w, std::int64_t t,
-                  std::int64_t c) {
-    std::int64_t v = (x * 13 + y * 7 + t * 5 + c * 83) % 256;
-    if (((x / 16) + (y / 16) + t) % 2 == 0) v = 255 - v;
-    if ((x + y + 3 * t) % std::max<std::int64_t>(w / 4, 1) < 8) v = (v + 128) % 256;
-    return v;
-  };
   auto expect_closed_form = [&](const Shape& s, int t, int c) {
     const IntArray a = synthetic_channel(s, t, c);
     ASSERT_EQ(a.shape(), s);
-    for (std::int64_t y = 0; y < s[0]; ++y) {
-      for (std::int64_t x = 0; x < s[1]; ++x) {
-        if (a[y * s[1] + x] == pixel(y, x, s[1], t, c)) continue;
-        FAIL() << "shape " << s.to_string() << " frame " << t << " channel " << c << " at ("
-               << y << ", " << x << "): " << a[y * s[1] + x] << " vs "
-               << pixel(y, x, s[1], t, c);
-      }
-    }
+    ASSERT_TRUE(rows_match(a.data(), s, t, c, 0, s[0]));
   };
   const Shape shapes[] = {DownscalerConfig::tiny().frame_shape(),
                           DownscalerConfig::small().frame_shape(),
@@ -87,13 +101,75 @@ TEST(FramesTest, SyntheticChannelMatchesTheClosedFormOnEveryPixel) {
       }
     }
   }
-  // Paper geometry, where the carried bar phase wraps 2+ times a row.
+  // Paper geometry, where the bar runs 4 times a row.
   for (int t : {0, 1, 2, 3}) {
     for (int c : {0, 1, 2}) {
       expect_closed_form(DownscalerConfig::paper().frame_shape(), t, c);
       if (::testing::Test::HasFatalFailure()) return;
     }
   }
+}
+
+/// Fills poisoned buffers of shape `s` in place for every frame and
+/// channel in 0..5, and checks each against the closed form.
+::testing::AssertionResult fills_every_pixel(const Shape& s) {
+  for (int t = 0; t <= 5; ++t) {
+    for (int c = 0; c <= 5; ++c) {
+      std::vector<std::int64_t> frame(static_cast<std::size_t>(s.elements()), kPoison);
+      synthetic_channel(frame, s, t, c);
+      ::testing::AssertionResult match = rows_match(frame, s, t, c, 0, s[0]);
+      if (!match) return match;
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(FramesTest, InPlaceFillWritesEveryPixelOfAPoisonedBuffer) {
+  // w < 4: a bar period of 1, so every pixel is on the bar.
+  for (const Shape& s : {Shape{5, 1}, Shape{4, 3}}) EXPECT_TRUE(fills_every_pixel(s));
+  // w < 32: periods 1..7, so the bar runs of min(8, period) pixels tile
+  // the row (runs of 8 would overlap); w = 32 is period 8.
+  for (const Shape& s : {Shape{7, 4}, Shape{9, 12}, Shape{20, 31}, Shape{17, 32}}) {
+    EXPECT_TRUE(fills_every_pixel(s));
+  }
+  // h not a multiple of 16: the last block row is cut short.
+  for (const Shape& s : {Shape{18, 32}, Shape{33, 65}, Shape{47, 100}}) {
+    EXPECT_TRUE(fills_every_pixel(s));
+  }
+  // Spot rows at paper geometry, filled on a pool in blocks of 35 rows:
+  // block row edges (15/16), fill block edges (34/35, 1049/1050) and
+  // the last row.
+  const Shape paper = DownscalerConfig::paper().frame_shape();
+  gpu::ThreadPool pool(3);
+  std::vector<std::int64_t> frame(static_cast<std::size_t>(paper.elements()), kPoison);
+  for (int t : {0, 5}) {
+    for (int c : {0, 2}) {
+      synthetic_channel(frame, paper, t, c, &pool);
+      for (std::int64_t y : {0, 15, 16, 34, 35, 539, 1049, 1050, 1079}) {
+        ASSERT_TRUE(rows_match(frame, paper, t, c, y, y + 1));
+      }
+    }
+  }
+}
+
+TEST(FramesTest, PoolSplitFillsMatchTheSerialFill) {
+  // Paper geometry splits into 31 blocks of rows, 1000x600 into 10, and
+  // 9 rows wider than a block into one block per row.
+  const Shape shapes[] = {DownscalerConfig::paper().frame_shape(), Shape{1000, 600},
+                          Shape{9, 70000}};
+  for (const Shape& s : shapes) {
+    std::vector<std::int64_t> serial(static_cast<std::size_t>(s.elements()), kPoison);
+    synthetic_channel(serial, s, 3, 1);
+    for (unsigned workers = 1; workers <= 4; ++workers) {
+      gpu::ThreadPool pool(workers);
+      std::vector<std::int64_t> split(serial.size(), kPoison);
+      synthetic_channel(split, s, 3, 1, &pool);
+      EXPECT_TRUE(split == serial) << s.to_string() << " on " << workers << " workers";
+    }
+  }
+  std::vector<std::int64_t> wrong_size(10);
+  EXPECT_THROW(synthetic_channel(wrong_size, Shape{3, 4}, 0, 0), Error);
+  EXPECT_THROW(synthetic_channel(wrong_size, Shape{10}, 0, 0), Error);
 }
 
 struct TinyFixture {

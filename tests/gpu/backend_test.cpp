@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <numeric>
 #include <span>
 #include <string>
@@ -51,7 +53,8 @@ std::vector<std::int32_t> drive_sequence(ExecutionBackend& backend, RecordingObs
   std::iota(data.begin(), data.end(), 1);
   std::vector<std::int32_t> device(64);
 
-  backend.transfer(Dir::HostToDevice, 64 * 4, [&] { device = data; });
+  backend.transfer(Dir::HostToDevice, 64 * 4, 1,
+                   [&](std::int64_t, std::int64_t) { device = data; });
 
   KernelLaunch scale;
   scale.name = "scale2";
@@ -71,7 +74,8 @@ std::vector<std::int32_t> drive_sequence(ExecutionBackend& backend, RecordingObs
   backend.launch_kernel(accounted, /*execute=*/false);
 
   std::vector<std::int32_t> back(64);
-  backend.transfer(Dir::DeviceToHost, 64 * 4, [&] { back = device; });
+  backend.transfer(Dir::DeviceToHost, 64 * 4, 1,
+                   [&](std::int64_t, std::int64_t) { back = device; });
   return back;
 }
 
@@ -165,7 +169,8 @@ TEST(BackendTest, ObserverThrowAbortsTheOpBeforeAnyWork) {
 
     std::vector<std::int32_t> src(8, 7);
     std::vector<std::int32_t> dst(8, 0);
-    EXPECT_THROW(backend->transfer(Dir::HostToDevice, 32, [&] { dst = src; }),
+    EXPECT_THROW(backend->transfer(Dir::HostToDevice, 32, 1,
+                                   [&](std::int64_t, std::int64_t) { dst = src; }),
                  fault::DeviceFault)
         << backend->name();
     EXPECT_EQ(dst, std::vector<std::int32_t>(8, 0))
@@ -199,10 +204,11 @@ TEST(BackendTest, DurationsArePositiveAndModelExactForSim) {
   // times the move, and a transfer without one charges the model.
   const double modeled_copy = transfer_time_us(spec, 4096, Dir::HostToDevice);
   int moves = 0;
-  EXPECT_DOUBLE_EQ(sim->transfer(Dir::HostToDevice, 4096, [&] { ++moves; }), modeled_copy);
-  EXPECT_DOUBLE_EQ(sim->transfer(Dir::HostToDevice, 4096, {}), modeled_copy);
-  EXPECT_GE(host->transfer(Dir::HostToDevice, 4096, [&] { ++moves; }), 0.0);
-  EXPECT_DOUBLE_EQ(host->transfer(Dir::HostToDevice, 4096, {}), modeled_copy);
+  const TransferFn count = [&](std::int64_t, std::int64_t) { ++moves; };
+  EXPECT_DOUBLE_EQ(sim->transfer(Dir::HostToDevice, 4096, 1, count), modeled_copy);
+  EXPECT_DOUBLE_EQ(sim->transfer(Dir::HostToDevice, 4096, 0, {}), modeled_copy);
+  EXPECT_GE(host->transfer(Dir::HostToDevice, 4096, 1, count), 0.0);
+  EXPECT_DOUBLE_EQ(host->transfer(Dir::HostToDevice, 4096, 0, {}), modeled_copy);
   EXPECT_EQ(moves, 2);
 }
 
@@ -287,6 +293,78 @@ TEST(BackendTest, VirtualGpuResultsAreBitExactAcrossBackends) {
   const std::vector<std::int32_t> reference = run(BackendKind::Sim);
   for (BackendKind kind : available_backends()) {
     EXPECT_EQ(run(kind), reference) << backend_kind_name(kind);
+  }
+}
+
+// Frame transfers in range form: the converting upload and download
+// are bit-exact at every block edge, on one worker and on three, for
+// the extremes of the device's 32-bit pixels too.
+TEST(BackendTest, FrameTransfersAreBitExactAtEveryBlockEdge) {
+  const std::int64_t block = kTransferBlock;
+  const std::int64_t sizes[] = {0, 1, block - 1, block, block + 1, 3 * block + 7};
+  for (BackendKind kind : available_backends()) {
+    for (unsigned workers : {1u, 3u}) {
+      VirtualGpu gpu(gtx480(), workers, kind);
+      for (std::int64_t n : sizes) {
+        std::vector<std::int64_t> frame(static_cast<std::size_t>(n));
+        for (std::size_t i = 0; i < frame.size(); ++i) {
+          frame[i] = static_cast<std::int32_t>(static_cast<std::uint32_t>(i) * 2654435761u);
+        }
+        if (n > 0) frame.front() = std::numeric_limits<std::int32_t>::min();
+        if (n > 1) frame.back() = std::numeric_limits<std::int32_t>::max();
+        const BufferHandle buf = gpu.alloc(n * 4);
+        gpu.upload_frame(buf, frame, "h2d");
+        const auto dev = gpu.memory().view<std::int32_t>(buf);
+        EXPECT_TRUE(std::equal(dev.begin(), dev.end(), frame.begin(), frame.end()))
+            << backend_kind_name(kind) << ", " << workers << " workers, " << n << " elements";
+        EXPECT_TRUE(gpu.download_frame(buf, "d2h") == frame)
+            << backend_kind_name(kind) << ", " << workers << " workers, " << n << " elements";
+        gpu.free(buf);
+      }
+    }
+  }
+}
+
+// One fault boundary per transfer, before any block moves: with
+// after_transfers=2 two multi-block uploads land whole, and the third
+// faults with the device block still poisoned; a faulted download
+// returns nothing.
+TEST(BackendTest, TransferFaultsFireOncePerTransferBeforeAnyBlockMoves) {
+  constexpr std::int32_t kPoison = 0x5A5A5A5A;
+  const std::int64_t n = 3 * kTransferBlock + 7;
+  const std::vector<std::int64_t> frame(static_cast<std::size_t>(n), 9);
+  for (BackendKind kind : available_backends()) {
+    for (unsigned workers : {1u, 3u}) {
+      fault::FaultSpec spec;
+      spec.device = 0;
+      spec.after_transfers = 2;
+      spec.kind = fault::FaultKind::Transfer;
+      fault::FaultInjector injector({spec});
+      VirtualGpu gpu(gtx480(), workers, kind);
+      gpu.set_fault_injector(&injector);
+      const BufferHandle buf = gpu.alloc(n * 4);
+      const auto dev = gpu.memory().view<std::int32_t>(buf);
+
+      gpu.upload_frame(buf, frame, "h2d");
+      gpu.upload_frame(buf, frame, "h2d");
+      EXPECT_EQ(injector.transfers_seen(), 2) << backend_kind_name(kind);
+      EXPECT_EQ(injector.faults_fired(), 0) << backend_kind_name(kind);
+      std::fill(dev.begin(), dev.end(), kPoison);
+      EXPECT_THROW(gpu.upload_frame(buf, frame, "h2d"), fault::DeviceFault)
+          << backend_kind_name(kind);
+      EXPECT_EQ(injector.faults_fired(), 1) << backend_kind_name(kind);
+      EXPECT_TRUE(std::all_of(dev.begin(), dev.end(), [](std::int32_t v) { return v == kPoison; }))
+          << backend_kind_name(kind) << ", " << workers << " workers: a block moved past the fault";
+
+      fault::FaultInjector next({spec});
+      gpu.set_fault_injector(&next);
+      EXPECT_EQ(gpu.download_frame(buf, "d2h").size(), static_cast<std::size_t>(n));
+      EXPECT_EQ(gpu.download_frame(buf, "d2h").size(), static_cast<std::size_t>(n));
+      EXPECT_THROW(gpu.download_frame(buf, "d2h"), fault::DeviceFault) << backend_kind_name(kind);
+      EXPECT_EQ(next.transfers_seen(), 2) << backend_kind_name(kind);
+      gpu.set_fault_injector(nullptr);
+      gpu.free(buf);
+    }
   }
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace saclo::gpu {
 namespace {
 
@@ -144,6 +146,48 @@ TEST(DeviceBufferTest, MoveTransfersOwnership) {
   DeviceBuffer c(pool, 20);
   c = std::move(b);
   EXPECT_EQ(pool.used_bytes(), 256);  // the 20-byte buffer was released
+}
+
+TEST(HostFramePoolTest, ReusesStorageOfTheSameSize) {
+  HostFramePool pool;
+  std::vector<std::int64_t> a = pool.lend(100);
+  ASSERT_EQ(a.size(), 100u);
+  const std::int64_t* storage = a.data();
+  pool.give_back(std::move(a));
+  EXPECT_EQ(pool.retained(), 1u);
+  std::vector<std::int64_t> b = pool.lend(100);
+  EXPECT_EQ(b.data(), storage);
+  EXPECT_EQ(pool.retained(), 0u);
+  pool.give_back(std::move(b));
+}
+
+TEST(HostFramePoolTest, RetainsAtMostTheMostBuffersOutAtOnce) {
+  HostFramePool pool;
+  std::vector<std::vector<std::int64_t>> out;
+  for (std::size_t n : {10u, 20u, 30u}) out.push_back(pool.lend(n));
+  for (auto& b : out) pool.give_back(std::move(b));
+  EXPECT_EQ(pool.retained(), 3u);
+  // Another size replaces the smallest retained buffer: still 3, and
+  // the 10-element one is gone.
+  out.clear();
+  out.push_back(pool.lend(40));
+  EXPECT_EQ(pool.retained(), 2u);
+  pool.give_back(std::move(out.back()));
+  EXPECT_EQ(pool.retained(), 3u);
+  for (std::size_t n : {20u, 30u, 40u}) {
+    std::vector<std::int64_t> b = pool.lend(n);
+    EXPECT_EQ(b.size(), n);
+    EXPECT_EQ(pool.retained(), 2u) << "a " << n << "-element buffer was retained";
+    pool.give_back(std::move(b));
+  }
+  // A buffer the pool did not lend, and an emptied loan, add nothing.
+  pool.give_back(std::vector<std::int64_t>(50));
+  EXPECT_EQ(pool.retained(), 3u);
+  std::vector<std::int64_t> lost = pool.lend(20);
+  lost.clear();
+  lost.shrink_to_fit();
+  pool.give_back(std::move(lost));
+  EXPECT_EQ(pool.retained(), 2u);
 }
 
 }  // namespace

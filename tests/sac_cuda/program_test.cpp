@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "../support/mini_downscaler.hpp"
+#include "fault/fault.hpp"
 #include "sac/interp.hpp"
 #include "sac/parser.hpp"
 #include "sac_cuda/codegen_text.hpp"
@@ -50,6 +51,28 @@ TEST(CudaProgramTest, NonGenericResultMatchesInterpreter) {
   const Value expected = sac::run_function(f.mod, "hfilter_nongeneric", {Value(frame)});
   const Value actual = p.run(f.rt, {Value(frame)}, f.host, f.host_profiler, true);
   EXPECT_EQ(expected, actual);
+}
+
+TEST(CudaProgramTest, RunGivesItsArgumentsBackOnReturnAndOnAFault) {
+  Fixture f;
+  CudaProgram p = f.plan_fn("hfilter_nongeneric");
+  const IntArray frame = test_frame();
+  std::vector<Value> args{Value(frame)};
+  const std::int64_t* storage = args[0].ints().data().data();
+  const CudaProgram::RunOptions opts;
+  p.run(f.rt, args, f.host, f.host_profiler, opts);
+  EXPECT_EQ(args[0].ints(), frame);
+  EXPECT_EQ(args[0].ints().data().data(), storage) << "the argument was copied, not lent";
+
+  fault::FaultSpec spec;
+  spec.after_transfers = 0;
+  spec.kind = fault::FaultKind::Transfer;
+  fault::FaultInjector injector({spec});
+  f.gpu.set_fault_injector(&injector);
+  EXPECT_THROW(p.run(f.rt, args, f.host, f.host_profiler, opts), fault::DeviceFault);
+  f.gpu.set_fault_injector(nullptr);
+  EXPECT_EQ(args[0].ints(), frame);
+  EXPECT_EQ(args[0].ints().data().data(), storage);
 }
 
 TEST(CudaProgramTest, GenericPipelineFallsBackToHostTiler) {

@@ -21,10 +21,9 @@
 // --policy selects the queue-draining order of the dispatchers (fifo is
 // the pre-SLO behavior); --tenant / --priority / --deadline-ms repeat
 // and round-robin across the submitted jobs, so one invocation builds a
-// multi-class mix:
-//   saclo-serve --jobs 32 --policy edf \
-//     --tenant gold --tenant free --priority high --priority low \
-//     --deadline-ms 50 --deadline-ms 0
+// multi-class mix. The one command line
+//   saclo-serve --jobs 32 --policy edf --tenant gold --tenant free
+//     --priority high --priority low --deadline-ms 50 --deadline-ms 0
 // submits alternating gold/high/50ms and free/low/no-deadline jobs.
 // Scheduling is bit-exact: the checksum line must not change across
 // --policy values (only latencies and SLO attainment do).
@@ -56,8 +55,7 @@
 // produce one) through the normal admission path instead of the --jobs
 // batch, so the load the controller reacts to is reproducible:
 //   saclo-serve --trace-gen "seed=7,duration_ms=2000" --trace-save t.json
-//   saclo-serve --autoscale --min-devices 1 --max-devices 4 \
-//     --trace-replay t.json --checksum
+//   saclo-serve --autoscale --min-devices 1 --max-devices 4 --trace-replay t.json --checksum
 // The checksum line is bit-identical to the same replay on any static
 // fleet size — elasticity never changes results, only device-seconds.
 //
