@@ -189,18 +189,20 @@ void BM_FrameUpload(benchmark::State& state) {
 }
 BENCHMARK(BM_FrameUpload)->Arg(1)->Arg(3);
 
-/// Host wall time of the named kernels recorded so far on `gpu`.
-double kernel_us(const gpu::VirtualGpu& gpu, const std::map<std::string, std::int64_t>& items) {
-  double us = 0;
+/// Host wall time of each named kernel recorded so far on `gpu`.
+std::map<std::string, double> kernel_us(const gpu::VirtualGpu& gpu,
+                                        const std::map<std::string, std::int64_t>& items) {
+  std::map<std::string, double> us;
   for (const auto& row : gpu.profiler().rows()) {
-    if (items.count(row.name) != 0) us += row.total_us;
+    if (items.count(row.name) != 0) us[row.name] += row.total_us;
   }
   return us;
 }
 
 /// Times one executed paper-geometry frame per iteration on the host
 /// backend with one worker, counting only the listed kernels; reports
-/// their host nanoseconds per work item.
+/// their host nanoseconds per work item, in total (`ns_per_item`) and
+/// per kernel (`ns_per_item.<kernel>`).
 template <typename RunFrame>
 void time_paper_kernels(benchmark::State& state, const std::map<std::string, std::int64_t>& items,
                         RunFrame&& run_frame) {
@@ -208,17 +210,27 @@ void time_paper_kernels(benchmark::State& state, const std::map<std::string, std
   run_frame(gpu);  // first-touch allocations
   std::int64_t per_frame = 0;
   for (const auto& [name, n] : items) per_frame += n;
-  double total_us = 0;
+  std::map<std::string, double> total_us;
   for (auto _ : state) {
-    const double before = kernel_us(gpu, items);
+    std::map<std::string, double> us = kernel_us(gpu, items);
     run_frame(gpu);
-    const double us = kernel_us(gpu, items) - before;
-    total_us += us;
-    state.SetIterationTime(us / 1e6);
+    double frame_us = 0;
+    for (const auto& [name, after] : kernel_us(gpu, items)) {
+      const double spent = after - us[name];
+      total_us[name] += spent;
+      frame_us += spent;
+    }
+    state.SetIterationTime(frame_us / 1e6);
   }
   const auto frames = static_cast<double>(state.iterations());
   state.SetItemsProcessed(state.iterations() * per_frame);
-  state.counters["ns_per_item"] = total_us * 1000.0 / (frames * static_cast<double>(per_frame));
+  double all_us = 0;
+  for (const auto& [name, n] : items) {
+    all_us += total_us[name];
+    state.counters["ns_per_item." + name] =
+        total_us[name] * 1000.0 / (frames * static_cast<double>(n));
+  }
+  state.counters["ns_per_item"] = all_us * 1000.0 / (frames * static_cast<double>(per_frame));
 }
 
 /// The non-generic SaC H and V generator kernels on one channel.

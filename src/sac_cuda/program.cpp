@@ -726,7 +726,7 @@ sac::Value CudaProgram::run(gpu::cuda::Runtime& rt, std::vector<sac::Value>& arg
         launch.body = [tape, arrays, lat, full_strides, index_fills, out_span,
                        walk](std::int64_t begin, std::int64_t end) {
           const std::size_t rank = lat->dims.size();
-          std::vector<std::int64_t> slots(static_cast<std::size_t>(tape->slot_count));
+          TapeLanes lanes(*tape);
           std::vector<std::int64_t> offsets(tape->lin_loads.size());
           std::vector<std::int64_t> offset_steps(tape->lin_loads.size());
           std::vector<std::int64_t> iv(rank);
@@ -754,20 +754,29 @@ sac::Value CudaProgram::run(gpu::cuda::Runtime& rt, std::vector<sac::Value>& arg
                 offsets[k] += tape->lin_loads[k].coeff[d] * t;
               }
             }
-            for (std::int64_t i = 0; i < run; ++i) {
+            // The run goes through the tape kLanes items at a time;
+            // lane l is the item l walk steps further on.
+            for (std::int64_t done = 0; done < run;) {
+              const int n = static_cast<int>(std::min<std::int64_t>(run - done, kLanes));
               for (const auto& [slot, d] : index_fills) {
-                slots[static_cast<std::size_t>(slot)] = iv[d];
+                std::int64_t* row = lanes.slot(slot);
+                const std::int64_t step = d == walk ? iv_step : 0;
+                for (int l = 0; l < n; ++l) row[l] = iv[d] + l * step;
               }
-              tape->run(slots, arrays, offsets);
+              tape->run(lanes, n, arrays, offsets, offset_steps);
               for (std::size_t c = 0; c < tape->result_slots.size(); ++c) {
-                out_span[static_cast<std::size_t>(out + static_cast<std::int64_t>(c))] =
-                    static_cast<std::int32_t>(
-                        slots[static_cast<std::size_t>(tape->result_slots[c])]);
+                const std::int64_t* row = lanes.slot(tape->result_slots[c]);
+                const std::int64_t first = out + static_cast<std::int64_t>(c);
+                for (int l = 0; l < n; ++l) {
+                  out_span[static_cast<std::size_t>(first + l * out_step)] =
+                      static_cast<std::int32_t>(row[l]);
+                }
               }
+              done += n;
               if (rank == 0) continue;
-              out += out_step;
-              iv[walk] += iv_step;
-              for (std::size_t k = 0; k < offsets.size(); ++k) offsets[k] += offset_steps[k];
+              out += n * out_step;
+              iv[walk] += n * iv_step;
+              for (std::size_t k = 0; k < offsets.size(); ++k) offsets[k] += n * offset_steps[k];
             }
             tid += run;
           }

@@ -17,7 +17,7 @@ namespace saclo::sac_cuda {
 /// generator bodies — the simulated analogue of the PTX a real CUDA
 /// backend would produce. Kernel bodies run once per thread, so they
 /// must not walk the AST or touch hash maps; the tape is a flat
-/// postfix program over an int64 stack.
+/// postfix program over an int64 stack, run over a block of lanes.
 enum class TapeOp : std::uint8_t {
   Push,      ///< push imm
   LoadSlot,  ///< push slots[a]
@@ -71,14 +71,22 @@ struct TapeImmediate {
   Index strides;
 };
 
+/// Items one tape dispatch runs: each instruction is decoded once and
+/// applied to a block of up to kLanes consecutive items, the way a warp
+/// issues one instruction for all of its threads.
+inline constexpr int kLanes = 128;
+
+class TapeLanes;
+
 /// A compiled kernel body: the statements execute first, then each
-/// result expression's value is stored into its result slot. One
-/// execution per thread; the caller pre-fills the index-variable slots
-/// and reads the result slots afterwards.
+/// result expression's value is stored into its result slot. The
+/// caller pre-fills the index-variable slots of a block of items and
+/// reads the result slots afterwards.
 class Tape {
  public:
   std::vector<TapeInstr> code;
   int slot_count = 0;
+  int max_depth = 0;  ///< the deepest the operand stack gets
   std::vector<std::string> array_names;   ///< array id -> variable name
   std::vector<TapeImmediate> imm_arrays;  ///< constant arrays (negative LoadArr ids)
   std::vector<int> index_slots;           ///< slots of the index variables, in order
@@ -97,13 +105,35 @@ class Tape {
   /// need not be filled).
   bool reads_slot(int slot) const;
 
-  /// Executes the whole tape once. `slots` must have slot_count
-  /// entries with the index slots pre-filled; `lin_offsets` holds the
-  /// current element offset of every lin_loads entry.
-  void run(std::span<std::int64_t> slots, std::span<const TapeArray> arrays,
-           std::span<const std::int64_t> lin_offsets = {}) const;
+  /// Executes the whole tape on lanes [0, n) of `lanes`, n <= kLanes.
+  /// The caller fills each index slot's row; lane l of a LoadLin b
+  /// reads element lin_offsets[b] + l * lin_steps[b].
+  ///
+  /// Errors are those of running the lanes one after another: a lane
+  /// that fails drops itself and every higher lane for the rest of the
+  /// block, and after the block the first error of the lowest failing
+  /// lane is thrown. The result rows of every lower lane are complete.
+  void run(TapeLanes& lanes, int n, std::span<const TapeArray> arrays,
+           std::span<const std::int64_t> lin_offsets = {},
+           std::span<const std::int64_t> lin_steps = {}) const;
 
   std::string to_string() const;
+};
+
+/// The storage of one block run of a tape: slot_count slot rows and
+/// max_depth stack rows, each kLanes wide. Allocate one per range of
+/// items and reuse it for every block.
+class TapeLanes {
+ public:
+  explicit TapeLanes(const Tape& tape);
+
+  /// Row of slot `s`: lane l's value is at [l].
+  std::int64_t* slot(int s) { return slots_.data() + static_cast<std::size_t>(s) * kLanes; }
+
+ private:
+  friend class Tape;
+  std::vector<std::int64_t> slots_;
+  std::vector<std::int64_t> stack_;
 };
 
 /// Compiles straight-line statements plus result expressions into a

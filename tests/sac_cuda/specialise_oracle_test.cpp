@@ -5,12 +5,18 @@
 // rank 1-3 lattices, cells, boundary `%` indices, loads whose affine
 // range exceeds the array, rebindings and dead throwing bindings — the
 // specialised tape must produce exactly the plain tape's results and
-// exactly its errors at every lattice point. A second oracle runs random
-// with-loop programs through the host backend against the interpreter.
+// exactly its errors at every lattice point. The specialised tape also
+// runs lane-batched over one run per body, of 1, 2, kLanes - 1, kLanes
+// and kLanes + 1 points, some entered mid-run: every lane up to the
+// first failing point, and that point's error, must be the plain tape's.
+// A second oracle runs random with-loop programs through the host
+// backend against the interpreter.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <functional>
 #include <map>
 #include <optional>
@@ -93,10 +99,9 @@ struct Outcome {
 
 Outcome run_at(const Tape& tape, const Lattice& lat, const Index& t,
                const std::vector<TapeArray>& arrays) {
-  std::vector<std::int64_t> slots(static_cast<std::size_t>(tape.slot_count), 0);
+  TapeLanes lanes(tape);
   for (std::size_t d = 0; d < lat.rank(); ++d) {
-    slots[static_cast<std::size_t>(tape.index_slots[d])] =
-        lat.dims[d].lb + lat.dims[d].step * t[d];
+    lanes.slot(tape.index_slots[d])[0] = lat.dims[d].lb + lat.dims[d].step * t[d];
   }
   std::vector<std::int64_t> offsets;
   for (const sac::affine::Lin& l : tape.lin_loads) {
@@ -104,14 +109,64 @@ Outcome run_at(const Tape& tape, const Lattice& lat, const Index& t,
     for (std::size_t d = 0; d < lat.rank(); ++d) off += l.coeff[d] * t[d];
     offsets.push_back(off);
   }
+  const std::vector<std::int64_t> steps(offsets.size(), 0);  // one lane
   Outcome o;
   try {
-    tape.run(slots, arrays, offsets);
-    for (int rs : tape.result_slots) o.results.push_back(slots[static_cast<std::size_t>(rs)]);
+    tape.run(lanes, 1, arrays, offsets, steps);
+    for (int rs : tape.result_slots) o.results.push_back(lanes.slot(rs)[0]);
   } catch (const Error& e) {
     o.error = e.what();
   }
   return o;
+}
+
+/// Runs `tape` the way a kernel launch walks a run along dimension 0:
+/// the points t0 + l * e0 for l in [0, count), in blocks of up to kLanes
+/// lanes, and expects each point's outcome in `expected`, which ends at
+/// the first failing point. Returns the number of points compared.
+std::int64_t expect_blocks_match(const Tape& tape, const Lattice& lat, const Index& t0,
+                                 std::int64_t count, const std::vector<Outcome>& expected,
+                                 const std::vector<TapeArray>& arrays) {
+  TapeLanes lanes(tape);
+  std::vector<std::int64_t> offsets;
+  std::vector<std::int64_t> steps;
+  for (const sac::affine::Lin& l : tape.lin_loads) {
+    std::int64_t off = l.c0;
+    for (std::size_t d = 0; d < lat.rank(); ++d) off += l.coeff[d] * t0[d];
+    offsets.push_back(off);
+    steps.push_back(l.coeff[0]);
+  }
+  std::int64_t compared = 0;
+  for (std::int64_t done = 0; done < count;) {
+    const int n = static_cast<int>(std::min<std::int64_t>(count - done, kLanes));
+    for (std::size_t d = 0; d < lat.rank(); ++d) {
+      std::int64_t* row = lanes.slot(tape.index_slots[d]);
+      for (int l = 0; l < n; ++l) {
+        row[l] = lat.dims[d].lb + lat.dims[d].step * (t0[d] + (d == 0 ? done + l : 0));
+      }
+    }
+    std::string error;
+    try {
+      tape.run(lanes, n, arrays, offsets, steps);
+    } catch (const Error& e) {
+      error = e.what();
+    }
+    for (int l = 0; l < n; ++l) {
+      const Outcome& want = expected[static_cast<std::size_t>(done + l)];
+      ++compared;
+      if (!want.error.empty()) {
+        EXPECT_EQ(error, want.error) << "lane " << l << " of a block of " << n;
+        return compared;
+      }
+      Outcome got;
+      for (int rs : tape.result_slots) got.results.push_back(lanes.slot(rs)[l]);
+      EXPECT_EQ(got, want) << "lane " << l << " of a block of " << n;
+    }
+    EXPECT_EQ(error, "") << "a block of " << n << " failed where no point does";
+    done += n;
+    for (std::size_t k = 0; k < offsets.size(); ++k) offsets[k] += n * steps[k];
+  }
+  return compared;
 }
 
 int count_op(const Tape& t, TapeOp op) {
@@ -158,6 +213,18 @@ Lattice make_lattice(const std::vector<Lattice::Dim>& dims) {
   return lat;
 }
 
+/// The arrays `t` selects from, in its id order; `keep` owns their data.
+std::vector<TapeArray> bind_arrays(const Tape& t, const std::map<std::string, Index>& dims,
+                                   std::vector<Bound>& keep) {
+  std::vector<TapeArray> arrays;
+  keep.reserve(t.array_names.size());
+  for (const std::string& name : t.array_names) {
+    keep.push_back(make_array(dims.at(name), static_cast<std::int64_t>(name[0])));
+    arrays.push_back(keep.back().array);
+  }
+  return arrays;
+}
+
 struct Compared {
   Tape plain;
   Tape spec;
@@ -178,17 +245,8 @@ Compared compare(const BodyCase& c) {
   // Both tapes bind arrays by their own ids.
   std::vector<Bound> bound_plain;
   std::vector<Bound> bound_spec;
-  auto bind = [&](const Tape& t, std::vector<Bound>& keep) {
-    std::vector<TapeArray> arrays;
-    keep.reserve(t.array_names.size());
-    for (const std::string& name : t.array_names) {
-      keep.push_back(make_array(c.dims.at(name), static_cast<std::int64_t>(name[0])));
-      arrays.push_back(keep.back().array);
-    }
-    return arrays;
-  };
-  const std::vector<TapeArray> arrays_plain = bind(out.plain, bound_plain);
-  const std::vector<TapeArray> arrays_spec = bind(out.spec, bound_spec);
+  const std::vector<TapeArray> arrays_plain = bind_arrays(out.plain, c.dims, bound_plain);
+  const std::vector<TapeArray> arrays_spec = bind_arrays(out.spec, c.dims, bound_spec);
   for (const Index& t : lattice_points(c.lattice)) {
     const Outcome a = run_at(out.plain, c.lattice, t, arrays_plain);
     const Outcome b = run_at(out.spec, c.lattice, t, arrays_spec);
@@ -411,6 +469,10 @@ std::map<std::string, Index> random_arrays(Rng& rng) {
   return dims;
 }
 
+/// Points per block run in the random-body sweep: the shortest blocks,
+/// and one block either side of a full one.
+constexpr std::int64_t kBlockLengths[] = {1, 2, kLanes - 1, kLanes, kLanes + 1};
+
 TEST(SpecialiseOracle, RandomBodiesAreBitExactWithThePlainTape) {
   int proven = 0;
   int checked = 0;
@@ -418,6 +480,10 @@ TEST(SpecialiseOracle, RandomBodiesAreBitExactWithThePlainTape) {
   int bounds_errors = 0;
   int zero_divisions = 0;
   int results = 0;
+  int errors_after_results = 0;
+  int multi_block_runs = 0;
+  int lower_lanes_first = 0;
+  int stepped_loads = 0;
   for (std::uint64_t seed = 1; seed <= 1000; ++seed) {
     Rng rng(seed);
     const Lattice lat = random_lattice(rng);
@@ -428,8 +494,57 @@ TEST(SpecialiseOracle, RandomBodiesAreBitExactWithThePlainTape) {
     const std::int64_t cell = rng.uniform(1, 3);
     for (std::int64_t e = 0; e < cell; ++e) cells.push_back(gen.scalar(2));
     SCOPED_TRACE(cat("seed ", seed, ": ", stmts, "-> ", join(cells, " | ")));
-    const Compared r = compare(parse_case(stmts, cells, lat, dims));
+    const BodyCase c = parse_case(stmts, cells, lat, dims);
+    const Compared r = compare(c);
     if (::testing::Test::HasFailure()) return;
+    // The block runs: one run along dimension 0, stretched to the block
+    // length and, for seeds not divisible by 3, entered mid-run, against
+    // the plain tape point by point. Odd seeds first divide by zero at
+    // one point of the run, so a later instruction that fails on a lower
+    // lane must replace that error.
+    {
+      const std::int64_t length = kBlockLengths[seed % std::size(kBlockLengths)];
+      const std::int64_t skip = static_cast<std::int64_t>(seed % 3);
+      Lattice stretched = lat;
+      stretched.dims[0].extent = skip + length;
+      Index t0(lat.rank(), 0);
+      t0[0] = skip;
+      for (std::size_t d = 1; d < lat.rank(); ++d) t0[d] = rng.uniform(0, lat.dims[d].extent - 1);
+      std::int64_t zero_at = length;  // the run's point that divides by zero
+      std::string block_stmts = stmts;
+      if (seed % 2 == 1) {
+        zero_at = rng.uniform(0, length - 1);
+        const auto& d0 = lat.dims[0];
+        block_stmts = cat("z = 7 / (i - ", d0.lb + d0.step * (skip + zero_at), "); ", stmts);
+      }
+      const BodyCase bc = parse_case(block_stmts, cells, stretched, dims);
+      auto plain = compile_tape(bc.stmts, bc.result_ptrs(), lat.scalar_names, dims);
+      auto spec = compile_tape(bc.stmts, bc.result_ptrs(), lat.scalar_names, dims, &stretched);
+      ASSERT_TRUE(plain.has_value());
+      ASSERT_TRUE(spec.has_value());
+      std::vector<Bound> bound_plain;
+      std::vector<Bound> bound_spec;
+      const std::vector<TapeArray> arrays_plain = bind_arrays(*plain, dims, bound_plain);
+      const std::vector<TapeArray> arrays_spec = bind_arrays(*spec, dims, bound_spec);
+      std::vector<Outcome> expected;
+      for (std::int64_t l = 0; l < length; ++l) {
+        Index t = t0;
+        t[0] += l;
+        expected.push_back(run_at(*plain, stretched, t, arrays_plain));
+        if (!expected.back().error.empty()) break;
+      }
+      const std::int64_t lanes =
+          expect_blocks_match(*spec, stretched, t0, length, expected, arrays_spec);
+      if (::testing::Test::HasFailure()) return;
+      const std::int64_t failed_at = lanes - 1;
+      if (failed_at > 0 && !expected.back().error.empty()) ++errors_after_results;
+      if (zero_at < length && failed_at < zero_at && failed_at / kLanes == zero_at / kLanes &&
+          !expected.back().error.empty()) {
+        ++lower_lanes_first;
+      }
+      if (lanes > kLanes) ++multi_block_runs;
+      if (lanes > 1 && count_op(*spec, TapeOp::LoadLin) > 0) ++stepped_loads;
+    }
     proven += count_op(r.spec, TapeOp::LoadLin);
     checked += count_op(r.spec, TapeOp::LoadArr);
     if (count_op(r.spec, TapeOp::StoreSlot) < count_op(r.plain, TapeOp::StoreSlot)) ++dropped;
@@ -446,6 +561,10 @@ TEST(SpecialiseOracle, RandomBodiesAreBitExactWithThePlainTape) {
   EXPECT_GT(bounds_errors, 100);
   EXPECT_GT(zero_divisions, 10);
   EXPECT_GT(results, 1000);
+  EXPECT_GT(errors_after_results, 150);
+  EXPECT_GT(multi_block_runs, 15);
+  EXPECT_GT(lower_lanes_first, 100);
+  EXPECT_GT(stepped_loads, 40);
 }
 
 // --- random programs ---------------------------------------------------------------
