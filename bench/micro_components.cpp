@@ -249,7 +249,7 @@ void BM_SacPaperKernel(benchmark::State& state) {
 BENCHMARK(BM_SacPaperKernel)->UseManualTime()->Unit(benchmark::kMillisecond);
 
 /// The GASPARD task kernels of the RGB downscaler at opt level 0 (six
-/// kernels) and 2 (one fused kernel).
+/// kernels), 1 and 2 (one fused kernel).
 void BM_GaspardPaperKernel(benchmark::State& state) {
   GaspardDownscaler::Options opts;
   opts.backend = gpu::BackendKind::Host;
@@ -261,7 +261,12 @@ void BM_GaspardPaperKernel(benchmark::State& state) {
     gd.run_on(gpu, /*frames=*/1, /*exec_frames=*/1);
   });
 }
-BENCHMARK(BM_GaspardPaperKernel)->Arg(0)->Arg(2)->UseManualTime()->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GaspardPaperKernel)
+    ->Arg(0)
+    ->Arg(1)
+    ->Arg(2)
+    ->UseManualTime()
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -1,5 +1,8 @@
 #include "apps/downscaler/arrayol_model.hpp"
 
+#include <algorithm>
+
+#include "core/const_divisor.hpp"
 #include "core/fmt.hpp"
 
 namespace saclo::apps {
@@ -14,14 +17,32 @@ aol::ElementaryOp downscale_op(const FilterSpec& spec) {
   op.name = cat("downscale", spec.window, "tap");
   const std::vector<std::int64_t> starts = spec.window_starts;
   const std::int64_t window = spec.window;
-  op.compute = [starts, window](std::span<const std::int64_t> in,
-                                std::span<std::int64_t> out) {
+  op.compute = [starts, by_window = ConstDivisor(window)](std::span<const std::int64_t> in,
+                                                          std::span<std::int64_t> out,
+                                                          std::size_t n) {
+    // A local copy: the stores to `out` cannot alias it.
+    const ConstDivisor divisor = by_window;
+    const auto window = static_cast<std::size_t>(divisor.divisor());
     for (std::size_t k = 0; k < starts.size(); ++k) {
-      std::int64_t tmp = 0;
-      for (std::int64_t w = 0; w < window; ++w) {
-        tmp += in[static_cast<std::size_t>(starts[k] + w)];
+      // Output row k sums input rows starts[k] .. starts[k] + window - 1,
+      // three rows per pass over the lanes, then divides.
+      const std::span<std::int64_t> tmp = out.subspan(k * n, n);
+      const std::span<const std::int64_t> rows =
+          in.subspan(static_cast<std::size_t>(starts[k]) * n, window * n);
+      std::fill_n(tmp.begin(), n, 0);
+      std::size_t w = 0;
+      for (; w + 3 <= window; w += 3) {
+        for (std::size_t l = 0; l < n; ++l) {
+          tmp[l] += rows[w * n + l] + rows[(w + 1) * n + l] + rows[(w + 2) * n + l];
+        }
       }
-      out[k] = tmp / window - tmp % window;
+      for (; w < window; ++w) {
+        for (std::size_t l = 0; l < n; ++l) tmp[l] += rows[w * n + l];
+      }
+      for (std::size_t l = 0; l < n; ++l) {
+        const std::int64_t q = divisor.div(tmp[l]);
+        tmp[l] = q - (tmp[l] - q * divisor.divisor());  // tmp / window - tmp % window
+      }
     }
   };
   // Per invocation: window adds + div/mod/sub per output.
@@ -109,7 +130,7 @@ Model build_downscaler_model(const DownscalerConfig& cfg) {
   cfg.validate();
   Model model("Downscaler");
   // The paper's channel order: b, g, r (bhf / ghf / rhf).
-  for (const std::string& prefix : {"b", "g", "r"}) {
+  for (const char* prefix : {"b", "g", "r"}) {
     add_channel(model, cfg, prefix);
   }
   model.validate();

@@ -158,7 +158,7 @@ std::map<std::string, IntArray> evaluate(const Model& model,
           in_buf[pos++] = arr.at(in.tiler.element_index(arr.shape(), rep, pat));
         });
       }
-      task.op.compute(in_buf, out_buf);
+      task.op.compute(in_buf, out_buf, 1);
       pos = 0;
       for (const TiledPort& out : task.outputs) {
         IntArray& arr = env.at(out.port.name);

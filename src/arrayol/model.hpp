@@ -32,9 +32,15 @@ struct Port {
 /// the cost model need.
 struct ElementaryOp {
   std::string name;
-  /// in: concatenated input patterns (in port order); out: concatenated
-  /// output patterns.
-  std::function<void(std::span<const std::int64_t> in, std::span<std::int64_t> out)> compute;
+  /// Runs the IP on a lane-major block of `n` instances (lanes), the way
+  /// a warp runs one work item per thread. Row e of `in` is
+  /// in[e * n, (e + 1) * n): element e of the concatenated input
+  /// patterns (in port order), one value per lane. `out` holds the
+  /// concatenated output patterns the same way. One instance is n = 1,
+  /// where a row is one element.
+  std::function<void(std::span<const std::int64_t> in, std::span<std::int64_t> out,
+                     std::size_t n)>
+      compute;
   double flops_per_invocation = 0;
   /// C body for the OpenCL code generator; reads `in[]`, writes `out[]`.
   std::string c_body;
@@ -114,7 +120,8 @@ class Model {
 };
 
 /// Executes a model functionally on the host (the reference semantics:
-/// gather -> op -> scatter per repetition point, in schedule order).
+/// gather -> op -> scatter per repetition point, one lane per op call,
+/// in schedule order).
 /// Used as ground truth for the OpenCL runner.
 std::map<std::string, IntArray> evaluate(const Model& model,
                                          const std::map<std::string, IntArray>& inputs);

@@ -15,7 +15,7 @@ namespace saclo {
 template <typename... Args>
 std::string cat(const Args&... args) {
   std::ostringstream os;
-  (os << ... << args);
+  ((os << args), ...);
   return os.str();
 }
 

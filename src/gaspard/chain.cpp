@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <array>
 
+#include "core/const_divisor.hpp"
 #include "core/fmt.hpp"
+#include "core/scratch_rows.hpp"
 #include "opt/cost.hpp"
 
 namespace saclo::gaspard {
@@ -24,6 +26,8 @@ struct PortAddressing {
   std::size_t array_rank = 0;
   std::array<std::int64_t, kMaxRank> origin{};
   std::array<std::int64_t, kMaxRank> array_dims{};
+  /// Per array dimension: its extent as a divisor, for the modulo walk.
+  std::vector<ConstDivisor> array_wrap;
   std::array<std::int64_t, kMaxRank> array_strides{};
   // paving[d][r] laid out row-major, rank x rep_rank
   std::array<std::int64_t, kMaxRank * kMaxRank> paving{};
@@ -50,6 +54,7 @@ PortAddressing make_addressing(const TiledPort& tp, const Shape& array_shape,
   for (std::size_t d = 0; d < pa.array_rank; ++d) {
     pa.origin[d] = tp.tiler.origin[d];
     pa.array_dims[d] = array_shape[d];
+    pa.array_wrap.emplace_back(array_shape[d]);
     pa.array_strides[d] = strides[d];
     for (std::size_t r = 0; r < pa.rep_rank; ++r) {
       pa.paving[d * kMaxRank + r] = tp.tiler.paving.at(d, r);
@@ -71,37 +76,76 @@ PortAddressing make_addressing(const TiledPort& tp, const Shape& array_shape,
   return pa;
 }
 
-/// Calls fn(offset) with the element offset of every pattern element
-/// of port `pa` at repetition point `rep`, in pattern order. A tile
-/// that lies inside the array in every dimension (the interior) costs
-/// one add per element; only a tile that wraps around (the boundary)
-/// takes the tiler's modulo walk.
+/// Calls fn(row, offset) for every pattern element e of port `pa` and
+/// every lane l of a block of n lanes, where lane l is repetition point
+/// `rep` moved l steps along dimension `walk`: `row` = e * n + l is the
+/// element's place in the block's lane-major rows, `offset` its element
+/// offset in the array. A lane whose tile lies inside the array in
+/// every dimension (the interior) sits at base + l * step + fit_linear[e];
+/// only a lane whose tile wraps around (the boundary) takes the tiler's
+/// modulo walk. Each bound of the interior test is linear in l, so the
+/// interior lanes are one run [lo, hi).
 template <typename Fn>
-void for_each_tile_offset(const PortAddressing& pa, const std::array<std::int64_t, kMaxRank>& rep,
-                          Fn&& fn) {
+void for_each_block_offset(const PortAddressing& pa, const std::array<std::int64_t, kMaxRank>& rep,
+                           std::size_t walk, std::int64_t n, Fn&& fn) {
   std::array<std::int64_t, kMaxRank> ref{};
+  std::array<std::int64_t, kMaxRank> move{};
   std::int64_t base = 0;
-  bool interior = true;
+  std::int64_t step = 0;
   for (std::size_t d = 0; d < pa.array_rank; ++d) {
     std::int64_t v = pa.origin[d];
     for (std::size_t r = 0; r < pa.rep_rank; ++r) v += pa.paving[d * kMaxRank + r] * rep[r];
     ref[d] = v;
+    move[d] = pa.rep_rank == 0 ? 0 : pa.paving[d * kMaxRank + walk];
     base += v * pa.array_strides[d];
-    interior = interior && v + pa.fit_min[d] >= 0 && v + pa.fit_max[d] < pa.array_dims[d];
+    step += move[d] * pa.array_strides[d];
   }
-  if (interior) {
-    for (const std::int64_t lin : pa.fit_linear) fn(base + lin);
-    return;
-  }
-  for (const auto& fit : pa.fit_offsets) {
-    std::int64_t off = 0;
+  auto interior = [&](std::int64_t l) {
     for (std::size_t d = 0; d < pa.array_rank; ++d) {
-      std::int64_t idx = (ref[d] + fit[d]) % pa.array_dims[d];
-      if (idx < 0) idx += pa.array_dims[d];
-      off += idx * pa.array_strides[d];
+      const std::int64_t v = ref[d] + l * move[d];
+      if (v + pa.fit_min[d] < 0 || v + pa.fit_max[d] >= pa.array_dims[d]) return false;
     }
-    fn(off);
+    return true;
+  };
+  std::int64_t lo = 0;
+  while (lo < n && !interior(lo)) ++lo;
+  std::int64_t hi = n;
+  while (hi > lo && !interior(hi - 1)) --hi;
+  const auto elems = static_cast<std::int64_t>(pa.fit_linear.size());
+  for (std::int64_t e = 0; e < elems; ++e) {
+    const std::int64_t at = base + pa.fit_linear[static_cast<std::size_t>(e)];
+    if (step == 1) {  // contiguous lanes: a loop the compiler vectorises
+      for (std::int64_t l = lo; l < hi; ++l) fn(e * n + l, at + l);
+    } else {
+      for (std::int64_t l = lo; l < hi; ++l) fn(e * n + l, at + l * step);
+    }
   }
+  auto boundary = [&](std::int64_t l) {
+    for (std::int64_t e = 0; e < elems; ++e) {
+      const auto& fit = pa.fit_offsets[static_cast<std::size_t>(e)];
+      std::int64_t off = 0;
+      for (std::size_t d = 0; d < pa.array_rank; ++d) {
+        std::int64_t idx = pa.array_wrap[d].mod(ref[d] + l * move[d] + fit[d]);
+        if (idx < 0) idx += pa.array_dims[d];
+        off += idx * pa.array_strides[d];
+      }
+      fn(e * n + l, off);
+    }
+  };
+  for (std::int64_t l = 0; l < lo; ++l) boundary(l);
+  for (std::int64_t l = hi; l < n; ++l) boundary(l);
+}
+
+/// Lanes per block of a task whose patterns hold `rows` elements in all:
+/// gpu::kLanes, fewer when the block's rows would pass 8 Ki elements
+/// (64 KiB; the fused paper task's 465 rows get 17 lanes). Such a block
+/// stays in cache. Larger per-thread scratch (12 Ki elements and up)
+/// left frame-sized buffers resident through glibc's dynamic mmap
+/// threshold: host_exec's peak RSS went from 101 to 182 MB.
+std::int64_t block_lanes(std::int64_t rows) {
+  constexpr std::int64_t kBlockElements = 8 * 1024;
+  return std::clamp<std::int64_t>(kBlockElements / std::max<std::int64_t>(rows, 1), 1,
+                                  gpu::kLanes);
 }
 
 /// The host walk dimension of a task (gpu::host_walk_dim), measured on
@@ -351,18 +395,22 @@ std::map<std::string, IntArray> OpenClApplication::run(
     for (const TiledPort& out : task.outputs) {
       launch.writes.push_back(buffers.at(out.port.name).handle());
     }
-    // Pattern buffers are sized once per chunk, leaving the tiler's
+    // The block rows are sized once per chunk, leaving the tiler's
     // gather/compute/scatter as the inner loop. The generated code maps
     // iGID to tlIter dimension 0 fastest (Figure 11's iGID % n) — the
     // simulated GPU's mapping. Work items are independent under single
     // assignment, so the host visits them in its own order: ids decode
-    // with the walk dimension fastest, once per run along it, and
-    // consecutive items then store next to each other.
+    // with the walk dimension fastest, once per run along it, and each
+    // run goes through gather, IP and scatter a block of items at a time,
+    // so consecutive items store next to each other.
     const std::size_t walk = k.walk_dim;
-    launch.body = [ins, outs, op, rep_dims, rep_rank, walk, in_total, out_total](std::int64_t begin,
-                                                                                 std::int64_t end) {
-      std::vector<std::int64_t> in_buf(static_cast<std::size_t>(in_total));
-      std::vector<std::int64_t> out_buf(static_cast<std::size_t>(out_total));
+    const std::int64_t lanes = block_lanes(in_total + out_total);
+    launch.body = [ins, outs, op, rep_dims, rep_rank, walk, lanes, in_total,
+                   out_total](std::int64_t begin, std::int64_t end) {
+      const ScratchRows in_block(static_cast<std::size_t>(in_total * lanes));
+      const ScratchRows out_block(static_cast<std::size_t>(out_total * lanes));
+      const std::span<std::int64_t> in_rows = in_block.rows();
+      const std::span<std::int64_t> out_rows = out_block.rows();
       std::array<std::int64_t, kMaxRank> rep{};
       for (std::int64_t tid = begin; tid < end;) {
         std::int64_t rest = tid;
@@ -374,25 +422,31 @@ std::map<std::string, IntArray> OpenClApplication::run(
         const std::int64_t run =
             rep_rank == 0 ? end - tid : std::min(end - tid, rep_dims[walk] - rep[walk]);
         tid += run;
-        for (std::int64_t i = 0; i < run; ++i, ++rep[walk]) {
-          // Gather input patterns.
-          std::size_t pos = 0;
+        for (std::int64_t done = 0; done < run;) {
+          const std::int64_t n = std::min<std::int64_t>(run - done, lanes);
+          // Gather input patterns into rows of n lanes.
+          std::int64_t row = 0;
           for (const BoundPort& bp : ins) {
-            for_each_tile_offset(bp.addr, rep, [&](std::int64_t off) {
-              in_buf[pos++] = bp.data[static_cast<std::size_t>(off)];
+            for_each_block_offset(bp.addr, rep, walk, n, [&](std::int64_t r, std::int64_t off) {
+              in_rows[static_cast<std::size_t>(row + r)] = bp.data[static_cast<std::size_t>(off)];
             });
+            row += static_cast<std::int64_t>(bp.addr.fit_linear.size()) * n;
           }
-          // The IP.
-          op->compute(
-              std::span<const std::int64_t>(in_buf.data(), static_cast<std::size_t>(in_total)),
-              std::span<std::int64_t>(out_buf.data(), static_cast<std::size_t>(out_total)));
+          // The IP, once for the block.
+          op->compute(in_rows.first(static_cast<std::size_t>(in_total * n)),
+                      out_rows.first(static_cast<std::size_t>(out_total * n)),
+                      static_cast<std::size_t>(n));
           // Scatter output patterns.
-          pos = 0;
+          row = 0;
           for (const BoundPort& bp : outs) {
-            for_each_tile_offset(bp.addr, rep, [&](std::int64_t off) {
-              bp.data[static_cast<std::size_t>(off)] = static_cast<std::int32_t>(out_buf[pos++]);
+            for_each_block_offset(bp.addr, rep, walk, n, [&](std::int64_t r, std::int64_t off) {
+              bp.data[static_cast<std::size_t>(off)] =
+                  static_cast<std::int32_t>(out_rows[static_cast<std::size_t>(row + r)]);
             });
+            row += static_cast<std::int64_t>(bp.addr.fit_linear.size()) * n;
           }
+          done += n;
+          rep[walk] += n;
         }
       }
     };

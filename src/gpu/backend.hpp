@@ -63,6 +63,12 @@ inline std::size_t host_walk_dim(std::span<const std::int64_t> extents,
   return best;
 }
 
+/// Work items a host kernel body runs per dispatch: a block of up to
+/// kLanes consecutive items along the walk dimension goes through each
+/// step (a tape instruction, a GASPARD IP call) together, the way a warp
+/// issues one instruction for all of its threads.
+inline constexpr int kLanes = 128;
+
 /// The i-th dimension a host body decodes an id into: the walk
 /// dimension first, then the others in index order.
 constexpr std::size_t walk_order(std::size_t i, std::size_t walk) {

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "core/fmt.hpp"
+#include "core/scratch_rows.hpp"
 
 namespace saclo::opt {
 
@@ -76,6 +78,24 @@ IntMat matmul(const IntMat& a, const IntMat& b) {
     }
   }
   return c;
+}
+
+/// In a block whose ports hold `count` instances each (port p has
+/// count * sizes[p] rows of n lanes, instance s's rows contiguous from
+/// row s * sizes[p]), calls fn(block_offset, packed_offset, length) for
+/// each port's rows of instance s: where they are in the block, and
+/// where they go when the instance's ports are packed one after another.
+template <typename Fn>
+void for_each_instance_rows(const std::vector<std::int64_t>& sizes, std::int64_t count,
+                            std::int64_t s, std::size_t n, Fn&& fn) {
+  std::size_t block = 0;
+  std::size_t packed = 0;
+  for (const std::int64_t sz : sizes) {
+    const std::size_t len = static_cast<std::size_t>(sz) * n;
+    fn(block + static_cast<std::size_t>(s) * len, packed, len);
+    packed += len;
+    block += static_cast<std::size_t>(count) * len;
+  }
 }
 
 std::string int_list(const std::vector<std::int64_t>& v) {
@@ -167,34 +187,37 @@ RewriteResult try_change_paving(const Model& model, const std::string& task_name
     out_total += p.pattern.elements();
   }
 
-  // The wrapped op runs the original body once per split instance; the
-  // leading pattern dimension makes each instance's slice contiguous
-  // (offset s * |pattern| within each port's block).
+  // The wrapped op runs the original body once per split instance, over
+  // the same lanes; the leading pattern dimension makes each instance's
+  // rows contiguous within each port's block (from row s * |pattern|).
+  // With one port they are passed as they are, otherwise packed.
   const auto inner = task.op.compute;
   nt.op.name = cat(task.op.name, "_split", factor);
   nt.op.flops_per_invocation = task.op.flops_per_invocation * static_cast<double>(factor);
   nt.op.compute = [inner, factor, in_sizes, out_sizes, in_total, out_total](
-                      std::span<const std::int64_t> in, std::span<std::int64_t> out) {
-    thread_local std::vector<std::int64_t> ibuf;
-    thread_local std::vector<std::int64_t> obuf;
-    if (ibuf.size() < static_cast<std::size_t>(in_total)) ibuf.resize(in_total);
-    if (obuf.size() < static_cast<std::size_t>(out_total)) obuf.resize(out_total);
+                      std::span<const std::int64_t> in, std::span<std::int64_t> out,
+                      std::size_t n) {
+    const std::size_t in_len = static_cast<std::size_t>(in_total) * n;
+    const std::size_t out_len = static_cast<std::size_t>(out_total) * n;
+    const bool pack_in = in_sizes.size() != 1;
+    const bool pack_out = out_sizes.size() != 1;
+    const ScratchRows ibuf(pack_in ? in_len : 0);
+    const ScratchRows obuf(pack_out ? out_len : 0);
     for (std::int64_t s = 0; s < factor; ++s) {
-      std::int64_t dst = 0;
-      std::int64_t base = 0;
-      for (std::int64_t sz : in_sizes) {
-        std::copy_n(in.begin() + base + s * sz, sz, ibuf.begin() + dst);
-        dst += sz;
-        base += factor * sz;
+      const auto at = static_cast<std::size_t>(s);
+      if (pack_in) {
+        for_each_instance_rows(in_sizes, factor, s, n, [&](std::size_t b, std::size_t p,
+                                                            std::size_t len) {
+          std::copy_n(in.begin() + b, len, ibuf.rows().begin() + p);
+        });
       }
-      inner(std::span<const std::int64_t>(ibuf.data(), static_cast<std::size_t>(in_total)),
-            std::span<std::int64_t>(obuf.data(), static_cast<std::size_t>(out_total)));
-      std::int64_t src = 0;
-      base = 0;
-      for (std::int64_t sz : out_sizes) {
-        std::copy_n(obuf.begin() + src, sz, out.begin() + base + s * sz);
-        src += sz;
-        base += factor * sz;
+      inner(pack_in ? ibuf.rows() : in.subspan(at * in_len, in_len),
+            pack_out ? obuf.rows() : out.subspan(at * out_len, out_len), n);
+      if (pack_out) {
+        for_each_instance_rows(out_sizes, factor, s, n, [&](std::size_t b, std::size_t p,
+                                                             std::size_t len) {
+          std::copy_n(obuf.rows().begin() + p, len, out.begin() + b);
+        });
       }
     }
   };
@@ -461,43 +484,45 @@ RewriteResult try_fuse(const Model& model, const std::string& mid_array,
   f.op.name = a.op.name + "+" + b.op.name;
   f.op.flops_per_invocation =
       static_cast<double>(n_a) * a.op.flops_per_invocation + b.op.flops_per_invocation;
+  // Over the same lanes: the n_a producer instances into scratch rows,
+  // then the consumer on the mid rows it reads (one row per
+  // consumer-pattern slot) and its other inputs as they come.
   f.op.compute = [a_comp, b_comp, n_a, pa, pm, a_in_sizes, a_in_total, b_in_sizes, b_in_total,
                   a_of, iota0, mid_port](std::span<const std::int64_t> in,
-                                         std::span<std::int64_t> out) {
-    thread_local std::vector<std::int64_t> mid_vals;
-    thread_local std::vector<std::int64_t> abuf;
-    thread_local std::vector<std::int64_t> bbuf;
-    if (mid_vals.size() < static_cast<std::size_t>(n_a * pa)) mid_vals.resize(n_a * pa);
-    if (abuf.size() < static_cast<std::size_t>(a_in_total)) abuf.resize(a_in_total);
-    if (bbuf.size() < static_cast<std::size_t>(b_in_total)) bbuf.resize(b_in_total);
+                                         std::span<std::int64_t> out, std::size_t n) {
+    const std::size_t a_len = static_cast<std::size_t>(a_in_total) * n;
+    const std::size_t pa_len = static_cast<std::size_t>(pa) * n;
+    const bool pack_a = a_in_sizes.size() != 1;
+    const ScratchRows mid(static_cast<std::size_t>(n_a) * pa_len);
+    const ScratchRows abuf(pack_a ? a_len : 0);
+    const ScratchRows bbuf(static_cast<std::size_t>(b_in_total) * n);
     for (std::int64_t ai = 0; ai < n_a; ++ai) {
-      std::int64_t dst = 0;
-      std::int64_t base = 0;
-      for (std::int64_t sz : a_in_sizes) {
-        std::copy_n(in.begin() + base + ai * sz, sz, abuf.begin() + dst);
-        dst += sz;
-        base += n_a * sz;
+      const auto at = static_cast<std::size_t>(ai);
+      if (pack_a) {
+        for_each_instance_rows(a_in_sizes, n_a, ai, n, [&](std::size_t b, std::size_t p,
+                                                            std::size_t len) {
+          std::copy_n(in.begin() + b, len, abuf.rows().begin() + p);
+        });
       }
-      a_comp(std::span<const std::int64_t>(abuf.data(), static_cast<std::size_t>(a_in_total)),
-             std::span<std::int64_t>(mid_vals.data() + ai * pa, static_cast<std::size_t>(pa)));
+      a_comp(pack_a ? abuf.rows() : in.subspan(at * a_len, a_len),
+             mid.rows().subspan(at * pa_len, pa_len), n);
     }
-    std::int64_t dst = 0;
-    std::int64_t src = n_a * a_in_total;
+    auto dst = bbuf.rows().begin();
+    auto src = in.begin() + static_cast<std::size_t>(n_a) * a_len;
     for (std::size_t p = 0; p < b_in_sizes.size(); ++p) {
       if (p == mid_port) {
         for (std::int64_t t = 0; t < pm; ++t) {
-          bbuf[static_cast<std::size_t>(dst++)] =
-              mid_vals[static_cast<std::size_t>(a_of[static_cast<std::size_t>(t)] * pa +
-                                                iota0[static_cast<std::size_t>(t)])];
+          const auto slot = static_cast<std::size_t>(a_of[static_cast<std::size_t>(t)] * pa +
+                                                     iota0[static_cast<std::size_t>(t)]);
+          dst = std::copy_n(mid.rows().begin() + slot * n, n, dst);
         }
       } else {
-        std::copy_n(in.begin() + src, b_in_sizes[p], bbuf.begin() + dst);
-        dst += b_in_sizes[p];
-        src += b_in_sizes[p];
+        const std::size_t len = static_cast<std::size_t>(b_in_sizes[p]) * n;
+        dst = std::copy_n(src, len, dst);
+        src += len;
       }
     }
-    b_comp(std::span<const std::int64_t>(bbuf.data(), static_cast<std::size_t>(b_in_total)),
-           out);
+    b_comp(bbuf.rows(), out, n);
   };
   if (a.inputs.size() == 1 && b.inputs.size() == 1 && b.outputs.size() == 1) {
     std::vector<std::int64_t> iota_tbl(iota0.begin(), iota0.end());
@@ -580,12 +605,13 @@ RewriteResult try_merge(const Model& model, const std::string& task_a,
   const auto cb = b.op.compute;
   f.op.name = a.op.name + "+" + b.op.name;
   f.op.flops_per_invocation = a.op.flops_per_invocation + b.op.flops_per_invocation;
+  // a's rows come first in both blocks, then b's.
   f.op.compute = [ca, cb, a_in, a_out](std::span<const std::int64_t> in,
-                                       std::span<std::int64_t> out) {
-    ca(in.subspan(0, static_cast<std::size_t>(a_in)),
-       out.subspan(0, static_cast<std::size_t>(a_out)));
-    cb(in.subspan(static_cast<std::size_t>(a_in)),
-       out.subspan(static_cast<std::size_t>(a_out)));
+                                       std::span<std::int64_t> out, std::size_t n) {
+    ca(in.first(static_cast<std::size_t>(a_in) * n), out.first(static_cast<std::size_t>(a_out) * n),
+       n);
+    cb(in.subspan(static_cast<std::size_t>(a_in) * n),
+       out.subspan(static_cast<std::size_t>(a_out) * n), n);
   };
   if (a.inputs.size() == 1 && a.outputs.size() == 1 && b.inputs.size() == 1 &&
       b.outputs.size() == 1) {

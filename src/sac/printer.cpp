@@ -37,7 +37,7 @@ std::string print_generator(const Generator& g, int indent) {
   if (g.vector_var) {
     s += g.vars[0];
   } else {
-    s += "[" + join(g.vars, ",") + "]";
+    s += cat("[", join(g.vars, ","), "]");
   }
   s += g.upper_inclusive ? " <= " : " < ";
   s += g.upper ? print_expr(*g.upper, indent, 0) : ".";
@@ -67,18 +67,16 @@ std::string print_expr(const Expr& e, int indent, int parent_prec) {
       std::vector<std::string> parts;
       parts.reserve(e.args.size());
       for (const ExprPtr& a : e.args) parts.push_back(print_expr(*a, indent, 0));
-      return "[" + join(parts, ",") + "]";
+      return cat("[", join(parts, ","), "]");
     }
     case ExprKind::BinOp: {
       const int prec = precedence(e.bin_op);
-      std::string s = print_expr(*e.args[0], indent, prec) + " " + to_string(e.bin_op) + " " +
-                      print_expr(*e.args[1], indent, prec + 1);
-      if (prec < parent_prec) s = "(" + s + ")";
-      return s;
+      std::string s = cat(print_expr(*e.args[0], indent, prec), " ", to_string(e.bin_op), " ",
+                          print_expr(*e.args[1], indent, prec + 1));
+      return prec < parent_prec ? cat("(", s, ")") : s;
     }
     case ExprKind::UnOp: {
-      std::string s = (e.un_op == UnOpKind::Neg ? "-" : "!") + print_expr(*e.args[0], indent, 8);
-      return s;
+      return cat(e.un_op == UnOpKind::Neg ? "-" : "!", print_expr(*e.args[0], indent, 8));
     }
     case ExprKind::Call: {
       std::vector<std::string> parts;
@@ -122,7 +120,7 @@ std::string print(const Stmt& stmt, int indent) {
     }
     case StmtKind::ElemAssign: {
       std::string s = ind(indent) + stmt.target;
-      for (const ExprPtr& i : stmt.indices) s += "[" + print(*i, indent) + "]";
+      for (const ExprPtr& i : stmt.indices) s.append("[").append(print(*i, indent)).append("]");
       return s + " = " + print(*stmt.value, indent) + ";\n";
     }
     case StmtKind::For: {

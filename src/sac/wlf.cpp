@@ -501,7 +501,7 @@ class Optimizer {
       return make_select(std::move(elem), make_index_lit(Index(idx->begin() + 1, idx->end())));
     }
     if (arr.kind == ExprKind::With) {
-      return inline_with_at(arr, *idx, g);
+      return inline_with_at(arr, *idx);
     }
     if (arr.kind == ExprKind::Var &&
         (ssa_names_.count(arr.name) || elem_chain_ok_.count(arr.name))) {
@@ -513,7 +513,7 @@ class Optimizer {
   /// Resolves `w[idx]` for a with-loop value and a literal index:
   /// inlines the generator that covers the index (hoisting its body
   /// into the enclosing generator's body).
-  ExprPtr inline_with_at(const Expr& w, const Index& idx, Generator& g) {
+  ExprPtr inline_with_at(const Expr& w, const Index& idx) {
     std::size_t frame_rank = 0;
     if (w.op.kind == WithOpKind::Genarray) {
       auto shp = literal_value(*w.op.shape_or_target);
@@ -626,7 +626,7 @@ class Optimizer {
       // No write matched: fall through to the base definition.
     }
     if (def->value->kind == ExprKind::With) {
-      return inline_with_at(*def->value, idx, g);
+      return inline_with_at(*def->value, idx);
     }
     if (def->value->kind == ExprKind::ArrayLit) {
       return apply_rules_select_arraylit(*def->value, idx);
@@ -887,7 +887,7 @@ class Optimizer {
     std::vector<Lin> index;
   };
 
-  std::optional<Candidate> find_candidate(const Generator& g, const Lattice& lat,
+  std::optional<Candidate> find_candidate(const Generator& g,
                                           const AffineEval& ae,
                                           const std::map<std::string, Producer>& producers,
                                           std::size_t consumer_index) {
@@ -1012,7 +1012,7 @@ class Optimizer {
     if (!lat) return false;
     AffineEval ae(*lat);
     ae.bind_block(g.body);
-    auto cand = find_candidate(g, *lat, ae, producers, consumer_index);
+    auto cand = find_candidate(g, ae, producers, consumer_index);
     if (!cand) return false;
     const Producer& prod = producers.at(cand->producer);
     const Expr& pw = *prod.with;

@@ -59,7 +59,7 @@ class CEmitter {
         return s;
       }
       case ExprKind::UnOp:
-        return (e.un_op == sac::UnOpKind::Neg ? "-" : "!") + expr(*e.args[0], 8);
+        return cat(e.un_op == sac::UnOpKind::Neg ? "-" : "!", expr(*e.args[0], 8));
       case ExprKind::Call: {
         std::vector<std::string> parts;
         for (const sac::ExprPtr& a : e.args) parts.push_back(expr(*a));

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <limits>
 #include <utility>
 
 #include "core/fmt.hpp"
@@ -123,6 +124,18 @@ void Tape::run(TapeLanes& lanes, int n, std::span<const TapeArray> arrays,
         }
         break;
       }
+      // A local copy of the divisor: the stores to the stack rows cannot
+      // alias it, so its fields stay in registers across the lanes.
+      case TapeOp::DivImm: {
+        const ConstDivisor d = divisors[static_cast<std::size_t>(ins.a)];
+        unary([&d](I x) { return d.div(x); });
+        break;
+      }
+      case TapeOp::ModImm: {
+        const ConstDivisor d = divisors[static_cast<std::size_t>(ins.a)];
+        unary([&d](I x) { return d.mod(x); });
+        break;
+      }
       case TapeOp::Neg: unary(std::negate<>()); break;
       case TapeOp::Not: unary([](I x) -> I { return x == 0; }); break;
       case TapeOp::Abs: unary([](I x) { return x < 0 ? -x : x; }); break;
@@ -201,6 +214,8 @@ const char* op_name(TapeOp op) {
     case TapeOp::Mul: return "mul";
     case TapeOp::Div: return "div";
     case TapeOp::Mod: return "mod";
+    case TapeOp::DivImm: return "divi";
+    case TapeOp::ModImm: return "modi";
     case TapeOp::Neg: return "neg";
     case TapeOp::Not: return "not";
     case TapeOp::Abs: return "abs";
@@ -230,7 +245,9 @@ std::pair<int, int> stack_effect(const TapeInstr& i) {
     case TapeOp::StoreSlot: return {1, 0};
     case TapeOp::Neg:
     case TapeOp::Not:
-    case TapeOp::Abs: return {1, 1};
+    case TapeOp::Abs:
+    case TapeOp::DivImm:
+    case TapeOp::ModImm: return {1, 1};
     case TapeOp::LoadArr: return {i.b, 1};
     default: return {2, 1};
   }
@@ -243,6 +260,8 @@ std::string Tape::to_string() const {
   for (const TapeInstr& i : code) {
     switch (i.op) {
       case TapeOp::Push: out += cat("push ", i.imm, "\n"); break;
+      case TapeOp::DivImm:
+      case TapeOp::ModImm: out += cat(op_name(i.op), " ", i.imm, "\n"); break;
       case TapeOp::LoadSlot:
       case TapeOp::StoreSlot: out += cat(op_name(i.op), " s", i.a, "\n"); break;
       case TapeOp::LoadArr:
@@ -419,11 +438,13 @@ class TapeBuilder {
 
   /// True when the code in [begin, end) cannot raise: no checked load,
   /// and every division or modulo is by a non-zero literal (in postfix
-  /// code the divisor is a literal exactly when a Push precedes the op).
+  /// code the divisor is a literal exactly when a Push precedes the op;
+  /// DivImm and ModImm divide by one that is not 0 or ±1).
   bool cannot_throw(const CodeRange& r) const {
     for (std::size_t k = r.begin; k < r.end; ++k) {
       const TapeInstr& i = tape_.code[k];
       if (i.op == TapeOp::LoadArr) return false;
+      if (i.op == TapeOp::DivImm || i.op == TapeOp::ModImm) continue;
       if (i.op == TapeOp::Div || i.op == TapeOp::Mod) {
         const TapeInstr& divisor = tape_.code[k - 1];
         if (divisor.op != TapeOp::Push || divisor.imm == 0) return false;
@@ -540,6 +561,9 @@ class TapeBuilder {
           case BinOpKind::Or: op = TapeOp::Or; break;
           default: return false;
         }
+        if (affine_ && (op == TapeOp::Div || op == TapeOp::Mod) && fuse_literal_divisor(op)) {
+          return true;
+        }
         tape_.code.push_back({op, 0, 0, 0});
         return true;
       }
@@ -605,6 +629,25 @@ class TapeBuilder {
       default:
         return false;
     }
+  }
+
+  /// Turns the `Push k` just emitted as the divisor of `op` into one
+  /// DivImm/ModImm by k. The literals 0 and ±1 keep the plain op, so a
+  /// division by zero still raises its error on its lane; INT64_MIN has
+  /// no magnitude in range.
+  bool fuse_literal_divisor(TapeOp op) {
+    TapeInstr& divisor = tape_.code.back();
+    const std::int64_t k = divisor.imm;
+    if (divisor.op != TapeOp::Push || k == std::numeric_limits<std::int64_t>::min() ||
+        (k > -2 && k < 2)) {
+      return false;
+    }
+    std::size_t id = 0;
+    while (id < tape_.divisors.size() && tape_.divisors[id].divisor() != k) ++id;
+    if (id == tape_.divisors.size()) tape_.divisors.emplace_back(k);
+    divisor = {op == TapeOp::Div ? TapeOp::DivImm : TapeOp::ModImm,
+               static_cast<std::int32_t>(id), 0, k};
+    return true;
   }
 
   std::int32_t immediate_id(const sac::Value& v) {

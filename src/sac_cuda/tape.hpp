@@ -7,7 +7,9 @@
 #include <string>
 #include <vector>
 
+#include "core/const_divisor.hpp"
 #include "core/ndarray.hpp"
+#include "gpu/backend.hpp"
 #include "sac/affine.hpp"
 #include "sac/ast.hpp"
 
@@ -44,8 +46,11 @@ enum class TapeOp : std::uint8_t {
             ///< negative a indexes the tape's immediate (constant)
             ///< arrays: imm_arrays[-a - 1] — the analogue of CUDA
             ///< __constant__ memory for literal coefficient tables
-  LoadLin   ///< push arrays[a].data[lin_offsets[b]]: a load whose offset
+  LoadLin,  ///< push arrays[a].data[lin_offsets[b]]: a load whose offset
             ///< lin_loads[b] was proven in bounds at plan time
+  DivImm,   ///< top = top / divisors[a]: `Push imm; Div` for a literal
+            ///< imm with 2 <= |imm| (and imm != INT64_MIN), which cannot throw
+  ModImm    ///< top = top % divisors[a], likewise for `Push imm; Mod`
 };
 
 struct TapeInstr {
@@ -72,9 +77,8 @@ struct TapeImmediate {
 };
 
 /// Items one tape dispatch runs: each instruction is decoded once and
-/// applied to a block of up to kLanes consecutive items, the way a warp
-/// issues one instruction for all of its threads.
-inline constexpr int kLanes = 128;
+/// applied to a block of up to kLanes consecutive items.
+using gpu::kLanes;
 
 class TapeLanes;
 
@@ -96,6 +100,8 @@ class Tape {
   /// lattice coordinates, which a kernel steps instead of recomputing
   /// (and re-checking) the index per element.
   std::vector<sac::affine::Lin> lin_loads;
+  /// The literal divisors of DivImm/ModImm, by operand a.
+  std::vector<ConstDivisor> divisors;
 
   /// Counts for the kernel cost descriptor.
   int arith_ops() const;
@@ -149,6 +155,8 @@ class TapeLanes {
 /// LoadLin, and a top-level binding that is then no longer read and
 /// cannot throw is dropped. Everything not proven keeps the checked
 /// path, so the results and the errors are those of the plain tape.
+/// A division or modulo by a literal other than 0 and ±1 becomes one
+/// DivImm/ModImm that multiplies by the divisor's plan-time reciprocal.
 std::optional<Tape> compile_tape(const std::vector<sac::StmtPtr>& body,
                                  const std::vector<const sac::Expr*>& results,
                                  const std::vector<std::string>& index_vars,

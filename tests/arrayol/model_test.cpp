@@ -36,7 +36,7 @@ Model toy_model() {
   out.tiler.paving = IntMat{{4}};
   t.outputs.push_back(std::move(out));
   t.op.name = "double";
-  t.op.compute = [](std::span<const std::int64_t> i, std::span<std::int64_t> o) {
+  t.op.compute = [](std::span<const std::int64_t> i, std::span<std::int64_t> o, std::size_t) {
     for (std::size_t k = 0; k < o.size(); ++k) o[k] = 2 * i[k];
   };
   t.op.flops_per_invocation = 4;
@@ -77,7 +77,7 @@ TEST(ModelTest, NonPartitionOutputTilerRejected) {
   out.tiler.fitting = IntMat{{1}};
   out.tiler.paving = IntMat{{2}};  // overlapping writes!
   t.outputs.push_back(std::move(out));
-  t.op.compute = [](std::span<const std::int64_t>, std::span<std::int64_t>) {};
+  t.op.compute = [](std::span<const std::int64_t>, std::span<std::int64_t>, std::size_t) {};
   m.add_task(std::move(t));
   EXPECT_THROW(m.validate(), ModelError);
 }
@@ -110,7 +110,7 @@ TEST(ModelTest, WrongPortShapeRejected) {
   in.tiler.fitting = IntMat{{1}};
   in.tiler.paving = IntMat{{4}};
   t.inputs.push_back(std::move(in));
-  t.op.compute = [](std::span<const std::int64_t>, std::span<std::int64_t>) {};
+  t.op.compute = [](std::span<const std::int64_t>, std::span<std::int64_t>, std::size_t) {};
   bad.add_task(std::move(t));
   EXPECT_THROW(bad.validate(), ModelError);
 }
@@ -150,7 +150,7 @@ TEST(ModelTest, CycleDetected) {
     out.tiler.fitting = IntMat{{1}};
     out.tiler.paving = IntMat{{1}};
     t.outputs.push_back(std::move(out));
-    t.op.compute = [](std::span<const std::int64_t>, std::span<std::int64_t>) {};
+    t.op.compute = [](std::span<const std::int64_t>, std::span<std::int64_t>, std::size_t) {};
     m.add_task(std::move(t));
   };
   mk("t1", "a", "b");

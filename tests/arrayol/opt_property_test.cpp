@@ -2,10 +2,13 @@
 // Array-OL geometries: every *accepted* rewrite (paving change, fusion,
 // full cost-gated search) must preserve the ODT mapping — identical
 // model outputs element for element — and every *rejected* candidate
-// must carry a diagnostic naming the violated precondition.
+// must carry a diagnostic naming the violated precondition. A rewritten
+// IP run over a block of lanes must equal one call per lane, and the
+// executed OpenCL application the reference evaluation.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <random>
@@ -15,6 +18,7 @@
 #include "apps/downscaler/arrayol_model.hpp"
 #include "apps/downscaler/config.hpp"
 #include "core/fmt.hpp"
+#include "gaspard/chain.hpp"
 #include "opt/search.hpp"
 #include "opt/transform.hpp"
 
@@ -180,6 +184,119 @@ TEST(OptProperty, FusionWithReusedInverseMapsMatchesFreshFusion) {
   }
   EXPECT_GT(accepted, 0);
   EXPECT_GT(rejected, 0);
+}
+
+/// Runs the IP of `task` once over n lanes of random rows, then once per
+/// lane on that lane's column; every output element must agree.
+void expect_block_equals_lanes(const aol::RepetitiveTask& task, std::size_t n,
+                               std::mt19937& rng, const std::string& what) {
+  std::size_t in_total = 0;
+  std::size_t out_total = 0;
+  for (const aol::TiledPort& p : task.inputs) in_total += p.pattern.elements();
+  for (const aol::TiledPort& p : task.outputs) out_total += p.pattern.elements();
+  std::uniform_int_distribution<std::int64_t> value(-1000, 1000);
+  std::vector<std::int64_t> in(in_total * n);
+  for (std::int64_t& v : in) v = value(rng);
+  std::vector<std::int64_t> out(out_total * n, -7);
+  task.op.compute(in, out, n);
+  std::vector<std::int64_t> lane_in(in_total);
+  std::vector<std::int64_t> lane_out(out_total);
+  for (std::size_t l = 0; l < n; ++l) {
+    for (std::size_t e = 0; e < in_total; ++e) lane_in[e] = in[e * n + l];
+    task.op.compute(lane_in, lane_out, 1);
+    for (std::size_t e = 0; e < out_total; ++e) {
+      ASSERT_EQ(out[e * n + l], lane_out[e])
+          << what << ": " << task.name << " lane " << l << " of " << n << ", output row " << e;
+    }
+  }
+}
+
+/// Every task's IP over blocks of 1, 2, kLanes - 1, kLanes and kLanes + 1
+/// lanes, and the application executed on the host backend, against
+/// the reference evaluation of `reference` (the model before rewriting).
+void expect_lanes_and_execution(const aol::Model& model, const aol::Model& reference,
+                                std::mt19937& rng, const std::string& what) {
+  for (const aol::RepetitiveTask& task : model.tasks()) {
+    for (const std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{gpu::kLanes - 1},
+                                std::size_t{gpu::kLanes}, std::size_t{gpu::kLanes + 1}}) {
+      expect_block_equals_lanes(task, n, rng, what);
+    }
+  }
+  const auto inputs = random_inputs(reference, rng);
+  const auto expected = aol::evaluate(reference, inputs);
+  gaspard::OpenClApplication app = gaspard::OpenClApplication::build(model);
+  gpu::VirtualGpu gpu(gpu::gtx480(), 2, gpu::BackendKind::Host);
+  gpu::opencl::CommandQueue queue(gpu);
+  const auto actual = app.run(queue, inputs, /*execute=*/true);
+  for (const std::string& out : reference.outputs()) {
+    EXPECT_EQ(actual.at(out), expected.at(out)) << what << ": output '" << out << "' diverged";
+  }
+}
+
+TEST(OptProperty, RewrittenOpsRunBlocksOfLanesAsOneLaneEach) {
+  std::mt19937 rng(2011);
+  int splits = 0;
+  int double_splits = 0;
+  int fusions = 0;
+  int merges = 0;
+  for (int trial = 0; trial < 6; ++trial) {
+    const DownscalerConfig cfg = random_config(rng);
+    const bool rgb = trial % 2 == 1;
+    const aol::Model base =
+        rgb ? apps::build_downscaler_model(cfg) : apps::build_single_channel_model(cfg);
+    const std::string ch = rgb ? "g" : "y";
+    const std::string geometry = cat(cfg.height, "x", cfg.width, rgb ? " rgb" : " y");
+    std::vector<std::pair<std::string, aol::Model>> accepted;
+    // Splits of either filter, and a second split of the first's result
+    // (a combinator nested in one of its own kind).
+    for (const auto& [task, rep] : {std::pair{ch + "hf", cfg.h_repetition()},
+                                    std::pair{ch + "vf", cfg.v_repetition()}}) {
+      for (std::size_t dim = 0; dim < rep.rank(); ++dim) {
+        const std::vector<std::int64_t> factors = dividing_factors(rep[dim]);
+        if (factors.empty()) continue;
+        const std::int64_t factor = factors[rng() % std::min<std::size_t>(factors.size(), 4)];
+        RewriteResult once = try_change_paving(base, task, dim, factor);
+        ASSERT_TRUE(once.legality.ok) << once.legality.reason;
+        ++splits;
+        const std::vector<std::int64_t> again = dividing_factors(rep[dim] / factor);
+        if (!again.empty()) {
+          RewriteResult twice = try_change_paving(*once.model, task, dim, again[0]);
+          ASSERT_TRUE(twice.legality.ok) << twice.legality.reason;
+          ++double_splits;
+          accepted.emplace_back(cat(task, " split ", factor, " then ", again[0], " on dim ", dim),
+                                std::move(*twice.model));
+        }
+        accepted.emplace_back(cat(task, " split ", factor, " on dim ", dim),
+                              std::move(*once.model));
+      }
+    }
+    // The fusion of the channel after each split that allows it.
+    const std::size_t split_models = accepted.size();
+    for (std::size_t k = 0; k < split_models; ++k) {
+      RewriteResult fused = try_fuse(accepted[k].second, "mid_" + ch);
+      if (!fused.legality.ok) continue;
+      ++fusions;
+      accepted.emplace_back(cat(accepted[k].first, ", fuse mid_", ch), std::move(*fused.model));
+    }
+    if (rgb) {
+      RewriteResult merged = try_merge(base, "bhf", "rhf");
+      ASSERT_TRUE(merged.legality.ok) << merged.legality.reason;
+      ++merges;
+      accepted.emplace_back("merge bhf + rhf", std::move(*merged.model));
+    }
+    // Whatever the cost-gated search adopts at O2.
+    SearchOptions o2;
+    o2.level = 2;
+    accepted.emplace_back("O2", optimize(base, o2).model);
+    for (const auto& [rewrite, model] : accepted) {
+      expect_lanes_and_execution(model, base, rng, cat(geometry, " ", rewrite));
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+  EXPECT_GE(splits, 12);
+  EXPECT_GE(double_splits, 6);
+  EXPECT_GE(fusions, 3);
+  EXPECT_GE(merges, 3);
 }
 
 TEST(OptProperty, CostGatedSearchPreservesOdtMappingOnRandomGeometries) {

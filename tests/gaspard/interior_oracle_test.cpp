@@ -4,10 +4,14 @@
 // takes the modular walk. Over seeded random tilers — array, pattern
 // and repetition ranks 1-3, negative origins, zero and negative fitting
 // and paving entries, tiles that wrap around — the executed OpenCL
-// application must equal the Array-OL reference evaluation.
+// application must equal the Array-OL reference evaluation. A third of
+// the seeds draw the walk dimension's extent from 1, 2, kLanes - 1,
+// kLanes, kLanes + 1 and 300, so that the host's blocks of lanes end
+// mid-run and mix interior and boundary lanes.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <random>
@@ -83,11 +87,26 @@ aol::TiledPort random_output(Rng& rng, const Shape& repetition) {
   return p;
 }
 
+/// Walk-dimension extents around the host's block of kLanes lanes.
+constexpr std::int64_t kWalkExtents[] = {1, 2, gpu::kLanes - 1, gpu::kLanes, gpu::kLanes + 1, 300};
+
+/// Whether the seed draws its walk dimension's extent from kWalkExtents.
+bool long_walk(std::uint64_t seed) { return seed % 3 == 0; }
+
 aol::Model random_model(std::uint64_t seed) {
   Rng rng(seed);
   aol::RepetitiveTask task;
   task.name = "t";
   task.repetition = random_shape(rng, rng.uniform(1, 3), 1, 5);
+  if (long_walk(seed)) {
+    // The last dimension, when its extent is above 1: random_output's
+    // step along it moves the output by 1 or |pattern| elements, and
+    // along any other dimension by at least the last extent times that.
+    const std::int64_t extent = kWalkExtents[rng.uniform(0, 5)];
+    Index dims = task.repetition.dims();
+    dims.back() = extent;
+    task.repetition = extent == 1 ? Shape{1} : Shape(dims);
+  }
   const std::int64_t inputs = rng.uniform(1, 2);
   for (std::int64_t k = 0; k < inputs; ++k) {
     task.inputs.push_back(random_input(rng, cat("in", k), task.repetition));
@@ -99,13 +118,16 @@ aol::Model random_model(std::uint64_t seed) {
   // Every output element depends on every input element and on its
   // position, so a misplaced gather or scatter shows in the result.
   task.op.name = "mix";
-  task.op.compute = [](std::span<const std::int64_t> in, std::span<std::int64_t> out) {
-    for (std::size_t k = 0; k < out.size(); ++k) {
-      std::int64_t acc = static_cast<std::int64_t>(k) * 7;
-      for (std::size_t j = 0; j < in.size(); ++j) {
-        acc += in[j] * static_cast<std::int64_t>((j + k) % 5 + 1);
+  task.op.compute = [](std::span<const std::int64_t> in, std::span<std::int64_t> out,
+                       std::size_t n) {
+    for (std::size_t k = 0; k < out.size() / n; ++k) {
+      for (std::size_t l = 0; l < n; ++l) {
+        std::int64_t acc = static_cast<std::int64_t>(k) * 7;
+        for (std::size_t j = 0; j < in.size() / n; ++j) {
+          acc += in[j * n + l] * static_cast<std::int64_t>((j + k) % 5 + 1);
+        }
+        out[k * n + l] = acc;
       }
-      out[k] = acc;
     }
   };
   task.op.flops_per_invocation = static_cast<double>(in_elems * out_elems * 2);
@@ -122,7 +144,50 @@ aol::Model random_model(std::uint64_t seed) {
   return model;
 }
 
+/// Whether the tile of `p` at repetition point `rep` lies inside its
+/// array in every dimension (the gather's interior case).
+bool tile_inside(const aol::TiledPort& p, const Index& rep) {
+  bool inside = true;
+  for_each_index(p.pattern, [&](const Index& pat) {
+    const Index fit = p.tiler.fitting.mv(pat);
+    const Index ref = p.tiler.paving.mv(rep);
+    for (std::size_t d = 0; d < fit.size(); ++d) {
+      const std::int64_t v = p.tiler.origin[d] + ref[d] + fit[d];
+      inside = inside && v >= 0 && v < p.port.shape[d];
+    }
+  });
+  return inside;
+}
+
+/// Blocks of kLanes lanes along the walk dimension that hold both
+/// interior and boundary lanes of some port.
+int mixed_blocks(const aol::RepetitiveTask& task, std::size_t walk) {
+  std::vector<aol::TiledPort> ports = task.inputs;
+  ports.insert(ports.end(), task.outputs.begin(), task.outputs.end());
+  int mixed = 0;
+  for_each_index(task.repetition, [&](const Index& rep) {
+    if (rep[walk] % gpu::kLanes != 0) return;  // one visit per block
+    const std::int64_t n = std::min<std::int64_t>(gpu::kLanes, task.repetition[walk] - rep[walk]);
+    for (const aol::TiledPort& p : ports) {
+      int inside = 0;
+      for (std::int64_t l = 0; l < n; ++l) {
+        Index at = rep;
+        at[walk] += l;
+        inside += tile_inside(p, at) ? 1 : 0;
+      }
+      if (inside > 0 && inside < n) {
+        ++mixed;
+        return;
+      }
+    }
+  });
+  return mixed;
+}
+
 TEST(TilerInteriorOracle, RandomTilersMatchTheReferenceEvaluation) {
+  int long_walks = 0;
+  int multi_block_walks = 0;
+  int mixed = 0;
   for (std::uint64_t seed = 1; seed <= 300; ++seed) {
     const aol::Model model = random_model(seed);
     const aol::RepetitiveTask& task = model.tasks()[0];
@@ -146,11 +211,21 @@ TEST(TilerInteriorOracle, RandomTilersMatchTheReferenceEvaluation) {
     }
     const auto expected = aol::evaluate(model, inputs);
     OpenClApplication app = OpenClApplication::build(model);
+    const std::size_t walk = app.kernels()[0].walk_dim;
+    if (long_walk(seed) && task.repetition.elements() > 1) {
+      ASSERT_EQ(walk, task.repetition.rank() - 1);
+      ++long_walks;
+      multi_block_walks += task.repetition[walk] > gpu::kLanes ? 1 : 0;
+      mixed += mixed_blocks(task, walk);
+    }
     gpu::VirtualGpu gpu(gpu::gtx480(), 3, gpu::BackendKind::Host);
     gpu::opencl::CommandQueue queue(gpu);
     const auto actual = app.run(queue, inputs, /*execute=*/true);
     ASSERT_EQ(actual.at("out"), expected.at("out"));
   }
+  EXPECT_GE(long_walks, 60);
+  EXPECT_GE(multi_block_walks, 20);
+  EXPECT_GE(mixed, 80);
 }
 
 }  // namespace

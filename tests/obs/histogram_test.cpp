@@ -38,7 +38,9 @@ TEST(LogHistogramTest, BucketBoundsPartitionTheAxis) {
   for (double v : {0.0, 0.5, 1.0, 1.5, 7.0, 100.0, 12345.6, 1e9}) {
     const std::size_t b = LogHistogram::bucket_index(v);
     EXPECT_LE(v, LogHistogram::upper_bound(b)) << "value " << v;
-    if (b > 0) EXPECT_GT(v, LogHistogram::lower_bound(b)) << "value " << v;
+    if (b > 0) {
+      EXPECT_GT(v, LogHistogram::lower_bound(b)) << "value " << v;
+    }
   }
   // An upper bound lands in its own bucket; just past it, in the next.
   const double ub = LogHistogram::upper_bound(17);

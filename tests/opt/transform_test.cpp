@@ -48,7 +48,8 @@ aol::Model copy_chain(std::int64_t n, std::int64_t p, std::int64_t blocks, std::
 
   aol::ElementaryOp copy_op;
   copy_op.name = "copy";
-  copy_op.compute = [](std::span<const std::int64_t> in, std::span<std::int64_t> out) {
+  copy_op.compute = [](std::span<const std::int64_t> in, std::span<std::int64_t> out,
+                       std::size_t) {
     for (std::size_t i = 0; i < out.size(); ++i) out[i] = in[i] + 1;
   };
   copy_op.flops_per_invocation = 1;

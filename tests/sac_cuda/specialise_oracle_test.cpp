@@ -9,8 +9,9 @@
 // runs lane-batched over one run per body, of 1, 2, kLanes - 1, kLanes
 // and kLanes + 1 points, some entered mid-run: every lane up to the
 // first failing point, and that point's error, must be the plain tape's.
-// A second oracle runs random with-loop programs through the host
-// backend against the interpreter.
+// The bodies divide by literals too (±2, 3, 6, 7, 2^31, 2^62), which the
+// specialised tape runs as immediate ops. A second oracle runs random
+// with-loop programs through the host backend against the interpreter.
 
 #include <gtest/gtest.h>
 
@@ -190,6 +191,23 @@ struct BodyCase {
   }
 };
 
+/// Folds a negated literal divisor (`x / -6` parses as a negation of 6)
+/// into one literal, as the optimizer's constant folding does before a
+/// whole program reaches the tape compiler.
+void fold_negative_divisors(sac::Expr& e) {
+  for (sac::ExprPtr& a : e.args) {
+    if (a) fold_negative_divisors(*a);
+  }
+  if (e.kind == sac::ExprKind::BinOp &&
+      (e.bin_op == sac::BinOpKind::Div || e.bin_op == sac::BinOpKind::Mod)) {
+    sac::ExprPtr& d = e.args[1];
+    if (d->kind == sac::ExprKind::UnOp && d->un_op == sac::UnOpKind::Neg &&
+        d->args[0]->kind == sac::ExprKind::IntLit) {
+      d = sac::make_int(-d->args[0]->int_val);
+    }
+  }
+}
+
 BodyCase parse_case(const std::string& stmts, const std::vector<std::string>& results,
                     const Lattice& lattice, std::map<std::string, Index> dims) {
   BodyCase c;
@@ -199,8 +217,14 @@ BodyCase parse_case(const std::string& stmts, const std::vector<std::string>& re
   }
   const sac::Module m = sac::parse(cat("int f(", params, ") { ", stmts, " return (0); }"));
   const auto& body = m.functions[0].body;
-  for (std::size_t s = 0; s + 1 < body.size(); ++s) c.stmts.push_back(body[s]->clone());
-  for (const std::string& r : results) c.results.push_back(sac::parse_expression(r));
+  for (std::size_t s = 0; s + 1 < body.size(); ++s) {
+    c.stmts.push_back(body[s]->clone());
+    if (c.stmts.back()->value) fold_negative_divisors(*c.stmts.back()->value);
+  }
+  for (const std::string& r : results) {
+    c.results.push_back(sac::parse_expression(r));
+    fold_negative_divisors(*c.results.back());
+  }
   c.lattice = lattice;
   c.dims = std::move(dims);
   return c;
@@ -270,7 +294,7 @@ TEST(SpecialiseOracle, DeadIndexArithmeticIsDroppedAfterTheProof) {
   const Compared r = compare(c);
   EXPECT_EQ(count_op(r.spec, TapeOp::LoadLin), 1);
   EXPECT_EQ(count_op(r.spec, TapeOp::LoadArr), 0);
-  EXPECT_EQ(count_op(r.spec, TapeOp::Div), 0);
+  EXPECT_EQ(count_op(r.spec, TapeOp::Div) + count_op(r.spec, TapeOp::DivImm), 0);
   EXPECT_FALSE(r.spec.reads_slot(r.spec.index_slots[1]));
   EXPECT_EQ(count_op(r.plain, TapeOp::LoadArr), 1);
   EXPECT_EQ(count_op(r.plain, TapeOp::LoadLin), 0);
@@ -339,6 +363,36 @@ TEST(SpecialiseOracle, DeadBindingsThatMayThrowStay) {
   // ...while division by a non-zero literal is dropped when dead.
   const Compared safe = compare(parse_case("d = i / 4; e = d % 3;", {"i"}, lat, {}));
   EXPECT_EQ(count_op(safe.spec, TapeOp::Div) + count_op(safe.spec, TapeOp::Mod), 0);
+  EXPECT_EQ(count_op(safe.spec, TapeOp::DivImm) + count_op(safe.spec, TapeOp::ModImm), 0);
+}
+
+TEST(SpecialiseOracle, LiteralDivisorsBecomeImmediateOps) {
+  // Specialised, a division or modulo by a literal other than 0 and ±1
+  // is one divi/modi by the literal's plan-time reciprocal; 0 and ±1
+  // keep the plain op. compare() holds every point to the plain tape's
+  // `/` and `%`, over numerators of both signs up to ~2^39.
+  const Lattice lat = make_lattice({{0, 1, 601}});
+  const Compared r = compare(parse_case(
+      "a = (i - 300) * 1000000007;",
+      {"a / 6", "a % -7", "a / 2147483648", "a % 4611686018427387904",
+       "a / -4611686018427387904", "(i - 300) / 3 % 2", "a / 1", "a % -1", "a / -1"},
+      lat, {}));
+  EXPECT_EQ(count_op(r.spec, TapeOp::DivImm), 4);  // 6, 2^31, -2^62, 3
+  EXPECT_EQ(count_op(r.spec, TapeOp::ModImm), 3);  // -7, 2^62, 2
+  EXPECT_EQ(count_op(r.spec, TapeOp::Div), 2);     // 1, -1
+  EXPECT_EQ(count_op(r.spec, TapeOp::Mod), 1);     // -1
+  EXPECT_EQ(count_op(r.plain, TapeOp::DivImm) + count_op(r.plain, TapeOp::ModImm), 0);
+  // The cost descriptor counts one op either way.
+  EXPECT_EQ(r.spec.arith_ops(), r.plain.arith_ops());
+  EXPECT_NE(r.spec.to_string().find("divi 6\n"), std::string::npos);
+  EXPECT_NE(r.spec.to_string().find("modi -7\n"), std::string::npos);
+  ASSERT_EQ(r.outcomes.size(), 601u);
+  const std::int64_t a = -300 * std::int64_t{1000000007};
+  EXPECT_EQ(r.outcomes[0].results[0], a / 6);
+  EXPECT_EQ(r.outcomes[0].results[1], a % -7);
+  // The immediate ops cannot throw, so a dead one is dropped.
+  const Compared dead = compare(parse_case("d = i / 7; e = i % -6;", {"i"}, lat, {}));
+  EXPECT_EQ(count_op(dead.spec, TapeOp::DivImm) + count_op(dead.spec, TapeOp::ModImm), 0);
 }
 
 TEST(SpecialiseOracle, LaterRebindingsDoNotLeakIntoEarlierSelections) {
@@ -405,14 +459,21 @@ class BodyGen {
   }
 
   std::string scalar(int depth) {
-    switch (depth > 0 ? rng_.uniform(0, 6) : rng_.uniform(0, 2)) {
+    switch (depth > 0 ? rng_.uniform(0, 7) : rng_.uniform(0, 2)) {
       case 0: return rng_.pick(names_);
       case 1: return cat(rng_.uniform(-3, 9));
       case 2: return cat(rng_.pick(names_), " / ", rng_.uniform(1, 3));
       case 3:
       case 4: return load();
       case 5: return cat("(", scalar(depth - 1), " + ", scalar(depth - 1), ")");
-      default: return cat(rng_.uniform(1, 3), " * ", scalar(depth - 1));
+      case 6: return cat(rng_.uniform(1, 3), " * ", scalar(depth - 1));
+      default: {
+        // A literal divisor: an immediate op on the specialised tape.
+        static const char* const kDivisors[] = {"2", "3", "6", "7", "2147483648",
+                                                "4611686018427387904"};
+        return cat("(", scalar(depth - 1), rng_.chance(50) ? " / " : " % ",
+                   rng_.chance(50) ? "-" : "", kDivisors[rng_.uniform(0, 5)], ")");
+      }
     }
   }
 
@@ -484,6 +545,7 @@ TEST(SpecialiseOracle, RandomBodiesAreBitExactWithThePlainTape) {
   int multi_block_runs = 0;
   int lower_lanes_first = 0;
   int stepped_loads = 0;
+  int immediate_ops = 0;
   for (std::uint64_t seed = 1; seed <= 1000; ++seed) {
     Rng rng(seed);
     const Lattice lat = random_lattice(rng);
@@ -547,6 +609,7 @@ TEST(SpecialiseOracle, RandomBodiesAreBitExactWithThePlainTape) {
     }
     proven += count_op(r.spec, TapeOp::LoadLin);
     checked += count_op(r.spec, TapeOp::LoadArr);
+    immediate_ops += count_op(r.spec, TapeOp::DivImm) + count_op(r.spec, TapeOp::ModImm);
     if (count_op(r.spec, TapeOp::StoreSlot) < count_op(r.plain, TapeOp::StoreSlot)) ++dropped;
     for (const Outcome& o : r.outcomes) {
       if (o.error.find("out of bounds") != std::string::npos) ++bounds_errors;
@@ -565,6 +628,7 @@ TEST(SpecialiseOracle, RandomBodiesAreBitExactWithThePlainTape) {
   EXPECT_GT(multi_block_runs, 15);
   EXPECT_GT(lower_lanes_first, 100);
   EXPECT_GT(stepped_loads, 40);
+  EXPECT_GT(immediate_ops, 1000);
 }
 
 // --- random programs ---------------------------------------------------------------

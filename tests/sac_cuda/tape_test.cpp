@@ -168,10 +168,10 @@ TEST(TapeTest, PaperChainTapeListing) {
   }
   ASSERT_NE(kernel, nullptr);
   EXPECT_EQ(kernel->tape.to_string(),
-            "max_depth 3\n"
+            "max_depth 2\n"
             "ldlin in_frame #0\nldlin in_frame #1\nadd\nldlin in_frame #2\nadd\n"
             "ldlin in_frame #3\nadd\nldlin in_frame #4\nadd\nldlin in_frame #5\nadd\n"
-            "store s3\nload s3\npush 6\ndiv\nload s3\npush 6\nmod\nsub\nstore s4\n");
+            "store s3\nload s3\ndivi 6\nload s3\nmodi 6\nsub\nstore s4\n");
 }
 
 }  // namespace

@@ -221,7 +221,7 @@ TEST_P(OptLevelDifferentialTest, FusedFaultedFailoverMatchesUnfusedReference) {
 
 INSTANTIATE_TEST_SUITE_P(FusionLevels, OptLevelDifferentialTest, ::testing::Values(1, 2),
                          [](const ::testing::TestParamInfo<int>& info) {
-                           return "O" + std::to_string(info.param);
+                           return std::string("O").append(std::to_string(info.param));
                          });
 
 }  // namespace
