@@ -25,18 +25,12 @@ aol::ElementaryOp downscale_op(const FilterSpec& spec) {
     const auto window = static_cast<std::size_t>(divisor.divisor());
     for (std::size_t k = 0; k < starts.size(); ++k) {
       // Output row k sums input rows starts[k] .. starts[k] + window - 1,
-      // three rows per pass over the lanes, then divides.
+      // then divides.
       const std::span<std::int64_t> tmp = out.subspan(k * n, n);
       const std::span<const std::int64_t> rows =
           in.subspan(static_cast<std::size_t>(starts[k]) * n, window * n);
       std::fill_n(tmp.begin(), n, 0);
-      std::size_t w = 0;
-      for (; w + 3 <= window; w += 3) {
-        for (std::size_t l = 0; l < n; ++l) {
-          tmp[l] += rows[w * n + l] + rows[(w + 1) * n + l] + rows[(w + 2) * n + l];
-        }
-      }
-      for (; w < window; ++w) {
+      for (std::size_t w = 0; w < window; ++w) {
         for (std::size_t l = 0; l < n; ++l) tmp[l] += rows[w * n + l];
       }
       for (std::size_t l = 0; l < n; ++l) {

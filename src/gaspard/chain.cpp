@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 
-#include "core/const_divisor.hpp"
 #include "core/fmt.hpp"
 #include "core/scratch_rows.hpp"
 #include "opt/cost.hpp"
@@ -26,8 +25,6 @@ struct PortAddressing {
   std::size_t array_rank = 0;
   std::array<std::int64_t, kMaxRank> origin{};
   std::array<std::int64_t, kMaxRank> array_dims{};
-  /// Per array dimension: its extent as a divisor, for the modulo walk.
-  std::vector<ConstDivisor> array_wrap;
   std::array<std::int64_t, kMaxRank> array_strides{};
   // paving[d][r] laid out row-major, rank x rep_rank
   std::array<std::int64_t, kMaxRank * kMaxRank> paving{};
@@ -54,7 +51,6 @@ PortAddressing make_addressing(const TiledPort& tp, const Shape& array_shape,
   for (std::size_t d = 0; d < pa.array_rank; ++d) {
     pa.origin[d] = tp.tiler.origin[d];
     pa.array_dims[d] = array_shape[d];
-    pa.array_wrap.emplace_back(array_shape[d]);
     pa.array_strides[d] = strides[d];
     for (std::size_t r = 0; r < pa.rep_rank; ++r) {
       pa.paving[d * kMaxRank + r] = tp.tiler.paving.at(d, r);
@@ -114,18 +110,14 @@ void for_each_block_offset(const PortAddressing& pa, const std::array<std::int64
   const auto elems = static_cast<std::int64_t>(pa.fit_linear.size());
   for (std::int64_t e = 0; e < elems; ++e) {
     const std::int64_t at = base + pa.fit_linear[static_cast<std::size_t>(e)];
-    if (step == 1) {  // contiguous lanes: a loop the compiler vectorises
-      for (std::int64_t l = lo; l < hi; ++l) fn(e * n + l, at + l);
-    } else {
-      for (std::int64_t l = lo; l < hi; ++l) fn(e * n + l, at + l * step);
-    }
+    for (std::int64_t l = lo; l < hi; ++l) fn(e * n + l, at + l * step);
   }
   auto boundary = [&](std::int64_t l) {
     for (std::int64_t e = 0; e < elems; ++e) {
       const auto& fit = pa.fit_offsets[static_cast<std::size_t>(e)];
       std::int64_t off = 0;
       for (std::size_t d = 0; d < pa.array_rank; ++d) {
-        std::int64_t idx = pa.array_wrap[d].mod(ref[d] + l * move[d] + fit[d]);
+        std::int64_t idx = (ref[d] + l * move[d] + fit[d]) % pa.array_dims[d];
         if (idx < 0) idx += pa.array_dims[d];
         off += idx * pa.array_strides[d];
       }

@@ -189,36 +189,26 @@ RewriteResult try_change_paving(const Model& model, const std::string& task_name
 
   // The wrapped op runs the original body once per split instance, over
   // the same lanes; the leading pattern dimension makes each instance's
-  // rows contiguous within each port's block (from row s * |pattern|).
-  // With one port they are passed as they are, otherwise packed.
+  // rows contiguous within each port's block (from row s * |pattern|),
+  // and they are packed port after port for the body.
   const auto inner = task.op.compute;
   nt.op.name = cat(task.op.name, "_split", factor);
   nt.op.flops_per_invocation = task.op.flops_per_invocation * static_cast<double>(factor);
   nt.op.compute = [inner, factor, in_sizes, out_sizes, in_total, out_total](
                       std::span<const std::int64_t> in, std::span<std::int64_t> out,
                       std::size_t n) {
-    const std::size_t in_len = static_cast<std::size_t>(in_total) * n;
-    const std::size_t out_len = static_cast<std::size_t>(out_total) * n;
-    const bool pack_in = in_sizes.size() != 1;
-    const bool pack_out = out_sizes.size() != 1;
-    const ScratchRows ibuf(pack_in ? in_len : 0);
-    const ScratchRows obuf(pack_out ? out_len : 0);
+    const ScratchRows ibuf(static_cast<std::size_t>(in_total) * n);
+    const ScratchRows obuf(static_cast<std::size_t>(out_total) * n);
     for (std::int64_t s = 0; s < factor; ++s) {
-      const auto at = static_cast<std::size_t>(s);
-      if (pack_in) {
-        for_each_instance_rows(in_sizes, factor, s, n, [&](std::size_t b, std::size_t p,
-                                                            std::size_t len) {
-          std::copy_n(in.begin() + b, len, ibuf.rows().begin() + p);
-        });
-      }
-      inner(pack_in ? ibuf.rows() : in.subspan(at * in_len, in_len),
-            pack_out ? obuf.rows() : out.subspan(at * out_len, out_len), n);
-      if (pack_out) {
-        for_each_instance_rows(out_sizes, factor, s, n, [&](std::size_t b, std::size_t p,
-                                                             std::size_t len) {
-          std::copy_n(obuf.rows().begin() + p, len, out.begin() + b);
-        });
-      }
+      for_each_instance_rows(in_sizes, factor, s, n, [&](std::size_t b, std::size_t p,
+                                                          std::size_t len) {
+        std::copy_n(in.begin() + b, len, ibuf.rows().begin() + p);
+      });
+      inner(ibuf.rows(), obuf.rows(), n);
+      for_each_instance_rows(out_sizes, factor, s, n, [&](std::size_t b, std::size_t p,
+                                                           std::size_t len) {
+        std::copy_n(obuf.rows().begin() + p, len, out.begin() + b);
+      });
     }
   };
   if (task.inputs.size() == 1 && task.outputs.size() == 1) {
@@ -490,25 +480,19 @@ RewriteResult try_fuse(const Model& model, const std::string& mid_array,
   f.op.compute = [a_comp, b_comp, n_a, pa, pm, a_in_sizes, a_in_total, b_in_sizes, b_in_total,
                   a_of, iota0, mid_port](std::span<const std::int64_t> in,
                                          std::span<std::int64_t> out, std::size_t n) {
-    const std::size_t a_len = static_cast<std::size_t>(a_in_total) * n;
     const std::size_t pa_len = static_cast<std::size_t>(pa) * n;
-    const bool pack_a = a_in_sizes.size() != 1;
     const ScratchRows mid(static_cast<std::size_t>(n_a) * pa_len);
-    const ScratchRows abuf(pack_a ? a_len : 0);
+    const ScratchRows abuf(static_cast<std::size_t>(a_in_total) * n);
     const ScratchRows bbuf(static_cast<std::size_t>(b_in_total) * n);
     for (std::int64_t ai = 0; ai < n_a; ++ai) {
-      const auto at = static_cast<std::size_t>(ai);
-      if (pack_a) {
-        for_each_instance_rows(a_in_sizes, n_a, ai, n, [&](std::size_t b, std::size_t p,
-                                                            std::size_t len) {
-          std::copy_n(in.begin() + b, len, abuf.rows().begin() + p);
-        });
-      }
-      a_comp(pack_a ? abuf.rows() : in.subspan(at * a_len, a_len),
-             mid.rows().subspan(at * pa_len, pa_len), n);
+      for_each_instance_rows(a_in_sizes, n_a, ai, n, [&](std::size_t b, std::size_t p,
+                                                          std::size_t len) {
+        std::copy_n(in.begin() + b, len, abuf.rows().begin() + p);
+      });
+      a_comp(abuf.rows(), mid.rows().subspan(static_cast<std::size_t>(ai) * pa_len, pa_len), n);
     }
     auto dst = bbuf.rows().begin();
-    auto src = in.begin() + static_cast<std::size_t>(n_a) * a_len;
+    auto src = in.begin() + static_cast<std::size_t>(n_a * a_in_total) * n;
     for (std::size_t p = 0; p < b_in_sizes.size(); ++p) {
       if (p == mid_port) {
         for (std::int64_t t = 0; t < pm; ++t) {

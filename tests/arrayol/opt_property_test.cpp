@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <map>
 #include <random>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -297,6 +298,123 @@ TEST(OptProperty, RewrittenOpsRunBlocksOfLanesAsOneLaneEach) {
   EXPECT_GE(double_splits, 6);
   EXPECT_GE(fusions, 3);
   EXPECT_GE(merges, 3);
+}
+
+/// An IP whose output row o is sum_e weights[o][e] * input row e, lane
+/// by lane. Distinct weights make a row moved to the wrong place change
+/// the outputs.
+aol::ElementaryOp linear_op(const std::string& name,
+                            std::vector<std::vector<std::int64_t>> weights) {
+  aol::ElementaryOp op;
+  op.name = name;
+  op.c_body = cat("/* ", name, " */");
+  op.compute = [weights](std::span<const std::int64_t> in, std::span<std::int64_t> out,
+                         std::size_t n) {
+    for (std::size_t o = 0; o < weights.size(); ++o) {
+      for (std::size_t l = 0; l < n; ++l) {
+        std::int64_t acc = 0;
+        for (std::size_t e = 0; e < weights[o].size(); ++e) acc += weights[o][e] * in[e * n + l];
+        out[o * n + l] = acc;
+      }
+    }
+  };
+  return op;
+}
+
+aol::TiledPort line_port(const std::string& array, std::int64_t extent, std::int64_t pattern,
+                         std::int64_t paving) {
+  aol::TiledPort p;
+  p.port = {array, Shape{extent}};
+  p.pattern = Shape{pattern};
+  p.tiler.origin = {0};
+  p.tiler.fitting = IntMat{{1}};
+  p.tiler.paving = IntMat{{paving}};
+  return p;
+}
+
+/// p(x, y) -> mid over 2 * reps instances, then c(mid, z) -> (o1, o2)
+/// over reps: both tasks have two input ports and c two output ports.
+/// p reads y through overlapping tiles that wrap around its end.
+aol::Model two_port_model(std::int64_t reps) {
+  aol::Model m("TwoPort");
+  const std::int64_t wide = 2 * reps;
+  for (const auto& [name, extent] : {std::pair{"x", 2 * wide}, std::pair{"y", wide},
+                                     std::pair{"mid", wide}, std::pair{"z", reps},
+                                     std::pair{"o1", reps}, std::pair{"o2", wide}}) {
+    m.add_array(name, Shape{extent});
+  }
+  m.mark_input("x");
+  m.mark_input("y");
+  m.mark_input("z");
+  m.mark_output("o1");
+  m.mark_output("o2");
+  aol::RepetitiveTask p;
+  p.name = "p";
+  p.repetition = Shape{wide};
+  p.inputs = {line_port("x", 2 * wide, 2, 2), line_port("y", wide, 3, 1)};
+  p.outputs = {line_port("mid", wide, 1, 1)};
+  p.op = linear_op("p_ip", {{3, -1, 5, 1, -2}});
+  m.add_task(std::move(p));
+  aol::RepetitiveTask c;
+  c.name = "c";
+  c.repetition = Shape{reps};
+  c.inputs = {line_port("mid", wide, 2, 2), line_port("z", reps, 1, 1)};
+  c.outputs = {line_port("o1", reps, 1, 1), line_port("o2", wide, 2, 2)};
+  c.op = linear_op("c_ip", {{1, -2, 7}, {4, 0, 1}, {-1, 3, 2}});
+  m.add_task(std::move(c));
+  m.validate();
+  return m;
+}
+
+TEST(OptProperty, RewrittenMultiPortOpsRunBlocksOfLanesAsOneLaneEach) {
+  // Splits pack two input and two output ports per instance; fusions
+  // pack the producer's two inputs and append the consumer's other one;
+  // the fused task split again packs three inputs. The walk extents put
+  // blocks past one kLanes block and mix interior and wrapping lanes.
+  std::mt19937 rng(2016);
+  int multi_port_splits = 0;
+  int fusions = 0;
+  int fused_splits = 0;
+  for (const std::int64_t reps : {1, 6, 64, 65, 150}) {
+    const aol::Model base = two_port_model(reps);
+    std::vector<std::pair<std::string, aol::Model>> accepted{{"unchanged", base}};
+    for (const std::int64_t factor : dividing_factors(reps)) {
+      if (factor > 10) break;
+      RewriteResult split = try_change_paving(base, "c", 0, factor);
+      ASSERT_TRUE(split.legality.ok) << split.legality.reason;
+      ++multi_port_splits;
+      accepted.emplace_back(cat("c split ", factor), std::move(*split.model));
+    }
+    RewriteResult split_p = try_change_paving(base, "p", 0, 2);
+    ASSERT_TRUE(split_p.legality.ok) << split_p.legality.reason;
+    ++multi_port_splits;
+    accepted.emplace_back("p split 2", std::move(*split_p.model));
+    const std::size_t split_models = accepted.size();
+    for (std::size_t k = 0; k < split_models; ++k) {
+      RewriteResult fused = try_fuse(accepted[k].second, "mid");
+      ASSERT_TRUE(fused.legality.ok) << accepted[k].first << ": " << fused.legality.reason;
+      ++fusions;
+      const aol::RepetitiveTask& f = fused.model->tasks().back();
+      const std::int64_t extent = f.repetition[0];
+      const std::string fused_name = f.name;
+      for (const std::int64_t factor : dividing_factors(extent)) {
+        if (factor > 5) break;
+        RewriteResult again = try_change_paving(*fused.model, fused_name, 0, factor);
+        ASSERT_TRUE(again.legality.ok) << again.legality.reason;
+        ++fused_splits;
+        accepted.emplace_back(cat(accepted[k].first, ", fuse mid, split ", factor),
+                              std::move(*again.model));
+      }
+      accepted.emplace_back(cat(accepted[k].first, ", fuse mid"), std::move(*fused.model));
+    }
+    for (const auto& [rewrite, model] : accepted) {
+      expect_lanes_and_execution(model, base, rng, cat("reps ", reps, " ", rewrite));
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+  EXPECT_GE(multi_port_splits, 10);
+  EXPECT_GE(fusions, 15);
+  EXPECT_GE(fused_splits, 10);
 }
 
 TEST(OptProperty, CostGatedSearchPreservesOdtMappingOnRandomGeometries) {
