@@ -7,12 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <ostream>
 #include <string>
 #include <vector>
 
 #include "apps/downscaler/arrayol_model.hpp"
 #include "apps/downscaler/config.hpp"
 #include "apps/downscaler/pipelines.hpp"
+#include "core/fmt.hpp"
 #include "opt/search.hpp"
 #include "opt/transform.hpp"
 
@@ -83,6 +85,51 @@ TEST(CompileGolden, PaperOpenClSourceHashes) {
             13092151995356664357ull);
   EXPECT_EQ(fnv1a(paper_downscaler(2).application().opencl_source()),
             16249790246316034401ull);
+}
+
+/// One kernel's cost descriptor: name, then loads, stores and flops per
+/// thread.
+struct KernelCostRow {
+  std::string kernel;
+  double loads;
+  double stores;
+  double flops;
+
+  bool operator==(const KernelCostRow&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const KernelCostRow& r) {
+  return os << r.kernel << " loads=" << r.loads << " stores=" << r.stores
+            << " flops=" << r.flops;
+}
+
+std::vector<KernelCostRow> cost_rows(int opt_level) {
+  const GaspardDownscaler gd = paper_downscaler(opt_level);
+  std::vector<KernelCostRow> rows;
+  for (const gaspard::TaskKernel& k : gd.application().kernels()) {
+    rows.push_back({k.name, k.cost.global_loads_per_thread, k.cost.global_stores_per_thread,
+                    k.cost.flops_per_thread});
+  }
+  return rows;
+}
+
+// The simulated timings of every GASPARD route follow from these
+// descriptors; a change to how an IP is written or composed must leave
+// them as they are.
+TEST(CompileGolden, PaperKernelCostDescriptors) {
+  std::vector<KernelCostRow> o0;
+  for (const char* ch : {"b", "g", "r"}) {
+    o0.push_back({cat("KRN_", ch, "hf"), 11, 3, 83});
+    o0.push_back({cat("KRN_", ch, "vf"), 13, 4, 104});
+  }
+  EXPECT_EQ(cost_rows(0), o0);
+  std::vector<KernelCostRow> o1;
+  for (const char* ch : {"b", "g", "r"}) {
+    o1.push_back({cat("KRN_", ch, "hf_", ch, "vf"), 143, 12, 1079});
+  }
+  EXPECT_EQ(cost_rows(1), o1);
+  const std::vector<KernelCostRow> o2{{"KRN_rhf_rvf_bhf_bvf_ghf_gvf", 429, 36, 3237}};
+  EXPECT_EQ(cost_rows(2), o2);
 }
 
 // Every paper task's host body walks its last repetition dimension,
