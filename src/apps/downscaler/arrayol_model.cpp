@@ -1,8 +1,5 @@
 #include "apps/downscaler/arrayol_model.hpp"
 
-#include <algorithm>
-
-#include "core/const_divisor.hpp"
 #include "core/fmt.hpp"
 
 namespace saclo::apps {
@@ -13,47 +10,15 @@ using aol::RepetitiveTask;
 using aol::TiledPort;
 
 aol::ElementaryOp downscale_op(const FilterSpec& spec) {
-  ElementaryOp op;
-  op.name = cat("downscale", spec.window, "tap");
-  const std::vector<std::int64_t> starts = spec.window_starts;
-  const std::int64_t window = spec.window;
-  op.compute = [starts, by_window = ConstDivisor(window)](std::span<const std::int64_t> in,
-                                                          std::span<std::int64_t> out,
-                                                          std::size_t n) {
-    // A local copy: the stores to `out` cannot alias it.
-    const ConstDivisor divisor = by_window;
-    const auto window = static_cast<std::size_t>(divisor.divisor());
-    for (std::size_t k = 0; k < starts.size(); ++k) {
-      // Output row k sums input rows starts[k] .. starts[k] + window - 1,
-      // then divides.
-      const std::span<std::int64_t> tmp = out.subspan(k * n, n);
-      const std::span<const std::int64_t> rows =
-          in.subspan(static_cast<std::size_t>(starts[k]) * n, window * n);
-      std::fill_n(tmp.begin(), n, 0);
-      for (std::size_t w = 0; w < window; ++w) {
-        for (std::size_t l = 0; l < n; ++l) tmp[l] += rows[w * n + l];
-      }
-      for (std::size_t l = 0; l < n; ++l) {
-        const std::int64_t q = divisor.div(tmp[l]);
-        tmp[l] = q - (tmp[l] - q * divisor.divisor());  // tmp / window - tmp % window
-      }
-    }
-  };
-  // Per invocation: window adds + div/mod/sub per output.
-  op.flops_per_invocation =
-      static_cast<double>(starts.size()) * (static_cast<double>(window) + 3.0);
-  std::string body;
-  for (std::size_t k = 0; k < starts.size(); ++k) {
-    std::string sum;
-    for (std::int64_t w = 0; w < window; ++w) {
-      sum += (w ? " + " : "") + cat("in[", starts[k] + w, "]");
-    }
-    body += cat("int tmp", k, " = ", sum, "; out[", k, "] = tmp", k, " / ", window, " - tmp", k,
-                " % ", window, ";");
-    if (k + 1 < starts.size()) body += " ";
+  // Output k sums the window from input starts[k] into tmp, from 0 as
+  // the paper's loop does, then takes tmp / window - tmp % window.
+  aol::IpBuilder ip;
+  for (const std::int64_t start : spec.window_starts) {
+    aol::IpValue tmp = ip.lit(0);
+    for (std::int64_t w = 0; w < spec.window; ++w) tmp = tmp + ip.in(start + w);
+    ip.out(tmp / spec.window - tmp % spec.window);
   }
-  op.c_body = std::move(body);
-  return op;
+  return ip.finish(cat("downscale", spec.window, "tap"));
 }
 
 namespace {

@@ -77,8 +77,17 @@ void Model::validate() const {
                              "'"));
       }
     }
-    if (!task.op.compute) {
-      throw ModelError(cat("task '", task.name, "' has no IP computation bound"));
+    std::int64_t in_total = 0;
+    for (const TiledPort& tp : task.inputs) in_total += tp.pattern.elements();
+    std::int64_t out_total = 0;
+    for (const TiledPort& tp : task.outputs) out_total += tp.pattern.elements();
+    if (task.op.input_extent() > in_total) {
+      throw ModelError(cat("task '", task.name, "': its IP reads input element ",
+                           task.op.input_extent() - 1, " but its ports gather ", in_total));
+    }
+    if (static_cast<std::int64_t>(task.op.outputs().size()) != out_total) {
+      throw ModelError(cat("task '", task.name, "': its IP writes ", task.op.outputs().size(),
+                           " elements but its output ports hold ", out_total));
     }
   }
   for (const std::string& out : outputs_) {
@@ -145,26 +154,25 @@ std::map<std::string, IntArray> evaluate(const Model& model,
     }
     std::int64_t in_total = 0;
     for (const TiledPort& in : task.inputs) in_total += in.pattern.elements();
-    std::int64_t out_total = 0;
-    for (const TiledPort& out : task.outputs) out_total += out.pattern.elements();
-    std::vector<std::int64_t> in_buf(static_cast<std::size_t>(in_total));
-    std::vector<std::int64_t> out_buf(static_cast<std::size_t>(out_total));
+    const Tape tape = lower_to_tape(task.op, in_total);
+    TapeLanes lanes(tape, 1);
 
     for_each_index(task.repetition, [&](const Index& rep) {
       std::size_t pos = 0;
       for (const TiledPort& in : task.inputs) {
         const IntArray& arr = env.at(in.port.name);
         for_each_index(in.pattern, [&](const Index& pat) {
-          in_buf[pos++] = arr.at(in.tiler.element_index(arr.shape(), rep, pat));
+          *lanes.slot(tape.input_slots[pos++]) =
+              arr.at(in.tiler.element_index(arr.shape(), rep, pat));
         });
       }
-      task.op.compute(in_buf, out_buf, 1);
+      tape.run(lanes, 1, {});
       pos = 0;
       for (const TiledPort& out : task.outputs) {
         IntArray& arr = env.at(out.port.name);
         for_each_index(out.pattern, [&](const Index& pat) {
           arr.at(out.tiler.element_index(arr.shape(), rep, pat)) =
-              out_buf[pos++];
+              *lanes.slot(tape.result_slots[pos++]);
         });
       }
     });

@@ -1,12 +1,11 @@
 #pragma once
 
-#include <functional>
 #include <map>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
+#include "arrayol/ip.hpp"
 #include "core/tiler.hpp"
 
 namespace saclo::aol {
@@ -24,26 +23,6 @@ class ModelError : public Error {
 struct Port {
   std::string name;
   Shape shape;
-};
-
-/// The computation of an elementary task — GASPARD2's "IP" (intellectual
-/// property) block: an opaque function over gathered input patterns
-/// producing output patterns, plus the metadata the code generator and
-/// the cost model need.
-struct ElementaryOp {
-  std::string name;
-  /// Runs the IP on a lane-major block of `n` instances (lanes), the way
-  /// a warp runs one work item per thread. Row e of `in` is
-  /// in[e * n, (e + 1) * n): element e of the concatenated input
-  /// patterns (in port order), one value per lane. `out` holds the
-  /// concatenated output patterns the same way. One instance is n = 1,
-  /// where a row is one element.
-  std::function<void(std::span<const std::int64_t> in, std::span<std::int64_t> out,
-                     std::size_t n)>
-      compute;
-  double flops_per_invocation = 0;
-  /// C body for the OpenCL code generator; reads `in[]`, writes `out[]`.
-  std::string c_body;
 };
 
 using TaskId = std::size_t;
@@ -120,8 +99,8 @@ class Model {
 };
 
 /// Executes a model functionally on the host (the reference semantics:
-/// gather -> op -> scatter per repetition point, one lane per op call,
-/// in schedule order).
+/// gather -> op -> scatter per repetition point, each op lowered to the
+/// tape VM and run one lane at a time, in schedule order).
 /// Used as ground truth for the OpenCL runner.
 std::map<std::string, IntArray> evaluate(const Model& model,
                                          const std::map<std::string, IntArray>& inputs);

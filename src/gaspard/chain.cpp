@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <cctype>
 
 #include "core/fmt.hpp"
-#include "core/scratch_rows.hpp"
 #include "opt/cost.hpp"
 
 namespace saclo::gaspard {
@@ -72,10 +72,9 @@ PortAddressing make_addressing(const TiledPort& tp, const Shape& array_shape,
   return pa;
 }
 
-/// Calls fn(row, offset) for every pattern element e of port `pa` and
+/// Calls fn(e, l, offset) for every pattern element e of port `pa` and
 /// every lane l of a block of n lanes, where lane l is repetition point
-/// `rep` moved l steps along dimension `walk`: `row` = e * n + l is the
-/// element's place in the block's lane-major rows, `offset` its element
+/// `rep` moved l steps along dimension `walk`: `offset` is the element's
 /// offset in the array. A lane whose tile lies inside the array in
 /// every dimension (the interior) sits at base + l * step + fit_linear[e];
 /// only a lane whose tile wraps around (the boundary) takes the tiler's
@@ -110,7 +109,7 @@ void for_each_block_offset(const PortAddressing& pa, const std::array<std::int64
   const auto elems = static_cast<std::int64_t>(pa.fit_linear.size());
   for (std::int64_t e = 0; e < elems; ++e) {
     const std::int64_t at = base + pa.fit_linear[static_cast<std::size_t>(e)];
-    for (std::int64_t l = lo; l < hi; ++l) fn(e * n + l, at + l * step);
+    for (std::int64_t l = lo; l < hi; ++l) fn(e, l, at + l * step);
   }
   auto boundary = [&](std::int64_t l) {
     for (std::int64_t e = 0; e < elems; ++e) {
@@ -121,23 +120,22 @@ void for_each_block_offset(const PortAddressing& pa, const std::array<std::int64
         if (idx < 0) idx += pa.array_dims[d];
         off += idx * pa.array_strides[d];
       }
-      fn(e * n + l, off);
+      fn(e, l, off);
     }
   };
   for (std::int64_t l = 0; l < lo; ++l) boundary(l);
   for (std::int64_t l = hi; l < n; ++l) boundary(l);
 }
 
-/// Lanes per block of a task whose patterns hold `rows` elements in all:
+/// Lanes per block of a task whose tape holds `rows` slot and stack rows:
 /// gpu::kLanes, fewer when the block's rows would pass 8 Ki elements
-/// (64 KiB; the fused paper task's 465 rows get 17 lanes). Such a block
+/// (64 KiB; the fused paper task's 431 rows get 19 lanes). Such a block
 /// stays in cache. Larger per-thread scratch (12 Ki elements and up)
 /// left frame-sized buffers resident through glibc's dynamic mmap
 /// threshold: host_exec's peak RSS went from 101 to 182 MB.
-std::int64_t block_lanes(std::int64_t rows) {
-  constexpr std::int64_t kBlockElements = 8 * 1024;
-  return std::clamp<std::int64_t>(kBlockElements / std::max<std::int64_t>(rows, 1), 1,
-                                  gpu::kLanes);
+int block_lanes(int rows) {
+  constexpr int kBlockElements = 8 * 1024;
+  return std::clamp(kBlockElements / std::max(rows, 1), 1, gpu::kLanes);
 }
 
 /// The host walk dimension of a task (gpu::host_walk_dim), measured on
@@ -157,6 +155,15 @@ std::size_t walk_dim_of(const Model& model, const RepetitiveTask& task) {
 
 }  // namespace
 
+std::string c_identifier(const std::string& name) {
+  std::string id = name;
+  for (char& c : id) {
+    if (!std::isalnum(static_cast<unsigned char>(c)) && c != '_') c = '_';
+  }
+  if (id.empty() || std::isdigit(static_cast<unsigned char>(id[0]))) return "_" + id;
+  return id;
+}
+
 std::string emit_tiler_code(const RepetitiveTask& task, const TiledPort& port, bool is_input,
                             const Shape& array_shape) {
   const std::size_t rank = array_shape.rank();
@@ -165,9 +172,9 @@ std::string emit_tiler_code(const RepetitiveTask& task, const TiledPort& port, b
   s += cat("//--- Tiler ", task.name, "::", is_input ? "in" : "out", "_", port.port.name,
            " ---\n");
   s += "{ //start block\n";
-  s += cat("  uint tl[", std::max<std::size_t>(port.pattern.rank(), 1), "];\n");
-  s += cat("  uint ref[", rank, "];\n");
-  s += cat("  uint index[", rank, "];\n");
+  s += cat("  int tl[", std::max<std::size_t>(port.pattern.rank(), 1), "];\n");
+  s += cat("  int ref[", rank, "];\n");
+  s += cat("  int index[", rank, "];\n");
   // Reference point based on the paving matrix.
   for (std::size_t d = 0; d < rank; ++d) {
     std::string line = cat("  ref[", d, "] = ", port.tiler.origin[d]);
@@ -184,8 +191,8 @@ std::string emit_tiler_code(const RepetitiveTask& task, const TiledPort& port, b
   const std::int64_t pattern_elems = port.pattern.elements();
   const std::string buf_idx = port.pattern.rank() > 1 ? "tl_lin" : "tl[0]";
   if (port.pattern.rank() > 1) {
-    s += cat("  for(uint tl_lin=0; tl_lin < ", pattern_elems, "; tl_lin++) {\n");
-    s += "    uint tl_rem = tl_lin;\n";
+    s += cat("  for(int tl_lin=0; tl_lin < ", pattern_elems, "; tl_lin++) {\n");
+    s += "    int tl_rem = tl_lin;\n";
     for (std::size_t p = port.pattern.rank(); p-- > 1;) {
       s += cat("    tl[", p, "] = tl_rem % ", port.pattern[p], "; tl_rem /= ", port.pattern[p],
                ";\n");
@@ -199,19 +206,21 @@ std::string emit_tiler_code(const RepetitiveTask& task, const TiledPort& port, b
     for (std::size_t p = 0; p < port.pattern.rank(); ++p) {
       line += cat(" + ", port.tiler.fitting.at(d, p), "*tl[", p, "]");
     }
+    // Origins, pavings and fittings may be negative: C's % truncates,
+    // so a negative remainder moves up by one extent (a floor-mod).
     s += line + cat(") % ", array_shape[d], ";\n");
+    s += cat("    if (index[", d, "] < 0) index[", d, "] += ", array_shape[d], ";\n");
   }
   std::string addr;
   const Index strides = array_shape.strides();
   for (std::size_t d = 0; d < rank; ++d) {
     addr += cat(d ? " + " : "", "index[", d, "] * ", strides[d]);
   }
+  const std::string array = c_identifier(port.port.name);
   if (is_input) {
-    s += cat("    in_", port.port.name, "[", buf_idx, "] = ", port.port.name, "_g[", addr,
-             "];\n");
+    s += cat("    in_", array, "[", buf_idx, "] = ", array, "_g[", addr, "];\n");
   } else {
-    s += cat("    ", port.port.name, "_g[", addr, "] = out_", port.port.name, "[", buf_idx,
-             "];\n");
+    s += cat("    ", array, "_g[", addr, "] = out_", array, "[", buf_idx, "];\n");
   }
   s += "  } //end for\n";
   s += "} // end block\n";
@@ -225,48 +234,65 @@ std::string emit_kernel_source_text(const Model& model, const RepetitiveTask& ta
   std::string s;
   std::vector<std::string> params;
   for (const TiledPort& in : task.inputs) {
-    params.push_back("__global const int* " + in.port.name + "_g");
+    params.push_back("__global const int* " + c_identifier(in.port.name) + "_g");
   }
   for (const TiledPort& out : task.outputs) {
-    params.push_back("__global int* " + out.port.name + "_g");
+    params.push_back("__global int* " + c_identifier(out.port.name) + "_g");
   }
-  s += "__kernel void " + kernel_name + "(" + join(params, ", ") + ")\n{\n";
-  s += "  uint iGID = get_global_id(0);\n";
+  s += "__kernel void " + c_identifier(kernel_name) + "(" + join(params, ", ") + ")\n{\n";
+  s += "  int iGID = get_global_id(0);\n";
   const std::int64_t work_items = task.repetition.elements();
   s += cat("  if (iGID >= ", work_items, ") return;\n");
   // Work-item decode, dimension 0 fastest (Figure 11's iGID % n).
-  s += cat("  uint tlIter[", task.repetition.rank(), "];\n");
+  s += cat("  int tlIter[", task.repetition.rank(), "];\n");
   std::string rest = "iGID";
   for (std::size_t d = 0; d < task.repetition.rank(); ++d) {
     s += cat("  tlIter[", d, "] = ", rest, " % ", task.repetition[d], ";\n");
     if (d + 1 < task.repetition.rank()) {
-      s += cat("  uint rem", d, " = ", rest, " / ", task.repetition[d], ";\n");
+      s += cat("  int rem", d, " = ", rest, " / ", task.repetition[d], ";\n");
       rest = cat("rem", d);
     }
   }
   // Private-memory pattern buffers + input tilers.
   for (const TiledPort& in : task.inputs) {
-    s += cat("  int in_", in.port.name, "[", in.pattern.elements(), "];\n");
+    s += cat("  int in_", c_identifier(in.port.name), "[", in.pattern.elements(), "];\n");
   }
   for (const TiledPort& out : task.outputs) {
-    s += cat("  int out_", out.port.name, "[", out.pattern.elements(), "];\n");
+    s += cat("  int out_", c_identifier(out.port.name), "[", out.pattern.elements(), "];\n");
   }
   for (const TiledPort& in : task.inputs) {
     s += emit_tiler_code(task, in, /*is_input=*/true, model.array_shape(in.port.name));
   }
-  // The IP body.
+  // The IP body: element e of the concatenated ports is element k of
+  // one port's private buffer.
+  auto element_of = [](const std::vector<TiledPort>& ports, const char* prefix) {
+    return [&ports, prefix](std::int64_t e) {
+      std::size_t p = 0;
+      while (e >= ports[p].pattern.elements()) e -= ports[p++].pattern.elements();
+      return cat(prefix, c_identifier(ports[p].port.name), "[", e, "]");
+    };
+  };
   s += "  { // IP: " + task.op.name + "\n";
-  s += "    const int* in = in_" + (task.inputs.empty() ? "" : task.inputs[0].port.name) + ";\n";
-  s += "    int* out = out_" + (task.outputs.empty() ? "" : task.outputs[0].port.name) + ";\n";
-  for (const std::string& line : {task.op.c_body}) {
-    s += "    " + line + "\n";
-  }
+  s += aol::print_c(task.op, element_of(task.inputs, "in_"), element_of(task.outputs, "out_"),
+                    "    ");
   s += "  }\n";
   for (const TiledPort& out : task.outputs) {
     s += emit_tiler_code(task, out, /*is_input=*/false, model.array_shape(out.port.name));
   }
   s += "}\n";
   return s;
+}
+
+/// Throws ChainError when two of `names` become one C identifier.
+void check_identifiers(const std::vector<std::string>& names) {
+  std::map<std::string, std::string> seen;
+  for (const std::string& name : names) {
+    const auto [it, fresh] = seen.emplace(c_identifier(name), name);
+    if (!fresh && it->second != name) {
+      throw ChainError(cat("'", it->second, "' and '", name, "' both become the identifier '",
+                           it->first, "' in the generated OpenCL"));
+    }
+  }
 }
 
 }  // namespace
@@ -287,6 +313,9 @@ OpenClApplication OpenClApplication::build(Model model) {
         std::find(model.outputs().begin(), model.outputs().end(), name) != model.outputs().end();
     app.buffers_.push_back(std::move(plan));
   }
+  std::vector<std::string> arrays;
+  for (const auto& entry : model.arrays()) arrays.push_back(entry.first);
+  check_identifiers(arrays);
 
   // Code generation: one kernel per repetitive task.
   for (aol::TaskId t : app.schedule_) {
@@ -300,8 +329,14 @@ OpenClApplication OpenClApplication::build(Model model) {
     k.cost = opt::derive_task_cost(model, task);
     k.walk_dim = walk_dim_of(model, task);
     k.opencl_source = emit_kernel_source_text(model, task, k.name);
+    std::int64_t in_total = 0;
+    for (const TiledPort& in : task.inputs) in_total += in.pattern.elements();
+    k.tape = aol::lower_to_tape(task.op, in_total);
     app.kernels_.push_back(std::move(k));
   }
+  std::vector<std::string> kernel_names;
+  for (const TaskKernel& k : app.kernels_) kernel_names.push_back(k.name);
+  check_identifiers(kernel_names);
   app.model_ = std::move(model);
   return app;
 }
@@ -358,21 +393,17 @@ std::map<std::string, IntArray> OpenClApplication::run(
     };
     std::vector<BoundPort> ins;
     std::vector<BoundPort> outs;
-    std::int64_t in_total = 0;
-    std::int64_t out_total = 0;
     for (const TiledPort& in : task.inputs) {
       ins.push_back(BoundPort{make_addressing(in, model_.array_shape(in.port.name),
                                               task.repetition),
                               buffers.at(in.port.name).view<std::int32_t>()});
-      in_total += in.pattern.elements();
     }
     for (const TiledPort& out : task.outputs) {
       outs.push_back(BoundPort{make_addressing(out, model_.array_shape(out.port.name),
                                                task.repetition),
                                buffers.at(out.port.name).view<std::int32_t>()});
-      out_total += out.pattern.elements();
     }
-    const auto* op = &task.op;
+    const Tape* tape = &k.tape;
     std::array<std::int64_t, kMaxRank> rep_dims{};
     const std::size_t rep_rank = task.repetition.rank();
     for (std::size_t d = 0; d < rep_rank; ++d) rep_dims[d] = task.repetition[d];
@@ -387,7 +418,7 @@ std::map<std::string, IntArray> OpenClApplication::run(
     for (const TiledPort& out : task.outputs) {
       launch.writes.push_back(buffers.at(out.port.name).handle());
     }
-    // The block rows are sized once per chunk, leaving the tiler's
+    // The tape's rows are sized once per chunk, leaving the tiler's
     // gather/compute/scatter as the inner loop. The generated code maps
     // iGID to tlIter dimension 0 fastest (Figure 11's iGID % n) — the
     // simulated GPU's mapping. Work items are independent under single
@@ -396,13 +427,16 @@ std::map<std::string, IntArray> OpenClApplication::run(
     // run goes through gather, IP and scatter a block of items at a time,
     // so consecutive items store next to each other.
     const std::size_t walk = k.walk_dim;
-    const std::int64_t lanes = block_lanes(in_total + out_total);
-    launch.body = [ins, outs, op, rep_dims, rep_rank, walk, lanes, in_total,
-                   out_total](std::int64_t begin, std::int64_t end) {
-      const ScratchRows in_block(static_cast<std::size_t>(in_total * lanes));
-      const ScratchRows out_block(static_cast<std::size_t>(out_total * lanes));
-      const std::span<std::int64_t> in_rows = in_block.rows();
-      const std::span<std::int64_t> out_rows = out_block.rows();
+    const int lanes = block_lanes(tape->slot_count + tape->max_depth);
+    launch.body = [ins, outs, tape, rep_dims, rep_rank, walk, lanes](std::int64_t begin,
+                                                                    std::int64_t end) {
+      // The gather writes each input element straight into its slot row,
+      // and the scatter reads each output from its result slot row.
+      TapeLanes rows(*tape, lanes);
+      std::vector<std::int64_t*> in_rows;
+      for (const int s : tape->input_slots) in_rows.push_back(rows.slot(s));
+      std::vector<const std::int64_t*> out_rows;
+      for (const int s : tape->result_slots) out_rows.push_back(rows.slot(s));
       std::array<std::int64_t, kMaxRank> rep{};
       for (std::int64_t tid = begin; tid < end;) {
         std::int64_t rest = tid;
@@ -415,27 +449,24 @@ std::map<std::string, IntArray> OpenClApplication::run(
             rep_rank == 0 ? end - tid : std::min(end - tid, rep_dims[walk] - rep[walk]);
         tid += run;
         for (std::int64_t done = 0; done < run;) {
-          const std::int64_t n = std::min<std::int64_t>(run - done, lanes);
-          // Gather input patterns into rows of n lanes.
-          std::int64_t row = 0;
+          const int n = static_cast<int>(std::min<std::int64_t>(run - done, lanes));
+          std::int64_t* const* in_row = in_rows.data();
           for (const BoundPort& bp : ins) {
-            for_each_block_offset(bp.addr, rep, walk, n, [&](std::int64_t r, std::int64_t off) {
-              in_rows[static_cast<std::size_t>(row + r)] = bp.data[static_cast<std::size_t>(off)];
-            });
-            row += static_cast<std::int64_t>(bp.addr.fit_linear.size()) * n;
+            for_each_block_offset(bp.addr, rep, walk, n,
+                                  [&](std::int64_t e, std::int64_t l, std::int64_t off) {
+                                    in_row[e][l] = bp.data[static_cast<std::size_t>(off)];
+                                  });
+            in_row += bp.addr.fit_linear.size();
           }
-          // The IP, once for the block.
-          op->compute(in_rows.first(static_cast<std::size_t>(in_total * n)),
-                      out_rows.first(static_cast<std::size_t>(out_total * n)),
-                      static_cast<std::size_t>(n));
-          // Scatter output patterns.
-          row = 0;
+          tape->run(rows, n, {});
+          const std::int64_t* const* out_row = out_rows.data();
           for (const BoundPort& bp : outs) {
-            for_each_block_offset(bp.addr, rep, walk, n, [&](std::int64_t r, std::int64_t off) {
-              bp.data[static_cast<std::size_t>(off)] =
-                  static_cast<std::int32_t>(out_rows[static_cast<std::size_t>(row + r)]);
-            });
-            row += static_cast<std::int64_t>(bp.addr.fit_linear.size()) * n;
+            for_each_block_offset(bp.addr, rep, walk, n,
+                                  [&](std::int64_t e, std::int64_t l, std::int64_t off) {
+                                    bp.data[static_cast<std::size_t>(off)] =
+                                        static_cast<std::int32_t>(out_row[e][l]);
+                                  });
+            out_row += bp.addr.fit_linear.size();
           }
           done += n;
           rep[walk] += n;

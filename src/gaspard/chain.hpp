@@ -25,6 +25,9 @@ struct TaskKernel {
   std::int64_t work_items = 0;
   gpu::KernelCost cost;
   std::string opencl_source;
+  /// The task's IP lowered to the tape VM: what the host backend runs
+  /// per block of work items.
+  Tape tape;
   /// The repetition dimension the host body walks fastest (the one
   /// whose step moves the first output by the fewest elements). The
   /// generated code keeps dimension 0 fastest: the id-to-item mapping
@@ -82,6 +85,12 @@ class OpenClApplication {
   std::vector<BufferPlan> buffers_;
   std::vector<aol::TaskId> schedule_;
 };
+
+/// `name` as an identifier of the emitted OpenCL C: each character other
+/// than a letter, a digit or '_' becomes '_' (the flattened names of a
+/// hierarchical model, such as `b.mid_g`), and a leading digit gets a
+/// '_' in front. A name that is an identifier already stays as it is.
+std::string c_identifier(const std::string& name);
 
 /// Generates the Figure 11-style tiler code of one input port (exposed
 /// for the golden tests).

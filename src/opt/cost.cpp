@@ -36,7 +36,7 @@ gpu::KernelCost derive_task_cost(const aol::Model& model, const aol::RepetitiveT
   cost.global_loads_per_thread = loads;
   cost.global_stores_per_thread = stores;
   // Index arithmetic: ~4 ops per addressed element, plus the IP.
-  cost.flops_per_thread = 4.0 * (loads + stores) + task.op.flops_per_invocation;
+  cost.flops_per_thread = 4.0 * (loads + stores) + static_cast<double>(task.op.flops());
   cost.warp_access_stride = stride;
   cost.bytes_per_access = 4;
   return cost;

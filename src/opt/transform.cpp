@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <set>
-#include <span>
 #include <utility>
 #include <vector>
 
 #include "core/fmt.hpp"
-#include "core/scratch_rows.hpp"
 
 namespace saclo::opt {
 
@@ -80,29 +78,25 @@ IntMat matmul(const IntMat& a, const IntMat& b) {
   return c;
 }
 
-/// In a block whose ports hold `count` instances each (port p has
-/// count * sizes[p] rows of n lanes, instance s's rows contiguous from
-/// row s * sizes[p]), calls fn(block_offset, packed_offset, length) for
-/// each port's rows of instance s: where they are in the block, and
-/// where they go when the instance's ports are packed one after another.
-template <typename Fn>
-void for_each_instance_rows(const std::vector<std::int64_t>& sizes, std::int64_t count,
-                            std::int64_t s, std::size_t n, Fn&& fn) {
-  std::size_t block = 0;
-  std::size_t packed = 0;
-  for (const std::int64_t sz : sizes) {
-    const std::size_t len = static_cast<std::size_t>(sz) * n;
-    fn(block + static_cast<std::size_t>(s) * len, packed, len);
-    packed += len;
-    block += static_cast<std::size_t>(count) * len;
-  }
+std::vector<std::int64_t> pattern_sizes(const std::vector<TiledPort>& ports) {
+  std::vector<std::int64_t> sizes;
+  for (const TiledPort& p : ports) sizes.push_back(p.pattern.elements());
+  return sizes;
 }
 
-std::string int_list(const std::vector<std::int64_t>& v) {
-  std::vector<std::string> parts;
-  parts.reserve(v.size());
-  for (std::int64_t x : v) parts.push_back(cat(x));
-  return join(parts, ", ");
+/// Where element e of an op's ports lands in the ports of the op that
+/// runs it `count` times, when every port grows a leading pattern
+/// dimension of extent `count`: port p then holds count * sizes[p]
+/// elements, instance s's from s * sizes[p] on.
+std::int64_t instance_element(const std::vector<std::int64_t>& sizes, std::int64_t count,
+                              std::int64_t s, std::int64_t e) {
+  std::int64_t base = 0;
+  for (const std::int64_t sz : sizes) {
+    if (e < sz) return base + s * sz + e;
+    e -= sz;
+    base += count * sz;
+  }
+  throw OptError(cat("IP input element ", e, " past its ports"));
 }
 
 }  // namespace
@@ -172,56 +166,28 @@ RewriteResult try_change_paving(const Model& model, const std::string& task_name
     for (std::size_t d = 0; d < ar; ++d) np.tiler.paving.at(d, dim) *= factor;
     return np;
   };
-  std::vector<std::int64_t> in_sizes;
-  std::vector<std::int64_t> out_sizes;
-  std::int64_t in_total = 0;
-  std::int64_t out_total = 0;
-  for (const TiledPort& p : task.inputs) {
-    nt.inputs.push_back(rewrite_port(p));
-    in_sizes.push_back(p.pattern.elements());
-    in_total += p.pattern.elements();
-  }
-  for (const TiledPort& p : task.outputs) {
-    nt.outputs.push_back(rewrite_port(p));
-    out_sizes.push_back(p.pattern.elements());
-    out_total += p.pattern.elements();
-  }
+  for (const TiledPort& p : task.inputs) nt.inputs.push_back(rewrite_port(p));
+  for (const TiledPort& p : task.outputs) nt.outputs.push_back(rewrite_port(p));
 
-  // The wrapped op runs the original body once per split instance, over
-  // the same lanes; the leading pattern dimension makes each instance's
-  // rows contiguous within each port's block (from row s * |pattern|),
-  // and they are packed port after port for the body.
-  const auto inner = task.op.compute;
-  nt.op.name = cat(task.op.name, "_split", factor);
-  nt.op.flops_per_invocation = task.op.flops_per_invocation * static_cast<double>(factor);
-  nt.op.compute = [inner, factor, in_sizes, out_sizes, in_total, out_total](
-                      std::span<const std::int64_t> in, std::span<std::int64_t> out,
-                      std::size_t n) {
-    const ScratchRows ibuf(static_cast<std::size_t>(in_total) * n);
-    const ScratchRows obuf(static_cast<std::size_t>(out_total) * n);
-    for (std::int64_t s = 0; s < factor; ++s) {
-      for_each_instance_rows(in_sizes, factor, s, n, [&](std::size_t b, std::size_t p,
-                                                          std::size_t len) {
-        std::copy_n(in.begin() + b, len, ibuf.rows().begin() + p);
-      });
-      inner(ibuf.rows(), obuf.rows(), n);
-      for_each_instance_rows(out_sizes, factor, s, n, [&](std::size_t b, std::size_t p,
-                                                           std::size_t len) {
-        std::copy_n(obuf.rows().begin() + p, len, out.begin() + b);
-      });
-    }
-  };
-  if (task.inputs.size() == 1 && task.outputs.size() == 1) {
-    nt.op.c_body = cat("{ // paving change: ", factor, " x ", task.op.name,
-                       "\n    const int* split_in = in; int* split_out = out;\n    for (int s_ "
-                       "= 0; s_ < ",
-                       factor, "; ++s_) {\n      const int* in = split_in + s_ * ", in_sizes[0],
-                       "; int* out = split_out + s_ * ", out_sizes[0], ";\n      ",
-                       task.op.c_body, "\n    }\n    }");
-  } else {
-    nt.op.c_body =
-        cat("/* paving-change wrapper (x", factor, ") around ", task.op.name, " */");
+  // The split op is the original one substituted once per instance s of
+  // the new leading pattern dimension, reading and writing instance s's
+  // elements of every port.
+  const std::vector<std::int64_t> in_sizes = pattern_sizes(task.inputs);
+  aol::IpBuilder ip;
+  std::vector<std::vector<aol::IpValue>> outs;
+  for (std::int64_t s = 0; s < factor; ++s) {
+    outs.push_back(ip.inline_op(task.op, [&](std::int64_t e) {
+      return ip.in(instance_element(in_sizes, factor, s, e));
+    }));
   }
+  std::size_t first = 0;
+  for (const std::int64_t sz : pattern_sizes(task.outputs)) {
+    for (const std::vector<aol::IpValue>& instance : outs) {
+      for (std::int64_t k = 0; k < sz; ++k) ip.out(instance[first + static_cast<std::size_t>(k)]);
+    }
+    first += static_cast<std::size_t>(sz);
+  }
+  nt.op = ip.finish(cat(task.op.name, "_split", factor));
 
   return accept(rebuild(model, {*ti}, {}, {std::move(nt)}), "paving change", revalidate);
 }
@@ -271,7 +237,6 @@ RewriteResult try_fuse(const Model& model, const std::string& mid_array,
   const Shape& mid_shape = model.array_shape(mid_array);
   const TiledPort& a_out = a.outputs[0];
   const TiledPort& b_mid = b.inputs[mid_port];
-  const std::int64_t pa = a_out.pattern.elements();
   const std::int64_t pm = b_mid.pattern.elements();
 
   // Invert the producer's output tiler over the whole intermediate:
@@ -457,72 +422,36 @@ RewriteResult try_fuse(const Model& model, const std::string& mid_array,
   }
   f.outputs = b.outputs;
 
-  std::vector<std::int64_t> a_in_sizes;
+  // The fused op substitutes the producer once per reduced-grid
+  // instance, then the consumer, whose read of mid slot t binds to what
+  // producer instance a_of[t] wrote to its slot iota0[t]; its other
+  // inputs follow the producer's.
+  const std::vector<std::int64_t> a_in_sizes = pattern_sizes(a.inputs);
   std::int64_t a_in_total = 0;
-  for (const TiledPort& p : a.inputs) {
-    a_in_sizes.push_back(p.pattern.elements());
-    a_in_total += p.pattern.elements();
+  for (const std::int64_t sz : a_in_sizes) a_in_total += sz;
+  aol::IpBuilder ip;
+  std::vector<std::vector<aol::IpValue>> mid;
+  for (std::int64_t ai = 0; ai < n_a; ++ai) {
+    mid.push_back(ip.inline_op(a.op, [&](std::int64_t e) {
+      return ip.in(instance_element(a_in_sizes, n_a, ai, e));
+    }));
   }
-  std::vector<std::int64_t> b_in_sizes;
-  std::int64_t b_in_total = 0;
-  for (const TiledPort& p : b.inputs) {
-    b_in_sizes.push_back(p.pattern.elements());
-    b_in_total += p.pattern.elements();
-  }
-  const auto a_comp = a.op.compute;
-  const auto b_comp = b.op.compute;
-  f.op.name = a.op.name + "+" + b.op.name;
-  f.op.flops_per_invocation =
-      static_cast<double>(n_a) * a.op.flops_per_invocation + b.op.flops_per_invocation;
-  // Over the same lanes: the n_a producer instances into scratch rows,
-  // then the consumer on the mid rows it reads (one row per
-  // consumer-pattern slot) and its other inputs as they come.
-  f.op.compute = [a_comp, b_comp, n_a, pa, pm, a_in_sizes, a_in_total, b_in_sizes, b_in_total,
-                  a_of, iota0, mid_port](std::span<const std::int64_t> in,
-                                         std::span<std::int64_t> out, std::size_t n) {
-    const std::size_t pa_len = static_cast<std::size_t>(pa) * n;
-    const ScratchRows mid(static_cast<std::size_t>(n_a) * pa_len);
-    const ScratchRows abuf(static_cast<std::size_t>(a_in_total) * n);
-    const ScratchRows bbuf(static_cast<std::size_t>(b_in_total) * n);
-    for (std::int64_t ai = 0; ai < n_a; ++ai) {
-      for_each_instance_rows(a_in_sizes, n_a, ai, n, [&](std::size_t b, std::size_t p,
-                                                          std::size_t len) {
-        std::copy_n(in.begin() + b, len, abuf.rows().begin() + p);
-      });
-      a_comp(abuf.rows(), mid.rows().subspan(static_cast<std::size_t>(ai) * pa_len, pa_len), n);
-    }
-    auto dst = bbuf.rows().begin();
-    auto src = in.begin() + static_cast<std::size_t>(n_a * a_in_total) * n;
-    for (std::size_t p = 0; p < b_in_sizes.size(); ++p) {
-      if (p == mid_port) {
-        for (std::int64_t t = 0; t < pm; ++t) {
-          const auto slot = static_cast<std::size_t>(a_of[static_cast<std::size_t>(t)] * pa +
-                                                     iota0[static_cast<std::size_t>(t)]);
-          dst = std::copy_n(mid.rows().begin() + slot * n, n, dst);
-        }
-      } else {
-        const std::size_t len = static_cast<std::size_t>(b_in_sizes[p]) * n;
-        dst = std::copy_n(src, len, dst);
-        src += len;
+  const std::vector<aol::IpValue> outs = ip.inline_op(b.op, [&](std::int64_t e) {
+    std::int64_t next = n_a * a_in_total;
+    for (std::size_t p = 0; p < b.inputs.size(); ++p) {
+      const std::int64_t sz = b.inputs[p].pattern.elements();
+      if (e < sz && p == mid_port) {
+        const auto t = static_cast<std::size_t>(e);
+        return mid[static_cast<std::size_t>(a_of[t])][static_cast<std::size_t>(iota0[t])];
       }
+      if (e < sz) return ip.in(next + e);
+      e -= sz;
+      if (p != mid_port) next += sz;
     }
-    b_comp(bbuf.rows(), out, n);
-  };
-  if (a.inputs.size() == 1 && b.inputs.size() == 1 && b.outputs.size() == 1) {
-    std::vector<std::int64_t> iota_tbl(iota0.begin(), iota0.end());
-    f.op.c_body = cat(
-        "{ // fused ", a.op.name, " + ", b.op.name, "\n    int mid_vals[", n_a * pa,
-        "];\n    const int a_of_[", pm, "] = {", int_list(a_of), "};\n    const int i_of_[", pm,
-        "] = {", int_list(iota_tbl), "};\n    const int* fused_in = in; int* fused_out = out;\n",
-        "    for (int a_ = 0; a_ < ", n_a, "; ++a_) {\n      const int* in = fused_in + a_ * ",
-        a_in_sizes[0], "; int* out = mid_vals + a_ * ", pa, ";\n      ", a.op.c_body,
-        "\n    }\n    int b_in_[", pm, "];\n    for (int t_ = 0; t_ < ", pm,
-        "; ++t_) b_in_[t_] = mid_vals[a_of_[t_] * ", pa,
-        " + i_of_[t_]];\n    { const int* in = b_in_; int* out = fused_out;\n      ", b.op.c_body,
-        "\n    }\n    }");
-  } else {
-    f.op.c_body = cat("/* fused ", a.op.name, " + ", b.op.name, " */");
-  }
+    throw OptError(cat("IP input element ", e, " past its ports"));
+  });
+  for (const aol::IpValue v : outs) ip.out(v);
+  f.op = ip.finish(a.op.name + "+" + b.op.name);
 
   return accept(rebuild(model, {*prod, consumer}, {mid_array}, {std::move(f)}), "fusion");
 }
@@ -581,36 +510,17 @@ RewriteResult try_merge(const Model& model, const std::string& task_a,
   f.inputs.insert(f.inputs.end(), b.inputs.begin(), b.inputs.end());
   f.outputs = a.outputs;
   f.outputs.insert(f.outputs.end(), b.outputs.begin(), b.outputs.end());
+  // The merged op is a's followed by b's, b reading after a's inputs.
   std::int64_t a_in = 0;
-  std::int64_t a_out = 0;
   for (const TiledPort& p : a.inputs) a_in += p.pattern.elements();
-  for (const TiledPort& p : a.outputs) a_out += p.pattern.elements();
-  const auto ca = a.op.compute;
-  const auto cb = b.op.compute;
-  f.op.name = a.op.name + "+" + b.op.name;
-  f.op.flops_per_invocation = a.op.flops_per_invocation + b.op.flops_per_invocation;
-  // a's rows come first in both blocks, then b's.
-  f.op.compute = [ca, cb, a_in, a_out](std::span<const std::int64_t> in,
-                                       std::span<std::int64_t> out, std::size_t n) {
-    ca(in.first(static_cast<std::size_t>(a_in) * n), out.first(static_cast<std::size_t>(a_out) * n),
-       n);
-    cb(in.subspan(static_cast<std::size_t>(a_in) * n),
-       out.subspan(static_cast<std::size_t>(a_out) * n), n);
-  };
-  if (a.inputs.size() == 1 && a.outputs.size() == 1 && b.inputs.size() == 1 &&
-      b.outputs.size() == 1) {
-    // The generated kernel gathers each port into its own private
-    // buffer (in_<port>/out_<port>), so the merged body re-binds the
-    // in/out aliases per sub-op.
-    f.op.c_body =
-        cat("{ // merged ", a.op.name, "\n      const int* in = in_", a.inputs[0].port.name,
-            "; int* out = out_", a.outputs[0].port.name, ";\n      ", a.op.c_body,
-            "\n    }\n    { // merged ", b.op.name, "\n      const int* in = in_",
-            b.inputs[0].port.name, "; int* out = out_", b.outputs[0].port.name, ";\n      ",
-            b.op.c_body, "\n    }");
-  } else {
-    f.op.c_body = cat("/* merged ", a.op.name, " ; ", b.op.name, " */");
+  aol::IpBuilder ip;
+  for (const aol::IpValue v : ip.inline_op(a.op, [&](std::int64_t e) { return ip.in(e); })) {
+    ip.out(v);
   }
+  for (const aol::IpValue v : ip.inline_op(b.op, [&](std::int64_t e) { return ip.in(a_in + e); })) {
+    ip.out(v);
+  }
+  f.op = ip.finish(a.op.name + "+" + b.op.name);
 
   return accept(rebuild(model, {*ia, *ib}, {}, {std::move(f)}), "task merge");
 }

@@ -39,10 +39,10 @@ struct RewriteResult {
 
 /// Paving change (Boulet & Feautrier): split factor `factor` off
 /// repetition dimension `dim` of `task_name`, moving it into the
-/// patterns. The task body is wrapped so it invokes the original op
-/// `factor` times per (smaller) repetition point; every port pattern
-/// gains a leading dimension of extent `factor` whose fitting column is
-/// the old paving column `dim`. Legal whenever `factor` divides the
+/// patterns. The new op is the original one substituted `factor` times,
+/// once per split instance of a (smaller) repetition point; every port
+/// pattern gains a leading dimension of extent `factor` whose fitting
+/// column is the old paving column `dim`. Legal whenever `factor` divides the
 /// repetition extent — the rewrite is a bijection on (repetition,
 /// pattern) index pairs, so the set of addressed elements and the
 /// values written are unchanged.
@@ -96,7 +96,8 @@ class InverseMapCache {
 /// re-tiles the producer's inputs directly against the consumer's
 /// repetition space and re-computes the needed producer instances in
 /// registers (the paper's on-chip-reuse argument for fewer, larger
-/// kernels).
+/// kernels): its op substitutes the producer's once per instance and
+/// binds the consumer's reads of the intermediate to their results.
 /// `cache`, when given, supplies the producer's inverse map (see
 /// InverseMapCache); the verdict and the rewrite are the same either way.
 RewriteResult try_fuse(const aol::Model& model, const std::string& mid_array,
@@ -105,7 +106,8 @@ RewriteResult try_fuse(const aol::Model& model, const std::string& mid_array,
 /// Task merge (horizontal): combine two independent tasks with
 /// identical repetition spaces into one kernel-sized task. Legal when
 /// neither task (transitively) depends on the other; ports are
-/// concatenated and the ops run back to back per repetition point.
+/// concatenated, and so are the ops, which run back to back per
+/// repetition point.
 RewriteResult try_merge(const aol::Model& model, const std::string& task_a,
                         const std::string& task_b);
 

@@ -4,6 +4,7 @@
 #include <set>
 
 #include "core/fmt.hpp"
+#include "sac/printer.hpp"
 
 namespace saclo::sac_cuda {
 
@@ -68,9 +69,13 @@ class CEmitter {
       case ExprKind::Select: {
         const Expr& arr = *e.args[0];
         const Expr& idx = *e.args[1];
-        if (arr.kind != ExprKind::Var) return "/*unsupported select*/0";
+        if (arr.kind != ExprKind::Var) {
+          throw CodegenError("CUDA emitter: cannot select from " + sac::print(arr));
+        }
         auto it = shapes_->find(arr.name);
-        if (it == shapes_->end()) return "/*unknown array*/0";
+        if (it == shapes_->end()) {
+          throw CodegenError("CUDA emitter: no shape for array '" + arr.name + "'");
+        }
         const Index strides = it->second.strides();
         std::vector<const Expr*> comps;
         if (idx.kind == ExprKind::ArrayLit) {
@@ -87,7 +92,7 @@ class CEmitter {
         return arr.name + "[" + off + "]";
       }
       default:
-        return "/*unsupported*/0";
+        throw CodegenError("CUDA emitter: no C form for " + sac::print(e));
     }
   }
 

@@ -6,6 +6,14 @@
 
 namespace saclo::sac_cuda {
 
+/// Raised when a planned kernel holds an expression the CUDA C emitter
+/// has no form for: a selection from anything but a named array, an
+/// array of unknown shape, or a kind of expression C cannot spell.
+class CodegenError : public BackendError {
+ public:
+  using BackendError::BackendError;
+};
+
 /// Emits the CUDA C translation unit for a planned program: one
 /// `__global__` kernel per with-loop generator (Section VII of the
 /// paper) and a host driver with cudaMalloc / cudaMemcpy / launch

@@ -697,13 +697,13 @@ sac::Value CudaProgram::run(gpu::cuda::Runtime& rt, std::vector<sac::Value>& arg
           ta.strides = shp.strides();
           arrays.push_back(std::move(ta));
         }
-        const Tape* tape = &k.tape;
+        const KernelTape* tape = &k.tape;
         const auto* lat = &k.lattice;
         const Index full_strides = group.full.strides();
         // Index slots the tape still reads (proven loads no longer do).
         std::vector<std::pair<int, std::size_t>> index_fills;
         for (std::size_t d = 0; d < lat->dims.size(); ++d) {
-          const int slot = k.tape.index_slots[d];
+          const int slot = k.tape.input_slots[d];
           if (k.tape.reads_slot(slot)) index_fills.emplace_back(slot, d);
         }
 
@@ -726,7 +726,7 @@ sac::Value CudaProgram::run(gpu::cuda::Runtime& rt, std::vector<sac::Value>& arg
         launch.body = [tape, arrays, lat, full_strides, index_fills, out_span,
                        walk](std::int64_t begin, std::int64_t end) {
           const std::size_t rank = lat->dims.size();
-          TapeLanes lanes(*tape);
+          TapeLanes lanes(*tape, kLanes);
           std::vector<std::int64_t> offsets(tape->lin_loads.size());
           std::vector<std::int64_t> offset_steps(tape->lin_loads.size());
           std::vector<std::int64_t> iv(rank);

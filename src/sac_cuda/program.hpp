@@ -27,7 +27,7 @@ struct GenKernel {
   std::string name;
   sac::affine::Lattice lattice;  ///< iteration space (iv = lb + step*t)
   Shape cell;
-  Tape tape;
+  KernelTape tape;
   gpu::KernelCost cost;
   std::int64_t threads = 0;
   /// The lattice dimension the host body walks fastest

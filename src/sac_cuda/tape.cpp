@@ -1,11 +1,9 @@
 #include "sac_cuda/tape.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <limits>
 #include <utility>
 
-#include "core/fmt.hpp"
 #include "sac/specialize.hpp"
 #include "sac/wlf.hpp"
 
@@ -18,268 +16,6 @@ using sac::Stmt;
 using sac::StmtKind;
 using sac::StmtPtr;
 
-int Tape::arith_ops() const {
-  int n = 0;
-  for (const TapeInstr& i : code) {
-    switch (i.op) {
-      case TapeOp::Push:
-      case TapeOp::LoadSlot:
-      case TapeOp::StoreSlot:
-      case TapeOp::LoadArr:
-      case TapeOp::LoadLin:
-        break;
-      default:
-        ++n;
-    }
-  }
-  return n;
-}
-
-int Tape::array_loads() const {
-  int n = 0;
-  for (const TapeInstr& i : code) {
-    if (i.op == TapeOp::LoadArr || i.op == TapeOp::LoadLin) ++n;
-  }
-  return n;
-}
-
-bool Tape::reads_slot(int slot) const {
-  return std::any_of(code.begin(), code.end(), [slot](const TapeInstr& i) {
-    return i.op == TapeOp::LoadSlot && i.a == slot;
-  });
-}
-
-TapeLanes::TapeLanes(const Tape& tape)
-    : slots_(static_cast<std::size_t>(tape.slot_count) * kLanes),
-      stack_(static_cast<std::size_t>(tape.max_depth) * kLanes) {}
-
-namespace {
-
-/// The first error of a block run, kept until the block ends.
-struct LaneError {
-  enum class Kind { None, DivisionByZero, ModuloByZero, OutOfBounds };
-  Kind kind = Kind::None;
-  std::int64_t index = 0;
-  std::int32_t dim = 0;
-  std::int64_t extent = 0;
-
-  [[noreturn]] void raise() const {
-    switch (kind) {
-      case Kind::DivisionByZero: throw Error("tape: division by zero");
-      case Kind::ModuloByZero: throw Error("tape: modulo by zero");
-      default:
-        throw Error(cat("tape: index ", index, " out of bounds for dim ", dim, " extent ", extent));
-    }
-  }
-};
-
-}  // namespace
-
-void Tape::run(TapeLanes& lanes, int n, std::span<const TapeArray> arrays,
-               std::span<const std::int64_t> lin_offsets,
-               std::span<const std::int64_t> lin_steps) const {
-  using I = std::int64_t;
-  I* const stack = lanes.stack_.data();
-  auto row = [stack](int r) { return stack + static_cast<std::ptrdiff_t>(r) * kLanes; };
-  int sp = 0;
-  // Lanes [live, n) have failed or follow a failed lane: every later
-  // instruction runs on [0, live) only, so a later failure is always on
-  // a lower lane and replaces the pending error.
-  int live = n;
-  LaneError error;
-  // x = f(x, y) lane by lane, popping y; x = f(x) on the top row.
-  auto binary = [&](auto f) {
-    --sp;
-    I* const x = row(sp - 1);
-    const I* const y = row(sp);
-    const int m = live;
-    for (int l = 0; l < m; ++l) x[l] = f(x[l], y[l]);
-  };
-  auto unary = [&](auto f) {
-    I* const x = row(sp - 1);
-    const int m = live;
-    for (int l = 0; l < m; ++l) x[l] = f(x[l]);
-  };
-  for (const TapeInstr& ins : code) {
-    switch (ins.op) {
-      case TapeOp::Push: std::fill_n(row(sp++), live, ins.imm); break;
-      case TapeOp::LoadSlot: std::copy_n(lanes.slot(ins.a), live, row(sp++)); break;
-      case TapeOp::StoreSlot: std::copy_n(row(--sp), live, lanes.slot(ins.a)); break;
-      case TapeOp::Add: binary(std::plus<>()); break;
-      case TapeOp::Sub: binary(std::minus<>()); break;
-      case TapeOp::Mul: binary(std::multiplies<>()); break;
-      case TapeOp::Div:
-      case TapeOp::Mod: {
-        const I* const divisor = row(sp - 1);
-        const int zero = static_cast<int>(std::find(divisor, divisor + live, 0) - divisor);
-        if (zero < live) {
-          error.kind = ins.op == TapeOp::Div ? LaneError::Kind::DivisionByZero
-                                             : LaneError::Kind::ModuloByZero;
-          live = zero;
-        }
-        if (ins.op == TapeOp::Div) {
-          binary(std::divides<>());
-        } else {
-          binary(std::modulus<>());
-        }
-        break;
-      }
-      // A local copy of the divisor: the stores to the stack rows cannot
-      // alias it, so its fields stay in registers across the lanes.
-      case TapeOp::DivImm: {
-        const ConstDivisor d = divisors[static_cast<std::size_t>(ins.a)];
-        unary([&d](I x) { return d.div(x); });
-        break;
-      }
-      case TapeOp::ModImm: {
-        const ConstDivisor d = divisors[static_cast<std::size_t>(ins.a)];
-        unary([&d](I x) { return d.mod(x); });
-        break;
-      }
-      case TapeOp::Neg: unary(std::negate<>()); break;
-      case TapeOp::Not: unary([](I x) -> I { return x == 0; }); break;
-      case TapeOp::Abs: unary([](I x) { return x < 0 ? -x : x; }); break;
-      case TapeOp::Min: binary([](I x, I y) { return std::min(x, y); }); break;
-      case TapeOp::Max: binary([](I x, I y) { return std::max(x, y); }); break;
-      case TapeOp::Lt: binary(std::less<>()); break;
-      case TapeOp::Le: binary(std::less_equal<>()); break;
-      case TapeOp::Gt: binary(std::greater<>()); break;
-      case TapeOp::Ge: binary(std::greater_equal<>()); break;
-      case TapeOp::Eq: binary(std::equal_to<>()); break;
-      case TapeOp::Ne: binary(std::not_equal_to<>()); break;
-      case TapeOp::And: binary([](I x, I y) -> I { return x != 0 && y != 0; }); break;
-      case TapeOp::Or: binary([](I x, I y) -> I { return x != 0 || y != 0; }); break;
-      case TapeOp::LoadArr: {
-        std::span<const std::int32_t> data;
-        const Index* dims;
-        const Index* strides;
-        if (ins.a < 0) {
-          const TapeImmediate& imm = imm_arrays[static_cast<std::size_t>(-ins.a - 1)];
-          data = imm.data;
-          dims = &imm.dims;
-          strides = &imm.strides;
-        } else {
-          const TapeArray& arr = arrays[static_cast<std::size_t>(ins.a)];
-          data = arr.data;
-          dims = &arr.dims;
-          strides = &arr.strides;
-        }
-        sp -= ins.b;
-        // Index component d of lane l is at indices[d * kLanes + l]; the
-        // loaded element replaces component 0.
-        I* const indices = row(sp++);
-        for (int l = 0; l < live; ++l) {
-          I off = 0;
-          std::int32_t d = 0;
-          for (; d < ins.b; ++d) {
-            const I iv = indices[static_cast<std::ptrdiff_t>(d) * kLanes + l];
-            const I extent = (*dims)[static_cast<std::size_t>(d)];
-            if (iv < 0 || iv >= extent) {
-              error = {LaneError::Kind::OutOfBounds, iv, d, extent};
-              break;
-            }
-            off += iv * (*strides)[static_cast<std::size_t>(d)];
-          }
-          if (d < ins.b) {
-            live = l;
-            break;
-          }
-          indices[l] = data[static_cast<std::size_t>(off)];
-        }
-        break;
-      }
-      case TapeOp::LoadLin: {
-        const std::span<const std::int32_t> data = arrays[static_cast<std::size_t>(ins.a)].data;
-        const auto b = static_cast<std::size_t>(ins.b);
-        const I off = lin_offsets[b];
-        const I step = lin_steps[b];
-        I* const out = row(sp++);
-        for (int l = 0; l < live; ++l) out[l] = data[static_cast<std::size_t>(off + l * step)];
-        break;
-      }
-    }
-  }
-  if (error.kind != LaneError::Kind::None) error.raise();
-}
-
-namespace {
-
-const char* op_name(TapeOp op) {
-  switch (op) {
-    case TapeOp::Push: return "push";
-    case TapeOp::LoadSlot: return "load";
-    case TapeOp::StoreSlot: return "store";
-    case TapeOp::Add: return "add";
-    case TapeOp::Sub: return "sub";
-    case TapeOp::Mul: return "mul";
-    case TapeOp::Div: return "div";
-    case TapeOp::Mod: return "mod";
-    case TapeOp::DivImm: return "divi";
-    case TapeOp::ModImm: return "modi";
-    case TapeOp::Neg: return "neg";
-    case TapeOp::Not: return "not";
-    case TapeOp::Abs: return "abs";
-    case TapeOp::Min: return "min";
-    case TapeOp::Max: return "max";
-    case TapeOp::Lt: return "lt";
-    case TapeOp::Le: return "le";
-    case TapeOp::Gt: return "gt";
-    case TapeOp::Ge: return "ge";
-    case TapeOp::Eq: return "eq";
-    case TapeOp::Ne: return "ne";
-    case TapeOp::And: return "and";
-    case TapeOp::Or: return "or";
-    case TapeOp::LoadArr: return "ldarr";
-    case TapeOp::LoadLin: return "ldlin";
-  }
-  return "?";
-}
-
-/// The operand stack's effect of one instruction: values popped, then
-/// pushed.
-std::pair<int, int> stack_effect(const TapeInstr& i) {
-  switch (i.op) {
-    case TapeOp::Push:
-    case TapeOp::LoadSlot:
-    case TapeOp::LoadLin: return {0, 1};
-    case TapeOp::StoreSlot: return {1, 0};
-    case TapeOp::Neg:
-    case TapeOp::Not:
-    case TapeOp::Abs:
-    case TapeOp::DivImm:
-    case TapeOp::ModImm: return {1, 1};
-    case TapeOp::LoadArr: return {i.b, 1};
-    default: return {2, 1};
-  }
-}
-
-}  // namespace
-
-std::string Tape::to_string() const {
-  std::string out = cat("max_depth ", max_depth, "\n");
-  for (const TapeInstr& i : code) {
-    switch (i.op) {
-      case TapeOp::Push: out += cat("push ", i.imm, "\n"); break;
-      case TapeOp::DivImm:
-      case TapeOp::ModImm: out += cat(op_name(i.op), " ", i.imm, "\n"); break;
-      case TapeOp::LoadSlot:
-      case TapeOp::StoreSlot: out += cat(op_name(i.op), " s", i.a, "\n"); break;
-      case TapeOp::LoadArr:
-        if (i.a < 0) {
-          out += cat("ldimm #", -i.a - 1, " rank=", i.b, "\n");
-        } else {
-          out += cat("ldarr ", array_names[static_cast<std::size_t>(i.a)], " rank=", i.b, "\n");
-        }
-        break;
-      case TapeOp::LoadLin:
-        out += cat("ldlin ", array_names[static_cast<std::size_t>(i.a)], " #", i.b, "\n");
-        break;
-      default: out += cat(op_name(i.op), "\n"); break;
-    }
-  }
-  return out;
-}
-
 namespace {
 
 class TapeBuilder {
@@ -290,11 +26,11 @@ class TapeBuilder {
     if (lattice) affine_.emplace(*lattice);
   }
 
-  std::optional<Tape> build(const std::vector<StmtPtr>& body,
-                            const std::vector<const Expr*>& results,
-                            const std::vector<std::string>& index_vars) {
+  std::optional<KernelTape> build(const std::vector<StmtPtr>& body,
+                                  const std::vector<const Expr*>& results,
+                                  const std::vector<std::string>& index_vars) {
     for (const std::string& iv : index_vars) {
-      tape_.index_slots.push_back(slot(iv));
+      tape_.input_slots.push_back(slot(iv));
     }
     std::vector<CodeRange> bindings;
     for (const StmtPtr& s : body) {
@@ -326,12 +62,7 @@ class TapeBuilder {
     }
     tape_.slot_count = next_slot_;
     if (affine_) drop_dead_bindings(bindings);
-    int depth = 0;
-    for (const TapeInstr& i : tape_.code) {
-      const auto [pops, pushes] = stack_effect(i);
-      depth += pushes - pops;
-      tape_.max_depth = std::max(tape_.max_depth, depth);
-    }
+    tape_.measure_depth();
     return std::move(tape_);
   }
 
@@ -642,11 +373,7 @@ class TapeBuilder {
         (k > -2 && k < 2)) {
       return false;
     }
-    std::size_t id = 0;
-    while (id < tape_.divisors.size() && tape_.divisors[id].divisor() != k) ++id;
-    if (id == tape_.divisors.size()) tape_.divisors.emplace_back(k);
-    divisor = {op == TapeOp::Div ? TapeOp::DivImm : TapeOp::ModImm,
-               static_cast<std::int32_t>(id), 0, k};
+    divisor = {op == TapeOp::Div ? TapeOp::DivImm : TapeOp::ModImm, tape_.divisor_id(k), 0, k};
     return true;
   }
 
@@ -680,18 +407,18 @@ class TapeBuilder {
   /// unspecialised tape.
   std::optional<sac::affine::AffineEval> affine_;
   bool in_fold_ = false;  ///< inside an unrolled fold: its variables are not lattice ones
-  Tape tape_;
+  KernelTape tape_;
   std::map<std::string, int> slots_;
   int next_slot_ = 0;
 };
 
 }  // namespace
 
-std::optional<Tape> compile_tape(const std::vector<StmtPtr>& body,
-                                 const std::vector<const Expr*>& results,
-                                 const std::vector<std::string>& index_vars,
-                                 const std::map<std::string, Index>& array_dims,
-                                 const sac::affine::Lattice* lattice) {
+std::optional<KernelTape> compile_tape(const std::vector<StmtPtr>& body,
+                                       const std::vector<const Expr*>& results,
+                                       const std::vector<std::string>& index_vars,
+                                       const std::map<std::string, Index>& array_dims,
+                                       const sac::affine::Lattice* lattice) {
   TapeBuilder builder(array_dims, lattice);
   return builder.build(body, results, index_vars);
 }

@@ -29,12 +29,9 @@ RepetitiveTask copy_task(const std::string& in, const std::string& out, std::int
   po.tiler.fitting = IntMat{{1}};
   po.tiler.paving = IntMat{{1}};
   t.outputs.push_back(std::move(po));
-  t.op.name = "inc";
-  t.op.compute = [](std::span<const std::int64_t> i, std::span<std::int64_t> o, std::size_t n) {
-    for (std::size_t l = 0; l < n; ++l) o[l] = i[l] + 1;
-  };
-  t.op.flops_per_invocation = 1;
-  t.op.c_body = "out[0] = in[0] + 1;";
+  IpBuilder ip;
+  ip.out(ip.in(0) + 1);
+  t.op = ip.finish("inc");
   return t;
 }
 

@@ -35,12 +35,9 @@ Model toy_model() {
   out.tiler.fitting = IntMat{{1}};
   out.tiler.paving = IntMat{{4}};
   t.outputs.push_back(std::move(out));
-  t.op.name = "double";
-  t.op.compute = [](std::span<const std::int64_t> i, std::span<std::int64_t> o, std::size_t) {
-    for (std::size_t k = 0; k < o.size(); ++k) o[k] = 2 * i[k];
-  };
-  t.op.flops_per_invocation = 4;
-  t.op.c_body = "for (int k = 0; k < 4; ++k) out[k] = 2 * in[k];";
+  IpBuilder ip;
+  for (std::int64_t k = 0; k < 4; ++k) ip.out(ip.in(k) * 2);
+  t.op = ip.finish("double");
   m.add_task(std::move(t));
   return m;
 }
@@ -77,7 +74,6 @@ TEST(ModelTest, NonPartitionOutputTilerRejected) {
   out.tiler.fitting = IntMat{{1}};
   out.tiler.paving = IntMat{{2}};  // overlapping writes!
   t.outputs.push_back(std::move(out));
-  t.op.compute = [](std::span<const std::int64_t>, std::span<std::int64_t>, std::size_t) {};
   m.add_task(std::move(t));
   EXPECT_THROW(m.validate(), ModelError);
 }
@@ -110,7 +106,6 @@ TEST(ModelTest, WrongPortShapeRejected) {
   in.tiler.fitting = IntMat{{1}};
   in.tiler.paving = IntMat{{4}};
   t.inputs.push_back(std::move(in));
-  t.op.compute = [](std::span<const std::int64_t>, std::span<std::int64_t>, std::size_t) {};
   bad.add_task(std::move(t));
   EXPECT_THROW(bad.validate(), ModelError);
 }
@@ -150,8 +145,7 @@ TEST(ModelTest, CycleDetected) {
     out.tiler.fitting = IntMat{{1}};
     out.tiler.paving = IntMat{{1}};
     t.outputs.push_back(std::move(out));
-    t.op.compute = [](std::span<const std::int64_t>, std::span<std::int64_t>, std::size_t) {};
-    m.add_task(std::move(t));
+      m.add_task(std::move(t));
   };
   mk("t1", "a", "b");
   mk("t2", "b", "a");

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <map>
 #include <random>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -22,6 +21,7 @@
 #include "gaspard/chain.hpp"
 #include "opt/search.hpp"
 #include "opt/transform.hpp"
+#include "support/ip_lanes.hpp"
 
 namespace saclo::opt {
 namespace {
@@ -125,7 +125,7 @@ void expect_same_tasks(const aol::Model& a, const aol::Model& b, const std::stri
     const aol::RepetitiveTask& y = b.tasks()[t];
     EXPECT_EQ(x.name, y.name) << what;
     EXPECT_EQ(x.repetition, y.repetition) << what << ": " << x.name;
-    EXPECT_EQ(x.op.c_body, y.op.c_body) << what << ": " << x.name;
+    EXPECT_EQ(x.op, y.op) << what << ": " << x.name;
     ASSERT_EQ(x.inputs.size(), y.inputs.size()) << what << ": " << x.name;
     ASSERT_EQ(x.outputs.size(), y.outputs.size()) << what << ": " << x.name;
     auto same_port = [&](const aol::TiledPort& p, const aol::TiledPort& q) {
@@ -187,8 +187,9 @@ TEST(OptProperty, FusionWithReusedInverseMapsMatchesFreshFusion) {
   EXPECT_GT(rejected, 0);
 }
 
-/// Runs the IP of `task` once over n lanes of random rows, then once per
-/// lane on that lane's column; every output element must agree.
+/// Runs the IP of `task` on the tape VM once over n lanes of random rows,
+/// then once per lane on that lane's column; every output element must
+/// agree.
 void expect_block_equals_lanes(const aol::RepetitiveTask& task, std::size_t n,
                                std::mt19937& rng, const std::string& what) {
   std::size_t in_total = 0;
@@ -199,12 +200,12 @@ void expect_block_equals_lanes(const aol::RepetitiveTask& task, std::size_t n,
   std::vector<std::int64_t> in(in_total * n);
   for (std::int64_t& v : in) v = value(rng);
   std::vector<std::int64_t> out(out_total * n, -7);
-  task.op.compute(in, out, n);
+  testsupport::run_ip_lanes(task.op, in, out, n);
   std::vector<std::int64_t> lane_in(in_total);
   std::vector<std::int64_t> lane_out(out_total);
   for (std::size_t l = 0; l < n; ++l) {
     for (std::size_t e = 0; e < in_total; ++e) lane_in[e] = in[e * n + l];
-    task.op.compute(lane_in, lane_out, 1);
+    testsupport::run_ip_lanes(task.op, lane_in, lane_out, 1);
     for (std::size_t e = 0; e < out_total; ++e) {
       ASSERT_EQ(out[e * n + l], lane_out[e])
           << what << ": " << task.name << " lane " << l << " of " << n << ", output row " << e;
@@ -304,21 +305,16 @@ TEST(OptProperty, RewrittenOpsRunBlocksOfLanesAsOneLaneEach) {
 /// by lane. Distinct weights make a row moved to the wrong place change
 /// the outputs.
 aol::ElementaryOp linear_op(const std::string& name,
-                            std::vector<std::vector<std::int64_t>> weights) {
-  aol::ElementaryOp op;
-  op.name = name;
-  op.c_body = cat("/* ", name, " */");
-  op.compute = [weights](std::span<const std::int64_t> in, std::span<std::int64_t> out,
-                         std::size_t n) {
-    for (std::size_t o = 0; o < weights.size(); ++o) {
-      for (std::size_t l = 0; l < n; ++l) {
-        std::int64_t acc = 0;
-        for (std::size_t e = 0; e < weights[o].size(); ++e) acc += weights[o][e] * in[e * n + l];
-        out[o * n + l] = acc;
-      }
+                            const std::vector<std::vector<std::int64_t>>& weights) {
+  aol::IpBuilder ip;
+  for (const std::vector<std::int64_t>& row : weights) {
+    aol::IpValue acc = ip.lit(0);
+    for (std::size_t e = 0; e < row.size(); ++e) {
+      acc = acc + ip.in(static_cast<std::int64_t>(e)) * row[e];
     }
-  };
-  return op;
+    ip.out(acc);
+  }
+  return ip.finish(name);
 }
 
 aol::TiledPort line_port(const std::string& array, std::int64_t extent, std::int64_t pattern,

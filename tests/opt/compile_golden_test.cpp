@@ -78,13 +78,15 @@ TEST(CompileGolden, PaperDirectFusionRejection) {
             "on the repetition index at [0,1], pattern [0]");
 }
 
+// The emitted text itself is compiled and run by emitted_source_tests;
+// these hashes only flag that it changed.
 TEST(CompileGolden, PaperOpenClSourceHashes) {
   EXPECT_EQ(fnv1a(paper_downscaler(0).application().opencl_source()),
-            5501345623787706449ull);
+            382140975747997796ull);
   EXPECT_EQ(fnv1a(paper_downscaler(1).application().opencl_source()),
-            13092151995356664357ull);
+            4549115532979077338ull);
   EXPECT_EQ(fnv1a(paper_downscaler(2).application().opencl_source()),
-            16249790246316034401ull);
+            961832261875330725ull);
 }
 
 /// One kernel's cost descriptor: name, then loads, stores and flops per

@@ -46,21 +46,19 @@ aol::Model copy_chain(std::int64_t n, std::int64_t p, std::int64_t blocks, std::
   m.mark_input("in");
   m.mark_output("out");
 
-  aol::ElementaryOp copy_op;
-  copy_op.name = "copy";
-  copy_op.compute = [](std::span<const std::int64_t> in, std::span<std::int64_t> out,
-                       std::size_t) {
-    for (std::size_t i = 0; i < out.size(); ++i) out[i] = in[i] + 1;
+  // out[i] = in[i] + 1 over `elements` elements.
+  auto copy_op = [](std::int64_t elements) {
+    aol::IpBuilder ip;
+    for (std::int64_t i = 0; i < elements; ++i) ip.out(ip.in(i) + 1);
+    return ip.finish("copy");
   };
-  copy_op.flops_per_invocation = 1;
-  copy_op.c_body = "/* copy */";
 
   aol::RepetitiveTask producer;
   producer.name = "producer";
   producer.repetition = Shape{n / p};
   producer.inputs.push_back({{"in", Shape{n}}, Shape{p}, {{0}, IntMat{{1}}, IntMat{{p}}}});
   producer.outputs.push_back({{"mid", Shape{n}}, Shape{p}, {{0}, IntMat{{1}}, IntMat{{p}}}});
-  producer.op = copy_op;
+  producer.op = copy_op(p);
   m.add_task(std::move(producer));
 
   const std::int64_t chunk = blocks * p;
@@ -73,7 +71,7 @@ aol::Model copy_chain(std::int64_t n, std::int64_t p, std::int64_t blocks, std::
       {{"mid", Shape{n}}, Shape{blocks, p}, {{skew}, IntMat{{p, 1}}, IntMat{{chunk}}}});
   consumer.outputs.push_back(
       {{"out", Shape{n}}, Shape{chunk}, {{0}, IntMat{{1}}, IntMat{{chunk}}}});
-  consumer.op = copy_op;
+  consumer.op = copy_op(chunk);
   m.add_task(std::move(consumer));
 
   m.validate();

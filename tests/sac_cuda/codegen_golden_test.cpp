@@ -86,5 +86,39 @@ int[*] host_scatter(int[*] v) {
       << src;
 }
 
+// An expression the emitter has no C form for is a typed error, never a
+// placeholder in the text: a selection from a literal array, from an
+// array of unknown shape, and a bare array literal.
+TEST(CodegenGoldenTest, UnprintableExpressionsAreTypedErrors) {
+  KernelGroup group;
+  group.target = "out";
+  group.full = Shape{1};
+  const std::map<std::string, Shape> shapes{{"v", Shape{4}}};
+  std::vector<sac::ExprPtr> values;
+  {
+    std::vector<sac::ExprPtr> elems;
+    elems.push_back(sac::make_int(1));
+    elems.push_back(sac::make_int(2));
+    values.push_back(sac::make_select(sac::make_array_lit(std::move(elems)), sac::make_int(0)));
+  }
+  values.push_back(sac::make_select(sac::make_var("ghost"), sac::make_int(0)));
+  {
+    std::vector<sac::ExprPtr> elems;
+    elems.push_back(sac::make_var("i"));
+    values.push_back(sac::make_array_lit(std::move(elems)));
+  }
+  for (sac::ExprPtr& value : values) {
+    GenKernel k;
+    k.name = "k";
+    k.source.value = std::move(value);
+    EXPECT_THROW(emit_kernel_source(k, group, shapes), CodegenError);
+  }
+  // The same selection from a known array prints.
+  GenKernel k;
+  k.name = "k";
+  k.source.value = sac::make_select(sac::make_var("v"), sac::make_int(3));
+  EXPECT_NE(emit_kernel_source(k, group, shapes).find("out[0] = v[3];"), std::string::npos);
+}
+
 }  // namespace
 }  // namespace saclo::sac_cuda

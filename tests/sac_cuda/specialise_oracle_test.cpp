@@ -98,11 +98,11 @@ struct Outcome {
   bool operator==(const Outcome& other) const = default;
 };
 
-Outcome run_at(const Tape& tape, const Lattice& lat, const Index& t,
+Outcome run_at(const KernelTape& tape, const Lattice& lat, const Index& t,
                const std::vector<TapeArray>& arrays) {
-  TapeLanes lanes(tape);
+  TapeLanes lanes(tape, kLanes);
   for (std::size_t d = 0; d < lat.rank(); ++d) {
-    lanes.slot(tape.index_slots[d])[0] = lat.dims[d].lb + lat.dims[d].step * t[d];
+    lanes.slot(tape.input_slots[d])[0] = lat.dims[d].lb + lat.dims[d].step * t[d];
   }
   std::vector<std::int64_t> offsets;
   for (const sac::affine::Lin& l : tape.lin_loads) {
@@ -125,10 +125,10 @@ Outcome run_at(const Tape& tape, const Lattice& lat, const Index& t,
 /// the points t0 + l * e0 for l in [0, count), in blocks of up to kLanes
 /// lanes, and expects each point's outcome in `expected`, which ends at
 /// the first failing point. Returns the number of points compared.
-std::int64_t expect_blocks_match(const Tape& tape, const Lattice& lat, const Index& t0,
+std::int64_t expect_blocks_match(const KernelTape& tape, const Lattice& lat, const Index& t0,
                                  std::int64_t count, const std::vector<Outcome>& expected,
                                  const std::vector<TapeArray>& arrays) {
-  TapeLanes lanes(tape);
+  TapeLanes lanes(tape, kLanes);
   std::vector<std::int64_t> offsets;
   std::vector<std::int64_t> steps;
   for (const sac::affine::Lin& l : tape.lin_loads) {
@@ -141,7 +141,7 @@ std::int64_t expect_blocks_match(const Tape& tape, const Lattice& lat, const Ind
   for (std::int64_t done = 0; done < count;) {
     const int n = static_cast<int>(std::min<std::int64_t>(count - done, kLanes));
     for (std::size_t d = 0; d < lat.rank(); ++d) {
-      std::int64_t* row = lanes.slot(tape.index_slots[d]);
+      std::int64_t* row = lanes.slot(tape.input_slots[d]);
       for (int l = 0; l < n; ++l) {
         row[l] = lat.dims[d].lb + lat.dims[d].step * (t0[d] + (d == 0 ? done + l : 0));
       }
@@ -250,8 +250,8 @@ std::vector<TapeArray> bind_arrays(const Tape& t, const std::map<std::string, In
 }
 
 struct Compared {
-  Tape plain;
-  Tape spec;
+  KernelTape plain;
+  KernelTape spec;
   std::vector<Outcome> outcomes;  ///< the plain tape's, per lattice point
 };
 
@@ -295,7 +295,7 @@ TEST(SpecialiseOracle, DeadIndexArithmeticIsDroppedAfterTheProof) {
   EXPECT_EQ(count_op(r.spec, TapeOp::LoadLin), 1);
   EXPECT_EQ(count_op(r.spec, TapeOp::LoadArr), 0);
   EXPECT_EQ(count_op(r.spec, TapeOp::Div) + count_op(r.spec, TapeOp::DivImm), 0);
-  EXPECT_FALSE(r.spec.reads_slot(r.spec.index_slots[1]));
+  EXPECT_FALSE(r.spec.reads_slot(r.spec.input_slots[1]));
   EXPECT_EQ(count_op(r.plain, TapeOp::LoadArr), 1);
   EXPECT_EQ(count_op(r.plain, TapeOp::LoadLin), 0);
   // The specialised tape is what runs; the plain one is what is costed.

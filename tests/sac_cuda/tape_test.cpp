@@ -26,8 +26,8 @@ Tape compile_or_die(const std::string& fn_src, const std::vector<std::string>& i
 /// one-lane case of a block run. Returns the result slots' values.
 std::vector<std::int64_t> run_one(const Tape& t, const Index& ivs,
                                   std::span<const TapeArray> arrays = {}) {
-  TapeLanes lanes(t);
-  for (std::size_t d = 0; d < ivs.size(); ++d) lanes.slot(t.index_slots[d])[0] = ivs[d];
+  TapeLanes lanes(t, kLanes);
+  for (std::size_t d = 0; d < ivs.size(); ++d) lanes.slot(t.input_slots[d])[0] = ivs[d];
   t.run(lanes, 1, arrays);
   std::vector<std::int64_t> out;
   for (int rs : t.result_slots) out.push_back(lanes.slot(rs)[0]);
@@ -108,8 +108,8 @@ TEST(TapeTest, DeepTapesGetAStackOfTheirOwnDepth) {
   EXPECT_EQ(t.max_depth, 81);
   EXPECT_EQ(t.to_string().rfind("max_depth 81\n", 0), 0u);
   EXPECT_EQ(run_one(t, {3}), std::vector<std::int64_t>{81 * 3});
-  TapeLanes lanes(t);
-  for (int l = 0; l < kLanes; ++l) lanes.slot(t.index_slots[0])[l] = l - 7;
+  TapeLanes lanes(t, kLanes);
+  for (int l = 0; l < kLanes; ++l) lanes.slot(t.input_slots[0])[l] = l - 7;
   t.run(lanes, kLanes, {});
   for (int l = 0; l < kLanes; ++l) EXPECT_EQ(lanes.slot(t.result_slots[0])[l], 81 * (l - 7));
 }
@@ -122,8 +122,8 @@ TEST(TapeTest, TheLowestFailingLaneWinsOverTheFirstFailingInstruction) {
                           arrays);
   const std::vector<std::int32_t> data{7, 8, 9};
   const TapeArray ta{std::span<const std::int32_t>(data), {3}, {1}};
-  TapeLanes lanes(t);
-  for (int l = 0; l < 8; ++l) lanes.slot(t.index_slots[0])[l] = l;
+  TapeLanes lanes(t, kLanes);
+  for (int l = 0; l < 8; ++l) lanes.slot(t.input_slots[0])[l] = l;
   try {
     t.run(lanes, 8, {&ta, 1});
     ADD_FAILURE() << "no error";
@@ -135,8 +135,8 @@ TEST(TapeTest, TheLowestFailingLaneWinsOverTheFirstFailingInstruction) {
     EXPECT_EQ(lanes.slot(t.result_slots[0])[l], data[static_cast<std::size_t>(l)] + 10 / (l - 5));
   }
   // Without lane 3 and 4 the division error is the block's.
-  lanes.slot(t.index_slots[0])[3] = 2;
-  lanes.slot(t.index_slots[0])[4] = 1;
+  lanes.slot(t.input_slots[0])[3] = 2;
+  lanes.slot(t.input_slots[0])[4] = 1;
   try {
     t.run(lanes, 8, {&ta, 1});
     ADD_FAILURE() << "no error";
