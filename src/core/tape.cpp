@@ -50,7 +50,11 @@ std::int32_t Tape::divisor_id(std::int64_t k) {
 TapeLanes::TapeLanes(const Tape& tape, int width)
     : width_(width),
       slots_(static_cast<std::size_t>(tape.slot_count) * static_cast<std::size_t>(width)),
-      stack_(static_cast<std::size_t>(tape.max_depth) * static_cast<std::size_t>(width)) {}
+      stack_(static_cast<std::size_t>(tape.max_depth) * kMaxTapeLanes) {
+  if (width < 1 || width > kMaxTapeLanes) {
+    throw Error(cat("tape: ", width, " lanes, not 1 to ", kMaxTapeLanes));
+  }
+}
 
 namespace {
 
@@ -121,8 +125,10 @@ void Tape::run(TapeLanes& lanes, int n, std::span<const TapeArray> arrays,
                std::span<const std::int64_t> lin_steps) const {
   using I = std::int64_t;
   I* const stack = lanes.stack_.data();
-  const std::ptrdiff_t width = lanes.width_;
-  auto row = [stack, width](int r) { return stack + r * width; };
+  // Stack rows have a stride the compiler knows, so it vectorises the
+  // row loops without run-time checks.
+  constexpr std::ptrdiff_t stride = kMaxTapeLanes;
+  auto row = [stack](int r) { return stack + r * stride; };
   int sp = 0;
   // Lanes [live, n) have failed or follow a failed lane: every later
   // instruction runs on [0, live) only, so a later failure is always on
@@ -220,14 +226,14 @@ void Tape::run(TapeLanes& lanes, int n, std::span<const TapeArray> arrays,
           strides = &arr.strides;
         }
         sp -= ins.b;
-        // Index component d of lane l is at indices[d * width + l]; the
+        // Index component d of lane l is at indices[d * stride + l]; the
         // loaded element replaces component 0.
         I* const indices = row(sp++);
         for (int l = 0; l < live; ++l) {
           I off = 0;
           std::int32_t d = 0;
           for (; d < ins.b; ++d) {
-            const I iv = indices[d * width + l];
+            const I iv = indices[d * stride + l];
             const I extent = (*dims)[static_cast<std::size_t>(d)];
             if (iv < 0 || iv >= extent) {
               error = {LaneError::Kind::OutOfBounds, iv, d, extent};

@@ -80,6 +80,9 @@ struct TapeImmediate {
 
 class TapeLanes;
 
+/// The most lanes one run of a tape covers.
+inline constexpr int kMaxTapeLanes = 128;
+
 /// A compiled kernel body. The caller fills the input slots of a block
 /// of items, runs the tape, and reads the result slots afterwards.
 class Tape {
@@ -128,9 +131,10 @@ class Tape {
   std::string to_string() const;
 };
 
-/// The storage of one block run of a tape: slot_count slot rows and
-/// max_depth stack rows, each `width` lanes wide. Allocate one per range
-/// of items and reuse it for every block.
+/// The storage of one block run of a tape: slot_count slot rows `width`
+/// lanes wide (1 to kMaxTapeLanes), and max_depth stack rows
+/// kMaxTapeLanes wide. Allocate one per range of items and reuse it for
+/// every block.
 class TapeLanes {
  public:
   TapeLanes(const Tape& tape, int width);

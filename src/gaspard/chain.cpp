@@ -127,15 +127,16 @@ void for_each_block_offset(const PortAddressing& pa, const std::array<std::int64
   for (std::int64_t l = hi; l < n; ++l) boundary(l);
 }
 
-/// Lanes per block of a task whose tape holds `rows` slot and stack rows:
-/// gpu::kLanes, fewer when the block's rows would pass 8 Ki elements
-/// (64 KiB; the fused paper task's 431 rows get 19 lanes). Such a block
-/// stays in cache. Larger per-thread scratch (12 Ki elements and up)
-/// left frame-sized buffers resident through glibc's dynamic mmap
-/// threshold: host_exec's peak RSS went from 101 to 182 MB.
-int block_lanes(int rows) {
+/// Lanes per block of a task's tape: gpu::kLanes, fewer when its rows
+/// would pass 8 Ki elements (64 KiB; the fused paper task's 429 slot
+/// rows and 2 stack rows get 18 lanes). Such a block stays in cache.
+/// Larger per-thread scratch (12 Ki elements and up) left frame-sized
+/// buffers resident through glibc's dynamic mmap threshold: host_exec's
+/// peak RSS went from 101 to 182 MB.
+int block_lanes(const Tape& tape) {
   constexpr int kBlockElements = 8 * 1024;
-  return std::clamp(kBlockElements / std::max(rows, 1), 1, gpu::kLanes);
+  const int slot_elements = kBlockElements - tape.max_depth * kMaxTapeLanes;
+  return std::clamp(slot_elements / std::max(tape.slot_count, 1), 1, gpu::kLanes);
 }
 
 /// The host walk dimension of a task (gpu::host_walk_dim), measured on
@@ -283,18 +284,6 @@ std::string emit_kernel_source_text(const Model& model, const RepetitiveTask& ta
   return s;
 }
 
-/// Throws ChainError when two of `names` become one C identifier.
-void check_identifiers(const std::vector<std::string>& names) {
-  std::map<std::string, std::string> seen;
-  for (const std::string& name : names) {
-    const auto [it, fresh] = seen.emplace(c_identifier(name), name);
-    if (!fresh && it->second != name) {
-      throw ChainError(cat("'", it->second, "' and '", name, "' both become the identifier '",
-                           it->first, "' in the generated OpenCL"));
-    }
-  }
-}
-
 }  // namespace
 
 OpenClApplication OpenClApplication::build(Model model) {
@@ -313,9 +302,6 @@ OpenClApplication OpenClApplication::build(Model model) {
         std::find(model.outputs().begin(), model.outputs().end(), name) != model.outputs().end();
     app.buffers_.push_back(std::move(plan));
   }
-  std::vector<std::string> arrays;
-  for (const auto& entry : model.arrays()) arrays.push_back(entry.first);
-  check_identifiers(arrays);
 
   // Code generation: one kernel per repetitive task.
   for (aol::TaskId t : app.schedule_) {
@@ -334,9 +320,6 @@ OpenClApplication OpenClApplication::build(Model model) {
     k.tape = aol::lower_to_tape(task.op, in_total);
     app.kernels_.push_back(std::move(k));
   }
-  std::vector<std::string> kernel_names;
-  for (const TaskKernel& k : app.kernels_) kernel_names.push_back(k.name);
-  check_identifiers(kernel_names);
   app.model_ = std::move(model);
   return app;
 }
@@ -427,7 +410,7 @@ std::map<std::string, IntArray> OpenClApplication::run(
     // run goes through gather, IP and scatter a block of items at a time,
     // so consecutive items store next to each other.
     const std::size_t walk = k.walk_dim;
-    const int lanes = block_lanes(tape->slot_count + tape->max_depth);
+    const int lanes = block_lanes(*tape);
     launch.body = [ins, outs, tape, rep_dims, rep_rank, walk, lanes](std::int64_t begin,
                                                                     std::int64_t end) {
       // The gather writes each input element straight into its slot row,

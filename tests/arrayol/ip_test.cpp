@@ -168,5 +168,14 @@ TEST(IpTest, DivisionErrorsAreTyped) {
   EXPECT_THROW(lower_to_tape(op, 1), Error);  // reads input 1 of 1
 }
 
+TEST(IpTest, TapeLanesAreOneToMaxTapeLanesWide) {
+  IpBuilder ip;
+  ip.out(ip.in(0) + 1);
+  const Tape tape = lower_to_tape(ip.finish("inc"), 1);
+  EXPECT_THROW(TapeLanes(tape, 0), Error);
+  EXPECT_THROW(TapeLanes(tape, kMaxTapeLanes + 1), Error);
+  EXPECT_NO_THROW(TapeLanes(tape, kMaxTapeLanes));
+}
+
 }  // namespace
 }  // namespace saclo::aol

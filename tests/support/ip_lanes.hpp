@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -9,21 +10,28 @@
 namespace saclo::testsupport {
 
 /// Runs `op`, lowered to the tape VM, over a lane-major block of n
-/// instances: row e of `in` is in[e * n, (e + 1) * n), element e of the
-/// concatenated input patterns with one value per lane, and `out` holds
-/// the output elements the same way.
+/// instances, at most kMaxTapeLanes per run as the executor does: row e
+/// of `in` is in[e * n, (e + 1) * n), element e of the concatenated
+/// input patterns with one value per lane, and `out` holds the output
+/// elements the same way.
 inline void run_ip_lanes(const aol::ElementaryOp& op, std::span<const std::int64_t> in,
                          std::span<std::int64_t> out, std::size_t n) {
-  const Tape tape = aol::lower_to_tape(op, static_cast<std::int64_t>(in.size() / n));
-  TapeLanes lanes(tape, static_cast<int>(n));
-  for (std::size_t e = 0; e < in.size() / n; ++e) {
-    for (std::size_t l = 0; l < n; ++l) {
-      lanes.slot(tape.input_slots[e])[l] = in[e * n + l];
+  const std::size_t in_elements = in.size() / n;
+  const Tape tape = aol::lower_to_tape(op, static_cast<std::int64_t>(in_elements));
+  TapeLanes lanes(tape, kMaxTapeLanes);
+  for (std::size_t first = 0; first < n; first += kMaxTapeLanes) {
+    const std::size_t m = std::min<std::size_t>(n - first, kMaxTapeLanes);
+    for (std::size_t e = 0; e < in_elements; ++e) {
+      for (std::size_t l = 0; l < m; ++l) {
+        lanes.slot(tape.input_slots[e])[l] = in[e * n + first + l];
+      }
     }
-  }
-  tape.run(lanes, static_cast<int>(n), {});
-  for (std::size_t k = 0; k < tape.result_slots.size(); ++k) {
-    for (std::size_t l = 0; l < n; ++l) out[k * n + l] = lanes.slot(tape.result_slots[k])[l];
+    tape.run(lanes, static_cast<int>(m), {});
+    for (std::size_t k = 0; k < tape.result_slots.size(); ++k) {
+      for (std::size_t l = 0; l < m; ++l) {
+        out[k * n + first + l] = lanes.slot(tape.result_slots[k])[l];
+      }
+    }
   }
 }
 
