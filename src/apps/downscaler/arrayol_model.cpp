@@ -4,7 +4,6 @@
 
 namespace saclo::apps {
 
-using aol::ElementaryOp;
 using aol::Model;
 using aol::RepetitiveTask;
 using aol::TiledPort;

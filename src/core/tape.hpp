@@ -116,8 +116,8 @@ class Tape {
   /// Sets max_depth from the code.
   void measure_depth();
 
-  /// Executes the whole tape on lanes [0, n) of `lanes`, n <=
-  /// lanes.width(). The caller fills each input slot's row; lane l of a
+  /// Executes the whole tape on lanes [0, n) of `lanes`, n at most its
+  /// width. The caller fills each input slot's row; lane l of a
   /// LoadLin b reads element lin_offsets[b] + l * lin_steps[b].
   ///
   /// Errors are those of running the lanes one after another: a lane
@@ -138,8 +138,6 @@ class Tape {
 class TapeLanes {
  public:
   TapeLanes(const Tape& tape, int width);
-
-  int width() const { return width_; }
 
   /// Row of slot `s`: lane l's value is at [l].
   std::int64_t* slot(int s) { return slots_.data() + static_cast<std::size_t>(s) * width_; }

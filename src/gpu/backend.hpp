@@ -65,8 +65,8 @@ inline std::size_t host_walk_dim(std::span<const std::int64_t> extents,
 
 /// Work items a host kernel body runs per dispatch: a block of up to
 /// kLanes consecutive items along the walk dimension goes through each
-/// step (a tape instruction, a GASPARD IP call) together, the way a warp
-/// issues one instruction for all of its threads.
+/// tape instruction together, the way a warp issues one instruction for
+/// all of its threads. At most kMaxTapeLanes (core/tape.hpp).
 inline constexpr int kLanes = 128;
 
 /// The i-th dimension a host body decodes an id into: the walk
