@@ -322,7 +322,7 @@ class IpLowering {
     const auto l = static_cast<std::size_t>(n.lhs);
     const auto r = static_cast<std::size_t>(n.rhs);
     static constexpr TapeOp kOp[] = {TapeOp::Push, TapeOp::Push, TapeOp::Add, TapeOp::Sub,
-                                     TapeOp::Mul,  TapeOp::Div,  TapeOp::Mod, TapeOp::Min,
+                                     TapeOp::Mul, TapeOp::Div, TapeOp::Mod, TapeOp::Min,
                                      TapeOp::Max};
     if (divmod_[i]) {
       const std::int64_t k = nodes_[static_cast<std::size_t>(nodes_[l].rhs)].value;
