@@ -14,10 +14,6 @@ template <typename T>
 class DeviceArray {
  public:
   DeviceArray() = default;
-  DeviceArray(VirtualGpu& gpu, Shape shape)
-      : gpu_(&gpu),
-        shape_(std::move(shape)),
-        buffer_(gpu.allocator(), shape_.elements() * static_cast<std::int64_t>(sizeof(T))) {}
   DeviceArray(VirtualGpu& gpu, Shape shape, DeviceBuffer buffer)
       : gpu_(&gpu), shape_(std::move(shape)), buffer_(std::move(buffer)) {}
 
@@ -38,7 +34,8 @@ class DeviceArray {
 
 /// CUDA-flavoured façade over the simulator: the vocabulary the SaC
 /// backend's generated host code uses (Section VII of the paper —
-/// `host2device`, `device2host`, kernel launches).
+/// `host2device`, `device2host`, kernel launches). The transfers move
+/// whole frames (host2device_frame / device2host_frame).
 class Runtime {
  public:
   explicit Runtime(VirtualGpu& gpu) : gpu_(&gpu) {}
@@ -46,34 +43,14 @@ class Runtime {
   VirtualGpu& gpu() { return *gpu_; }
   const DeviceSpec& spec() const { return gpu_->spec(); }
 
-  template <typename T>
-  DeviceArray<T> device_alloc(Shape shape) {
-    return DeviceArray<T>(*gpu_, std::move(shape));
-  }
-  /// device_alloc without the zero-fill, for an array the caller proves
-  /// it writes whole before reading it (see
+  /// A device array without the zero-fill, for an array the caller
+  /// proves it writes whole before reading it (see
   /// BufferAllocator::allocate_for_overwrite).
   template <typename T>
   DeviceArray<T> device_alloc_for_overwrite(Shape shape) {
     const std::int64_t bytes = shape.elements() * static_cast<std::int64_t>(sizeof(T));
     return DeviceArray<T>(*gpu_, std::move(shape),
                           DeviceBuffer::for_overwrite(gpu_->allocator(), bytes));
-  }
-
-  /// The paper's `host2device` instruction.
-  template <typename T>
-  void host2device(DeviceArray<T>& dst, const NDArray<T>& src, bool execute = true,
-                   StreamId stream = kDefaultStream) {
-    gpu_->copy_h2d(dst.handle(), std::as_bytes(src.data()), kHtoDOp, execute, stream);
-  }
-
-  /// The paper's `device2host` instruction.
-  template <typename T>
-  NDArray<T> device2host(const DeviceArray<T>& src, bool execute = true,
-                         StreamId stream = kDefaultStream) {
-    NDArray<T> out(src.shape());
-    gpu_->copy_d2h(std::as_writable_bytes(out.data()), src.handle(), kDtoHOp, execute, stream);
-    return out;
   }
 
   double launch(const KernelLaunch& kernel, bool execute = true,

@@ -14,7 +14,6 @@ namespace saclo::gpu::opencl {
 class Buffer {
  public:
   Buffer() = default;
-  Buffer(VirtualGpu& gpu, std::int64_t bytes) : gpu_(&gpu), buffer_(gpu.allocator(), bytes) {}
   Buffer(VirtualGpu& gpu, DeviceBuffer buffer) : gpu_(&gpu), buffer_(std::move(buffer)) {}
 
   BufferHandle handle() const { return buffer_.handle(); }
@@ -55,21 +54,6 @@ class CommandQueue {
   /// BufferAllocator::allocate_for_overwrite).
   Buffer create_buffer_for_overwrite(std::int64_t bytes) {
     return Buffer(*gpu_, DeviceBuffer::for_overwrite(gpu_->allocator(), bytes));
-  }
-
-  template <typename T>
-  Buffer create_buffer_for(const Shape& shape) {
-    return Buffer(*gpu_, shape.elements() * static_cast<std::int64_t>(sizeof(T)));
-  }
-
-  template <typename T>
-  void enqueue_write_buffer(Buffer& dst, const NDArray<T>& src, bool execute = true) {
-    gpu_->copy_h2d(dst.handle(), std::as_bytes(src.data()), kHtoDOp, execute, stream_);
-  }
-
-  template <typename T>
-  void enqueue_read_buffer(NDArray<T>& dst, const Buffer& src, bool execute = true) {
-    gpu_->copy_d2h(std::as_writable_bytes(dst.data()), src.handle(), kDtoHOp, execute, stream_);
   }
 
   /// Frame transfers: the host's int64 frames travel as the device's

@@ -10,7 +10,9 @@ namespace saclo::obs {
 
 /// The structured event vocabulary of the serving runtime: one entry
 /// per job-lifecycle or fleet-health transition, POD so recording never
-/// allocates. `arg` is type-specific (see each enumerator).
+/// allocates. `arg` is type-specific (see each enumerator). The runtime
+/// records them through serve::FleetMetrics, whose recording call per
+/// transition also moves the matching counters.
 enum class EventType : std::uint8_t {
   JobAdmitted,     ///< job accepted by submit(); arg = frames
   JobPlaced,       ///< placement decided; device = target, arg = cost estimate (us)
@@ -33,8 +35,9 @@ enum class EventType : std::uint8_t {
                    ///< overshoot in real microseconds
   ScaleUp,         ///< autoscaler activated a device; device = which,
                    ///< arg = active devices after the action
-  ScaleDown,       ///< autoscaler chose a scale-down victim; device =
-                   ///< which, arg = active devices after retirement
+  ScaleDown,       ///< a scale-down victim retired (right after its
+                   ///< drain_complete); device = which, arg = active
+                   ///< devices after retirement
   DrainStarted,    ///< victim marked draining; arg = queued jobs re-homed
   DrainComplete,   ///< victim retired; arg = buffers reclaim_live() swept
                    ///< (0 = the drain leaked nothing)

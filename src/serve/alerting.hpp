@@ -26,7 +26,7 @@ struct AlertMonitorOptions {
 /// Autoscaler discipline) that periodically snapshots a live runtime's
 /// metrics, feeds them to the engine, and forwards every transition to
 /// the runtime — which records the alert_raised/alert_cleared wire
-/// events and refreshes the saclo_alerts_active gauge. When the
+/// events and refreshes the active-alerts gauge. When the
 /// runtime has a telemetry server, construction also mounts /alerts
 /// on it.
 ///

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string_view>
+#include <variant>
 
 #include "core/fmt.hpp"
 #include "core/json.hpp"
@@ -18,302 +20,394 @@ double percentile(std::vector<double> values, double q) {
   return values[lo] + (values[hi] - values[lo]) * frac;
 }
 
+namespace {
+using Micros = std::chrono::duration<double, std::micro>;
+
+/// Moves one queued job onto `target` and keeps its high-water mark.
+void enqueue(FleetMetrics::DeviceSnapshot& target) {
+  ++target.queue_depth;
+  target.max_queue_depth = std::max(target.max_queue_depth, target.queue_depth);
+}
+}  // namespace
+
 FleetMetrics::FleetMetrics(int devices) : devices_(static_cast<std::size_t>(devices)) {
   const auto now = std::chrono::steady_clock::now();
-  for (DeviceState& d : devices_) d.active_since = now;
+  for (std::size_t i = 0; i < devices_.size(); ++i) {
+    devices_[i].device = static_cast<int>(i);
+    devices_[i].active_since = now;
+  }
 }
 
-void FleetMetrics::set_active(int device, bool active) {
+void FleetMetrics::attach_event_log(obs::EventLog* log, const obs::TraceClock* clock,
+                                    std::uint8_t backend) {
   std::lock_guard<std::mutex> lock(mutex_);
-  DeviceState& d = devices_.at(static_cast<std::size_t>(device));
+  events_ = log;
+  clock_ = clock;
+  backend_ = backend;
+}
+
+void FleetMetrics::log(obs::EventType type, std::uint64_t job, int device, int attempt,
+                       std::int64_t arg, double t_sim_us) const {
+  if (events_ == nullptr) return;
+  events_->emit({type, backend_, job, device, attempt, arg, clock_->now_us(), t_sim_us});
+}
+
+void FleetMetrics::set_active_locked(DeviceState& d, bool active) {
   if (d.active == active) return;
   const auto now = std::chrono::steady_clock::now();
   if (d.active) {
-    d.active_accum_us +=
-        std::chrono::duration<double, std::micro>(now - d.active_since).count();
+    d.active_us += Micros(now - d.active_since).count();
   } else {
     d.active_since = now;
   }
   d.active = active;
 }
 
-void FleetMetrics::on_scale_up(int device) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++scale_ups_;
-  }
-  set_active(device, true);
-}
-
-void FleetMetrics::on_drain_started(int device, int rehomed) {
+void FleetMetrics::set_active(int device, bool active) {
   std::lock_guard<std::mutex> lock(mutex_);
-  (void)devices_.at(static_cast<std::size_t>(device));  // bounds check only
-  (void)rehomed;  // per-job on_rehomed calls keep the counter; this records the drain
-  ++scale_downs_;
+  set_active_locked(this->device(device), active);
 }
 
-void FleetMetrics::on_drain_complete(int device) { set_active(device, false); }
+void FleetMetrics::on_scale_up(int device, int active, double t_sim_us) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  set_active_locked(this->device(device), true);
+  ++live_.scale_ups;
+  log(obs::EventType::ScaleUp, 0, device, 0, active, t_sim_us);
+}
+
+void FleetMetrics::on_drain_started(int device, int rehomed, double t_sim_us) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  (void)this->device(device);  // bounds check only
+  ++live_.scale_downs;
+  log(obs::EventType::DrainStarted, 0, device, 0, rehomed, t_sim_us);
+}
+
+void FleetMetrics::on_drain_complete(int device, std::int64_t reclaimed, int active,
+                                     double t_sim_us) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  set_active_locked(this->device(device), false);
+  log(obs::EventType::DrainComplete, 0, device, 0, reclaimed, t_sim_us);
+  log(obs::EventType::ScaleDown, 0, device, 0, active, t_sim_us);
+}
 
 void FleetMetrics::on_rehomed(int from, int to, bool queued) {
   std::lock_guard<std::mutex> lock(mutex_);
-  DeviceState& source = devices_.at(static_cast<std::size_t>(from));
-  DeviceState& target = devices_.at(static_cast<std::size_t>(to));
-  ++jobs_rehomed_;
+  DeviceState& source = device(from);
+  ++live_.jobs_rehomed;
   if (queued) {
     --source.queue_depth;
   } else {
     source.running = 0;
   }
-  ++target.queue_depth;
-  target.max_queue_depth = std::max(target.max_queue_depth, target.queue_depth);
+  enqueue(device(to));
 }
 
-void FleetMetrics::on_submit(int device, const std::string& tenant) {
+void FleetMetrics::on_submit(std::uint64_t job, int device, const std::string& tenant,
+                             int frames, double estimate_us) {
   std::lock_guard<std::mutex> lock(mutex_);
-  DeviceState& d = devices_.at(static_cast<std::size_t>(device));
-  ++submitted_;
+  enqueue(this->device(device));
+  ++live_.jobs_submitted;
   ++tenants_[tenant].submitted;
-  ++d.queue_depth;
-  d.max_queue_depth = std::max(d.max_queue_depth, d.queue_depth);
+  log(obs::EventType::JobAdmitted, job, -1, 0, frames, 0.0);
+  log(obs::EventType::JobPlaced, job, device, 0, std::llround(estimate_us), 0.0);
 }
 
-void FleetMetrics::on_dispatch(int device) {
+void FleetMetrics::on_dispatch(std::uint64_t job, int device, int attempt, double t_sim_us) {
   std::lock_guard<std::mutex> lock(mutex_);
-  DeviceState& d = devices_.at(static_cast<std::size_t>(device));
+  DeviceState& d = this->device(device);
   --d.queue_depth;
   d.running = 1;
+  log(obs::EventType::JobDispatched, job, device, attempt, 0, t_sim_us);
+}
+
+void FleetMetrics::on_frame_done(std::uint64_t job, int device, int attempt, int frame,
+                                 double t_sim_us) const {
+  log(obs::EventType::FrameDone, job, device, attempt, frame, t_sim_us);
 }
 
 void FleetMetrics::on_complete(int device, const JobResult& result, double sim_clock_us) {
   std::lock_guard<std::mutex> lock(mutex_);
-  DeviceState& d = devices_.at(static_cast<std::size_t>(device));
+  DeviceState& d = this->device(device);
   d.running = 0;
   ++d.jobs;
   d.frames += result.frames;
   d.busy_sim_us += result.sim_wall_us;
   d.sim_clock_us = sim_clock_us;
-  ++completed_;
-  frames_ += result.frames;
-  latency_hist_.record(result.latency_us);
-  sim_job_hist_.record(result.sim_wall_us);
+  ++live_.jobs_completed;
+  live_.frames_completed += result.frames;
+  live_.latency_hist.record(result.latency_us);
+  live_.sim_job_hist.record(result.sim_wall_us);
   const std::size_t cls = std::min<std::size_t>(static_cast<std::size_t>(result.priority),
-                                                class_latency_hist_.size() - 1);
-  class_latency_hist_[cls].record(result.latency_us);
-  TenantState& t = tenants_[result.tenant.empty() ? "default" : result.tenant];
+                                                live_.class_latency_hist.size() - 1);
+  live_.class_latency_hist[cls].record(result.latency_us);
+  Snapshot::TenantSnapshot& t = tenants_[result.tenant];
   ++t.completed;
   if (result.deadline_us > 0) {
     ++t.slo_jobs;
     if (result.slo_met) {
       ++t.slo_met;
     } else {
-      ++deadline_misses_;
+      ++live_.deadline_misses;
+      log(obs::EventType::DeadlineMiss, result.id, device, result.attempts,
+          std::llround(result.latency_us - result.deadline_us), sim_clock_us);
     }
   }
+  log(obs::EventType::JobCompleted, result.id, device, result.attempts, result.frames,
+      sim_clock_us);
 }
 
-void FleetMetrics::on_failed(int device) {
+void FleetMetrics::on_failed(std::uint64_t job, int device, int attempt, double t_sim_us) {
   std::lock_guard<std::mutex> lock(mutex_);
-  DeviceState& d = devices_.at(static_cast<std::size_t>(device));
+  DeviceState& d = this->device(device);
   d.running = 0;
   ++d.jobs_failed;
-  ++failed_;
+  ++live_.jobs_failed;
+  log(obs::EventType::RetryExhausted, job, device, attempt, attempt + 1, t_sim_us);
 }
 
-void FleetMetrics::on_device_fault(int device, std::int64_t reclaimed_blocks) {
+void FleetMetrics::on_device_fault(std::uint64_t job, int device, int attempt,
+                                   std::int64_t reclaimed_blocks, double t_sim_us) {
   std::lock_guard<std::mutex> lock(mutex_);
-  DeviceState& d = devices_.at(static_cast<std::size_t>(device));
+  DeviceState& d = this->device(device);
   d.running = 0;
   ++d.faults;
-  ++device_faults_;
-  buffers_reclaimed_ += reclaimed_blocks;
+  ++live_.device_faults;
+  live_.buffers_reclaimed += reclaimed_blocks;
+  log(obs::EventType::DeviceFault, job, device, attempt, reclaimed_blocks, t_sim_us);
 }
 
-void FleetMetrics::on_failover(int from, int to) {
+void FleetMetrics::on_failover(std::uint64_t job, int from, int to, int attempt,
+                               double t_sim_us) {
   std::lock_guard<std::mutex> lock(mutex_);
-  DeviceState& target = devices_.at(static_cast<std::size_t>(to));
-  ++retries_;
-  if (from != to) ++failovers_;
   // The retried job sits in the target's queue until re-dispatched.
-  ++target.queue_depth;
-  target.max_queue_depth = std::max(target.max_queue_depth, target.queue_depth);
+  enqueue(device(to));
+  ++live_.retries;
+  if (from != to) ++live_.failovers;
+  log(obs::EventType::Failover, job, from, attempt, to, t_sim_us);
 }
 
-void FleetMetrics::on_degraded(int device) {
+void FleetMetrics::on_degraded(std::uint64_t job, int device, int attempt, double t_sim_us) {
   std::lock_guard<std::mutex> lock(mutex_);
-  DeviceState& d = devices_.at(static_cast<std::size_t>(device));
+  DeviceState& d = this->device(device);
+  log(obs::EventType::DeviceDegraded, job, device, attempt, 0, t_sim_us);
   if (d.degraded) return;
   d.degraded = true;
   d.degraded_since = std::chrono::steady_clock::now();
 }
 
-void FleetMetrics::on_healed(int device) {
+void FleetMetrics::on_healed(int device, double t_sim_us) {
   std::lock_guard<std::mutex> lock(mutex_);
-  DeviceState& d = devices_.at(static_cast<std::size_t>(device));
+  DeviceState& d = this->device(device);
+  log(obs::EventType::DeviceHealed, 0, device, 0, 0, t_sim_us);
   if (!d.degraded) return;
   d.degraded = false;
-  d.degraded_accum_us += std::chrono::duration<double, std::micro>(
-                             std::chrono::steady_clock::now() - d.degraded_since)
-                             .count();
+  d.degraded_us += Micros(std::chrono::steady_clock::now() - d.degraded_since).count();
 }
 
-void FleetMetrics::on_shed(const std::string& tenant, ShedReason reason) {
+void FleetMetrics::on_shed(std::uint64_t job, const std::string& tenant, ShedReason reason) {
   std::lock_guard<std::mutex> lock(mutex_);
-  (void)reason;  // the event log attributes reasons; counters stay coarse
-  ++submitted_;
-  ++shed_;
-  TenantState& t = tenants_[tenant.empty() ? "default" : tenant];
+  ++live_.jobs_submitted;
+  ++live_.jobs_shed;
+  Snapshot::TenantSnapshot& t = tenants_[tenant];
   ++t.submitted;
   ++t.shed;
+  log(obs::EventType::JobShed, job, -1, 0, static_cast<std::int64_t>(reason), 0.0);
 }
 
-void FleetMetrics::on_preempted(int from, int to) {
+void FleetMetrics::on_preempted(std::uint64_t job, int from, int to, int attempt,
+                                int next_frame, double t_sim_us) {
   std::lock_guard<std::mutex> lock(mutex_);
-  DeviceState& source = devices_.at(static_cast<std::size_t>(from));
-  DeviceState& target = devices_.at(static_cast<std::size_t>(to));
-  ++preemptions_;
-  source.running = 0;
+  device(from).running = 0;
   // The displaced job sits in the target's queue until re-dispatched.
-  ++target.queue_depth;
-  target.max_queue_depth = std::max(target.max_queue_depth, target.queue_depth);
+  enqueue(device(to));
+  ++live_.preemptions;
+  log(obs::EventType::JobPreempted, job, from, attempt, next_frame, t_sim_us);
 }
 
-void FleetMetrics::on_steal(int from, int to) {
+void FleetMetrics::on_steal(std::uint64_t job, int from, int to, int attempt,
+                            double t_sim_us) {
   std::lock_guard<std::mutex> lock(mutex_);
-  DeviceState& source = devices_.at(static_cast<std::size_t>(from));
-  DeviceState& target = devices_.at(static_cast<std::size_t>(to));
-  ++steals_;
-  --source.queue_depth;
-  ++target.queue_depth;
-  target.max_queue_depth = std::max(target.max_queue_depth, target.queue_depth);
+  --device(from).queue_depth;
+  enqueue(device(to));
+  ++live_.steals;
+  log(obs::EventType::JobStolen, job, to, attempt, from, t_sim_us);
 }
 
-void FleetMetrics::on_batch(int device, int size) {
+void FleetMetrics::on_batch(std::uint64_t leader, int device, int size, double t_sim_us) {
   std::lock_guard<std::mutex> lock(mutex_);
-  (void)devices_.at(static_cast<std::size_t>(device));  // bounds check only
-  ++batches_;
-  jobs_batched_ += size;
-  batch_size_hist_.record(static_cast<double>(size));
+  (void)this->device(device);  // bounds check only
+  ++live_.batches_formed;
+  live_.jobs_batched += size;
+  live_.batch_size_hist.record(static_cast<double>(size));
+  log(obs::EventType::BatchFormed, leader, device, 0, size, t_sim_us);
+}
+
+void FleetMetrics::on_alerts(const std::vector<obs::AlertTransition>& transitions,
+                             std::size_t active) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  for (const obs::AlertTransition& t : transitions) {
+    log(t.raised ? obs::EventType::AlertRaised : obs::EventType::AlertCleared, 0, -1, 0,
+        static_cast<std::int64_t>(t.kind), 0.0);
+  }
+  live_.active_alerts = static_cast<std::int64_t>(active);
 }
 
 void FleetMetrics::set_elapsed_real_us(double us) {
   std::lock_guard<std::mutex> lock(mutex_);
-  elapsed_real_us_ = us;
+  live_.elapsed_real_us = us;
 }
 
 void FleetMetrics::set_allocator_stats(int device, const CachingDeviceAllocator::Stats& stats) {
   std::lock_guard<std::mutex> lock(mutex_);
-  DeviceState& d = devices_.at(static_cast<std::size_t>(device));
+  DeviceState& d = this->device(device);
   d.has_allocator = true;
   d.allocator = stats;
 }
 
 void FleetMetrics::set_build_info(std::string sha, std::string backend_opts) {
   std::lock_guard<std::mutex> lock(mutex_);
-  build_sha_ = std::move(sha);
-  build_backend_opts_ = std::move(backend_opts);
-}
-
-void FleetMetrics::set_events_dropped(std::uint64_t dropped) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  events_dropped_ = dropped;
-}
-
-void FleetMetrics::set_active_alerts(int count) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  active_alerts_ = count;
+  live_.build_sha = std::move(sha);
+  live_.build_backend_opts = std::move(backend_opts);
 }
 
 FleetMetrics::Snapshot FleetMetrics::snapshot() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  Snapshot s;
-  s.jobs_submitted = submitted_;
-  s.jobs_completed = completed_;
-  s.jobs_failed = failed_;
-  s.frames_completed = frames_;
-  s.device_faults = device_faults_;
-  s.failovers = failovers_;
-  s.retries = retries_;
-  s.buffers_reclaimed = buffers_reclaimed_;
-  s.batches_formed = batches_;
-  s.jobs_batched = jobs_batched_;
-  s.jobs_shed = shed_;
-  s.preemptions = preemptions_;
-  s.steals = steals_;
-  s.deadline_misses = deadline_misses_;
-  s.scale_ups = scale_ups_;
-  s.scale_downs = scale_downs_;
-  s.jobs_rehomed = jobs_rehomed_;
-  s.build_sha = build_sha_;
-  s.build_backend_opts = build_backend_opts_;
-  s.events_dropped = events_dropped_;
-  s.active_alerts = active_alerts_;
-  s.elapsed_real_us = elapsed_real_us_;
+  Snapshot s = live_;
+  if (events_ != nullptr) s.events_dropped = static_cast<std::int64_t>(events_->dropped());
   for (const auto& [tenant, t] : tenants_) {
-    Snapshot::TenantSnapshot ts;
-    ts.tenant = tenant;
-    ts.submitted = t.submitted;
-    ts.completed = t.completed;
-    ts.shed = t.shed;
-    ts.slo_jobs = t.slo_jobs;
-    ts.slo_met = t.slo_met;
-    s.tenants.push_back(ts);
+    s.tenants.push_back(t);
+    s.tenants.back().tenant = tenant;
   }
   const auto now = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; i < devices_.size(); ++i) {
-    const DeviceState& d = devices_[i];
-    DeviceSnapshot ds;
-    ds.device = static_cast<int>(i);
-    ds.jobs = d.jobs;
-    ds.jobs_failed = d.jobs_failed;
-    ds.faults = d.faults;
-    ds.frames = d.frames;
-    ds.degraded = d.degraded;
-    ds.degraded_us = d.degraded_accum_us;
+  for (const DeviceState& d : devices_) {
+    DeviceSnapshot& ds = s.devices.emplace_back(d);  // the open intervals added below
     if (d.degraded) {
-      ds.degraded_us +=
-          std::chrono::duration<double, std::micro>(now - d.degraded_since).count();
+      ds.degraded_us += Micros(now - d.degraded_since).count();
       ++s.degraded_devices;
     }
-    ds.active = d.active;
-    ds.active_us = d.active_accum_us;
     if (d.active) {
-      ds.active_us += std::chrono::duration<double, std::micro>(now - d.active_since).count();
+      ds.active_us += Micros(now - d.active_since).count();
       ++s.active_devices;
     }
     s.device_seconds += ds.active_us / 1e6;
-    ds.queue_depth = d.queue_depth;
-    ds.max_queue_depth = d.max_queue_depth;
-    ds.running = d.running;
-    ds.busy_sim_us = d.busy_sim_us;
-    ds.sim_clock_us = d.sim_clock_us;
-    ds.has_allocator = d.has_allocator;
-    ds.allocator = d.allocator;
     if (d.has_allocator) s.alloc_cap_evictions += d.allocator.cap_evictions;
     s.sim_makespan_us = std::max(s.sim_makespan_us, d.sim_clock_us);
-    s.devices.push_back(ds);
   }
   for (DeviceSnapshot& ds : s.devices) {
     ds.utilization = s.sim_makespan_us > 0 ? ds.busy_sim_us / s.sim_makespan_us : 0.0;
   }
-  if (s.sim_makespan_us > 0) {
-    s.throughput_fps_sim = static_cast<double>(frames_) / (s.sim_makespan_us / 1e6);
-  }
-  if (elapsed_real_us_ > 0) {
-    s.throughput_fps_real = static_cast<double>(frames_) / (elapsed_real_us_ / 1e6);
-  }
-  s.latency_p50_us = latency_hist_.percentile(0.50);
-  s.latency_p95_us = latency_hist_.percentile(0.95);
-  s.latency_p99_us = latency_hist_.percentile(0.99);
-  s.latency_max_us = latency_hist_.max();
-  s.latency_mean_us = latency_hist_.mean();
-  s.sim_job_p50_us = sim_job_hist_.percentile(0.50);
-  s.sim_job_p99_us = sim_job_hist_.percentile(0.99);
-  s.latency_hist = latency_hist_;
-  s.sim_job_hist = sim_job_hist_;
-  s.batch_size_hist = batch_size_hist_;
-  s.class_latency_hist = class_latency_hist_;
+  const auto frames = static_cast<double>(s.frames_completed);
+  if (s.sim_makespan_us > 0) s.throughput_fps_sim = frames / (s.sim_makespan_us / 1e6);
+  if (s.elapsed_real_us > 0) s.throughput_fps_real = frames / (s.elapsed_real_us / 1e6);
+  s.latency_p50_us = s.latency_hist.percentile(0.50);
+  s.latency_p95_us = s.latency_hist.percentile(0.95);
+  s.latency_p99_us = s.latency_hist.percentile(0.99);
+  s.latency_max_us = s.latency_hist.max();
+  s.latency_mean_us = s.latency_hist.mean();
+  s.sim_job_p50_us = s.sim_job_hist.percentile(0.50);
+  s.sim_job_p99_us = s.sim_job_hist.percentile(0.99);
+  s.max_batch_size = static_cast<std::int64_t>(s.batch_size_hist.max());
   return s;
 }
+
+namespace {
+using Snap = FleetMetrics::Snapshot;
+
+/// One fleet counter or gauge, declared once: the JSON export, the
+/// Prometheus exposition and the report's summary lines all render it
+/// from this row.
+struct FleetScalar {
+  std::string_view group;  ///< JSON object holding the key ("" = top level)
+  const char* key;         ///< JSON key; nullptr = exposition only
+  const char* prom;        ///< Prometheus family; nullptr = JSON only
+  const char* type;        ///< Prometheus type
+  const char* help;        ///< Prometheus help text
+  std::variant<std::int64_t Snap::*, double Snap::*> field;
+  std::string_view line = {};   ///< report line listing it ("" = none)
+  const char* label = nullptr;  ///< what the report line calls it
+};
+
+// clang-format off
+const FleetScalar kScalars[] = {
+    {"", "jobs_submitted", "saclo_jobs_submitted_total", "counter",
+     "Jobs accepted by the runtime.", &Snap::jobs_submitted},
+    {"", "jobs_completed", "saclo_jobs_completed_total", "counter",
+     "Jobs whose future resolved.", &Snap::jobs_completed},
+    {"", "frames_completed", "saclo_frames_completed_total", "counter",
+     "Frames across completed jobs.", &Snap::frames_completed},
+    {"health", "device_faults", "saclo_device_faults_total", "counter",
+     "Injected device faults observed fleet-wide.", &Snap::device_faults,
+     "health", "device fault(s)"},
+    {"health", "failovers", "saclo_failovers_total", "counter",
+     "Retries that moved device.", &Snap::failovers, "health", "failover(s)"},
+    {"health", "retries", "saclo_retries_total", "counter",
+     "Faulted jobs re-enqueued.", &Snap::retries, "health", "retry(s)"},
+    {"", "jobs_failed", "saclo_jobs_failed_total", "counter",
+     "Jobs that exhausted retries (future carries an exception).", &Snap::jobs_failed,
+     "health", "failed job(s)"},
+    {"health", "degraded_devices", "saclo_degraded_devices", "gauge",
+     "Devices currently marked degraded.", &Snap::degraded_devices,
+     "health", "degraded device(s)"},
+    {"health", "buffers_reclaimed", "saclo_buffers_reclaimed_total", "counter",
+     "Allocator blocks swept back after faults.", &Snap::buffers_reclaimed},
+    {"batching", "batches_formed", "saclo_batches_formed_total", "counter",
+     "Dispatches that coalesced two or more jobs.", &Snap::batches_formed},
+    {"batching", "jobs_batched", "saclo_jobs_batched_total", "counter",
+     "Jobs that rode in a coalesced batch.", &Snap::jobs_batched},
+    {"batching", "max_batch_size", nullptr, nullptr, nullptr, &Snap::max_batch_size},
+    {"scheduling", "jobs_shed", "saclo_jobs_shed_total", "counter",
+     "Submissions refused by admission control or load shedding.", &Snap::jobs_shed,
+     "scheduling", "shed"},
+    {"scheduling", "preemptions", "saclo_preemptions_total", "counter",
+     "In-flight jobs displaced at a frame boundary.", &Snap::preemptions,
+     "scheduling", "preemption(s)"},
+    {"scheduling", "steals", "saclo_steals_total", "counter",
+     "Queued jobs moved to an idle dispatcher.", &Snap::steals, "scheduling", "steal(s)"},
+    {"scheduling", "deadline_misses", "saclo_deadline_misses_total", "counter",
+     "Jobs completed past their SLO deadline.", &Snap::deadline_misses,
+     "scheduling", "deadline miss(es)"},
+    {"autoscale", "scale_ups", "saclo_scale_ups_total", "counter",
+     "Devices activated by the autoscaler.", &Snap::scale_ups},
+    {"autoscale", "scale_downs", "saclo_scale_downs_total", "counter",
+     "Graceful device drains started.", &Snap::scale_downs},
+    {"autoscale", "jobs_rehomed", "saclo_jobs_rehomed_total", "counter",
+     "Queued jobs moved off draining devices.", &Snap::jobs_rehomed},
+    {"autoscale", "active_devices", "saclo_active_devices", "gauge",
+     "Devices currently placement-eligible.", &Snap::active_devices},
+    {"autoscale", "device_seconds", "saclo_device_seconds_total", "counter",
+     "Sum over devices of real seconds spent active.", &Snap::device_seconds},
+    {"autoscale", "alloc_cap_evictions", "saclo_alloc_cap_evictions_total", "counter",
+     "Allocator blocks evicted by the per-size-class cache cap, fleet-wide.",
+     &Snap::alloc_cap_evictions},
+    {"", "sim_makespan_us", "saclo_sim_makespan_us", "gauge",
+     "Fleet simulated makespan (max device clock), microseconds.", &Snap::sim_makespan_us},
+    {"", "throughput_fps_sim", "saclo_throughput_fps_sim", "gauge",
+     "Frames per second of simulated device time.", &Snap::throughput_fps_sim},
+    {"", "throughput_fps_real", "saclo_throughput_fps_real", "gauge",
+     "Frames per second of real wall clock.", &Snap::throughput_fps_real},
+    {"", nullptr, "saclo_events_dropped_total", "counter",
+     "Structured events rejected because the event ring was full.", &Snap::events_dropped},
+    {"", nullptr, "saclo_alerts_active", "gauge", "Alerts currently firing.",
+     &Snap::active_alerts},
+};
+// clang-format on
+
+std::string value(const Snap& s, const FleetScalar& m) {
+  if (const auto* count = std::get_if<std::int64_t Snap::*>(&m.field)) {
+    return std::to_string(s.**count);
+  }
+  return fixed(s.*std::get<double Snap::*>(m.field), 3);
+}
+
+/// The distinct values of one column, in table order.
+std::vector<std::string_view> distinct(std::string_view FleetScalar::*column) {
+  std::vector<std::string_view> out;
+  for (const FleetScalar& m : kScalars) {
+    if (std::find(out.begin(), out.end(), m.*column) == out.end()) out.push_back(m.*column);
+  }
+  return out;
+}
+}  // namespace
 
 std::string FleetMetrics::report() const {
   const Snapshot s = snapshot();
@@ -327,13 +421,19 @@ std::string FleetMetrics::report() const {
              "ms  max ", fixed(s.latency_max_us / 1e3, 2), "ms\n");
   out += cat("sim makespan ", fixed(s.sim_makespan_us / 1e6, 3), "s, sim job p50 ",
              fixed(s.sim_job_p50_us / 1e3, 2), "ms\n");
-  out += cat("health: ", s.device_faults, " device fault(s), ", s.failovers, " failover(s), ",
-             s.retries, " retry(s), ", s.jobs_failed, " failed job(s), ", s.degraded_devices,
-             " degraded device(s)\n");
-  out += cat("scheduling: ", s.jobs_shed, " shed, ", s.preemptions, " preemption(s), ",
-             s.steals, " steal(s), ", s.deadline_misses, " deadline miss(es)\n");
+  for (std::string_view line : distinct(&FleetScalar::line)) {
+    if (line.empty()) continue;
+    out += cat(line, ":");
+    const char* sep = " ";
+    for (const FleetScalar& m : kScalars) {
+      if (m.line != line) continue;
+      out += cat(sep, value(s, m), " ", m.label);
+      sep = ", ";
+    }
+    out += "\n";
+  }
   if (s.scale_ups > 0 || s.scale_downs > 0 ||
-      s.active_devices != static_cast<int>(s.devices.size())) {
+      s.active_devices != static_cast<std::int64_t>(s.devices.size())) {
     out += cat("autoscale: ", s.active_devices, "/", s.devices.size(), " active, ",
                s.scale_ups, " scale-up(s), ", s.scale_downs, " scale-down(s), ",
                s.jobs_rehomed, " job(s) re-homed, ", fixed(s.device_seconds, 2),
@@ -349,8 +449,7 @@ std::string FleetMetrics::report() const {
   }
   if (s.batches_formed > 0) {
     out += cat("batching: ", s.batches_formed, " batch(es), ", s.jobs_batched,
-               " jobs coalesced, max size ",
-               static_cast<std::int64_t>(s.batch_size_hist.max()), "\n");
+               " jobs coalesced, max size ", s.max_batch_size, "\n");
   }
   out += pad_right("device", 8) + pad_left("jobs", 7) + pad_left("failed", 8) +
          pad_left("frames", 8) + pad_left("util", 7) + pad_left("queue", 7) +
@@ -406,26 +505,19 @@ std::string device_json(const FleetMetrics::DeviceSnapshot& d) {
 
 std::string FleetMetrics::json() const {
   const Snapshot s = snapshot();
-  std::string out = cat(
-      "{\"devices\":", s.devices.size(), ",\"jobs_submitted\":", s.jobs_submitted,
-      ",\"jobs_completed\":", s.jobs_completed, ",\"jobs_failed\":", s.jobs_failed,
-      ",\"frames_completed\":", s.frames_completed,
-      ",\"health\":{\"device_faults\":", s.device_faults, ",\"failovers\":", s.failovers,
-      ",\"retries\":", s.retries, ",\"degraded_devices\":", s.degraded_devices,
-      ",\"buffers_reclaimed\":", s.buffers_reclaimed, "}",
-      ",\"batching\":{\"batches_formed\":", s.batches_formed,
-      ",\"jobs_batched\":", s.jobs_batched,
-      ",\"max_batch_size\":", static_cast<std::int64_t>(s.batch_size_hist.max()), "}",
-      ",\"scheduling\":{\"jobs_shed\":", s.jobs_shed, ",\"preemptions\":", s.preemptions,
-      ",\"steals\":", s.steals, ",\"deadline_misses\":", s.deadline_misses, "}",
-      ",\"autoscale\":{\"scale_ups\":", s.scale_ups, ",\"scale_downs\":", s.scale_downs,
-      ",\"jobs_rehomed\":", s.jobs_rehomed, ",\"active_devices\":", s.active_devices,
-      ",\"device_seconds\":", fixed(s.device_seconds, 3),
-      ",\"alloc_cap_evictions\":", s.alloc_cap_evictions, "}",
+  std::string out = cat("{\"devices\":", s.devices.size());
+  for (std::string_view group : distinct(&FleetScalar::group)) {
+    if (!group.empty()) out += cat(",\"", group, "\":{");
+    const char* sep = group.empty() ? "," : "";
+    for (const FleetScalar& m : kScalars) {
+      if (m.key == nullptr || m.group != group) continue;
+      out += cat(sep, "\"", m.key, "\":", value(s, m));
+      sep = ",";
+    }
+    if (!group.empty()) out += "}";
+  }
+  out += cat(
       ",\"elapsed_real_us\":", fixed(s.elapsed_real_us, 1),
-      ",\"sim_makespan_us\":", fixed(s.sim_makespan_us, 3),
-      ",\"throughput_fps_sim\":", fixed(s.throughput_fps_sim, 3),
-      ",\"throughput_fps_real\":", fixed(s.throughput_fps_real, 3),
       // Percentiles come from the histograms the Prometheus export
       // publishes; exact values keep each inside its bucket's le.
       ",\"latency_real_us\":{\"p50\":", round_trip(s.latency_p50_us), ",\"p95\":",
@@ -457,14 +549,6 @@ std::string FleetMetrics::json() const {
   return out + "]}";
 }
 
-namespace {
-void prom_scalar(std::string& out, const std::string& name, const std::string& type,
-                 const std::string& help, const std::string& value) {
-  out += cat("# HELP ", name, " ", help, "\n# TYPE ", name, " ", type, "\n", name, " ", value,
-             "\n");
-}
-}  // namespace
-
 std::string prom_escape_label_value(const std::string& value) {
   std::string out;
   out.reserve(value.size());
@@ -482,93 +566,40 @@ std::string prom_escape_label_value(const std::string& value) {
 std::string FleetMetrics::prometheus() const {
   const Snapshot s = snapshot();
   std::string out;
+  // Appends a family's HELP and TYPE lines and returns its name, for
+  // the sample lines that follow.
+  const auto family = [&out](const char* name, const char* type, const char* help) {
+    out += cat("# HELP ", name, " ", help, "\n# TYPE ", name, " ", type, "\n");
+    return name;
+  };
   if (!s.build_sha.empty() || !s.build_backend_opts.empty()) {
-    out += "# HELP saclo_build_info Build identity (constant 1; the labels carry the data).\n";
-    out += "# TYPE saclo_build_info gauge\n";
-    out += cat("saclo_build_info{sha=\"", prom_escape_label_value(s.build_sha),
-               "\",backend_opts=\"", prom_escape_label_value(s.build_backend_opts), "\"} 1\n");
+    out += cat(family("saclo_build_info", "gauge",
+                      "Build identity (constant 1; the labels carry the data)."),
+               "{sha=\"", prom_escape_label_value(s.build_sha), "\",backend_opts=\"",
+               prom_escape_label_value(s.build_backend_opts), "\"} 1\n");
   }
-  prom_scalar(out, "saclo_jobs_submitted_total", "counter", "Jobs accepted by the runtime.",
-              std::to_string(s.jobs_submitted));
-  prom_scalar(out, "saclo_jobs_completed_total", "counter", "Jobs whose future resolved.",
-              std::to_string(s.jobs_completed));
-  prom_scalar(out, "saclo_jobs_failed_total", "counter",
-              "Jobs that exhausted retries (future carries an exception).",
-              std::to_string(s.jobs_failed));
-  prom_scalar(out, "saclo_frames_completed_total", "counter", "Frames across completed jobs.",
-              std::to_string(s.frames_completed));
-  prom_scalar(out, "saclo_device_faults_total", "counter",
-              "Injected device faults observed fleet-wide.", std::to_string(s.device_faults));
-  prom_scalar(out, "saclo_failovers_total", "counter", "Retries that moved device.",
-              std::to_string(s.failovers));
-  prom_scalar(out, "saclo_retries_total", "counter", "Faulted jobs re-enqueued.",
-              std::to_string(s.retries));
-  prom_scalar(out, "saclo_buffers_reclaimed_total", "counter",
-              "Allocator blocks swept back after faults.", std::to_string(s.buffers_reclaimed));
-  prom_scalar(out, "saclo_degraded_devices", "gauge", "Devices currently marked degraded.",
-              std::to_string(s.degraded_devices));
-  prom_scalar(out, "saclo_batches_formed_total", "counter",
-              "Dispatches that coalesced two or more jobs.", std::to_string(s.batches_formed));
-  prom_scalar(out, "saclo_jobs_batched_total", "counter",
-              "Jobs that rode in a coalesced batch.", std::to_string(s.jobs_batched));
-  prom_scalar(out, "saclo_jobs_shed_total", "counter",
-              "Submissions refused by admission control or load shedding.",
-              std::to_string(s.jobs_shed));
-  prom_scalar(out, "saclo_preemptions_total", "counter",
-              "In-flight jobs displaced at a frame boundary.", std::to_string(s.preemptions));
-  prom_scalar(out, "saclo_steals_total", "counter",
-              "Queued jobs moved to an idle dispatcher.", std::to_string(s.steals));
-  prom_scalar(out, "saclo_deadline_misses_total", "counter",
-              "Jobs completed past their SLO deadline.", std::to_string(s.deadline_misses));
-  prom_scalar(out, "saclo_scale_ups_total", "counter", "Devices activated by the autoscaler.",
-              std::to_string(s.scale_ups));
-  prom_scalar(out, "saclo_scale_downs_total", "counter", "Graceful device drains started.",
-              std::to_string(s.scale_downs));
-  prom_scalar(out, "saclo_jobs_rehomed_total", "counter",
-              "Queued jobs moved off draining devices.", std::to_string(s.jobs_rehomed));
-  prom_scalar(out, "saclo_active_devices", "gauge", "Devices currently placement-eligible.",
-              std::to_string(s.active_devices));
-  prom_scalar(out, "saclo_device_seconds_total", "counter",
-              "Sum over devices of real seconds spent active.", fixed(s.device_seconds, 3));
-  prom_scalar(out, "saclo_alloc_cap_evictions_total", "counter",
-              "Allocator blocks evicted by the per-size-class cache cap, fleet-wide.",
-              std::to_string(s.alloc_cap_evictions));
-  prom_scalar(out, "saclo_sim_makespan_us", "gauge",
-              "Fleet simulated makespan (max device clock), microseconds.",
-              fixed(s.sim_makespan_us, 3));
-  prom_scalar(out, "saclo_throughput_fps_sim", "gauge",
-              "Frames per second of simulated device time.", fixed(s.throughput_fps_sim, 3));
-  prom_scalar(out, "saclo_throughput_fps_real", "gauge", "Frames per second of real wall clock.",
-              fixed(s.throughput_fps_real, 3));
-  prom_scalar(out, "saclo_events_dropped_total", "counter",
-              "Structured events rejected because the event ring was full.",
-              std::to_string(s.events_dropped));
-  prom_scalar(out, "saclo_alerts_active", "gauge", "Alerts currently firing.",
-              std::to_string(s.active_alerts));
-  out += "# HELP saclo_device_jobs_total Jobs completed per device.\n";
-  out += "# TYPE saclo_device_jobs_total counter\n";
-  for (const DeviceSnapshot& d : s.devices) {
-    out += cat("saclo_device_jobs_total{device=\"", d.device, "\"} ", d.jobs, "\n");
+  for (const FleetScalar& m : kScalars) {
+    if (m.prom != nullptr) out += cat(family(m.prom, m.type, m.help), " ", value(s, m), "\n");
   }
-  out += "# HELP saclo_device_utilization Busy share of the fleet makespan per device.\n";
-  out += "# TYPE saclo_device_utilization gauge\n";
+  const char* name = family("saclo_device_jobs_total", "counter", "Jobs completed per device.");
   for (const DeviceSnapshot& d : s.devices) {
-    out += cat("saclo_device_utilization{device=\"", d.device, "\"} ", fixed(d.utilization, 4),
-               "\n");
+    out += cat(name, "{device=\"", d.device, "\"} ", d.jobs, "\n");
+  }
+  name = family("saclo_device_utilization", "gauge",
+                "Busy share of the fleet makespan per device.");
+  for (const DeviceSnapshot& d : s.devices) {
+    out += cat(name, "{device=\"", d.device, "\"} ", fixed(d.utilization, 4), "\n");
   }
   if (!s.tenants.empty()) {
-    out += "# HELP saclo_tenant_slo_attainment Share of a tenant's deadline jobs completed "
-           "within their SLO.\n";
-    out += "# TYPE saclo_tenant_slo_attainment gauge\n";
+    name = family("saclo_tenant_slo_attainment", "gauge",
+                  "Share of a tenant's deadline jobs completed within their SLO.");
     for (const Snapshot::TenantSnapshot& t : s.tenants) {
-      out += cat("saclo_tenant_slo_attainment{tenant=\"", prom_escape_label_value(t.tenant),
-                 "\"} ", fixed(t.slo_attainment(), 4), "\n");
+      out += cat(name, "{tenant=\"", prom_escape_label_value(t.tenant), "\"} ",
+                 fixed(t.slo_attainment(), 4), "\n");
     }
-    out += "# HELP saclo_tenant_jobs_shed_total Submissions shed per tenant.\n";
-    out += "# TYPE saclo_tenant_jobs_shed_total counter\n";
+    name = family("saclo_tenant_jobs_shed_total", "counter", "Submissions shed per tenant.");
     for (const Snapshot::TenantSnapshot& t : s.tenants) {
-      out += cat("saclo_tenant_jobs_shed_total{tenant=\"", prom_escape_label_value(t.tenant),
-                 "\"} ", t.shed, "\n");
+      out += cat(name, "{tenant=\"", prom_escape_label_value(t.tenant), "\"} ", t.shed, "\n");
     }
   }
   obs::append_prometheus_histogram(out, "saclo_job_latency_us",

@@ -1,7 +1,6 @@
 #include "serve/scheduler.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <map>
 
 #include "core/fmt.hpp"
@@ -72,6 +71,8 @@ ServeRuntime::ServeRuntime(const Options& options)
   paused_ = options_.start_paused;
   if (options_.event_log_capacity > 0) {
     event_log_ = std::make_unique<obs::EventLog>(options_.event_log_capacity);
+    metrics_.attach_event_log(event_log_.get(), &trace_clock_,
+                              static_cast<std::uint8_t>(options_.backend));
   }
   if (options_.tenant_rate_limit > 0) {
     admission_ = std::make_unique<AdmissionController>(options_.tenant_rate_limit,
@@ -163,25 +164,12 @@ void ServeRuntime::mount_telemetry() {
 
 void ServeRuntime::on_alert_transitions(const std::vector<obs::AlertTransition>& transitions,
                                         std::size_t active_count) {
-  for (const obs::AlertTransition& t : transitions) {
-    emit(t.raised ? obs::EventType::AlertRaised : obs::EventType::AlertCleared, /*job=*/0,
-         /*device=*/-1, /*attempt=*/0, static_cast<std::int64_t>(t.kind), /*t_sim_us=*/0.0);
-  }
-  metrics_.set_active_alerts(static_cast<int>(active_count));
-}
-
-void ServeRuntime::emit(obs::EventType type, std::uint64_t job, int device, int attempt,
-                        std::int64_t arg, double t_sim_us) {
-  if (event_log_ == nullptr) return;
-  event_log_->emit({type, static_cast<std::uint8_t>(options_.backend), job, device, attempt, arg,
-                    now_us(), t_sim_us});
+  metrics_.on_alerts(transitions, active_count);
 }
 
 std::future<JobResult> ServeRuntime::shed_locked(JobSpec&& spec, ShedReason reason) {
   const std::uint64_t id = next_job_id_++;
-  metrics_.on_shed(spec.tenant, reason);
-  emit(obs::EventType::JobShed, id, /*device=*/-1, /*attempt=*/0,
-       static_cast<std::int64_t>(reason), 0.0);
+  metrics_.on_shed(id, spec.tenant, reason);
   // The future resolves right here: a shed submission never hangs.
   std::promise<JobResult> promise;
   std::future<JobResult> future = promise.get_future();
@@ -230,14 +218,11 @@ std::optional<std::future<JobResult>> ServeRuntime::submit_impl(JobSpec spec, bo
   pending.spec = std::move(spec);
   const double now = now_us();
   if (serve_start_us_ < 0) serve_start_us_ = now;
-  // The events go out before mutex_ is released, so no dispatcher's
-  // job_dispatched can overtake them.
+  // Recorded before mutex_ is released, so no dispatcher's
+  // job_dispatched can overtake the submission's events.
   const SchedCore::Placement placement = core_.submit(std::move(pending), now);
   apply_locked(placement);
-  emit(obs::EventType::JobAdmitted, id, /*device=*/-1, /*attempt=*/0, frames, 0.0);
-  emit(obs::EventType::JobPlaced, id, placement.target, /*attempt=*/0,
-       static_cast<std::int64_t>(std::llround(estimate)), 0.0);
-  metrics_.on_submit(placement.target, tenant);
+  metrics_.on_submit(id, placement.target, tenant, frames, estimate);
   lock.unlock();
   work_ready_.notify_all();
   return future;
@@ -281,9 +266,7 @@ void ServeRuntime::shutdown() {
 void ServeRuntime::apply_locked(const SchedCore::Placement& placement) {
   // A published clock: no thread reads another device's timeline.
   for (int healed : placement.healed) {
-    metrics_.on_healed(healed);
-    emit(obs::EventType::DeviceHealed, /*job=*/0, healed, /*attempt=*/0, /*arg=*/0,
-         core_.slot(healed).clock_us);
+    metrics_.on_healed(healed, core_.slot(healed).clock_us);
   }
   if (placement.preempt) {
     devices_[static_cast<std::size_t>(placement.target)]->preempt_flag.store(
@@ -310,9 +293,7 @@ int ServeRuntime::scale_up() {
     throw ServeError(cat("scale_up: every slot is already active or draining (max_devices ",
                          options_.max_devices, ")"));
   }
-  metrics_.on_scale_up(device);
-  emit(obs::EventType::ScaleUp, /*job=*/0, device, /*attempt=*/0, core_.active_count(),
-       core_.slot(device).clock_us);
+  metrics_.on_scale_up(device, core_.active_count(), core_.slot(device).clock_us);
   lock.unlock();
   work_ready_.notify_all();
   return device;
@@ -333,9 +314,8 @@ int ServeRuntime::scale_down(int device) {
     apply_locked(placement);
     metrics_.on_rehomed(victim, placement.target);
   }
-  metrics_.on_drain_started(victim, static_cast<int>(rehomed.size()));
-  emit(obs::EventType::DrainStarted, /*job=*/0, victim, /*attempt=*/0,
-       static_cast<std::int64_t>(rehomed.size()), core_.slot(victim).clock_us);
+  metrics_.on_drain_started(victim, static_cast<int>(rehomed.size()),
+                            core_.slot(victim).clock_us);
   work_ready_.notify_all();  // wake the victim (to retire) and the targets
 
   drain_done_.wait(lock, [&] {
@@ -344,8 +324,6 @@ int ServeRuntime::scale_down(int device) {
   if (core_.slot(victim).state != DevState::Inactive) {
     throw ServeError("scale_down interrupted by shutdown");
   }
-  emit(obs::EventType::ScaleDown, /*job=*/0, victim, /*attempt=*/0, core_.active_count(),
-       core_.slot(victim).clock_us);
   return victim;
 }
 
@@ -402,7 +380,6 @@ std::string ServeRuntime::metrics_json() {
 
 std::string ServeRuntime::metrics_prometheus() {
   refresh_allocator_stats();
-  if (event_log_ != nullptr) metrics_.set_events_dropped(event_log_->dropped());
   return metrics_.prometheus();
 }
 
@@ -450,7 +427,7 @@ JobResult ServeRuntime::run_job(Device& dev, int index, Pending& pending, bool f
     const std::uint64_t job_id = pending.id;
     const int attempt = pending.attempts;
     on_frame = [this, gpu, job_id, attempt, index](int frame) {
-      emit(obs::EventType::FrameDone, job_id, index, attempt, frame, gpu->clock_us());
+      metrics_.on_frame_done(job_id, index, attempt, frame, gpu->clock_us());
     };
   }
 
@@ -479,7 +456,7 @@ JobResult ServeRuntime::run_job(Device& dev, int index, Pending& pending, bool f
       opts.device = options_.device;
       opts.workers = options_.workers_per_device;
       opts.rgb = spec.channels == 3;
-      opts.async_streams = options_.async_streams;
+      opts.async_streams = true;
       opts.opt_level = spec.opt_level;
       return std::make_unique<apps::GaspardDownscaler>(spec.config, opts);
     });
@@ -491,7 +468,7 @@ JobResult ServeRuntime::run_job(Device& dev, int index, Pending& pending, bool f
       opts.device = options_.device;
       opts.host = options_.host;
       opts.workers = options_.workers_per_device;
-      opts.async_streams = options_.async_streams;
+      opts.async_streams = true;
       return std::make_unique<apps::SacDownscaler>(spec.config, opts);
     });
     accumulate(driver.run_cuda_chain_on(*dev.gpu, spec.frames, spec.channels, exec, on_frame,
@@ -532,9 +509,8 @@ void ServeRuntime::dispatcher_loop(int index) {
           metrics_.set_allocator_stats(index, dev.cache->stats());
           core_.retire(index);
           dev.drain_flag.store(false, std::memory_order_relaxed);
-          metrics_.on_drain_complete(index);
-          emit(obs::EventType::DrainComplete, /*job=*/0, index, /*attempt=*/0, reclaimed,
-               dev.gpu->clock_us());
+          metrics_.on_drain_complete(index, reclaimed, core_.active_count(),
+                                     dev.gpu->clock_us());
           drain_done_.notify_all();
         }
         if (!paused_ || stopping_) {
@@ -557,9 +533,7 @@ void ServeRuntime::dispatcher_loop(int index) {
               slot.state == DevState::Active) {
             const std::vector<SchedCore::Stolen> stolen = core_.steal(index, now);
             for (const SchedCore::Stolen& s : stolen) {
-              metrics_.on_steal(s.victim, index);
-              emit(obs::EventType::JobStolen, s.id, index, s.attempts, s.victim,
-                   dev.gpu->clock_us());
+              metrics_.on_steal(s.id, s.victim, index, s.attempts, dev.gpu->clock_us());
             }
             if (!stolen.empty()) continue;  // re-run selection over the stolen work
           }
@@ -575,7 +549,6 @@ void ServeRuntime::dispatcher_loop(int index) {
         if (full || stopping_ || now >= deadline) break;
         work_ready_.wait_for(lock, Micros(deadline - now));
       }
-      metrics_.on_dispatch(index);
     }
     space_available_.notify_all();
 
@@ -596,9 +569,7 @@ void ServeRuntime::dispatcher_loop(int index) {
     const bool coalesced = batch.size() >= 2;
     const std::uint64_t batch_id = coalesced ? batch.front().id : 0;
     if (coalesced) {
-      metrics_.on_batch(index, static_cast<int>(batch.size()));
-      emit(obs::EventType::BatchFormed, batch.front().id, index, /*attempt=*/0,
-           static_cast<std::int64_t>(batch.size()), dev.gpu->clock_us());
+      metrics_.on_batch(batch_id, index, static_cast<int>(batch.size()), dev.gpu->clock_us());
     }
 
     for (std::size_t member = 0; member < batch.size(); ++member) {
@@ -607,11 +578,9 @@ void ServeRuntime::dispatcher_loop(int index) {
       const bool last = member + 1 == batch.size();
       if (member > 0) {
         locked([&] { core_.start_member(); });
-        metrics_.on_dispatch(index);
         space_available_.notify_all();
       }
-      emit(obs::EventType::JobDispatched, pending.id, index, pending.attempts, /*arg=*/0,
-           dev.gpu->clock_us());
+      metrics_.on_dispatch(pending.id, index, pending.attempts, dev.gpu->clock_us());
 
       JobResult result;
       std::exception_ptr error;
@@ -639,20 +608,19 @@ void ServeRuntime::dispatcher_loop(int index) {
         {
           std::lock_guard<std::mutex> lock(mutex_);
           const bool draining = slot.state == DevState::Draining;
-          if (!draining) {
-            ++state.preemptions;
-            emit(obs::EventType::JobPreempted, pending.id, index, pending.attempts,
-                 state.next_frame, dev.gpu->clock_us());
-          }
+          const std::uint64_t id = pending.id;
+          const int attempts = pending.attempts;
           core_.publish_clock(index, dev.gpu->clock_us());
           const double now = now_us();
           const SchedCore::Placement placement = core_.requeue(index, std::move(pending), now, now);
-          apply_locked(placement);
           if (draining) {
             metrics_.on_rehomed(index, placement.target, /*queued=*/false);
           } else {
-            metrics_.on_preempted(index, placement.target);
+            ++state.preemptions;
+            metrics_.on_preempted(id, index, placement.target, attempts, state.next_frame,
+                                  dev.gpu->clock_us());
           }
+          apply_locked(placement);
         }
         work_ready_.notify_all();
         continue;
@@ -663,14 +631,6 @@ void ServeRuntime::dispatcher_loop(int index) {
         metrics_.on_complete(index, result, dev.gpu->clock_us());
         metrics_.set_allocator_stats(index, dev.cache->stats());
         locked([&] { metrics_.set_elapsed_real_us(now_us() - serve_start_us_); });
-        if (!result.slo_met) {
-          emit(obs::EventType::DeadlineMiss, pending.id, index, pending.attempts,
-               static_cast<std::int64_t>(
-                   std::llround(result.latency_us - result.deadline_us)),
-               dev.gpu->clock_us());
-        }
-        emit(obs::EventType::JobCompleted, pending.id, index, pending.attempts,
-             pending.spec.frames, dev.gpu->clock_us());
         state.promise.set_value(std::move(result));
         finish_job(index, pending.estimate_us);
         continue;
@@ -681,15 +641,13 @@ void ServeRuntime::dispatcher_loop(int index) {
         // device starts the next job leak-free. Remaining batch members
         // never ran and simply dispatch next, here.
         const std::int64_t reclaimed = dev.cache->reclaim_live();
-        metrics_.on_device_fault(index, reclaimed);
-        metrics_.set_allocator_stats(index, dev.cache->stats());
         // Where the injector fired beats the device clock, which stops
         // at the last successful op.
         const double fault_sim_us = dev.injector != nullptr
                                         ? dev.injector->last_fault_clock_us()
                                         : dev.gpu->clock_us();
-        emit(obs::EventType::DeviceFault, pending.id, index, pending.attempts, reclaimed,
-             fault_sim_us);
+        metrics_.on_device_fault(pending.id, index, pending.attempts, reclaimed, fault_sim_us);
+        metrics_.set_allocator_stats(index, dev.cache->stats());
 
         std::optional<SchedCore::Placement> retry;
         {
@@ -698,18 +656,12 @@ void ServeRuntime::dispatcher_loop(int index) {
           const std::uint64_t id = pending.id;
           const int attempts = pending.attempts;
           const SchedCore::Fault fault = core_.fault(index, pending, now_us());
-          if (fault.newly_degraded) {
-            metrics_.on_degraded(index);
-            emit(obs::EventType::DeviceDegraded, id, index, attempts, /*arg=*/0,
-                 dev.gpu->clock_us());
-          }
+          if (fault.newly_degraded) metrics_.on_degraded(id, index, attempts, dev.gpu->clock_us());
           retry = fault.retry;
           if (retry) {
             apply_locked(*retry);
             // Source, hop and target: the merged trace's flow arrow.
-            emit(obs::EventType::Failover, id, index, attempts + 1,
-                 static_cast<std::int64_t>(retry->target), dev.gpu->clock_us());
-            metrics_.on_failover(index, retry->target);
+            metrics_.on_failover(id, index, retry->target, attempts + 1, dev.gpu->clock_us());
           }
         }
         if (retry) {
@@ -720,10 +672,8 @@ void ServeRuntime::dispatcher_loop(int index) {
 
       // Permanent failure: the retry budget is spent, or a non-fault
       // error that a retry would only repeat.
-      emit(obs::EventType::RetryExhausted, pending.id, index, pending.attempts,
-           /*arg=*/pending.attempts + 1, dev.gpu->clock_us());
+      metrics_.on_failed(pending.id, index, pending.attempts, dev.gpu->clock_us());
       state.promise.set_exception(error);
-      metrics_.on_failed(index);
       finish_job(index, pending.estimate_us);
     }
   }

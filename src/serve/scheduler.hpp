@@ -73,7 +73,6 @@ class ServeRuntime {
     /// Results are bit-exact across backends; only how op durations
     /// are produced differs.
     gpu::BackendKind backend = gpu::BackendKind::Sim;
-    bool async_streams = true;  ///< per-job double-buffered stream overlap
     /// Accept jobs but don't dispatch until resume() — deterministic
     /// placement and queue-depth tests.
     bool start_paused = false;
@@ -199,8 +198,8 @@ class ServeRuntime {
   /// The embedded telemetry server, nullptr unless telemetry_port >= 0
   /// (exposed so the alert monitor can mount endpoints on it).
   obs::TelemetryServer* telemetry() const { return telemetry_.get(); }
-  /// Alert-engine sink: records one alert_raised/alert_cleared wire
-  /// event per transition and refreshes the saclo_alerts_active gauge.
+  /// Alert-engine sink: records the transitions and the count of
+  /// firing alerts (FleetMetrics::on_alerts).
   void on_alert_transitions(const std::vector<obs::AlertTransition>& transitions,
                             std::size_t active_count);
 
@@ -242,17 +241,14 @@ class ServeRuntime {
     std::lock_guard<std::mutex> lock(mutex_);
     return f();
   }
-  /// Real microseconds since construction: the core's time axis.
+  /// Real microseconds since construction: the core's time axis (and
+  /// the event log's).
   double now_us() const { return trace_clock_.now_us(); }
-  /// Records one structured event; returns at once (no lock, no
-  /// allocation) when the event log is disabled.
-  void emit(obs::EventType type, std::uint64_t job, int device, int attempt, std::int64_t arg,
-            double t_sim_us);
 
   Options options_;
-  FleetMetrics metrics_;
   obs::TraceClock trace_clock_;
   std::unique_ptr<obs::EventLog> event_log_;
+  FleetMetrics metrics_;  // after the log and clock it records into
   std::unique_ptr<AdmissionController> admission_;  // guarded by mutex_
   std::vector<std::unique_ptr<Device>> devices_;
 

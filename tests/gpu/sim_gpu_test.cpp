@@ -75,9 +75,9 @@ TEST(CudaRuntimeTest, RoundTripsArrays) {
   VirtualGpu gpu(gtx480(), 1);
   cuda::Runtime rt(gpu);
   const IntArray host = IntArray::generate(Shape{4, 4}, [](const Index& i) { return i[0] - i[1]; });
-  auto dev = rt.device_alloc<std::int64_t>(host.shape());
-  rt.host2device(dev, host);
-  const IntArray back = rt.device2host(dev);
+  auto dev = rt.device_alloc_for_overwrite<std::int32_t>(host.shape());
+  rt.host2device_frame(dev, host);
+  const IntArray back = rt.device2host_frame(dev);
   EXPECT_EQ(back, host);
   EXPECT_GT(gpu.profiler().us_for(cuda::Runtime::kHtoDOp), 0.0);
   EXPECT_GT(gpu.profiler().us_for(cuda::Runtime::kDtoHOp), 0.0);
@@ -87,11 +87,12 @@ TEST(OpenClRuntimeTest, EnqueuesBuffersAndKernels) {
   VirtualGpu gpu(gtx480(), 1);
   opencl::CommandQueue q(gpu);
   const IntArray host = IntArray::generate(Shape{8}, [](const Index& i) { return 2 * i[0]; });
-  opencl::Buffer in = q.create_buffer_for<std::int64_t>(host.shape());
-  opencl::Buffer out = q.create_buffer_for<std::int64_t>(host.shape());
-  q.enqueue_write_buffer(in, host);
-  auto in_v = in.view<std::int64_t>();
-  auto out_v = out.view<std::int64_t>();
+  const std::int64_t bytes = host.shape().elements() * 4;  // 32-bit device pixels
+  opencl::Buffer in = q.create_buffer_for_overwrite(bytes);
+  opencl::Buffer out = q.create_buffer_for_overwrite(bytes);
+  q.enqueue_write_frame(in, host);
+  auto in_v = in.view<std::int32_t>();
+  auto out_v = out.view<std::int32_t>();
   KernelLaunch k;
   k.name = "copy_scale";
   k.threads = 8;
@@ -101,8 +102,7 @@ TEST(OpenClRuntimeTest, EnqueuesBuffersAndKernels) {
     }
   };
   q.enqueue_ndrange(k);
-  IntArray back(host.shape());
-  q.enqueue_read_buffer(back, out);
+  const IntArray back = q.enqueue_read_frame(out, host.shape());
   for (std::int64_t i = 0; i < 8; ++i) EXPECT_EQ(back[i], 6 * i);
 }
 

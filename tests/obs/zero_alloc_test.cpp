@@ -23,6 +23,7 @@
 #include "obs/events.hpp"
 #include "obs/histogram.hpp"
 #include "obs/telemetry.hpp"
+#include "obs/trace.hpp"
 #include "serve/metrics.hpp"
 
 namespace {
@@ -85,25 +86,51 @@ TEST(ZeroAllocTest, EventLogEmitDoesNotAllocate) {
             0u);
 }
 
-TEST(ZeroAllocTest, MetricsRecordingDoesNotAllocate) {
-  // The former per-job latency vectors re-allocated as they grew; the
-  // histogram-backed registry must not allocate per completed job.
-  serve::FleetMetrics metrics(2);
+/// One job's transitions as the runtime records them: submit,
+/// dispatch, a frame and a completion past its deadline.
+void record_job(serve::FleetMetrics& metrics, const serve::JobResult& result, int i) {
+  metrics.on_submit(result.id, 0, result.tenant, result.frames, 1000.0);
+  metrics.on_dispatch(result.id, 0, 0, 1000.0 * i);
+  metrics.on_frame_done(result.id, 0, 0, 0, 1000.0 * i);
+  metrics.on_complete(0, result, 1000.0 * (i + 1));
+}
+
+serve::JobResult late_job() {
   serve::JobResult result;
+  result.id = 7;
+  result.tenant = "gold";
   result.frames = 4;
   result.sim_wall_us = 1000.0;
   result.latency_us = 2000.0;
-  metrics.on_submit(0);
-  metrics.on_dispatch(0);
-  metrics.on_complete(0, result, 1000.0);  // warm any lazy lock state
+  result.deadline_us = 1500.0;
+  result.slo_met = false;
+  return result;
+}
+
+TEST(ZeroAllocTest, MetricsRecordingDoesNotAllocate) {
+  // The former per-job latency vectors re-allocated as they grew; the
+  // histogram-backed registry must not allocate per completed job,
+  // with or without an event log attached (the log's ring fills and
+  // then drops, both without allocating).
+  const serve::JobResult result = late_job();
+  serve::FleetMetrics metrics(2);
+  record_job(metrics, result, 0);  // warm any lazy lock state and the tenant entry
   EXPECT_EQ(allocations_of([&] {
-              for (int i = 0; i < 200; ++i) {
-                metrics.on_submit(0);
-                metrics.on_dispatch(0);
-                metrics.on_complete(0, result, 1000.0 * i);
-              }
+              for (int i = 0; i < 200; ++i) record_job(metrics, result, i);
             }),
             0u);
+
+  serve::FleetMetrics logged(2);
+  obs::EventLog log(512);
+  obs::TraceClock clock;
+  logged.attach_event_log(&log, &clock, 0);
+  record_job(logged, result, 0);
+  EXPECT_EQ(allocations_of([&] {
+              for (int i = 0; i < 200; ++i) record_job(logged, result, i);
+            }),
+            0u);
+  EXPECT_EQ(log.recorded(), 512u);
+  EXPECT_GT(log.dropped(), 0u);
 }
 
 TEST(ZeroAllocTest, RecordingStaysFreeWhileTelemetryIsScraped) {
@@ -114,6 +141,8 @@ TEST(ZeroAllocTest, RecordingStaysFreeWhileTelemetryIsScraped) {
   // its own dime.
   serve::FleetMetrics metrics(1);
   obs::EventLog log(1024);
+  obs::TraceClock clock;
+  metrics.attach_event_log(&log, &clock, 0);
   obs::TelemetryServer server(0);
   server.handle("/metrics", [&](const obs::HttpRequest&) {
     return obs::HttpResponse{200, "text/plain; version=0.0.4; charset=utf-8",
@@ -141,22 +170,10 @@ TEST(ZeroAllocTest, RecordingStaysFreeWhileTelemetryIsScraped) {
     }
   });
 
-  serve::JobResult result;
-  result.frames = 4;
-  result.sim_wall_us = 1000.0;
-  result.latency_us = 2000.0;
-  obs::Event e;
-  e.type = obs::EventType::FrameDone;
-  metrics.on_submit(0);
-  metrics.on_dispatch(0);
-  metrics.on_complete(0, result, 1000.0);  // warm lazy state before counting
+  const serve::JobResult result = late_job();
+  record_job(metrics, result, 0);  // warm lazy state before counting
   EXPECT_EQ(allocations_of([&] {
-              for (int i = 0; i < 500; ++i) {
-                metrics.on_submit(0);
-                metrics.on_dispatch(0);
-                metrics.on_complete(0, result, 1000.0 * i);
-                log.emit(e);
-              }
+              for (int i = 0; i < 500; ++i) record_job(metrics, result, i);
             }),
             0u);
   // Let at least one scrape land before shutting down, so the loop

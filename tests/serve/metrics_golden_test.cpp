@@ -11,7 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdio>
 #include <regex>
 #include <set>
@@ -20,6 +19,7 @@
 
 #include "obs/alerts.hpp"
 #include "obs/events.hpp"
+#include "obs/trace.hpp"
 #include "serve/metrics.hpp"
 #include "support/mini_json.hpp"
 
@@ -48,97 +48,12 @@ JobResult done(std::uint64_t id, int device, int attempts, const char* tenant, P
   return r;
 }
 
-/// The fleet under script: each transition records its counters and
-/// its wire event(s) the way the serving runtime does.
+/// The fleet under script, its event log attached.
 struct ScriptedFleet {
-  FleetMetrics m{3};
   obs::EventLog log{kEventCapacity};
-
-  void event(EventType type, std::uint64_t job, int device, int attempt, std::int64_t arg,
-             double t_sim_us) {
-    log.emit({type, 0, job, device, attempt, arg, 0.0, t_sim_us});
-  }
-  void submit(std::uint64_t job, int device, const std::string& tenant, int frames,
-              double estimate_us) {
-    event(EventType::JobAdmitted, job, -1, 0, frames, 0.0);
-    event(EventType::JobPlaced, job, device, 0, std::llround(estimate_us), 0.0);
-    m.on_submit(device, tenant);
-  }
-  void dispatch(std::uint64_t job, int device, int attempt, double t_sim_us) {
-    m.on_dispatch(device);
-    event(EventType::JobDispatched, job, device, attempt, 0, t_sim_us);
-  }
-  void frame(std::uint64_t job, int device, int attempt, int index, double t_sim_us) {
-    event(EventType::FrameDone, job, device, attempt, index, t_sim_us);
-  }
-  void complete(const JobResult& r, double sim_clock_us) {
-    m.on_complete(r.device, r, sim_clock_us);
-    if (!r.slo_met) {
-      event(EventType::DeadlineMiss, r.id, r.device, r.attempts,
-            std::llround(r.latency_us - r.deadline_us), sim_clock_us);
-    }
-    event(EventType::JobCompleted, r.id, r.device, r.attempts, r.frames, sim_clock_us);
-  }
-  void steal(std::uint64_t job, int from, int to, int attempt, double t_sim_us) {
-    m.on_steal(from, to);
-    event(EventType::JobStolen, job, to, attempt, from, t_sim_us);
-  }
-  void device_fault(std::uint64_t job, int device, int attempt, std::int64_t reclaimed,
-                    double t_sim_us) {
-    m.on_device_fault(device, reclaimed);
-    event(EventType::DeviceFault, job, device, attempt, reclaimed, t_sim_us);
-  }
-  void degraded(std::uint64_t job, int device, int attempt, double t_sim_us) {
-    m.on_degraded(device);
-    event(EventType::DeviceDegraded, job, device, attempt, 0, t_sim_us);
-  }
-  void failover(std::uint64_t job, int from, int to, int attempt, double t_sim_us) {
-    event(EventType::Failover, job, from, attempt, to, t_sim_us);
-    m.on_failover(from, to);
-  }
-  void failed(std::uint64_t job, int device, int attempt, double t_sim_us) {
-    event(EventType::RetryExhausted, job, device, attempt, attempt + 1, t_sim_us);
-    m.on_failed(device);
-  }
-  void healed(int device, double t_sim_us) {
-    m.on_healed(device);
-    event(EventType::DeviceHealed, 0, device, 0, 0, t_sim_us);
-  }
-  void batch(std::uint64_t leader, int device, int size, double t_sim_us) {
-    m.on_batch(device, size);
-    event(EventType::BatchFormed, leader, device, 0, size, t_sim_us);
-  }
-  void preempted(std::uint64_t job, int from, int to, int attempt, int next_frame,
-                 double t_sim_us) {
-    event(EventType::JobPreempted, job, from, attempt, next_frame, t_sim_us);
-    m.on_preempted(from, to);
-  }
-  void shed(std::uint64_t job, const std::string& tenant, ShedReason reason) {
-    m.on_shed(tenant, reason);
-    event(EventType::JobShed, job, -1, 0, static_cast<std::int64_t>(reason), 0.0);
-  }
-  void scale_up(int device, int active_after, double t_sim_us) {
-    m.on_scale_up(device);
-    event(EventType::ScaleUp, 0, device, 0, active_after, t_sim_us);
-  }
-  void drain_started(int device, int rehomed, double t_sim_us) {
-    m.on_drain_started(device, rehomed);
-    event(EventType::DrainStarted, 0, device, 0, rehomed, t_sim_us);
-  }
-  void drain_complete(int device, std::int64_t reclaimed, int active_after, double t_sim_us) {
-    m.on_drain_complete(device);
-    event(EventType::DrainComplete, 0, device, 0, reclaimed, t_sim_us);
-    event(EventType::ScaleDown, 0, device, 0, active_after, t_sim_us);
-  }
-  void alert(obs::AlertKind kind, bool raised, int active_after) {
-    event(raised ? EventType::AlertRaised : EventType::AlertCleared, 0, -1, 0,
-          static_cast<std::int64_t>(kind), 0.0);
-    m.set_active_alerts(active_after);
-  }
-  std::string prometheus() {
-    m.set_events_dropped(log.dropped());
-    return m.prometheus();
-  }
+  obs::TraceClock clock;
+  FleetMetrics m{3};
+  ScriptedFleet() { m.attach_event_log(&log, &clock, 0); }
 };
 
 void run_script(ScriptedFleet& f) {
@@ -146,85 +61,92 @@ void run_script(ScriptedFleet& f) {
   f.m.set_active(2, false);  // a spare elastic slot
 
   // Job 1 (gold) runs on device 0 and meets its deadline.
-  f.submit(1, 0, "gold", 2, 480.0);
-  f.dispatch(1, 0, 0, 0.0);
-  f.frame(1, 0, 0, 0, 250.0);
-  f.frame(1, 0, 0, 1, 500.0);
-  f.complete(done(1, 0, 0, "gold", Priority::High, 2, 500.0, 900.0, 1000.0), 500.0);
+  f.m.on_submit(1, 0, "gold", 2, 480.0);
+  f.m.on_dispatch(1, 0, 0, 0.0);
+  f.m.on_frame_done(1, 0, 0, 0, 250.0);
+  f.m.on_frame_done(1, 0, 0, 1, 500.0);
+  f.m.on_complete(0, done(1, 0, 0, "gold", Priority::High, 2, 500.0, 900.0, 1000.0), 500.0);
 
   // Jobs 2 and 3 (free) queue on device 1; idle device 0 steals job 3.
-  f.submit(2, 1, "free", 4, 960.0);
-  f.submit(3, 1, "free", 2, 480.0);
-  f.steal(3, 1, 0, 0, 500.0);
-  f.dispatch(2, 1, 0, 0.0);
-  f.dispatch(3, 0, 0, 500.0);
+  f.m.on_submit(2, 1, "free", 4, 960.0);
+  f.m.on_submit(3, 1, "free", 2, 480.0);
+  f.m.on_steal(3, 1, 0, 0, 500.0);
+  f.m.on_dispatch(2, 1, 0, 0.0);
+  f.m.on_dispatch(3, 0, 0, 500.0);
 
   // Job 2 faults on device 1, which degrades; it fails over to device 0.
-  f.device_fault(2, 1, 0, 3, 120.5);
-  f.degraded(2, 1, 0, 120.0);
-  f.failover(2, 1, 0, 1, 120.0);
+  f.m.on_device_fault(2, 1, 0, 3, 120.5);
+  f.m.on_degraded(2, 1, 0, 120.0);
+  f.m.on_failover(2, 1, 0, 1, 120.0);
 
   // Job 3 completes on device 0 past its deadline.
-  f.frame(3, 0, 0, 0, 750.0);
-  f.complete(done(3, 0, 0, "free", Priority::Low, 2, 500.0, 2500.0, 1000.0), 1000.0);
+  f.m.on_frame_done(3, 0, 0, 0, 750.0);
+  f.m.on_complete(0, done(3, 0, 0, "free", Priority::Low, 2, 500.0, 2500.0, 1000.0), 1000.0);
 
   // Job 2 faults again on device 0, retries there, and exhausts its budget.
-  f.dispatch(2, 0, 1, 1000.0);
-  f.device_fault(2, 0, 1, 0, 1100.0);
-  f.failover(2, 0, 0, 2, 1100.0);
-  f.dispatch(2, 0, 2, 1100.0);
-  f.device_fault(2, 0, 2, 1, 1150.0);
-  f.failed(2, 0, 2, 1150.0);
+  f.m.on_dispatch(2, 0, 1, 1000.0);
+  f.m.on_device_fault(2, 0, 1, 0, 1100.0);
+  f.m.on_failover(2, 0, 0, 2, 1100.0);
+  f.m.on_dispatch(2, 0, 2, 1100.0);
+  f.m.on_device_fault(2, 0, 2, 1, 1150.0);
+  f.m.on_failed(2, 0, 2, 1150.0);
 
   // Device 1's cooldown elapses on the next placement.
-  f.healed(1, 120.0);
+  f.m.on_healed(1, 120.0);
 
   // Jobs 4 and 5 (gold) coalesce into one batch on device 1.
-  f.submit(4, 1, "gold", 2, 480.0);
-  f.submit(5, 1, "gold", 2, 480.0);
-  f.batch(4, 1, 2, 120.0);
-  f.dispatch(4, 1, 0, 120.0);
-  f.complete(done(4, 1, 0, "gold", Priority::High, 2, 450.0, 1200.0, 2000.0), 570.0);
-  f.dispatch(5, 1, 0, 570.0);
-  f.complete(done(5, 1, 0, "gold", Priority::High, 2, 450.0, 1600.0, 2000.0), 1020.0);
+  f.m.on_submit(4, 1, "gold", 2, 480.0);
+  f.m.on_submit(5, 1, "gold", 2, 480.0);
+  f.m.on_batch(4, 1, 2, 120.0);
+  f.m.on_dispatch(4, 1, 0, 120.0);
+  f.m.on_complete(1, done(4, 1, 0, "gold", Priority::High, 2, 450.0, 1200.0, 2000.0), 570.0);
+  f.m.on_dispatch(5, 1, 0, 570.0);
+  f.m.on_complete(1, done(5, 1, 0, "gold", Priority::High, 2, 450.0, 1600.0, 2000.0), 1020.0);
 
   // Job 6 (free) is preempted on device 0 after one frame and resumes
   // on device 1.
-  f.submit(6, 0, "free", 3, 720.0);
-  f.dispatch(6, 0, 0, 1150.0);
-  f.frame(6, 0, 0, 0, 1390.0);
-  f.preempted(6, 0, 1, 0, 1, 1390.0);
-  f.dispatch(6, 1, 0, 1020.0);
-  f.complete(done(6, 1, 0, "free", Priority::Normal, 3, 480.0, 3300.0), 1500.0);
+  f.m.on_submit(6, 0, "free", 3, 720.0);
+  f.m.on_dispatch(6, 0, 0, 1150.0);
+  f.m.on_frame_done(6, 0, 0, 0, 1390.0);
+  f.m.on_preempted(6, 0, 1, 0, 1, 1390.0);
+  f.m.on_dispatch(6, 1, 0, 1020.0);
+  f.m.on_complete(1, done(6, 1, 0, "free", Priority::Normal, 3, 480.0, 3300.0), 1500.0);
 
   // Admission sheds one submission of each tenant.
-  f.shed(7, "free", ShedReason::RateLimited);
-  f.shed(8, "gold", ShedReason::QueueFull);
+  f.m.on_shed(7, "free", ShedReason::RateLimited);
+  f.m.on_shed(8, "gold", ShedReason::QueueFull);
 
   // The autoscaler activates slot 2, then drains device 1: queued job
   // 9 re-homes onto slot 2, running job 10 onto device 0.
-  f.scale_up(2, 3, 0.0);
-  f.submit(9, 1, "gold", 2, 480.0);
-  f.submit(10, 1, "free", 4, 960.0);
-  f.dispatch(10, 1, 0, 1500.0);
-  f.drain_started(1, 1, 1500.0);
+  f.m.on_scale_up(2, 3, 0.0);
+  f.m.on_submit(9, 1, "gold", 2, 480.0);
+  f.m.on_submit(10, 1, "free", 4, 960.0);
+  f.m.on_dispatch(10, 1, 0, 1500.0);
+  f.m.on_drain_started(1, 1, 1500.0);
   f.m.on_rehomed(1, 2);
   f.m.on_rehomed(1, 0, /*queued=*/false);
-  f.drain_complete(1, 0, 2, 1740.0);
-  f.dispatch(9, 2, 0, 0.0);
-  f.complete(done(9, 2, 0, "gold", Priority::High, 2, 480.0, 4000.0, 5000.0), 480.0);
+  f.m.on_drain_complete(1, 0, 2, 1740.0);
+  f.m.on_dispatch(9, 2, 0, 0.0);
+  f.m.on_complete(2, done(9, 2, 0, "gold", Priority::High, 2, 480.0, 4000.0, 5000.0), 480.0);
 
   // The alert engine raises two alerts and clears one.
-  f.alert(obs::AlertKind::SloBurnRate, true, 1);
-  f.alert(obs::AlertKind::QueueSaturation, true, 2);
-  f.alert(obs::AlertKind::QueueSaturation, false, 1);
+  const auto alert = [](obs::AlertKind kind, bool raised) {
+    obs::AlertTransition t;
+    t.kind = kind;
+    t.raised = raised;
+    return t;
+  };
+  f.m.on_alerts(
+      {alert(obs::AlertKind::SloBurnRate, true), alert(obs::AlertKind::QueueSaturation, true)},
+      2);
+  f.m.on_alerts({alert(obs::AlertKind::QueueSaturation, false)}, 1);
 
   // Job 10 finishes on device 0; the ring is full by now, so its
   // dispatch, its last frames and its completion are counted as dropped.
-  f.dispatch(10, 0, 0, 1390.0);
-  f.frame(10, 0, 0, 2, 1630.0);
-  f.frame(10, 0, 0, 3, 1870.0);
-  f.complete(done(10, 0, 0, "free", Priority::Normal, 4, 480.0, 5200.0), 1870.0);
+  f.m.on_dispatch(10, 0, 0, 1390.0);
+  f.m.on_frame_done(10, 0, 0, 2, 1630.0);
+  f.m.on_frame_done(10, 0, 0, 3, 1870.0);
+  f.m.on_complete(0, done(10, 0, 0, "free", Priority::Normal, 4, 480.0, 5200.0), 1870.0);
 
   CachingDeviceAllocator::Stats alloc;
   alloc.hits = 12;
@@ -768,7 +690,7 @@ TEST(FleetTelemetryGoldenTest, ScriptedTransitionsPinEveryExport) {
   const FleetMetrics::Snapshot s = fleet.m.snapshot();
   EXPECT_EQ(s.jobs_completed + s.jobs_failed + s.jobs_shed, s.jobs_submitted);
 
-  EXPECT_EQ(prom_lines(fleet.prometheus()), prom_lines(kPrometheus));
+  EXPECT_EQ(prom_lines(fleet.m.prometheus()), prom_lines(kPrometheus));
   EXPECT_EQ(canonical_json(fleet.m.json()), canonical_json(kJson));
   EXPECT_EQ(mask_report(fleet.m.report()), kReport);
   EXPECT_EQ(mask_events(fleet.log.jsonl()), kEvents);
@@ -781,7 +703,7 @@ TEST(FleetTelemetryGoldenTest, ScriptReachesEveryEventTypeAndCounter) {
   for (const obs::Event& e : fleet.log.snapshot()) seen.insert(e.type);
   EXPECT_EQ(seen.size(), static_cast<std::size_t>(EventType::AlertCleared) + 1);
   // Every unlabelled fleet counter moved (events_dropped included).
-  for (const std::string& line : prom_lines(fleet.prometheus())) {
+  for (const std::string& line : prom_lines(fleet.m.prometheus())) {
     if (line[0] == '#' || line.find('{') != std::string::npos) continue;
     const std::string name = line.substr(0, line.find(' '));
     if (name.size() < 6 || name.compare(name.size() - 6, 6, "_total") != 0) continue;

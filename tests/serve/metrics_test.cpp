@@ -33,15 +33,16 @@ JobResult job(int frames, double sim_us, double latency_us) {
   r.frames = frames;
   r.sim_wall_us = sim_us;
   r.latency_us = latency_us;
+  r.tenant = "default";
   return r;
 }
 
 TEST(FleetMetricsTest, TracksQueueDepthHighWater) {
   FleetMetrics m(2);
-  m.on_submit(0);
-  m.on_submit(0);
-  m.on_submit(0);
-  m.on_dispatch(0);
+  m.on_submit(1, 0, "default", 1, 0);
+  m.on_submit(1, 0, "default", 1, 0);
+  m.on_submit(1, 0, "default", 1, 0);
+  m.on_dispatch(1, 0, 0, 0);
   const FleetMetrics::Snapshot s = m.snapshot();
   EXPECT_EQ(s.devices[0].queue_depth, 2);
   EXPECT_EQ(s.devices[0].max_queue_depth, 3);
@@ -53,14 +54,14 @@ TEST(FleetMetricsTest, ComputesUtilizationAgainstFleetMakespan) {
   FleetMetrics m(2);
   // Device 0 runs two jobs to a sim clock of 1000us; device 1 one job
   // to 500us. Makespan is 1000us, so utilizations are 1.0 and 0.5.
-  m.on_submit(0);
-  m.on_dispatch(0);
+  m.on_submit(1, 0, "default", 1, 0);
+  m.on_dispatch(1, 0, 0, 0);
   m.on_complete(0, job(4, 400.0, 900.0), 400.0);
-  m.on_submit(0);
-  m.on_dispatch(0);
+  m.on_submit(1, 0, "default", 1, 0);
+  m.on_dispatch(1, 0, 0, 0);
   m.on_complete(0, job(4, 600.0, 1100.0), 1000.0);
-  m.on_submit(1);
-  m.on_dispatch(1);
+  m.on_submit(1, 1, "default", 1, 0);
+  m.on_dispatch(1, 1, 0, 0);
   m.on_complete(1, job(4, 500.0, 800.0), 500.0);
 
   const FleetMetrics::Snapshot s = m.snapshot();
@@ -83,9 +84,9 @@ TEST(FleetMetricsTest, ComputesUtilizationAgainstFleetMakespan) {
 
 TEST(FleetMetricsTest, CountsFailedJobsSeparately) {
   FleetMetrics m(1);
-  m.on_submit(0);
-  m.on_dispatch(0);
-  m.on_failed(0);
+  m.on_submit(1, 0, "default", 1, 0);
+  m.on_dispatch(1, 0, 0, 0);
+  m.on_failed(1, 0, 0, 0);
   const FleetMetrics::Snapshot s = m.snapshot();
   EXPECT_EQ(s.jobs_submitted, 1);
   EXPECT_EQ(s.jobs_completed, 0);
@@ -95,8 +96,8 @@ TEST(FleetMetricsTest, CountsFailedJobsSeparately) {
 
 TEST(FleetMetricsTest, JsonExportParsesAndCarriesTheNumbers) {
   FleetMetrics m(2);
-  m.on_submit(0);
-  m.on_dispatch(0);
+  m.on_submit(1, 0, "default", 1, 0);
+  m.on_dispatch(1, 0, 0, 0);
   m.on_complete(0, job(8, 250.0, 470.0), 250.0);
   m.set_elapsed_real_us(1000.0);
   CachingDeviceAllocator::Stats alloc;
@@ -129,8 +130,8 @@ TEST(FleetMetricsTest, JsonPercentilesStayInsideTheirPrometheusBucket) {
   // must still fall at or below the le that counts the sample.
   const double top = obs::LogHistogram::upper_bound(53);
   FleetMetrics m(1);
-  m.on_submit(0);
-  m.on_dispatch(0);
+  m.on_submit(1, 0, "default", 1, 0);
+  m.on_dispatch(1, 0, 0, 0);
   m.on_complete(0, job(1, 10.0, top), 10.0);
 
   const double p95 = parse_json(m.json()).at("latency_real_us").at("p95").number;
@@ -147,9 +148,9 @@ TEST(FleetMetricsTest, FailedJobsAreAttributedToTheirDevice) {
   // Regression: on_failed() used to bump only the fleet total, so the
   // per-device rows could not show where jobs were dying.
   FleetMetrics m(2);
-  m.on_submit(1);
-  m.on_dispatch(1);
-  m.on_failed(1);
+  m.on_submit(1, 1, "default", 1, 0);
+  m.on_dispatch(1, 1, 0, 0);
+  m.on_failed(1, 1, 0, 0);
   const FleetMetrics::Snapshot s = m.snapshot();
   EXPECT_EQ(s.jobs_failed, 1);
   EXPECT_EQ(s.devices[0].jobs_failed, 0);
@@ -167,13 +168,13 @@ TEST(FleetMetricsTest, HealthSectionGoldenKeysAndCounters) {
   // one failover onto device 0, a same-device retry, and a degrade /
   // heal cycle.
   FleetMetrics m(2);
-  m.on_submit(1);
-  m.on_dispatch(1);
-  m.on_device_fault(1, /*reclaimed_blocks=*/3);
-  m.on_degraded(1);
-  m.on_failover(/*from=*/1, /*to=*/0);   // counts a retry AND a failover
-  m.on_failover(/*from=*/0, /*to=*/0);   // same device: retry only
-  m.on_device_fault(0);
+  m.on_submit(1, 1, "default", 1, 0);
+  m.on_dispatch(1, 1, 0, 0);
+  m.on_device_fault(1, 1, 0, /*reclaimed_blocks=*/3, 0);
+  m.on_degraded(1, 1, 0, 0);
+  m.on_failover(1, /*from=*/1, /*to=*/0, 1, 0);  // counts a retry AND a failover
+  m.on_failover(1, /*from=*/0, /*to=*/0, 1, 0);  // same device: retry only
+  m.on_device_fault(1, 0, 0, 0, 0);
 
   const Json root = parse_json(m.json());
   ASSERT_TRUE(root.has("health"));
@@ -195,7 +196,7 @@ TEST(FleetMetricsTest, HealthSectionGoldenKeysAndCounters) {
   EXPECT_FALSE(root.at("per_device").array[0].at("degraded").boolean);
 
   // Healing stops the degraded clock and clears the flag.
-  m.on_healed(1);
+  m.on_healed(1, 0);
   const FleetMetrics::Snapshot healed = m.snapshot();
   EXPECT_EQ(healed.degraded_devices, 0);
   EXPECT_FALSE(healed.devices[1].degraded);
@@ -214,8 +215,8 @@ TEST(FleetMetricsTest, SchedulingAndTenantSectionsGolden) {
   // the free tenant, one preemption and one steal.
   FleetMetrics m(2);
 
-  m.on_submit(0, "gold");
-  m.on_dispatch(0);
+  m.on_submit(1, 0, "gold", 1, 0);
+  m.on_dispatch(1, 0, 0, 0);
   JobResult hit = job(2, 500.0, 900.0);
   hit.tenant = "gold";
   hit.priority = Priority::High;
@@ -223,11 +224,11 @@ TEST(FleetMetricsTest, SchedulingAndTenantSectionsGolden) {
   hit.slo_met = true;
   m.on_complete(0, hit, 500.0);
 
-  m.on_submit(0, "gold");
-  m.on_dispatch(0);
-  m.on_preempted(/*from=*/0, /*to=*/1);  // displaced to device 1's queue
-  m.on_steal(/*from=*/1, /*to=*/0);      // ... and stolen right back
-  m.on_dispatch(0);
+  m.on_submit(1, 0, "gold", 1, 0);
+  m.on_dispatch(1, 0, 0, 0);
+  m.on_preempted(1, /*from=*/0, /*to=*/1, 0, 1, 0);  // displaced to device 1's queue
+  m.on_steal(1, /*from=*/1, /*to=*/0, 0, 0);         // ... and stolen right back
+  m.on_dispatch(1, 0, 0, 0);
   JobResult miss = job(2, 500.0, 2500.0);
   miss.tenant = "gold";
   miss.priority = Priority::High;
@@ -235,7 +236,7 @@ TEST(FleetMetricsTest, SchedulingAndTenantSectionsGolden) {
   miss.slo_met = false;
   m.on_complete(0, miss, 1000.0);
 
-  m.on_shed("free", ShedReason::RateLimited);
+  m.on_shed(1, "free", ShedReason::RateLimited);
 
   const FleetMetrics::Snapshot s = m.snapshot();
   EXPECT_EQ(s.jobs_shed, 1);
@@ -312,22 +313,22 @@ TEST(FleetMetricsTest, AutoscaleSectionGolden) {
   FleetMetrics m(3);
   m.set_active(2, false);
 
-  m.on_submit(0);
-  m.on_submit(1);
-  m.on_submit(1);
+  m.on_submit(1, 0, "default", 1, 0);
+  m.on_submit(1, 1, "default", 1, 0);
+  m.on_submit(1, 1, "default", 1, 0);
 
   m.set_active(2, true);
-  m.on_scale_up(2);
+  m.on_scale_up(2, 3, 0);
 
   // Drain device 1: the queued job re-homes through the scale-down
   // path (queued=true moves the queue-depth gauge)...
-  m.on_drain_started(1, /*rehomed=*/1);
+  m.on_drain_started(1, /*rehomed=*/1, 0);
   m.on_rehomed(1, 0);
   // ...and its running job stops at the frame gate and re-homes with
   // queued=false (it had already left the queue gauge at dispatch).
-  m.on_dispatch(1);
+  m.on_dispatch(1, 1, 0, 0);
   m.on_rehomed(1, 2, /*queued=*/false);
-  m.on_drain_complete(1);
+  m.on_drain_complete(1, 0, 2, 0);
   m.set_active(1, false);
 
   CachingDeviceAllocator::Stats alloc;
@@ -404,7 +405,7 @@ TEST(FleetMetricsTest, HostileTenantNameCannotBreakTheExposition) {
   // quotes; quotes/backslashes/newlines must come out escaped, never
   // raw (a raw newline would split the series into a bogus line).
   FleetMetrics m(1);
-  m.on_shed("evil\"t\\en\nant", ShedReason::RateLimited);
+  m.on_shed(1, "evil\"t\\en\nant", ShedReason::RateLimited);
   const std::string prom = m.prometheus();
   EXPECT_NE(prom.find("tenant=\"evil\\\"t\\\\en\\nant\""), std::string::npos)
       << prom;
@@ -435,8 +436,12 @@ TEST(FleetMetricsTest, EventsDroppedAndActiveAlertsSurface) {
   std::string prom = m.prometheus();
   EXPECT_NE(prom.find("saclo_events_dropped_total 0"), std::string::npos);
   EXPECT_NE(prom.find("saclo_alerts_active 0"), std::string::npos);
-  m.set_events_dropped(17);
-  m.set_active_alerts(2);
+  // Drops are read from the attached log at snapshot time.
+  obs::EventLog log(1);
+  obs::TraceClock clock;
+  m.attach_event_log(&log, &clock, 0);
+  for (int frame = 0; frame < 18; ++frame) m.on_frame_done(1, 0, 0, frame, 0);
+  m.on_alerts({}, 2);
   prom = m.prometheus();
   EXPECT_NE(prom.find("saclo_events_dropped_total 17"), std::string::npos);
   EXPECT_NE(prom.find("saclo_alerts_active 2"), std::string::npos);
@@ -457,7 +462,7 @@ TEST(FleetMetricsTest, ControlBytesInTenantKeepTheJsonStrict) {
   // a strict parser rejects raw control bytes inside strings.
   const std::string hostile = "ev\til\r\x01";
   FleetMetrics m(1);
-  m.on_shed(hostile, ShedReason::RateLimited);
+  m.on_shed(1, hostile, ShedReason::RateLimited);
   const Json root = parse_json(m.json());
   ASSERT_EQ(root.at("tenants").array.size(), 1u);
   EXPECT_EQ(root.at("tenants").array[0].at("tenant").string, hostile);

@@ -6,7 +6,7 @@
 //   saclo-serve [--devices N] [--jobs M] [--route sacng|sacg|gaspard|mixed]
 //               [--backend sim|host]
 //               [--frames F] [--exec-frames E] [--height H] [--width W]
-//               [--queue-capacity Q] [--sync-streams]
+//               [--queue-capacity Q]
 //               [--opt-level L] [--batch-max N] [--batch-wait-ms T]
 //               [--policy fifo|priority|edf] [--no-preemption]
 //               [--work-stealing] [--shed-on-full]
@@ -124,7 +124,7 @@ int usage() {
                "                   [--route sacng|sacg|gaspard|mixed] [--frames F]\n"
                "                   [--backend sim|host]\n"
                "                   [--exec-frames E] [--height H] [--width W]\n"
-               "                   [--queue-capacity Q] [--sync-streams]\n"
+               "                   [--queue-capacity Q]\n"
                "                   [--opt-level L] [--batch-max N] [--batch-wait-ms T]\n"
                "                   [--policy fifo|priority|edf] [--no-preemption]\n"
                "                   [--work-stealing] [--shed-on-full]\n"
@@ -205,7 +205,6 @@ int usage() {
                "                 after the sinks are written (final scrapes)\n"
                "  --alerts       run the SLO burn-rate alert engine (adds /alerts\n"
                "                 with --telemetry-port)\n"
-               "  --alert-interval-ms T  alert sampling period (default 25)\n"
                "  --alerts-out FILE  write the JSONL alert log (implies --alerts)\n"
                "  --analyze      print the trace critical-path attribution after\n"
                "                 the run (compute/transfer/queue-wait/stalls per\n"
@@ -286,8 +285,6 @@ int main(int argc, char** argv) try {
   std::size_t events_capacity = 65536;
   double telemetry_linger_ms = 0;
   bool alerts = false;
-  double alert_interval_ms = 25.0;
-  bool alert_interval_set = false;
   std::string alerts_out;
   bool analyze = false;
   std::string analyze_trace;
@@ -339,8 +336,6 @@ int main(int argc, char** argv) try {
       cfg.width = flag_number<std::int64_t>(arg, argv[++i]);
     } else if (arg == "--queue-capacity" && i + 1 < argc) {
       opts.queue_capacity = flag_number<std::size_t>(arg, argv[++i]);
-    } else if (arg == "--sync-streams") {
-      opts.async_streams = false;
     } else if (arg == "--opt-level" && i + 1 < argc) {
       opt_level = flag_number<int>(arg, argv[++i]);
     } else if (arg == "--batch-max" && i + 1 < argc) {
@@ -407,9 +402,6 @@ int main(int argc, char** argv) try {
       telemetry_linger_ms = flag_number<double>(arg, argv[++i]);
     } else if (arg == "--alerts") {
       alerts = true;
-    } else if (arg == "--alert-interval-ms" && i + 1 < argc) {
-      alert_interval_ms = flag_number<double>(arg, argv[++i]);
-      alert_interval_set = true;
     } else if (arg == "--alerts-out" && i + 1 < argc) {
       alerts_out = argv[++i];
       alerts = true;
@@ -434,15 +426,6 @@ int main(int argc, char** argv) try {
 
   if (telemetry_linger_ms > 0 && opts.telemetry_port < 0) {
     std::fprintf(stderr, "saclo-serve: --telemetry-linger-ms requires --telemetry-port\n");
-    return usage();
-  }
-  if (alert_interval_set && !alerts) {
-    std::fprintf(stderr, "saclo-serve: --alert-interval-ms requires --alerts\n");
-    return usage();
-  }
-  if (alerts && alert_interval_ms <= 0) {
-    std::fprintf(stderr, "saclo-serve: --alert-interval-ms must be positive, got %g\n",
-                 alert_interval_ms);
     return usage();
   }
 
@@ -535,11 +518,7 @@ int main(int argc, char** argv) try {
     std::unique_ptr<Autoscaler> scaler;
     if (autoscale) scaler = std::make_unique<Autoscaler>(runtime, autoscale_policy);
     std::unique_ptr<AlertMonitor> monitor;
-    if (alerts) {
-      AlertMonitorOptions monitor_options;
-      monitor_options.interval_ms = alert_interval_ms;
-      monitor = std::make_unique<AlertMonitor>(runtime, monitor_options);
-    }
+    if (alerts) monitor = std::make_unique<AlertMonitor>(runtime, AlertMonitorOptions{});
 
     int failed = 0;
     int shed = 0;
