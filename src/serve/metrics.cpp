@@ -176,8 +176,7 @@ void FleetMetrics::on_device_fault(std::uint64_t job, int device, int attempt,
   log(obs::EventType::DeviceFault, job, device, attempt, reclaimed_blocks, t_sim_us);
 }
 
-void FleetMetrics::on_failover(std::uint64_t job, int from, int to, int attempt,
-                               double t_sim_us) {
+void FleetMetrics::on_failover(std::uint64_t job, int from, int to, int attempt, double t_sim_us) {
   std::lock_guard<std::mutex> lock(mutex_);
   // The retried job sits in the target's queue until re-dispatched.
   enqueue(device(to));
@@ -224,8 +223,7 @@ void FleetMetrics::on_preempted(std::uint64_t job, int from, int to, int attempt
   log(obs::EventType::JobPreempted, job, from, attempt, next_frame, t_sim_us);
 }
 
-void FleetMetrics::on_steal(std::uint64_t job, int from, int to, int attempt,
-                            double t_sim_us) {
+void FleetMetrics::on_steal(std::uint64_t job, int from, int to, int attempt, double t_sim_us) {
   std::lock_guard<std::mutex> lock(mutex_);
   --device(from).queue_depth;
   enqueue(device(to));

@@ -55,8 +55,7 @@ class FleetMetrics {
   void on_dispatch(std::uint64_t job, int device, int attempt, double t_sim_us);
   /// One frame's operations issued (frame_done). Moves no counter and
   /// takes no lock.
-  void on_frame_done(std::uint64_t job, int device, int attempt, int frame,
-                     double t_sim_us) const;
+  void on_frame_done(std::uint64_t job, int device, int attempt, int frame, double t_sim_us) const;
   /// `sim_clock_us` is the device's cumulative simulated clock after
   /// the job — the fleet makespan is the max over devices
   /// (deadline_miss when it overran its SLO, then job_completed).

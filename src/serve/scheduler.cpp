@@ -314,8 +314,7 @@ int ServeRuntime::scale_down(int device) {
     apply_locked(placement);
     metrics_.on_rehomed(victim, placement.target);
   }
-  metrics_.on_drain_started(victim, static_cast<int>(rehomed.size()),
-                            core_.slot(victim).clock_us);
+  metrics_.on_drain_started(victim, static_cast<int>(rehomed.size()), core_.slot(victim).clock_us);
   work_ready_.notify_all();  // wake the victim (to retire) and the targets
 
   drain_done_.wait(lock, [&] {
@@ -509,8 +508,7 @@ void ServeRuntime::dispatcher_loop(int index) {
           metrics_.set_allocator_stats(index, dev.cache->stats());
           core_.retire(index);
           dev.drain_flag.store(false, std::memory_order_relaxed);
-          metrics_.on_drain_complete(index, reclaimed, core_.active_count(),
-                                     dev.gpu->clock_us());
+          metrics_.on_drain_complete(index, reclaimed, core_.active_count(), dev.gpu->clock_us());
           drain_done_.notify_all();
         }
         if (!paused_ || stopping_) {

@@ -136,9 +136,8 @@ void run_script(ScriptedFleet& f) {
     t.raised = raised;
     return t;
   };
-  f.m.on_alerts(
-      {alert(obs::AlertKind::SloBurnRate, true), alert(obs::AlertKind::QueueSaturation, true)},
-      2);
+  f.m.on_alerts({alert(obs::AlertKind::SloBurnRate, true)}, 1);
+  f.m.on_alerts({alert(obs::AlertKind::QueueSaturation, true)}, 2);
   f.m.on_alerts({alert(obs::AlertKind::QueueSaturation, false)}, 1);
 
   // Job 10 finishes on device 0; the ring is full by now, so its
@@ -228,7 +227,8 @@ std::string mask_events(const std::string& jsonl) {
   return std::regex_replace(jsonl, std::regex("\"t_real_us\":[0-9.]+"), "\"t_real_us\":*");
 }
 
-const char* const kPrometheus = R"(# HELP saclo_build_info Build identity (constant 1; the labels carry the data).
+const char* const kPrometheus =
+    R"(# HELP saclo_build_info Build identity (constant 1; the labels carry the data).
 # TYPE saclo_build_info gauge
 saclo_build_info{sha="abc1234",backend_opts="sim,host"} 1
 # HELP saclo_jobs_submitted_total Jobs accepted by the runtime.
@@ -598,7 +598,8 @@ saclo_class_latency_us_bucket{class="low",le="+Inf"} 1
 saclo_class_latency_us_sum{class="low"} 2500.000
 saclo_class_latency_us_count{class="low"} 1
 )";
-const char* const kJson = R"({"devices":3,"jobs_submitted":10,"jobs_completed":7,"jobs_failed":1,"frames_completed":17,
+const char* const kJson =
+    R"({"devices":3,"jobs_submitted":10,"jobs_completed":7,"jobs_failed":1,"frames_completed":17,
 "health":{"device_faults":3,"failovers":1,"retries":2,"degraded_devices":0,"buffers_reclaimed":4},"batching":{"batches_formed":1,"jobs_batched":2,"max_batch_size":2},"scheduling":{"jobs_shed":2,"preemptions":1,"steals":1,"deadline_misses":1},"autoscale":{"scale_ups":1,"scale_downs":1,"jobs_rehomed":2,"active_devices":2,"device_seconds":0.0,"alloc_cap_evictions":7},
 "elapsed_real_us":50000.0,"sim_makespan_us":1870.000,"throughput_fps_sim":9090.909,"throughput_fps_real":340.000,"latency_real_us":{"p50":2665.9027736328358,"p95":4096,"p99":4096,"mean":2671.4,"max":5200.0},"sim_job_us":{"p50":475.000,"p99":496.000},
 "tenants":[{"tenant":"free","submitted":5,"completed":3,"shed":1,"slo_jobs":1,"slo_met":0,"slo_attainment":0.0000},{"tenant":"gold","submitted":5,"completed":4,"shed":1,"slo_jobs":4,"slo_met":4,"slo_attainment":1.0000}],
@@ -623,7 +624,8 @@ gpu0          3       1       8   79.1      0     1       2   75.0     4    0.02
 gpu1          3       0       7   73.8      0     2       1      -     -       -
 gpu2          1       0       2   25.7      0     1       0   75.0     4    0.02
 )";
-const char* const kEvents = R"({"event":"job_admitted","backend":"sim","t_real_us":*,"t_sim_us":0.000,"job":1,"device":-1,"attempt":0,"arg":2}
+const char* const kEvents =
+    R"({"event":"job_admitted","backend":"sim","t_real_us":*,"t_sim_us":0.000,"job":1,"device":-1,"attempt":0,"arg":2}
 {"event":"job_placed","backend":"sim","t_real_us":*,"t_sim_us":0.000,"job":1,"device":0,"attempt":0,"arg":480}
 {"event":"job_dispatched","backend":"sim","t_real_us":*,"t_sim_us":0.000,"job":1,"device":0,"attempt":0,"arg":0}
 {"event":"frame_done","backend":"sim","t_real_us":*,"t_sim_us":250.000,"job":1,"device":0,"attempt":0,"arg":0}
