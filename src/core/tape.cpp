@@ -212,6 +212,7 @@ void Tape::run(TapeLanes& lanes, int n, std::span<const TapeArray> arrays,
       case TapeOp::Or: binary([](I x, I y) -> I { return x != 0 || y != 0; }); break;
       case TapeOp::LoadArr: {
         std::span<const std::int32_t> data;
+        std::span<const std::int64_t> wide;
         const Index* dims;
         const Index* strides;
         if (ins.a < 0) {
@@ -222,6 +223,7 @@ void Tape::run(TapeLanes& lanes, int n, std::span<const TapeArray> arrays,
         } else {
           const TapeArray& arr = arrays[static_cast<std::size_t>(ins.a)];
           data = arr.data;
+          wide = arr.wide;
           dims = &arr.dims;
           strides = &arr.strides;
         }
@@ -245,17 +247,24 @@ void Tape::run(TapeLanes& lanes, int n, std::span<const TapeArray> arrays,
             live = l;
             break;
           }
-          indices[l] = data[static_cast<std::size_t>(off)];
+          const auto at = static_cast<std::size_t>(off);
+          indices[l] = wide.empty() ? I{data[at]} : wide[at];
         }
         break;
       }
       case TapeOp::LoadLin: {
-        const std::span<const std::int32_t> data = arrays[static_cast<std::size_t>(ins.a)].data;
+        const TapeArray& arr = arrays[static_cast<std::size_t>(ins.a)];
         const auto b = static_cast<std::size_t>(ins.b);
         const I off = lin_offsets[b];
         const I step = lin_steps[b];
         I* const out = row(sp++);
-        for (int l = 0; l < live; ++l) out[l] = data[static_cast<std::size_t>(off + l * step)];
+        if (arr.wide.empty()) {
+          const std::span<const std::int32_t> data = arr.data;
+          for (int l = 0; l < live; ++l) out[l] = data[static_cast<std::size_t>(off + l * step)];
+        } else {
+          const std::span<const std::int64_t> data = arr.wide;
+          for (int l = 0; l < live; ++l) out[l] = data[static_cast<std::size_t>(off + l * step)];
+        }
         break;
       }
     }

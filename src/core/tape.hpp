@@ -64,11 +64,14 @@ struct TapeInstr {
 
 /// A bound input array: element data plus row-major strides. Device
 /// frames are 32-bit (the paper's pixel format); the tape widens on
-/// load.
+/// load. The SaC interpreter's host values are 64-bit: a host-executed
+/// loop nest binds them in place as `wide`, which, when not empty, the
+/// loads read instead of `data`.
 struct TapeArray {
   std::span<const std::int32_t> data;
   Index dims;
   Index strides;
+  std::span<const std::int64_t> wide = {};
 };
 
 /// A constant array baked into the tape (literal coefficient tables).

@@ -84,9 +84,14 @@ void LogHistogram::merge(const LogHistogram& other) {
 void append_prometheus_histogram(std::string& out, const std::string& name,
                                  const std::string& help, const LogHistogram& hist,
                                  const std::string& labels) {
-  const std::string prefix = labels.empty() ? std::string() : labels + ",";
   out += cat("# HELP ", name, " ", help, "\n");
   out += cat("# TYPE ", name, " histogram\n");
+  append_prometheus_histogram_samples(out, name, hist, labels);
+}
+
+void append_prometheus_histogram_samples(std::string& out, const std::string& name,
+                                         const LogHistogram& hist, const std::string& labels) {
+  const std::string prefix = labels.empty() ? std::string() : labels + ",";
   // Emit finite bounds up to the last non-empty bucket (a subset of
   // bounds is legal exposition and keeps empty histograms short), then
   // the mandatory +Inf bucket.

@@ -68,10 +68,16 @@ class LogHistogram {
 /// must already carry the unit suffix convention (e.g.
 /// "saclo_job_latency_us"). `labels` is an optional pre-rendered label
 /// list (e.g. `class="high"`) joined into every sample line — how one
-/// metric family exposes per-class series; HELP/TYPE headers are still
-/// emitted per call, so group same-family calls or accept repeats.
+/// metric family exposes per-class series. The HELP/TYPE header comes
+/// with every call: a family of several labelled series writes it once
+/// itself and appends each series with append_prometheus_histogram_samples.
 void append_prometheus_histogram(std::string& out, const std::string& name,
                                  const std::string& help, const LogHistogram& hist,
                                  const std::string& labels = std::string());
+
+/// The sample lines of append_prometheus_histogram, without the header.
+void append_prometheus_histogram_samples(std::string& out, const std::string& name,
+                                         const LogHistogram& hist,
+                                         const std::string& labels = std::string());
 
 }  // namespace saclo::obs

@@ -1,5 +1,7 @@
 #include "sac/affine.hpp"
 
+#include <algorithm>
+#include <limits>
 #include <numeric>
 
 #include "core/fmt.hpp"
@@ -136,8 +138,12 @@ std::optional<Lin> AffineEval::eval_scalar(const Expr& e) const {
         case BinOpKind::Add: return add(*a, *b, 1);
         case BinOpKind::Sub: return add(*a, *b, -1);
         case BinOpKind::Mul: return mul(*a, *b);
-        case BinOpKind::Div: return div(*a, *b);
-        case BinOpKind::Mod: return mod(*a, *b, rank);
+        case BinOpKind::Div:
+          if (auto q = div(*a, *b)) return q;
+          return ranged_divmod(*a, *b, true);
+        case BinOpKind::Mod:
+          if (auto r = mod(*a, *b, rank)) return r;
+          return ranged_divmod(*a, *b, false);
         default: return std::nullopt;
       }
     }
@@ -256,6 +262,27 @@ std::optional<std::vector<Lin>> AffineEval::eval_vector(const Expr& e) const {
       return std::nullopt;
     }
   }
+}
+
+std::optional<Lin> AffineEval::ranged_divmod(const Lin& a, const Lin& b, bool div) const {
+  if (!ranged_ || !b.is_const() || b.c0 <= 0) return std::nullopt;
+  // The range in 128 bits: no coefficient can overflow it.
+  __int128 lo = a.c0;
+  __int128 hi = a.c0;
+  for (std::size_t d = 0; d < a.coeff.size(); ++d) {
+    const __int128 v =
+        static_cast<__int128>(a.coeff[d]) * std::max<std::int64_t>(lat_->dims[d].extent - 1, 0);
+    (v >= 0 ? hi : lo) += v;
+  }
+  const std::int64_t k = b.c0;
+  if (lo < 0 || hi > std::numeric_limits<std::int64_t>::max() || lo / k != hi / k) {
+    return std::nullopt;
+  }
+  const auto q = static_cast<std::int64_t>(lo / k);
+  if (div) return constant(lat_->rank(), q);
+  Lin r = a;
+  r.c0 -= q * k;
+  return r;
 }
 
 std::pair<std::int64_t, std::int64_t> AffineEval::range(const Lin& lin) const {

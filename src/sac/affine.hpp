@@ -47,9 +47,16 @@ struct Lattice {
 
 /// Evaluates expressions to (vectors of) linear forms over a lattice,
 /// following the straight-line bindings of a generator body.
+///
+/// With `ranged`, `a / k` and `a % k` by a positive constant k also
+/// simplify when a's value range over the lattice box is non-negative
+/// and lies inside one multiple of k: a / k == q and a % k == a - q*k
+/// for q = lo / k == hi / k. That proves `(3*j + k) % 24` affine over
+/// j < 8, k < 3, which the divisibility rules above do not.
 class AffineEval {
  public:
-  explicit AffineEval(const Lattice& lattice) : lat_(&lattice) {}
+  explicit AffineEval(const Lattice& lattice, bool ranged = false)
+      : lat_(&lattice), ranged_(ranged) {}
 
   /// Records the bindings of a straight-line generator body so that
   /// variables defined there can be resolved. Bindings that are not
@@ -79,8 +86,12 @@ class AffineEval {
 
  private:
   Lin lattice_var(std::size_t d) const;
+  /// The ranged rule for `a / k` (div) or `a % k`; nullopt when it does
+  /// not apply.
+  std::optional<Lin> ranged_divmod(const Lin& a, const Lin& b, bool div) const;
 
   const Lattice* lat_;
+  bool ranged_ = false;
   std::map<std::string, std::vector<Lin>> vec_bindings_;
   std::map<std::string, Lin> scalar_bindings_;
   std::set<std::string> forgotten_;  ///< overwritten by an unmodelled value

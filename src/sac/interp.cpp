@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/fmt.hpp"
+#include "core/scope_exit.hpp"
 
 namespace saclo::sac {
 
@@ -65,13 +66,12 @@ std::optional<Value> Interp::exec_stmts(const std::vector<StmtPtr>& stmts,
                                         std::map<std::string, Value>& vars) {
   Env env;
   env.push(true);
-  for (auto& [name, value] : vars) env.define(name, value);
+  // The bindings move in and back out however the block ends: no array
+  // is copied.
+  env.scopes.front().vars = std::move(vars);
+  const ScopeExit give_back([&] { vars = std::move(env.scopes.front().vars); });
   Value returned;
-  const bool has_return = exec_block(stmts, env, &returned);
-  for (auto& [name, value] : env.scopes.front().vars) {
-    vars.insert_or_assign(name, std::move(value));
-  }
-  if (has_return) return returned;
+  if (exec_block(stmts, env, &returned)) return returned;
   return std::nullopt;
 }
 
@@ -240,6 +240,16 @@ Value Interp::eval(const Expr& expr, Env& env) {
       return Value(std::move(out));
     }
     case ExprKind::Call: {
+      // shape(v) reads the shape of v where it is bound, without a copy
+      // of v (the generic output tiler asks once per element).
+      if (expr.name == "shape" && expr.args.size() == 1 && expr.args[0]->kind == ExprKind::Var) {
+        if (const Value* v = env.find(expr.args[0]->name)) {
+          ops_ += 1;
+          const Index& dims = v->shape().dims();
+          return Value(IntArray(Shape{static_cast<std::int64_t>(dims.size())},
+                                std::vector<std::int64_t>(dims.begin(), dims.end())));
+        }
+      }
       std::vector<Value> args;
       args.reserve(expr.args.size());
       for (const ExprPtr& a : expr.args) args.push_back(eval(*a, env));
@@ -345,8 +355,20 @@ Value Interp::eval_binop(const Expr& expr, Env& env) {
 }
 
 Value Interp::eval_select(const Expr& expr, Env& env) {
-  const Value arr = eval(*expr.args[0], env);
+  // A variable operand is read where it is bound: a copy of the whole
+  // array per selected element made element loops quadratic.
+  const Expr& operand = *expr.args[0];
+  const bool by_name = operand.kind == ExprKind::Var;
+  Value held;
+  if (by_name) {
+    if (env.find(operand.name) == nullptr) held = eval(operand, env);  // raises its error
+  } else {
+    held = eval(operand, env);
+  }
   const Value idx = eval(*expr.args[1], env);
+  // The index cannot rebind the operand: with-loop bodies run in
+  // barrier scopes.
+  const Value& arr = by_name ? *env.find(operand.name) : held;
   Index prefix = idx.shape().rank() == 0 ? Index{idx.as_int()} : idx.as_index_vector();
   const Shape& full = arr.shape();
   if (prefix.size() > full.rank()) {

@@ -38,10 +38,28 @@ int precedence(BinOpKind op) {
 }
 
 /// Renders an expression as C. Selections become flat pointer
-/// arithmetic using the array's row-major strides.
+/// arithmetic using the array's row-major strides; `suffix` names the
+/// arrays (`_h` for the host driver's copies).
 class CEmitter {
  public:
-  explicit CEmitter(const std::map<std::string, Shape>& shapes) : shapes_(&shapes) {}
+  explicit CEmitter(const std::map<std::string, Shape>& shapes, std::string suffix = {})
+      : shapes_(&shapes), suffix_(std::move(suffix)) {}
+
+  /// Element `comps` of array `name`.
+  std::string element(const std::string& name, const std::vector<const Expr*>& comps) const {
+    auto it = shapes_->find(name);
+    if (it == shapes_->end()) {
+      throw CodegenError("CUDA emitter: no shape for array '" + name + "'");
+    }
+    const Index strides = it->second.strides();
+    std::string off;
+    for (std::size_t d = 0; d < comps.size(); ++d) {
+      std::string term = expr(*comps[d], 7);
+      if (strides[d] != 1) term = "(" + term + ") * " + std::to_string(strides[d]);
+      off += (d ? " + " : "") + term;
+    }
+    return name + suffix_ + "[" + off + "]";
+  }
 
   std::string expr(const Expr& e, int parent_prec = 0) const {
     switch (e.kind) {
@@ -72,33 +90,68 @@ class CEmitter {
         if (arr.kind != ExprKind::Var) {
           throw CodegenError("CUDA emitter: cannot select from " + sac::print(arr));
         }
-        auto it = shapes_->find(arr.name);
-        if (it == shapes_->end()) {
-          throw CodegenError("CUDA emitter: no shape for array '" + arr.name + "'");
-        }
-        const Index strides = it->second.strides();
-        std::vector<const Expr*> comps;
-        if (idx.kind == ExprKind::ArrayLit) {
-          for (const sac::ExprPtr& c : idx.args) comps.push_back(c.get());
-        } else {
-          comps.push_back(&idx);
-        }
-        std::string off;
-        for (std::size_t d = 0; d < comps.size(); ++d) {
-          std::string term = expr(*comps[d], 7);
-          if (strides[d] != 1) term = "(" + term + ") * " + std::to_string(strides[d]);
-          off += (d ? " + " : "") + term;
-        }
-        return arr.name + "[" + off + "]";
+        return element(arr.name, components({&idx}));
       }
       default:
         throw CodegenError("CUDA emitter: no C form for " + sac::print(e));
     }
   }
 
+  /// The index components of bracket expressions: an array literal's
+  /// elements, or one scalar.
+  static std::vector<const Expr*> components(const std::vector<const Expr*>& indices) {
+    std::vector<const Expr*> comps;
+    for (const Expr* i : indices) {
+      if (i->kind == ExprKind::ArrayLit) {
+        for (const sac::ExprPtr& c : i->args) comps.push_back(c.get());
+      } else {
+        comps.push_back(i);
+      }
+    }
+    return comps;
+  }
+
  private:
   const std::map<std::string, Shape>* shapes_;
+  std::string suffix_;
 };
+
+/// The host driver's C for a compiled host step: memcpy for the copies,
+/// the loop nests as written, over the host copies `<name>_h`.
+std::string emit_host_ops(const CudaProgram& program, const HostBlock& block) {
+  const CEmitter em(program.shapes(), "_h");
+  const auto& body = program.compiled().fn.body;
+  std::string s = "  /* host-executed loop nest, compiled at plan time */\n";
+  for (const HostOp& op : block.ops) {
+    if (!op.nest) {
+      s += cat("  memcpy(", op.dst, "_h, ", op.src, "_h, sizeof(int) * ",
+               program.shapes().at(op.src).elements(), ");\n");
+      continue;
+    }
+    const Stmt* level = body[op.stmt].get();
+    std::string indent = "  ";
+    for (std::size_t d = 0; d < op.nest->lattice.rank(); ++d) {
+      const auto& dim = op.nest->lattice.dims[d];
+      const std::string& v = op.nest->lattice.scalar_names[d];
+      const std::int64_t end = dim.extent == 0 ? dim.lb : dim.lb + dim.step * (dim.extent - 1) + 1;
+      s += cat(indent, "for (int ", v, " = ", dim.lb, "; ", v, " < ", end, "; ", v,
+               " += ", dim.step, ") {\n");
+      indent += "  ";
+      if (d + 1 < op.nest->lattice.rank()) level = level->body[0].get();
+    }
+    for (const StmtPtr& st : level->body) {
+      std::vector<const Expr*> indices;
+      for (const sac::ExprPtr& i : st->indices) indices.push_back(i.get());
+      s += cat(indent, em.element(st->target, CEmitter::components(indices)), " = ",
+               em.expr(*st->value), ";\n");
+    }
+    for (std::size_t d = op.nest->lattice.rank(); d-- > 0;) {
+      indent.resize(indent.size() - 2);
+      s += indent + "}\n";
+    }
+  }
+  return s;
+}
 
 }  // namespace
 
@@ -189,7 +242,9 @@ std::string emit_cuda_source(const CudaProgram& program) {
           on_device.erase(r);
         }
       }
-      s += "  /* host-executed statements (for-loop tiler or scalar glue) */\n";
+      s += step.host.compiled()
+               ? emit_host_ops(program, step.host)
+               : "  /* host-executed statements (for-loop tiler or scalar glue) */\n";
       continue;
     }
     const KernelGroup& g = step.group;

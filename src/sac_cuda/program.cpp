@@ -130,8 +130,9 @@ std::optional<double> ops_of_expr(const Expr& e) {
   return std::nullopt;
 }
 
-/// Trip count of `for (v = init; v < K; v += s)` with literal pieces.
-std::optional<double> trip_count(const Stmt& s) {
+/// The values `for (v = init; v < K; v += s)` (or `<=`) gives v, as a
+/// progression, when init, K and s > 0 are literals.
+std::optional<sac::affine::Lattice::Dim> literal_loop(const Stmt& s) {
   auto init = sac::literal_value(*s.for_init);
   auto step = sac::literal_value(*s.for_step);
   if (!init || !step || !init->is_int() || !step->is_int()) return std::nullopt;
@@ -150,8 +151,14 @@ std::optional<double> trip_count(const Stmt& s) {
   } else if (cond.bin_op != sac::BinOpKind::Lt) {
     return std::nullopt;
   }
-  if (end <= i0) return 0.0;
-  return static_cast<double>((end - i0 + st - 1) / st);
+  return sac::affine::Lattice::Dim{i0, st, end <= i0 ? 0 : (end - i0 + st - 1) / st};
+}
+
+/// Trip count of a literal loop.
+std::optional<double> trip_count(const Stmt& s) {
+  auto dim = literal_loop(s);
+  if (!dim) return std::nullopt;
+  return static_cast<double>(dim->extent);
 }
 
 std::optional<double> ops_of_stmt(const Stmt& s) {
@@ -449,6 +456,190 @@ std::optional<KernelGroup> plan_with(const std::string& target, const Expr& w,
   return group;
 }
 
+// --- host steps as compiled loop nests (DESIGN decision 19) ---------------------
+
+/// Whether c0 + sum_d coeff[d] * t_d takes a distinct value at every
+/// point of the lattice box: ordered by magnitude, every coefficient
+/// exceeds the span of the smaller ones (a mixed-radix numbering).
+bool injective(const sac::affine::Lin& off, const sac::affine::Lattice& lat) {
+  std::vector<std::pair<std::int64_t, std::int64_t>> terms;  // |coeff|, extent
+  for (std::size_t d = 0; d < lat.rank(); ++d) {
+    if (lat.dims[d].extent < 2) continue;
+    if (off.coeff[d] == 0) return false;
+    terms.emplace_back(std::llabs(off.coeff[d]), lat.dims[d].extent);
+  }
+  std::sort(terms.begin(), terms.end());
+  __int128 span = 0;
+  for (const auto& [coeff, extent] : terms) {
+    if (coeff <= span) return false;
+    span += static_cast<__int128>(coeff) * (extent - 1);
+  }
+  return true;
+}
+
+/// What the host-step compiler knows at one point of the function body.
+struct HostCompileContext {
+  const std::vector<StmtPtr>* body;
+  const std::map<std::string, Shape>* shapes;
+  const std::vector<std::pair<sac::TypeSpec, std::string>>* params;
+  /// Arrays that hold ints here: int parameters, kernel targets and
+  /// copies of them.
+  std::set<std::string> int_arrays;
+
+  bool is_int_array(const std::string& name) const {
+    auto it = shapes->find(name);
+    return int_arrays.count(name) != 0 && it != shapes->end() && it->second.rank() > 0;
+  }
+  bool is_param(const std::string& name) const {
+    return std::any_of(params->begin(), params->end(),
+                       [&](const auto& p) { return p.second == name; });
+  }
+  /// Whether a statement after body[i] reads `name`.
+  bool read_after(std::size_t i, const std::string& name) const {
+    std::set<std::string> reads;
+    for (std::size_t j = i + 1; j < body->size(); ++j) collect_reads(*(*body)[j], reads);
+    return reads.count(name) != 0;
+  }
+};
+
+/// Compiles a perfect loop nest into `nest`; returns why it cannot.
+std::string compile_nest(const Stmt& loop, const HostCompileContext& ctx, HostNest& nest) {
+  const Stmt* level = &loop;
+  for (;;) {
+    auto dim = literal_loop(*level);
+    if (!dim) return "a loop's start, bound or step is not a literal";
+    const auto& names = nest.lattice.scalar_names;
+    if (std::find(names.begin(), names.end(), level->target) != names.end()) {
+      return "a loop variable repeats";
+    }
+    nest.lattice.dims.push_back(*dim);
+    nest.lattice.scalar_names.push_back(level->target);
+    if (level->body.size() != 1 || level->body[0]->kind != StmtKind::For) break;
+    level = level->body[0].get();
+  }
+  const std::vector<StmtPtr>& stores = level->body;
+  if (stores.empty()) return "the innermost loop is empty";
+  std::vector<const Expr*> results;
+  std::vector<std::vector<const Expr*>> components;
+  for (const StmtPtr& st : stores) {
+    if (st->kind != StmtKind::ElemAssign) {
+      return "the nest is not perfect or its innermost body is not element stores";
+    }
+    const auto& names = nest.lattice.scalar_names;
+    if (std::find(names.begin(), names.end(), st->target) != names.end()) {
+      return "a store's target is a loop variable";
+    }
+    if (!ctx.is_int_array(st->target)) return "a store's target is not a known int array";
+    std::vector<const Expr*> comps;
+    for (const sac::ExprPtr& i : st->indices) {
+      if (i->kind == ExprKind::ArrayLit) {
+        for (const sac::ExprPtr& c : i->args) comps.push_back(c.get());
+      } else {
+        comps.push_back(i.get());
+      }
+    }
+    if (comps.size() != ctx.shapes->at(st->target).rank()) {
+      return "a store does not write one element";
+    }
+    nest.targets.push_back(st->target);
+    results.push_back(st->value.get());
+    results.insert(results.end(), comps.begin(), comps.end());
+    components.push_back(std::move(comps));
+  }
+  // Every array the nest selects from, bar the ones it stores to.
+  std::map<std::string, Index> array_dims;
+  bool reads_target = false;
+  for (const StmtPtr& st : stores) {
+    auto on_expr = [&](const Expr& x) {
+      if (x.kind != ExprKind::Var) return;
+      const auto& t = nest.targets;
+      if (std::find(t.begin(), t.end(), x.name) != t.end()) reads_target = true;
+      if (ctx.is_int_array(x.name)) array_dims[x.name] = ctx.shapes->at(x.name).dims();
+    };
+    visit_all_exprs(*st->value, on_expr);
+    for (const sac::ExprPtr& i : st->indices) visit_all_exprs(*i, on_expr);
+  }
+  if (reads_target) return "the nest reads an array it stores to";
+  for (const std::string& t : nest.targets) array_dims.erase(t);
+  for (const std::string& v : nest.lattice.scalar_names) array_dims.erase(v);
+  auto tape = compile_tape({}, results, nest.lattice.scalar_names, array_dims, &nest.lattice);
+  if (!tape) return "the loop body is not tape-able int arithmetic over known arrays";
+  if (can_throw(*tape)) return "a load or a division in the loop body is not proven safe";
+  nest.tape = std::move(*tape);
+
+  // Lanes follow the innermost loop unless one store is proven in bounds
+  // and injective, so that no two points collide and none can fail.
+  const std::size_t rank = nest.lattice.rank();
+  nest.walk_dim = rank - 1;
+  if (stores.size() != 1) return {};
+  const sac::affine::AffineEval ae(nest.lattice, /*ranged=*/true);
+  const Shape& target = ctx.shapes->at(nest.targets[0]);
+  const Index strides = target.strides();
+  sac::affine::Lin off;
+  off.coeff.assign(rank, 0);
+  // Terms below 2^30 keep the range and the offset sums below 2^63.
+  constexpr std::int64_t kTermBound = std::int64_t{1} << 30;
+  auto small = [](std::int64_t v) { return v > -kTermBound && v < kTermBound; };
+  for (std::size_t d = 0; d < components[0].size(); ++d) {
+    const auto lin = ae.eval_scalar(*components[0][d]);
+    if (!lin || !small(lin->c0) || !std::all_of(lin->coeff.begin(), lin->coeff.end(), small)) {
+      return {};
+    }
+    const auto [lo, hi] = ae.range(*lin);
+    if (lo < 0 || hi >= target[d]) return {};
+    for (std::size_t r = 0; r < rank; ++r) off.coeff[r] += strides[d] * lin->coeff[r];
+  }
+  if (!injective(off, nest.lattice)) return {};
+  // The longest run, up to a full block of lanes; then the smallest
+  // store stride.
+  auto run_of = [&](std::size_t d) {
+    return std::min<std::int64_t>(nest.lattice.dims[d].extent, kLanes);
+  };
+  for (std::size_t d = 0; d < rank; ++d) {
+    const std::size_t w = nest.walk_dim;
+    if (run_of(d) > run_of(w) ||
+        (run_of(d) == run_of(w) && std::llabs(off.coeff[d]) < std::llabs(off.coeff[w]))) {
+      nest.walk_dim = d;
+    }
+  }
+  return {};
+}
+
+/// Compiles the host step of body[i] for i in `stmts` into `ops`;
+/// returns why it cannot. `ctx.int_arrays` follows the step's copies.
+std::string compile_host_step(const std::vector<std::size_t>& stmts, HostCompileContext& ctx,
+                              std::vector<HostOp>& ops) {
+  for (std::size_t i : stmts) {
+    const Stmt& s = *(*ctx.body)[i];
+    HostOp op;
+    op.stmt = i;
+    if (s.kind == StmtKind::Assign && s.value && s.value->kind == ExprKind::Var) {
+      op.dst = s.target;
+      op.src = s.value->name;
+      if (!ctx.is_int_array(op.src)) return "a copy's source is not a known int array";
+      if (op.dst == op.src) return "an array is copied onto itself";
+      op.move = !ctx.is_param(op.src) && !ctx.read_after(i, op.src);
+      ctx.int_arrays.insert(op.dst);
+    } else if (s.kind == StmtKind::For) {
+      op.nest.emplace();
+      std::string why = compile_nest(s, ctx, *op.nest);
+      if (!why.empty()) return why;
+      for (const std::string& v : op.nest->lattice.scalar_names) ctx.int_arrays.erase(v);
+    } else {
+      return "a statement is neither a whole-array copy nor a loop nest";
+    }
+    ops.push_back(std::move(op));
+  }
+  return {};
+}
+
+/// Every name a statement (re)binds, nested ones included.
+void collect_writes(const Stmt& s, std::set<std::string>& writes) {
+  if (!s.target.empty()) writes.insert(s.target);
+  for (const StmtPtr& c : s.body) collect_writes(*c, writes);
+  for (const StmtPtr& c : s.else_body) collect_writes(*c, writes);
+}
+
 }  // namespace
 
 CudaProgram CudaProgram::plan(const sac::CompiledFunction& fn) {
@@ -461,6 +652,10 @@ CudaProgram CudaProgram::plan(const sac::CompiledFunction& fn) {
   prog.shapes_ = sac::infer_shapes(prog.fn_.fn.body, prog.fn_.param_shapes);
 
   const auto& body = prog.fn_.fn.body;
+  HostCompileContext ctx{&body, &prog.shapes_, &prog.fn_.fn.params, {}};
+  for (const auto& [name, elem] : prog.fn_.param_elems) {
+    if (elem == sac::ElemType::Int) ctx.int_arrays.insert(name);
+  }
   auto origin_of = [&](std::size_t i) {
     return body[i]->origin.empty() ? prog.fn_.fn.name : body[i]->origin;
   };
@@ -483,6 +678,16 @@ CudaProgram CudaProgram::plan(const sac::CompiledFunction& fn) {
     std::vector<StmtPtr> clones;
     for (std::size_t i : pending) clones.push_back(body[i]->clone());
     if (auto ops = ops_of_block(clones)) step.host.static_ops = *ops;
+    HostCompileContext tried = ctx;
+    step.host.interpreted_because = compile_host_step(pending, tried, step.host.ops);
+    if (step.host.compiled()) {
+      ctx = std::move(tried);
+    } else {
+      step.host.ops.clear();
+      std::set<std::string> writes;
+      for (std::size_t i : pending) collect_writes(*body[i], writes);
+      for (const std::string& w : writes) ctx.int_arrays.erase(w);
+    }
     prog.steps_.push_back(std::move(step));
     pending.clear();
   };
@@ -509,6 +714,7 @@ CudaProgram CudaProgram::plan(const sac::CompiledFunction& fn) {
         step.kind = Step::Kind::Kernels;
         step.origin = origin_of(i);
         step.group = std::move(*group);
+        ctx.int_arrays.insert(step.group.target);
         prog.steps_.push_back(std::move(step));
         continue;
       }
@@ -554,7 +760,144 @@ int CudaProgram::host_block_count() const {
   return n;
 }
 
+int CudaProgram::compiled_host_block_count() const {
+  int n = 0;
+  for (const Step& s : steps_) {
+    if (s.kind == Step::Kind::Host && s.host.compiled()) ++n;
+  }
+  return n;
+}
+
 // --- execution -------------------------------------------------------------------------
+
+namespace {
+
+/// The int array `name` of `env`, which the plan gave shape `shape`.
+IntArray& bound_array(std::map<std::string, Value>& env, const std::string& name,
+                      const Shape& shape) {
+  auto it = env.find(name);
+  if (it == env.end() || !it->second.is_int() || it->second.shape() != shape) {
+    throw BackendError(cat("host step: '", name, "' is not the int array of shape ",
+                           shape.to_string(), " the plan expects"));
+  }
+  return it->second.ints();
+}
+
+/// Runs a compiled loop nest over `env` in place: lanes walk runs along
+/// nest.walk_dim, every other dimension in loop order, and each lane
+/// stores in body order, so the stores land in the interpreter's order.
+void run_nest(const HostNest& nest, std::map<std::string, Value>& env,
+              const std::map<std::string, Shape>& shapes) {
+  const KernelTape& tape = nest.tape;
+  std::vector<TapeArray> arrays;
+  arrays.reserve(tape.array_names.size());
+  for (const std::string& name : tape.array_names) {
+    const Shape& shape = shapes.at(name);
+    arrays.push_back({{}, shape.dims(), shape.strides(), bound_array(env, name, shape).data()});
+  }
+  struct Store {
+    std::span<std::int64_t> data;
+    const Shape* shape;
+    Index strides;
+    const std::int64_t* value;
+    std::vector<const std::int64_t*> index;  ///< component rows
+  };
+  TapeLanes lanes(tape, kLanes);
+  std::vector<Store> stores;
+  std::size_t result = 0;
+  for (const std::string& target : nest.targets) {
+    const Shape& shape = shapes.at(target);
+    Store st{bound_array(env, target, shape).data(), &shape, shape.strides(),
+             lanes.slot(tape.result_slots[result++]), {}};
+    for (std::size_t d = 0; d < shape.rank(); ++d) {
+      st.index.push_back(lanes.slot(tape.result_slots[result++]));
+    }
+    stores.push_back(std::move(st));
+  }
+
+  const auto& dims = nest.lattice.dims;
+  const std::size_t rank = dims.size();
+  const std::size_t walk = nest.walk_dim;
+  // The loop variables end as the interpreter leaves them: one step past
+  // their last value, for every loop that its outer loops entered.
+  auto set_loop_variables = [&] {
+    for (std::size_t d = 0; d < rank && (d == 0 || dims[d - 1].extent > 0); ++d) {
+      env.insert_or_assign(nest.lattice.scalar_names[d],
+                           Value::from_int(dims[d].lb + dims[d].step * dims[d].extent));
+    }
+  };
+  for (const auto& d : dims) {
+    if (d.extent == 0) return set_loop_variables();
+  }
+  std::vector<std::size_t> fills;  // index slots the tape reads
+  for (std::size_t d = 0; d < rank; ++d) {
+    if (tape.reads_slot(tape.input_slots[d])) fills.push_back(d);
+  }
+  std::vector<std::int64_t> offsets(tape.lin_loads.size());
+  std::vector<std::int64_t> offset_steps(tape.lin_loads.size());
+  for (std::size_t k = 0; k < offsets.size(); ++k) {
+    offset_steps[k] = tape.lin_loads[k].coeff[walk];
+  }
+  Index t(rank, 0);
+  for (;;) {
+    for (std::size_t k = 0; k < offsets.size(); ++k) {
+      offsets[k] = tape.lin_loads[k].c0;
+      for (std::size_t d = 0; d < rank; ++d) offsets[k] += tape.lin_loads[k].coeff[d] * t[d];
+    }
+    const std::int64_t run = dims[walk].extent;
+    for (std::int64_t done = 0; done < run;) {
+      const int n = static_cast<int>(std::min<std::int64_t>(run - done, kLanes));
+      for (std::size_t d : fills) {
+        std::int64_t* row = lanes.slot(tape.input_slots[d]);
+        const std::int64_t first = dims[d].lb + dims[d].step * (d == walk ? done : t[d]);
+        const std::int64_t step = d == walk ? dims[d].step : 0;
+        for (int l = 0; l < n; ++l) row[l] = first + l * step;
+      }
+      tape.run(lanes, n, arrays, offsets, offset_steps);
+      for (int l = 0; l < n; ++l) {
+        for (Store& st : stores) {
+          std::int64_t off = 0;
+          for (std::size_t c = 0; c < st.index.size(); ++c) {
+            const std::int64_t iv = st.index[c][l];
+            if (iv < 0 || iv >= (*st.shape)[c]) {
+              // The interpreter's error text: Shape::linearize raises it.
+              Index at;
+              for (const std::int64_t* row : st.index) at.push_back(row[l]);
+              st.shape->linearize(at);
+            }
+            off += iv * st.strides[c];
+          }
+          st.data[static_cast<std::size_t>(off)] = st.value[l];
+        }
+      }
+      done += n;
+      for (std::size_t k = 0; k < offsets.size(); ++k) offsets[k] += n * offset_steps[k];
+    }
+    // The next run: the dimensions but `walk` count up, the last fastest.
+    std::size_t d = rank;
+    while (d-- > 0) {
+      if (d == walk) continue;
+      if (++t[d] < dims[d].extent) break;
+      t[d] = 0;
+    }
+    if (d == static_cast<std::size_t>(-1)) break;
+  }
+  set_loop_variables();
+}
+
+void run_host_ops(const HostBlock& block, std::map<std::string, Value>& env,
+                  const std::map<std::string, Shape>& shapes) {
+  for (const HostOp& op : block.ops) {
+    if (op.nest) {
+      run_nest(*op.nest, env, shapes);
+      continue;
+    }
+    IntArray& src = bound_array(env, op.src, shapes.at(op.src));
+    env.insert_or_assign(op.dst, op.move ? Value(std::move(src)) : Value(src));
+  }
+}
+
+}  // namespace
 
 sac::Value CudaProgram::run(gpu::cuda::Runtime& rt, std::vector<sac::Value>& args,
                             const gpu::HostSpec& host, gpu::Profiler& host_profiler,
@@ -796,7 +1139,9 @@ sac::Value CudaProgram::run(gpu::cuda::Runtime& rt, std::vector<sac::Value>& arg
       if (device_valid.count(r)) ensure_host(r, ss.compute);
     }
     double ops = step.host.static_ops;
-    if (execute) {
+    if (execute && step.host.compiled()) {
+      run_host_ops(step.host, host_env, shapes_);
+    } else if (execute) {
       std::vector<StmtPtr> stmts;
       for (std::size_t i : step.host.stmt_indices) stmts.push_back(fn_.fn.body[i]->clone());
       const double before = interp.ops();

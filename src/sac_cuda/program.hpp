@@ -59,6 +59,35 @@ struct KernelGroup {
   std::vector<GenKernel> kernels;
 };
 
+/// A perfect `for` nest with literal bounds whose innermost body stores
+/// scalar arithmetic over the loop variables and proven loads into
+/// int arrays it does not read (DESIGN decision 19): the paper's
+/// generic output tiler after specialisation.
+struct HostNest {
+  /// The loop variables as lattice dimensions, outermost first.
+  sac::affine::Lattice lattice;
+  /// The store targets, one per element store in body order.
+  std::vector<std::string> targets;
+  /// Results per store: its value, then its index components.
+  KernelTape tape;
+  /// The dimension the lanes follow: the innermost loop, so colliding
+  /// stores keep the interpreter's last-writer-wins, or, for one store
+  /// proven in bounds and injective over the lattice, the longest.
+  std::size_t walk_dim = 0;
+};
+
+/// One statement of a compiled host step: a whole-array copy
+/// `dst = src;` or a loop nest.
+struct HostOp {
+  std::size_t stmt = 0;  ///< into the compiled body
+  std::string dst;       ///< copies only
+  std::string src;       ///< copies only
+  /// The copy hands src's storage over: src is no parameter and no
+  /// later statement reads it.
+  bool move = false;
+  std::optional<HostNest> nest;
+};
+
 /// Statements that stay on the host (for-loop tilers, scalar glue).
 /// Any device-resident array they read is copied back first — the
 /// `device2host` penalty of the paper's generic output tiler.
@@ -66,6 +95,13 @@ struct HostBlock {
   std::vector<std::size_t> stmt_indices;  ///< into the compiled body
   std::vector<std::string> array_reads;
   double static_ops = -1.0;  ///< < 0: measured on first executed run
+  /// The block compiled at plan time, when every statement is a copy
+  /// or a loop nest; the interpreter runs it otherwise.
+  std::vector<HostOp> ops;
+  /// Why the interpreter runs the block; empty when `ops` do.
+  std::string interpreted_because;
+
+  bool compiled() const { return interpreted_because.empty(); }
 };
 
 struct Step {
@@ -103,6 +139,8 @@ class CudaProgram {
   std::set<std::string> rows_of(const std::string& origin) const;
   /// Number of host-executed statement blocks.
   int host_block_count() const;
+  /// Number of those the plan compiled into loop nests and copies.
+  int compiled_host_block_count() const;
 
   /// The CUDA C translation unit a real backend would emit.
   std::string cuda_source() const;

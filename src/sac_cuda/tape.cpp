@@ -18,6 +18,22 @@ using sac::StmtPtr;
 
 namespace {
 
+/// True when the code in [begin, end) can raise: a checked load, or a
+/// division or modulo by anything but a non-zero literal (in postfix
+/// code the divisor is a literal exactly when a Push precedes the op;
+/// DivImm and ModImm divide by one that is not 0 or ±1).
+bool code_can_throw(const std::vector<TapeInstr>& code, std::size_t begin, std::size_t end) {
+  for (std::size_t k = begin; k < end; ++k) {
+    const TapeInstr& i = code[k];
+    if (i.op == TapeOp::LoadArr) return true;
+    if (i.op == TapeOp::Div || i.op == TapeOp::Mod) {
+      const TapeInstr& divisor = code[k - 1];
+      if (divisor.op != TapeOp::Push || divisor.imm == 0) return true;
+    }
+  }
+  return false;
+}
+
 class TapeBuilder {
  public:
   TapeBuilder(const std::map<std::string, Index>& array_dims,
@@ -167,21 +183,8 @@ class TapeBuilder {
     }
   }
 
-  /// True when the code in [begin, end) cannot raise: no checked load,
-  /// and every division or modulo is by a non-zero literal (in postfix
-  /// code the divisor is a literal exactly when a Push precedes the op;
-  /// DivImm and ModImm divide by one that is not 0 or ±1).
   bool cannot_throw(const CodeRange& r) const {
-    for (std::size_t k = r.begin; k < r.end; ++k) {
-      const TapeInstr& i = tape_.code[k];
-      if (i.op == TapeOp::LoadArr) return false;
-      if (i.op == TapeOp::DivImm || i.op == TapeOp::ModImm) continue;
-      if (i.op == TapeOp::Div || i.op == TapeOp::Mod) {
-        const TapeInstr& divisor = tape_.code[k - 1];
-        if (divisor.op != TapeOp::Push || divisor.imm == 0) return false;
-      }
-    }
-    return true;
+    return !code_can_throw(tape_.code, r.begin, r.end);
   }
 
   /// Drops, to a fixpoint, every top-level binding whose stored slots
@@ -413,6 +416,8 @@ class TapeBuilder {
 };
 
 }  // namespace
+
+bool can_throw(const Tape& tape) { return code_can_throw(tape.code, 0, tape.code.size()); }
 
 std::optional<KernelTape> compile_tape(const std::vector<StmtPtr>& body,
                                        const std::vector<const Expr*>& results,

@@ -49,4 +49,8 @@ std::optional<KernelTape> compile_tape(const std::vector<sac::StmtPtr>& body,
                                        const std::map<std::string, Index>& array_dims,
                                        const sac::affine::Lattice* lattice = nullptr);
 
+/// Whether running a compiled tape can raise: a checked load, or a
+/// division or modulo whose divisor is not a non-zero literal.
+bool can_throw(const Tape& tape);
+
 }  // namespace saclo::sac_cuda

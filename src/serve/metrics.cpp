@@ -607,10 +607,11 @@ std::string FleetMetrics::prometheus() const {
                                    "Simulated device time per completed job.", s.sim_job_hist);
   obs::append_prometheus_histogram(out, "saclo_batch_size",
                                    "Sizes of coalesced batches (>= 2).", s.batch_size_hist);
+  name = family("saclo_class_latency_us", "histogram",
+                "Real end-to-end job latency split by priority class.");
   for (std::size_t cls = 0; cls < s.class_latency_hist.size(); ++cls) {
-    obs::append_prometheus_histogram(
-        out, "saclo_class_latency_us",
-        "Real end-to-end job latency split by priority class.", s.class_latency_hist[cls],
+    obs::append_prometheus_histogram_samples(
+        out, name, s.class_latency_hist[cls],
         cat("class=\"", prom_escape_label_value(priority_name(static_cast<Priority>(cls))),
             "\""));
   }

@@ -289,8 +289,10 @@ TEST(SacPipelineTest, GenericHasHostBlocksAndNonGenericDoesNot) {
   SacDownscaler ng(f.cfg, f.ng_opts);
   SacDownscaler g(f.cfg, f.g_opts);
   EXPECT_EQ(ng.program().host_block_count(), 0);
-  // One host block per filter, each tagged with its filter.
+  // One host block per filter, each tagged with its filter, and each a
+  // loop nest the plan compiled.
   ASSERT_EQ(g.program().host_block_count(), 2);
+  EXPECT_EQ(g.program().compiled_host_block_count(), 2);
   std::vector<std::string> origins;
   for (const auto& step : g.program().steps()) {
     if (step.kind == sac_cuda::Step::Kind::Host) origins.push_back(step.origin);

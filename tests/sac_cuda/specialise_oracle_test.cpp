@@ -840,5 +840,279 @@ TEST(SpecialiseOracle, RandomWithLoopsMatchTheInterpreterOnTheHostBackend) {
   EXPECT_GT(overlaps_reaching_the_frame_size, 15);
 }
 
+// --- compiled host loop nests ---------------------------------------------------
+
+/// The result of a program, or the text of its error.
+std::string outcome_text(const std::function<sac::Value()>& run) {
+  try {
+    const sac::Value v = run();
+    std::string out = v.shape().to_string() + ":";
+    for (std::int64_t e = 0; e < v.ints().elements(); ++e) out += cat(" ", v.ints()[e]);
+    return out;
+  } catch (const Error& e) {
+    return cat("error: ", e.what());
+  }
+}
+
+/// One random loop nest program: a copy of B into O (and of C into P),
+/// a perfect nest of literal loops storing into them, and a copy of O
+/// returned.
+struct NestCase {
+  std::string src;
+  Index a_dims;
+  Index o_dims;
+  bool collides = false;  ///< some store index folds several points together
+};
+
+NestCase random_nest(Rng& rng) {
+  NestCase c;
+  const std::int64_t rank = rng.uniform(1, 3);
+  struct Loop {
+    std::string var;
+    std::int64_t lb;
+    std::int64_t step;
+    std::int64_t extent;
+  };
+  std::vector<Loop> loops;
+  constexpr std::int64_t kLaneExtents[] = {1, 2, kLanes - 1, kLanes, kLanes + 1};
+  // One dimension (mostly the innermost) gets a lane-sized extent.
+  const std::int64_t wide = rng.chance(50) ? rank - 1 : rng.uniform(0, rank - 1);
+  for (std::int64_t d = 0; d < rank; ++d) {
+    const std::int64_t extent =
+        d == wide ? kLaneExtents[rng.uniform(0, 4)] : rng.uniform(1, 3);
+    loops.push_back({kIndexNames[static_cast<std::size_t>(d)], rng.uniform(0, 3),
+                     rng.uniform(1, 3), extent});
+  }
+  auto last = [](const Loop& l) { return l.lb + l.step * (l.extent - 1); };
+  // The coordinate t of a loop: (v - lb) / step.
+  auto coord = [](const Loop& l) { return cat("(", l.var, " - ", l.lb, ") / ", l.step); };
+  for (const Loop& l : loops) {
+    c.a_dims.push_back(last(l) + 1 + (rng.chance(10) ? -1 : rng.uniform(0, 2)));
+  }
+  // Each target dimension follows a loop, mostly a loop of its own.
+  const std::int64_t o_rank = rng.uniform(1, rank);
+  std::vector<std::size_t> o_var;
+  for (std::int64_t k = 0; k < o_rank; ++k) {
+    o_var.push_back(static_cast<std::size_t>(rng.chance(75) ? (k + rank - o_rank) % rank
+                                                            : rng.uniform(0, rank - 1)));
+    const std::int64_t e = loops[o_var.back()].extent;
+    c.o_dims.push_back(std::max<std::int64_t>(1, e + (rng.chance(15) ? -1 : rng.uniform(0, 2))));
+  }
+  auto component = [&](std::size_t k) {
+    const Loop& l = loops[o_var[k]];
+    const Loop& w = rng.pick(loops);
+    const std::int64_t e = c.o_dims[k];
+    switch (rng.uniform(0, 7)) {
+      case 0:
+      case 1: return coord(l);
+      case 2: return cat("(", coord(l), " + ", rng.uniform(0, 2), ") % ", e);
+      case 3:
+        c.collides = true;
+        return cat("(", l.var, " + ", w.var, ") % ", e);
+      case 4:
+        c.collides = true;
+        return cat(l.var, " / 2");
+      case 5:
+        c.collides = true;
+        return cat(rng.uniform(0, e - 1));
+      case 6: return cat(e - 1, " - ", coord(l));
+      default:
+        c.collides = true;
+        return cat("(3 * ", l.var, " + ", w.var, ") % ", e);
+    }
+  };
+  auto value = [&] {
+    std::string load = "A[[";
+    for (std::size_t d = 0; d < loops.size(); ++d) load += cat(d ? ", " : "", loops[d].var);
+    load += "]]";
+    const Loop& l = rng.pick(loops);
+    switch (rng.uniform(0, 4)) {
+      case 0: return cat(load, " * 3 - ", l.var);
+      case 1: return cat(l.var, " * 7 + ", rng.pick(loops).var);
+      case 2: return cat("min(", l.var, ", 3) + ", load);
+      case 3: return cat("(", l.var, " + 5) / 3 - ", l.var, " % 4");
+      default: return cat(load, " + ", rng.uniform(-9, 9));
+    }
+  };
+  const bool two_targets = rng.chance(20);
+  const std::int64_t stores = rng.chance(30) ? 2 : 1;
+  std::string body;
+  for (std::int64_t st = 0; st < stores; ++st) {
+    std::vector<std::string> comps;
+    for (std::size_t k = 0; k < o_var.size(); ++k) comps.push_back(component(k));
+    body += cat(st == 1 && two_targets ? "P" : "O", "[[", join(comps, ", "), "]] = ", value(),
+                "; ");
+  }
+  std::string nest = body;
+  for (auto l = loops.rbegin(); l != loops.rend(); ++l) {
+    const bool le = rng.chance(50);
+    const std::int64_t bound = le ? last(*l) + rng.uniform(0, l->step - 1)
+                                  : last(*l) + 1 + rng.uniform(0, l->step - 1);
+    nest = cat("for (", l->var, " = ", l->lb, "; ", l->var, le ? " <= " : " < ", bound, "; ",
+               l->var, " = ", l->var, " + ", l->step, ") { ", nest, "} ");
+  }
+  c.src = cat("int[*] main(int[*] A, int[*] B, int[*] C) {\n  O = B;\n  P = C;\n  ", nest,
+              "\n  R = O;\n  return (R);\n}\n");
+  return c;
+}
+
+TEST(HostNestOracle, RandomNestsMatchTheInterpreter) {
+  int compiled = 0;
+  int interpreted = 0;
+  int results = 0;
+  int store_errors = 0;
+  int colliding = 0;
+  int injective_walks = 0;
+  int multi_block = 0;
+  std::map<std::string, int> reasons;
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    Rng rng(seed * 104729);
+    const NestCase nc = random_nest(rng);
+    SCOPED_TRACE(cat("seed ", seed, ":\n", nc.src));
+    const sac::Module m = sac::parse(nc.src);
+    const Shape a(nc.a_dims);
+    const Shape o(nc.o_dims);
+    const sac::CompiledFunction cf =
+        sac::compile(m, "main",
+                     {sac::ArgSpec::array(sac::ElemType::Int, a),
+                      sac::ArgSpec::array(sac::ElemType::Int, o),
+                      sac::ArgSpec::array(sac::ElemType::Int, o)});
+    CudaProgram p = CudaProgram::plan(cf);
+    std::vector<sac::Value> args{
+        sac::Value(IntArray::generate(a, [](const Index& i) {
+          std::int64_t h = 5;
+          for (std::int64_t x : i) h = h * 31 + x;
+          return h % 97 - 48;
+        })),
+        sac::Value(IntArray(o, -1)), sac::Value(IntArray(o, -2))};
+    const std::string expected =
+        outcome_text([&] { return run_sequential(cf, args, gpu::i7_930(), true).result; });
+    for (const gpu::BackendKind backend : {gpu::BackendKind::Host, gpu::BackendKind::Sim}) {
+      gpu::VirtualGpu device(gpu::gtx480(), 2, backend);
+      gpu::cuda::Runtime rt(device);
+      gpu::Profiler host_profiler;
+      EXPECT_EQ(outcome_text([&] { return p.run(rt, args, gpu::i7_930(), host_profiler, true); }),
+                expected)
+          << gpu::backend_kind_name(backend);
+    }
+    if (::testing::Test::HasFailure()) return;
+    ASSERT_EQ(p.host_block_count(), 1);
+    const HostBlock& block = p.steps().front().host;
+    if (!block.compiled()) {
+      // A block the plan cannot prove says why, and stays interpreted.
+      EXPECT_FALSE(block.interpreted_because.empty());
+      ++reasons[block.interpreted_because];
+      ++interpreted;
+      continue;
+    }
+    ++compiled;
+    // The optimizer drops the copy into P when no store reaches P.
+    const auto op = std::find_if(block.ops.begin(), block.ops.end(),
+                                 [](const HostOp& o) { return o.nest.has_value(); });
+    ASSERT_NE(op, block.ops.end());
+    const HostNest& nest = *op->nest;
+    if (nest.walk_dim + 1 != nest.lattice.rank()) ++injective_walks;
+    if (nest.lattice.dims[nest.walk_dim].extent > kLanes) ++multi_block;
+    if (nc.collides) ++colliding;
+    if (expected.rfind("error: index", 0) == 0) {
+      ++store_errors;
+    } else {
+      ++results;
+    }
+  }
+  // The sweep must reach every path it claims to.
+  EXPECT_GT(compiled, 200);
+  EXPECT_GT(interpreted, 30);
+  EXPECT_GT(results, 150);
+  EXPECT_GT(store_errors, 20);
+  EXPECT_GT(colliding, 100);
+  EXPECT_GT(injective_walks, 4);
+  EXPECT_GT(multi_block, 25);
+  EXPECT_GE(reasons.size(), 2u);
+}
+
+// The paper's specialised output tiler: one store proven in bounds and
+// injective walks the longest loop; a folding store keeps the innermost
+// loop, so the last writer wins as in the interpreter; a store beyond the
+// array raises the interpreter's text.
+TEST(HostNestOracle, WalkAndErrorsOfTheTilerShape) {
+  auto compile = [](const std::string& store, const Index& target) {
+    const sac::Module m = sac::parse(
+        cat("int[*] main(int[*] X, int[*] Z) {\n  B = Z;\n  for (i = 0; i < 6; i++) {\n"
+            "    for (j = 0; j < 200; j++) {\n      for (k = 0; k < 3; k++) {\n        ",
+            store, "\n      }\n    }\n  }\n  return (B);\n}\n"));
+    return sac::compile(m, "main",
+                        {sac::ArgSpec::array(sac::ElemType::Int, Shape{6, 200, 3}),
+                         sac::ArgSpec::array(sac::ElemType::Int, Shape(target))});
+  };
+  const std::vector<sac::Value> args_for_600{
+      sac::Value(IntArray::generate(Shape{6, 200, 3},
+                                    [](const Index& i) { return i[0] * 1000 + i[1] * 3 + i[2]; })),
+      sac::Value(IntArray(Shape{6, 600}))};
+  struct Case {
+    std::string store;
+    std::size_t walk;
+  };
+  for (const Case& c : {Case{"B[[i % 6, (3 * j + k) % 600]] = X[[i, j, k]];", 1},
+                        Case{"B[[i % 6, (j + k) % 600]] = X[[i, j, k]];", 2},
+                        Case{"B[[i, 3 * j + k + 1]] = X[[i, j, k]];", 2}}) {
+    SCOPED_TRACE(c.store);
+    const sac::CompiledFunction cf = compile(c.store, {6, 600});
+    CudaProgram p = CudaProgram::plan(cf);
+    ASSERT_EQ(p.compiled_host_block_count(), 1) << p.steps().front().host.interpreted_because;
+    const HostOp& op = p.steps().front().host.ops.at(1);
+    ASSERT_TRUE(op.nest.has_value());
+    EXPECT_EQ(op.nest->walk_dim, c.walk);
+    const std::string expected =
+        outcome_text([&] { return run_sequential(cf, args_for_600, gpu::i7_930(), true).result; });
+    gpu::VirtualGpu device(gpu::gtx480(), 1, gpu::BackendKind::Host);
+    gpu::cuda::Runtime rt(device);
+    gpu::Profiler host_profiler;
+    std::vector<sac::Value> args = args_for_600;
+    EXPECT_EQ(outcome_text([&] { return p.run(rt, args, gpu::i7_930(), host_profiler, true); }),
+              expected);
+  }
+  // The last store's index is one past the row: the interpreter's text.
+  const sac::CompiledFunction cf = compile("B[[i, 3 * j + k + 1]] = X[[i, j, k]];", {6, 600});
+  EXPECT_EQ(
+      outcome_text([&] { return run_sequential(cf, args_for_600, gpu::i7_930(), true).result; }),
+      "error: index [0,600] out of bounds for shape [6,600]");
+}
+
+// The loop variables outlive a compiled nest as they outlive the
+// interpreted one: one step past their last value, and only for loops
+// that their outer loops entered. A later interpreted step reads the
+// outermost one (the type checker scopes the inner ones to the nest).
+TEST(HostNestOracle, LoopVariablesEndAsInTheInterpreter) {
+  for (const auto& [outer, inner] : {std::pair{"i < 7", "j <= 9"}, std::pair{"i < 7", "j < 2"},
+                                     std::pair{"i < 1", "j <= 9"}}) {
+    const std::string src =
+        cat("int[*] main(int[*] B) {\n  O = B;\n  for (i = 1; ", outer,
+            "; i = i + 2) {\n    for (j = 2; ", inner,
+            "; j = j + 3) {\n      O[[i % 4]] = j;\n    }\n  }\n"
+            "  T = with { ([0] <= [x] < [4]) : O[[x]] * 2; } : genarray([4]);\n"
+            "  S = with { ([0] <= [x] < [4]) : T[[x]] + 100 * i; } : genarray([4]);\n"
+            "  return (S);\n}\n");
+    SCOPED_TRACE(src);
+    // Without WLF the kernel of T stays between the nest and S, which
+    // reads `i` on the host.
+    const sac::CompiledFunction cf =
+        sac::compile(sac::parse(src), "main", {sac::ArgSpec::array(sac::ElemType::Int, Shape{4})},
+                     sac::CompileOptions{.enable_wlf = false});
+    CudaProgram p = CudaProgram::plan(cf);
+    ASSERT_GE(p.host_block_count(), 1);
+    EXPECT_TRUE(p.steps().front().host.compiled()) << p.steps().front().host.interpreted_because;
+    const std::vector<sac::Value> args{sac::Value(IntArray(Shape{4}, 5))};
+    const std::string expected =
+        outcome_text([&] { return run_sequential(cf, args, gpu::i7_930(), true).result; });
+    gpu::VirtualGpu device(gpu::gtx480(), 1, gpu::BackendKind::Host);
+    gpu::cuda::Runtime rt(device);
+    gpu::Profiler host_profiler;
+    std::vector<sac::Value> run_args = args;
+    EXPECT_EQ(outcome_text([&] { return p.run(rt, run_args, gpu::i7_930(), host_profiler, true); }),
+              expected);
+  }
+}
+
 }  // namespace
 }  // namespace saclo::sac_cuda

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <map>
 #include <regex>
 #include <set>
 #include <sstream>
@@ -711,6 +712,29 @@ TEST(FleetTelemetryGoldenTest, ScriptReachesEveryEventTypeAndCounter) {
     if (name.size() < 6 || name.compare(name.size() - 6, 6, "_total") != 0) continue;
     EXPECT_NE(line.substr(line.find(' ') + 1), "0") << name << " never moved";
   }
+}
+
+// A Prometheus scrape declares each metric family once: a family of
+// several labelled series (one histogram per priority class) shares one
+// HELP and one TYPE line.
+TEST(FleetTelemetryGoldenTest, EveryFamilyIsDeclaredOnce) {
+  ScriptedFleet fleet;
+  run_script(fleet);
+  std::map<std::string, int> help;
+  std::map<std::string, int> type;
+  std::istringstream scrape(fleet.m.prometheus());
+  for (std::string line; std::getline(scrape, line);) {
+    for (auto [prefix, counts] : {std::pair{"# HELP ", &help}, std::pair{"# TYPE ", &type}}) {
+      const std::string p = prefix;
+      if (line.compare(0, p.size(), p) != 0) continue;
+      const std::string rest = line.substr(p.size());
+      ++(*counts)[rest.substr(0, rest.find(' '))];
+    }
+  }
+  EXPECT_EQ(type.count("saclo_class_latency_us"), 1u);
+  EXPECT_EQ(help.size(), type.size());
+  for (const auto& [name, n] : type) EXPECT_EQ(n, 1) << "# TYPE " << name;
+  for (const auto& [name, n] : help) EXPECT_EQ(n, 1) << "# HELP " << name;
 }
 
 }  // namespace

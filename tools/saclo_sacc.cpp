@@ -127,7 +127,10 @@ int main(int argc, char** argv) try {
                         static_cast<long long>(k.cost.warp_access_stride));
           }
         } else {
-          std::printf("  host block (%zu stmt(s))\n", step.host.stmt_indices.size());
+          std::printf("  host block (%zu stmt(s)): %s\n", step.host.stmt_indices.size(),
+                      step.host.compiled()
+                          ? "compiled loop nest"
+                          : ("interpreted, " + step.host.interpreted_because).c_str());
         }
       }
     } else {
