@@ -40,7 +40,7 @@ RouteTotals sac_route(bool generic) {
   gpu::VirtualGpu gpu(opts.device, opts.workers, opts.backend);
   t.async_us = async_ds.run_cuda_chain_on(gpu, kFrames, kChannels, 0).wall_us;
   t.timeline = gpu.profiler().timeline();
-  t.trace_json = obs::merged_chrome_trace({{0, gpu.profiler().intervals(), {}}}, {});
+  t.trace_json = obs::merged_chrome_trace({obs::DeviceTrace::of(0, gpu.profiler())}, {});
   return t;
 }
 

@@ -27,11 +27,20 @@ OpBreakdown& OpBreakdown::operator+=(const OpBreakdown& other) {
 
 namespace {
 
+/// Each row's calls and time: what split_rows subtracts.
+using RowTotals = std::vector<std::pair<std::int64_t, double>>;
+
+/// Keeps `profiler`'s row totals in `totals`, reusing its storage.
+void mark_rows(const gpu::Profiler& profiler, RowTotals& totals) {
+  totals.clear();
+  for (const gpu::Profiler::Row& row : profiler.rows()) totals.emplace_back(row.calls, row.total_us);
+}
+
 /// Adds what `profiler` recorded since its rows were `before` to the
 /// two filters: kernel and host rows to H when `is_h` names them, else
 /// to V; uploads to H (they feed it) and downloads to V. Only the delta
 /// counts, since a fleet device's profiler is cumulative.
-void split_rows(const gpu::Profiler& profiler, const std::vector<gpu::Profiler::Row>& before,
+void split_rows(const gpu::Profiler& profiler, const RowTotals& before,
                 const std::function<bool(const std::string&)>& is_h, OpBreakdown& h,
                 OpBreakdown& v) {
   const std::vector<gpu::Profiler::Row>& rows = profiler.rows();
@@ -40,8 +49,8 @@ void split_rows(const gpu::Profiler& profiler, const std::vector<gpu::Profiler::
     std::int64_t calls = row.calls;
     double us = row.total_us;
     if (i < before.size()) {  // rows only ever append: row i is the same op
-      calls -= before[i].calls;
-      us -= before[i].total_us;
+      calls -= before[i].first;
+      us -= before[i].second;
     }
     if (calls == 0 && us == 0.0) continue;
     switch (row.kind) {
@@ -138,7 +147,7 @@ SacDownscaler::CudaResult SacDownscaler::run_cuda_chain_on(gpu::VirtualGpu& gpu,
   gpu::Profiler host_profiler;
   CudaResult result;
   const double clock0 = gpu.clock_us();
-  const std::vector<gpu::Profiler::Row> rows_before = gpu.profiler().rows();
+  mark_rows(gpu.profiler(), rows_before_);
 
   std::optional<gpu::StreamSet> streams;
   if (opts_.async_streams) {
@@ -153,12 +162,14 @@ SacDownscaler::CudaResult SacDownscaler::run_cuda_chain_on(gpu::VirtualGpu& gpu,
   // Compute-done events per iteration, the double-buffer throttle: the
   // upload of iteration i may start only once the frame buffer of
   // iteration i-2 was consumed (cudaStreamWaitEvent on the copy stream).
-  std::vector<gpu::EventId> iter_done;
+  std::vector<gpu::EventId>& iter_done = iter_done_;
+  iter_done.clear();
   int iter = 0;
 
   // The executed channel-frames' input: one host frame borrowed for the
   // call, refilled for each, given back however the call ends.
   std::vector<Value> args(1);
+  std::optional<Value> out;
   bool borrowed = false;
   const ScopeExit give_back([&] {
     if (borrowed) gpu.host_frames().give_back(std::move(args[0].ints()).release());
@@ -183,17 +194,18 @@ SacDownscaler::CudaResult SacDownscaler::run_cuda_chain_on(gpu::VirtualGpu& gpu,
       sac_cuda::CudaProgram::RunOptions ropts;
       ropts.execute = exec;
       ropts.streams = streams;
-      Value out = prog_.run(rt, args, opts_.host, host_profiler, ropts);
+      prog_.run(rt, args, opts_.host, host_profiler, ropts, out);
 
       if (streams) iter_done.push_back(gpu.record_event(streams->compute));
       ++iter;
-      if (exec && ch == 0) result.last_output = std::move(out.ints());
+      if (exec && ch == 0) result.last_output = std::move(out->ints());
+      out.reset();
     }
     if (on_frame) on_frame(f);
   }
   if (flush) gpu.synchronize();
   const auto is_h = [this](const std::string& row) { return h_rows_.count(row) > 0; };
-  split_rows(gpu.profiler(), rows_before, is_h, result.h, result.v);
+  split_rows(gpu.profiler(), rows_before_, is_h, result.h, result.v);
   split_rows(host_profiler, {}, is_h, result.h, result.v);
   // Async host blocks run on the gpu timeline (host stream) and are
   // already inside the makespan; sync ones live in host_profiler. On a
@@ -285,7 +297,7 @@ GaspardDownscaler::Result GaspardDownscaler::run_on(gpu::VirtualGpu& gpu, int fr
                                                     int first_frame, const FrameGate& gate) {
   gpu::opencl::CommandQueue queue(gpu);
   const double clock0 = gpu.clock_us();
-  const std::vector<gpu::Profiler::Row> rows_before = gpu.profiler().rows();
+  mark_rows(gpu.profiler(), rows_before_);
   std::optional<gpu::opencl::CommandQueue> upload;
   std::optional<gpu::opencl::CommandQueue> compute;
   std::optional<gpu::opencl::CommandQueue> download;
@@ -298,7 +310,8 @@ GaspardDownscaler::Result GaspardDownscaler::run_on(gpu::VirtualGpu& gpu, int fr
 
   // Double-buffer throttle: frame f's uploads wait until frame f-2's
   // kernels finished (its input buffers are being reused).
-  std::vector<gpu::EventId> frame_done;
+  std::vector<gpu::EventId>& frame_done = frame_done_;
+  frame_done.clear();
 
   // The executed frames' inputs: host frames borrowed for the call,
   // refilled each frame, given back however the call ends.
@@ -338,7 +351,7 @@ GaspardDownscaler::Result GaspardDownscaler::run_on(gpu::VirtualGpu& gpu, int fr
   if (flush) gpu.synchronize();
 
   const auto is_h = [](const std::string& row) { return row.find("hf") != std::string::npos; };
-  split_rows(gpu.profiler(), rows_before, is_h, result.h, result.v);
+  split_rows(gpu.profiler(), rows_before_, is_h, result.h, result.v);
   result.wall_us = gpu.clock_us() - clock0;
   return result;
 }

@@ -1,8 +1,11 @@
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "apps/downscaler/arrayol_model.hpp"
 #include "apps/downscaler/config.hpp"
@@ -158,6 +161,9 @@ class SacDownscaler {
   sac::Module module_;
   sac_cuda::CudaProgram prog_;
   std::set<std::string> h_rows_;  ///< profiler rows of the H filter's steps
+  // Per-job scratch, reused by every call.
+  std::vector<std::pair<std::int64_t, double>> rows_before_;
+  std::vector<gpu::EventId> iter_done_;
 };
 
 /// The GASPARD2-side experiment driver: ArrayOL model -> OpenCL chain,
@@ -230,6 +236,9 @@ class GaspardDownscaler {
   Options opts_;
   std::vector<opt::AppliedRewrite> rewrites_;  // before app_: ctor fills it while building
   gaspard::OpenClApplication app_;
+  // Per-job scratch, reused by every call.
+  std::vector<std::pair<std::int64_t, double>> rows_before_;
+  std::vector<gpu::EventId> frame_done_;
 };
 
 /// Renders a Table I/II-style report from per-filter breakdowns.

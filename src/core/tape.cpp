@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <functional>
 #include <utility>
 
@@ -47,13 +48,61 @@ std::int32_t Tape::divisor_id(std::int64_t k) {
   return static_cast<std::int32_t>(id);
 }
 
-TapeLanes::TapeLanes(const Tape& tape, int width)
-    : width_(width),
-      slots_(static_cast<std::size_t>(tape.slot_count) * static_cast<std::size_t>(width)),
-      stack_(static_cast<std::size_t>(tape.max_depth) * kMaxTapeLanes) {
-  if (width < 1 || width > kMaxTapeLanes) {
-    throw Error(cat("tape: ", width, " lanes, not 1 to ", kMaxTapeLanes));
+namespace {
+
+/// One thread's tape rows: grown to the largest block run on the thread,
+/// leased to one TapeLanes at a time.
+struct LaneScratch {
+  std::vector<std::int64_t> rows;
+  bool leased = false;
+};
+thread_local LaneScratch t_scratch;
+
+std::atomic<bool> g_poison_on{false};
+std::atomic<std::int64_t> g_poison{0};
+
+}  // namespace
+
+void set_tape_scratch_poison(std::optional<std::int64_t> pattern) {
+  g_poison.store(pattern.value_or(0), std::memory_order_relaxed);
+  g_poison_on.store(pattern.has_value(), std::memory_order_release);
+}
+
+std::size_t TapeLanes::elements(const Tape& tape) const {
+  if (width_ < 1 || width_ > kMaxTapeLanes) {
+    throw Error(cat("tape: ", width_, " lanes, not 1 to ", kMaxTapeLanes));
   }
+  return static_cast<std::size_t>(tape.slot_count) * static_cast<std::size_t>(width_) +
+         static_cast<std::size_t>(tape.max_depth) * kMaxTapeLanes;
+}
+
+TapeLanes::TapeLanes(const Tape& tape, int width) : width_(width), own_(elements(tape)) {
+  slots_ = own_.data();
+  stack_ = slots_ + static_cast<std::ptrdiff_t>(tape.slot_count) * width_;
+}
+
+TapeLanes::TapeLanes(const Tape& tape, int width, ThreadScratch) : width_(width) {
+  const std::size_t n = elements(tape);
+  LaneScratch& scratch = t_scratch;
+  std::int64_t* rows = nullptr;
+  if (scratch.leased) {
+    own_.resize(n);
+    rows = own_.data();
+  } else {
+    if (scratch.rows.size() < n) scratch.rows.resize(n);
+    scratch.leased = leased_ = true;
+    rows = scratch.rows.data();
+  }
+  if (g_poison_on.load(std::memory_order_acquire)) {
+    const auto pattern = static_cast<std::uint64_t>(g_poison.load(std::memory_order_relaxed));
+    for (std::size_t k = 0; k < n; ++k) rows[k] = static_cast<std::int64_t>(pattern + k);
+  }
+  slots_ = rows;
+  stack_ = slots_ + static_cast<std::ptrdiff_t>(tape.slot_count) * width_;
+}
+
+TapeLanes::~TapeLanes() {
+  if (leased_) t_scratch.leased = false;
 }
 
 namespace {
@@ -124,7 +173,7 @@ void Tape::run(TapeLanes& lanes, int n, std::span<const TapeArray> arrays,
                std::span<const std::int64_t> lin_offsets,
                std::span<const std::int64_t> lin_steps) const {
   using I = std::int64_t;
-  I* const stack = lanes.stack_.data();
+  I* const stack = lanes.stack_;
   // Stack rows have a stride the compiler knows, so it vectorises the
   // row loops without run-time checks.
   constexpr std::ptrdiff_t stride = kMaxTapeLanes;

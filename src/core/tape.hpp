@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -136,20 +137,48 @@ class Tape {
 
 /// The storage of one block run of a tape: slot_count slot rows `width`
 /// lanes wide (1 to kMaxTapeLanes), and max_depth stack rows
-/// kMaxTapeLanes wide. Allocate one per range of items and reuse it for
+/// kMaxTapeLanes wide. Make one per range of items and reuse it for
 /// every block.
+///
+/// A tape writes every slot and stack row before it reads it (its
+/// input slots are the caller's to fill), so the rows need no clearing:
+/// a kernel body takes them from the calling thread's grow-only scratch
+/// (ThreadScratch), and a steady-state launch allocates nothing. The
+/// oracles prove the property on scratch filled with a poison pattern
+/// (set_tape_scratch_poison).
 class TapeLanes {
  public:
+  /// Rows of its own, zero-filled.
   TapeLanes(const Tape& tape, int width);
+  /// Rows on the calling thread's scratch, which grows to the largest
+  /// block the thread has run and is never cleared. A second TapeLanes
+  /// on one thread while the first lives gets rows of its own.
+  struct ThreadScratch {};
+  TapeLanes(const Tape& tape, int width, ThreadScratch);
+  ~TapeLanes();
+
+  TapeLanes(const TapeLanes&) = delete;
+  TapeLanes& operator=(const TapeLanes&) = delete;
 
   /// Row of slot `s`: lane l's value is at [l].
-  std::int64_t* slot(int s) { return slots_.data() + static_cast<std::size_t>(s) * width_; }
+  std::int64_t* slot(int s) { return slots_ + static_cast<std::ptrdiff_t>(s) * width_; }
 
  private:
   friend class Tape;
+  std::size_t elements(const Tape& tape) const;
+
   int width_;
-  std::vector<std::int64_t> slots_;
-  std::vector<std::int64_t> stack_;
+  bool leased_ = false;  ///< the rows are the thread's scratch
+  std::vector<std::int64_t> own_;
+  std::int64_t* slots_ = nullptr;
+  std::int64_t* stack_ = nullptr;
 };
+
+/// While set, every TapeLanes on thread scratch starts with element k of
+/// its rows (slot rows, then stack rows) holding `pattern` + k instead of
+/// what the thread's previous block left there: a test hook that makes a
+/// read before a write show, and show differently on every lane.
+/// nullopt (the default) turns it off.
+void set_tape_scratch_poison(std::optional<std::int64_t> pattern);
 
 }  // namespace saclo

@@ -5,6 +5,7 @@
 #include <cctype>
 
 #include "core/fmt.hpp"
+#include "core/scope_exit.hpp"
 #include "opt/cost.hpp"
 
 namespace saclo::gaspard {
@@ -14,30 +15,6 @@ using aol::RepetitiveTask;
 using aol::TiledPort;
 
 namespace {
-
-constexpr std::size_t kMaxRank = 4;
-
-/// Precomputed per-kernel addressing data so the functional kernel body
-/// does no heap allocation: for each port, the paving matrix columns
-/// (for the reference element) and the per-pattern-element fitting
-/// offsets F·i.
-struct PortAddressing {
-  std::size_t array_rank = 0;
-  std::array<std::int64_t, kMaxRank> origin{};
-  std::array<std::int64_t, kMaxRank> array_dims{};
-  std::array<std::int64_t, kMaxRank> array_strides{};
-  // paving[d][r] laid out row-major, rank x rep_rank
-  std::array<std::int64_t, kMaxRank * kMaxRank> paving{};
-  std::size_t rep_rank = 0;
-  /// Per pattern element: the F·i offset vector.
-  std::vector<std::array<std::int64_t, kMaxRank>> fit_offsets;
-  /// Per pattern element: sum_d (F·i)[d] * stride[d], its element
-  /// offset from the reference point when nothing wraps.
-  std::vector<std::int64_t> fit_linear;
-  /// Per array dimension: the extremes of (F·i)[d] over the pattern.
-  std::array<std::int64_t, kMaxRank> fit_min{};
-  std::array<std::int64_t, kMaxRank> fit_max{};
-};
 
 PortAddressing make_addressing(const TiledPort& tp, const Shape& array_shape,
                                const Shape& repetition) {
@@ -304,6 +281,7 @@ OpenClApplication OpenClApplication::build(Model model) {
   }
 
   // Code generation: one kernel per repetitive task.
+  std::size_t ports = 0;
   for (aol::TaskId t : app.schedule_) {
     const RepetitiveTask& task = model.tasks()[t];
     TaskKernel k;
@@ -318,8 +296,34 @@ OpenClApplication OpenClApplication::build(Model model) {
     std::int64_t in_total = 0;
     for (const TiledPort& in : task.inputs) in_total += in.pattern.elements();
     k.tape = aol::lower_to_tape(task.op, in_total);
+    // The launch's addressing, buffers and block shape.
+    auto buffer_of = [&](const TiledPort& port) {
+      const auto it = std::find_if(app.buffers_.begin(), app.buffers_.end(),
+                                   [&](const BufferPlan& b) { return b.array == port.port.name; });
+      if (it == app.buffers_.end()) throw ChainError(cat("no buffer for '", port.port.name, "'"));
+      return static_cast<std::size_t>(it - app.buffers_.begin());
+    };
+    for (const TiledPort& in : task.inputs) {
+      k.ports.push_back(make_addressing(in, model.array_shape(in.port.name), task.repetition));
+      k.port_buffers.push_back(buffer_of(in));
+    }
+    k.input_ports = task.inputs.size();
+    for (const TiledPort& out : task.outputs) {
+      k.ports.push_back(make_addressing(out, model.array_shape(out.port.name), task.repetition));
+      k.port_buffers.push_back(buffer_of(out));
+    }
+    k.rep_rank = task.repetition.rank();
+    for (std::size_t d = 0; d < k.rep_rank; ++d) k.rep_dims[d] = task.repetition[d];
+    k.lanes = block_lanes(k.tape);
+    ports = std::max(ports, k.ports.size());
     app.kernels_.push_back(std::move(k));
   }
+  for (std::size_t b = app.buffers_.size(); b-- > 0;) app.free_order_.push_back(b);
+  std::sort(app.free_order_.begin(), app.free_order_.end(), [&](std::size_t x, std::size_t y) {
+    return app.buffers_[x].array > app.buffers_[y].array;
+  });
+  app.hazards_.reserve(ports);
+  app.port_data_.reserve(ports);
   app.model_ = std::move(model);
   return app;
 }
@@ -340,134 +344,154 @@ std::map<std::string, IntArray> OpenClApplication::run(
   return run(queue, queue, queue, inputs, execute);
 }
 
+namespace {
+
+/// Per-thread row pointers of a block's gather and scatter.
+struct BlockRows {
+  std::vector<std::int64_t*> in;
+  std::vector<const std::int64_t*> out;
+};
+
+/// One task kernel's launch: the built kernel and this run's device view
+/// of each of its ports. The launch body captures a pointer to it.
+struct TaskLaunch {
+  const TaskKernel* kernel;
+  std::span<const std::span<std::int32_t>> data;  ///< by port
+};
+
+/// The task kernel's body over work items [begin, end).
+///
+/// The tape's rows come from the thread's scratch, leaving the tiler's
+/// gather/compute/scatter as the inner loop. The generated code maps
+/// iGID to tlIter dimension 0 fastest (Figure 11's iGID % n) — the
+/// simulated GPU's mapping. Work items are independent under single
+/// assignment, so the host visits them in its own order: ids decode
+/// with the walk dimension fastest, once per run along it, and each run
+/// goes through gather, IP and scatter a block of items at a time, so
+/// consecutive items store next to each other.
+void run_task(const TaskLaunch& launch, std::int64_t begin, std::int64_t end) {
+  const TaskKernel& k = *launch.kernel;
+  const Tape& tape = k.tape;
+  const std::size_t walk = k.walk_dim;
+  // The gather writes each input element straight into its slot row,
+  // and the scatter reads each output from its result slot row.
+  TapeLanes rows(tape, k.lanes, TapeLanes::ThreadScratch{});
+  thread_local BlockRows block;
+  block.in.clear();
+  for (const int s : tape.input_slots) block.in.push_back(rows.slot(s));
+  block.out.clear();
+  for (const int s : tape.result_slots) block.out.push_back(rows.slot(s));
+  std::array<std::int64_t, kMaxRank> rep{};
+  for (std::int64_t tid = begin; tid < end;) {
+    std::int64_t rest = tid;
+    for (std::size_t i = 0; i < k.rep_rank; ++i) {
+      const std::size_t d = gpu::walk_order(i, walk);
+      rep[d] = rest % k.rep_dims[d];
+      rest /= k.rep_dims[d];
+    }
+    const std::int64_t run =
+        k.rep_rank == 0 ? end - tid : std::min(end - tid, k.rep_dims[walk] - rep[walk]);
+    tid += run;
+    for (std::int64_t done = 0; done < run;) {
+      const int n = static_cast<int>(std::min<std::int64_t>(run - done, k.lanes));
+      std::int64_t* const* in_row = block.in.data();
+      for (std::size_t p = 0; p < k.input_ports; ++p) {
+        const std::span<std::int32_t> data = launch.data[p];
+        for_each_block_offset(k.ports[p], rep, walk, n,
+                              [&](std::int64_t e, std::int64_t l, std::int64_t off) {
+                                in_row[e][l] = data[static_cast<std::size_t>(off)];
+                              });
+        in_row += k.ports[p].fit_linear.size();
+      }
+      tape.run(rows, n, {});
+      const std::int64_t* const* out_row = block.out.data();
+      for (std::size_t p = k.input_ports; p < k.ports.size(); ++p) {
+        const std::span<std::int32_t> data = launch.data[p];
+        for_each_block_offset(k.ports[p], rep, walk, n,
+                              [&](std::int64_t e, std::int64_t l, std::int64_t off) {
+                                data[static_cast<std::size_t>(off)] =
+                                    static_cast<std::int32_t>(out_row[e][l]);
+                              });
+        out_row += k.ports[p].fit_linear.size();
+      }
+      done += n;
+      rep[walk] += n;
+    }
+  }
+}
+
+}  // namespace
+
 std::map<std::string, IntArray> OpenClApplication::run(
     gpu::opencl::CommandQueue& upload, gpu::opencl::CommandQueue& compute,
     gpu::opencl::CommandQueue& download, const std::map<std::string, IntArray>& inputs,
     bool execute) {
+  gpu::VirtualGpu& gpu = compute.gpu();
+  gpu::BufferAllocator& allocator = gpu.allocator();
+  // However the call ends, the buffers go back in descending name order.
+  live_.assign(buffers_.size(), gpu::BufferHandle{});
+  const ScopeExit free_buffers([&] {
+    for (const std::size_t b : free_order_) {
+      if (live_[b].valid()) allocator.free(live_[b]);
+      live_[b] = {};
+    }
+  });
   // Create buffers (int32 frames, as on the paper's device). None is
   // zero-filled: inputs are uploaded whole, Model::validate proves
   // every produced array an exact partition of its task's output
   // tiler, and an array nothing writes is never read.
-  std::map<std::string, gpu::opencl::Buffer> buffers;
-  for (const BufferPlan& plan : buffers_) {
-    const std::int64_t bytes = plan.shape.elements() * 4;
-    buffers.emplace(plan.array, compute.create_buffer_for_overwrite(bytes));
+  for (std::size_t b = 0; b < buffers_.size(); ++b) {
+    live_[b] = allocator.allocate_for_overwrite(buffers_[b].shape.elements() * 4);
   }
   // Upload inputs.
-  for (const BufferPlan& plan : buffers_) {
+  for (std::size_t b = 0; b < buffers_.size(); ++b) {
+    const BufferPlan& plan = buffers_[b];
     if (!plan.is_input) continue;
-    gpu::opencl::Buffer& buffer = buffers.at(plan.array);
     if (execute) {
       auto it = inputs.find(plan.array);
       if (it == inputs.end()) throw ChainError(cat("missing input '", plan.array, "'"));
-      upload.enqueue_write_frame(buffer, it->second);
+      upload.gpu().upload_frame(live_[b], it->second.data(), gpu::opencl::CommandQueue::kHtoDOp,
+                                upload.stream());
     } else {
-      upload.account_write(buffer);
+      upload.gpu().account_transfer(live_[b].bytes, gpu::Dir::HostToDevice,
+                                    gpu::opencl::CommandQueue::kHtoDOp, upload.stream(),
+                                    live_[b]);
     }
   }
 
   // Launch every task kernel in schedule order.
   for (const TaskKernel& k : kernels_) {
-    const RepetitiveTask& task = model_.tasks()[k.task];
-    // Precompute addressing and bind device views.
-    struct BoundPort {
-      PortAddressing addr;
-      std::span<std::int32_t> data;
-    };
-    std::vector<BoundPort> ins;
-    std::vector<BoundPort> outs;
-    for (const TiledPort& in : task.inputs) {
-      ins.push_back(BoundPort{make_addressing(in, model_.array_shape(in.port.name),
-                                              task.repetition),
-                              buffers.at(in.port.name).view<std::int32_t>()});
+    hazards_.clear();
+    port_data_.clear();
+    for (const std::size_t b : k.port_buffers) {
+      hazards_.push_back(live_[b]);
+      port_data_.push_back(gpu.memory().view<std::int32_t>(live_[b]));
     }
-    for (const TiledPort& out : task.outputs) {
-      outs.push_back(BoundPort{make_addressing(out, model_.array_shape(out.port.name),
-                                               task.repetition),
-                               buffers.at(out.port.name).view<std::int32_t>()});
-    }
-    const Tape* tape = &k.tape;
-    std::array<std::int64_t, kMaxRank> rep_dims{};
-    const std::size_t rep_rank = task.repetition.rank();
-    for (std::size_t d = 0; d < rep_rank; ++d) rep_dims[d] = task.repetition[d];
-
+    const TaskLaunch task{&k, port_data_};
     gpu::KernelLaunch launch;
     launch.name = k.name;
     launch.threads = k.work_items;
     launch.cost = k.cost;
-    for (const TiledPort& in : task.inputs) {
-      launch.reads.push_back(buffers.at(in.port.name).handle());
-    }
-    for (const TiledPort& out : task.outputs) {
-      launch.writes.push_back(buffers.at(out.port.name).handle());
-    }
-    // The tape's rows are sized once per chunk, leaving the tiler's
-    // gather/compute/scatter as the inner loop. The generated code maps
-    // iGID to tlIter dimension 0 fastest (Figure 11's iGID % n) — the
-    // simulated GPU's mapping. Work items are independent under single
-    // assignment, so the host visits them in its own order: ids decode
-    // with the walk dimension fastest, once per run along it, and each
-    // run goes through gather, IP and scatter a block of items at a time,
-    // so consecutive items store next to each other.
-    const std::size_t walk = k.walk_dim;
-    const int lanes = block_lanes(*tape);
-    launch.body = [ins, outs, tape, rep_dims, rep_rank, walk, lanes](std::int64_t begin,
-                                                                    std::int64_t end) {
-      // The gather writes each input element straight into its slot row,
-      // and the scatter reads each output from its result slot row.
-      TapeLanes rows(*tape, lanes);
-      std::vector<std::int64_t*> in_rows;
-      for (const int s : tape->input_slots) in_rows.push_back(rows.slot(s));
-      std::vector<const std::int64_t*> out_rows;
-      for (const int s : tape->result_slots) out_rows.push_back(rows.slot(s));
-      std::array<std::int64_t, kMaxRank> rep{};
-      for (std::int64_t tid = begin; tid < end;) {
-        std::int64_t rest = tid;
-        for (std::size_t i = 0; i < rep_rank; ++i) {
-          const std::size_t d = gpu::walk_order(i, walk);
-          rep[d] = rest % rep_dims[d];
-          rest /= rep_dims[d];
-        }
-        const std::int64_t run =
-            rep_rank == 0 ? end - tid : std::min(end - tid, rep_dims[walk] - rep[walk]);
-        tid += run;
-        for (std::int64_t done = 0; done < run;) {
-          const int n = static_cast<int>(std::min<std::int64_t>(run - done, lanes));
-          std::int64_t* const* in_row = in_rows.data();
-          for (const BoundPort& bp : ins) {
-            for_each_block_offset(bp.addr, rep, walk, n,
-                                  [&](std::int64_t e, std::int64_t l, std::int64_t off) {
-                                    in_row[e][l] = bp.data[static_cast<std::size_t>(off)];
-                                  });
-            in_row += bp.addr.fit_linear.size();
-          }
-          tape->run(rows, n, {});
-          const std::int64_t* const* out_row = out_rows.data();
-          for (const BoundPort& bp : outs) {
-            for_each_block_offset(bp.addr, rep, walk, n,
-                                  [&](std::int64_t e, std::int64_t l, std::int64_t off) {
-                                    bp.data[static_cast<std::size_t>(off)] =
-                                        static_cast<std::int32_t>(out_row[e][l]);
-                                  });
-            out_row += bp.addr.fit_linear.size();
-          }
-          done += n;
-          rep[walk] += n;
-        }
-      }
-    };
+    launch.reads = std::span<const gpu::BufferHandle>(hazards_).first(k.input_ports);
+    launch.writes = std::span<const gpu::BufferHandle>(hazards_).subspan(k.input_ports);
+    launch.body = [&task](std::int64_t begin, std::int64_t end) { run_task(task, begin, end); };
     compute.enqueue_ndrange(launch, execute);
   }
 
   // Read outputs back (a timing-only run builds no host arrays).
   std::map<std::string, IntArray> results;
-  for (const BufferPlan& plan : buffers_) {
+  for (std::size_t b = 0; b < buffers_.size(); ++b) {
+    const BufferPlan& plan = buffers_[b];
     if (!plan.is_output) continue;
-    const gpu::opencl::Buffer& buffer = buffers.at(plan.array);
     if (execute) {
-      results.emplace(plan.array, download.enqueue_read_frame(buffer, plan.shape));
+      results.emplace(plan.array,
+                      IntArray(plan.shape, download.gpu().download_frame(
+                                               live_[b], gpu::opencl::CommandQueue::kDtoHOp,
+                                               download.stream())));
     } else {
-      download.account_read(buffer);
+      download.gpu().account_transfer(live_[b].bytes, gpu::Dir::DeviceToHost,
+                                      gpu::opencl::CommandQueue::kDtoHOp, download.stream(),
+                                      live_[b]);
     }
   }
   return results;

@@ -1,6 +1,8 @@
 #pragma once
 
+#include <array>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -13,6 +15,31 @@ namespace saclo::gaspard {
 class ChainError : public Error {
  public:
   using Error::Error;
+};
+
+/// The highest array and repetition rank the OpenCL generator supports.
+inline constexpr std::size_t kMaxRank = 4;
+
+/// A task port's addressing, computed once when the application is
+/// built so the functional kernel body does no heap allocation: the
+/// paving matrix columns (for the reference element) and the
+/// per-pattern-element fitting offsets F·i.
+struct PortAddressing {
+  std::size_t array_rank = 0;
+  std::array<std::int64_t, kMaxRank> origin{};
+  std::array<std::int64_t, kMaxRank> array_dims{};
+  std::array<std::int64_t, kMaxRank> array_strides{};
+  // paving[d][r] laid out row-major, rank x rep_rank
+  std::array<std::int64_t, kMaxRank * kMaxRank> paving{};
+  std::size_t rep_rank = 0;
+  /// Per pattern element: the F·i offset vector.
+  std::vector<std::array<std::int64_t, kMaxRank>> fit_offsets;
+  /// Per pattern element: sum_d (F·i)[d] * stride[d], its element
+  /// offset from the reference point when nothing wraps.
+  std::vector<std::int64_t> fit_linear;
+  /// Per array dimension: the extremes of (F·i)[d] over the pattern.
+  std::array<std::int64_t, kMaxRank> fit_min{};
+  std::array<std::int64_t, kMaxRank> fit_max{};
 };
 
 /// One OpenCL kernel generated from a repetitive task — GASPARD2 maps
@@ -33,6 +60,16 @@ struct TaskKernel {
   /// generated code keeps dimension 0 fastest: the id-to-item mapping
   /// is a per-target decision.
   std::size_t walk_dim = 0;
+
+  // The launch, bound when the application is built (DESIGN decision 20).
+  /// The task's ports, inputs then outputs, and each one's buffer (an
+  /// index into OpenClApplication::buffers()).
+  std::vector<PortAddressing> ports;
+  std::vector<std::size_t> port_buffers;
+  std::size_t input_ports = 0;
+  std::array<std::int64_t, kMaxRank> rep_dims{};
+  std::size_t rep_rank = 0;
+  int lanes = 1;  ///< lanes per block run of the tape
 };
 
 /// Where each array lives in the generated application.
@@ -84,6 +121,13 @@ class OpenClApplication {
   std::vector<TaskKernel> kernels_;
   std::vector<BufferPlan> buffers_;
   std::vector<aol::TaskId> schedule_;
+  /// Buffer ids in the order a run frees them: descending array name.
+  std::vector<std::size_t> free_order_;
+  // The run state, reused by every call: each buffer's device handle,
+  // and a launch's hazard handles and port views.
+  std::vector<gpu::BufferHandle> live_;
+  std::vector<gpu::BufferHandle> hazards_;
+  std::vector<std::span<std::int32_t>> port_data_;
 };
 
 /// `name` as an identifier of the emitted OpenCL C: each character other

@@ -5,7 +5,7 @@
 #include <functional>
 #include <memory>
 #include <span>
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "gpu/backend_kind.hpp"
@@ -21,9 +21,11 @@ class ThreadPool;
 /// A kernel ready to launch: a name (for profiling), a 1-D thread count
 /// (grids are linearised by the code generators, which matches how both
 /// generated-code styles compute a global id), a static cost descriptor,
-/// and the functional body.
+/// and the functional body. The name and the hazard lists are views of
+/// storage the issuer keeps alive for the launch call, so building a
+/// launch allocates nothing.
 struct KernelLaunch {
-  std::string name;
+  std::string_view name;
   std::int64_t threads = 0;
   KernelCost cost;
   /// The body processes every global thread id in [begin, end) with a
@@ -31,14 +33,15 @@ struct KernelLaunch {
   /// loop is the compiler's to vectorise. It must be safe to call
   /// concurrently for disjoint ranges (single-assignment output, as both
   /// source languages guarantee). A launch without a body only accrues
-  /// model time.
+  /// model time. The drivers' bodies capture one pointer to state that
+  /// outlives the launch, which std::function keeps without allocating.
   std::function<void(std::int64_t begin, std::int64_t end)> body;
   /// Device buffers the kernel reads/writes — the data hazards that
   /// order it against operations on other streams. Empty lists mean no
   /// cross-stream constraints (single-stream issue stays correct via
   /// stream order alone).
-  std::vector<BufferHandle> reads;
-  std::vector<BufferHandle> writes;
+  std::span<const BufferHandle> reads;
+  std::span<const BufferHandle> writes;
 };
 
 /// The dimension a host kernel body walks fastest: among the id
@@ -89,7 +92,8 @@ constexpr std::int64_t transfer_blocks(std::int64_t elements) {
 /// copy, or one that converts between the host and device element
 /// types on the way (int64 host frames to int32 device frames and
 /// back). Like a kernel body it must be safe to call concurrently for
-/// disjoint ranges.
+/// disjoint ranges; VirtualGpu's moves capture one pointer, so they
+/// allocate nothing either.
 using TransferFn = std::function<void(std::int64_t begin, std::int64_t end)>;
 
 /// Notified exactly once at each operation boundary a backend processes,

@@ -47,8 +47,7 @@ void ThreadPool::worker_loop() {
   }
 }
 
-void ThreadPool::parallel_for(std::int64_t n,
-                              const std::function<void(std::int64_t, std::int64_t)>& fn) {
+void ThreadPool::parallel_for(std::int64_t n, RangeRef fn) {
   if (n <= 0) return;
   const std::int64_t workers = static_cast<std::int64_t>(worker_count());
   if (workers == 1 || n < 2 * workers) {

@@ -30,28 +30,39 @@ std::vector<std::pair<double, double>> merge_spans(std::vector<std::pair<double,
   return merged;
 }
 
-void Profiler::record(const std::string& name, OpKind kind, std::int64_t calls, double us) {
+std::uint32_t Profiler::row_of(std::string_view name, OpKind kind) {
   auto it = index_.find(name);
-  if (it == index_.end()) {
-    index_.emplace(name, rows_.size());
-    rows_.push_back(Row{name, kind, calls, us});
-    return;
-  }
-  Row& row = rows_[it->second];
+  if (it != index_.end()) return it->second;
+  const auto row = static_cast<std::uint32_t>(rows_.size());
+  index_.emplace(std::string(name), row);
+  // A live snapshot copies the row names: the append takes its lock.
+  std::lock_guard<std::mutex> lock(intervals_mutex_);
+  rows_.push_back(Row{std::string(name), kind, 0, 0.0});
+  return row;
+}
+
+void Profiler::record(std::string_view name, OpKind kind, std::int64_t calls, double us) {
+  Row& row = rows_[row_of(name, kind)];
   row.calls += calls;
   row.total_us += us;
 }
 
-void Profiler::record_interval(const std::string& name, OpKind kind, StreamId stream,
+void Profiler::record_interval(std::string_view name, OpKind kind, StreamId stream,
                                double start_us, double end_us) {
-  record(name, kind, 1, end_us - start_us);
+  const std::uint32_t row = row_of(name, kind);
+  rows_[row].calls += 1;
+  rows_[row].total_us += end_us - start_us;
   std::lock_guard<std::mutex> lock(intervals_mutex_);
-  intervals_.push_back(Interval{name, kind, stream, start_us, end_us, trace_id_, attempt_, batch_});
+  intervals_.push_back(Interval{row, kind, stream, start_us, end_us, trace_id_, attempt_, batch_});
 }
 
-std::vector<Profiler::Interval> Profiler::intervals_snapshot() const {
+Profiler::Snapshot Profiler::snapshot() const {
   std::lock_guard<std::mutex> lock(intervals_mutex_);
-  return intervals_;
+  Snapshot s;
+  s.names.reserve(rows_.size());
+  for (const Row& r : rows_) s.names.push_back(r.name);
+  s.intervals = intervals_;
+  return s;
 }
 
 double Profiler::total_us() const {
@@ -68,7 +79,7 @@ double Profiler::total_us(OpKind kind) const {
   return t;
 }
 
-double Profiler::us_for(const std::string& name) const {
+double Profiler::us_for(std::string_view name) const {
   auto it = index_.find(name);
   return it == index_.end() ? 0.0 : rows_[it->second].total_us;
 }
@@ -115,6 +126,7 @@ Profiler::OverlapStats Profiler::overlap_stats() const {
 }
 
 void Profiler::clear() {
+  std::lock_guard<std::mutex> lock(intervals_mutex_);
   rows_.clear();
   index_.clear();
   intervals_.clear();

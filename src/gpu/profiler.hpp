@@ -4,6 +4,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -33,12 +34,12 @@ std::vector<std::pair<double, double>> merge_spans(std::vector<std::pair<double,
 class Profiler {
  public:
   /// Adds `us` microseconds and `calls` invocations to `name`
-  /// (aggregate only — no interval).
-  void record(const std::string& name, OpKind kind, std::int64_t calls, double us);
+  /// (aggregate only — no interval). Allocates only for a new row.
+  void record(std::string_view name, OpKind kind, std::int64_t calls, double us);
 
   /// Adds one scheduled occurrence of `name` with its placement on the
   /// stream timeline. Also accumulates into the aggregate row.
-  void record_interval(const std::string& name, OpKind kind, StreamId stream, double start_us,
+  void record_interval(std::string_view name, OpKind kind, StreamId stream, double start_us,
                        double end_us);
 
   /// Tags every subsequently recorded interval with a job's trace id
@@ -62,12 +63,14 @@ class Profiler {
     double total_us = 0.0;
   };
 
-  /// One scheduled occurrence of an operation on a stream. When a
-  /// serving job was active (set_trace) the interval carries the job's
-  /// trace id and failover attempt, so the fleet-merged Chrome trace
-  /// can attribute every kernel/transfer to the request that caused it.
+  /// One scheduled occurrence of an operation on a stream. It names its
+  /// operation by its row (an index into rows(), or into the names of a
+  /// Snapshot), so recording one copies no string. When a serving job
+  /// was active (set_trace) the interval carries the job's trace id and
+  /// failover attempt, so the fleet-merged Chrome trace can attribute
+  /// every kernel/transfer to the request that caused it.
   struct Interval {
-    std::string name;
+    std::uint32_t row = 0;
     OpKind kind = OpKind::Kernel;
     StreamId stream = kDefaultStream;
     double start_us = 0.0;
@@ -81,21 +84,28 @@ class Profiler {
 
   /// Rows in first-recorded order (rows only append until clear()).
   const std::vector<Row>& rows() const { return rows_; }
+  /// The operation name of an interval this profiler recorded.
+  const std::string& name_of(const Interval& interval) const { return rows_[interval.row].name; }
   double total_us() const;
   double total_us(OpKind kind) const;
-  double us_for(const std::string& name) const;
+  double us_for(std::string_view name) const;
 
   /// Scheduled intervals in issue order (empty when only aggregate
   /// records were made). NOT safe against a concurrent recorder — use
-  /// intervals_snapshot() for that.
+  /// snapshot() for that.
   const std::vector<Interval>& intervals() const { return intervals_; }
 
-  /// Copy of the intervals recorded so far, safe to take while another
-  /// thread is still recording (the live /debug/trace endpoint
-  /// snapshots every device's profiler mid-run). record_interval and
-  /// this are the only members that take the lock: post-run readers
-  /// keep their lock-free const accessors.
-  std::vector<Interval> intervals_snapshot() const;
+  /// The intervals recorded so far and the row names they refer to.
+  struct Snapshot {
+    std::vector<std::string> names;  ///< by Interval::row
+    std::vector<Interval> intervals;
+  };
+  /// A copy safe to take while another thread is still recording (the
+  /// live /debug/trace endpoint snapshots every device's profiler
+  /// mid-run). Appending a row or an interval and this are the only
+  /// members that take the lock: post-run readers keep their lock-free
+  /// const accessors.
+  Snapshot snapshot() const;
 
   /// Latest interval end (the simulated wall clock of the recorded
   /// schedule); 0 with no intervals.
@@ -128,8 +138,11 @@ class Profiler {
   std::string timeline() const;
 
  private:
+  /// The row of `name`, appended (under the lock) when new.
+  std::uint32_t row_of(std::string_view name, OpKind kind);
+
   std::vector<Row> rows_;
-  std::map<std::string, std::size_t> index_;
+  std::map<std::string, std::uint32_t, std::less<>> index_;
   mutable std::mutex intervals_mutex_;  ///< recorder vs. live-snapshot only
   std::vector<Interval> intervals_;
   std::uint64_t trace_id_ = 0;

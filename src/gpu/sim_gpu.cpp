@@ -1,7 +1,6 @@
 #include "gpu/sim_gpu.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "core/fmt.hpp"
 #include "fault/fault.hpp"
@@ -30,17 +29,27 @@ void VirtualGpu::on_transfer_boundary(Dir dir, std::int64_t bytes) {
 }
 
 namespace {
-/// A transfer body over elements [0, n) from an element-range copy.
-template <typename Copy>
-TransferFn blockwise(std::int64_t n, Copy copy) {
-  return [n, copy](std::int64_t begin, std::int64_t end) {
-    copy(begin * kTransferBlock, std::min(end * kTransferBlock, n));
-  };
-}
+/// A copy of elements [0, size) from `from` to `to`, moved kTransferBlock
+/// elements a block. A transfer's move captures a pointer to one.
+template <typename To, typename From>
+struct Blockwise {
+  std::span<To> to;
+  std::span<From> from;
+
+  void operator()(std::int64_t begin, std::int64_t end) const {
+    const auto n = static_cast<std::int64_t>(to.size());
+    const std::int64_t first = begin * kTransferBlock;
+    const std::int64_t last = std::min(end * kTransferBlock, n);
+    std::copy(from.begin() + first, from.begin() + last, to.begin() + first);
+  }
+  TransferFn move() const {
+    return [this](std::int64_t begin, std::int64_t end) { (*this)(begin, end); };
+  }
+};
 }  // namespace
 
 void VirtualGpu::transfer(Dir dir, BufferHandle touched, std::int64_t bytes,
-                          const std::string& op, std::int64_t blocks, const TransferFn& move,
+                          std::string_view op, std::int64_t blocks, const TransferFn& move,
                           StreamId stream) {
   const double us = backend_->transfer(dir, bytes, blocks, move);
   const BufferHandle handles[] = {touched};
@@ -53,7 +62,7 @@ void VirtualGpu::transfer(Dir dir, BufferHandle touched, std::int64_t bytes,
                             iv.start_us, iv.end_us);
 }
 
-void VirtualGpu::copy_h2d(BufferHandle dst, std::span<const std::byte> src, const std::string& op,
+void VirtualGpu::copy_h2d(BufferHandle dst, std::span<const std::byte> src, std::string_view op,
                           bool execute, StreamId stream) {
   const auto dest = memory_.bytes(dst);
   if (src.size() > dest.size()) {
@@ -61,16 +70,12 @@ void VirtualGpu::copy_h2d(BufferHandle dst, std::span<const std::byte> src, cons
                                 "-byte device buffer"));
   }
   const auto n = static_cast<std::int64_t>(src.size());
-  TransferFn move;
-  if (execute && n > 0) {
-    move = blockwise(n, [dest, src](std::int64_t begin, std::int64_t end) {
-      std::memcpy(dest.data() + begin, src.data() + begin, static_cast<std::size_t>(end - begin));
-    });
-  }
-  transfer(Dir::HostToDevice, dst, n, op, transfer_blocks(n), move, stream);
+  const Blockwise<std::byte, const std::byte> copy{dest.first(src.size()), src};
+  transfer(Dir::HostToDevice, dst, n, op, transfer_blocks(n),
+           execute && n > 0 ? copy.move() : TransferFn(), stream);
 }
 
-void VirtualGpu::copy_d2h(std::span<std::byte> dst, BufferHandle src, const std::string& op,
+void VirtualGpu::copy_d2h(std::span<std::byte> dst, BufferHandle src, std::string_view op,
                           bool execute, StreamId stream) {
   const auto source = memory_.bytes(src);
   if (dst.size() > source.size()) {
@@ -78,39 +83,30 @@ void VirtualGpu::copy_d2h(std::span<std::byte> dst, BufferHandle src, const std:
                                 "-byte device buffer"));
   }
   const auto n = static_cast<std::int64_t>(dst.size());
-  TransferFn move;
-  if (execute && n > 0) {
-    move = blockwise(n, [dst, source](std::int64_t begin, std::int64_t end) {
-      std::memcpy(dst.data() + begin, source.data() + begin, static_cast<std::size_t>(end - begin));
-    });
-  }
-  transfer(Dir::DeviceToHost, src, n, op, transfer_blocks(n), move, stream);
+  const Blockwise<std::byte, const std::byte> copy{dst, source.first(dst.size())};
+  transfer(Dir::DeviceToHost, src, n, op, transfer_blocks(n),
+           execute && n > 0 ? copy.move() : TransferFn(), stream);
 }
 
 void VirtualGpu::upload_frame(BufferHandle dst, std::span<const std::int64_t> src,
-                              const std::string& op, StreamId stream) {
+                              std::string_view op, StreamId stream) {
   const auto dev = memory_.view<std::int32_t>(dst);
   if (src.size() != dev.size()) {
     throw DeviceMemoryError(cat("upload_frame of ", src.size(), " elements into ", dev.size(),
                                 "-element device buffer"));
   }
   const auto n = static_cast<std::int64_t>(src.size());
-  const TransferFn move = blockwise(n, [dev, src](std::int64_t begin, std::int64_t end) {
-    std::copy(src.begin() + begin, src.begin() + end, dev.begin() + begin);
-  });
-  transfer(Dir::HostToDevice, dst, dst.bytes, op, transfer_blocks(n), move, stream);
+  const Blockwise<std::int32_t, const std::int64_t> copy{dev, src};
+  transfer(Dir::HostToDevice, dst, dst.bytes, op, transfer_blocks(n), copy.move(), stream);
 }
 
-std::vector<std::int64_t> VirtualGpu::download_frame(BufferHandle src, const std::string& op,
+std::vector<std::int64_t> VirtualGpu::download_frame(BufferHandle src, std::string_view op,
                                                      StreamId stream) {
   const auto dev = memory_.view<std::int32_t>(src);
   std::vector<std::int64_t> host(dev.size());
-  const std::span<std::int64_t> out(host);
   const auto n = static_cast<std::int64_t>(dev.size());
-  const TransferFn move = blockwise(n, [dev, out](std::int64_t begin, std::int64_t end) {
-    std::copy(dev.begin() + begin, dev.begin() + end, out.begin() + begin);
-  });
-  transfer(Dir::DeviceToHost, src, src.bytes, op, transfer_blocks(n), move, stream);
+  const Blockwise<std::int64_t, const std::int32_t> copy{host, dev};
+  transfer(Dir::DeviceToHost, src, src.bytes, op, transfer_blocks(n), copy.move(), stream);
   return host;
 }
 
@@ -121,7 +117,7 @@ double VirtualGpu::launch(const KernelLaunch& kernel, bool execute, StreamId str
   return us;
 }
 
-double VirtualGpu::run_host(const std::string& op, double us, StreamId stream) {
+double VirtualGpu::run_host(std::string_view op, double us, StreamId stream) {
   const auto iv = timeline_.schedule(stream, us);
   profiler_.record_interval(op, OpKind::Host, stream, iv.start_us, iv.end_us);
   return iv.end_us;

@@ -3,6 +3,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "gpu/backend.hpp"
@@ -117,13 +118,13 @@ class VirtualGpu : private OpBoundaryObserver {
   /// empty one accrues time only (simulated repetition). Every transfer
   /// is charged on its logical bytes and crosses one fault boundary,
   /// before any block moves.
-  void transfer(Dir dir, BufferHandle touched, std::int64_t bytes, const std::string& op,
+  void transfer(Dir dir, BufferHandle touched, std::int64_t bytes, std::string_view op,
                 std::int64_t blocks, const TransferFn& move, StreamId stream = kDefaultStream);
   /// Host-to-device byte copy of `src` into the front of `dst`.
-  void copy_h2d(BufferHandle dst, std::span<const std::byte> src, const std::string& op,
+  void copy_h2d(BufferHandle dst, std::span<const std::byte> src, std::string_view op,
                 bool execute, StreamId stream = kDefaultStream);
   /// Device-to-host byte copy of the front of `src` into `dst`.
-  void copy_d2h(std::span<std::byte> dst, BufferHandle src, const std::string& op, bool execute,
+  void copy_d2h(std::span<std::byte> dst, BufferHandle src, std::string_view op, bool execute,
                 StreamId stream = kDefaultStream);
 
   /// Frame transfers: host frames are int64 arrays, device frames the
@@ -132,13 +133,13 @@ class VirtualGpu : private OpBoundaryObserver {
   /// block, with no staging copy — so `host` times the conversion, and
   /// on every backend it runs after the fault boundary. A download
   /// sizes its result up front and the blocks convert into it.
-  void upload_frame(BufferHandle dst, std::span<const std::int64_t> src, const std::string& op,
+  void upload_frame(BufferHandle dst, std::span<const std::int64_t> src, std::string_view op,
                     StreamId stream = kDefaultStream);
-  std::vector<std::int64_t> download_frame(BufferHandle src, const std::string& op,
+  std::vector<std::int64_t> download_frame(BufferHandle src, std::string_view op,
                                            StreamId stream = kDefaultStream);
 
   /// Accrues transfer time without moving data (simulated repetition).
-  void account_transfer(std::int64_t bytes, Dir dir, const std::string& op,
+  void account_transfer(std::int64_t bytes, Dir dir, std::string_view op,
                         StreamId stream = kDefaultStream, BufferHandle touched = {}) {
     transfer(dir, touched, bytes, op, 0, {}, stream);
   }
@@ -151,7 +152,7 @@ class VirtualGpu : private OpBoundaryObserver {
   /// code) on `stream` — a host timeline interleaved with the device
   /// streams, so host stages take part in the makespan. Returns the
   /// scheduled end time.
-  double run_host(const std::string& op, double us, StreamId stream);
+  double run_host(std::string_view op, double us, StreamId stream);
 
  private:
   // The backend's op-boundary callbacks, fired exactly once before each

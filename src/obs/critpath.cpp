@@ -42,17 +42,18 @@ CriticalPath analyze_critical_path(const std::vector<DeviceTrace>& devices,
       busy.emplace_back(iv.start_us, iv.end_us);
       d.span_us = std::max(d.span_us, iv.end_us);
 
-      StageAttribution& stage = stages[iv.name];
+      const std::string& name = dev.name_of(iv);
+      StageAttribution& stage = stages[name];
       if (stage.name.empty()) {
-        stage.name = iv.name;
+        stage.name = name;
         stage.category = gpu::op_kind_category(iv.kind);
       }
       stage.calls += 1;
       stage.total_us += dur;
 
       if (iv.kind == gpu::OpKind::Kernel) {
-        RouteAttribution& route = routes[route_of_kernel(iv.name)];
-        if (route.route.empty()) route.route = route_of_kernel(iv.name);
+        RouteAttribution& route = routes[route_of_kernel(name)];
+        if (route.route.empty()) route.route = route_of_kernel(name);
         route.spans += 1;
         route.kernel_us += dur;
       }

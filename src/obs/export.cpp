@@ -79,6 +79,19 @@ std::optional<Anchor> first_span_start(const DeviceTrace& dev, std::uint64_t job
 
 }  // namespace
 
+DeviceTrace DeviceTrace::of(int device, const gpu::Profiler& profiler, std::string backend) {
+  gpu::Profiler::Snapshot snap = profiler.snapshot();
+  return {device, std::move(snap.intervals), std::move(backend), std::move(snap.names)};
+}
+
+void DeviceTrace::add(std::string_view name, gpu::Profiler::Interval interval) {
+  std::size_t row = 0;
+  while (row < names.size() && names[row] != name) ++row;
+  if (row == names.size()) names.emplace_back(name);
+  interval.row = static_cast<std::uint32_t>(row);
+  intervals.push_back(interval);
+}
+
 std::string merged_chrome_trace(const std::vector<DeviceTrace>& devices,
                                 const std::vector<Event>& events) {
   std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
@@ -115,7 +128,7 @@ std::string merged_chrome_trace(const std::vector<DeviceTrace>& devices,
 
   for (const DeviceTrace& dev : devices) {
     for (const auto& iv : dev.intervals) {
-      std::string ev = cat("{\"name\":", json_string(iv.name), ",\"cat\":\"",
+      std::string ev = cat("{\"name\":", json_string(dev.name_of(iv)), ",\"cat\":\"",
                            gpu::op_kind_category(iv.kind), "\",\"ph\":\"X\",\"pid\":", dev.device,
                            ",\"tid\":", iv.stream, ",\"ts\":", fixed(iv.start_us, 3),
                            ",\"dur\":", fixed(iv.duration_us(), 3));
@@ -232,12 +245,11 @@ std::vector<DeviceTrace> parse_chrome_trace(const std::string& text) {
       dev.device = pid;
       if (ph != "X") continue;
       gpu::Profiler::Interval iv;
-      iv.name = e.string("name");
       iv.kind = enum_named(e, "cat", gpu::OpKind::Host, gpu::op_kind_category);
       iv.stream = e.integer<gpu::StreamId>("tid");
       iv.start_us = e.number("ts");
       iv.end_us = iv.start_us + e.number("dur");
-      dev.intervals.push_back(std::move(iv));
+      dev.add(e.string("name"), iv);
       ++spans;
     }
   } catch (const JsonError& e) {

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/error.hpp"
@@ -10,8 +11,9 @@
 namespace saclo::obs {
 
 /// One device's contribution to the fleet-merged Chrome trace: its
-/// index and the profiler intervals it recorded (each on the device's
-/// own simulated timeline, which starts at 0).
+/// index, the profiler intervals it recorded (each on the device's own
+/// simulated timeline, which starts at 0) and the operation names they
+/// refer to.
 struct DeviceTrace {
   int device = 0;
   std::vector<gpu::Profiler::Interval> intervals;
@@ -20,6 +22,17 @@ struct DeviceTrace {
   /// process name reads "gpuN (backend)" and traced spans carry a
   /// "backend" arg.
   std::string backend;
+  /// Operation names, by Interval::row.
+  std::vector<std::string> names;
+
+  /// A snapshot of `profiler`'s intervals, safe to take mid-run.
+  static DeviceTrace of(int device, const gpu::Profiler& profiler, std::string backend = {});
+  const std::string& name_of(const gpu::Profiler::Interval& interval) const {
+    return names.at(interval.row);
+  }
+  /// Appends `interval` as an occurrence of operation `name`, which
+  /// becomes its row.
+  void add(std::string_view name, gpu::Profiler::Interval interval);
 };
 
 /// The tid the merged trace parks runtime instant events on (faults,

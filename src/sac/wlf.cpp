@@ -1308,11 +1308,15 @@ class Optimizer {
         case StmtKind::For:
         case StmtKind::If: {
           // Keep when any variable written inside is live afterwards.
+          // An element store inside also reads the array it stores into,
+          // so a kept block keeps every such array's definition alive.
           std::set<std::string> written;
+          std::set<std::string> stored;
           std::function<void(const std::vector<StmtPtr>&)> scan =
               [&](const std::vector<StmtPtr>& b) {
                 for (const StmtPtr& c : b) {
                   if (!c->target.empty()) written.insert(c->target);
+                  if (c->kind == StmtKind::ElemAssign) stored.insert(c->target);
                   scan(c->body);
                   scan(c->else_body);
                 }
@@ -1327,6 +1331,7 @@ class Optimizer {
             visit_exprs(s, [&](Expr& x) {
               if (x.kind == ExprKind::Var) live.insert(x.name);
             });
+            live.insert(stored.begin(), stored.end());
           }
           break;
         }

@@ -725,6 +725,7 @@ CudaProgram CudaProgram::plan(const sac::CompiledFunction& fn) {
   if (prog.return_var_.empty()) {
     throw BackendError(cat("function '", prog.fn_.fn.name, "' has no return statement"));
   }
+  prog.bind();
   return prog;
 }
 
@@ -743,10 +744,10 @@ std::set<std::string> CudaProgram::rows_of(const std::string& origin) const {
   for (const Step& s : steps_) {
     if (s.origin != origin) continue;
     if (s.kind == Step::Kind::Host) {
-      rows.insert(s.origin + "_host");
+      rows.insert(s.host.row);
       continue;
     }
-    rows.insert({s.group.target + "_copy", s.group.target + "_init"});
+    rows.insert({s.group.copy_row, s.group.init_row});
     for (const GenKernel& k : s.group.kernels) rows.insert(k.name);
   }
   return rows;
@@ -768,140 +769,226 @@ int CudaProgram::compiled_host_block_count() const {
   return n;
 }
 
+// --- binding (DESIGN decision 20) ------------------------------------------------------
+
+void CudaProgram::bind() {
+  // Every name a run can bind, in name order: the id order is the order
+  // the device buffers are freed in (descending), as the map runs kept
+  // them in did, so the caching allocator hands out the same blocks.
+  std::set<std::string> names;
+  for (const auto& p : fn_.fn.params) names.insert(p.second);
+  for (const StmtPtr& s : fn_.fn.body) {
+    collect_reads(*s, names);
+    collect_writes(*s, names);
+  }
+  names.insert("__result");
+  names_.assign(names.begin(), names.end());
+  auto id = [&](const std::string& name) {
+    return static_cast<std::size_t>(std::lower_bound(names_.begin(), names_.end(), name) -
+                                    names_.begin());
+  };
+  shape_of_.clear();
+  for (const std::string& n : names_) {
+    auto it = shapes_.find(n);
+    shape_of_.push_back(it == shapes_.end() ? std::nullopt : std::optional<Shape>(it->second));
+  }
+  param_ids_.clear();
+  for (const auto& p : fn_.fn.params) param_ids_.push_back(id(p.second));
+  return_id_ = id(return_var_);
+  bindings_.assign(names_.size(), Binding{});
+
+  std::size_t most_reads = 0;
+  for (Step& step : steps_) {
+    if (step.kind == Step::Kind::Kernels) {
+      KernelGroup& g = step.group;
+      g.target_id = id(g.target);
+      if (g.is_modarray) g.modarray_source_id = id(g.modarray_source);
+      g.input_ids.clear();
+      for (const std::string& in : g.inputs) g.input_ids.push_back(id(in));
+      g.copy_row = g.target + "_copy";
+      g.init_row = g.target + "_init";
+      const Index out_strides = g.full.strides();
+      for (GenKernel& k : g.kernels) {
+        const std::size_t rank = k.lattice.dims.size();
+        k.array_ids.clear();
+        k.arrays.clear();
+        for (const std::string& an : k.tape.array_names) {
+          k.array_ids.push_back(id(an));
+          const Shape& shp = shapes_.at(an);
+          k.arrays.push_back({{}, shp.dims(), shp.strides()});
+        }
+        most_reads = std::max(most_reads, k.array_ids.size());
+        k.index_fills.clear();
+        for (std::size_t d = 0; d < rank; ++d) {
+          const int slot = k.tape.input_slots[d];
+          if (k.tape.reads_slot(slot)) k.index_fills.emplace_back(slot, d);
+        }
+        k.lin_steps.clear();
+        for (const auto& lin : k.tape.lin_loads) {
+          k.lin_steps.push_back(rank > 0 ? lin.coeff[k.walk_dim] : 0);
+        }
+        k.out_strides = out_strides;
+      }
+      continue;
+    }
+    HostBlock& h = step.host;
+    h.row = step.origin + "_host";
+    h.read_ids.clear();
+    for (const std::string& r : h.array_reads) h.read_ids.push_back(id(r));
+    std::set<std::string> writes;
+    for (std::size_t i : h.stmt_indices) collect_writes(*fn_.fn.body[i], writes);
+    h.write_ids.clear();
+    for (const std::string& w : writes) h.write_ids.push_back(id(w));
+    for (HostOp& op : h.ops) {
+      if (!op.nest) {
+        op.dst_id = id(op.dst);
+        op.src_id = id(op.src);
+        continue;
+      }
+      HostNest& nest = *op.nest;
+      const KernelTape& tape = nest.tape;
+      nest.array_ids.clear();
+      nest.arrays.clear();
+      for (const std::string& an : tape.array_names) {
+        nest.array_ids.push_back(id(an));
+        const Shape& shp = shapes_.at(an);
+        nest.arrays.push_back({{}, shp.dims(), shp.strides()});
+      }
+      nest.stores.clear();
+      std::size_t result = 0;
+      for (const std::string& target : nest.targets) {
+        HostNest::Store st;
+        st.target = id(target);
+        st.shape = shapes_.at(target);
+        st.strides = st.shape.strides();
+        st.value_slot = tape.result_slots[result++];
+        for (std::size_t d = 0; d < st.shape.rank(); ++d) {
+          st.index_slots.push_back(tape.result_slots[result++]);
+        }
+        nest.stores.push_back(std::move(st));
+      }
+      const std::size_t rank = nest.lattice.rank();
+      nest.fills.clear();
+      for (std::size_t d = 0; d < rank; ++d) {
+        if (tape.reads_slot(tape.input_slots[d])) nest.fills.push_back(d);
+      }
+      nest.lin_steps.clear();
+      for (const auto& lin : tape.lin_loads) nest.lin_steps.push_back(lin.coeff[nest.walk_dim]);
+      nest.loop_var_ids.clear();
+      for (const std::string& v : nest.lattice.scalar_names) nest.loop_var_ids.push_back(id(v));
+    }
+  }
+  hazards_.clear();
+  hazards_.reserve(most_reads);
+}
+
 // --- execution -------------------------------------------------------------------------
 
 namespace {
 
-/// The int array `name` of `env`, which the plan gave shape `shape`.
-IntArray& bound_array(std::map<std::string, Value>& env, const std::string& name,
-                      const Shape& shape) {
-  auto it = env.find(name);
-  if (it == env.end() || !it->second.is_int() || it->second.shape() != shape) {
-    throw BackendError(cat("host step: '", name, "' is not the int array of shape ",
-                           shape.to_string(), " the plan expects"));
-  }
-  return it->second.ints();
+using Bindings = std::vector<std::optional<Value>>;
+
+/// `n` int64 counters of the calling thread's grow-only scratch (a
+/// kernel body's per-chunk offsets and index vector).
+std::span<std::int64_t> thread_counters(std::size_t n) {
+  thread_local std::vector<std::int64_t> counters;
+  if (counters.size() < n) counters.resize(n);
+  return {counters.data(), n};
 }
 
-/// Runs a compiled loop nest over `env` in place: lanes walk runs along
-/// nest.walk_dim, every other dimension in loop order, and each lane
-/// stores in body order, so the stores land in the interpreter's order.
-void run_nest(const HostNest& nest, std::map<std::string, Value>& env,
-              const std::map<std::string, Shape>& shapes) {
-  const KernelTape& tape = nest.tape;
-  std::vector<TapeArray> arrays;
-  arrays.reserve(tape.array_names.size());
-  for (const std::string& name : tape.array_names) {
-    const Shape& shape = shapes.at(name);
-    arrays.push_back({{}, shape.dims(), shape.strides(), bound_array(env, name, shape).data()});
-  }
-  struct Store {
-    std::span<std::int64_t> data;
-    const Shape* shape;
-    Index strides;
-    const std::int64_t* value;
-    std::vector<const std::int64_t*> index;  ///< component rows
-  };
-  TapeLanes lanes(tape, kLanes);
-  std::vector<Store> stores;
-  std::size_t result = 0;
-  for (const std::string& target : nest.targets) {
-    const Shape& shape = shapes.at(target);
-    Store st{bound_array(env, target, shape).data(), &shape, shape.strides(),
-             lanes.slot(tape.result_slots[result++]), {}};
-    for (std::size_t d = 0; d < shape.rank(); ++d) {
-      st.index.push_back(lanes.slot(tape.result_slots[result++]));
-    }
-    stores.push_back(std::move(st));
-  }
+/// One generator kernel's launch: the plan's kernel, its tape arrays
+/// bound to this run's device buffers, and the output buffer. The
+/// launch body captures a pointer to it.
+struct GenLaunch {
+  const GenKernel* kernel;
+  std::span<std::int32_t> out;
+};
 
-  const auto& dims = nest.lattice.dims;
+/// The generator kernel's body over thread ids [begin, end).
+///
+/// The generated code maps iGID to the lattice dimension 0 fastest
+/// (`iGID % n0`, Figure 11) — the simulated GPU's mapping. Items are
+/// independent under single assignment, so the host visits them in its
+/// own order: ids decode once per run along the walk dimension, and
+/// within a run iv, every proven load offset and the output index step
+/// along it, so consecutive items touch neighbouring elements of
+/// row-major frames.
+void run_generator(const GenLaunch& g, std::int64_t begin, std::int64_t end) {
+  const GenKernel& k = *g.kernel;
+  const KernelTape& tape = k.tape;
+  const auto& dims = k.lattice.dims;
   const std::size_t rank = dims.size();
-  const std::size_t walk = nest.walk_dim;
-  // The loop variables end as the interpreter leaves them: one step past
-  // their last value, for every loop that its outer loops entered.
-  auto set_loop_variables = [&] {
-    for (std::size_t d = 0; d < rank && (d == 0 || dims[d - 1].extent > 0); ++d) {
-      env.insert_or_assign(nest.lattice.scalar_names[d],
-                           Value::from_int(dims[d].lb + dims[d].step * dims[d].extent));
+  const std::size_t walk = k.walk_dim;
+  const std::size_t loads = tape.lin_loads.size();
+  TapeLanes lanes(tape, kLanes, TapeLanes::ThreadScratch{});
+  const std::span<std::int64_t> counters = thread_counters(loads + rank);
+  const std::span<std::int64_t> offsets = counters.first(loads);
+  const std::span<std::int64_t> iv = counters.subspan(loads);
+  const std::int64_t iv_step = rank > 0 ? dims[walk].step : 0;
+  const std::int64_t out_step = iv_step * (rank > 0 ? k.out_strides[walk] : 0);
+  for (std::int64_t tid = begin; tid < end;) {
+    std::int64_t rest = tid;
+    std::int64_t run = end - tid;
+    std::int64_t out = 0;
+    for (std::size_t j = 0; j < loads; ++j) offsets[j] = tape.lin_loads[j].c0;
+    for (std::size_t i = 0; i < rank; ++i) {
+      const std::size_t d = gpu::walk_order(i, walk);
+      const auto& dim = dims[d];
+      const std::int64_t t = rest % dim.extent;
+      rest /= dim.extent;
+      if (i == 0) run = std::min(run, dim.extent - t);
+      iv[d] = dim.lb + dim.step * t;
+      out += iv[d] * k.out_strides[d];
+      for (std::size_t j = 0; j < loads; ++j) offsets[j] += tape.lin_loads[j].coeff[d] * t;
     }
-  };
-  for (const auto& d : dims) {
-    if (d.extent == 0) return set_loop_variables();
-  }
-  std::vector<std::size_t> fills;  // index slots the tape reads
-  for (std::size_t d = 0; d < rank; ++d) {
-    if (tape.reads_slot(tape.input_slots[d])) fills.push_back(d);
-  }
-  std::vector<std::int64_t> offsets(tape.lin_loads.size());
-  std::vector<std::int64_t> offset_steps(tape.lin_loads.size());
-  for (std::size_t k = 0; k < offsets.size(); ++k) {
-    offset_steps[k] = tape.lin_loads[k].coeff[walk];
-  }
-  Index t(rank, 0);
-  for (;;) {
-    for (std::size_t k = 0; k < offsets.size(); ++k) {
-      offsets[k] = tape.lin_loads[k].c0;
-      for (std::size_t d = 0; d < rank; ++d) offsets[k] += tape.lin_loads[k].coeff[d] * t[d];
-    }
-    const std::int64_t run = dims[walk].extent;
+    // The run goes through the tape kLanes items at a time; lane l is
+    // the item l walk steps further on.
     for (std::int64_t done = 0; done < run;) {
       const int n = static_cast<int>(std::min<std::int64_t>(run - done, kLanes));
-      for (std::size_t d : fills) {
-        std::int64_t* row = lanes.slot(tape.input_slots[d]);
-        const std::int64_t first = dims[d].lb + dims[d].step * (d == walk ? done : t[d]);
-        const std::int64_t step = d == walk ? dims[d].step : 0;
-        for (int l = 0; l < n; ++l) row[l] = first + l * step;
+      for (const auto& [slot, d] : k.index_fills) {
+        std::int64_t* row = lanes.slot(slot);
+        const std::int64_t step = d == walk ? iv_step : 0;
+        for (int l = 0; l < n; ++l) row[l] = iv[d] + l * step;
       }
-      tape.run(lanes, n, arrays, offsets, offset_steps);
-      for (int l = 0; l < n; ++l) {
-        for (Store& st : stores) {
-          std::int64_t off = 0;
-          for (std::size_t c = 0; c < st.index.size(); ++c) {
-            const std::int64_t iv = st.index[c][l];
-            if (iv < 0 || iv >= (*st.shape)[c]) {
-              // The interpreter's error text: Shape::linearize raises it.
-              Index at;
-              for (const std::int64_t* row : st.index) at.push_back(row[l]);
-              st.shape->linearize(at);
-            }
-            off += iv * st.strides[c];
-          }
-          st.data[static_cast<std::size_t>(off)] = st.value[l];
+      tape.run(lanes, n, k.arrays, offsets, k.lin_steps);
+      for (std::size_t c = 0; c < tape.result_slots.size(); ++c) {
+        const std::int64_t* row = lanes.slot(tape.result_slots[c]);
+        const std::int64_t first = out + static_cast<std::int64_t>(c);
+        for (int l = 0; l < n; ++l) {
+          g.out[static_cast<std::size_t>(first + l * out_step)] = static_cast<std::int32_t>(row[l]);
         }
       }
       done += n;
-      for (std::size_t k = 0; k < offsets.size(); ++k) offsets[k] += n * offset_steps[k];
+      if (rank == 0) continue;
+      out += n * out_step;
+      iv[walk] += n * iv_step;
+      for (std::size_t j = 0; j < loads; ++j) offsets[j] += n * k.lin_steps[j];
     }
-    // The next run: the dimensions but `walk` count up, the last fastest.
-    std::size_t d = rank;
-    while (d-- > 0) {
-      if (d == walk) continue;
-      if (++t[d] < dims[d].extent) break;
-      t[d] = 0;
-    }
-    if (d == static_cast<std::size_t>(-1)) break;
+    tid += run;
   }
-  set_loop_variables();
 }
 
-void run_host_ops(const HostBlock& block, std::map<std::string, Value>& env,
-                  const std::map<std::string, Shape>& shapes) {
-  for (const HostOp& op : block.ops) {
-    if (op.nest) {
-      run_nest(*op.nest, env, shapes);
-      continue;
-    }
-    IntArray& src = bound_array(env, op.src, shapes.at(op.src));
-    env.insert_or_assign(op.dst, op.move ? Value(std::move(src)) : Value(src));
-  }
-}
+/// A device-to-device copy or a fill of the output buffer: the bodies
+/// of a modarray's copy and a with-loop's default fill.
+struct CopyLaunch {
+  std::span<const std::int32_t> src;
+  std::span<std::int32_t> out;
+  std::int32_t fill = 0;
+};
 
 }  // namespace
 
 sac::Value CudaProgram::run(gpu::cuda::Runtime& rt, std::vector<sac::Value>& args,
                             const gpu::HostSpec& host, gpu::Profiler& host_profiler,
                             const RunOptions& options) {
+  std::optional<Value> result;
+  run(rt, args, host, host_profiler, options, result);
+  return result ? std::move(*result) : Value();
+}
+
+void CudaProgram::run(gpu::cuda::Runtime& rt, std::vector<sac::Value>& args,
+                      const gpu::HostSpec& host, gpu::Profiler& host_profiler,
+                      const RunOptions& options, std::optional<sac::Value>& result) {
   // Only the first repetition executes (see RunOptions).
   bool execute = options.execute;
   if (args.size() != fn_.fn.params.size()) {
@@ -910,224 +997,262 @@ sac::Value CudaProgram::run(gpu::cuda::Runtime& rt, std::vector<sac::Value>& arg
   }
   const gpu::StreamSet ss = options.streams.value_or(gpu::StreamSet{});
   const bool async = options.streams.has_value();
-  std::map<std::string, Value> host_env;
-  std::map<std::string, gpu::cuda::DeviceArray<std::int32_t>> device;
-  std::set<std::string> device_valid;
-  std::set<std::string> host_valid;
-  std::set<std::string> host_written;  // arrays produced by host steps this invocation
+  gpu::VirtualGpu& gpu = rt.gpu();
+  gpu::BufferAllocator& allocator = gpu.allocator();
 
   for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& name = fn_.fn.params[i].second;
-    host_env.emplace(name, std::move(args[i]));
-    host_valid.insert(name);
+    Binding& b = bindings_[param_ids_[i]];
+    b.host = std::move(args[i]);
+    b.host_valid = true;
   }
-  // The arguments go back to the caller however the call ends.
-  // Declared after host_env, so it runs first.
-  const ScopeExit give_args_back([&] {
+  // However the call ends, the arguments go back to the caller, the
+  // device buffers are freed in descending name order and the host
+  // values are dropped: the next call starts from empty bindings.
+  const ScopeExit end_run([&] {
     for (std::size_t i = 0; i < args.size(); ++i) {
-      auto it = host_env.find(fn_.fn.params[i].second);
-      if (it != host_env.end()) args[i] = std::move(it->second);
+      std::optional<Value>& v = bindings_[param_ids_[i]].host;
+      if (v) args[i] = std::move(*v);
     }
+    for (std::size_t id = bindings_.size(); id-- > 0;) {
+      if (bindings_[id].device.valid()) allocator.free(bindings_[id].device);
+    }
+    for (Binding& b : bindings_) b = Binding{};
   });
 
-  auto shape_of = [&](const std::string& name) -> const Shape& {
-    auto it = shapes_.find(name);
-    if (it == shapes_.end()) {
-      throw BackendError(cat("no shape recorded for '", name, "'"));
+  auto shape_of = [&](std::size_t id) -> const Shape& {
+    if (!shape_of_[id]) throw BackendError(cat("no shape recorded for '", names_[id], "'"));
+    return *shape_of_[id];
+  };
+  auto view = [&](std::size_t id) { return gpu.memory().view<std::int32_t>(bindings_[id].device); };
+  // The int array bound to `id`, which the plan gave its recorded shape.
+  auto bound_array = [&](std::size_t id) -> IntArray& {
+    const std::optional<Value>& v = bindings_[id].host;
+    if (!v || !v->is_int() || !shape_of_[id] || v->shape() != *shape_of_[id]) {
+      throw BackendError(cat("host step: '", names_[id], "' is not the int array of shape ",
+                             shape_of_[id] ? shape_of_[id]->to_string() : "?",
+                             " the plan expects"));
     }
-    return it->second;
+    return bindings_[id].host->ints();
   };
 
-  auto ensure_device = [&](const std::string& name) {
-    if (device_valid.count(name)) return;
+  auto ensure_device = [&](std::size_t id) {
+    Binding& b = bindings_[id];
+    if (b.device_valid) return;
     // Re-uploads of host-computed intermediates (the generic tiler's
     // results) stay in-line with the kernels; fresh param uploads go on
     // the copy-in stream so they can overlap earlier frames' compute.
-    const gpu::StreamId stream = host_written.count(name) ? ss.compute : ss.h2d;
-    auto it = device.find(name);
-    if (it == device.end()) {
-      // The upload writes the whole array before any kernel reads it.
-      auto array = rt.device_alloc_for_overwrite<std::int32_t>(shape_of(name));
-      it = device.emplace(name, std::move(array)).first;
-    }
+    const gpu::StreamId stream = b.host_written ? ss.compute : ss.h2d;
+    const std::int64_t bytes = shape_of(id).elements() * 4;
+    // The upload writes the whole array before any kernel reads it.
+    if (!b.device.valid()) b.device = allocator.allocate_for_overwrite(bytes);
     if (execute) {
-      auto h = host_env.find(name);
-      if (h == host_env.end() || !h->second.is_int()) {
-        throw BackendError(cat("host value for '", name, "' missing before host2device"));
+      if (!b.host || !b.host->is_int()) {
+        throw BackendError(cat("host value for '", names_[id], "' missing before host2device"));
       }
-      rt.host2device_frame(it->second, h->second.ints(), stream);
+      gpu.upload_frame(b.device, b.host->ints().data(), gpu::cuda::Runtime::kHtoDOp, stream);
     } else {
-      rt.account_host2device_frame(it->second, stream);
+      gpu.account_transfer(bytes, gpu::Dir::HostToDevice, gpu::cuda::Runtime::kHtoDOp, stream,
+                           b.device);
     }
-    device_valid.insert(name);
+    b.device_valid = true;
   };
 
-  auto ensure_host = [&](const std::string& name, gpu::StreamId stream) {
-    if (host_valid.count(name)) return;
-    if (!device_valid.count(name)) {
+  auto ensure_host = [&](std::size_t id, gpu::StreamId stream) {
+    Binding& b = bindings_[id];
+    if (b.host_valid) return;
+    if (!b.device_valid) {
       if (!execute) return;  // timing-only run: nothing to materialise
-      throw BackendError(cat("value of '", name, "' is nowhere"));
+      throw BackendError(cat("value of '", names_[id], "' is nowhere"));
     }
-    const auto& dev = device.at(name);
+    const Shape& shape = shape_of(id);
     if (execute) {
-      host_env.insert_or_assign(name, Value(rt.device2host_frame(dev, stream)));
+      b.host = Value(IntArray(shape, gpu.download_frame(b.device, gpu::cuda::Runtime::kDtoHOp,
+                                                        stream)));
     } else {
-      rt.account_device2host_frame(dev, stream);
+      gpu.account_transfer(shape.elements() * 4, gpu::Dir::DeviceToHost,
+                           gpu::cuda::Runtime::kDtoHOp, stream, b.device);
     }
-    host_valid.insert(name);
+    b.host_valid = true;
   };
 
-  sac::Module empty_module;
-  sac::Interp interp(empty_module);
+  auto set_scalar = [&](std::size_t id, std::int64_t v) {
+    std::optional<Value>& slot = bindings_[id].host;
+    if (slot && slot->is_int() && slot->is_scalar()) {
+      slot->ints()[0] = v;
+    } else {
+      slot = Value::from_int(v);
+    }
+  };
+
+  // Runs a compiled loop nest in place: lanes walk runs along
+  // nest.walk_dim, every other dimension in loop order, and each lane
+  // stores in body order, so the stores land in the interpreter's order.
+  auto run_nest = [&](HostNest& nest) {
+    const KernelTape& tape = nest.tape;
+    for (std::size_t j = 0; j < nest.arrays.size(); ++j) {
+      nest.arrays[j].wide = bound_array(nest.array_ids[j]).data();
+    }
+    for (HostNest::Store& st : nest.stores) st.data = bound_array(st.target).data();
+    const auto& dims = nest.lattice.dims;
+    const std::size_t rank = dims.size();
+    const std::size_t walk = nest.walk_dim;
+    // The loop variables end as the interpreter leaves them: one step
+    // past their last value, for every loop that its outer loops entered.
+    auto set_loop_variables = [&] {
+      for (std::size_t d = 0; d < rank && (d == 0 || dims[d - 1].extent > 0); ++d) {
+        set_scalar(nest.loop_var_ids[d], dims[d].lb + dims[d].step * dims[d].extent);
+      }
+    };
+    for (const auto& d : dims) {
+      if (d.extent == 0) return set_loop_variables();
+    }
+    TapeLanes lanes(tape, kLanes, TapeLanes::ThreadScratch{});
+    const std::size_t loads = tape.lin_loads.size();
+    const std::span<std::int64_t> counters = thread_counters(loads + rank);
+    const std::span<std::int64_t> offsets = counters.first(loads);
+    const std::span<std::int64_t> t = counters.subspan(loads);
+    std::fill(t.begin(), t.end(), 0);
+    for (;;) {
+      for (std::size_t k = 0; k < loads; ++k) {
+        offsets[k] = tape.lin_loads[k].c0;
+        for (std::size_t d = 0; d < rank; ++d) offsets[k] += tape.lin_loads[k].coeff[d] * t[d];
+      }
+      const std::int64_t run = dims[walk].extent;
+      for (std::int64_t done = 0; done < run;) {
+        const int n = static_cast<int>(std::min<std::int64_t>(run - done, kLanes));
+        for (std::size_t d : nest.fills) {
+          std::int64_t* row = lanes.slot(tape.input_slots[d]);
+          const std::int64_t first = dims[d].lb + dims[d].step * (d == walk ? done : t[d]);
+          const std::int64_t step = d == walk ? dims[d].step : 0;
+          for (int l = 0; l < n; ++l) row[l] = first + l * step;
+        }
+        tape.run(lanes, n, nest.arrays, offsets, nest.lin_steps);
+        for (int l = 0; l < n; ++l) {
+          for (const HostNest::Store& st : nest.stores) {
+            std::int64_t off = 0;
+            for (std::size_t c = 0; c < st.index_slots.size(); ++c) {
+              const std::int64_t iv = lanes.slot(st.index_slots[c])[l];
+              if (iv < 0 || iv >= st.shape[c]) {
+                // The interpreter's error text: Shape::linearize raises it.
+                Index at;
+                for (const int slot : st.index_slots) at.push_back(lanes.slot(slot)[l]);
+                st.shape.linearize(at);
+              }
+              off += iv * st.strides[c];
+            }
+            st.data[static_cast<std::size_t>(off)] = lanes.slot(st.value_slot)[l];
+          }
+        }
+        done += n;
+        for (std::size_t k = 0; k < loads; ++k) offsets[k] += n * nest.lin_steps[k];
+      }
+      // The next run: the dimensions but `walk` count up, the last fastest.
+      std::size_t d = rank;
+      while (d-- > 0) {
+        if (d == walk) continue;
+        if (++t[d] < dims[d].extent) break;
+        t[d] = 0;
+      }
+      if (d == static_cast<std::size_t>(-1)) break;
+    }
+    set_loop_variables();
+  };
+
+  // The interpreter runs a host step over a name-keyed environment,
+  // which it gets from and gives back to the bindings.
+  auto interpret = [&](std::size_t si, const HostBlock& block) {
+    std::map<std::string, Value> env;
+    for (std::size_t id = 0; id < bindings_.size(); ++id) {
+      if (bindings_[id].host) env.emplace(names_[id], std::move(*bindings_[id].host));
+    }
+    const ScopeExit give_back([&] {
+      for (std::size_t id = 0; id < bindings_.size(); ++id) bindings_[id].host.reset();
+      for (auto& [name, value] : env) {
+        const auto it = std::lower_bound(names_.begin(), names_.end(), name);
+        if (it != names_.end() && *it == name) {
+          bindings_[static_cast<std::size_t>(it - names_.begin())].host = std::move(value);
+        }
+      }
+    });
+    std::vector<StmtPtr> stmts;
+    for (std::size_t i : block.stmt_indices) stmts.push_back(fn_.fn.body[i]->clone());
+    sac::Module empty_module;
+    sac::Interp interp(empty_module);
+    auto returned = interp.exec_stmts(stmts, env);
+    measured_host_ops_[si] = interp.ops();
+    if (returned) env.insert_or_assign("__result", std::move(*returned));
+    return interp.ops();
+  };
 
   // Repetition r runs step si as iteration r * steps + si.
   const std::size_t iterations = steps_.size() * static_cast<std::size_t>(options.repetitions);
   for (std::size_t n = 0; n < iterations; ++n) {
     const std::size_t si = n % steps_.size();
     execute = options.execute && n < steps_.size();
-    const Step& step = steps_[si];
+    Step& step = steps_[si];
     if (step.kind == Step::Kind::Kernels) {
-      const KernelGroup& group = step.group;
-      for (const std::string& in : group.inputs) ensure_device(in);
-      auto dit = device.find(group.target);
-      if (dit == device.end()) {
+      KernelGroup& group = step.group;
+      for (const std::size_t in : group.input_ids) ensure_device(in);
+      Binding& target = bindings_[group.target_id];
+      if (!target.device.valid()) {
         // The modarray copy, the default fill or a plan-proven exact
         // cover by the generators writes every element before any read.
-        auto array = rt.device_alloc_for_overwrite<std::int32_t>(group.full);
-        dit = device.emplace(group.target, std::move(array)).first;
+        target.device = allocator.allocate_for_overwrite(group.full.elements() * 4);
       }
-      auto out_span = dit->second.view();
+      const gpu::BufferHandle writes[] = {target.device};
+      CopyLaunch copy{{}, view(group.target_id)};
 
       if (group.is_modarray) {
         // Device-to-device copy of the modarray target (coalesced).
-        auto src_span = device.at(group.modarray_source).view();
-        gpu::KernelLaunch copy;
-        copy.name = group.target + "_copy";
-        copy.threads = group.full.elements();
-        copy.cost.global_loads_per_thread = 1;
-        copy.cost.global_stores_per_thread = 1;
-        copy.cost.warp_access_stride = 1;
-        copy.reads.push_back(device.at(group.modarray_source).handle());
-        copy.writes.push_back(dit->second.handle());
-        copy.body = [src_span, out_span](std::int64_t begin, std::int64_t end) {
-          std::copy(src_span.begin() + begin, src_span.begin() + end, out_span.begin() + begin);
+        const gpu::BufferHandle reads[] = {bindings_[group.modarray_source_id].device};
+        copy.src = view(group.modarray_source_id);
+        gpu::KernelLaunch launch;
+        launch.name = group.copy_row;
+        launch.threads = group.full.elements();
+        launch.cost.global_loads_per_thread = 1;
+        launch.cost.global_stores_per_thread = 1;
+        launch.cost.warp_access_stride = 1;
+        launch.reads = reads;
+        launch.writes = writes;
+        launch.body = [&copy](std::int64_t begin, std::int64_t end) {
+          std::copy(copy.src.begin() + begin, copy.src.begin() + end, copy.out.begin() + begin);
         };
-        rt.launch(copy, execute, ss.compute);
+        rt.launch(launch, execute, ss.compute);
       }
       if (group.needs_default_fill) {
-        gpu::KernelLaunch fill;
-        fill.name = group.target + "_init";
-        fill.threads = group.full.elements();
-        fill.cost.global_stores_per_thread = 1;
-        fill.cost.warp_access_stride = 1;
-        fill.writes.push_back(dit->second.handle());
-        const std::int32_t dv = static_cast<std::int32_t>(group.default_value);
-        fill.body = [out_span, dv](std::int64_t begin, std::int64_t end) {
-          std::fill(out_span.begin() + begin, out_span.begin() + end, dv);
+        copy.fill = static_cast<std::int32_t>(group.default_value);
+        gpu::KernelLaunch launch;
+        launch.name = group.init_row;
+        launch.threads = group.full.elements();
+        launch.cost.global_stores_per_thread = 1;
+        launch.cost.warp_access_stride = 1;
+        launch.writes = writes;
+        launch.body = [&copy](std::int64_t begin, std::int64_t end) {
+          std::fill(copy.out.begin() + begin, copy.out.begin() + end, copy.fill);
         };
-        rt.launch(fill, execute, ss.compute);
+        rt.launch(launch, execute, ss.compute);
       }
 
-      for (const GenKernel& k : group.kernels) {
-        // Bind tape arrays in tape id order.
-        std::vector<TapeArray> arrays;
-        arrays.reserve(k.tape.array_names.size());
-        for (const std::string& an : k.tape.array_names) {
-          const Shape& shp = shape_of(an);
-          TapeArray ta;
-          ta.data = device.at(an).view();
-          ta.dims = shp.dims();
-          ta.strides = shp.strides();
-          arrays.push_back(std::move(ta));
+      for (GenKernel& k : group.kernels) {
+        hazards_.clear();
+        for (std::size_t j = 0; j < k.array_ids.size(); ++j) {
+          k.arrays[j].data = view(k.array_ids[j]);
+          hazards_.push_back(bindings_[k.array_ids[j]].device);
         }
-        const KernelTape* tape = &k.tape;
-        const auto* lat = &k.lattice;
-        const Index full_strides = group.full.strides();
-        // Index slots the tape still reads (proven loads no longer do).
-        std::vector<std::pair<int, std::size_t>> index_fills;
-        for (std::size_t d = 0; d < lat->dims.size(); ++d) {
-          const int slot = k.tape.input_slots[d];
-          if (k.tape.reads_slot(slot)) index_fills.emplace_back(slot, d);
-        }
-
+        const GenLaunch gen{&k, copy.out};
         gpu::KernelLaunch launch;
         launch.name = k.name;
         launch.threads = k.threads;
         launch.cost = k.cost;
-        for (const std::string& an : k.tape.array_names) {
-          launch.reads.push_back(device.at(an).handle());
-        }
-        launch.writes.push_back(dit->second.handle());
-        // The generated code maps iGID to the lattice dimension 0
-        // fastest (`iGID % n0`, Figure 11) — the simulated GPU's mapping.
-        // Items are independent under single assignment, so the host
-        // visits them in its own order: ids decode once per run along
-        // the walk dimension, and within a run iv, every proven load
-        // offset and the output index step along it, so consecutive
-        // items touch neighbouring elements of row-major frames.
-        const std::size_t walk = k.walk_dim;
-        launch.body = [tape, arrays, lat, full_strides, index_fills, out_span,
-                       walk](std::int64_t begin, std::int64_t end) {
-          const std::size_t rank = lat->dims.size();
-          TapeLanes lanes(*tape, kLanes);
-          std::vector<std::int64_t> offsets(tape->lin_loads.size());
-          std::vector<std::int64_t> offset_steps(tape->lin_loads.size());
-          std::vector<std::int64_t> iv(rank);
-          const std::int64_t iv_step = rank > 0 ? lat->dims[walk].step : 0;
-          const std::int64_t out_step = iv_step * (rank > 0 ? full_strides[walk] : 0);
-          for (std::size_t k = 0; k < tape->lin_loads.size(); ++k) {
-            offset_steps[k] = rank > 0 ? tape->lin_loads[k].coeff[walk] : 0;
-          }
-          for (std::int64_t tid = begin; tid < end;) {
-            std::int64_t rest = tid;
-            std::int64_t run = end - tid;
-            std::int64_t out = 0;
-            for (std::size_t k = 0; k < tape->lin_loads.size(); ++k) {
-              offsets[k] = tape->lin_loads[k].c0;
-            }
-            for (std::size_t i = 0; i < rank; ++i) {
-              const std::size_t d = gpu::walk_order(i, walk);
-              const auto& dim = lat->dims[d];
-              const std::int64_t t = rest % dim.extent;
-              rest /= dim.extent;
-              if (i == 0) run = std::min(run, dim.extent - t);
-              iv[d] = dim.lb + dim.step * t;
-              out += iv[d] * full_strides[d];
-              for (std::size_t k = 0; k < tape->lin_loads.size(); ++k) {
-                offsets[k] += tape->lin_loads[k].coeff[d] * t;
-              }
-            }
-            // The run goes through the tape kLanes items at a time;
-            // lane l is the item l walk steps further on.
-            for (std::int64_t done = 0; done < run;) {
-              const int n = static_cast<int>(std::min<std::int64_t>(run - done, kLanes));
-              for (const auto& [slot, d] : index_fills) {
-                std::int64_t* row = lanes.slot(slot);
-                const std::int64_t step = d == walk ? iv_step : 0;
-                for (int l = 0; l < n; ++l) row[l] = iv[d] + l * step;
-              }
-              tape->run(lanes, n, arrays, offsets, offset_steps);
-              for (std::size_t c = 0; c < tape->result_slots.size(); ++c) {
-                const std::int64_t* row = lanes.slot(tape->result_slots[c]);
-                const std::int64_t first = out + static_cast<std::int64_t>(c);
-                for (int l = 0; l < n; ++l) {
-                  out_span[static_cast<std::size_t>(first + l * out_step)] =
-                      static_cast<std::int32_t>(row[l]);
-                }
-              }
-              done += n;
-              if (rank == 0) continue;
-              out += n * out_step;
-              iv[walk] += n * iv_step;
-              for (std::size_t k = 0; k < offsets.size(); ++k) offsets[k] += n * offset_steps[k];
-            }
-            tid += run;
-          }
+        launch.reads = hazards_;
+        launch.writes = writes;
+        launch.body = [&gen](std::int64_t begin, std::int64_t end) {
+          run_generator(gen, begin, end);
         };
         rt.launch(launch, execute, ss.compute);
       }
-      device_valid.insert(group.target);
-      host_valid.erase(group.target);
+      target.device_valid = true;
+      target.host_valid = false;
       continue;
     }
 
@@ -1135,21 +1260,23 @@ sac::Value CudaProgram::run(gpu::cuda::Runtime& rt, std::vector<sac::Value>& arg
     // (they are in the compute-critical path — the paper's generic
     // output-tiler penalty), and the host work itself occupies a host
     // timeline between the fetch and any re-upload.
-    for (const std::string& r : step.host.array_reads) {
-      if (device_valid.count(r)) ensure_host(r, ss.compute);
+    HostBlock& block = step.host;
+    for (const std::size_t r : block.read_ids) {
+      if (bindings_[r].device_valid) ensure_host(r, ss.compute);
     }
-    double ops = step.host.static_ops;
-    if (execute && step.host.compiled()) {
-      run_host_ops(step.host, host_env, shapes_);
+    double ops = block.static_ops;
+    if (execute && block.compiled()) {
+      for (HostOp& op : block.ops) {
+        if (op.nest) {
+          run_nest(*op.nest);
+          continue;
+        }
+        IntArray& src = bound_array(op.src_id);
+        bindings_[op.dst_id].host = op.move ? Value(std::move(src)) : Value(src);
+      }
     } else if (execute) {
-      std::vector<StmtPtr> stmts;
-      for (std::size_t i : step.host.stmt_indices) stmts.push_back(fn_.fn.body[i]->clone());
-      const double before = interp.ops();
-      auto returned = interp.exec_stmts(stmts, host_env);
-      const double measured = interp.ops() - before;
-      measured_host_ops_[si] = measured;
+      const double measured = interpret(si, block);
       if (ops < 0) ops = measured;
-      if (returned) host_env.insert_or_assign("__result", std::move(*returned));
     } else if (ops < 0) {
       auto m = measured_host_ops_.find(si);
       if (m == measured_host_ops_.end()) {
@@ -1157,45 +1284,37 @@ sac::Value CudaProgram::run(gpu::cuda::Runtime& rt, std::vector<sac::Value>& arg
       }
       ops = m->second;
     }
-    // Mark everything written by the block (including writes nested in
-    // loops/conditionals) as host-resident; their device copies are
-    // stale now.
-    std::function<void(const Stmt&)> mark_writes = [&](const Stmt& s) {
-      if (!s.target.empty()) {
-        host_valid.insert(s.target);
-        device_valid.erase(s.target);
-        host_written.insert(s.target);
-      }
-      for (const StmtPtr& c : s.body) mark_writes(*c);
-      for (const StmtPtr& c : s.else_body) mark_writes(*c);
-    };
-    for (std::size_t i : step.host.stmt_indices) mark_writes(*fn_.fn.body[i]);
+    // Everything the block wrote (including writes nested in
+    // loops/conditionals) is host-resident; its device copies are stale.
+    for (const std::size_t w : block.write_ids) {
+      bindings_[w].host_valid = true;
+      bindings_[w].device_valid = false;
+      bindings_[w].host_written = true;
+    }
     if (async) {
       // The host block starts once its fetches landed (compute-stream
       // tail covers them: fetches were just issued there) and blocks
       // the kernels that consume its results.
-      gpu::VirtualGpu& g = rt.gpu();
-      g.wait_until(ss.host, g.stream_tail_us(ss.compute));
-      g.run_host(step.origin + "_host", host.time_us(ops), ss.host);
-      g.wait_until(ss.compute, g.stream_tail_us(ss.host));
+      gpu.wait_until(ss.host, gpu.stream_tail_us(ss.compute));
+      gpu.run_host(block.row, host.time_us(ops), ss.host);
+      gpu.wait_until(ss.compute, gpu.stream_tail_us(ss.host));
     } else {
-      host_profiler.record(step.origin + "_host", gpu::OpKind::Host, 1, host.time_us(ops));
+      host_profiler.record(block.row, gpu::OpKind::Host, 1, host.time_us(ops));
     }
   }
 
   execute = options.execute;
-  ensure_host(return_var_, ss.d2h);
-  if (!execute) return Value();
-  auto it = host_env.find(return_var_);
-  if (it == host_env.end()) {
+  ensure_host(return_id_, ss.d2h);
+  if (!execute) return;
+  std::optional<Value>& ret = bindings_[return_id_].host;
+  if (!ret) {
     throw BackendError(cat("result variable '", return_var_, "' was never produced"));
   }
   // A function that returns a parameter returns a copy: the parameter
   // goes back to the caller.
-  for (const auto& param : fn_.fn.params) {
-    if (param.second == return_var_) return it->second;
-  }
-  return std::move(it->second);
+  const bool is_param =
+      std::find(param_ids_.begin(), param_ids_.end(), return_id_) != param_ids_.end();
+  result.emplace(is_param ? *ret : std::move(*ret));
 }
 
 // --- sequential lowering ---------------------------------------------------------------

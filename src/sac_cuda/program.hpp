@@ -3,6 +3,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -38,6 +39,20 @@ struct GenKernel {
   /// The flattened generator (cell decomposed into scalar element
   /// expressions) — kept for the CUDA-C text emitter.
   sac::Generator source;
+
+  // The launch, bound at plan time (DESIGN decision 20).
+  /// Variable id of each tape array, in tape id order.
+  std::vector<std::size_t> array_ids;
+  /// The tape's arrays: dims and strides from the plan; each run binds
+  /// `data` to the device buffers before it launches the kernel.
+  std::vector<TapeArray> arrays;
+  /// Index slots the tape still reads (proven loads no longer do), with
+  /// their lattice dimension.
+  std::vector<std::pair<int, std::size_t>> index_fills;
+  /// Per proven load, its offset's move per step along walk_dim.
+  std::vector<std::int64_t> lin_steps;
+  /// The strides of the with-loop's result array.
+  Index out_strides;
 };
 
 /// All kernels of one with-loop assignment, plus the data-transfer
@@ -57,6 +72,13 @@ struct KernelGroup {
   std::string modarray_source;
   std::vector<std::string> inputs;  ///< free arrays the kernels read
   std::vector<GenKernel> kernels;
+
+  // Variable ids and profiler rows, bound at plan time.
+  std::size_t target_id = 0;
+  std::size_t modarray_source_id = 0;
+  std::vector<std::size_t> input_ids;
+  std::string copy_row;  ///< `<target>_copy`
+  std::string init_row;  ///< `<target>_init`
 };
 
 /// A perfect `for` nest with literal bounds whose innermost body stores
@@ -74,6 +96,25 @@ struct HostNest {
   /// stores keep the interpreter's last-writer-wins, or, for one store
   /// proven in bounds and injective over the lattice, the longest.
   std::size_t walk_dim = 0;
+
+  // The nest, bound at plan time (DESIGN decision 20).
+  /// One element store: where its value and index components are.
+  struct Store {
+    std::size_t target = 0;  ///< variable id
+    Shape shape;
+    Index strides;
+    int value_slot = 0;
+    std::vector<int> index_slots;
+    std::span<std::int64_t> data;  ///< bound by each run
+  };
+  std::vector<Store> stores;
+  /// Variable id of each tape array; the arrays' dims and strides, each
+  /// run binding `wide` to the host values.
+  std::vector<std::size_t> array_ids;
+  std::vector<TapeArray> arrays;
+  std::vector<std::size_t> fills;  ///< lattice dimensions whose index slot the tape reads
+  std::vector<std::int64_t> lin_steps;  ///< per proven load, its move along walk_dim
+  std::vector<std::size_t> loop_var_ids;  ///< by lattice dimension
 };
 
 /// One statement of a compiled host step: a whole-array copy
@@ -82,6 +123,8 @@ struct HostOp {
   std::size_t stmt = 0;  ///< into the compiled body
   std::string dst;       ///< copies only
   std::string src;       ///< copies only
+  std::size_t dst_id = 0;
+  std::size_t src_id = 0;
   /// The copy hands src's storage over: src is no parameter and no
   /// later statement reads it.
   bool move = false;
@@ -100,6 +143,11 @@ struct HostBlock {
   std::vector<HostOp> ops;
   /// Why the interpreter runs the block; empty when `ops` do.
   std::string interpreted_because;
+
+  // Bound at plan time.
+  std::vector<std::size_t> read_ids;   ///< of array_reads
+  std::vector<std::size_t> write_ids;  ///< every name the block (re)binds
+  std::string row;                     ///< `<origin>_host`
 
   bool compiled() const { return interpreted_because.empty(); }
 };
@@ -180,13 +228,41 @@ class CudaProgram {
     o.execute = execute;
     return run(rt, args, host, host_profiler, o);
   }
+  /// The same invocation for a frame loop: an executed run moves its
+  /// result into `result`, a timing-only run leaves it as it is, and
+  /// neither allocates on the launch path (DESIGN decision 20).
+  void run(gpu::cuda::Runtime& rt, std::vector<sac::Value>& args, const gpu::HostSpec& host,
+           gpu::Profiler& host_profiler, const RunOptions& options,
+           std::optional<sac::Value>& result);
 
  private:
+  /// Resolves every variable to a dense id and binds the steps to them.
+  void bind();
+
   sac::CompiledFunction fn_;
   std::vector<Step> steps_;
   std::string return_var_;
   std::map<std::string, Shape> shapes_;
   std::map<std::size_t, double> measured_host_ops_;  // step index -> ops
+
+  /// What a run binds to one variable: its host value, its device
+  /// buffer and which of the two holds the current value.
+  struct Binding {
+    std::optional<sac::Value> host;  ///< bound in the host environment
+    gpu::BufferHandle device;
+    bool host_valid = false;
+    bool device_valid = false;
+    bool host_written = false;  ///< produced by a host step this run
+  };
+  /// Variable names by id, in name order, and each one's planned shape
+  /// (nullptr: none recorded).
+  std::vector<std::string> names_;
+  std::vector<std::optional<Shape>> shape_of_;
+  std::vector<std::size_t> param_ids_;
+  std::size_t return_id_ = 0;
+  /// The run state, reused by every call: one binding per variable.
+  std::vector<Binding> bindings_;
+  std::vector<gpu::BufferHandle> hazards_;  ///< a launch's reads
 };
 
 /// The sequential lowering: the whole compiled function runs on the

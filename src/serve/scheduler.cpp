@@ -391,12 +391,12 @@ std::vector<obs::Event> ServeRuntime::events() const {
 }
 
 std::vector<obs::DeviceTrace> ServeRuntime::device_traces() const {
-  // intervals_snapshot() copies under the profiler's lock: safe mid-run.
+  // DeviceTrace::of copies under the profiler's lock: safe mid-run.
   std::vector<obs::DeviceTrace> traces;
   traces.reserve(devices_.size());
   for (std::size_t i = 0; i < devices_.size(); ++i) {
-    traces.push_back({static_cast<int>(i), devices_[i]->gpu->profiler().intervals_snapshot(),
-                      devices_[i]->gpu->backend_name()});
+    traces.push_back(obs::DeviceTrace::of(static_cast<int>(i), devices_[i]->gpu->profiler(),
+                                          devices_[i]->gpu->backend_name()));
   }
   return traces;
 }

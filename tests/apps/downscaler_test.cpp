@@ -453,7 +453,7 @@ TEST(AsyncStreamsTest, AsyncHidesTransfersButSyncDoesNot) {
   EXPECT_LT(async_r.wall_us, 0.95 * sync_r.wall_us);
   EXPECT_NE(gpu.profiler().timeline().find("hidden behind kernels"), std::string::npos);
   // The Chrome trace export carries one event per op on its stream.
-  const std::string trace = obs::merged_chrome_trace({{0, gpu.profiler().intervals(), {}}}, {});
+  const std::string trace = obs::merged_chrome_trace({obs::DeviceTrace::of(0, gpu.profiler())}, {});
   EXPECT_NE(trace.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(trace.find("memcpy_h2d"), std::string::npos);
 }

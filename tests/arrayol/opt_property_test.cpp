@@ -22,6 +22,7 @@
 #include "opt/search.hpp"
 #include "opt/transform.hpp"
 #include "support/ip_lanes.hpp"
+#include "support/tape_poison.hpp"
 
 namespace saclo::opt {
 namespace {
@@ -236,6 +237,7 @@ void expect_lanes_and_execution(const aol::Model& model, const aol::Model& refer
 }
 
 TEST(OptProperty, RewrittenOpsRunBlocksOfLanesAsOneLaneEach) {
+  const testsupport::PoisonedTapeScratch poisoned;
   std::mt19937 rng(2011);
   int splits = 0;
   int double_splits = 0;
@@ -367,6 +369,7 @@ TEST(OptProperty, RewrittenMultiPortOpsRunBlocksOfLanesAsOneLaneEach) {
   // pack the producer's two inputs and append the consumer's other one;
   // the fused task split again packs three inputs. The walk extents put
   // blocks past one kLanes block and mix interior and wrapping lanes.
+  const testsupport::PoisonedTapeScratch poisoned;
   std::mt19937 rng(2016);
   int multi_port_splits = 0;
   int fusions = 0;

@@ -34,7 +34,7 @@ class RecordingObserver : public OpBoundaryObserver {
   };
 
   void on_kernel_boundary(const KernelLaunch& kernel) override {
-    boundaries.push_back({true, kernel.name, Dir::HostToDevice, 0});
+    boundaries.push_back({true, std::string(kernel.name), Dir::HostToDevice, 0});
   }
   void on_transfer_boundary(Dir dir, std::int64_t bytes) override {
     boundaries.push_back({false, "", dir, bytes});

@@ -114,7 +114,7 @@ TEST(ProfilerTest, ChromeTraceIsWellFormed) {
   Profiler p;
   p.record_interval("kern\"el", OpKind::Kernel, 1, 0.0, 10.0);
   p.record_interval("up", OpKind::MemcpyHtoD, 2, 0.0, 4.0);
-  const std::string json = obs::merged_chrome_trace({{0, p.intervals(), {}}}, {});
+  const std::string json = obs::merged_chrome_trace({obs::DeviceTrace::of(0, p)}, {});
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(json.find("\"tid\":1"), std::string::npos);

@@ -148,7 +148,7 @@ TEST(TimelineTest, DoubleBufferThrottle) {
 
 // --- VirtualGpu stream integration --------------------------------------------------
 
-KernelLaunch noop_kernel(const std::string& name, std::int64_t threads) {
+KernelLaunch noop_kernel(const char* name, std::int64_t threads) {
   KernelLaunch k;
   k.name = name;
   k.threads = threads;
@@ -186,7 +186,8 @@ TEST(VirtualGpuStreamTest, BufferHazardOrdersTransferAndKernel) {
   gpu.copy_h2d(b, host, "h2d", true, h2d);
   const double upload_end = gpu.stream_tail_us(h2d);
   KernelLaunch k = noop_kernel("consume", 1 << 10);
-  k.reads.push_back(b);
+  const BufferHandle reads[] = {b};
+  k.reads = reads;
   gpu.launch(k, false, comp);
   // The kernel reads the uploaded buffer: it cannot start before the
   // upload ends even though it sits on another stream.
@@ -208,8 +209,9 @@ TEST(VirtualGpuStreamTest, ExecutionIsImmediateRegardlessOfStream) {
   k.body = [view](std::int64_t begin, std::int64_t end) {
     for (std::int64_t i = begin; i < end; ++i) view[static_cast<std::size_t>(i)] += 10;
   };
-  k.reads.push_back(b);
-  k.writes.push_back(b);
+  const BufferHandle touched[] = {b};
+  k.reads = touched;
+  k.writes = touched;
   gpu.launch(k, true, gpu.create_stream());
   std::vector<std::int32_t> out(4);
   gpu.copy_d2h(std::as_writable_bytes(std::span<std::int32_t>(out)), b, "d2h", true, s);

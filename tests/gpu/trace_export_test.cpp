@@ -20,7 +20,7 @@ using saclo::testsupport::parse_json;
 /// One device's Chrome trace: the merged renderer over that device
 /// alone, which is what the serve runtime's device dumps are.
 std::string chrome_trace(const Profiler& p) {
-  return obs::merged_chrome_trace({{0, p.intervals(), {}}}, {});
+  return obs::merged_chrome_trace({obs::DeviceTrace::of(0, p)}, {});
 }
 
 // The Chrome trace export is a stable machine-readable interface
@@ -99,8 +99,9 @@ TEST(ChromeTraceExportTest, RealScheduleYieldsMonotoneNonOverlappingStreams) {
   kernel.cost.global_loads_per_thread = 1.0;
   kernel.cost.global_stores_per_thread = 1.0;
   kernel.body = [](std::int64_t, std::int64_t) {};
-  kernel.reads = {buf};
-  kernel.writes = {buf};
+  const BufferHandle touched[] = {buf};
+  kernel.reads = touched;
+  kernel.writes = touched;
 
   for (int frame = 0; frame < 3; ++frame) {
     gpu.account_transfer(4096, Dir::HostToDevice, "memcpyHtoDasync", h2d, buf);

@@ -21,22 +21,36 @@ namespace {
 
 using gpu::OpKind;
 
-gpu::Profiler::Interval span(const std::string& name, OpKind kind, double start, double dur,
-                             gpu::StreamId stream = 1) {
+/// An interval of the operation `name`.
+struct Span {
+  std::string name;
   gpu::Profiler::Interval iv;
-  iv.name = name;
+};
+
+Span span(const std::string& name, OpKind kind, double start, double dur,
+          gpu::StreamId stream = 1) {
+  gpu::Profiler::Interval iv;
   iv.kind = kind;
   iv.stream = stream;
   iv.start_us = start;
   iv.end_us = start + dur;
-  return iv;
+  return {name, iv};
+}
+
+DeviceTrace device(int index, const std::vector<Span>& spans, std::string backend = {}) {
+  DeviceTrace dev;
+  dev.device = index;
+  dev.backend = std::move(backend);
+  for (const Span& s : spans) dev.add(s.name, s.iv);
+  return dev;
 }
 
 /// Busy time of one device holding kernel spans over [start, end).
 double busy_of(const std::vector<std::pair<double, double>>& spans) {
   DeviceTrace dev;
   for (const auto& [start, end] : spans) {
-    dev.intervals.push_back(span("k", OpKind::Kernel, start, end - start));
+    const Span s = span("k", OpKind::Kernel, start, end - start);
+    dev.add(s.name, s.iv);
   }
   return analyze_critical_path({dev}, {}).devices.at(0).busy_us;
 }
@@ -66,12 +80,11 @@ TEST(CritPathRouteTest, GaspardKernelsAreKrnPrefixed) {
 }
 
 TEST(CritPathAnalyzeTest, AttributionNumbers) {
-  DeviceTrace dev0{0, {}, {}};
-  dev0.intervals = {span("k0", OpKind::Kernel, 0, 100),
-                    span("memcpyHtoDasync", OpKind::MemcpyHtoD, 100, 50, 0),
-                    // Overlapping stream on the same device: busy union, not sum.
-                    span("k0", OpKind::Kernel, 50, 100, 2)};
-  DeviceTrace dev1{1, {span("KRN_stage", OpKind::Kernel, 0, 200)}, {}};
+  const DeviceTrace dev0 = device(0, {span("k0", OpKind::Kernel, 0, 100),
+                                      span("memcpyHtoDasync", OpKind::MemcpyHtoD, 100, 50, 0),
+                                      // Overlapping stream on the same device: busy union, not sum.
+                                      span("k0", OpKind::Kernel, 50, 100, 2)});
+  const DeviceTrace dev1 = device(1, {span("KRN_stage", OpKind::Kernel, 0, 200)});
   const CriticalPath path = analyze_critical_path({dev0, dev1}, {});
   EXPECT_DOUBLE_EQ(path.makespan_us, 200);
   const DeviceAttribution& d0 = path.devices.at(0);
@@ -89,7 +102,7 @@ TEST(CritPathAnalyzeTest, AttributionNumbers) {
 }
 
 TEST(CritPathAnalyzeTest, QueueWaitAndStallsFromEvents) {
-  DeviceTrace dev{0, {span("k", OpKind::Kernel, 0, 10)}, {}};
+  const DeviceTrace dev = device(0, {span("k", OpKind::Kernel, 0, 10)});
   const std::vector<Event> events = {
       event(EventType::JobAdmitted, 1, -1, 100.0),
       event(EventType::JobDispatched, 1, 0, 400.0),
@@ -113,7 +126,7 @@ TEST(CritPathAnalyzeTest, QueueWaitAndStallsFromEvents) {
 }
 
 TEST(CritPathAnalyzeTest, ReportRenders) {
-  DeviceTrace dev{0, {span("KRN_a", OpKind::Kernel, 0, 10)}, {}};
+  const DeviceTrace dev = device(0, {span("KRN_a", OpKind::Kernel, 0, 10)});
   const std::string text = critical_path_report(analyze_critical_path({dev}, {}));
   EXPECT_NE(text.find("critical path"), std::string::npos);
   EXPECT_NE(text.find("gpu0"), std::string::npos);
@@ -195,12 +208,13 @@ TEST_F(TraceLoadTest, BlankLinesAndTheSummaryInEventLogAreSkipped) {
 }
 
 TEST(TraceRoundTripTest, ParsedMergedTraceIsTheRenderedOne) {
-  DeviceTrace dev0{0, {span("weird \"k\"\t", OpKind::Kernel, 0.25, 10.125),
-                       span("memcpyDtoHasync", OpKind::MemcpyDtoH, 11, 2, 3)},
-                   "sim"};
+  DeviceTrace dev0 = device(0,
+                            {span("weird \"k\"\t", OpKind::Kernel, 0.25, 10.125),
+                             span("memcpyDtoHasync", OpKind::MemcpyDtoH, 11, 2, 3)},
+                            "sim");
   dev0.intervals[0].trace_id = 7;  // job args, instant events: skipped, not errors
   dev0.intervals[0].batch = 7;
-  DeviceTrace dev1{1, {}, "sim"};  // no spans: still a device row
+  const DeviceTrace dev1 = device(1, {}, "sim");  // no spans: still a device row
   std::vector<Event> events = {event(EventType::DeviceFault, 7, 0, 3.0)};
   const std::vector<DeviceTrace> back =
       parse_chrome_trace(merged_chrome_trace({dev0, dev1}, events));
@@ -211,7 +225,7 @@ TEST(TraceRoundTripTest, ParsedMergedTraceIsTheRenderedOne) {
   for (std::size_t i = 0; i < 2; ++i) {
     const auto& a = dev0.intervals[i];
     const auto& b = back[0].intervals[i];
-    EXPECT_EQ(b.name, a.name);
+    EXPECT_EQ(back[0].name_of(b), dev0.name_of(a));
     EXPECT_EQ(b.kind, a.kind);
     EXPECT_EQ(b.stream, a.stream);
     EXPECT_NEAR(b.start_us, a.start_us, 1e-3);

@@ -13,18 +13,17 @@ namespace {
 using saclo::testsupport::Json;
 using saclo::testsupport::parse_json;
 
-gpu::Profiler::Interval interval(const std::string& name, gpu::OpKind kind, int stream,
-                                 double start, double end, std::uint64_t job = 0,
-                                 std::uint32_t attempt = 0) {
+/// Appends an interval of the operation `name` to `dev`.
+void add_interval(DeviceTrace& dev, const std::string& name, gpu::OpKind kind, int stream,
+                  double start, double end, std::uint64_t job = 0, std::uint32_t attempt = 0) {
   gpu::Profiler::Interval iv;
-  iv.name = name;
   iv.kind = kind;
   iv.stream = stream;
   iv.start_us = start;
   iv.end_us = end;
   iv.trace_id = job;
   iv.attempt = attempt;
-  return iv;
+  dev.add(name, iv);
 }
 
 Event runtime_event(EventType type, std::uint64_t job, int device, int attempt,
@@ -45,15 +44,13 @@ Event runtime_event(EventType type, std::uint64_t job, int device, int attempt,
 std::vector<DeviceTrace> staged_fleet() {
   DeviceTrace dev0;
   dev0.device = 0;
-  dev0.intervals.push_back(interval("warmup", gpu::OpKind::Kernel, 0, 0.0, 5.0));
-  dev0.intervals.push_back(
-      interval("memcpyHtoDasync", gpu::OpKind::MemcpyHtoD, 1, 10.0, 20.0, 9, 0));
-  dev0.intervals.push_back(interval("hfilter", gpu::OpKind::Kernel, 2, 20.0, 80.0, 9, 0));
+  add_interval(dev0, "warmup", gpu::OpKind::Kernel, 0, 0.0, 5.0);
+  add_interval(dev0, "memcpyHtoDasync", gpu::OpKind::MemcpyHtoD, 1, 10.0, 20.0, 9, 0);
+  add_interval(dev0, "hfilter", gpu::OpKind::Kernel, 2, 20.0, 80.0, 9, 0);
   DeviceTrace dev1;
   dev1.device = 1;
-  dev1.intervals.push_back(
-      interval("memcpyHtoDasync", gpu::OpKind::MemcpyHtoD, 1, 300.0, 310.0, 9, 1));
-  dev1.intervals.push_back(interval("hfilter", gpu::OpKind::Kernel, 2, 310.0, 400.0, 9, 1));
+  add_interval(dev1, "memcpyHtoDasync", gpu::OpKind::MemcpyHtoD, 1, 300.0, 310.0, 9, 1);
+  add_interval(dev1, "hfilter", gpu::OpKind::Kernel, 2, 310.0, 400.0, 9, 1);
   return {dev0, dev1};
 }
 
@@ -185,7 +182,7 @@ TEST(MergedTraceTest, EmptyFleetStillRendersValidJson) {
 TEST(MergedTraceTest, ControlBytesInSpanNamesParseStrictly) {
   const std::string hostile = "ev\til\r\x01";
   DeviceTrace dev;
-  dev.intervals.push_back(interval(hostile, gpu::OpKind::Kernel, 0, 0.0, 1.0, 3, 0));
+  add_interval(dev, hostile, gpu::OpKind::Kernel, 0, 0.0, 1.0, 3, 0);
   const Json root = parse_json(merged_chrome_trace({dev}, {}));
   EXPECT_EQ(find_event(root.at("traceEvents"), "X", hostile).at("name").string, hostile);
 }

@@ -26,10 +26,10 @@ std::string traffic_trace() {
   return serve::generate_trace(spec).to_json();
 }
 
-gpu::Profiler::Interval span(const std::string& name, gpu::OpKind kind, int stream,
-                             double start, double end, std::uint64_t job, std::uint32_t attempt) {
+/// Appends an interval of the operation `name` to `dev`.
+void span(obs::DeviceTrace& dev, const std::string& name, gpu::OpKind kind, int stream,
+          double start, double end, std::uint64_t job, std::uint32_t attempt) {
   gpu::Profiler::Interval iv;
-  iv.name = name;
   iv.kind = kind;
   iv.stream = stream;
   iv.start_us = start;
@@ -37,7 +37,7 @@ gpu::Profiler::Interval span(const std::string& name, gpu::OpKind kind, int stre
   iv.trace_id = job;
   iv.attempt = attempt;
   iv.batch = job;
-  return iv;
+  dev.add(name, iv);
 }
 
 obs::Event event(obs::EventType type, std::uint64_t job, int device, int attempt,
@@ -66,12 +66,12 @@ std::vector<obs::Event> fleet_events() {
 
 std::string merged_trace() {
   obs::DeviceTrace dev0{0, {}, "sim"};
-  dev0.intervals = {span("memcpyHtoDasync", gpu::OpKind::MemcpyHtoD, 1, 10.0, 20.0, 9, 0),
-                    span("hfilter_nongeneric_w0_g0", gpu::OpKind::Kernel, 2, 20.0, 80.0, 9, 0)};
+  span(dev0, "memcpyHtoDasync", gpu::OpKind::MemcpyHtoD, 1, 10.0, 20.0, 9, 0);
+  span(dev0, "hfilter_nongeneric_w0_g0", gpu::OpKind::Kernel, 2, 20.0, 80.0, 9, 0);
   obs::DeviceTrace dev1{1, {}, "sim"};
-  dev1.intervals = {span("KRN_rhf", gpu::OpKind::Kernel, 2, 310.0, 400.0, 9, 1),
-                    span("host (output tiler)", gpu::OpKind::Host, 3, 400.0, 401.0, 9, 1),
-                    span("memcpyDtoHasync", gpu::OpKind::MemcpyDtoH, 4, 401.0, 420.0, 9, 1)};
+  span(dev1, "KRN_rhf", gpu::OpKind::Kernel, 2, 310.0, 400.0, 9, 1);
+  span(dev1, "host (output tiler)", gpu::OpKind::Host, 3, 400.0, 401.0, 9, 1);
+  span(dev1, "memcpyDtoHasync", gpu::OpKind::MemcpyDtoH, 4, 401.0, 420.0, 9, 1);
   return obs::merged_chrome_trace({dev0, dev1}, fleet_events());
 }
 

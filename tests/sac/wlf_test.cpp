@@ -343,6 +343,32 @@ int[*] main(int[*] v) {
   EXPECT_EQ(print(cf.fn).find("unused"), std::string::npos);
 }
 
+TEST(DceTest, KeptLoopKeepsTheArraysItStoresInto) {
+  // The loop stores into P, which nothing reads afterwards: the loop is
+  // kept for O, and its store into P reads P, so `P = C;` must stay.
+  const char* src = R"(
+int[*] main(int[*] A, int[*] B, int[*] C) {
+  O = B;
+  P = C;
+  for (i = 0; i < 3; i = i + 1) {
+    O[[i, 0]] = B[[i, 1]];
+    P[[i, 0]] = i;
+  }
+  return (O);
+}
+)";
+  const Module m = parse(src);
+  const std::vector<ArgSpec> args(3, ArgSpec::array(ElemType::Int, Shape{3, 3}));
+  CompileOptions no_wlf;
+  no_wlf.enable_wlf = false;
+  const CompiledFunction with = compile(m, "main", args);
+  const CompiledFunction without = compile(m, "main", args, no_wlf);
+  EXPECT_NE(print(with.fn).find("P = C"), std::string::npos) << print(with.fn);
+  const IntArray frame = IntArray::generate(Shape{3, 3}, [](const Index& i) { return i[0] * 3 + i[1]; });
+  const std::vector<Value> in = {Value(frame), Value(frame), Value(frame)};
+  EXPECT_EQ(run_function(wrap(with.fn), "main", in), run_function(wrap(without.fn), "main", in));
+}
+
 TEST(ModarrayConversionTest, FullCoverageBecomesGenarray) {
   const char* src = R"(
 int[*] main(int[*] v) {

@@ -31,6 +31,7 @@
 #include "sac/pipeline.hpp"
 #include "sac_cuda/program.hpp"
 #include "sac_cuda/tape.hpp"
+#include "support/tape_poison.hpp"
 
 namespace saclo::sac_cuda {
 namespace {
@@ -98,9 +99,14 @@ struct Outcome {
   bool operator==(const Outcome& other) const = default;
 };
 
+/// `on_scratch` runs it on the thread's tape scratch, else on rows of
+/// its own, zero-filled.
 Outcome run_at(const KernelTape& tape, const Lattice& lat, const Index& t,
-               const std::vector<TapeArray>& arrays) {
-  TapeLanes lanes(tape, kLanes);
+               const std::vector<TapeArray>& arrays, bool on_scratch = false) {
+  std::optional<TapeLanes> own;
+  std::optional<TapeLanes> scratch;
+  TapeLanes& lanes = on_scratch ? scratch.emplace(tape, kLanes, TapeLanes::ThreadScratch{})
+                                : own.emplace(tape, kLanes);
   for (std::size_t d = 0; d < lat.rank(); ++d) {
     lanes.slot(tape.input_slots[d])[0] = lat.dims[d].lb + lat.dims[d].step * t[d];
   }
@@ -123,12 +129,13 @@ Outcome run_at(const KernelTape& tape, const Lattice& lat, const Index& t,
 
 /// Runs `tape` the way a kernel launch walks a run along dimension 0:
 /// the points t0 + l * e0 for l in [0, count), in blocks of up to kLanes
-/// lanes, and expects each point's outcome in `expected`, which ends at
-/// the first failing point. Returns the number of points compared.
+/// lanes on the thread's tape scratch, and expects each point's outcome
+/// in `expected`, which ends at the first failing point. Returns the
+/// number of points compared.
 std::int64_t expect_blocks_match(const KernelTape& tape, const Lattice& lat, const Index& t0,
                                  std::int64_t count, const std::vector<Outcome>& expected,
                                  const std::vector<TapeArray>& arrays) {
-  TapeLanes lanes(tape, kLanes);
+  TapeLanes lanes(tape, kLanes, TapeLanes::ThreadScratch{});
   std::vector<std::int64_t> offsets;
   std::vector<std::int64_t> steps;
   for (const sac::affine::Lin& l : tape.lin_loads) {
@@ -256,7 +263,8 @@ struct Compared {
 };
 
 /// Compiles the case plain and specialised, runs both at every lattice
-/// point and expects identical outcomes.
+/// point (the plain tape on zero-filled rows, the specialised one on the
+/// thread's scratch) and expects identical outcomes.
 Compared compare(const BodyCase& c) {
   auto plain = compile_tape(c.stmts, c.result_ptrs(), c.lattice.scalar_names, c.dims);
   auto spec = compile_tape(c.stmts, c.result_ptrs(), c.lattice.scalar_names, c.dims, &c.lattice);
@@ -273,7 +281,7 @@ Compared compare(const BodyCase& c) {
   const std::vector<TapeArray> arrays_spec = bind_arrays(out.spec, c.dims, bound_spec);
   for (const Index& t : lattice_points(c.lattice)) {
     const Outcome a = run_at(out.plain, c.lattice, t, arrays_plain);
-    const Outcome b = run_at(out.spec, c.lattice, t, arrays_spec);
+    const Outcome b = run_at(out.spec, c.lattice, t, arrays_spec, /*on_scratch=*/true);
     EXPECT_EQ(a, b) << "at t=" << Shape(t).to_string() << ": plain '" << a.error
                     << "' specialised '" << b.error << "'\nplain tape:\n"
                     << out.plain.to_string() << "specialised tape:\n"
@@ -535,6 +543,9 @@ std::map<std::string, Index> random_arrays(Rng& rng) {
 constexpr std::int64_t kBlockLengths[] = {1, 2, kLanes - 1, kLanes, kLanes + 1};
 
 TEST(SpecialiseOracle, RandomBodiesAreBitExactWithThePlainTape) {
+  // The specialised tape runs on poisoned scratch, the plain one on
+  // zero-filled rows: a read before a write shows as a mismatch.
+  const testsupport::PoisonedTapeScratch poisoned;
   int proven = 0;
   int checked = 0;
   int dropped = 0;
@@ -931,7 +942,13 @@ NestCase random_nest(Rng& rng) {
       case 1: return cat(l.var, " * 7 + ", rng.pick(loops).var);
       case 2: return cat("min(", l.var, ", 3) + ", load);
       case 3: return cat("(", l.var, " + 5) / 3 - ", l.var, " % 4");
-      default: return cat(load, " + ", rng.uniform(-9, 9));
+      default: {
+        // Now and then the nest reads what it stores to, which keeps
+        // the step on the interpreter.
+        if (!rng.chance(15)) return cat(load, " + ", rng.uniform(-9, 9));
+        std::vector<std::string> zeros(o_var.size(), "0");
+        return cat(load, " + O[[", join(zeros, ", "), "]]");
+      }
     }
   };
   const bool two_targets = rng.chance(20);
@@ -957,6 +974,8 @@ NestCase random_nest(Rng& rng) {
 }
 
 TEST(HostNestOracle, RandomNestsMatchTheInterpreter) {
+  // Nests and kernel bodies run on poisoned tape scratch.
+  const testsupport::PoisonedTapeScratch poisoned;
   int compiled = 0;
   int interpreted = 0;
   int results = 0;

@@ -5,6 +5,7 @@
 #include "apps/downscaler/config.hpp"
 #include "apps/downscaler/pipelines.hpp"
 #include "sac/parser.hpp"
+#include "support/tape_poison.hpp"
 
 namespace saclo::sac_cuda {
 namespace {
@@ -142,6 +143,27 @@ TEST(TapeTest, TheLowestFailingLaneWinsOverTheFirstFailingInstruction) {
     ADD_FAILURE() << "no error";
   } catch (const Error& e) {
     EXPECT_STREQ(e.what(), "tape: division by zero");
+  }
+}
+
+// The oracles prove that no tape reads a slot or stack row before it
+// writes it by running on poisoned scratch. A tape that does read one
+// (slot 1 is never stored) must show it: zero on rows of its own, a
+// distinct poison value per lane on scratch.
+TEST(TapeTest, PoisonedScratchShowsAReadBeforeAWrite) {
+  Tape t;
+  t.code = {{TapeOp::LoadSlot, 1}, {TapeOp::StoreSlot, 0}};
+  t.slot_count = 2;
+  t.result_slots = {0};
+  t.measure_depth();
+  TapeLanes own(t, 4);
+  t.run(own, 4, {});
+  for (int l = 0; l < 4; ++l) EXPECT_EQ(own.slot(0)[l], 0);
+  const testsupport::PoisonedTapeScratch poisoned;
+  TapeLanes scratch(t, 4, TapeLanes::ThreadScratch{});
+  t.run(scratch, 4, {});
+  for (int l = 0; l < 4; ++l) {
+    EXPECT_EQ(scratch.slot(0)[l], testsupport::PoisonedTapeScratch::kPattern + 4 + l) << l;
   }
 }
 

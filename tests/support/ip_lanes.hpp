@@ -10,7 +10,8 @@
 namespace saclo::testsupport {
 
 /// Runs `op`, lowered to the tape VM, over a lane-major block of n
-/// instances, at most kMaxTapeLanes per run as the executor does: row e
+/// instances, at most kMaxTapeLanes per run and on the thread's tape
+/// scratch, as the executor does: row e
 /// of `in` is in[e * n, (e + 1) * n), element e of the concatenated
 /// input patterns with one value per lane, and `out` holds the output
 /// elements the same way.
@@ -18,7 +19,7 @@ inline void run_ip_lanes(const aol::ElementaryOp& op, std::span<const std::int64
                          std::span<std::int64_t> out, std::size_t n) {
   const std::size_t in_elements = in.size() / n;
   const Tape tape = aol::lower_to_tape(op, static_cast<std::int64_t>(in_elements));
-  TapeLanes lanes(tape, kMaxTapeLanes);
+  TapeLanes lanes(tape, kMaxTapeLanes, TapeLanes::ThreadScratch{});
   for (std::size_t first = 0; first < n; first += kMaxTapeLanes) {
     const std::size_t m = std::min<std::size_t>(n - first, kMaxTapeLanes);
     for (std::size_t e = 0; e < in_elements; ++e) {
