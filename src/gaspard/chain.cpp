@@ -450,12 +450,9 @@ std::map<std::string, IntArray> OpenClApplication::run(
     if (execute) {
       auto it = inputs.find(plan.array);
       if (it == inputs.end()) throw ChainError(cat("missing input '", plan.array, "'"));
-      upload.gpu().upload_frame(live_[b], it->second.data(), gpu::opencl::CommandQueue::kHtoDOp,
-                                upload.stream());
+      upload.enqueue_write_frame(live_[b], it->second);
     } else {
-      upload.gpu().account_transfer(live_[b].bytes, gpu::Dir::HostToDevice,
-                                    gpu::opencl::CommandQueue::kHtoDOp, upload.stream(),
-                                    live_[b]);
+      upload.account_write(live_[b]);
     }
   }
 
@@ -484,14 +481,9 @@ std::map<std::string, IntArray> OpenClApplication::run(
     const BufferPlan& plan = buffers_[b];
     if (!plan.is_output) continue;
     if (execute) {
-      results.emplace(plan.array,
-                      IntArray(plan.shape, download.gpu().download_frame(
-                                               live_[b], gpu::opencl::CommandQueue::kDtoHOp,
-                                               download.stream())));
+      results.emplace(plan.array, download.enqueue_read_frame(live_[b], plan.shape));
     } else {
-      download.gpu().account_transfer(live_[b].bytes, gpu::Dir::DeviceToHost,
-                                      gpu::opencl::CommandQueue::kDtoHOp, download.stream(),
-                                      live_[b]);
+      download.account_read(live_[b]);
     }
   }
   return results;

@@ -1,38 +1,11 @@
 #pragma once
 
-#include <string>
 #include <utility>
 
 #include "core/ndarray.hpp"
 #include "gpu/sim_gpu.hpp"
 
 namespace saclo::gpu::opencl {
-
-/// A cl_mem-style buffer object. Unlike the CUDA façade, OpenCL buffers
-/// are untyped at the API level; the GASPARD2-generated host code binds
-/// them to kernel arguments by position.
-class Buffer {
- public:
-  Buffer() = default;
-  Buffer(VirtualGpu& gpu, DeviceBuffer buffer) : gpu_(&gpu), buffer_(std::move(buffer)) {}
-
-  BufferHandle handle() const { return buffer_.handle(); }
-  std::int64_t bytes() const { return buffer_.bytes(); }
-  bool valid() const { return buffer_.valid(); }
-
-  template <typename T>
-  std::span<T> view() {
-    return gpu_->memory().view<T>(buffer_.handle());
-  }
-  template <typename T>
-  std::span<const T> view() const {
-    return gpu_->memory().view<T>(buffer_.handle());
-  }
-
- private:
-  VirtualGpu* gpu_ = nullptr;
-  DeviceBuffer buffer_;
-};
 
 /// OpenCL-flavoured façade: a command queue onto the simulated device.
 /// GASPARD2's generated host code (Section V of the paper) creates
@@ -50,30 +23,24 @@ class CommandQueue {
   const DeviceSpec& spec() const { return gpu_->spec(); }
   StreamId stream() const { return stream_; }
 
-  /// A buffer whose bytes are unspecified until written (see
-  /// BufferAllocator::allocate_for_overwrite).
-  Buffer create_buffer_for_overwrite(std::int64_t bytes) {
-    return Buffer(*gpu_, DeviceBuffer::for_overwrite(gpu_->allocator(), bytes));
+  /// Frame transfers into and out of a cl_mem-style buffer: the
+  /// host's int64 frames travel as the device's 32-bit pixels,
+  /// converted inside the transfer (VirtualGpu::upload_frame/
+  /// download_frame).
+  void enqueue_write_frame(BufferHandle dst, const NDArray<std::int64_t>& src) {
+    gpu_->upload_frame(dst, src.data(), kHtoDOp, stream_);
   }
-
-  /// Frame transfers: the host's int64 frames travel as the device's
-  /// 32-bit pixels, converted inside the transfer
-  /// (VirtualGpu::upload_frame/download_frame).
-  void enqueue_write_frame(Buffer& dst, const NDArray<std::int64_t>& src) {
-    gpu_->upload_frame(dst.handle(), src.data(), kHtoDOp, stream_);
-  }
-  NDArray<std::int64_t> enqueue_read_frame(const Buffer& src, Shape shape) {
-    return NDArray<std::int64_t>(std::move(shape),
-                                 gpu_->download_frame(src.handle(), kDtoHOp, stream_));
+  NDArray<std::int64_t> enqueue_read_frame(BufferHandle src, Shape shape) {
+    return NDArray<std::int64_t>(std::move(shape), gpu_->download_frame(src, kDtoHOp, stream_));
   }
 
   /// Accounting-only transfers (simulated repetition): the buffer the
   /// transfer fills / drains orders it against kernels on other queues.
-  void account_write(const Buffer& dst) {
-    gpu_->account_transfer(dst.bytes(), Dir::HostToDevice, kHtoDOp, stream_, dst.handle());
+  void account_write(BufferHandle dst) {
+    gpu_->account_transfer(dst.bytes, Dir::HostToDevice, kHtoDOp, stream_, dst);
   }
-  void account_read(const Buffer& src) {
-    gpu_->account_transfer(src.bytes(), Dir::DeviceToHost, kDtoHOp, stream_, src.handle());
+  void account_read(BufferHandle src) {
+    gpu_->account_transfer(src.bytes, Dir::DeviceToHost, kDtoHOp, stream_, src);
   }
 
   /// clEnqueueNDRangeKernel: `global_work_size` is linearised, exactly

@@ -1042,17 +1042,15 @@ void CudaProgram::run(gpu::cuda::Runtime& rt, std::vector<sac::Value>& args,
     // results) stay in-line with the kernels; fresh param uploads go on
     // the copy-in stream so they can overlap earlier frames' compute.
     const gpu::StreamId stream = b.host_written ? ss.compute : ss.h2d;
-    const std::int64_t bytes = shape_of(id).elements() * 4;
     // The upload writes the whole array before any kernel reads it.
-    if (!b.device.valid()) b.device = allocator.allocate_for_overwrite(bytes);
+    if (!b.device.valid()) b.device = allocator.allocate_for_overwrite(shape_of(id).elements() * 4);
     if (execute) {
       if (!b.host || !b.host->is_int()) {
         throw BackendError(cat("host value for '", names_[id], "' missing before host2device"));
       }
-      gpu.upload_frame(b.device, b.host->ints().data(), gpu::cuda::Runtime::kHtoDOp, stream);
+      rt.host2device_frame(b.device, b.host->ints().data(), stream);
     } else {
-      gpu.account_transfer(bytes, gpu::Dir::HostToDevice, gpu::cuda::Runtime::kHtoDOp, stream,
-                           b.device);
+      rt.account_host2device_frame(b.device, stream);
     }
     b.device_valid = true;
   };
@@ -1064,13 +1062,10 @@ void CudaProgram::run(gpu::cuda::Runtime& rt, std::vector<sac::Value>& args,
       if (!execute) return;  // timing-only run: nothing to materialise
       throw BackendError(cat("value of '", names_[id], "' is nowhere"));
     }
-    const Shape& shape = shape_of(id);
     if (execute) {
-      b.host = Value(IntArray(shape, gpu.download_frame(b.device, gpu::cuda::Runtime::kDtoHOp,
-                                                        stream)));
+      b.host = Value(IntArray(shape_of(id), rt.device2host_frame(b.device, stream)));
     } else {
-      gpu.account_transfer(shape.elements() * 4, gpu::Dir::DeviceToHost,
-                           gpu::cuda::Runtime::kDtoHOp, stream, b.device);
+      rt.account_device2host_frame(b.device, stream);
     }
     b.host_valid = true;
   };

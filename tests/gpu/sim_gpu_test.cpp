@@ -75,9 +75,9 @@ TEST(CudaRuntimeTest, RoundTripsArrays) {
   VirtualGpu gpu(gtx480(), 1);
   cuda::Runtime rt(gpu);
   const IntArray host = IntArray::generate(Shape{4, 4}, [](const Index& i) { return i[0] - i[1]; });
-  auto dev = rt.device_alloc_for_overwrite<std::int32_t>(host.shape());
-  rt.host2device_frame(dev, host);
-  const IntArray back = rt.device2host_frame(dev);
+  const BufferHandle dev = gpu.alloc(host.elements() * 4);  // 32-bit device pixels
+  rt.host2device_frame(dev, host.data());
+  const IntArray back(host.shape(), rt.device2host_frame(dev));
   EXPECT_EQ(back, host);
   EXPECT_GT(gpu.profiler().us_for(cuda::Runtime::kHtoDOp), 0.0);
   EXPECT_GT(gpu.profiler().us_for(cuda::Runtime::kDtoHOp), 0.0);
@@ -88,11 +88,11 @@ TEST(OpenClRuntimeTest, EnqueuesBuffersAndKernels) {
   opencl::CommandQueue q(gpu);
   const IntArray host = IntArray::generate(Shape{8}, [](const Index& i) { return 2 * i[0]; });
   const std::int64_t bytes = host.shape().elements() * 4;  // 32-bit device pixels
-  opencl::Buffer in = q.create_buffer_for_overwrite(bytes);
-  opencl::Buffer out = q.create_buffer_for_overwrite(bytes);
+  const BufferHandle in = gpu.alloc(bytes);
+  const BufferHandle out = gpu.alloc(bytes);
   q.enqueue_write_frame(in, host);
-  auto in_v = in.view<std::int32_t>();
-  auto out_v = out.view<std::int32_t>();
+  auto in_v = gpu.memory().view<std::int32_t>(in);
+  auto out_v = gpu.memory().view<std::int32_t>(out);
   KernelLaunch k;
   k.name = "copy_scale";
   k.threads = 8;
