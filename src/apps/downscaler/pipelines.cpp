@@ -33,7 +33,9 @@ using RowTotals = std::vector<std::pair<std::int64_t, double>>;
 /// Keeps `profiler`'s row totals in `totals`, reusing its storage.
 void mark_rows(const gpu::Profiler& profiler, RowTotals& totals) {
   totals.clear();
-  for (const gpu::Profiler::Row& row : profiler.rows()) totals.emplace_back(row.calls, row.total_us);
+  for (const gpu::Profiler::Row& row : profiler.rows()) {
+    totals.emplace_back(row.calls, row.total_us);
+  }
 }
 
 /// Adds what `profiler` recorded since its rows were `before` to the

@@ -173,7 +173,7 @@ const char* kind_name(Kind kind) {
 class FleetJob {
  public:
   FleetJob(Kind kind, unsigned workers)
-      : kind_(kind), gpu_(gpu::gtx480(), workers, gpu::BackendKind::Sim), allocator_(gpu_) {
+      : gpu_(gpu::gtx480(), workers, gpu::BackendKind::Sim), allocator_(gpu_) {
     gpu_.set_allocator(&allocator_);
     const DownscalerConfig cfg = DownscalerConfig::tiny();
     if (kind == Kind::GaspardO0 || kind == Kind::GaspardO2) {
@@ -215,7 +215,6 @@ class FleetJob {
     }
   }
 
-  Kind kind_;
   gpu::VirtualGpu gpu_;
   FleetAllocator allocator_;
   std::unique_ptr<SacDownscaler> sac_;

@@ -364,7 +364,8 @@ int[*] main(int[*] A, int[*] B, int[*] C) {
   const CompiledFunction with = compile(m, "main", args);
   const CompiledFunction without = compile(m, "main", args, no_wlf);
   EXPECT_NE(print(with.fn).find("P = C"), std::string::npos) << print(with.fn);
-  const IntArray frame = IntArray::generate(Shape{3, 3}, [](const Index& i) { return i[0] * 3 + i[1]; });
+  const IntArray frame =
+      IntArray::generate(Shape{3, 3}, [](const Index& i) { return i[0] * 3 + i[1]; });
   const std::vector<Value> in = {Value(frame), Value(frame), Value(frame)};
   EXPECT_EQ(run_function(wrap(with.fn), "main", in), run_function(wrap(without.fn), "main", in));
 }
