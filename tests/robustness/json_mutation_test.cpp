@@ -65,10 +65,10 @@ std::vector<obs::Event> fleet_events() {
 }
 
 std::string merged_trace() {
-  obs::DeviceTrace dev0{0, {}, "sim"};
+  obs::DeviceTrace dev0{0, {}, "sim", {}};
   span(dev0, "memcpyHtoDasync", gpu::OpKind::MemcpyHtoD, 1, 10.0, 20.0, 9, 0);
   span(dev0, "hfilter_nongeneric_w0_g0", gpu::OpKind::Kernel, 2, 20.0, 80.0, 9, 0);
-  obs::DeviceTrace dev1{1, {}, "sim"};
+  obs::DeviceTrace dev1{1, {}, "sim", {}};
   span(dev1, "KRN_rhf", gpu::OpKind::Kernel, 2, 310.0, 400.0, 9, 1);
   span(dev1, "host (output tiler)", gpu::OpKind::Host, 3, 400.0, 401.0, 9, 1);
   span(dev1, "memcpyDtoHasync", gpu::OpKind::MemcpyDtoH, 4, 401.0, 420.0, 9, 1);
