@@ -155,13 +155,13 @@ void BM_CoverageMap(benchmark::State& state) {
 }
 BENCHMARK(BM_CoverageMap);
 
-/// The synthetic source filling one paper-geometry channel in place
+/// The synthetic source filling one paper-geometry pixel frame in place
 /// on 1 and 3 workers: the generation half of an executed frame's host
 /// side.
 void BM_SyntheticChannel(benchmark::State& state) {
   const Shape shape = DownscalerConfig::paper().frame_shape();
   gpu::ThreadPool pool(static_cast<unsigned>(state.range(0)));
-  std::vector<std::int64_t> frame(static_cast<std::size_t>(shape.elements()));
+  std::vector<std::int32_t> frame(static_cast<std::size_t>(shape.elements()));
   int t = 0;
   for (auto _ : state) {
     synthetic_channel(frame, shape, t++ % 16, 0, &pool);
@@ -172,13 +172,13 @@ void BM_SyntheticChannel(benchmark::State& state) {
 }
 BENCHMARK(BM_SyntheticChannel)->Arg(1)->Arg(3);
 
-/// The converting upload of one paper-geometry channel (int64 host
-/// frame to int32 device frame) on the host backend, 1 and 3 workers:
-/// the transfer half of an executed frame's host side.
+/// The upload of one paper-geometry pixel frame (a plain 4-byte copy)
+/// on the host backend, 1 and 3 workers: the transfer half of an
+/// executed frame's host side.
 void BM_FrameUpload(benchmark::State& state) {
   gpu::VirtualGpu gpu(gpu::gtx480(), static_cast<unsigned>(state.range(0)),
                       gpu::BackendKind::Host);
-  const IntArray frame = synthetic_channel(DownscalerConfig::paper().frame_shape(), 0, 0);
+  const PixelArray frame = synthetic_pixels(DownscalerConfig::paper().frame_shape(), 0, 0);
   const gpu::BufferHandle buf = gpu.alloc(frame.elements() * 4);
   gpu.upload_frame(buf, frame.data(), "memcpyHtoDasync");  // first touch
   for (auto _ : state) {

@@ -46,10 +46,10 @@ int main(int argc, char** argv) {
   // Write the first executed frame.
   gpu::VirtualGpu device(gpu::gtx480());
   gpu::opencl::CommandQueue queue(device);
-  std::map<std::string, IntArray> inputs;
-  inputs.emplace("frame_r", synthetic_channel(cfg.frame_shape(), 0, 0));
-  inputs.emplace("frame_g", synthetic_channel(cfg.frame_shape(), 0, 1));
-  inputs.emplace("frame_b", synthetic_channel(cfg.frame_shape(), 0, 2));
+  std::map<std::string, PixelArray> inputs;
+  inputs.emplace("frame_r", synthetic_pixels(cfg.frame_shape(), 0, 0));
+  inputs.emplace("frame_g", synthetic_pixels(cfg.frame_shape(), 0, 1));
+  inputs.emplace("frame_b", synthetic_pixels(cfg.frame_shape(), 0, 2));
   auto outputs = app.run(queue, inputs, true);
   RgbFrame out{outputs.at("out_r"), outputs.at("out_g"), outputs.at("out_b")};
   write_ppm(out_path, out);

@@ -15,11 +15,14 @@ namespace {
 constexpr std::int64_t kFillBlock = 64 * 1024;
 
 /// Row y of frame t, channel c, of width w and bar period `period`.
-void fill_row(std::int64_t* px, std::int64_t w, std::int64_t y, std::int64_t t, std::int64_t c,
+void fill_row(std::int32_t* px, std::int64_t w, std::int64_t y, std::int64_t t, std::int64_t c,
               std::int64_t period) {
-  // The plaid v = (13x + 7y + 5t + 83c) mod 256.
-  const std::int64_t row = 7 * y + 5 * t + 83 * c;
-  for (std::int64_t x = 0; x < w; ++x) px[x] = (13 * x + row) & 255;
+  // The plaid v = (13x + 7y + 5t + 83c) mod 256, in 32-bit lanes: the
+  // low 8 bits survive the unsigned wrap.
+  const auto row = static_cast<std::uint32_t>((7 * y + 5 * t + 83 * c) & 255);
+  for (std::int64_t x = 0; x < w; ++x) {
+    px[x] = static_cast<std::int32_t>((13u * static_cast<std::uint32_t>(x) + row) & 255u);
+  }
   // Inverted (255 - v) on alternate 16x16 blocks, (x/16 + y/16 + t) even.
   for (std::int64_t x0 = 16 * (((y >> 4) + t) & 1); x0 < w; x0 += 32) {
     const std::int64_t x1 = std::min(x0 + 16, w);
@@ -36,7 +39,7 @@ void fill_row(std::int64_t* px, std::int64_t w, std::int64_t y, std::int64_t t, 
 
 }  // namespace
 
-void synthetic_channel(std::span<std::int64_t> out, const Shape& shape, int frame_index,
+void synthetic_channel(std::span<std::int32_t> out, const Shape& shape, int frame_index,
                        int channel, gpu::ThreadPool* workers) {
   if (shape.rank() != 2) throw Error("synthetic_channel expects a 2-D shape");
   if (frame_index < 0 || channel < 0) {
@@ -64,10 +67,14 @@ void synthetic_channel(std::span<std::int64_t> out, const Shape& shape, int fram
   }
 }
 
-IntArray synthetic_channel(const Shape& shape, int frame_index, int channel) {
-  IntArray a(shape);
+PixelArray synthetic_pixels(const Shape& shape, int frame_index, int channel) {
+  PixelArray a(shape);
   synthetic_channel(a.data(), shape, frame_index, channel);
   return a;
+}
+
+IntArray synthetic_channel(const Shape& shape, int frame_index, int channel) {
+  return converted<std::int64_t>(synthetic_pixels(shape, frame_index, channel));
 }
 
 RgbFrame synthetic_frame(const Shape& shape, int frame_index) {

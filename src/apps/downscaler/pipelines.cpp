@@ -77,13 +77,13 @@ void split_rows(const gpu::Profiler& profiler, const RowTotals& before,
   }
 }
 
-/// Makes `frame` a host frame of `shape` borrowed from the device's
+/// Makes `frame` a pixel frame of `shape` borrowed from the device's
 /// pool, unless it already is one, and fills it with frame f, channel
 /// ch of the synthetic source on the device's workers. Every element is
 /// rewritten, so a borrowed buffer's old contents never show.
-void fill_frame(gpu::VirtualGpu& gpu, IntArray& frame, const Shape& shape, int f, int ch) {
+void fill_frame(gpu::VirtualGpu& gpu, PixelArray& frame, const Shape& shape, int f, int ch) {
   if (frame.shape() != shape) {
-    frame = IntArray(shape, gpu.host_frames().lend(static_cast<std::size_t>(shape.elements())));
+    frame = PixelArray(shape, gpu.host_frames().lend(static_cast<std::size_t>(shape.elements())));
   }
   synthetic_channel(frame.data(), shape, f, ch, &gpu.workers());
 }
@@ -168,13 +168,13 @@ SacDownscaler::CudaResult SacDownscaler::run_cuda_chain_on(gpu::VirtualGpu& gpu,
   iter_done.clear();
   int iter = 0;
 
-  // The executed channel-frames' input: one host frame borrowed for the
-  // call, refilled for each, given back however the call ends.
-  std::vector<Value> args(1);
+  // The executed channel-frames' input: one pixel frame borrowed for
+  // the call, refilled for each, given back however the call ends.
+  PixelArray frame;
   std::optional<Value> out;
   bool borrowed = false;
   const ScopeExit give_back([&] {
-    if (borrowed) gpu.host_frames().give_back(std::move(args[0].ints()).release());
+    if (borrowed) gpu.host_frames().give_back(std::move(frame).release());
   });
 
   result.next_frame = frames;
@@ -190,13 +190,13 @@ SacDownscaler::CudaResult SacDownscaler::run_cuda_chain_on(gpu::VirtualGpu& gpu,
       if (streams && iter >= 2) gpu.wait_event(streams->h2d, iter_done[iter - 2]);
 
       if (exec) {
-        fill_frame(gpu, args[0].ints(), cfg_.frame_shape(), f, ch);
+        fill_frame(gpu, frame, cfg_.frame_shape(), f, ch);
         borrowed = true;
       }
       sac_cuda::CudaProgram::RunOptions ropts;
       ropts.execute = exec;
       ropts.streams = streams;
-      prog_.run(rt, args, opts_.host, host_profiler, ropts, out);
+      prog_.run(rt, frame, opts_.host, host_profiler, ropts, out);
 
       if (streams) iter_done.push_back(gpu.record_event(streams->compute));
       ++iter;
@@ -235,15 +235,16 @@ SacDownscaler::FilterResult SacDownscaler::run_cuda_filter(sac_cuda::CudaProgram
   gpu::cuda::Runtime rt(gpu);
   gpu::Profiler host_profiler;
   const sac::CompiledFunction& fn = filter.compiled();
-  std::vector<Value> args(1);
-  if (execute) args[0] = synthetic_channel(fn.param_shapes.at(fn.fn.params[0].second), 0, 0);
+  PixelArray frame;
+  if (execute) frame = synthetic_pixels(fn.param_shapes.at(fn.fn.params[0].second), 0, 0);
   sac_cuda::CudaProgram::RunOptions opts;
   opts.execute = execute;
   opts.repetitions = iterations;
-  Value out = filter.run(rt, args, opts_.host, host_profiler, opts);
+  std::optional<Value> out;
+  filter.run(rt, frame, opts_.host, host_profiler, opts, out);
   FilterResult result;
   result.kernels = filter.kernel_count();
-  if (execute) result.last_output = std::move(out.ints());
+  if (out) result.last_output = std::move(out->ints());
   const auto all = [](const std::string&) { return true; };
   split_rows(gpu.profiler(), {}, all, result.ops, result.ops);
   split_rows(host_profiler, {}, all, result.ops, result.ops);
@@ -315,9 +316,9 @@ GaspardDownscaler::Result GaspardDownscaler::run_on(gpu::VirtualGpu& gpu, int fr
   std::vector<gpu::EventId>& frame_done = frame_done_;
   frame_done.clear();
 
-  // The executed frames' inputs: host frames borrowed for the call,
+  // The executed frames' inputs: pixel frames borrowed for the call,
   // refilled each frame, given back however the call ends.
-  std::map<std::string, IntArray> inputs;
+  std::map<std::string, PixelArray> inputs;
   const ScopeExit give_back([&] {
     for (auto& [name, frame] : inputs) gpu.host_frames().give_back(std::move(frame).release());
   });

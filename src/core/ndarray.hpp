@@ -83,5 +83,13 @@ class NDArray {
 
 using IntArray = NDArray<std::int64_t>;
 using FloatArray = NDArray<double>;
+/// A frame in the device's pixel format: the paper's 32-bit ints.
+using PixelArray = NDArray<std::int32_t>;
+
+/// `a`'s elements converted to `To`, in `a`'s shape.
+template <typename To, typename From>
+NDArray<To> converted(const NDArray<From>& a) {
+  return NDArray<To>(a.shape(), std::vector<To>(a.data().begin(), a.data().end()));
+}
 
 }  // namespace saclo

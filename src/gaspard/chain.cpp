@@ -339,7 +339,7 @@ std::string OpenClApplication::opencl_source() const {
 }
 
 std::map<std::string, IntArray> OpenClApplication::run(
-    gpu::opencl::CommandQueue& queue, const std::map<std::string, IntArray>& inputs,
+    gpu::opencl::CommandQueue& queue, const std::map<std::string, PixelArray>& inputs,
     bool execute) {
   return run(queue, queue, queue, inputs, execute);
 }
@@ -424,7 +424,7 @@ void run_task(const TaskLaunch& launch, std::int64_t begin, std::int64_t end) {
 
 std::map<std::string, IntArray> OpenClApplication::run(
     gpu::opencl::CommandQueue& upload, gpu::opencl::CommandQueue& compute,
-    gpu::opencl::CommandQueue& download, const std::map<std::string, IntArray>& inputs,
+    gpu::opencl::CommandQueue& download, const std::map<std::string, PixelArray>& inputs,
     bool execute) {
   gpu::VirtualGpu& gpu = compute.gpu();
   gpu::BufferAllocator& allocator = gpu.allocator();

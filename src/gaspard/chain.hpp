@@ -97,11 +97,12 @@ class OpenClApplication {
   /// The full generated .cl translation unit.
   std::string opencl_source() const;
 
-  /// Runs one invocation: writes the input arrays, launches every task
-  /// kernel in schedule order, reads the outputs back. execute=false
-  /// accrues simulated time only and returns no arrays.
+  /// Runs one invocation: writes the input frames (in the device's
+  /// pixel format, a plain copy), launches every task kernel in
+  /// schedule order, reads the outputs back. execute=false accrues
+  /// simulated time only and returns no arrays.
   std::map<std::string, IntArray> run(gpu::opencl::CommandQueue& queue,
-                                      const std::map<std::string, IntArray>& inputs,
+                                      const std::map<std::string, PixelArray>& inputs,
                                       bool execute);
 
   /// Multi-queue variant: input writes on `upload`, kernels on
@@ -113,7 +114,7 @@ class OpenClApplication {
   std::map<std::string, IntArray> run(gpu::opencl::CommandQueue& upload,
                                       gpu::opencl::CommandQueue& compute,
                                       gpu::opencl::CommandQueue& download,
-                                      const std::map<std::string, IntArray>& inputs,
+                                      const std::map<std::string, PixelArray>& inputs,
                                       bool execute);
 
  private:

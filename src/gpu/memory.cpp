@@ -71,11 +71,11 @@ std::span<const std::byte> DeviceMemoryPool::bytes(BufferHandle handle) const {
   return {block_of(handle).data.get(), static_cast<std::size_t>(handle.bytes)};
 }
 
-std::vector<std::int64_t> HostFramePool::lend(std::size_t elements) {
+std::vector<std::int32_t> HostFramePool::lend(std::size_t elements) {
   const auto same = std::find_if(free_.begin(), free_.end(),
                                  [elements](const auto& b) { return b.size() == elements; });
   if (same != free_.end()) {
-    std::vector<std::int64_t> buffer = std::move(*same);
+    std::vector<std::int32_t> buffer = std::move(*same);
     free_.erase(same);
     ++lent_;
     return buffer;
@@ -84,13 +84,19 @@ std::vector<std::int64_t> HostFramePool::lend(std::size_t elements) {
   const auto smallest = std::min_element(
       free_.begin(), free_.end(), [](const auto& a, const auto& b) { return a.size() < b.size(); });
   if (smallest != free_.end()) free_.erase(smallest);
-  std::vector<std::int64_t> buffer(elements);
+  std::vector<std::int32_t> buffer(elements);
   most_lent_ = std::max(most_lent_, ++lent_);
   free_.reserve(most_lent_);  // room for every loan to come back
   return buffer;
 }
 
-void HostFramePool::give_back(std::vector<std::int64_t> buffer) noexcept {
+std::size_t HostFramePool::retained_bytes() const {
+  std::size_t bytes = 0;
+  for (const auto& b : free_) bytes += b.capacity() * sizeof(std::int32_t);
+  return bytes;
+}
+
+void HostFramePool::give_back(std::vector<std::int32_t> buffer) noexcept {
   if (lent_ == 0) return;  // nothing is out: not this pool's loan
   --lent_;
   if (!buffer.empty()) free_.push_back(std::move(buffer));

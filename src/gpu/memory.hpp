@@ -152,11 +152,12 @@ class DeviceBuffer {
   BufferHandle handle_{};
 };
 
-/// The int64 host frame buffers of one device: what the pinned staging
-/// buffers a CUDA application allocates once are to it. An executed
-/// frame borrows its host array here and gives it back after its
-/// upload, so steady-state frames neither allocate nor first-touch
-/// their largest arrays. Storage is reused, never contents: a borrower
+/// The host frame buffers of one device, in its 32-bit pixel format:
+/// what the pinned staging buffers a CUDA application allocates once are
+/// to it. An executed frame borrows its host array here, is synthesised
+/// into it and uploaded from it by a plain copy, and gives it back, so
+/// steady-state frames neither allocate nor first-touch their largest
+/// arrays. Storage is reused, never contents: a borrower
 /// overwrites the whole buffer. Retention is bounded by the most
 /// buffers ever out at once, and a request of a size no retained buffer
 /// has replaces the smallest one instead of growing the pool. Not
@@ -164,17 +165,18 @@ class DeviceBuffer {
 class HostFramePool {
  public:
   /// A buffer of exactly `elements` values, contents unspecified.
-  std::vector<std::int64_t> lend(std::size_t elements);
+  std::vector<std::int32_t> lend(std::size_t elements);
   /// Ends a loan and keeps the storage for the next one. An empty
   /// buffer (its storage lost, say to an exception) only ends the loan.
   /// Never allocates, so a scope guard may call it.
-  void give_back(std::vector<std::int64_t> buffer) noexcept;
-  /// Buffers kept for reuse.
+  void give_back(std::vector<std::int32_t> buffer) noexcept;
+  /// Buffers kept for reuse, and their storage in bytes.
   std::size_t retained() const { return free_.size(); }
+  std::size_t retained_bytes() const;
 
  private:
   // Invariant: free_.size() + lent_ <= most_lent_ <= free_.capacity().
-  std::vector<std::vector<std::int64_t>> free_;
+  std::vector<std::vector<std::int32_t>> free_;
   std::size_t lent_ = 0;
   std::size_t most_lent_ = 0;
 };

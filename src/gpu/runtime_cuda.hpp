@@ -24,10 +24,15 @@ class Runtime {
     return gpu_->launch(kernel, execute, stream);
   }
 
-  /// Frame transfers: mini-SaC values are int64 on the host, but the
-  /// paper's pixel data is 32-bit — device frames are stored (and
-  /// their PCIe cost modelled) as 4-byte ints, converted inside the
-  /// transfer (VirtualGpu::upload_frame/download_frame).
+  /// Frame transfers: the paper's pixel data is 32-bit — device frames
+  /// are stored (and their PCIe cost modelled) as 4-byte ints. A frame
+  /// already in that format is copied; mini-SaC's int64 host values are
+  /// converted inside the transfer (VirtualGpu::upload_frame/
+  /// download_frame).
+  void host2device_frame(BufferHandle dst, std::span<const std::int32_t> src,
+                         StreamId stream = kDefaultStream) {
+    gpu_->upload_frame(dst, src, kHtoDOp, stream);
+  }
   void host2device_frame(BufferHandle dst, std::span<const std::int64_t> src,
                          StreamId stream = kDefaultStream) {
     gpu_->upload_frame(dst, src, kHtoDOp, stream);

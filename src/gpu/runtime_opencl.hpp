@@ -23,11 +23,11 @@ class CommandQueue {
   const DeviceSpec& spec() const { return gpu_->spec(); }
   StreamId stream() const { return stream_; }
 
-  /// Frame transfers into and out of a cl_mem-style buffer: the
-  /// host's int64 frames travel as the device's 32-bit pixels,
-  /// converted inside the transfer (VirtualGpu::upload_frame/
-  /// download_frame).
-  void enqueue_write_frame(BufferHandle dst, const NDArray<std::int64_t>& src) {
+  /// Frame transfers into and out of a cl_mem-style buffer: input
+  /// frames are written in the device's 32-bit pixels, a plain copy;
+  /// outputs are read back as int64 arrays, converted inside the
+  /// transfer (VirtualGpu::upload_frame/download_frame).
+  void enqueue_write_frame(BufferHandle dst, const PixelArray& src) {
     gpu_->upload_frame(dst, src.data(), kHtoDOp, stream_);
   }
   NDArray<std::int64_t> enqueue_read_frame(BufferHandle src, Shape shape) {

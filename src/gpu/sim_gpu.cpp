@@ -88,16 +88,31 @@ void VirtualGpu::copy_d2h(std::span<std::byte> dst, BufferHandle src, std::strin
            execute && n > 0 ? copy.move() : TransferFn(), stream);
 }
 
-void VirtualGpu::upload_frame(BufferHandle dst, std::span<const std::int64_t> src,
-                              std::string_view op, StreamId stream) {
-  const auto dev = memory_.view<std::int32_t>(dst);
+namespace {
+/// An executed upload of a whole host frame of `From` elements into the
+/// 32-bit device frame `dst`.
+template <typename From>
+void upload(VirtualGpu& gpu, BufferHandle dst, std::span<const From> src, std::string_view op,
+            StreamId stream) {
+  const auto dev = gpu.memory().view<std::int32_t>(dst);
   if (src.size() != dev.size()) {
     throw DeviceMemoryError(cat("upload_frame of ", src.size(), " elements into ", dev.size(),
                                 "-element device buffer"));
   }
   const auto n = static_cast<std::int64_t>(src.size());
-  const Blockwise<std::int32_t, const std::int64_t> copy{dev, src};
-  transfer(Dir::HostToDevice, dst, dst.bytes, op, transfer_blocks(n), copy.move(), stream);
+  const Blockwise<std::int32_t, const From> copy{dev, src};
+  gpu.transfer(Dir::HostToDevice, dst, dst.bytes, op, transfer_blocks(n), copy.move(), stream);
+}
+}  // namespace
+
+void VirtualGpu::upload_frame(BufferHandle dst, std::span<const std::int32_t> src,
+                              std::string_view op, StreamId stream) {
+  upload(*this, dst, src, op, stream);
+}
+
+void VirtualGpu::upload_frame(BufferHandle dst, std::span<const std::int64_t> src,
+                              std::string_view op, StreamId stream) {
+  upload(*this, dst, src, op, stream);
 }
 
 std::vector<std::int64_t> VirtualGpu::download_frame(BufferHandle src, std::string_view op,

@@ -127,12 +127,18 @@ class VirtualGpu : private OpBoundaryObserver {
   void copy_d2h(std::span<std::byte> dst, BufferHandle src, std::string_view op, bool execute,
                 StreamId stream = kDefaultStream);
 
-  /// Frame transfers: host frames are int64 arrays, device frames the
-  /// paper's 32-bit pixels (and their PCIe cost is modelled as such).
-  /// The move converts straight between the host array and the device
-  /// block, with no staging copy — so `host` times the conversion, and
-  /// on every backend it runs after the fault boundary. A download
-  /// sizes its result up front and the blocks convert into it.
+  /// Frame transfers: device frames are the paper's 32-bit pixels (and
+  /// their PCIe cost is modelled as such). An executed input frame is
+  /// made in that format on the host (HostFramePool), so its upload is
+  /// a plain copy. The int64 overload serves the sac::Value arrays the
+  /// SaC route keeps on the host (its interpreter's and host loop
+  /// nests'), as does the download: those moves convert straight
+  /// between the host array and the device block, with no staging copy
+  /// — so `host` times the conversion, and on every backend it runs
+  /// after the fault boundary. A download sizes its result up front
+  /// and the blocks convert into it.
+  void upload_frame(BufferHandle dst, std::span<const std::int32_t> src, std::string_view op,
+                    StreamId stream = kDefaultStream);
   void upload_frame(BufferHandle dst, std::span<const std::int64_t> src, std::string_view op,
                     StreamId stream = kDefaultStream);
   std::vector<std::int64_t> download_frame(BufferHandle src, std::string_view op,

@@ -982,18 +982,26 @@ sac::Value CudaProgram::run(gpu::cuda::Runtime& rt, std::vector<sac::Value>& arg
                             const gpu::HostSpec& host, gpu::Profiler& host_profiler,
                             const RunOptions& options) {
   std::optional<Value> result;
-  run(rt, args, host, host_profiler, options, result);
+  invoke(rt, args, nullptr, host, host_profiler, options, result);
   return result ? std::move(*result) : Value();
 }
 
-void CudaProgram::run(gpu::cuda::Runtime& rt, std::vector<sac::Value>& args,
+void CudaProgram::run(gpu::cuda::Runtime& rt, const PixelArray& frame,
                       const gpu::HostSpec& host, gpu::Profiler& host_profiler,
                       const RunOptions& options, std::optional<sac::Value>& result) {
+  invoke(rt, {}, &frame, host, host_profiler, options, result);
+}
+
+void CudaProgram::invoke(gpu::cuda::Runtime& rt, std::span<sac::Value> args,
+                         const PixelArray* frame, const gpu::HostSpec& host,
+                         gpu::Profiler& host_profiler, const RunOptions& options,
+                         std::optional<sac::Value>& result) {
   // Only the first repetition executes (see RunOptions).
   bool execute = options.execute;
-  if (args.size() != fn_.fn.params.size()) {
+  const std::size_t arity = frame != nullptr ? 1 : args.size();
+  if (arity != fn_.fn.params.size()) {
     throw BackendError(cat("program '", fn_.fn.name, "' expects ", fn_.fn.params.size(),
-                           " arguments, got ", args.size()));
+                           " arguments, got ", arity));
   }
   const gpu::StreamSet ss = options.streams.value_or(gpu::StreamSet{});
   const bool async = options.streams.has_value();
@@ -1003,6 +1011,11 @@ void CudaProgram::run(gpu::cuda::Runtime& rt, std::vector<sac::Value>& args,
   for (std::size_t i = 0; i < args.size(); ++i) {
     Binding& b = bindings_[param_ids_[i]];
     b.host = std::move(args[i]);
+    b.host_valid = true;
+  }
+  if (frame != nullptr) {
+    Binding& b = bindings_[param_ids_[0]];
+    b.pixels = frame;
     b.host_valid = true;
   }
   // However the call ends, the arguments go back to the caller, the
@@ -1044,7 +1057,9 @@ void CudaProgram::run(gpu::cuda::Runtime& rt, std::vector<sac::Value>& args,
     const gpu::StreamId stream = b.host_written ? ss.compute : ss.h2d;
     // The upload writes the whole array before any kernel reads it.
     if (!b.device.valid()) b.device = allocator.allocate_for_overwrite(shape_of(id).elements() * 4);
-    if (execute) {
+    if (execute && b.pixels != nullptr) {
+      rt.host2device_frame(b.device, b.pixels->data(), stream);
+    } else if (execute) {
       if (!b.host || !b.host->is_int()) {
         throw BackendError(cat("host value for '", names_[id], "' missing before host2device"));
       }
@@ -1068,6 +1083,13 @@ void CudaProgram::run(gpu::cuda::Runtime& rt, std::vector<sac::Value>& args,
       rt.account_device2host_frame(b.device, stream);
     }
     b.host_valid = true;
+  };
+
+  // A host step that reads a parameter passed as pixels reads it widened
+  // to a mini-SaC int array, made here once per run.
+  auto widen = [&](std::size_t id) {
+    Binding& b = bindings_[id];
+    if (b.pixels != nullptr && !b.host) b.host = Value(converted<std::int64_t>(*b.pixels));
   };
 
   auto set_scalar = [&](std::size_t id, std::int64_t v) {
@@ -1248,6 +1270,7 @@ void CudaProgram::run(gpu::cuda::Runtime& rt, std::vector<sac::Value>& args,
       }
       target.device_valid = true;
       target.host_valid = false;
+      target.pixels = nullptr;
       continue;
     }
 
@@ -1258,6 +1281,7 @@ void CudaProgram::run(gpu::cuda::Runtime& rt, std::vector<sac::Value>& args,
     HostBlock& block = step.host;
     for (const std::size_t r : block.read_ids) {
       if (bindings_[r].device_valid) ensure_host(r, ss.compute);
+      if (execute) widen(r);
     }
     double ops = block.static_ops;
     if (execute && block.compiled()) {
@@ -1285,6 +1309,7 @@ void CudaProgram::run(gpu::cuda::Runtime& rt, std::vector<sac::Value>& args,
       bindings_[w].host_valid = true;
       bindings_[w].device_valid = false;
       bindings_[w].host_written = true;
+      bindings_[w].pixels = nullptr;
     }
     if (async) {
       // The host block starts once its fetches landed (compute-stream
@@ -1301,6 +1326,7 @@ void CudaProgram::run(gpu::cuda::Runtime& rt, std::vector<sac::Value>& args,
   execute = options.execute;
   ensure_host(return_id_, ss.d2h);
   if (!execute) return;
+  widen(return_id_);
   std::optional<Value>& ret = bindings_[return_id_].host;
   if (!ret) {
     throw BackendError(cat("result variable '", return_var_, "' was never produced"));

@@ -218,7 +218,7 @@ class CudaProgram {
   /// frame loop). Host-step times go to `host_profiler`; GPU times to
   /// the runtime's device profiler. The arguments are used in place,
   /// without a copy, and hold their values again when the call returns
-  /// or throws: a driver refills the same frame for its next call.
+  /// or throws: a caller may refill the same array for its next call.
   sac::Value run(gpu::cuda::Runtime& rt, std::vector<sac::Value>& args,
                  const gpu::HostSpec& host, gpu::Profiler& host_profiler,
                  const RunOptions& options);
@@ -228,16 +228,25 @@ class CudaProgram {
     o.execute = execute;
     return run(rt, args, host, host_profiler, o);
   }
-  /// The same invocation for a frame loop: an executed run moves its
-  /// result into `result`, a timing-only run leaves it as it is, and
-  /// neither allocates on the launch path (DESIGN decision 20).
-  void run(gpu::cuda::Runtime& rt, std::vector<sac::Value>& args, const gpu::HostSpec& host,
+  /// The same invocation for a frame loop, of a function whose one
+  /// parameter is an int array: `frame` is its value in the device's
+  /// pixel format, used in place. Its upload is a plain copy, and only
+  /// a host step that reads the parameter widens it, on the host. An
+  /// executed run moves its result into `result`, a timing-only run
+  /// leaves it as it is, and neither allocates on the launch path
+  /// (DESIGN decision 20).
+  void run(gpu::cuda::Runtime& rt, const PixelArray& frame, const gpu::HostSpec& host,
            gpu::Profiler& host_profiler, const RunOptions& options,
            std::optional<sac::Value>& result);
 
  private:
   /// Resolves every variable to a dense id and binds the steps to them.
   void bind();
+  /// One invocation, its parameters bound from `args`, or from `frame`
+  /// when there is one.
+  void invoke(gpu::cuda::Runtime& rt, std::span<sac::Value> args, const PixelArray* frame,
+              const gpu::HostSpec& host, gpu::Profiler& host_profiler,
+              const RunOptions& options, std::optional<sac::Value>& result);
 
   sac::CompiledFunction fn_;
   std::vector<Step> steps_;
@@ -249,6 +258,10 @@ class CudaProgram {
   /// buffer and which of the two holds the current value.
   struct Binding {
     std::optional<sac::Value> host;  ///< bound in the host environment
+    /// A parameter passed as pixels: the caller's frame, until a step
+    /// rebinds the variable. `host` holds it widened once a host step
+    /// reads it.
+    const PixelArray* pixels = nullptr;
     gpu::BufferHandle device;
     bool host_valid = false;
     bool device_valid = false;

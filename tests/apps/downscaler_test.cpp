@@ -64,8 +64,9 @@ std::int64_t pixel(std::int64_t y, std::int64_t x, std::int64_t w, std::int64_t 
 }
 
 /// Rows [y0, y1) of `frame` (shape `s`) against the closed form.
-::testing::AssertionResult rows_match(std::span<const std::int64_t> frame, const Shape& s, int t,
-                                      int c, std::int64_t y0, std::int64_t y1) {
+template <typename T>
+::testing::AssertionResult rows_match(std::span<const T> frame, const Shape& s, int t, int c,
+                                      std::int64_t y0, std::int64_t y1) {
   for (std::int64_t y = y0; y < y1; ++y) {
     for (std::int64_t x = 0; x < s[1]; ++x) {
       const std::int64_t got = frame[static_cast<std::size_t>(y * s[1] + x)];
@@ -78,13 +79,13 @@ std::int64_t pixel(std::int64_t y, std::int64_t x, std::int64_t w, std::int64_t 
   return ::testing::AssertionSuccess();
 }
 
-constexpr std::int64_t kPoison = -0x5A5A5A5A5A5A5A5A;
+constexpr std::int32_t kPoison = -0x5A5A5A5A;
 
 TEST(FramesTest, SyntheticChannelMatchesTheClosedFormOnEveryPixel) {
   auto expect_closed_form = [&](const Shape& s, int t, int c) {
     const IntArray a = synthetic_channel(s, t, c);
     ASSERT_EQ(a.shape(), s);
-    ASSERT_TRUE(rows_match(a.data(), s, t, c, 0, s[0]));
+    ASSERT_TRUE(rows_match<std::int64_t>(a.data(), s, t, c, 0, s[0]));
   };
   const Shape shapes[] = {DownscalerConfig::tiny().frame_shape(),
                           DownscalerConfig::small().frame_shape(),
@@ -115,9 +116,9 @@ TEST(FramesTest, SyntheticChannelMatchesTheClosedFormOnEveryPixel) {
 ::testing::AssertionResult fills_every_pixel(const Shape& s) {
   for (int t = 0; t <= 5; ++t) {
     for (int c = 0; c <= 5; ++c) {
-      std::vector<std::int64_t> frame(static_cast<std::size_t>(s.elements()), kPoison);
+      std::vector<std::int32_t> frame(static_cast<std::size_t>(s.elements()), kPoison);
       synthetic_channel(frame, s, t, c);
-      ::testing::AssertionResult match = rows_match(frame, s, t, c, 0, s[0]);
+      ::testing::AssertionResult match = rows_match<std::int32_t>(frame, s, t, c, 0, s[0]);
       if (!match) return match;
     }
   }
@@ -141,12 +142,12 @@ TEST(FramesTest, InPlaceFillWritesEveryPixelOfAPoisonedBuffer) {
   // the last row.
   const Shape paper = DownscalerConfig::paper().frame_shape();
   gpu::ThreadPool pool(3);
-  std::vector<std::int64_t> frame(static_cast<std::size_t>(paper.elements()), kPoison);
+  std::vector<std::int32_t> frame(static_cast<std::size_t>(paper.elements()), kPoison);
   for (int t : {0, 5}) {
     for (int c : {0, 2}) {
       synthetic_channel(frame, paper, t, c, &pool);
       for (std::int64_t y : {0, 15, 16, 34, 35, 539, 1049, 1050, 1079}) {
-        ASSERT_TRUE(rows_match(frame, paper, t, c, y, y + 1));
+        ASSERT_TRUE(rows_match<std::int32_t>(frame, paper, t, c, y, y + 1));
       }
     }
   }
@@ -158,18 +159,46 @@ TEST(FramesTest, PoolSplitFillsMatchTheSerialFill) {
   const Shape shapes[] = {DownscalerConfig::paper().frame_shape(), Shape{1000, 600},
                           Shape{9, 70000}};
   for (const Shape& s : shapes) {
-    std::vector<std::int64_t> serial(static_cast<std::size_t>(s.elements()), kPoison);
+    std::vector<std::int32_t> serial(static_cast<std::size_t>(s.elements()), kPoison);
     synthetic_channel(serial, s, 3, 1);
     for (unsigned workers = 1; workers <= 4; ++workers) {
       gpu::ThreadPool pool(workers);
-      std::vector<std::int64_t> split(serial.size(), kPoison);
+      std::vector<std::int32_t> split(serial.size(), kPoison);
       synthetic_channel(split, s, 3, 1, &pool);
       EXPECT_TRUE(split == serial) << s.to_string() << " on " << workers << " workers";
     }
   }
-  std::vector<std::int64_t> wrong_size(10);
+  std::vector<std::int32_t> wrong_size(10);
   EXPECT_THROW(synthetic_channel(wrong_size, Shape{3, 4}, 0, 0), Error);
   EXPECT_THROW(synthetic_channel(wrong_size, Shape{10}, 0, 0), Error);
+}
+
+TEST(FramesTest, PixelFillEqualsTheIntArrayWrapper) {
+  // Widths below 16 (no full inverted block), below 32 (a bar period
+  // under 8, so bar runs of the whole period) and wider; the tall
+  // narrow ones span several 64 Ki fill blocks, so the pool splits
+  // them.
+  const Shape shapes[] = {Shape{1, 1},      Shape{5, 3},     Shape{50000, 1}, Shape{30000, 3},
+                          Shape{9000, 15},  Shape{8200, 16}, Shape{5000, 31}, Shape{4100, 33},
+                          DownscalerConfig::paper().frame_shape(),             Shape{9, 70000}};
+  for (const unsigned workers : {1u, 3u}) {
+    gpu::ThreadPool pool(workers);
+    for (const Shape& s : shapes) {
+      for (const int t : {0, 7}) {
+        for (const int c : {0, 2}) {
+          std::vector<std::int32_t> pixels(static_cast<std::size_t>(s.elements()), kPoison);
+          synthetic_channel(pixels, s, t, c, &pool);
+          const IntArray wide = synthetic_channel(s, t, c);
+          ASSERT_EQ(wide.elements(), static_cast<std::int64_t>(pixels.size()));
+          for (std::int64_t i = 0; i < wide.elements(); ++i) {
+            ASSERT_EQ(pixels[static_cast<std::size_t>(i)], wide[i])
+                << s.to_string() << " frame " << t << " channel " << c << " on " << workers
+                << " workers, element " << i;
+          }
+        }
+      }
+    }
+  }
 }
 
 struct TinyFixture {

@@ -1,11 +1,12 @@
 // The executed frame's host arrays come from the device's host frame
-// pool: after one warm-up job per kind, a steady-state executed job
-// allocates nothing of input-frame size or larger, and mixed traffic
-// keeps the pool at the most frames one job holds at once. A
-// steady-state job as the fleet runs it (serve's caching allocator
-// installed) stays under a fixed allocation count. This file replaces
-// the global operator new with a counting wrapper, so it links into its
-// own test binary (apps_alloc_tests) and nothing else.
+// pool, in the device's 32-bit pixel format: after one warm-up job per
+// kind, a steady-state executed job allocates nothing of pixel-frame
+// size or larger, mixed traffic keeps the pool at the most frames one
+// job holds at once, and the pool holds exactly the 4-byte frames it
+// lent. A steady-state job as the fleet runs it (serve's caching
+// allocator installed) stays under a fixed allocation count. This file
+// replaces the global operator new with a counting wrapper, so it links
+// into its own test binary (apps_alloc_tests) and nothing else.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +21,7 @@
 #include <string>
 
 #include "apps/downscaler/pipelines.hpp"
+#include "core/scope_exit.hpp"
 #include "gpu/sim_gpu.hpp"
 #include "serve/allocator.hpp"
 
@@ -55,6 +57,34 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace saclo::apps {
 namespace {
+
+/// serve's caching allocator, which the fleet installs on every device.
+/// Its own bookkeeping (map nodes per live and parked block) counts
+/// apart: the gate is on the frame loop, not on the allocator.
+class FleetAllocator final : public gpu::BufferAllocator {
+ public:
+  explicit FleetAllocator(gpu::VirtualGpu& gpu) : cache_(gpu.memory()) {}
+
+  gpu::BufferHandle allocate(std::int64_t bytes) override {
+    const Bookkeeping b;
+    return cache_.allocate(bytes);
+  }
+  gpu::BufferHandle allocate_for_overwrite(std::int64_t bytes) override {
+    const Bookkeeping b;
+    return cache_.allocate_for_overwrite(bytes);
+  }
+  void free(gpu::BufferHandle handle) override {
+    const Bookkeeping b;
+    cache_.free(handle);
+  }
+
+ private:
+  struct Bookkeeping {
+    Bookkeeping() { t_bookkeeping = true; }
+    ~Bookkeeping() { t_bookkeeping = false; }
+  };
+  serve::CachingDeviceAllocator cache_;
+};
 
 constexpr const char* kKinds[] = {"sacng", "gaspard_o0", "gaspard_o2"};
 
@@ -97,10 +127,15 @@ struct Drivers {
 TEST(FrameAllocTest, SteadyStateExecutedJobsAllocateNoInputSizedArray) {
   const DownscalerConfig cfg = DownscalerConfig::small();
   gpu::VirtualGpu gpu(gpu::gtx480(), 3, gpu::BackendKind::Host);
+  // Device blocks of a pixel frame's size are the caching allocator's
+  // to reuse, as in the fleet; the gate is on the host side.
+  FleetAllocator allocator(gpu);
+  gpu.set_allocator(&allocator);
+  const ScopeExit uninstall([&] { gpu.set_allocator(nullptr); });
   Drivers drivers(cfg);
   for (std::size_t kind = 0; kind < 3; ++kind) drivers.run(kind, gpu);  // warm-up
 
-  const auto frame_bytes = static_cast<std::size_t>(cfg.frame_shape().elements()) * 8;
+  const auto frame_bytes = static_cast<std::size_t>(cfg.frame_shape().elements()) * 4;
   for (std::size_t kind = 0; kind < 3; ++kind) {
     g_large_allocations = 0;
     g_large_bytes = frame_bytes;
@@ -110,6 +145,23 @@ TEST(FrameAllocTest, SteadyStateExecutedJobsAllocateNoInputSizedArray) {
         << kKinds[kind] << ": allocations of " << frame_bytes << " bytes or more";
   }
   EXPECT_EQ(gpu.host_frames().retained(), 3u);
+}
+
+TEST(FrameAllocTest, PoolRetainsThePixelBytesOfItsLoans) {
+  const DownscalerConfig cfg = DownscalerConfig::paper();
+  const auto frame_bytes = static_cast<std::size_t>(cfg.frame_shape().elements()) * 4;
+  {
+    gpu::VirtualGpu gpu(gpu::gtx480(), 3, gpu::BackendKind::Host);
+    GaspardDownscaler(cfg, gaspard_options(0)).run_on(gpu, 1, 1);
+    EXPECT_EQ(gpu.host_frames().retained(), 3u);
+    EXPECT_EQ(gpu.host_frames().retained_bytes(), 3 * frame_bytes) << "RGB GASPARD job";
+  }
+  {
+    gpu::VirtualGpu gpu(gpu::gtx480(), 3, gpu::BackendKind::Host);
+    SacDownscaler(cfg, sac_options()).run_cuda_chain_on(gpu, 1, 3, 1);
+    EXPECT_EQ(gpu.host_frames().retained(), 1u);
+    EXPECT_EQ(gpu.host_frames().retained_bytes(), frame_bytes) << "SaC job";
+  }
 }
 
 TEST(FrameAllocTest, MixedJobsRetainAtMostOneJobsFrames) {
@@ -125,34 +177,6 @@ TEST(FrameAllocTest, MixedJobsRetainAtMostOneJobsFrames) {
 }
 
 // --- allocations per steady-state job --------------------------------------
-
-/// serve's caching allocator, which the fleet installs on every device.
-/// Its own bookkeeping (map nodes per live and parked block) counts
-/// apart: the gate is on the frame loop, not on the allocator.
-class FleetAllocator final : public gpu::BufferAllocator {
- public:
-  explicit FleetAllocator(gpu::VirtualGpu& gpu) : cache_(gpu.memory()) {}
-
-  gpu::BufferHandle allocate(std::int64_t bytes) override {
-    const Bookkeeping b;
-    return cache_.allocate(bytes);
-  }
-  gpu::BufferHandle allocate_for_overwrite(std::int64_t bytes) override {
-    const Bookkeeping b;
-    return cache_.allocate_for_overwrite(bytes);
-  }
-  void free(gpu::BufferHandle handle) override {
-    const Bookkeeping b;
-    cache_.free(handle);
-  }
-
- private:
-  struct Bookkeeping {
-    Bookkeeping() { t_bookkeeping = true; }
-    ~Bookkeeping() { t_bookkeeping = false; }
-  };
-  serve::CachingDeviceAllocator cache_;
-};
 
 enum class Kind { SacNongeneric, SacGeneric, GaspardO0, GaspardO2 };
 constexpr Kind kGateKinds[] = {Kind::SacNongeneric, Kind::SacGeneric, Kind::GaspardO2};

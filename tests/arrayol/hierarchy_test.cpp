@@ -5,6 +5,7 @@
 #include "apps/downscaler/arrayol_model.hpp"
 #include "apps/downscaler/frames.hpp"
 #include "gaspard/chain.hpp"
+#include "support/pixels.hpp"
 
 namespace saclo::aol {
 namespace {
@@ -179,7 +180,7 @@ TEST(HierarchyTest, FlattenedModelFeedsTheOpenClChain) {
   }
   gpu::VirtualGpu gpu(gpu::gtx480(), 1);
   gpu::opencl::CommandQueue queue(gpu);
-  const auto actual = app.run(queue, inputs, true);
+  const auto actual = app.run(queue, testsupport::pixels_of(inputs), true);
   const auto expected = evaluate(flat, inputs);
   for (const auto& [name, arr] : actual) EXPECT_EQ(arr, expected.at(name)) << name;
 }

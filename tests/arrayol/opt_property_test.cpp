@@ -22,6 +22,7 @@
 #include "opt/search.hpp"
 #include "opt/transform.hpp"
 #include "support/ip_lanes.hpp"
+#include "support/pixels.hpp"
 #include "support/tape_poison.hpp"
 
 namespace saclo::opt {
@@ -230,7 +231,7 @@ void expect_lanes_and_execution(const aol::Model& model, const aol::Model& refer
   gaspard::OpenClApplication app = gaspard::OpenClApplication::build(model);
   gpu::VirtualGpu gpu(gpu::gtx480(), 2, gpu::BackendKind::Host);
   gpu::opencl::CommandQueue queue(gpu);
-  const auto actual = app.run(queue, inputs, /*execute=*/true);
+  const auto actual = app.run(queue, testsupport::pixels_of(inputs), /*execute=*/true);
   for (const std::string& out : reference.outputs()) {
     EXPECT_EQ(actual.at(out), expected.at(out)) << what << ": output '" << out << "' diverged";
   }

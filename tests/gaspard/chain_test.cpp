@@ -5,6 +5,7 @@
 #include "apps/downscaler/arrayol_model.hpp"
 #include "apps/downscaler/config.hpp"
 #include "apps/downscaler/frames.hpp"
+#include "support/pixels.hpp"
 
 namespace saclo::gaspard {
 namespace {
@@ -80,7 +81,7 @@ TEST(ChainTest, SimulatedRunMatchesReferenceEvaluation) {
 
   gpu::VirtualGpu gpu(gpu::gtx480(), 2);
   gpu::opencl::CommandQueue queue(gpu);
-  const auto actual = app.run(queue, inputs, /*execute=*/true);
+  const auto actual = app.run(queue, testsupport::pixels_of(inputs), /*execute=*/true);
   ASSERT_EQ(actual.size(), 3u);
   for (const auto& [name, arr] : actual) {
     EXPECT_EQ(arr, expected.at(name)) << name;
@@ -112,10 +113,10 @@ TEST(ChainTest, TimingOnlyEqualsExecutedTiming) {
   const DownscalerConfig cfg = DownscalerConfig::tiny();
   aol::Model model = apps::build_downscaler_model(cfg);
   OpenClApplication app = OpenClApplication::build(model);
-  std::map<std::string, IntArray> inputs;
+  std::map<std::string, PixelArray> inputs;
   int ch = 0;
   for (const std::string& in : model.inputs()) {
-    inputs.emplace(in, apps::synthetic_channel(cfg.frame_shape(), 0, ch++));
+    inputs.emplace(in, apps::synthetic_pixels(cfg.frame_shape(), 0, ch++));
   }
   gpu::VirtualGpu gpu(gpu::gtx480(), 1);
   gpu::opencl::CommandQueue queue(gpu);

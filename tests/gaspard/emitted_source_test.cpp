@@ -27,6 +27,7 @@
 #include "core/fmt.hpp"
 #include "gaspard/chain.hpp"
 #include "opt/search.hpp"
+#include "support/pixels.hpp"
 #include "support/random_tilers.hpp"
 
 namespace saclo::gaspard {
@@ -141,7 +142,7 @@ std::map<std::string, IntArray> run_on_host(const OpenClApplication& app,
   OpenClApplication copy = app;
   gpu::VirtualGpu gpu(gpu::gtx480(), 2, gpu::BackendKind::Host);
   gpu::opencl::CommandQueue queue(gpu);
-  return copy.run(queue, inputs, /*execute=*/true);
+  return copy.run(queue, testsupport::pixels_of(inputs), /*execute=*/true);
 }
 
 /// Compiles and runs `app`'s emitted text and expects every output

@@ -20,6 +20,7 @@
 #include "arrayol/model.hpp"
 #include "core/fmt.hpp"
 #include "gaspard/chain.hpp"
+#include "support/pixels.hpp"
 #include "support/random_tilers.hpp"
 
 namespace saclo::gaspard {
@@ -104,7 +105,7 @@ TEST(TilerInteriorOracle, RandomTilersMatchTheReferenceEvaluation) {
     }
     gpu::VirtualGpu gpu(gpu::gtx480(), 3, gpu::BackendKind::Host);
     gpu::opencl::CommandQueue queue(gpu);
-    const auto actual = app.run(queue, inputs, /*execute=*/true);
+    const auto actual = app.run(queue, testsupport::pixels_of(inputs), /*execute=*/true);
     ASSERT_EQ(actual.at("out"), expected.at("out"));
   }
   EXPECT_GE(long_walks, 60);

@@ -150,12 +150,12 @@ TEST(DeviceBufferTest, MoveTransfersOwnership) {
 
 TEST(HostFramePoolTest, ReusesStorageOfTheSameSize) {
   HostFramePool pool;
-  std::vector<std::int64_t> a = pool.lend(100);
+  std::vector<std::int32_t> a = pool.lend(100);
   ASSERT_EQ(a.size(), 100u);
-  const std::int64_t* storage = a.data();
+  const std::int32_t* storage = a.data();
   pool.give_back(std::move(a));
   EXPECT_EQ(pool.retained(), 1u);
-  std::vector<std::int64_t> b = pool.lend(100);
+  std::vector<std::int32_t> b = pool.lend(100);
   EXPECT_EQ(b.data(), storage);
   EXPECT_EQ(pool.retained(), 0u);
   pool.give_back(std::move(b));
@@ -163,7 +163,7 @@ TEST(HostFramePoolTest, ReusesStorageOfTheSameSize) {
 
 TEST(HostFramePoolTest, RetainsAtMostTheMostBuffersOutAtOnce) {
   HostFramePool pool;
-  std::vector<std::vector<std::int64_t>> out;
+  std::vector<std::vector<std::int32_t>> out;
   for (std::size_t n : {10u, 20u, 30u}) out.push_back(pool.lend(n));
   for (auto& b : out) pool.give_back(std::move(b));
   EXPECT_EQ(pool.retained(), 3u);
@@ -175,15 +175,15 @@ TEST(HostFramePoolTest, RetainsAtMostTheMostBuffersOutAtOnce) {
   pool.give_back(std::move(out.back()));
   EXPECT_EQ(pool.retained(), 3u);
   for (std::size_t n : {20u, 30u, 40u}) {
-    std::vector<std::int64_t> b = pool.lend(n);
+    std::vector<std::int32_t> b = pool.lend(n);
     EXPECT_EQ(b.size(), n);
     EXPECT_EQ(pool.retained(), 2u) << "a " << n << "-element buffer was retained";
     pool.give_back(std::move(b));
   }
   // A buffer the pool did not lend, and an emptied loan, add nothing.
-  pool.give_back(std::vector<std::int64_t>(50));
+  pool.give_back(std::vector<std::int32_t>(50));
   EXPECT_EQ(pool.retained(), 3u);
-  std::vector<std::int64_t> lost = pool.lend(20);
+  std::vector<std::int32_t> lost = pool.lend(20);
   lost.clear();
   lost.shrink_to_fit();
   pool.give_back(std::move(lost));

@@ -90,7 +90,7 @@ TEST(OpenClRuntimeTest, EnqueuesBuffersAndKernels) {
   const std::int64_t bytes = host.shape().elements() * 4;  // 32-bit device pixels
   const BufferHandle in = gpu.alloc(bytes);
   const BufferHandle out = gpu.alloc(bytes);
-  q.enqueue_write_frame(in, host);
+  q.enqueue_write_frame(in, converted<std::int32_t>(host));
   auto in_v = gpu.memory().view<std::int32_t>(in);
   auto out_v = gpu.memory().view<std::int32_t>(out);
   KernelLaunch k;

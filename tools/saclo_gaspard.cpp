@@ -73,10 +73,10 @@ int main(int argc, char** argv) try {
       gpu::VirtualGpu device(gpu::gtx480());
       gpu::opencl::CommandQueue queue(device);
       for (int f = 0; f < run_frames; ++f) {
-        std::map<std::string, IntArray> inputs;
+        std::map<std::string, PixelArray> inputs;
         int ch = 0;
         for (const std::string& in : model.inputs()) {
-          inputs.emplace(in, synthetic_channel(cfg.frame_shape(), f, ch++));
+          inputs.emplace(in, synthetic_pixels(cfg.frame_shape(), f, ch++));
         }
         app.run(queue, inputs, /*execute=*/f == 0);
       }
