@@ -299,6 +299,55 @@ TEST(CudaProgramTest, OnlyAProvenExactCoverSkipsTheDefaultFill) {
   EXPECT_TRUE(needs_fill(expect_matches_interpreter(genarray_of("([0] <= [i] < [9]) : 1;"))));
 }
 
+/// The device profiler's rows of one run, names and calls.
+std::vector<std::pair<std::string, std::int64_t>> calls_of(const gpu::Profiler& profiler) {
+  std::vector<std::pair<std::string, std::int64_t>> calls;
+  for (const gpu::Profiler::Row& r : profiler.rows()) calls.emplace_back(r.name, r.calls);
+  return calls;
+}
+
+TEST(CudaProgramTest, PixelRunMatchesTheValueRun) {
+  // All kernels; a host tiler that reads a device result; host steps
+  // that read the parameter itself, as a compiled loop nest and
+  // interpreted; and a function that returns its parameter.
+  const auto reads_param = [](const std::string& host_step) {
+    return "int[*] main(int[*] v) {\n"
+           "  o = with { (. <= [i,j] <= .) : v[[i,j]] + 1; } : genarray(shape(v));\n  " +
+           host_step + "\n  return (o);\n}\n";
+  };
+  const std::pair<std::string, std::string> cases[] = {
+      {kMiniDownscalerSrc, "hfilter_nongeneric"},
+      {kMiniDownscalerSrc, "hfilter_generic"},
+      {reads_param("for (i = 0; i < 8; i++) { o[[i,0]] = v[[i,3]] * 2; }"), "main"},
+      {reads_param("o[[0,1]] = v[[7,15]];"), "main"},
+      {"int[*] main(int[*] v) { return (v); }", "main"}};
+  const IntArray frame = test_frame();
+  const PixelArray pixels = converted<std::int32_t>(frame);
+  for (const auto& [src, fn] : cases) {
+    const sac::Module m = sac::parse(src);
+    CudaProgram p =
+        CudaProgram::plan(sac::compile(m, fn, {ArgSpec::array(ElemType::Int, Shape{8, 16})}));
+    const Value expected = sac::run_function(m, fn, {Value(frame)});
+    for (const gpu::BackendKind backend : gpu::available_backends()) {
+      gpu::VirtualGpu by_value(gpu::gtx480(), 2, backend);
+      gpu::cuda::Runtime value_rt(by_value);
+      gpu::VirtualGpu by_pixels(gpu::gtx480(), 2, backend);
+      gpu::cuda::Runtime pixel_rt(by_pixels);
+      gpu::Profiler value_host, pixel_host;
+      EXPECT_EQ(p.run(value_rt, {Value(frame)}, gpu::i7_930(), value_host, true), expected)
+          << fn;
+      std::optional<Value> out;
+      p.run(pixel_rt, pixels, gpu::i7_930(), pixel_host, CudaProgram::RunOptions{}, out);
+      ASSERT_TRUE(out.has_value()) << fn;
+      EXPECT_EQ(*out, expected) << fn << " on " << gpu::backend_kind_name(backend);
+      // Widening the parameter for a host step is no transfer.
+      EXPECT_EQ(calls_of(by_pixels.profiler()), calls_of(by_value.profiler())) << fn;
+      EXPECT_EQ(calls_of(pixel_host), calls_of(value_host)) << fn;
+    }
+    EXPECT_EQ(pixels, converted<std::int32_t>(frame)) << fn << ": the frame was written";
+  }
+}
+
 TEST(CudaProgramTest, EstimateOpsCountsLoops) {
   const sac::Module m = sac::parse(
       "int main() { s = 0; for (i = 0; i < 100; i++) { s = s + i; } return (s); }");
