@@ -200,13 +200,13 @@ std::map<std::string, double> kernel_us(const gpu::VirtualGpu& gpu,
 }
 
 /// Times one executed paper-geometry frame per iteration on the host
-/// backend with one worker, counting only the listed kernels; reports
-/// their host nanoseconds per work item, in total (`ns_per_item`) and
-/// per kernel (`ns_per_item.<kernel>`).
+/// backend with `workers` workers, counting only the listed kernels;
+/// reports their host nanoseconds per work item, in total
+/// (`ns_per_item`) and per kernel (`ns_per_item.<kernel>`).
 template <typename RunFrame>
 void time_paper_kernels(benchmark::State& state, const std::map<std::string, std::int64_t>& items,
-                        RunFrame&& run_frame) {
-  gpu::VirtualGpu gpu(gpu::gtx480(), 1, gpu::BackendKind::Host);
+                        unsigned workers, RunFrame&& run_frame) {
+  gpu::VirtualGpu gpu(gpu::gtx480(), workers, gpu::BackendKind::Host);
   run_frame(gpu);  // first-touch allocations
   std::int64_t per_frame = 0;
   for (const auto& [name, n] : items) per_frame += n;
@@ -242,14 +242,16 @@ void BM_SacPaperKernel(benchmark::State& state) {
   for (const auto& step : sd.program().steps()) {
     for (const auto& k : step.group.kernels) items[k.name] = k.threads;
   }
-  time_paper_kernels(state, items, [&](gpu::VirtualGpu& gpu) {
+  time_paper_kernels(state, items, 1, [&](gpu::VirtualGpu& gpu) {
     sd.run_cuda_chain_on(gpu, /*frames=*/1, /*channels=*/1, /*exec_frames=*/1);
   });
 }
 BENCHMARK(BM_SacPaperKernel)->UseManualTime()->Unit(benchmark::kMillisecond);
 
 /// The GASPARD task kernels of the RGB downscaler at opt level 0 (six
-/// kernels), 1 and 2 (one fused kernel).
+/// kernels), 1 (three fused kernels) and 2 (one), on 1 worker and on the
+/// 3 of a `host_exec` device, where each worker's range starts its own
+/// line buffer.
 void BM_GaspardPaperKernel(benchmark::State& state) {
   GaspardDownscaler::Options opts;
   opts.backend = gpu::BackendKind::Host;
@@ -257,14 +259,16 @@ void BM_GaspardPaperKernel(benchmark::State& state) {
   GaspardDownscaler gd(DownscalerConfig::paper(), opts);
   std::map<std::string, std::int64_t> items;
   for (const auto& k : gd.application().kernels()) items[k.name] = k.work_items;
-  time_paper_kernels(state, items, [&](gpu::VirtualGpu& gpu) {
-    gd.run_on(gpu, /*frames=*/1, /*exec_frames=*/1);
-  });
+  time_paper_kernels(state, items, static_cast<unsigned>(state.range(1)),
+                     [&](gpu::VirtualGpu& gpu) { gd.run_on(gpu, /*frames=*/1, /*exec_frames=*/1); });
 }
 BENCHMARK(BM_GaspardPaperKernel)
-    ->Arg(0)
-    ->Arg(1)
-    ->Arg(2)
+    ->Args({0, 1})
+    ->Args({0, 3})
+    ->Args({1, 1})
+    ->Args({1, 3})
+    ->Args({2, 1})
+    ->Args({2, 3})
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
 

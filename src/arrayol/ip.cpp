@@ -158,28 +158,59 @@ std::string print_c(const ElementaryOp& op, const std::function<std::string(std:
 namespace {
 
 /// Lowers an IP to tape code. A root is an operator node that is read
-/// more than once or is an output: it is computed once into a slot. The
-/// other operator nodes are computed on the stack inside their one
-/// reader's code, and a node nothing reads is not computed at all.
+/// more than once, is an output or is kept: it is computed once into a
+/// slot. The other operator nodes are computed on the stack inside
+/// their one reader's code, and a node nothing live reads is not
+/// computed at all.
 class IpLowering {
  public:
-  IpLowering(const ElementaryOp& op, std::int64_t in_elements)
+  IpLowering(const ElementaryOp& op, std::int64_t in_elements,
+             std::span<const PinnedValue> pins)
       : op_(op),
         nodes_(op.nodes()),
-        uses_(use_counts(op)),
         in_elements_(in_elements),
+        live_(nodes_.size(), false),
+        uses_(nodes_.size(), 0),
         slot_(nodes_.size(), -1),
+        given_(nodes_.size(), -1),
+        kept_(nodes_.size(), -1),
         divmod_(nodes_.size(), false) {
     if (op.input_extent() > in_elements) {
       throw Error(cat("IP ", op.name, " reads input element ", op.input_extent() - 1, " of ",
                       in_elements));
     }
+    int slots = static_cast<int>(in_elements);
+    for (const PinnedValue& p : pins) {
+      const auto i = static_cast<std::size_t>(p.node);
+      if (p.node < 0 || i >= nodes_.size() || !is_operator(nodes_[i].op) ||
+          p.slot < in_elements) {
+        throw Error(cat("IP ", op.name, ": node ", p.node, " cannot be pinned to slot ", p.slot));
+      }
+      (p.given ? given_ : kept_)[i] = p.slot;
+      slots = std::max(slots, p.slot + 1);
+    }
+    tape_.slot_count = slots;
+    // Live nodes: what the outputs and the kept values read, short of
+    // the given ones. Operands come before their readers.
+    for (const std::int32_t o : op.outputs()) live_[static_cast<std::size_t>(o)] = true;
+    for (std::size_t i = 0; i < nodes_.size(); ++i) live_[i] = live_[i] || kept_[i] >= 0;
+    for (std::size_t i = nodes_.size(); i-- > 0;) {
+      if (!computed(i)) continue;
+      live_[static_cast<std::size_t>(nodes_[i].lhs)] = true;
+      live_[static_cast<std::size_t>(nodes_[i].rhs)] = true;
+    }
+    for (std::size_t i = 0; i < nodes_.size(); ++i) {
+      if (!computed(i)) continue;
+      ++uses_[static_cast<std::size_t>(nodes_[i].lhs)];
+      ++uses_[static_cast<std::size_t>(nodes_[i].rhs)];
+    }
+    for (const std::int32_t o : op.outputs()) ++uses_[static_cast<std::size_t>(o)];
     // A node combining x / k and x % k of one x and literal k (the
     // paper's tmp / 6 - tmp % 6) is one DivModImm, which reads x once.
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
       const IpOp op = nodes_[i].op;
-      if (op != IpOp::Add && op != IpOp::Sub && op != IpOp::Mul && op != IpOp::Min &&
-          op != IpOp::Max) {
+      if (!computed(i) || (op != IpOp::Add && op != IpOp::Sub && op != IpOp::Mul &&
+                           op != IpOp::Min && op != IpOp::Max)) {
         continue;
       }
       const auto l = static_cast<std::size_t>(nodes_[i].lhs);
@@ -189,7 +220,7 @@ class IpLowering {
       if (div.op != IpOp::Div || mod.op != IpOp::Mod || div.lhs != mod.lhs) continue;
       const auto k = static_cast<std::size_t>(div.rhs);
       const auto k2 = static_cast<std::size_t>(mod.rhs);
-      if (uses_[l] == 1 && uses_[r] == 1 && literal_divisor(k) &&
+      if (uses_[l] == 1 && uses_[r] == 1 && !pinned(l) && !pinned(r) && literal_divisor(k) &&
           is_lit(k2, nodes_[k].value)) {
         divmod_[i] = true;
         --uses_[static_cast<std::size_t>(div.lhs)];
@@ -202,11 +233,11 @@ class IpLowering {
     for (const std::int32_t o : op_.outputs()) is_output[static_cast<std::size_t>(o)] = true;
     std::vector<std::size_t> roots;
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
-      if (is_operator(nodes_[i].op) && (uses_[i] > 1 || is_output[i])) roots.push_back(i);
+      if (computed(i) && (uses_[i] > 1 || is_output[i] || kept_[i] >= 0)) roots.push_back(i);
     }
     // Input slot e holds element e. A slot-resident value (an input or
     // a root) frees its slot after the last root that reads it, unless
-    // it is an output, whose slot must hold it to the end.
+    // it is an output or pinned, whose slot must hold it to the end.
     std::vector<std::int64_t> last(nodes_.size(), -1);
     for (std::size_t k = 0; k < roots.size(); ++k) {
       mark_reads(roots[k], true, [&](std::size_t v) { last[v] = static_cast<std::int64_t>(k); });
@@ -217,20 +248,27 @@ class IpLowering {
       if (nodes_[v].op == IpOp::In && (last[v] >= 0 || is_output[v])) {
         held[static_cast<std::size_t>(nodes_[v].value)] = true;
       }
-      if (last[v] >= 0 && !is_output[v]) frees[static_cast<std::size_t>(last[v])].push_back(v);
+      if (last[v] >= 0 && !is_output[v] && !pinned(v)) {
+        frees[static_cast<std::size_t>(last[v])].push_back(v);
+      }
     }
-    tape_.slot_count = static_cast<int>(in_elements_);
     tape_.input_slots.resize(held.size());
     std::iota(tape_.input_slots.begin(), tape_.input_slots.end(), 0);
-    for (int e = tape_.slot_count; e-- > 0;) {
+    for (int e = static_cast<int>(in_elements_); e-- > 0;) {
       if (!held[static_cast<std::size_t>(e)]) free_.push_back(e);
+    }
+    // A value both given and kept moves from one pinned slot to the other.
+    for (std::size_t i = 0; i < nodes_.size(); ++i) {
+      if (given_[i] < 0 || kept_[i] < 0) continue;
+      tape_.code.push_back({TapeOp::LoadSlot, given_[i]});
+      tape_.code.push_back({TapeOp::StoreSlot, kept_[i]});
     }
     for (std::size_t k = 0; k < roots.size(); ++k) {
       emit_definition(roots[k]);
       // Operand slots are free once the value is on the stack; the
       // lowest is taken first.
       for (auto v = frees[k].rbegin(); v != frees[k].rend(); ++v) free_.push_back(slot_of(*v));
-      slot_[roots[k]] = take_slot();
+      slot_[roots[k]] = kept_[roots[k]] >= 0 ? kept_[roots[k]] : take_slot();
       tape_.code.push_back({TapeOp::StoreSlot, slot_[roots[k]]});
     }
     for (const std::int32_t o : op_.outputs()) {
@@ -247,9 +285,17 @@ class IpLowering {
   }
 
  private:
+  /// Whether the tape computes operator node i (from its operands).
+  bool computed(std::size_t i) const {
+    return live_[i] && is_operator(nodes_[i].op) && given_[i] < 0;
+  }
+  bool pinned(std::size_t i) const { return given_[i] >= 0 || kept_[i] >= 0; }
   bool is_root(std::size_t i) const { return slot_[i] >= 0; }
-  bool slot_resident(std::size_t i) const { return nodes_[i].op == IpOp::In || is_root(i); }
+  bool slot_resident(std::size_t i) const {
+    return nodes_[i].op == IpOp::In || given_[i] >= 0 || is_root(i);
+  }
   int slot_of(std::size_t i) const {
+    if (given_[i] >= 0) return given_[i];
     return nodes_[i].op == IpOp::In ? static_cast<int>(nodes_[i].value) : slot_[i];
   }
 
@@ -268,7 +314,7 @@ class IpLowering {
   void mark_reads(std::size_t i, bool top, Read&& read) const {
     const IpNode& n = nodes_[i];
     if (n.op == IpOp::Lit) return;
-    if (n.op == IpOp::In || (!top && uses_[i] > 1)) {
+    if (n.op == IpOp::In || given_[i] >= 0 || (!top && uses_[i] > 1)) {
       read(i);
       return;
     }
@@ -371,9 +417,12 @@ class IpLowering {
 
   const ElementaryOp& op_;
   const std::vector<IpNode>& nodes_;
-  std::vector<int> uses_;
   std::int64_t in_elements_;
-  std::vector<int> slot_;  ///< per root: its slot once computed, else -1
+  std::vector<bool> live_;  ///< per node: read by an output or a kept value
+  std::vector<int> uses_;   ///< per node: reads by computed nodes and outputs
+  std::vector<int> slot_;   ///< per root: its slot once computed, else -1
+  std::vector<int> given_;  ///< per node: its given slot, else -1
+  std::vector<int> kept_;   ///< per node: its kept slot, else -1
   std::vector<bool> divmod_;  ///< per node: computed from one DivModImm
   std::vector<int> free_;  ///< slots whose values nothing reads any more
   Tape tape_;
@@ -381,8 +430,9 @@ class IpLowering {
 
 }  // namespace
 
-Tape lower_to_tape(const ElementaryOp& op, std::int64_t in_elements) {
-  return IpLowering(op, in_elements).lower();
+Tape lower_to_tape(const ElementaryOp& op, std::int64_t in_elements,
+                   std::span<const PinnedValue> pinned) {
+  return IpLowering(op, in_elements, pinned).lower();
 }
 
 }  // namespace saclo::aol

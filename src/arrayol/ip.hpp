@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -115,12 +116,25 @@ std::string print_c(const ElementaryOp& op, const std::function<std::string(std:
                     const std::function<std::string(std::int64_t)>& out,
                     const std::string& indent);
 
+/// An operator node whose value a tape keeps in a slot the caller
+/// chose, at or past the input slots. A `given` value the caller fills
+/// in before the run, and the tape reads it there instead of computing
+/// it (nor what only it reads); otherwise the tape computes the value
+/// and leaves it in the slot. Either way no temporary takes the slot.
+struct PinnedValue {
+  std::int32_t node = 0;
+  int slot = 0;
+  bool given = false;
+};
+
 /// Compiles `op` to the lane-major tape VM. The caller fills input slot
 /// e with input element e of a block of instances (`in_elements` slots,
 /// read or not) and reads output k from result slot k after the run.
 /// Temporaries take the slots of values no longer read, inputs
 /// included; a division or modulo by a literal goes through its
 /// plan-time reciprocal, and a sum reads its slot operands in place.
-Tape lower_to_tape(const ElementaryOp& op, std::int64_t in_elements);
+/// Nothing reachable only through dead or given nodes is computed.
+Tape lower_to_tape(const ElementaryOp& op, std::int64_t in_elements,
+                   std::span<const PinnedValue> pinned = {});
 
 }  // namespace saclo::aol

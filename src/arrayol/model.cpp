@@ -89,6 +89,22 @@ void Model::validate() const {
       throw ModelError(cat("task '", task.name, "': its IP writes ", task.op.outputs().size(),
                            " elements but its output ports hold ", out_total));
     }
+    for (const SharedProducer& s : task.shared) {
+      bool ok = s.dim < task.repetition.rank() && s.shift > 0 && s.shift < s.instances &&
+                s.ports > 0 && s.first_port + s.ports <= task.inputs.size() &&
+                !s.outputs.empty() &&
+                static_cast<std::int64_t>(s.outputs.size()) % s.instances == 0;
+      for (std::size_t p = s.first_port; ok && p < s.first_port + s.ports; ++p) {
+        ok = task.inputs[p].pattern.elements() % s.instances == 0;
+      }
+      for (const std::int32_t node : s.outputs) {
+        ok = ok && node >= 0 && static_cast<std::size_t>(node) < task.op.nodes().size();
+      }
+      if (!ok) {
+        throw ModelError(cat("task '", task.name, "': malformed shared producer along dim ",
+                             s.dim));
+      }
+    }
   }
   for (const std::string& out : outputs_) {
     if (!produced.count(out) && !written.count(out)) {

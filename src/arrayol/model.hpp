@@ -34,6 +34,28 @@ struct TiledPort {
   TilerSpec tiler;    ///< origin / fitting / paving
 };
 
+/// Producer instances that neighbouring points of a fused task share,
+/// recorded by the fusion that inlined the producer (and kept by a
+/// merge). The op computes `instances` producer instances per point;
+/// instance a of point r + e_dim is instance a + shift of point r, so
+/// `overlap()` of them carry over. Input ports [first_port, first_port +
+/// ports) are the producer's, instance a's elements of each at [a * sz,
+/// (a + 1) * sz) for sz its pattern elements over `instances`; node
+/// outputs[a * k + j] is output j of instance a, for k outputs each.
+/// Only the host executor reads this: the op, its text and its cost
+/// stay one producer per instance.
+struct SharedProducer {
+  std::size_t dim = 0;
+  std::int64_t instances = 0;
+  std::int64_t shift = 0;
+  std::size_t first_port = 0;
+  std::size_t ports = 0;
+  std::vector<std::int32_t> outputs;
+
+  std::int64_t overlap() const { return instances - shift; }
+  bool operator==(const SharedProducer&) const = default;
+};
+
 /// The central ArrayOL construct: a task repeated over a repetition
 /// space, its ports bound to external arrays through tilers (the GILR
 /// "locally regular" level).
@@ -43,6 +65,7 @@ struct RepetitiveTask {
   std::vector<TiledPort> inputs;
   std::vector<TiledPort> outputs;
   ElementaryOp op;
+  std::vector<SharedProducer> shared;
 };
 
 /// A dataflow connection between two array ports by name.

@@ -7,9 +7,8 @@
 #include <new>
 #include <utility>
 
-#include <sys/mman.h>
-
 #include "core/fmt.hpp"
+#include "core/mapped.hpp"
 
 namespace saclo {
 
@@ -59,24 +58,13 @@ namespace {
 /// heap would keep glibc from trimming the frame-sized blocks freed
 /// below it (peak RSS on host_exec rose from 104 to 139 MB).
 struct LaneScratch {
-  std::int64_t* rows = nullptr;
-  std::size_t size = 0;
+  MappedArray<std::int64_t> rows;
   bool leased = false;
 
-  ~LaneScratch() { release(); }
-  void release() {
-    if (rows != nullptr) munmap(rows, size * sizeof(std::int64_t));
-    rows = nullptr;
-    size = 0;
-  }
   void reserve(std::size_t n) {
-    if (n <= size) return;
-    release();
-    void* p = mmap(nullptr, n * sizeof(std::int64_t), PROT_READ | PROT_WRITE,
-                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-    if (p == MAP_FAILED) throw std::bad_alloc();
-    rows = static_cast<std::int64_t*>(p);
-    size = n;
+    if (n <= rows.size()) return;
+    rows = {};  // the old rows go before the new ones are mapped
+    rows = MappedArray<std::int64_t>(n);
   }
 };
 thread_local LaneScratch t_scratch;
@@ -114,7 +102,7 @@ TapeLanes::TapeLanes(const Tape& tape, int width, ThreadScratch) : width_(width)
   } else {
     scratch.reserve(n);
     scratch.leased = leased_ = true;
-    rows = scratch.rows;
+    rows = scratch.rows.data();
   }
   if (g_poison_on.load(std::memory_order_acquire)) {
     const auto pattern = static_cast<std::uint64_t>(g_poison.load(std::memory_order_relaxed));

@@ -49,17 +49,18 @@ PortAddressing make_addressing(const TiledPort& tp, const Shape& array_shape,
   return pa;
 }
 
-/// Calls fn(e, l, offset) for every pattern element e of port `pa` and
-/// every lane l of a block of n lanes, where lane l is repetition point
-/// `rep` moved l steps along dimension `walk`: `offset` is the element's
-/// offset in the array. A lane whose tile lies inside the array in
-/// every dimension (the interior) sits at base + l * step + fit_linear[e];
-/// only a lane whose tile wraps around (the boundary) takes the tiler's
-/// modulo walk. Each bound of the interior test is linear in l, so the
-/// interior lanes are one run [lo, hi).
+/// Calls fn(e, l, offset) for every pattern element e in [first, end)
+/// of port `pa` and every lane l of a block of n lanes, where lane l is
+/// repetition point `rep` moved l steps along dimension `walk`: `offset`
+/// is the element's offset in the array. A lane whose tile lies inside
+/// the array in every dimension (the interior) sits at base + l * step +
+/// fit_linear[e]; only a lane whose tile wraps around (the boundary)
+/// takes the tiler's modulo walk. Each bound of the interior test is
+/// linear in l, so the interior lanes are one run [lo, hi).
 template <typename Fn>
 void for_each_block_offset(const PortAddressing& pa, const std::array<std::int64_t, kMaxRank>& rep,
-                           std::size_t walk, std::int64_t n, Fn&& fn) {
+                           std::size_t walk, std::int64_t n, std::int64_t first,
+                           std::int64_t end, Fn&& fn) {
   std::array<std::int64_t, kMaxRank> ref{};
   std::array<std::int64_t, kMaxRank> move{};
   std::int64_t base = 0;
@@ -83,13 +84,12 @@ void for_each_block_offset(const PortAddressing& pa, const std::array<std::int64
   while (lo < n && !interior(lo)) ++lo;
   std::int64_t hi = n;
   while (hi > lo && !interior(hi - 1)) --hi;
-  const auto elems = static_cast<std::int64_t>(pa.fit_linear.size());
-  for (std::int64_t e = 0; e < elems; ++e) {
+  for (std::int64_t e = first; e < end; ++e) {
     const std::int64_t at = base + pa.fit_linear[static_cast<std::size_t>(e)];
     for (std::int64_t l = lo; l < hi; ++l) fn(e, l, at + l * step);
   }
   auto boundary = [&](std::int64_t l) {
-    for (std::int64_t e = 0; e < elems; ++e) {
+    for (std::int64_t e = first; e < end; ++e) {
       const auto& fit = pa.fit_offsets[static_cast<std::size_t>(e)];
       std::int64_t off = 0;
       for (std::size_t d = 0; d < pa.array_rank; ++d) {
@@ -104,16 +104,69 @@ void for_each_block_offset(const PortAddressing& pa, const std::array<std::int64
   for (std::int64_t l = hi; l < n; ++l) boundary(l);
 }
 
-/// Lanes per block of a task's tape: gpu::kLanes, fewer when its rows
-/// would pass 8 Ki elements (64 KiB; the fused paper task's 429 slot
-/// rows and 2 stack rows get 18 lanes). Such a block stays in cache.
-/// Larger per-thread scratch (12 Ki elements and up) left frame-sized
-/// buffers resident through glibc's dynamic mmap threshold: host_exec's
-/// peak RSS went from 101 to 182 MB.
-int block_lanes(const Tape& tape) {
-  constexpr int kBlockElements = 8 * 1024;
-  const int slot_elements = kBlockElements - tape.max_depth * kMaxTapeLanes;
-  return std::clamp(slot_elements / std::max(tape.slot_count, 1), 1, gpu::kLanes);
+/// The line buffer of `task` (TaskKernel::LineBuffer) when it shares
+/// producer instances along the repetition dimension next to `walk`, the
+/// one a chunk's consecutive runs step along; sets `full` to the tape of
+/// a first row. Ring row `row` of half h is slot in_total + h * half +
+/// row. The three tapes get one slot count and stack depth, so one
+/// TapeLanes holds the rows of any of them.
+std::optional<TaskKernel::LineBuffer> make_line_buffer(const RepetitiveTask& task,
+                                                       std::size_t walk, std::int64_t in_total,
+                                                       Tape& full) {
+  if (task.repetition.rank() < 2) return std::nullopt;
+  TaskKernel::LineBuffer lb;
+  lb.dim = gpu::walk_order(1, walk);
+  std::vector<const aol::SharedProducer*> shared;
+  std::int64_t half = 0;
+  for (const aol::SharedProducer& s : task.shared) {
+    if (s.dim != lb.dim) continue;
+    shared.push_back(&s);
+    half += static_cast<std::int64_t>(s.outputs.size()) / s.instances * s.overlap();
+  }
+  if (shared.empty()) return std::nullopt;
+  for (const TiledPort& in : task.inputs) {
+    lb.step_elements.emplace_back(0, in.pattern.elements());
+  }
+  // pins[0] for the full tape, pins[1 + h] for steps[h].
+  std::array<std::vector<aol::PinnedValue>, 3> pins;
+  auto slot = [&](std::int64_t h, std::int64_t row) {
+    return static_cast<int>(in_total + h * half + row);
+  };
+  std::int64_t row = 0;
+  for (const aol::SharedProducer* s : shared) {
+    const std::int64_t outs = static_cast<std::int64_t>(s->outputs.size()) / s->instances;
+    auto node = [&](std::int64_t a, std::int64_t j) {
+      return s->outputs[static_cast<std::size_t>(a * outs + j)];
+    };
+    for (std::int64_t a = 0; a < s->overlap(); ++a) {
+      for (std::int64_t j = 0; j < outs; ++j, ++row) {
+        pins[0].push_back({node(s->shift + a, j), slot(0, row), false});
+        for (std::int64_t h = 0; h < 2; ++h) {
+          std::vector<aol::PinnedValue>& step = pins[static_cast<std::size_t>(1 + h)];
+          step.push_back({node(a, j), slot(h, row), true});
+          step.push_back({node(s->shift + a, j), slot(1 - h, row), false});
+        }
+      }
+    }
+    for (std::size_t p = s->first_port; p < s->first_port + s->ports; ++p) {
+      lb.step_elements[p].first = lb.step_elements[p].second / s->instances * s->overlap();
+    }
+  }
+  full = aol::lower_to_tape(task.op, in_total, pins[0]);
+  lb.steps[0] = aol::lower_to_tape(task.op, in_total, pins[1]);
+  lb.steps[1] = aol::lower_to_tape(task.op, in_total, pins[2]);
+  const std::array<Tape*, 3> tapes{&full, &lb.steps[0], &lb.steps[1]};
+  int slots = 0;
+  int depth = 0;
+  for (const Tape* t : tapes) {
+    slots = std::max(slots, t->slot_count);
+    depth = std::max(depth, t->max_depth);
+  }
+  for (Tape* t : tapes) {
+    t->slot_count = slots;
+    t->max_depth = depth;
+  }
+  return lb;
 }
 
 /// The host walk dimension of a task (gpu::host_walk_dim), measured on
@@ -295,7 +348,8 @@ OpenClApplication OpenClApplication::build(Model model) {
     k.opencl_source = emit_kernel_source_text(model, task, k.name);
     std::int64_t in_total = 0;
     for (const TiledPort& in : task.inputs) in_total += in.pattern.elements();
-    k.tape = aol::lower_to_tape(task.op, in_total);
+    k.line_buffer = make_line_buffer(task, k.walk_dim, in_total, k.tape);
+    if (!k.line_buffer) k.tape = aol::lower_to_tape(task.op, in_total);
     // The launch's addressing, buffers and block shape.
     auto buffer_of = [&](const TiledPort& port) {
       const auto it = std::find_if(app.buffers_.begin(), app.buffers_.end(),
@@ -314,7 +368,6 @@ OpenClApplication OpenClApplication::build(Model model) {
     }
     k.rep_rank = task.repetition.rank();
     for (std::size_t d = 0; d < k.rep_rank; ++d) k.rep_dims[d] = task.repetition[d];
-    k.lanes = block_lanes(k.tape);
     ports = std::max(ports, k.ports.size());
     app.kernels_.push_back(std::move(k));
   }
@@ -346,10 +399,12 @@ std::map<std::string, IntArray> OpenClApplication::run(
 
 namespace {
 
-/// Per-thread row pointers of a block's gather and scatter.
+/// Per-thread row pointers of a block's gather and scatter: the input
+/// slot rows, and the result slot rows of each tape (the full one, then
+/// the line buffer's steps).
 struct BlockRows {
   std::vector<std::int64_t*> in;
-  std::vector<const std::int64_t*> out;
+  std::array<std::vector<const std::int64_t*>, 3> out;
 };
 
 /// One task kernel's launch: the built kernel and this run's device view
@@ -359,6 +414,36 @@ struct TaskLaunch {
   std::span<const std::span<std::int32_t>> data;  ///< by port
 };
 
+/// Gathers, runs `tape` on and scatters the n lanes from point `rep`
+/// along the walk. Input port p gathers its pattern elements
+/// [gather(p).first, gather(p).second) (all of them by default).
+template <typename Gather>
+void run_block(const TaskLaunch& launch, const Tape& tape, TapeLanes& rows,
+               std::int64_t* const* in_row, const std::int64_t* const* out_row,
+               const std::array<std::int64_t, kMaxRank>& rep, int n, Gather&& gather) {
+  const TaskKernel& k = *launch.kernel;
+  for (std::size_t p = 0; p < k.input_ports; ++p) {
+    const std::span<std::int32_t> data = launch.data[p];
+    const auto [first, end] = gather(p);
+    for_each_block_offset(k.ports[p], rep, k.walk_dim, n, first, end,
+                          [&](std::int64_t e, std::int64_t l, std::int64_t off) {
+                            in_row[e][l] = data[static_cast<std::size_t>(off)];
+                          });
+    in_row += k.ports[p].fit_linear.size();
+  }
+  tape.run(rows, n, {});
+  for (std::size_t p = k.input_ports; p < k.ports.size(); ++p) {
+    const std::span<std::int32_t> data = launch.data[p];
+    const auto elements = static_cast<std::int64_t>(k.ports[p].fit_linear.size());
+    for_each_block_offset(k.ports[p], rep, k.walk_dim, n, 0, elements,
+                          [&](std::int64_t e, std::int64_t l, std::int64_t off) {
+                            data[static_cast<std::size_t>(off)] =
+                                static_cast<std::int32_t>(out_row[e][l]);
+                          });
+    out_row += elements;
+  }
+}
+
 /// The task kernel's body over work items [begin, end).
 ///
 /// The tape's rows come from the thread's scratch, leaving the tiler's
@@ -367,20 +452,37 @@ struct TaskLaunch {
 /// simulated GPU's mapping. Work items are independent under single
 /// assignment, so the host visits them in its own order: ids decode
 /// with the walk dimension fastest, once per run along it, and each run
-/// goes through gather, IP and scatter a block of items at a time, so
-/// consecutive items store next to each other.
+/// goes through gather, IP and scatter a block of up to gpu::kLanes
+/// items at a time, so consecutive items store next to each other.
+///
+/// With a line buffer, the whole rows of a range that follow each other
+/// along its dimension go column block by column block instead: a block
+/// of lanes goes down the rows, computing every producer instance on the
+/// first row and only the new ones below it, reading the rest from the
+/// ring that the row above filled. A range's first and last rows, when
+/// partial, are runs of their own. The ring is the tape's slot rows, so
+/// it lives on the thread's scratch with them: at the paper's geometry
+/// the fused task's rows are ~0.5 MB a thread.
 void run_task(const TaskLaunch& launch, std::int64_t begin, std::int64_t end) {
   const TaskKernel& k = *launch.kernel;
-  const Tape& tape = k.tape;
   const std::size_t walk = k.walk_dim;
+  const TaskKernel::LineBuffer* lb = k.line_buffer ? &*k.line_buffer : nullptr;
+  const std::array<const Tape*, 3> tapes{&k.tape, lb ? &lb->steps[0] : nullptr,
+                                         lb ? &lb->steps[1] : nullptr};
   // The gather writes each input element straight into its slot row,
   // and the scatter reads each output from its result slot row.
-  TapeLanes rows(tape, k.lanes, TapeLanes::ThreadScratch{});
+  TapeLanes rows(k.tape, gpu::kLanes, TapeLanes::ThreadScratch{});
   thread_local BlockRows block;
   block.in.clear();
-  for (const int s : tape.input_slots) block.in.push_back(rows.slot(s));
-  block.out.clear();
-  for (const int s : tape.result_slots) block.out.push_back(rows.slot(s));
+  for (const int s : k.tape.input_slots) block.in.push_back(rows.slot(s));
+  for (std::size_t t = 0; t < tapes.size(); ++t) {
+    block.out[t].clear();
+    if (tapes[t] == nullptr) continue;
+    for (const int s : tapes[t]->result_slots) block.out[t].push_back(rows.slot(s));
+  }
+  const auto whole = [&](std::size_t p) {
+    return std::pair<std::int64_t, std::int64_t>(0, k.ports[p].fit_linear.size());
+  };
   std::array<std::int64_t, kMaxRank> rep{};
   for (std::int64_t tid = begin; tid < end;) {
     std::int64_t rest = tid;
@@ -389,31 +491,37 @@ void run_task(const TaskLaunch& launch, std::int64_t begin, std::int64_t end) {
       rep[d] = rest % k.rep_dims[d];
       rest /= k.rep_dims[d];
     }
+    if (lb != nullptr && rep[walk] == 0) {
+      const std::int64_t width = k.rep_dims[walk];
+      const std::int64_t top = rep[lb->dim];
+      const std::int64_t down = std::min((end - tid) / width, k.rep_dims[lb->dim] - top);
+      if (down >= 2) {
+        for (std::int64_t column = 0; column < width; column += gpu::kLanes) {
+          const int n = static_cast<int>(std::min<std::int64_t>(width - column, gpu::kLanes));
+          rep[walk] = column;
+          for (std::int64_t r = 0; r < down; ++r) {
+            rep[lb->dim] = top + r;
+            // Row 0 fills ring half 0; step h reads half h, fills 1 - h.
+            const std::size_t t = r == 0 ? 0 : 1 + static_cast<std::size_t>((r - 1) % 2);
+            if (t == 0) {
+              run_block(launch, *tapes[t], rows, block.in.data(), block.out[t].data(), rep, n,
+                        whole);
+            } else {
+              run_block(launch, *tapes[t], rows, block.in.data(), block.out[t].data(), rep, n,
+                        [&](std::size_t p) { return lb->step_elements[p]; });
+            }
+          }
+        }
+        tid += down * width;
+        continue;
+      }
+    }
     const std::int64_t run =
         k.rep_rank == 0 ? end - tid : std::min(end - tid, k.rep_dims[walk] - rep[walk]);
     tid += run;
     for (std::int64_t done = 0; done < run;) {
-      const int n = static_cast<int>(std::min<std::int64_t>(run - done, k.lanes));
-      std::int64_t* const* in_row = block.in.data();
-      for (std::size_t p = 0; p < k.input_ports; ++p) {
-        const std::span<std::int32_t> data = launch.data[p];
-        for_each_block_offset(k.ports[p], rep, walk, n,
-                              [&](std::int64_t e, std::int64_t l, std::int64_t off) {
-                                in_row[e][l] = data[static_cast<std::size_t>(off)];
-                              });
-        in_row += k.ports[p].fit_linear.size();
-      }
-      tape.run(rows, n, {});
-      const std::int64_t* const* out_row = block.out.data();
-      for (std::size_t p = k.input_ports; p < k.ports.size(); ++p) {
-        const std::span<std::int32_t> data = launch.data[p];
-        for_each_block_offset(k.ports[p], rep, walk, n,
-                              [&](std::int64_t e, std::int64_t l, std::int64_t off) {
-                                data[static_cast<std::size_t>(off)] =
-                                    static_cast<std::int32_t>(out_row[e][l]);
-                              });
-        out_row += k.ports[p].fit_linear.size();
-      }
+      const int n = static_cast<int>(std::min<std::int64_t>(run - done, gpu::kLanes));
+      run_block(launch, k.tape, rows, block.in.data(), block.out[0].data(), rep, n, whole);
       done += n;
       rep[walk] += n;
     }

@@ -2,8 +2,10 @@
 
 #include <array>
 #include <map>
+#include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "arrayol/model.hpp"
@@ -53,7 +55,8 @@ struct TaskKernel {
   gpu::KernelCost cost;
   std::string opencl_source;
   /// The task's IP lowered to the tape VM: what the host backend runs
-  /// per block of work items.
+  /// per block of up to gpu::kLanes work items (with a line buffer, the
+  /// tape that computes every producer instance).
   Tape tape;
   /// The repetition dimension the host body walks fastest (the one
   /// whose step moves the first output by the fewest elements). The
@@ -69,7 +72,22 @@ struct TaskKernel {
   std::size_t input_ports = 0;
   std::array<std::int64_t, kMaxRank> rep_dims{};
   std::size_t rep_rank = 0;
-  int lanes = 1;  ///< lanes per block run of the tape
+
+  /// The host's line buffer of a task whose neighbouring rows share
+  /// producer instances (aol::SharedProducer) along `dim`, the
+  /// repetition dimension next to the walk. A block of lanes goes down
+  /// the rows of a chunk. `tape` computes every instance and keeps the
+  /// results the next row reuses in half 0 of a ring of pinned slot
+  /// rows; steps[h] reads them from half h, keeps the next ones in half
+  /// 1 - h, and computes only the new instances, whose input elements
+  /// are the only ones of their ports it gathers.
+  struct LineBuffer {
+    std::size_t dim = 0;
+    std::array<Tape, 2> steps;
+    /// Per input port: the pattern elements [first, second) a step gathers.
+    std::vector<std::pair<std::int64_t, std::int64_t>> step_elements;
+  };
+  std::optional<LineBuffer> line_buffer;
 };
 
 /// Where each array lives in the generated application.

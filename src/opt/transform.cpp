@@ -111,8 +111,8 @@ const InverseMap& InverseMapCache::get(const TiledPort& out, const Shape& array_
   }
   Entry& e = entries_.emplace_back(Entry{out.tiler, out.pattern, repetition, array_shape, {}});
   const auto n = static_cast<std::size_t>(array_shape.elements());
-  e.map.rep.resize(n);
-  e.map.pat.resize(n);
+  e.map.rep = MappedArray<std::int64_t>(n);
+  e.map.pat = MappedArray<std::int64_t>(n);
   const TilerWalk walk(out.tiler, array_shape, out.pattern, repetition);
   walk.for_each_instance([&](const Index&, std::int64_t r_lin, const Index& ref) {
     for (std::int64_t p = 0; p < walk.pattern_elements(); ++p) {
@@ -453,6 +453,44 @@ RewriteResult try_fuse(const Model& model, const std::string& mid_array,
   for (const aol::IpValue v : outs) ip.out(v);
   f.op = ip.finish(a.op.name + "+" + b.op.name);
 
+  // The overlap between neighbouring points, in closed form from the
+  // tilers: when a unit step along consumer dim j moves the producer
+  // index by `shift` steps of the (one-dimensional) reduced grid,
+  // M e_j = shift * g, point r + e_j's instance a is point r's a + shift,
+  // and the last n_a - shift instances of r carry over.
+  const bool computed = std::all_of(mid.begin(), mid.end(), [&](const auto& instance) {
+    return std::all_of(instance.begin(), instance.end(), [&](const aol::IpValue v) {
+      const aol::IpOp op = f.op.nodes()[static_cast<std::size_t>(v.id())].op;
+      return op != aol::IpOp::Lit && op != aol::IpOp::In;
+    });
+  });
+  for (std::size_t j = 0; computed && red.size() == 1 && j < rb; ++j) {
+    if (b.repetition[j] < 2) continue;
+    std::optional<std::int64_t> shift;
+    bool multiple = true;
+    for (std::size_t d = 0; d < ra && multiple; ++d) {
+      const std::int64_t g = g_red.at(d, 0);
+      const std::int64_t m = M.at(d, j);
+      if (g == 0) {
+        multiple = m == 0;
+      } else if (m % g != 0 || (shift && *shift != m / g)) {
+        multiple = false;
+      } else {
+        shift = m / g;
+      }
+    }
+    if (!multiple || !shift || *shift <= 0 || *shift >= n_a) continue;
+    aol::SharedProducer s;
+    s.dim = j;
+    s.instances = n_a;
+    s.shift = *shift;
+    s.ports = a.inputs.size();
+    for (const std::vector<aol::IpValue>& instance : mid) {
+      for (const aol::IpValue v : instance) s.outputs.push_back(v.id());
+    }
+    f.shared.push_back(std::move(s));
+  }
+
   return accept(rebuild(model, {*prod, consumer}, {mid_array}, {std::move(f)}), "fusion");
 }
 
@@ -521,6 +559,17 @@ RewriteResult try_merge(const Model& model, const std::string& task_a,
     ip.out(v);
   }
   f.op = ip.finish(a.op.name + "+" + b.op.name);
+  // Each op keeps its nodes in order, b's after a's, and its ports.
+  const std::size_t a_nodes = a.op.nodes().size();
+  if (f.op.nodes().size() != a_nodes + b.op.nodes().size()) {
+    throw OptError(cat("merge ", a.name, " + ", b.name, ": the merged op lost nodes"));
+  }
+  f.shared = a.shared;
+  for (aol::SharedProducer s : b.shared) {
+    s.first_port += a.inputs.size();
+    for (std::int32_t& node : s.outputs) node += static_cast<std::int32_t>(a_nodes);
+    f.shared.push_back(std::move(s));
+  }
 
   return accept(rebuild(model, {*ia, *ib}, {}, {std::move(f)}), "task merge");
 }

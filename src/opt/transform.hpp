@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "arrayol/model.hpp"
+#include "core/mapped.hpp"
 
 namespace saclo::opt {
 
@@ -57,10 +58,12 @@ RewriteResult try_change_paving(const aol::Model& model, const std::string& task
 /// The inverse of a producer's output tiler over its whole array: for
 /// every element (row-major), the repetition point and the pattern slot
 /// that write it. Output tilers are exact partitions, so both are
-/// unique.
+/// unique. The tables are as large as the array (6 MB each for a paper
+/// frame's intermediate), so they live in mappings of their own
+/// (MappedArray), out of the heap the search's model nodes grow in.
 struct InverseMap {
-  std::vector<std::int64_t> rep;  ///< linear repetition index per element
-  std::vector<std::int64_t> pat;  ///< linear pattern index per element
+  MappedArray<std::int64_t> rep;  ///< linear repetition index per element
+  MappedArray<std::int64_t> pat;  ///< linear pattern index per element
 };
 
 /// Inverse maps shared by the fusion attempts of one search. A map

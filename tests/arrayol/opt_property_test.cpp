@@ -4,7 +4,8 @@
 // model outputs element for element — and every *rejected* candidate
 // must carry a diagnostic naming the violated precondition. A rewritten
 // IP run over a block of lanes must equal one call per lane, and the
-// executed OpenCL application the reference evaluation.
+// executed OpenCL application the reference evaluation, on 1, 2 and 3
+// workers, also where a fused task's line buffer reuses producer rows.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include <map>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/downscaler/arrayol_model.hpp"
@@ -215,9 +217,21 @@ void expect_block_equals_lanes(const aol::RepetitiveTask& task, std::size_t n,
   }
 }
 
+/// The application of `model` executed once on the host backend with
+/// `workers` workers.
+std::map<std::string, IntArray> execute(const aol::Model& model,
+                                        const std::map<std::string, IntArray>& inputs,
+                                        unsigned workers) {
+  gaspard::OpenClApplication app = gaspard::OpenClApplication::build(model);
+  gpu::VirtualGpu gpu(gpu::gtx480(), workers, gpu::BackendKind::Host);
+  gpu::opencl::CommandQueue queue(gpu);
+  return app.run(queue, testsupport::pixels_of(inputs), /*execute=*/true);
+}
+
 /// Every task's IP over blocks of 1, 2, kLanes - 1, kLanes and kLanes + 1
-/// lanes, and the application executed on the host backend, against
-/// the reference evaluation of `reference` (the model before rewriting).
+/// lanes, and the application executed on the host backend with 1, 2
+/// and 3 workers, against the reference evaluation of `reference` (the
+/// model before rewriting).
 void expect_lanes_and_execution(const aol::Model& model, const aol::Model& reference,
                                 std::mt19937& rng, const std::string& what) {
   for (const aol::RepetitiveTask& task : model.tasks()) {
@@ -228,12 +242,12 @@ void expect_lanes_and_execution(const aol::Model& model, const aol::Model& refer
   }
   const auto inputs = random_inputs(reference, rng);
   const auto expected = aol::evaluate(reference, inputs);
-  gaspard::OpenClApplication app = gaspard::OpenClApplication::build(model);
-  gpu::VirtualGpu gpu(gpu::gtx480(), 2, gpu::BackendKind::Host);
-  gpu::opencl::CommandQueue queue(gpu);
-  const auto actual = app.run(queue, testsupport::pixels_of(inputs), /*execute=*/true);
-  for (const std::string& out : reference.outputs()) {
-    EXPECT_EQ(actual.at(out), expected.at(out)) << what << ": output '" << out << "' diverged";
+  for (const unsigned workers : {1u, 2u, 3u}) {
+    const auto actual = execute(model, inputs, workers);
+    for (const std::string& out : reference.outputs()) {
+      EXPECT_EQ(actual.at(out), expected.at(out))
+          << what << ", " << workers << " workers: output '" << out << "' diverged";
+    }
   }
 }
 
@@ -415,6 +429,106 @@ TEST(OptProperty, RewrittenMultiPortOpsRunBlocksOfLanesAsOneLaneEach) {
   EXPECT_GE(multi_port_splits, 10);
   EXPECT_GE(fusions, 15);
   EXPECT_GE(fused_splits, 10);
+}
+
+aol::Model adopted(RewriteResult r) {
+  if (!r.legality.ok) throw Error(r.legality.reason);
+  return std::move(*r.model);
+}
+
+/// The rewrites the search adopts at the paper's geometry (O2): each
+/// channel's V filter split by 3 along its columns, its H filter fused
+/// into it, then the fused tasks merged into one.
+aol::Model fused_rgb_downscaler(const aol::Model& base) {
+  aol::Model m = base;
+  for (const std::string ch : {"b", "g", "r"}) {
+    m = adopted(try_change_paving(m, ch + "vf", 1, 3));
+    m = adopted(try_fuse(m, "mid_" + ch));
+  }
+  m = adopted(try_merge(m, "bhf_bvf", "ghf_gvf"));
+  return adopted(try_merge(m, "rhf_rvf", "bhf_bvf_ghf_gvf"));
+}
+
+TEST(LineBufferOracle, FusionRecordsTheOverlapOfNeighbouringRows) {
+  // V reads 13 H rows at paving 9: the next consumer row reuses 4 of
+  // them. The merge keeps each channel's producers, on its own port.
+  const aol::Model fused =
+      fused_rgb_downscaler(apps::build_downscaler_model(DownscalerConfig::paper()));
+  ASSERT_EQ(fused.tasks().size(), 1u);
+  const aol::RepetitiveTask& task = fused.tasks()[0];
+  ASSERT_EQ(task.shared.size(), 3u);
+  for (std::size_t g = 0; g < 3; ++g) {
+    const aol::SharedProducer& s = task.shared[g];
+    EXPECT_EQ(s.dim, 0u);
+    EXPECT_EQ(s.instances, 13);
+    EXPECT_EQ(s.shift, 9);
+    EXPECT_EQ(s.overlap(), 4);
+    EXPECT_EQ(s.first_port, g);
+    EXPECT_EQ(s.ports, 1u);
+    EXPECT_EQ(s.outputs.size(), 13u * 3u);
+  }
+  const gaspard::OpenClApplication app = gaspard::OpenClApplication::build(fused);
+  const gaspard::TaskKernel& k = app.kernels()[0];
+  ASSERT_TRUE(k.line_buffer.has_value());
+  EXPECT_EQ(k.walk_dim, 1u);
+  EXPECT_EQ(k.line_buffer->dim, 0u);
+  // A step gathers the 9 new rows of each [13, 11] input pattern.
+  const std::vector<std::pair<std::int64_t, std::int64_t>> nine_new_rows(3, {4 * 11, 13 * 11});
+  EXPECT_EQ(k.line_buffer->step_elements, nine_new_rows);
+}
+
+TEST(LineBufferOracle, FusedTaskMatchesTheUnfusedApplicationOnEveryWorkerCount) {
+  // 7 consumer rows: the last reads frame rows 54 to 66, which wrap to
+  // 0 to 3 as the paper's rows 1080 to 1083 do. With 2 and 3 workers
+  // the second range starts mid-row (on a walk wider than one item).
+  // A walk one item wide runs along the rows instead, without a line
+  // buffer; 127, 128 and 129 put a row's last block below, at and past
+  // kLanes.
+  const testsupport::PoisonedTapeScratch poisoned;
+  std::mt19937 rng(1083);
+  constexpr std::int64_t kRows = 7;
+  for (const std::int64_t width : {1, 2, 127, 128, 129}) {
+    DownscalerConfig cfg = DownscalerConfig::tiny();
+    cfg.height = cfg.v.paving * kRows;
+    cfg.width = cfg.h.paving * width;
+    cfg.validate();
+    const aol::Model base = apps::build_downscaler_model(cfg);
+    const aol::Model fused = fused_rgb_downscaler(base);
+    const std::string what = cat(cfg.height, "x", cfg.width);
+    EXPECT_EQ(gaspard::OpenClApplication::build(fused).kernels()[0].line_buffer.has_value(),
+              width > 1)
+        << what;
+    for (const unsigned workers : {2u, 3u}) {
+      const std::int64_t chunk = (kRows * width + workers - 1) / workers;
+      if (width > 1) {
+        EXPECT_NE(chunk % width, 0) << what << ", " << workers << " workers";
+      }
+    }
+    const auto inputs = random_inputs(base, rng);
+    const auto expected = aol::evaluate(base, inputs);
+    for (const unsigned workers : {1u, 2u, 3u}) {
+      const auto o0 = execute(base, inputs, workers);
+      const auto o2 = execute(fused, inputs, workers);
+      for (const std::string& out : base.outputs()) {
+        EXPECT_EQ(o0.at(out), expected.at(out)) << what << ", O0, " << workers << " workers";
+        EXPECT_EQ(o2.at(out), expected.at(out)) << what << ", O2, " << workers << " workers";
+      }
+    }
+  }
+}
+
+TEST(LineBufferOracle, PaperGeometryFusedTaskMatchesO0OnEveryWorkerCount) {
+  const aol::Model base = apps::build_downscaler_model(DownscalerConfig::paper());
+  const aol::Model fused = fused_rgb_downscaler(base);
+  std::mt19937 rng(1080);
+  const auto inputs = random_inputs(base, rng);
+  for (const unsigned workers : {1u, 2u, 3u}) {
+    const auto o0 = execute(base, inputs, workers);
+    const auto o2 = execute(fused, inputs, workers);
+    for (const std::string& out : base.outputs()) {
+      EXPECT_EQ(o2.at(out), o0.at(out)) << out << ", " << workers << " workers";
+    }
+  }
 }
 
 TEST(OptProperty, CostGatedSearchPreservesOdtMappingOnRandomGeometries) {
