@@ -416,15 +416,17 @@ struct TaskLaunch {
 
 /// Gathers, runs `tape` on and scatters the n lanes from point `rep`
 /// along the walk. Input port p gathers its pattern elements
-/// [gather(p).first, gather(p).second) (all of them by default).
-template <typename Gather>
+/// [step[p].first, step[p].second), or all of them when `step` is null.
 void run_block(const TaskLaunch& launch, const Tape& tape, TapeLanes& rows,
                std::int64_t* const* in_row, const std::int64_t* const* out_row,
-               const std::array<std::int64_t, kMaxRank>& rep, int n, Gather&& gather) {
+               const std::array<std::int64_t, kMaxRank>& rep, int n,
+               const std::pair<std::int64_t, std::int64_t>* step) {
   const TaskKernel& k = *launch.kernel;
   for (std::size_t p = 0; p < k.input_ports; ++p) {
     const std::span<std::int32_t> data = launch.data[p];
-    const auto [first, end] = gather(p);
+    const auto elements = static_cast<std::int64_t>(k.ports[p].fit_linear.size());
+    const std::int64_t first = step != nullptr ? step[p].first : 0;
+    const std::int64_t end = step != nullptr ? step[p].second : elements;
     for_each_block_offset(k.ports[p], rep, k.walk_dim, n, first, end,
                           [&](std::int64_t e, std::int64_t l, std::int64_t off) {
                             in_row[e][l] = data[static_cast<std::size_t>(off)];
@@ -480,9 +482,6 @@ void run_task(const TaskLaunch& launch, std::int64_t begin, std::int64_t end) {
     if (tapes[t] == nullptr) continue;
     for (const int s : tapes[t]->result_slots) block.out[t].push_back(rows.slot(s));
   }
-  const auto whole = [&](std::size_t p) {
-    return std::pair<std::int64_t, std::int64_t>(0, k.ports[p].fit_linear.size());
-  };
   std::array<std::int64_t, kMaxRank> rep{};
   for (std::int64_t tid = begin; tid < end;) {
     std::int64_t rest = tid;
@@ -503,13 +502,8 @@ void run_task(const TaskLaunch& launch, std::int64_t begin, std::int64_t end) {
             rep[lb->dim] = top + r;
             // Row 0 fills ring half 0; step h reads half h, fills 1 - h.
             const std::size_t t = r == 0 ? 0 : 1 + static_cast<std::size_t>((r - 1) % 2);
-            if (t == 0) {
-              run_block(launch, *tapes[t], rows, block.in.data(), block.out[t].data(), rep, n,
-                        whole);
-            } else {
-              run_block(launch, *tapes[t], rows, block.in.data(), block.out[t].data(), rep, n,
-                        [&](std::size_t p) { return lb->step_elements[p]; });
-            }
+            run_block(launch, *tapes[t], rows, block.in.data(), block.out[t].data(), rep, n,
+                      t == 0 ? nullptr : lb->step_elements.data());
           }
         }
         tid += down * width;
@@ -521,7 +515,7 @@ void run_task(const TaskLaunch& launch, std::int64_t begin, std::int64_t end) {
     tid += run;
     for (std::int64_t done = 0; done < run;) {
       const int n = static_cast<int>(std::min<std::int64_t>(run - done, gpu::kLanes));
-      run_block(launch, k.tape, rows, block.in.data(), block.out[0].data(), rep, n, whole);
+      run_block(launch, k.tape, rows, block.in.data(), block.out[0].data(), rep, n, nullptr);
       done += n;
       rep[walk] += n;
     }
