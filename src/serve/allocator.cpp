@@ -24,35 +24,12 @@ std::int64_t CachingDeviceAllocator::size_class(std::int64_t bytes) {
   return static_cast<std::int64_t>(std::bit_ceil(static_cast<std::uint64_t>(bytes)));
 }
 
-CachingDeviceAllocator::Block* CachingDeviceAllocator::find(std::uint64_t id) {
-  const auto it = std::lower_bound(blocks_.begin(), blocks_.end(), id,
-                                   [](const Block& b, std::uint64_t v) { return b.id < v; });
-  return it != blocks_.end() && it->id == id ? &*it : nullptr;
-}
-
-void CachingDeviceAllocator::release_locked(std::uint64_t id, std::int64_t cls) {
-  pool_->free(gpu::BufferHandle{id, cls});
-  const Block* b = find(id);
-  blocks_.erase(blocks_.begin() + (b - blocks_.data()));
-  stats_.cached_blocks -= 1;
-  stats_.cached_bytes -= cls;
-}
-
-void CachingDeviceAllocator::park_locked(Block& block) {
-  block.live = false;
-  free_lists_[block.cls].push_back(block.id);
-  stats_.live_blocks -= 1;
-  stats_.live_bytes -= block.cls;
-  stats_.requested_bytes -= block.requested;
-  stats_.cached_blocks += 1;
-  stats_.cached_bytes += block.cls;
-}
-
 gpu::BufferHandle CachingDeviceAllocator::pop_cached(std::int64_t cls) {
   auto it = free_lists_.find(cls);
   if (it == free_lists_.end() || it->second.empty()) return {};
   const std::uint64_t id = it->second.back();
   it->second.pop_back();
+  cached_ids_.erase(id);
   return gpu::BufferHandle{id, cls};
 }
 
@@ -69,12 +46,10 @@ gpu::BufferHandle CachingDeviceAllocator::obtain(std::int64_t bytes, bool zeroed
   const std::int64_t cls = size_class(bytes);
   std::lock_guard<std::mutex> lock(mutex_);
   gpu::BufferHandle block = pop_cached(cls);
-  Block* record = nullptr;
   if (block.valid()) {
     ++stats_.hits;
     stats_.cached_blocks -= 1;
     stats_.cached_bytes -= cls;
-    record = find(block.id);
   } else {
     // The class block comes from the pool unzeroed: only the requested
     // bytes are ever visible, and a zeroed request clears them below.
@@ -86,8 +61,11 @@ gpu::BufferHandle CachingDeviceAllocator::obtain(std::int64_t bytes, bool zeroed
       std::int64_t released = 0;
       for (auto& [list_cls, ids] : free_lists_) {
         for (std::uint64_t id : ids) {
-          release_locked(id, list_cls);
+          pool_->free(gpu::BufferHandle{id, list_cls});
+          cached_ids_.erase(id);
           ++released;
+          stats_.cached_blocks -= 1;
+          stats_.cached_bytes -= list_cls;
           stats_.trimmed_blocks += 1;
         }
         ids.clear();
@@ -96,9 +74,6 @@ gpu::BufferHandle CachingDeviceAllocator::obtain(std::int64_t bytes, bool zeroed
       block = pool_->allocate_for_overwrite(cls);
     }
     ++stats_.misses;
-    const auto at = std::upper_bound(blocks_.begin(), blocks_.end(), block.id,
-                                     [](std::uint64_t v, const Block& b) { return v < b.id; });
-    record = &*blocks_.insert(at, Block{block.id, cls, 0, false});
   }
   // Hand out the logical size; the backing store keeps the class size.
   const gpu::BufferHandle handle{block.id, bytes};
@@ -106,8 +81,8 @@ gpu::BufferHandle CachingDeviceAllocator::obtain(std::int64_t bytes, bool zeroed
     auto raw = pool_->bytes(handle);
     std::memset(raw.data(), 0, raw.size());
   }
-  record->live = true;
-  record->requested = bytes;
+  live_.emplace(block.id, cls);
+  live_req_.emplace(block.id, bytes);
   stats_.live_blocks += 1;
   stats_.live_bytes += cls;
   stats_.requested_bytes += bytes;
@@ -126,28 +101,41 @@ void CachingDeviceAllocator::enforce_cap_locked(std::int64_t cls) {
          static_cast<std::int64_t>(ids.size()) * cls > class_cap_bytes_) {
     const std::uint64_t id = ids.front();
     ids.erase(ids.begin());  // the least-recently-parked block
-    release_locked(id, cls);
+    cached_ids_.erase(id);
+    pool_->free(gpu::BufferHandle{id, cls});
+    stats_.cached_blocks -= 1;
+    stats_.cached_bytes -= cls;
     stats_.cap_evictions += 1;
   }
 }
 
 void CachingDeviceAllocator::free(gpu::BufferHandle handle) {
   std::lock_guard<std::mutex> lock(mutex_);
-  Block* block = find(handle.id);
-  if (block == nullptr) {
+  auto it = live_.find(handle.id);
+  if (it == live_.end()) {
+    if (cached_ids_.count(handle.id) != 0) {
+      throw gpu::DeviceMemoryError(
+          cat("double free of device buffer id ", handle.id,
+              ": the handle was already recycled into the caching allocator"));
+    }
     // Not ours: allocated straight from the pool before this layer was
     // installed. Forward, so mixed usage stays correct.
     pool_->free(handle);
     return;
   }
-  if (!block->live) {
-    throw gpu::DeviceMemoryError(
-        cat("double free of device buffer id ", handle.id,
-            ": the handle was already recycled into the caching allocator"));
-  }
-  const std::int64_t cls = block->cls;
-  park_locked(*block);
+  const std::int64_t cls = it->second;
+  live_.erase(it);
+  auto rit = live_req_.find(handle.id);
+  const std::int64_t requested = rit != live_req_.end() ? rit->second : 0;
+  if (rit != live_req_.end()) live_req_.erase(rit);
+  free_lists_[cls].push_back(handle.id);
+  cached_ids_.insert(handle.id);
   stats_.frees += 1;
+  stats_.live_blocks -= 1;
+  stats_.live_bytes -= cls;
+  stats_.requested_bytes -= requested;
+  stats_.cached_blocks += 1;
+  stats_.cached_bytes += cls;
   enforce_cap_locked(cls);
 }
 
@@ -155,7 +143,10 @@ void CachingDeviceAllocator::trim() {
   std::lock_guard<std::mutex> lock(mutex_);
   for (auto& [cls, ids] : free_lists_) {
     for (std::uint64_t id : ids) {
-      release_locked(id, cls);
+      pool_->free(gpu::BufferHandle{id, cls});
+      cached_ids_.erase(id);
+      stats_.cached_blocks -= 1;
+      stats_.cached_bytes -= cls;
       stats_.trimmed_blocks += 1;
     }
     ids.clear();
@@ -165,16 +156,23 @@ void CachingDeviceAllocator::trim() {
 std::int64_t CachingDeviceAllocator::reclaim_live() {
   std::lock_guard<std::mutex> lock(mutex_);
   std::int64_t reclaimed = 0;
-  // In ascending id order; an eviction only removes parked blocks, so
-  // the next live block is found again by id.
-  for (std::uint64_t next = 0;;) {
-    const auto it = std::find_if(blocks_.begin(), blocks_.end(), [&](const Block& b) {
-      return b.live && b.id >= next;
-    });
-    if (it == blocks_.end()) break;
-    next = it->id + 1;
-    const std::int64_t cls = it->cls;
-    park_locked(*it);
+  while (!live_.empty()) {
+    const auto it = live_.begin();
+    const std::uint64_t id = it->first;
+    const std::int64_t cls = it->second;
+    live_.erase(it);
+    std::int64_t requested = 0;
+    if (auto rit = live_req_.find(id); rit != live_req_.end()) {
+      requested = rit->second;
+      live_req_.erase(rit);
+    }
+    free_lists_[cls].push_back(id);
+    cached_ids_.insert(id);
+    stats_.live_blocks -= 1;
+    stats_.live_bytes -= cls;
+    stats_.requested_bytes -= requested;
+    stats_.cached_blocks += 1;
+    stats_.cached_bytes += cls;
     stats_.reclaimed_blocks += 1;
     ++reclaimed;
     enforce_cap_locked(cls);

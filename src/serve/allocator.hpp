@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <set>
 #include <vector>
 
 #include "gpu/memory.hpp"
@@ -113,23 +114,8 @@ class CachingDeviceAllocator final : public gpu::BufferAllocator {
   Stats stats() const;
 
  private:
-  /// A block taken from the pool and not yet given back: live or parked.
-  struct Block {
-    std::uint64_t id = 0;
-    std::int64_t cls = 0;
-    std::int64_t requested = 0;  ///< the live handle's bytes
-    bool live = false;
-  };
-
   gpu::BufferHandle obtain(std::int64_t bytes, bool zeroed);
   gpu::BufferHandle pop_cached(std::int64_t cls);
-  /// The block with `id`, or nullptr. Caller holds mutex_.
-  Block* find(std::uint64_t id);
-  /// Gives parked block `id` of class `cls` back to the pool. Caller
-  /// holds mutex_.
-  void release_locked(std::uint64_t id, std::int64_t cls);
-  /// Parks a live block on its class's free list. Caller holds mutex_.
-  void park_locked(Block& block);
   /// Evicts least-recently-parked blocks of `cls` until its parked
   /// bytes fit the cap. Caller holds mutex_.
   void enforce_cap_locked(std::int64_t cls);
@@ -141,10 +127,9 @@ class CachingDeviceAllocator final : public gpu::BufferAllocator {
   // push_backs, reuse pops the back (MRU — warmest block), the cap
   // evicts from the front (LRU — coldest block).
   std::map<std::int64_t, std::vector<std::uint64_t>> free_lists_;
-  // Every block, live or parked, in ascending id order (the pool hands
-  // out rising ids, so a new block goes at the end). A flat array: a
-  // steady-state job's allocations and frees make no bookkeeping nodes.
-  std::vector<Block> blocks_;
+  std::set<std::uint64_t> cached_ids_;             // ids parked on any free list
+  std::map<std::uint64_t, std::int64_t> live_;     // id -> size class
+  std::map<std::uint64_t, std::int64_t> live_req_;  // id -> requested bytes
   Stats stats_;
 };
 

@@ -168,6 +168,71 @@ TEST(IpTest, DivisionErrorsAreTyped) {
   EXPECT_THROW(lower_to_tape(op, 1), Error);  // reads input 1 of 1
 }
 
+// Pinned values (the line buffer's ring): a given node is read from its
+// slot, and what only it reads is not computed; a kept node is computed
+// into its slot, even when no output reads it; a node both given and
+// kept moves from the one slot to the other. With the given slots
+// holding the values the unpinned tape computes, the outputs agree.
+TEST(IpTest, PinnedValuesAreReadFromAndKeptInTheirSlots) {
+  IpBuilder ip;
+  const IpValue only_given_reads = ip.in(0) / ip.in(1);
+  const IpValue given = only_given_reads + ip.in(2);
+  const IpValue both = ip.in(2) * 3;
+  const IpValue kept = given * ip.in(3);
+  const IpValue kept_unread = ip.in(3) - ip.in(0);
+  ip.out(kept + both);
+  ip.out(given - ip.lit(1));
+  const ElementaryOp op = ip.finish("pinned");
+  const std::vector<PinnedValue> pins = {{given.id(), 4, true},
+                                         {both.id(), 5, true},
+                                         {both.id(), 6, false},
+                                         {kept.id(), 7, false},
+                                         {kept_unread.id(), 8, false}};
+  const Tape tape = lower_to_tape(op, 4, pins);
+  EXPECT_EQ(tape.slot_count, 9);
+  const Tape unpinned = lower_to_tape(op, 4);
+  EXPECT_LT(tape.code.size(), unpinned.code.size());
+
+  // Three lanes; lane l reads in = {7 + l, 1, 5 - l, 2 + l}.
+  constexpr int n = 3;
+  auto fill_inputs = [&](TapeLanes& lanes, std::int64_t divisor) {
+    for (int l = 0; l < n; ++l) {
+      lanes.slot(tape.input_slots[0])[l] = 7 + l;
+      lanes.slot(tape.input_slots[1])[l] = divisor;
+      lanes.slot(tape.input_slots[2])[l] = 5 - l;
+      lanes.slot(tape.input_slots[3])[l] = 2 + l;
+    }
+  };
+  TapeLanes reference(unpinned, n);
+  fill_inputs(reference, 1);
+  unpinned.run(reference, n, {});
+  TapeLanes lanes(tape, n);
+  // The divisor is 0: computing what only the given node reads throws.
+  fill_inputs(lanes, 0);
+  for (int l = 0; l < n; ++l) {
+    lanes.slot(4)[l] = (7 + l) + (5 - l);
+    lanes.slot(5)[l] = (5 - l) * 3;
+    lanes.slot(6)[l] = -1;
+    lanes.slot(7)[l] = -1;
+    lanes.slot(8)[l] = -1;
+  }
+  ASSERT_NO_THROW(tape.run(lanes, n, {}));
+  for (std::size_t k = 0; k < 2; ++k) {
+    for (int l = 0; l < n; ++l) {
+      EXPECT_EQ(lanes.slot(tape.result_slots[k])[l],
+                reference.slot(unpinned.result_slots[k])[l])
+          << "output " << k << ", lane " << l;
+    }
+  }
+  for (int l = 0; l < n; ++l) {
+    EXPECT_EQ(lanes.slot(6)[l], (5 - l) * 3) << "lane " << l;
+    EXPECT_EQ(lanes.slot(7)[l], 12 * (2 + l)) << "lane " << l;
+    EXPECT_EQ(lanes.slot(8)[l], (2 + l) - (7 + l)) << "lane " << l;
+  }
+  // A node may be pinned only to a slot past the inputs.
+  EXPECT_THROW(lower_to_tape(op, 4, std::vector<PinnedValue>{{given.id(), 3, true}}), Error);
+}
+
 TEST(IpTest, TapeLanesAreOneToMaxTapeLanesWide) {
   IpBuilder ip;
   ip.out(ip.in(0) + 1);

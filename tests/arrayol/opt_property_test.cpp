@@ -517,6 +517,39 @@ TEST(LineBufferOracle, FusedTaskMatchesTheUnfusedApplicationOnEveryWorkerCount) 
   }
 }
 
+TEST(LineBufferOracle, OverlapWiderThanTheShiftMovesRingRowsAlong) {
+  // V reads 13 H rows at paving 4: the next consumer row reuses 9 of
+  // them, so rows 4 to 8 of a step are both read from the ring and kept
+  // for the row below, which moves them from one ring half to the other.
+  const testsupport::PoisonedTapeScratch poisoned;
+  std::mt19937 rng(913);
+  for (const std::int64_t width : {2, 129}) {
+    DownscalerConfig cfg = DownscalerConfig::tiny();
+    cfg.v = apps::FilterSpec{13, 4, {0, 2, 5, 7}, 6};
+    cfg.height = cfg.v.paving * 7;
+    cfg.width = cfg.h.paving * width;
+    cfg.validate();
+    const aol::Model base = apps::build_downscaler_model(cfg);
+    const aol::Model fused = fused_rgb_downscaler(base);
+    const std::string what = cat(cfg.height, "x", cfg.width);
+    ASSERT_EQ(fused.tasks().size(), 1u) << what;
+    for (const aol::SharedProducer& s : fused.tasks()[0].shared) {
+      EXPECT_EQ(s.instances, 13) << what;
+      EXPECT_EQ(s.shift, 4) << what;
+    }
+    EXPECT_TRUE(gaspard::OpenClApplication::build(fused).kernels()[0].line_buffer.has_value())
+        << what;
+    const auto inputs = random_inputs(base, rng);
+    const auto expected = aol::evaluate(base, inputs);
+    for (const unsigned workers : {1u, 2u, 3u}) {
+      const auto o2 = execute(fused, inputs, workers);
+      for (const std::string& out : base.outputs()) {
+        EXPECT_EQ(o2.at(out), expected.at(out)) << what << ", " << workers << " workers";
+      }
+    }
+  }
+}
+
 TEST(LineBufferOracle, PaperGeometryFusedTaskMatchesO0OnEveryWorkerCount) {
   const aol::Model base = apps::build_downscaler_model(DownscalerConfig::paper());
   const aol::Model fused = fused_rgb_downscaler(base);
